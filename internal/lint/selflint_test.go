@@ -33,6 +33,32 @@ func TestModuleIsLintClean(t *testing.T) {
 	}
 }
 
+// TestModulePoolsDiscovered pins the pool-lifetime analyzer's reach on the
+// real module: every free list the hot paths recycle through must be
+// discovered by shape, or its use-after-release checks silently stop.
+func TestModulePoolsDiscovered(t *testing.T) {
+	pkgs, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools, _ := discoverPools(&ModulePass{Pkgs: pkgs, Graph: BuildGraph(pkgs), fset: pkgs[0].Fset})
+	found := map[string]string{}
+	//lint:ordered keyed idempotent stores; iteration order immaterial
+	for rec, pool := range pools {
+		found[rec.Pkg().Path()+"."+rec.Name()] = pool.owner.Name()
+	}
+	for rec, owner := range map[string]string{
+		"liteworp/internal/sim.eventItem":       "Kernel",
+		"liteworp/internal/watch.pendingEntry":  "Buffer",
+		"liteworp/internal/medium.delivery":     "Medium",
+		"liteworp/internal/routing.cachedRoute": "Router",
+	} {
+		if got, ok := found[rec]; !ok || got != owner {
+			t.Errorf("pool %s: discovered owner %q (found=%v), want %q", rec, got, ok, owner)
+		}
+	}
+}
+
 // TestLoadModulePositions spot-checks that loaded packages carry
 // module-relative paths and type information.
 func TestLoadModulePositions(t *testing.T) {

@@ -139,8 +139,8 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 		return nil
 	}
 
-	// Marshal once, decode once: receivers share the decoded frame and get
-	// per-delivery struct copies (see Medium.transmit for the contract).
+	// Marshal once, decode once: receivers share the decoded frame (see
+	// Medium.transmit).
 	wire, err := p.MarshalAppend(m.wireBuf[:0])
 	if err != nil {
 		return err
@@ -157,6 +157,7 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 	end := now + dur
 	arrival := dur + m.cfg.PropagationDelay
 
+	var d *delivery
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
 		st, ok := m.stations[rx]
 		if !ok {
@@ -176,50 +177,56 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 		}
 		// Residual probabilistic loss still applies (noise floor).
 		noise := m.kernel.Rand().Float64() < m.cfg.Loss.LossProb(tx, rx)
-		stCopy := st
-		rxCopy := rx
-		isTarget := p.Receiver == rxCopy
 		// Only the addressed receiver can trigger an ARQ retransmission,
 		// so only it needs a private deep copy of the frame.
 		var retransmit *packet.Packet
-		if isTarget {
+		if p.Receiver == rx {
 			retransmit = p.Clone()
 		}
-		m.kernel.Post(arrival, func() {
-			if stCopy.down {
-				// The receiver crashed while the frame was in flight.
-				m.stats.DownSuppressed++
-				return
-			}
-			lost := iv.corrupted || noise
-			if m.trace != nil {
-				m.trace(TraceEvent{At: m.kernel.Now(), From: tx, To: rxCopy, Packet: p, Lost: lost})
-			}
-			if lost {
-				m.stats.Losses++
-				if iv.corrupted {
-					m.stats.AirtimeCollisions++
-					if m.corrupted != nil {
-						m.corrupted(rxCopy)
-					}
-				}
-				// MAC ARQ: the addressed receiver of a unicast frame
-				// failed to acknowledge; retransmit after a backoff.
-				if isTarget && arq < m.airUnicastRetries() {
-					m.stats.ARQRetransmissions++
-					backoff := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
-					m.kernel.Post(backoff, func() {
-						_ = m.transmitAirtimeARQ(tx, retransmit, rangeFactor, 0, arq+1)
-					})
-				}
-				return
-			}
-			m.stats.Deliveries++
-			q := *decoded
-			stCopy.recv(&q)
-		})
+		if d == nil {
+			d = m.newDelivery(decoded)
+			d.airtime = true
+			d.tx, d.sent, d.rangeFactor, d.arq = tx, p, rangeFactor, arq
+		}
+		d.rx = append(d.rx, st)
+		d.air = append(d.air, airReception{iv: iv, noise: noise, retransmit: retransmit})
+	}
+	if d != nil {
+		m.kernel.Post(arrival, d.fire)
 	}
 	return nil
+}
+
+// airtimeLost settles an airtime reception at its arrival instant, when
+// every frame that could overlap it is known. It traces the attempt and
+// reports whether the frame was lost; a lost unicast schedules the MAC's
+// ARQ retransmission from the addressed receiver's private copy.
+func (m *Medium) airtimeLost(d *delivery, rx field.NodeID, r *airReception) bool {
+	lost := r.iv.corrupted || r.noise
+	if m.trace != nil {
+		m.trace(TraceEvent{At: m.kernel.Now(), From: d.tx, To: rx, Packet: d.sent, Lost: lost})
+	}
+	if !lost {
+		return false
+	}
+	m.stats.Losses++
+	if r.iv.corrupted {
+		m.stats.AirtimeCollisions++
+		if m.corrupted != nil {
+			m.corrupted(rx)
+		}
+	}
+	// MAC ARQ: the addressed receiver of a unicast frame failed to
+	// acknowledge; retransmit after a backoff.
+	if r.retransmit != nil && d.arq < m.airUnicastRetries() {
+		m.stats.ARQRetransmissions++
+		backoff := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
+		tx, frame, rangeFactor, arq := d.tx, r.retransmit, d.rangeFactor, d.arq+1
+		m.kernel.Post(backoff, func() {
+			_ = m.transmitAirtimeARQ(tx, frame, rangeFactor, 0, arq)
+		})
+	}
+	return true
 }
 
 func (m *Medium) airUnicastRetries() int {

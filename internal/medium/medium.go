@@ -17,6 +17,8 @@
 //   - Frames cross the medium as encoded bytes (Marshal on send, Unmarshal
 //     on delivery), so only wire-representable information propagates and
 //     transmission delays reflect genuine frame sizes.
+//   - Each transmission is decoded once and delivered by one kernel event
+//     that hands every receiver the same read-only frame (see delivery).
 package medium
 
 import (
@@ -40,8 +42,11 @@ var (
 	ErrSenderDown = errors.New("medium: sender is down")
 )
 
-// Receiver is a station's frame-delivery callback. Each receiver gets its
-// own decoded copy of the frame.
+// Receiver is a station's frame-delivery callback. The frame is decoded
+// once per transmission and the same *packet.Packet goes to every station
+// that receives it, so it is shared and read-only: a receiver must Clone it
+// before mutating it or keeping it beyond the call. The sender's own packet
+// is never handed to a receiver.
 type Receiver func(*packet.Packet)
 
 // LossModel yields the probability that a given reception fails.
@@ -177,6 +182,7 @@ type TraceEvent struct {
 }
 
 type station struct {
+	id   field.NodeID
 	recv Receiver
 	// down marks a crashed station: it neither transmits nor receives (and
 	// frames already in flight toward it evaporate at delivery time), but
@@ -213,6 +219,8 @@ type Medium struct {
 	// outlive the transmit call and steady-state encoding allocates
 	// nothing (Unmarshal copies every variable-length section).
 	wireBuf []byte
+	// freeDeliveries recycles fired delivery batches.
+	freeDeliveries []*delivery
 }
 
 // New creates a medium over the given topology.
@@ -371,7 +379,7 @@ func (m *Medium) Attach(id field.NodeID, recv Receiver) error {
 	if _, dup := m.stations[id]; dup {
 		return fmt.Errorf("medium: node %d already attached", id)
 	}
-	m.stations[id] = &station{recv: recv}
+	m.stations[id] = &station{id: id, recv: recv}
 	return nil
 }
 
@@ -416,11 +424,8 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 		return m.transmitAirtime(tx, p, rangeFactor, 0)
 	}
 	// Marshal once into the reusable wire buffer and decode once: every
-	// receiver then gets a cheap struct copy of the same decoded frame
-	// instead of its own Unmarshal pass over its own copy of the bytes.
-	// Only wire-representable information still propagates — the decode
-	// happens from the encoded bytes, exactly as before, just N-1 fewer
-	// times per broadcast.
+	// receiver shares the one decoded frame. Only wire-representable
+	// information propagates — receivers see what the bytes carry.
 	wire, err := p.MarshalAppend(m.wireBuf[:0])
 	if err != nil {
 		return fmt.Errorf("medium: encode from %d: %w", tx, err)
@@ -436,6 +441,7 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 	arrival := m.TxDelay(len(wire)) + m.cfg.PropagationDelay
 
 	// Deterministic receiver order: ascending IDs from the topology.
+	var d *delivery
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
 		st, ok := m.stations[rx]
 		if !ok {
@@ -465,20 +471,13 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 			}
 			continue
 		}
-		stCopy := st
-		m.kernel.Post(arrival, func() {
-			if stCopy.down {
-				// The receiver crashed while the frame was in flight.
-				m.stats.DownSuppressed++
-				return
-			}
-			m.stats.Deliveries++
-			// Per-receiver struct copy; the slice sections (Route,
-			// Payload, MAC) are shared read-only among this frame's
-			// receivers — stacks clone before mutating.
-			q := *decoded
-			stCopy.recv(&q)
-		})
+		if d == nil {
+			d = m.newDelivery(decoded)
+		}
+		d.rx = append(d.rx, st)
+	}
+	if d != nil {
+		m.kernel.Post(arrival, d.fire)
 	}
 	return m.unicastResult(tx, p)
 }
@@ -535,12 +534,9 @@ func (m *Medium) TunnelSend(from, to field.NodeID, p *packet.Packet) error {
 	if m.trace != nil {
 		m.trace(TraceEvent{At: m.kernel.Now(), From: from, To: to, Packet: p, Tunnel: true})
 	}
-	m.kernel.Post(tun.delay, func() {
-		if st.down {
-			m.stats.DownSuppressed++
-			return
-		}
-		st.recv(decoded)
-	})
+	d := m.newDelivery(decoded)
+	d.tunnel = true
+	d.rx = append(d.rx, st)
+	m.kernel.Post(tun.delay, d.fire)
 	return nil
 }

@@ -298,48 +298,75 @@ func TestTunnelValidation(t *testing.T) {
 	}
 }
 
-func TestReceiverGetsIndependentCopies(t *testing.T) {
-	// Delivery contract (decode-once fast path): each receiver gets its own
-	// *Packet struct, so scalar fields and slice *headers* are private —
-	// reassigning or appending never leaks to other receivers or back to
-	// the sender. The slice contents (Route, Payload, MAC) are shared
-	// read-only among a frame's receivers; stacks clone before mutating
-	// them in place (packet.Clone), which routing and attack code do.
-	k := sim.New(1)
-	f := lineTopo(t, 3)
-	m := New(k, f, Config{})
-	var got1, got3 *packet.Packet
-	if err := m.Attach(1, func(p *packet.Packet) {
-		got1 = p
-		p.HopCount = 9
-		p.Route = append(p.Route, 77) // decoded slices are at capacity: this reallocates
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(2, func(*packet.Packet) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(3, func(p *packet.Packet) { got3 = p }); err != nil {
-		t.Fatal(err)
-	}
-	p := &packet.Packet{Type: packet.TypeRouteRequest, Sender: 2, PrevHop: 2, Receiver: packet.Broadcast, Route: []field.NodeID{5}}
-	if err := m.Broadcast(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got1 == nil || got3 == nil {
-		t.Fatal("frames not delivered")
-	}
-	if got1 == got3 {
-		t.Fatal("receivers share one Packet struct")
-	}
-	if got3.HopCount != 0 || len(got3.Route) != 1 || got3.Route[0] != 5 {
-		t.Fatal("one receiver's mutation leaked into another's copy")
-	}
-	if p.HopCount != 0 || len(p.Route) != 1 || p.Route[0] != 5 {
-		t.Fatal("receiver mutation leaked into the sender's packet")
+// TestReceiversShareOneReadOnlyFrame pins the delivery contract: one
+// transmission is decoded once and every receiver gets the same
+// *packet.Packet (stacks Clone before mutating or keeping it); the sender's
+// packet is never aliased; and each receiver's liveness is checked at its
+// own turn in the batch, so a receiver crashed by an earlier receiver of
+// the same frame counts as DownSuppressed. Both channel models deliver
+// through the same batch.
+func TestReceiversShareOneReadOnlyFrame(t *testing.T) {
+	for _, airtime := range []bool{false, true} {
+		name := "collision-model"
+		if airtime {
+			name = "airtime"
+		}
+		t.Run(name, func(t *testing.T) {
+			k := sim.New(1)
+			// Node 2 at the center hears 1, 3 and 4 (range 30m).
+			f := field.New(60, 40, 30)
+			for i := 1; i <= 4; i++ {
+				if err := f.Place(field.NodeID(i), field.Point{X: float64(i * 10), Y: 0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m := New(k, f, Config{Airtime: AirtimeConfig{Enabled: airtime}})
+			got := map[field.NodeID]*packet.Packet{}
+			for i := field.NodeID(1); i <= 4; i++ {
+				id := i
+				if err := m.Attach(id, func(p *packet.Packet) {
+					got[id] = p
+					if id == 1 {
+						// The first receiver's handler crashes a later
+						// receiver of the same frame.
+						if err := m.SetDown(3, true); err != nil {
+							t.Error(err)
+						}
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := &packet.Packet{
+				Type: packet.TypeRouteRequest, Sender: 2, PrevHop: 2, Origin: 2,
+				Receiver: packet.Broadcast, Route: []field.NodeID{5}, Payload: []byte("x"),
+			}
+			if err := m.Broadcast(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got[1] == nil || got[4] == nil {
+				t.Fatalf("frames not delivered: %v", got)
+			}
+			if got[1] != got[4] {
+				t.Fatal("receivers of one transmission got different Packet structs")
+			}
+			if _, ok := got[3]; ok {
+				t.Fatal("receiver crashed earlier in the batch still got the frame")
+			}
+			if st := m.Stats(); st.DownSuppressed != 1 || st.Deliveries != 2 {
+				t.Fatalf("DownSuppressed = %d, Deliveries = %d, want 1 and 2", st.DownSuppressed, st.Deliveries)
+			}
+			q := got[1]
+			if q == p || &q.Route[0] == &p.Route[0] || &q.Payload[0] == &p.Payload[0] {
+				t.Fatal("a receiver's frame aliases the sender's packet")
+			}
+			if q.Route[0] != 5 || string(q.Payload) != "x" {
+				t.Fatalf("decoded frame differs from the sent one: %+v", q)
+			}
+		})
 	}
 }
 

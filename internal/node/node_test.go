@@ -30,6 +30,13 @@ type world struct {
 // malicious maps node IDs to attack configs.
 func buildWorld(t *testing.T, n int, liteworp bool, malicious map[field.NodeID]*attack.Config) *world {
 	t.Helper()
+	return buildTracedWorld(t, n, liteworp, malicious, nil)
+}
+
+// buildTracedWorld is buildWorld with a medium trace installed before the
+// first frame goes on the air (nil installs none).
+func buildTracedWorld(t *testing.T, n int, liteworp bool, malicious map[field.NodeID]*attack.Config, tr medium.TraceFunc) *world {
+	t.Helper()
 	k := sim.New(1)
 	f := field.New(float64(n*20+40), 60, 30)
 	for i := 1; i <= n; i++ {
@@ -38,6 +45,7 @@ func buildWorld(t *testing.T, n int, liteworp bool, malicious map[field.NodeID]*
 		}
 	}
 	med := medium.New(k, f, medium.Config{BandwidthBps: 250_000})
+	med.SetTrace(tr)
 	col := metrics.NewCollector()
 	malSet := make(map[field.NodeID]bool)
 	var colluders []field.NodeID

@@ -219,8 +219,8 @@ func (k *Kernel) After(d time.Duration, fn Event) Timer {
 // Post schedules fn to run d from now without handing out a cancellation
 // handle. It is the allocation-free path for fire-and-forget events — with
 // a warm item pool a Post costs zero heap allocations, which is what the
-// medium's per-receiver frame deliveries ride on. Negative d behaves like
-// zero; nil fn is ignored.
+// medium's one-per-transmission delivery batches ride on. Negative d
+// behaves like zero; nil fn is ignored.
 func (k *Kernel) Post(d time.Duration, fn Event) {
 	if fn == nil {
 		return
