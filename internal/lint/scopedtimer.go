@@ -7,10 +7,11 @@ import (
 )
 
 // timerMethods are the Kernel scheduling entry points that bypass scope
-// tracking. Post is the handle-free fast path and just as unscoped.
-var timerMethods = map[string]bool{"At": true, "After": true, "Post": true}
+// tracking. Post is the handle-free fast path and just as unscoped;
+// AfterLane arms a fixed-delay lane timer, scoped only through a Scope.
+var timerMethods = map[string]bool{"At": true, "After": true, "Post": true, "AfterLane": true}
 
-// ScopedTimers flags direct *sim.Kernel.At / *sim.Kernel.After calls from
+// ScopedTimers flags direct *sim.Kernel.At / After / Post / AfterLane calls from
 // node-owned packages (core, neighbor, watch, routing, node). Timers that
 // belong to one node incarnation must be scheduled through that node's
 // sim.Scope — an unscoped timer survives the node's crash, fires into a

@@ -28,7 +28,7 @@ import "time"
 // Everything is integer arithmetic over slices — no map iteration, no
 // wallclock — so two runs with the same seed walk identical bucket states.
 type calendarQueue struct {
-	buckets []cqBucket
+	buckets []itemRun
 	mask    uint64 // len(buckets)-1; len is a power of two
 	width   int64  // bucket width, virtual nanoseconds
 	n       int    // queued items, cancelled included
@@ -71,11 +71,23 @@ const (
 	cqFarFuture = int64(1) << 61
 )
 
-// cqBucket is one calendar bucket: items[head:] are queued, sorted
-// ascending by (at, seq); items[:head] are popped slots awaiting compaction.
-type cqBucket struct {
+// itemRun is a sorted run of items: one calendar bucket, or one Lane.
+// items[head:] are queued, sorted ascending by (at, seq); items[:head] are
+// popped slots awaiting compaction.
+type itemRun struct {
 	items []*eventItem
 	head  int
+}
+
+// len returns the number of queued items, dead ones included.
+func (b *itemRun) len() int { return len(b.items) - b.head }
+
+// front returns the run's minimum item, or nil when it is empty.
+func (b *itemRun) front() *eventItem {
+	if b.head == len(b.items) {
+		return nil
+	}
+	return b.items[b.head]
 }
 
 // NewCalendarQueue returns the calendar-queue backend, the kernel default.
@@ -90,7 +102,7 @@ func (q *calendarQueue) kind() string { return QueueCalendar }
 func (q *calendarQueue) size() int { return q.n }
 
 func (q *calendarQueue) initBuckets(count int) {
-	q.buckets = make([]cqBucket, count)
+	q.buckets = make([]itemRun, count)
 	q.mask = uint64(count - 1)
 	for i := range q.buckets {
 		q.buckets[i].items = make([]*eventItem, 0, cqBucketSeedCap)
@@ -105,13 +117,6 @@ func (q *calendarQueue) bucketFor(at time.Duration) int {
 // windowStart returns the start of the width-aligned window containing at.
 func (q *calendarQueue) windowStart(at time.Duration) int64 {
 	return int64(at) / q.width * q.width
-}
-
-func cqLess(a, b *eventItem) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 func (q *calendarQueue) push(item *eventItem) {
@@ -130,25 +135,25 @@ func (q *calendarQueue) push(item *eventItem) {
 	}
 	q.buckets[q.bucketFor(item.at)].insert(item)
 	q.n++
-	if q.min != nil && cqLess(item, q.min) {
+	if q.min != nil && earlier(item, q.min) {
 		//lint:pooled min memoises the queue head only while the item is queued; pop, reap, and resize all clear it before the item can be recycled
 		q.min = item
 		q.minBucket = q.bucketFor(item.at)
 	}
 }
 
-// insert places it into the bucket's sorted run. Pushes arrive mostly in
+// insert places it into the sorted run. Pushes arrive mostly in
 // nondecreasing (at, seq) order, so the append fast path dominates; the
 // binary-search path covers jitter and cursor rewinds.
-func (b *cqBucket) insert(it *eventItem) {
-	if n := len(b.items); n == b.head || !cqLess(it, b.items[n-1]) {
+func (b *itemRun) insert(it *eventItem) {
+	if n := len(b.items); n == b.head || !earlier(it, b.items[n-1]) {
 		b.items = append(b.items, it)
 		return
 	}
 	lo, hi := b.head, len(b.items)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if cqLess(it, b.items[mid]) {
+		if earlier(it, b.items[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -159,9 +164,9 @@ func (b *cqBucket) insert(it *eventItem) {
 	b.items[lo] = it
 }
 
-// take removes the bucket's head slot, compacting the popped prefix once
+// take removes the run's head slot, compacting the popped prefix once
 // it outweighs the live remainder (capacity is kept for reuse).
-func (b *cqBucket) take() {
+func (b *itemRun) take() {
 	b.items[b.head] = nil
 	b.head++
 	switch {
@@ -210,7 +215,7 @@ func (q *calendarQueue) peek() *eventItem {
 	for i := range q.buckets {
 		b := &q.buckets[i]
 		if b.head < len(b.items) {
-			if it := b.items[b.head]; best == nil || cqLess(it, best) {
+			if it := b.items[b.head]; best == nil || earlier(it, best) {
 				best, bestIdx = it, i
 			}
 		}
@@ -244,24 +249,30 @@ func (q *calendarQueue) pop() *eventItem {
 func (q *calendarQueue) reap(recycle func(*eventItem)) int {
 	removed := 0
 	for i := range q.buckets {
-		b := &q.buckets[i]
-		live := b.items[:0]
-		for _, it := range b.items[b.head:] {
-			if it.dead() {
-				recycle(it)
-				removed++
-				continue
-			}
-			live = append(live, it)
-		}
-		for j := len(live); j < len(b.items); j++ {
-			b.items[j] = nil
-		}
-		b.items = live
-		b.head = 0
+		removed += q.buckets[i].reap(recycle)
 	}
 	q.n -= removed
 	q.min = nil // the cached head may have been reaped
+	return removed
+}
+
+// reap removes every dead item in place, handing each to recycle, and
+// returns how many it removed. Survivors keep their order.
+func (b *itemRun) reap(recycle func(*eventItem)) int {
+	live := b.items[:0]
+	for _, it := range b.items[b.head:] {
+		if it.dead() {
+			recycle(it)
+			continue
+		}
+		live = append(live, it)
+	}
+	removed := len(b.items) - b.head - len(live)
+	for j := len(live); j < len(b.items); j++ {
+		b.items[j] = nil
+	}
+	b.items = live
+	b.head = 0
 	return removed
 }
 
@@ -316,7 +327,7 @@ func (q *calendarQueue) resize() {
 		for i := range q.buckets {
 			b := &q.buckets[i]
 			if len(b.items) > 0 {
-				if it := b.items[0]; best == nil || cqLess(it, best) {
+				if it := b.items[0]; best == nil || earlier(it, best) {
 					best, bestIdx = it, i
 				}
 			}

@@ -3,7 +3,20 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestEventItemSize pins the pooled item at 48 bytes on 64-bit platforms:
+// the flags share the padding after the scope pointer, so marking lane
+// members costs no memory per item.
+func TestEventItemSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(eventItem{}); got != 48 {
+		t.Fatalf("eventItem is %d bytes, want 48", got)
+	}
+}
 
 func TestPostFiresInOrder(t *testing.T) {
 	k := New(1)

@@ -127,12 +127,7 @@ type eventHeap []*eventItem
 
 func (h eventHeap) Len() int { return len(h) }
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) Less(i, j int) bool { return earlier(h[i], h[j]) }
 
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 

@@ -115,7 +115,7 @@ func FuzzQueueEquivalence(f *testing.F) {
 // TestPendingAccountingAcrossBackends cross-checks the live-count invariant
 // Pending() == live scheduled events on both backends while lazy reaping,
 // compaction, and (for the calendar) resize all trigger, for timers
-// cancelled one by one and through a dead scope. PendingRaw may lag behind
+// cancelled one by one and through a dead scope, in the queue and on a lane. PendingRaw may lag behind
 // (dead items awaiting reap) but must never undercount Pending.
 func TestPendingAccountingAcrossBackends(t *testing.T) {
 	for _, kind := range QueueKinds() {
@@ -244,6 +244,62 @@ func TestPendingAccountingAcrossBackends(t *testing.T) {
 				t.Fatalf("fired %d events around scope cancellation, want %d", fired, want)
 			}
 			checkDead("scoped drain", 0, 0)
+
+			// Lane members: cancels in the middle of a lane, a CancelAll
+			// below the compaction trigger whose items are reaped lazily
+			// when they reach the front, and a CancelAll that compacts.
+			lane := k.Lane(50 * time.Millisecond)
+			laneSmall, laneBig := NewScope(k), NewScope(k)
+			base := k.Now()
+			fired = 0
+			for i := 0; i < 200; i++ {
+				k.After(time.Duration(i)*time.Millisecond, count)
+			}
+			var laneTimers []Timer
+			for i := 0; i < 30; i++ {
+				laneTimers = append(laneTimers, laneSmall.AfterLane(lane, count))
+			}
+			for i := 0; i < 300; i++ {
+				laneBig.AfterLane(lane, count)
+			}
+			k.AfterLane(lane, count)
+			checkDead("lane schedules", 531, 0)
+			for _, tm := range laneTimers[5:15] {
+				tm.Cancel()
+			}
+			checkDead("mid-lane cancels", 521, 10)
+			if got := laneSmall.Pending(); got != 20 {
+				t.Fatalf("laneSmall.Pending() = %d, want 20", got)
+			}
+			if got := laneSmall.CancelAll(); got != 20 {
+				t.Fatalf("laneSmall.CancelAll() = %d, want 20", got)
+			}
+			checkDead("lane CancelAll", 501, 30)
+			if err := k.RunUntil(base + 49*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			// Nothing on the lane is due before 50ms, so its dead items
+			// stay held.
+			checkDead("before the lane front", 451, 30)
+			// The queue item at 50ms was armed before the lane items, so
+			// it fires first and the dead lane front stays held.
+			k.Step()
+			checkDead("queue wins the tie", 450, 30)
+			// Next in (at, seq) order is the dead lane front: it is reaped
+			// and laneBig's first member fires.
+			k.Step()
+			checkDead("lane front reaped", 449, 0)
+			if got := laneBig.CancelAll(); got != 299 {
+				t.Fatalf("laneBig.CancelAll() = %d, want 299", got)
+			}
+			// 299 dead against 150 live: CancelAll compacted the lane.
+			checkDead("compacting lane CancelAll", 150, 0)
+			for k.Step() {
+			}
+			if want := 200 + 1 + 1; fired != want {
+				t.Fatalf("fired %d events around lane cancellation, want %d", fired, want)
+			}
+			checkDead("lane drain", 0, 0)
 		})
 	}
 }

@@ -8,6 +8,9 @@ import (
 // Clock is the scheduling surface components program against. *Kernel
 // implements it directly; *Scope implements it with group cancellation so a
 // whole protocol stack's timers can be torn down at once (node crash).
+// Timers armed with At/After go to the kernel's priority queue; timers that
+// all share one delay may go through AfterLane instead, which appends to a
+// FIFO with the same firing order and a cheaper insert.
 type Clock interface {
 	// Now returns the current virtual time.
 	Now() time.Duration
@@ -15,6 +18,12 @@ type Clock interface {
 	At(t time.Duration, fn Event) Timer
 	// After schedules fn d from now.
 	After(d time.Duration, fn Event) Timer
+	// Lane returns the shared lane for fixed delay d.
+	Lane(d time.Duration) *Lane
+	// AfterLane schedules fn the lane's delay from now, exactly as After
+	// would, on the lane's FIFO instead of the priority queue. Use it for
+	// a deadline armed in bulk with one fixed delay.
+	AfterLane(l *Lane, fn Event) Timer
 	// Rand returns the deterministic random source.
 	Rand() *rand.Rand
 	// ExpDuration draws an exponential inter-arrival duration.
@@ -36,15 +45,18 @@ var _ Clock = (*Scope)(nil)
 // Membership is carried on the event items, not in the scope: each item
 // scheduled through the scope points back at it, and the kernel treats an
 // item whose scope is dead exactly like an individually cancelled one. The
-// scope itself keeps only a count of its queued live timers, so CancelAll
-// is O(1) and the dead items are reclaimed by the kernel's lazy pop and
-// compaction path.
+// scope itself keeps only counts of its live timers, so CancelAll is O(1)
+// and the dead items are reclaimed by the kernel's lazy pop and compaction
+// path.
 type Scope struct {
 	k *Kernel
-	// live counts this scope's timers still queued, neither fired nor
-	// cancelled. The kernel decrements it as they fire or are cancelled.
-	live int
-	dead bool
+	// live counts this scope's timers still in the queue, laneLive those
+	// still on lanes, neither fired nor cancelled. The kernel decrements
+	// them as they fire or are cancelled; CancelAll charges each to the
+	// kernel's tally for the structure that holds it.
+	live     int
+	laneLive int
+	dead     bool
 }
 
 // NewScope returns a live scope over k.
@@ -83,16 +95,40 @@ func (s *Scope) After(d time.Duration, fn Event) Timer {
 	return s.adopt(s.k.After(d, fn))
 }
 
+// Lane implements Clock: the kernel's shared lane for delay d.
+func (s *Scope) Lane(d time.Duration) *Lane { return s.k.Lane(d) }
+
+// AfterLane schedules fn on the lane as a member of the scope.
+func (s *Scope) AfterLane(l *Lane, fn Event) Timer {
+	if s.dead || fn == nil {
+		return Timer{}
+	}
+	return s.adopt(s.k.AfterLane(l, fn))
+}
+
 // adopt makes a timer the kernel just scheduled a member of the scope.
 func (s *Scope) adopt(t Timer) Timer {
 	t.item.scope = s
-	s.live++
+	if t.item.inLane {
+		s.laneLive++
+	} else {
+		s.live++
+	}
 	return t
 }
 
+// forget drops a member that fired or was cancelled from the live counts.
+func (s *Scope) forget(it *eventItem) {
+	if it.inLane {
+		s.laneLive--
+	} else {
+		s.live--
+	}
+}
+
 // Pending returns the number of the scope's timers that have neither fired
-// nor been cancelled.
-func (s *Scope) Pending() int { return s.live }
+// nor been cancelled, queued and laned alike.
+func (s *Scope) Pending() int { return s.live + s.laneLive }
 
 // Dead reports whether CancelAll has been called.
 func (s *Scope) Dead() bool { return s.dead }
@@ -105,9 +141,9 @@ func (s *Scope) CancelAll() int {
 	if s.dead {
 		return 0
 	}
-	n := s.live
-	s.live = 0
+	queued, laned := s.live, s.laneLive
+	s.live, s.laneLive = 0, 0
 	s.dead = true
-	s.k.noteCancelled(n)
-	return n
+	s.k.noteCancelled(queued, laned)
+	return queued + laned
 }

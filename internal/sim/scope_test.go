@@ -101,14 +101,31 @@ func TestScopeCancelAll(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		s.After(time.Duration(i+1)*time.Millisecond, func() { fired++ })
 	}
+	// Lane members: 200 fire at 300ms, 100 armed at 400ms are still on
+	// the lane at 500ms when the scope dies.
+	lane := s.Lane(300 * time.Millisecond)
+	for i := 0; i < 200; i++ {
+		s.AfterLane(lane, func() { fired++ })
+	}
+	k.At(400*time.Millisecond, func() {
+		for i := 0; i < 100; i++ {
+			s.AfterLane(lane, func() { fired++ })
+		}
+	})
 	if err := k.RunUntil(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 500 {
-		t.Fatalf("fired = %d before cancel, want 500", fired)
+	if fired != 700 {
+		t.Fatalf("fired = %d before cancel, want 700", fired)
 	}
-	if got := s.CancelAll(); got != 1000 {
-		t.Fatalf("CancelAll() = %d, want 1000", got)
+	if got := s.Pending(); got != 1100 {
+		t.Fatalf("Pending() = %d before cancel, want 1100", got)
+	}
+	if got := s.CancelAll(); got != 1100 {
+		t.Fatalf("CancelAll() = %d, want 1100", got)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("kernel Pending() = %d after CancelAll, want 0", k.Pending())
 	}
 	if !s.Dead() {
 		t.Fatal("scope not dead after CancelAll")
@@ -116,18 +133,21 @@ func TestScopeCancelAll(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 500 {
-		t.Fatalf("fired = %d after cancel, want 500 (cancelled timers ran)", fired)
+	if fired != 700 {
+		t.Fatalf("fired = %d after cancel, want 700 (cancelled timers ran)", fired)
 	}
 	// A dead scope schedules nothing and returns inert timers.
 	tm := s.After(time.Millisecond, func() { fired++ })
 	if tm.Pending() {
 		t.Fatal("dead scope produced a pending timer")
 	}
+	if tm := s.AfterLane(lane, func() { fired++ }); tm.Pending() {
+		t.Fatal("dead scope produced a pending lane timer")
+	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 500 {
+	if fired != 700 {
 		t.Fatal("dead scope still scheduled an event")
 	}
 }

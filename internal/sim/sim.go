@@ -52,9 +52,13 @@ func (t Timer) Cancel() bool {
 	}
 	t.item.cancelled = true
 	if s := t.item.scope; s != nil {
-		s.live--
+		s.forget(t.item)
 	}
-	t.k.noteCancelled(1)
+	if t.item.inLane {
+		t.k.noteCancelled(0, 1)
+	} else {
+		t.k.noteCancelled(1, 0)
+	}
 	return true
 }
 
@@ -76,6 +80,18 @@ type eventItem struct {
 	// it had been cancelled individually.
 	scope     *Scope
 	cancelled bool
+	// inLane marks an item queued on a Lane rather than in the queue; it
+	// tells cancellation which dead-item tally to charge.
+	inLane bool
+}
+
+// earlier is the kernel's strict total order on items: by time, then by
+// scheduling sequence. Every structure that holds items pops by it.
+func earlier(a, b *eventItem) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // dead reports whether the queued item must not fire: it was cancelled
@@ -86,11 +102,15 @@ func (it *eventItem) dead() bool {
 }
 
 // Kernel is the discrete-event simulation core: a virtual clock, an event
-// queue, and a deterministic random source.
+// queue plus its fixed-delay lanes, and a deterministic random source.
 type Kernel struct {
-	now     time.Duration
-	seq     uint64
-	queue   Queue
+	now   time.Duration
+	seq   uint64
+	queue Queue
+	// lanes holds one FIFO per distinct fixed delay (see Lane), in
+	// creation order. Step takes the earliest item across the queue and
+	// every lane head.
+	lanes   []*Lane
 	rng     *rand.Rand
 	stopped bool
 	// processed counts events that have fired, for diagnostics and as a
@@ -105,11 +125,13 @@ type Kernel struct {
 	// whose cancellation was reaped go here instead of to the garbage
 	// collector, so steady-state scheduling allocates nothing.
 	free []*eventItem
-	// cancelledQueued counts cancelled items still sitting in the queue;
-	// when they dominate, compact() reaps them in one pass so
-	// cancel-heavy workloads (ARQ and alert retries) stop growing the
-	// queue.
+	// cancelledQueued counts cancelled items still sitting in the queue,
+	// cancelledLaned those still sitting in lanes; when together they
+	// dominate, compact() reaps them in one pass so cancel-heavy
+	// workloads (watch deadlines, ARQ and alert retries) stop growing
+	// the structures that hold them.
 	cancelledQueued int
+	cancelledLaned  int
 }
 
 // New returns a kernel whose clock starts at zero and whose random source is
@@ -155,17 +177,27 @@ func (k *Kernel) ProcessedHousekeeping() uint64 { return k.processedHousekeeping
 // per fired event.
 func (k *Kernel) noteHousekeepingEvent() { k.processedHousekeeping++ }
 
-// Pending returns the number of live events currently scheduled — cancelled
-// items still sitting in the queue awaiting lazy reaping are excluded, so the
-// count answers the question callers actually ask ("is anything still going
-// to happen?"). The invariant Pending() == PendingRaw() - cancelled-in-queue
-// holds across every backend, through lazy reaping, compaction, and resize.
-func (k *Kernel) Pending() int { return k.queue.size() - k.cancelledQueued }
+// Pending returns the number of live events currently scheduled, in the
+// queue and on the lanes — cancelled items still awaiting lazy reaping are
+// excluded, so the count answers the question callers actually ask ("is
+// anything still going to happen?"). The invariant Pending() ==
+// PendingRaw() - cancelled-but-held holds across every backend, through
+// lazy reaping, compaction, and resize.
+func (k *Kernel) Pending() int {
+	return k.PendingRaw() - k.cancelledQueued - k.cancelledLaned
+}
 
-// PendingRaw returns the raw queue length including cancelled items that
-// have not yet been popped or compacted away. It exists for tests exercising
-// the lazy-reaping machinery itself; everyone else wants Pending.
-func (k *Kernel) PendingRaw() int { return k.queue.size() }
+// PendingRaw returns the raw count of held items, queue and lanes,
+// including cancelled items that have not yet been popped or compacted
+// away. It exists for tests exercising the lazy-reaping machinery itself;
+// everyone else wants Pending.
+func (k *Kernel) PendingRaw() int {
+	n := k.queue.size()
+	for _, l := range k.lanes {
+		n += l.run.len()
+	}
+	return n
+}
 
 // newItem takes an eventItem from the pool (or allocates one) and
 // initializes it for scheduling at t.
@@ -176,7 +208,7 @@ func (k *Kernel) newItem(t time.Duration, fn Event) *eventItem {
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
 		item.at, item.seq, item.fn = t, k.seq, fn
-		item.cancelled = false
+		item.cancelled, item.inLane = false, false
 		return item
 	}
 	return &eventItem{at: t, seq: k.seq, fn: fn}
@@ -233,36 +265,65 @@ func (k *Kernel) Post(d time.Duration, fn Event) {
 }
 
 // Step fires the next pending event, advancing the clock to its timestamp.
-// It reports whether an event fired (false when the queue is empty or the
+// It reports whether an event fired (false when nothing is scheduled or the
 // kernel is stopped).
 func (k *Kernel) Step() bool {
 	if k.stopped {
 		return false
 	}
-	for {
-		item := k.queue.pop()
-		if item == nil {
-			break
-		}
-		if item.dead() {
-			k.cancelledQueued--
-			k.recycle(item)
-			continue
-		}
-		k.now = item.at
-		if s := item.scope; s != nil {
-			s.live--
-		}
-		k.processed++
-		fn := item.fn
-		// Recycle before running: fn may schedule new events, and a warm
-		// pool lets them reuse this very item. Stale Timer handles are
-		// fenced off by the generation bump.
-		k.recycle(item)
-		fn()
-		return true
+	item, lane := k.head()
+	if item == nil {
+		return false
 	}
-	return false
+	k.take(lane)
+	k.now = item.at
+	if s := item.scope; s != nil {
+		s.forget(item)
+	}
+	k.processed++
+	fn := item.fn
+	// Recycle before running: fn may schedule new events, and a warm pool
+	// lets them reuse this very item. Stale Timer handles are fenced off
+	// by the generation bump.
+	k.recycle(item)
+	fn()
+	return true
+}
+
+// head returns the earliest live item across the queue and the lane heads,
+// and the lane holding it (nil for the queue). Dead items are reaped as they
+// reach the front of that merged order — exactly where one queue holding
+// every item would reap them — so lanes change no count, not even
+// PendingRaw.
+func (k *Kernel) head() (*eventItem, *Lane) {
+	for {
+		item := k.queue.peek()
+		var lane *Lane
+		for _, l := range k.lanes {
+			if it := l.run.front(); it != nil && (item == nil || earlier(it, item)) {
+				item, lane = it, l
+			}
+		}
+		if item == nil || !item.dead() {
+			return item, lane
+		}
+		k.take(lane)
+		if lane != nil {
+			k.cancelledLaned--
+		} else {
+			k.cancelledQueued--
+		}
+		k.recycle(item)
+	}
+}
+
+// take removes the head that head() just returned from its structure.
+func (k *Kernel) take(lane *Lane) {
+	if lane != nil {
+		lane.run.take()
+	} else {
+		k.queue.pop()
+	}
 }
 
 // Run processes events until the queue drains or Stop is called. It returns
@@ -310,40 +371,42 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Stopped() bool { return k.stopped }
 
 func (k *Kernel) peek() (time.Duration, bool) {
-	for {
-		item := k.queue.peek()
-		if item == nil {
-			return 0, false
-		}
-		if item.dead() {
-			k.queue.pop()
-			k.cancelledQueued--
-			k.recycle(item)
-			continue
-		}
-		return item.at, true
+	item, _ := k.head()
+	if item == nil {
+		return 0, false
 	}
+	return item.at, true
 }
 
 // compactMinCancelled is the floor below which cancelled items are left to
 // be reaped lazily at pop time; compacting tiny queues isn't worth a pass.
 const compactMinCancelled = 64
 
-// noteCancelled records n newly dead queued items (cancelled one by one or
-// through their scope) and compacts the queue when they outnumber live
-// ones. Compaction asks the
-// backend to reap every cancelled item in one pass; pop order is fully
-// determined by the (at, seq) keys, so reaping early changes nothing
-// observable but memory.
-func (k *Kernel) noteCancelled(n int) {
-	k.cancelledQueued += n
-	if k.cancelledQueued >= compactMinCancelled && k.cancelledQueued*2 > k.queue.size() {
+// noteCancelled records newly dead items (cancelled one by one or through
+// their scope): queued of them in the queue, laned on lanes. When the dead
+// outnumber the live across both, compaction reaps every cancelled item in
+// one pass; pop order is fully determined by the (at, seq) keys, so reaping
+// early changes nothing observable but memory. The trigger counts the queue
+// and the lanes together, so moving timers onto a lane changes neither when
+// compaction runs nor what it removes.
+func (k *Kernel) noteCancelled(queued, laned int) {
+	k.cancelledQueued += queued
+	k.cancelledLaned += laned
+	if dead := k.cancelledQueued + k.cancelledLaned; dead >= compactMinCancelled && dead*2 > k.PendingRaw() {
 		k.compact()
 	}
 }
 
+// compact reaps the dead items of each structure that holds any.
 func (k *Kernel) compact() {
-	k.cancelledQueued -= k.queue.reap(k.recycle)
+	if k.cancelledQueued > 0 {
+		k.cancelledQueued -= k.queue.reap(k.recycle)
+	}
+	if k.cancelledLaned > 0 {
+		for _, l := range k.lanes {
+			k.cancelledLaned -= l.run.reap(k.recycle)
+		}
+	}
 }
 
 // ExpDuration draws an exponentially distributed duration with the given
@@ -378,5 +441,5 @@ func Seconds(s float64) time.Duration {
 // String describes the kernel state, for debugging.
 func (k *Kernel) String() string {
 	return fmt.Sprintf("sim.Kernel{now=%v queue=%s pending=%d processed=%d stopped=%v}",
-		k.now, k.queue.kind(), k.queue.size(), k.processed, k.stopped)
+		k.now, k.queue.kind(), k.PendingRaw(), k.processed, k.stopped)
 }

@@ -34,9 +34,11 @@ type WheelStats struct {
 // those deadlines by epoch (expiry rounded up to the granularity) and runs
 // one sweep event per due epoch — instead of one kernel event per record.
 //
-// Insert (Arm) is O(1): it appends the cache to the expiry epoch's bucket
-// (deduplicated per cache, since a cache with a fixed TTL arms epochs in
-// non-decreasing order) and only touches the kernel when the new epoch is
+// Insert (Arm) is O(1) for the common case: it appends the cache to the
+// expiry epoch's bucket (deduplicated per cache, since a cache with a fixed
+// TTL arms epochs in non-decreasing order), finding the bucket at the tail
+// of the sorted epoch list or by binary search when caches with several
+// TTLs share the wheel, and only touches the kernel when the new epoch is
 // earlier than the one already scheduled. The sweep is deterministic: due
 // epochs are processed in ascending order and each epoch's caches in
 // arming order, so two runs with the same seed sweep identically.
@@ -58,9 +60,9 @@ type Wheel struct {
 	caches    []SweepFunc
 	lastArmed []int64 // per cache: last epoch armed (dedup for monotone TTLs)
 
-	epochs  []int64           // armed epochs, ascending
-	buckets map[int64][]int32 // epoch -> cache indices, in arming order
-	free    [][]int32         // recycled bucket slices
+	epochs  []int64   // armed epochs, ascending
+	buckets [][]int32 // parallel to epochs: cache indices, in arming order
+	free    [][]int32 // recycled bucket slices
 
 	timer   Timer  // pending sweep event
 	next    int64  // epoch the pending sweep targets (valid while timer pending)
@@ -80,10 +82,9 @@ func NewWheel(clock Clock, gran time.Duration) *Wheel {
 		gran = DefaultWheelGranularity
 	}
 	w := &Wheel{
-		clock:   clock,
-		k:       kernelOf(clock),
-		gran:    gran,
-		buckets: make(map[int64][]int32),
+		clock: clock,
+		k:     kernelOf(clock),
+		gran:  gran,
 	}
 	w.sweep = w.doSweep
 	return w
@@ -152,16 +153,8 @@ func (w *Wheel) arm(id int32, expiry time.Duration) {
 		return // this cache is already swept at that boundary
 	}
 	w.lastArmed[id] = epoch
-	b, ok := w.buckets[epoch]
-	if !ok {
-		if n := len(w.free); n > 0 {
-			b = w.free[n-1][:0]
-			w.free[n-1] = nil
-			w.free = w.free[:n-1]
-		}
-		w.insertEpoch(epoch)
-	}
-	w.buckets[epoch] = append(b, id)
+	i := w.bucketFor(epoch)
+	w.buckets[i] = append(w.buckets[i], id)
 	// Schedule (or pull forward) the sweep event. Caches with different
 	// TTLs share the wheel, so a short-TTL arm can land before the epoch
 	// the pending sweep targets.
@@ -172,14 +165,42 @@ func (w *Wheel) arm(id int32, expiry time.Duration) {
 	}
 }
 
-// insertEpoch keeps w.epochs sorted ascending. Constant-TTL arming appends
-// at the tail; the walk only runs for the rare out-of-order epoch from a
-// shorter-TTL cache.
-func (w *Wheel) insertEpoch(epoch int64) {
-	w.epochs = append(w.epochs, epoch)
-	for i := len(w.epochs) - 1; i > 0 && w.epochs[i-1] > epoch; i-- {
-		w.epochs[i-1], w.epochs[i] = w.epochs[i], w.epochs[i-1]
+// bucketFor returns the index of epoch's bucket, inserting an empty one
+// (from the free list when possible) so that w.epochs stays sorted
+// ascending. Constant-TTL arming hits or appends at the tail; the binary
+// search and shift only run for an out-of-order epoch from a shorter-TTL
+// cache.
+func (w *Wheel) bucketFor(epoch int64) int {
+	n := len(w.epochs)
+	i := n
+	if n > 0 && w.epochs[n-1] >= epoch {
+		lo, hi := 0, n-1
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if w.epochs[mid] < epoch {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if w.epochs[lo] == epoch {
+			return lo
+		}
+		i = lo
 	}
+	var b []int32
+	if f := len(w.free); f > 0 {
+		b = w.free[f-1]
+		w.free[f-1] = nil
+		w.free = w.free[:f-1]
+	}
+	w.epochs = append(w.epochs, 0)
+	w.buckets = append(w.buckets, nil)
+	copy(w.epochs[i+1:], w.epochs[i:n])
+	copy(w.buckets[i+1:], w.buckets[i:n])
+	w.epochs[i] = epoch
+	w.buckets[i] = b
+	return i
 }
 
 // doSweep fires every due epoch's caches, in ascending epoch order and
@@ -198,9 +219,7 @@ func (w *Wheel) doSweep() {
 		due++
 	}
 	for i := 0; i < due; i++ {
-		epoch := w.epochs[i]
-		bucket := w.buckets[epoch]
-		delete(w.buckets, epoch)
+		bucket := w.buckets[i]
 		for _, id := range bucket {
 			if w.scratch[id] {
 				continue
@@ -214,7 +233,12 @@ func (w *Wheel) doSweep() {
 	for i := range w.scratch {
 		w.scratch[i] = false
 	}
-	w.epochs = w.epochs[:copy(w.epochs, w.epochs[due:])]
+	left := copy(w.epochs, w.epochs[due:])
+	copy(w.buckets, w.buckets[due:])
+	for i := left; i < len(w.buckets); i++ {
+		w.buckets[i] = nil // the free list owns the swept slices now
+	}
+	w.epochs, w.buckets = w.epochs[:left], w.buckets[:left]
 	if len(w.epochs) > 0 {
 		w.next = w.epochs[0]
 		w.timer = w.clock.At(time.Duration(w.next)*w.gran, w.sweep)

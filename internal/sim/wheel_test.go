@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -229,6 +230,42 @@ func TestWheelShortTTLPullsSweepForward(t *testing.T) {
 	}
 	if _, ok := long.recs[1]; ok {
 		t.Fatal("long-TTL record never reaped")
+	}
+}
+
+// TestWheelOutOfOrderEpochs: caches with different TTLs arm epochs out of
+// order — before, between and onto already armed ones. Each epoch's bucket
+// must keep its own caches in arming order, and sweeps must run in epoch
+// order.
+func TestWheelOutOfOrderEpochs(t *testing.T) {
+	k := New(1)
+	w := NewWheel(k, time.Second)
+	var order []string
+	slot := func(tag string) WheelSlot {
+		return w.Register(func(now time.Duration) int {
+			order = append(order, fmt.Sprintf("%s@%v", tag, now))
+			return 0
+		})
+	}
+	a, b, c, d := slot("a"), slot("b"), slot("c"), slot("d")
+	a.Arm(30 * time.Second) // epoch 30, appended
+	b.Arm(5 * time.Second)  // epoch 5, inserted before 30
+	c.Arm(10 * time.Second) // epoch 10, inserted between 5 and 30
+	d.Arm(10 * time.Second) // epoch 10 again: joins c's bucket
+	a.Arm(2 * time.Second)  // epoch 2, inserted at the front
+	b.Arm(30 * time.Second) // epoch 30 again: joins a's bucket
+	if got, want := fmt.Sprint(w.epochs), "[2 5 10 30]"; got != want {
+		t.Fatalf("epochs = %s, want %s", got, want)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[a@2s b@5s c@10s d@10s a@30s b@30s]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("sweeps = %s, want %s", got, want)
+	}
+	if len(w.epochs) != 0 || len(w.buckets) != 0 {
+		t.Fatalf("drained wheel holds %d epochs, %d buckets", len(w.epochs), len(w.buckets))
 	}
 }
 

@@ -101,7 +101,7 @@ type Config struct {
 	// instead of per-record kernel timers. Nil means the buffer builds a
 	// private wheel over its own clock. The watch deadline tau is semantic
 	// — a drop accusation must fire at exactly Timeout — and always keeps
-	// an exact timer.
+	// an exact timer, armed on the clock's lane for Timeout.
 	Wheel *sim.Wheel
 	// Backend selects the storage layout: BackendFlat (open-addressed
 	// tables over dense neighbor indexes, the default when empty) or
@@ -173,7 +173,9 @@ type Stats struct {
 // forwarder's dense index plus the packet identity. Entries are pooled on
 // the buffer's freelist and dispatch through fn, a method value bound once
 // per allocated entry — re-arming a recycled entry schedules no new
-// closure.
+// closure. The timer rides the kernel's lane for tau: every deadline is
+// now+Timeout, so a FIFO holds them in firing order, and a forward that
+// clears the entry cancels it there.
 type pendingEntry struct {
 	b     *Buffer
 	fidx  int32
@@ -195,6 +197,9 @@ type Buffer struct {
 	cfg    Config
 	idx    *neighbor.Index
 	store  storeBackend
+	// lane is the clock's fixed-delay lane for Timeout, on which every
+	// watch deadline is armed.
+	lane *sim.Lane
 
 	// cacheSlot arms the expiry wheel for the two CacheTTL caches (heard,
 	// heardAny); malcSlot arms it for Window pruning.
@@ -231,6 +236,7 @@ func New(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(fi
 		b.idx = neighbor.NewIndex()
 	}
 	b.store = newStore(b.cfg.Backend)
+	b.lane = k.Lane(b.cfg.Timeout)
 	wheel := b.cfg.Wheel
 	if wheel == nil {
 		wheel = sim.NewWheel(k, 0)
@@ -353,7 +359,7 @@ func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
 		return false
 	}
 	entry := b.newPending(fidx, key)
-	entry.timer = b.kernel.After(b.cfg.Timeout, entry.fn)
+	entry.timer = b.kernel.AfterLane(b.lane, entry.fn)
 	b.store.pendingPut(fidx, key, entry)
 	b.stats.Expectations++
 	if n := b.store.pendingLen(); n > b.stats.PeakEntries {

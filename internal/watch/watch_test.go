@@ -268,6 +268,29 @@ func TestPeakEntriesTracksHighWater(t *testing.T) {
 	}
 }
 
+// TestWatchDeadlinesRideTheTimeoutLane: every buffer on one clock arms its
+// deadlines on the clock's shared lane for tau, and a deadline armed there
+// still accuses at exactly Timeout after the Expect.
+func TestWatchDeadlinesRideTheTimeoutLane(t *testing.T) {
+	k := sim.New(1)
+	const tau = 300 * time.Millisecond
+	b1, acc, _ := newBuffer(k, Config{Timeout: tau, Threshold: 100})
+	b2, _, _ := newBuffer(k, Config{Timeout: tau, Threshold: 100})
+	if b1.lane != k.Lane(tau) || b2.lane != b1.lane {
+		t.Fatal("buffers with one Timeout do not share the clock's lane for it")
+	}
+	k.RunFor(time.Second)
+	b1.Expect(5, key(1, 1))
+	b2.Expect(6, key(1, 2))
+	b2.RecordHeard(6, key(1, 2)) // cleared: its lane item is cancelled
+	if err := k.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(*acc) != 1 || (*acc)[0].At != time.Second+tau || (*acc)[0].Reason != ReasonDrop {
+		t.Fatalf("accusations = %+v, want one drop at %v", *acc, time.Second+tau)
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	k := sim.New(1)
 	b := New(k, Config{}, nil, nil)
