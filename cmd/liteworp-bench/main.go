@@ -56,15 +56,13 @@ type Result struct {
 	EventsPerSec             float64 `json:"events_per_sec"`
 }
 
-// SweepRecord is one (queue, watch backend, N) point of the N-scaling
-// sweep.
+// SweepRecord is one (queue, N) point of the N-scaling sweep.
 type SweepRecord struct {
-	Queue        string  `json:"queue"`
-	WatchBackend string  `json:"watch_backend"`
-	Nodes        int     `json:"nodes"`
-	AvgDegree    float64 `json:"avg_degree"`
-	DurationSec  float64 `json:"virtual_duration_sec"`
-	WallNs       int64   `json:"wall_ns"`
+	Queue       string  `json:"queue"`
+	Nodes       int     `json:"nodes"`
+	AvgDegree   float64 `json:"avg_degree"`
+	DurationSec float64 `json:"virtual_duration_sec"`
+	WallNs      int64   `json:"wall_ns"`
 
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -107,10 +105,9 @@ func run(args []string, stdout *os.File) error {
 	out := fs.String("o", "", "write JSON here instead of stdout")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measured runs here")
 	memprofile := fs.String("memprofile", "", "write an allocation profile here after the runs")
-	nsweep := fs.Bool("nsweep", false, "run the N-scaling sweep (-ns x -queues x -watchstores) instead of the single-config benchmark")
+	nsweep := fs.Bool("nsweep", false, "run the N-scaling sweep (-ns x -queues) instead of the single-config benchmark")
 	nsFlag := fs.String("ns", defaultNs, "comma-separated node counts for -nsweep")
 	queuesFlag := fs.String("queues", "calendar,heap", "comma-separated event-queue backends for -nsweep")
-	watchFlag := fs.String("watchstores", "flat", "comma-separated watch storage backends for -nsweep; with several, the sweep fails if their event counts diverge")
 	baseline := fs.String("baseline", "", "name of the checked-in BENCH_*.json to compare this sweep against (recorded in the output)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -136,7 +133,7 @@ func run(args []string, stdout *os.File) error {
 		if err != nil {
 			return fmt.Errorf("-ns: %w", err)
 		}
-		sweep, err := measureSweep(ns, strings.Split(*queuesFlag, ","), strings.Split(*watchFlag, ","), *seed, *memprofile, os.Stderr)
+		sweep, err := measureSweep(ns, strings.Split(*queuesFlag, ","), *seed, *memprofile, os.Stderr)
 		if err != nil {
 			return err
 		}
@@ -212,36 +209,18 @@ func sweepDuration(n int) time.Duration {
 // measureSweep runs one scenario per (queue, N) point and records
 // throughput and per-node memory. Progress goes to log (stderr) because a
 // full sweep to N=10,000 takes minutes.
-func measureSweep(ns []int, queues, watchStores []string, seed int64, memprofile string, progress *os.File) (*Sweep, error) {
+func measureSweep(ns []int, queues []string, seed int64, memprofile string, progress *os.File) (*Sweep, error) {
 	sweep := &Sweep{Benchmark: "NSweep", Seed: seed}
-	// The event count at a (queue, N) point is seed-determined and must be
-	// identical across watch storage backends — a divergence means the flat
-	// backend changed protocol behavior, and the sweep fails loudly rather
-	// than record an apples-to-oranges comparison.
-	type point struct {
-		queue string
-		n     int
-	}
-	eventsAt := make(map[point]uint64)
 	for _, queue := range queues {
 		queue = strings.TrimSpace(queue)
-		for _, ws := range watchStores {
-			ws = strings.TrimSpace(ws)
-			for _, n := range ns {
-				rec, err := measurePoint(queue, ws, n, seed, memprofile)
-				if err != nil {
-					return nil, fmt.Errorf("queue %s watch %s N=%d: %w", queue, ws, n, err)
-				}
-				fmt.Fprintf(progress, "liteworp-bench: %-8s watch=%-4s N=%-6d %12.0f events/sec %10.0f bytes/node (%.1fs wall)\n",
-					queue, ws, n, rec.EventsPerSec, rec.BytesPerNode, float64(rec.WallNs)/float64(time.Second))
-				pt := point{queue, n}
-				if prev, ok := eventsAt[pt]; ok && prev != rec.Events {
-					return nil, fmt.Errorf("queue %s N=%d: watch backend %q processed %d events where a previous backend processed %d — storage layouts must be trace-invisible",
-						queue, n, ws, rec.Events, prev)
-				}
-				eventsAt[pt] = rec.Events
-				sweep.Records = append(sweep.Records, *rec)
+		for _, n := range ns {
+			rec, err := measurePoint(queue, n, seed, memprofile)
+			if err != nil {
+				return nil, fmt.Errorf("queue %s N=%d: %w", queue, n, err)
 			}
+			fmt.Fprintf(progress, "liteworp-bench: %-8s N=%-6d %12.0f events/sec %10.0f bytes/node (%.1fs wall)\n",
+				queue, n, rec.EventsPerSec, rec.BytesPerNode, float64(rec.WallNs)/float64(time.Second))
+			sweep.Records = append(sweep.Records, *rec)
 		}
 	}
 	return sweep, nil
@@ -263,7 +242,7 @@ func sweepDegree(n int, base float64) float64 {
 // start is clamped inside it: at the paper's ratio, a tenth of the way
 // into the operational phase. Without the clamp no sweep point would ever
 // switch the attack on.
-func sweepParams(queue, watchBackend string, n int, seed int64) liteworp.Params {
+func sweepParams(queue string, n int, seed int64) liteworp.Params {
 	p := liteworp.DefaultParams()
 	p.NumNodes = n
 	p.AvgNeighbors = sweepDegree(n, p.AvgNeighbors)
@@ -273,12 +252,11 @@ func sweepParams(queue, watchBackend string, n int, seed int64) liteworp.Params 
 	}
 	p.Seed = seed
 	p.EventQueue = queue
-	p.WatchBackend = watchBackend
 	return p
 }
 
-func measurePoint(queue, watchBackend string, n int, seed int64, memprofile string) (*SweepRecord, error) {
-	p := sweepParams(queue, watchBackend, n, seed)
+func measurePoint(queue string, n int, seed int64, memprofile string) (*SweepRecord, error) {
+	p := sweepParams(queue, n, seed)
 
 	var base, after runtime.MemStats
 	runtime.GC()
@@ -313,13 +291,12 @@ func measurePoint(queue, watchBackend string, n int, seed int64, memprofile stri
 	runtime.KeepAlive(s)
 
 	rec := &SweepRecord{
-		Queue:        queue,
-		WatchBackend: watchBackend,
-		Nodes:        n,
-		AvgDegree:    p.AvgNeighbors,
-		DurationSec:  p.Duration.Seconds(),
-		WallNs:       wall.Nanoseconds(),
-		Events:       events,
+		Queue:       queue,
+		Nodes:       n,
+		AvgDegree:   p.AvgNeighbors,
+		DurationSec: p.Duration.Seconds(),
+		WallNs:      wall.Nanoseconds(),
+		Events:      events,
 	}
 	if wall > 0 {
 		rec.EventsPerSec = float64(events) / wall.Seconds()

@@ -177,9 +177,8 @@ const (
 )
 
 // TestGoldenTraceBackendInvariant runs the protected golden case on every
-// selectable event-queue backend and every watch storage backend and
-// requires the identical pinned hash: both choices must be pure
-// performance knobs, invisible in the trace.
+// selectable event-queue backend and requires the identical pinned hash:
+// the choice must be a pure performance knob, invisible in the trace.
 func TestGoldenTraceBackendInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
@@ -195,20 +194,6 @@ func TestGoldenTraceBackendInvariant(t *testing.T) {
 			if hash != goldenTraceProtected {
 				t.Errorf("backend %q drifted from the pinned trace:\n got  %s\n want %s",
 					queue, hash, goldenTraceProtected)
-			}
-		})
-	}
-	for _, backend := range []string{"flat", "map"} {
-		t.Run("watch-"+backend, func(t *testing.T) {
-			hash, _ := traceHash(t, func(p *Params) {
-				p.NumNodes = 40
-				p.Seed = 20250704
-				p.Duration = 150 * time.Second
-				p.WatchBackend = backend
-			}, nil)
-			if hash != goldenTraceProtected {
-				t.Errorf("watch backend %q drifted from the pinned trace:\n got  %s\n want %s",
-					backend, hash, goldenTraceProtected)
 			}
 		})
 	}

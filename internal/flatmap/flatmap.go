@@ -1,6 +1,7 @@
 // Package flatmap provides the open-addressed hash tables behind the watch
-// layer's flat store and the router's REQ-suppression caches: power-of-two
-// capacity, linear probing, and tombstone-free deletion by backward shift.
+// layer's packet-keyed heard cache and pending-watch table and the
+// router's REQ-suppression caches: power-of-two capacity, linear probing,
+// and tombstone-free deletion by backward shift.
 //
 // The tables exist because profiling (PR 9/10) showed Go's generic map
 // machinery — per-op hashing of composite struct keys, control-group
@@ -9,8 +10,8 @@
 // keys and values in two parallel slices with no per-entry pointers, so
 // lookups are one multiply-shift hash plus a short linear scan over
 // contiguous memory, the garbage collector never scans the key storage,
-// and ExpiryTable gives the capacity back (shrinking on sweep) when a
-// traffic burst subsides — something Go maps never do.
+// and Shrink gives the capacity back when a traffic burst subsides
+// (ExpiryTable shrinks on every sweep) — something Go maps never do.
 //
 // Keys are 128-bit values with one invariant the caller must uphold:
 // a live key's Lo word is never zero. This frees the all-zero slot to act
@@ -196,6 +197,21 @@ func (t *Table[V]) putFresh(k Key, v V) {
 	t.n++
 }
 
+// Shrink rehashes into smaller storage when occupancy has fallen to an
+// eighth of capacity — the burst is over, give the memory back. The target
+// keeps load under a half so a shrink is never immediately undone. Owners
+// call it after a batch of deletions (ExpiryTable.Sweep does).
+func (t *Table[V]) Shrink() {
+	if len(t.keys) <= minCap || t.n > len(t.keys)/8 {
+		return
+	}
+	newCap := len(t.keys)
+	for newCap > minCap && t.n <= newCap/8 {
+		newCap /= 2
+	}
+	t.rehash(newCap)
+}
+
 // ExpiryTable is a Table holding expiry instants, with a sweep that reaps
 // every entry whose expiry has passed and returns capacity when occupancy
 // collapses after a burst. It implements the repo-wide liveness convention:
@@ -240,22 +256,8 @@ func (t *ExpiryTable) Sweep(now time.Duration) int {
 			removed++
 		}
 	}
-	t.maybeShrink()
+	t.Shrink()
 	return removed
-}
-
-// maybeShrink rehashes into smaller storage when occupancy has fallen to
-// an eighth of capacity — the burst is over, give the memory back. The
-// target keeps load under a half so a shrink is never immediately undone.
-func (t *ExpiryTable) maybeShrink() {
-	if len(t.keys) <= minCap || t.n > len(t.keys)/8 {
-		return
-	}
-	newCap := len(t.keys)
-	for newCap > minCap && t.n <= newCap/8 {
-		newCap /= 2
-	}
-	t.rehash(newCap)
 }
 
 // FootprintBytes returns the allocated table storage in bytes (keys plus

@@ -1,33 +1,20 @@
 package watch
 
 import (
-	"fmt"
 	"time"
 
 	"liteworp/internal/packet"
-)
-
-// Selectable storage backends (Config.Backend).
-const (
-	// BackendFlat stores the buffer's collections in open-addressed
-	// tables keyed by (nbrIdx, packet key) and a dense per-nbrIdx MalC
-	// slice. The default.
-	BackendFlat = "flat"
-	// BackendMap is the original Go-map implementation, kept compiled in
-	// as the differential-testing ground truth.
-	BackendMap = "map"
 )
 
 // storeBackend is the seam between the buffer's semantics and its storage
 // layout. Every collection is keyed by the watched node's dense index
 // (nbrIdx) plus the packet identity; the buffer owns interning, expiry
 // conventions, stats, callbacks and timers, the store owns nothing but
-// bytes. Both implementations must be operation-for-operation equivalent —
-// the randomized differential suite in store_test.go and the golden trace
-// hashes enforce it.
+// bytes. Production buffers use flatStore; the tests build buffers on a
+// Go-map store as the oracle (store_map_test.go), and the randomized
+// differential suite in store_test.go holds the two to operation-for-
+// operation equivalence.
 type storeBackend interface {
-	name() string
-
 	// Outstanding watch deadlines (the paper's watch buffer proper).
 	pendingGet(fidx int32, key packet.Key) (*pendingEntry, bool)
 	pendingPut(fidx int32, key packet.Key, e *pendingEntry)
@@ -36,7 +23,8 @@ type storeBackend interface {
 
 	// Heard-transmission caches: per (sender, key) and per key. The
 	// per-sender cache doubles as the duplicate-flood suppression that
-	// Expect consults.
+	// Expect consults. Recorded expiries never decrease (the buffer
+	// records with now+CacheTTL).
 	recordHeard(sidx int32, key packet.Key, exp time.Duration)
 	heard(sidx int32, key packet.Key, now time.Duration) bool
 	heardAny(key packet.Key, now time.Duration) bool
@@ -51,38 +39,7 @@ type storeBackend interface {
 	sweepCaches(now time.Duration) int
 	sweepMalc(now, window time.Duration) int
 
-	// cacheSizes reports the live record counts of the two caches —
-	// introspection for tests and the differential suite.
+	// cacheSizes reports the record counts of the two caches —
+	// introspection for tests.
 	cacheSizes() (heard, heardAny int)
-}
-
-// newStore builds the named backend. Callers validate the name first
-// (Params.Validate / Config.withDefaults canonicalization); an unknown
-// name here is a programming error.
-func newStore(backend string) storeBackend {
-	switch backend {
-	case BackendFlat:
-		return newFlatStore()
-	case BackendMap:
-		return newMapStore()
-	default:
-		panic(fmt.Sprintf("watch: unknown store backend %q (known: %v)", backend, Backends()))
-	}
-}
-
-// Backends returns the selectable backend names, default first.
-func Backends() []string { return []string{BackendFlat, BackendMap} }
-
-// KnownBackend reports whether name selects a backend ("" counts: it is
-// the default).
-func KnownBackend(name string) bool {
-	return name == "" || name == BackendFlat || name == BackendMap
-}
-
-// CanonicalBackend resolves the empty default to its backend name.
-func CanonicalBackend(name string) string {
-	if name == "" {
-		return BackendFlat
-	}
-	return name
 }

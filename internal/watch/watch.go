@@ -9,11 +9,12 @@
 // this buffer with the neighbor table.
 //
 // Storage layout: the buffer addresses watched nodes by their dense
-// neighbor index (nbrIdx, see neighbor.Index) and keeps its five hot
-// collections behind the storeBackend seam — the default flat backend
-// stores them in open-addressed tables and dense slices (see store_flat.go),
-// while the map backend preserves the original Go-map implementation as
-// the differential-testing ground truth (see store_map.go).
+// neighbor index (nbrIdx, see neighbor.Index) and keeps its three
+// collections — pending watches, the heard cache and MalC records —
+// behind the storeBackend seam. flatStore (store_flat.go) keeps pending
+// watches in an open-addressed table, the heard cache as one record per
+// overheard packet with its senders in a chunked slab, and MalC records in
+// a slice by nbrIdx; the tests check it against a Go-map oracle.
 package watch
 
 import (
@@ -103,12 +104,6 @@ type Config struct {
 	// — a drop accusation must fire at exactly Timeout — and always keeps
 	// an exact timer, armed on the clock's lane for Timeout.
 	Wheel *sim.Wheel
-	// Backend selects the storage layout: BackendFlat (open-addressed
-	// tables over dense neighbor indexes, the default when empty) or
-	// BackendMap (the original Go-map implementation, kept as the
-	// property-test ground truth). Both honor identical semantics; the
-	// golden traces pin them to bit-identical behavior.
-	Backend string
 	// Index, when non-nil, is the node incarnation's shared dense
 	// neighbor index (neighbor.Table.Index()). Nil means the buffer
 	// builds a private index — correct, but then nbrIdx values are not
@@ -154,7 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = 10 * c.Timeout
 	}
-	c.Backend = CanonicalBackend(c.Backend)
 	return c
 }
 
@@ -221,13 +215,18 @@ type Buffer struct {
 
 // New returns a buffer. onAccuse (may be nil) observes every accusation;
 // onThreshold (may be nil) fires once per accused node when its windowed
-// MalC reaches the threshold. An unknown Config.Backend panics: the
-// buffer cannot run without storage, and the Params layer validates the
-// name long before a simulation is built.
+// MalC reaches the threshold.
 func New(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
+	return newWithStore(k, cfg, newFlatStore(), onAccuse, onThreshold)
+}
+
+// newWithStore is New over the given storage; the tests use it to run a
+// buffer on the map oracle.
+func newWithStore(k sim.Clock, cfg Config, store storeBackend, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
 	b := &Buffer{
 		kernel:      k,
 		cfg:         cfg.withDefaults(),
+		store:       store,
 		onAccuse:    onAccuse,
 		onThreshold: onThreshold,
 	}
@@ -235,7 +234,6 @@ func New(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(fi
 	if b.idx == nil {
 		b.idx = neighbor.NewIndex()
 	}
-	b.store = newStore(b.cfg.Backend)
 	b.lane = k.Lane(b.cfg.Timeout)
 	wheel := b.cfg.Wheel
 	if wheel == nil {
@@ -352,10 +350,13 @@ func (b *Buffer) Expect(forwarder field.NodeID, key packet.Key) bool {
 
 // ExpectIdx is Expect for a pre-interned forwarder.
 func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
-	if _, dup := b.store.pendingGet(fidx, key); dup {
+	// The heard check goes first: the frame that prompted this call has
+	// just resolved key's heard record, so it costs a short sender scan
+	// where the pending check costs a table probe.
+	if b.store.heard(fidx, key, b.kernel.Now()) {
 		return false
 	}
-	if b.store.heard(fidx, key, b.kernel.Now()) {
+	if _, dup := b.store.pendingGet(fidx, key); dup {
 		return false
 	}
 	entry := b.newPending(fidx, key)

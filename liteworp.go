@@ -35,7 +35,6 @@ import (
 	"liteworp/internal/detector"
 	"liteworp/internal/field"
 	"liteworp/internal/sim"
-	"liteworp/internal/watch"
 )
 
 // NodeID identifies a node (4 bytes on the wire, as in the paper's cost
@@ -161,13 +160,6 @@ type Params struct {
 	// checks and response protocol, so runs differ only in what gets
 	// accused. Ignored when Liteworp is false.
 	Detector string
-	// WatchBackend selects the watch buffer's storage layout: "flat"
-	// (open-addressed tables over dense neighbor indexes, the default
-	// when empty) or "map" (the original Go-map implementation, kept as
-	// the differential-testing ground truth). Both honor identical
-	// semantics — the event trace for a given seed is bit-identical
-	// across backends; the choice affects performance only.
-	WatchBackend string
 	// Gamma is the detection confidence index (paper: 2..8).
 	Gamma int
 	// WatchTimeout is tau, the forwarding deadline guards enforce.
@@ -329,10 +321,6 @@ func (p Params) Validate() error {
 	if !sim.KnownQueue(p.EventQueue) {
 		return fmt.Errorf("liteworp: unknown event queue %q (known: %s)",
 			p.EventQueue, strings.Join(sim.QueueKinds(), ", "))
-	}
-	if !watch.KnownBackend(p.WatchBackend) {
-		return fmt.Errorf("liteworp: unknown watch backend %q (known: %s)",
-			p.WatchBackend, strings.Join(watch.Backends(), ", "))
 	}
 	return nil
 }

@@ -75,7 +75,6 @@ func (p Params) detectorConfig() detector.Config {
 			DropIncrement:        p.DropIncrement,
 			Threshold:            p.MalCThreshold,
 			Window:               p.MalCWindow,
-			Backend:              p.WatchBackend,
 		},
 		StrictFabricationCheck: p.StrictFabrication,
 		DisableDropDetection:   p.DisableDropDetection,
