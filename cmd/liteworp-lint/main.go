@@ -1,40 +1,26 @@
 // Command liteworp-lint runs the determinism lint suite (internal/lint)
 // over the module and reports violations of the reproducibility contract:
-// wall-clock reads, global math/rand draws, order-sensitive map iteration,
-// raw concurrency, unscoped node timers, and — through the interprocedural
-// engine — nondeterminism reachable via helpers, pooled-record lifetime
-// bugs, cross-goroutine kernel sharing, and hot-path allocation
-// regressions.
+// nondeterminism sources (wall-clock reads, global math/rand draws,
+// order-sensitive map iteration, select) at their own line and wherever
+// the call graph lets determinism-bound code reach one, raw concurrency,
+// unscoped node timers, pooled-record lifetime bugs, and cross-goroutine
+// kernel sharing.
 //
 // Usage:
 //
-//	liteworp-lint [-json|-sarif] [-allowlist file] [-budget file] [packages]
-//	liteworp-lint -graph
-//	liteworp-lint -write-budget file
+//	liteworp-lint [-json|-sarif] [packages]
 //
 // The package arguments are accepted for familiarity (`./...`) but the
 // linter always analyzes the whole module containing the working
 // directory — the determinism contract is module-wide.
 //
-// Modes:
+// Output: one `file:line:col: [analyzer] message` line per finding, or
+// with -json a JSON array in canonical order (file, line, column,
+// analyzer), or with -sarif a SARIF 2.1.0 log for CI ingestion. All three
+// are byte-stable across runs. An inline //lint:<directive> <reason>
+// waiver is the one way to accept a finding.
 //
-//   - -json emits the findings as a JSON array in canonical order
-//     (file, line, column, analyzer); -sarif emits a SARIF 2.1.0 log for
-//     CI ingestion. Both orderings are byte-stable across runs.
-//   - -graph dumps the static call graph as sorted "caller -> callee
-//     [call|bind|go]" edges and exits.
-//   - -budget file enables the alloc-budget analyzer: the compiler's
-//     escape analysis (go build -gcflags=-m) is compared against the
-//     checked-in budget. On a toolchain version mismatch the check is
-//     skipped with a warning — regenerate with the pinned toolchain.
-//   - -write-budget file recomputes max_allocs for the budget's existing
-//     function set and rewrites the file canonically; CI diffs the result
-//     against the checked-in copy.
-//
-// Exit status: 0 clean, 1 findings or stale allowlist entries, 2 usage or
-// load failure. Stale allowlist entries are fatal by design: a waiver that
-// matches nothing is rot, and the message distinguishes a fixed finding
-// from a deleted file.
+// Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
@@ -60,10 +46,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	graphOut := fs.Bool("graph", false, "dump the static call graph and exit")
-	allowlistPath := fs.String("allowlist", "", "file of grandfathered findings (target: empty)")
-	budgetPath := fs.String("budget", "", "ALLOC_BUDGET.json to check pinned functions against")
-	writeBudget := fs.String("write-budget", "", "recompute max_allocs into this budget file and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
 	}
@@ -76,76 +58,7 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-
-	if *graphOut {
-		for _, edge := range lint.BuildGraph(pkgs).DumpEdges() {
-			fmt.Fprintln(stdout, edge)
-		}
-		return 0, nil
-	}
-
-	if *writeBudget != "" {
-		budget, err := lint.LoadAllocBudget(*writeBudget)
-		if err != nil {
-			return 2, err
-		}
-		escapes, err := lint.CollectEscapes(root)
-		if err != nil {
-			return 2, err
-		}
-		lint.RegenerateBudget(budget, lint.BuildGraph(pkgs), escapes)
-		data, err := budget.Marshal()
-		if err != nil {
-			return 2, err
-		}
-		if err := os.WriteFile(*writeBudget, data, 0o644); err != nil {
-			return 2, err
-		}
-		fmt.Fprintf(stderr, "liteworp-lint: rewrote %s (%d pinned functions, %s)\n",
-			*writeBudget, len(budget.Functions), budget.Go)
-		return 0, nil
-	}
-
-	var opts lint.RunOpts
-	if *budgetPath != "" {
-		budget, err := lint.LoadAllocBudget(*budgetPath)
-		if err != nil {
-			return 2, err
-		}
-		if budget.Go != lint.GoMinor() {
-			fmt.Fprintf(stderr,
-				"liteworp-lint: alloc-budget check skipped: budget built with %s, toolchain is %s (regenerate with -write-budget)\n",
-				budget.Go, lint.GoMinor())
-		} else {
-			escapes, err := lint.CollectEscapes(root)
-			if err != nil {
-				return 2, err
-			}
-			opts.Budget = budget
-			opts.Escapes = escapes
-		}
-	}
-
-	var allowlist *lint.Allowlist
-	if *allowlistPath != "" {
-		f, err := os.Open(*allowlistPath)
-		if err != nil {
-			return 2, err
-		}
-		allowlist, err = lint.ParseAllowlist(f)
-		f.Close()
-		if err != nil {
-			return 2, err
-		}
-	}
-
-	all := lint.RunWith(pkgs, lint.Analyzers(), opts)
-	findings := make([]lint.Diagnostic, 0, len(all))
-	for _, d := range all {
-		if !allowlist.Allows(d) {
-			findings = append(findings, d)
-		}
-	}
+	findings := lint.Run(pkgs, lint.Analyzers())
 
 	switch {
 	case *sarifOut:
@@ -168,24 +81,8 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 		}
 	}
 
-	stale := allowlist.StaleDetail(root)
-	for _, e := range stale {
-		if e.FileDeleted {
-			fmt.Fprintf(stderr, "liteworp-lint: stale allowlist entry (file deleted — remove the line): %s\n", e.Key)
-		} else {
-			fmt.Fprintf(stderr, "liteworp-lint: stale allowlist entry (finding resolved — delete it): %s\n", e.Key)
-		}
-	}
-	if n := len(all) - len(findings); n > 0 {
-		fmt.Fprintf(stderr, "liteworp-lint: %d finding(s) suppressed by allowlist\n", n)
-	}
-
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "liteworp-lint: %d violation(s) of the determinism contract\n", len(findings))
-		return 1, nil
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(stderr, "liteworp-lint: %d stale allowlist entr(ies); waivers must not rot\n", len(stale))
 		return 1, nil
 	}
 	return 0, nil

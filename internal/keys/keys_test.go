@@ -150,7 +150,8 @@ func TestRingCachesKeys(t *testing.T) {
 
 // TestSignZeroAllocsWarm pins the per-control-packet signing cost: cached
 // HMAC state, reused auth and digest buffers, MAC written into the
-// packet's existing backing — nothing on the heap.
+// packet's existing backing — nothing on the heap. Signing raw bytes
+// (SignBytes, the per-member neighbor-list tag) is as free.
 func TestSignZeroAllocsWarm(t *testing.T) {
 	s := NewKeyServer(1)
 	r := NewRing(1, s)
@@ -163,13 +164,14 @@ func TestSignZeroAllocsWarm(t *testing.T) {
 		if err := r.Sign(p, 2); err != nil {
 			t.Fatal(err)
 		}
+		_ = r.SignBytes(p.MAC, 2)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Sign allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestVerifyZeroAllocsWarm is the receive-side twin.
+// TestVerifyZeroAllocsWarm is the receive-side twin, VerifyBytes included.
 func TestVerifyZeroAllocsWarm(t *testing.T) {
 	s := NewKeyServer(1)
 	alice := NewRing(1, s)
@@ -181,9 +183,14 @@ func TestVerifyZeroAllocsWarm(t *testing.T) {
 	if !bob.Verify(p, 1) { // warm bob's state cache
 		t.Fatal("verify failed")
 	}
+	data := []byte("neighbor list")
+	tag := append([]byte(nil), alice.SignBytes(data, 2)...)
 	allocs := testing.AllocsPerRun(200, func() {
 		if !bob.Verify(p, 1) {
 			t.Fatal("verify failed")
+		}
+		if !bob.VerifyBytes(data, tag, 1) {
+			t.Fatal("byte tag rejected")
 		}
 	})
 	if allocs != 0 {

@@ -9,12 +9,11 @@ import (
 )
 
 // This file is the interprocedural half of the engine: a static call graph
-// over every function and function literal in the module. The per-file
-// analyzers (wallclock, rand, map-range, goroutine, timers) catch a
-// violation at the line that commits it; the graph lets the module
-// analyzers (nondet-taint, pool-lifetime, kernel-ownership, alloc-budget)
-// reason about what a function *reaches*, which is the property the
-// determinism contract actually cares about.
+// over every function and function literal in the module. A per-line
+// check catches a violation at the line that commits it; the graph lets
+// nondet-taint, pool-lifetime and kernel-ownership reason about what a
+// function *reaches*, which is the property the determinism contract
+// actually cares about.
 //
 // Soundness limits, by construction (documented in DESIGN.md §6.8):
 //
@@ -78,14 +77,10 @@ type Graph struct {
 	// Nodes in deterministic order (package path, then source position).
 	Nodes []*FuncNode
 
-	fset  *token.FileSet
 	byObj map[*types.Func]*FuncNode
 	byLit map[*ast.FuncLit]*FuncNode
 	byID  map[string]*FuncNode
 }
-
-// NodeByObj returns the node for a declared function, or nil.
-func (g *Graph) NodeByObj(fn *types.Func) *FuncNode { return g.byObj[fn] }
 
 // NodeByID returns the node with the given ID, or nil.
 func (g *Graph) NodeByID(id string) *FuncNode { return g.byID[id] }
@@ -133,7 +128,6 @@ func BuildGraph(pkgs []*Package) *Graph {
 	if len(pkgs) == 0 {
 		return g
 	}
-	g.fset = pkgs[0].Fset
 
 	// Pass 1: one node per function declaration and per function literal.
 	// Literals get IDs derived from their lexical parent so the graph is
@@ -391,8 +385,8 @@ func (g *Graph) NodeAt(pos token.Pos) *FuncNode {
 	return best
 }
 
-// DumpEdges renders the graph as sorted "caller -> callee [kind]" lines,
-// the -graph output of cmd/liteworp-lint.
+// DumpEdges renders the graph as sorted, deduplicated "caller -> callee
+// [kind]" lines.
 func (g *Graph) DumpEdges() []string {
 	var out []string
 	for _, n := range g.Nodes {
@@ -422,38 +416,4 @@ func (g *Graph) DumpEdges() []string {
 		}
 	}
 	return dedup
-}
-
-// ShortPath returns a minimal call/bind path from node to a target
-// satisfying stop, as IDs. Used by taint messages to show the chain a
-// finding rides on. Returns nil if no path exists.
-func (g *Graph) ShortPath(from *FuncNode, stop func(*FuncNode) bool) []string {
-	type hop struct {
-		node *FuncNode
-		prev *hop
-	}
-	seen := map[*FuncNode]bool{from: true}
-	queue := []*hop{{node: from}}
-	for len(queue) > 0 {
-		h := queue[0]
-		queue = queue[1:]
-		if stop(h.node) {
-			var rev []string
-			for x := h; x != nil; x = x.prev {
-				rev = append(rev, x.node.ID)
-			}
-			// Reverse into from→target order.
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
-			}
-			return rev
-		}
-		for _, e := range append(append([]Edge{}, h.node.Calls...), h.node.Binds...) {
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				queue = append(queue, &hop{node: e.Callee, prev: h})
-			}
-		}
-	}
-	return nil
 }

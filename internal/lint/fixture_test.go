@@ -35,7 +35,7 @@ func checkFixture(t *testing.T, an *Analyzer, pkgs []fixturePkg) {
 			for i, line := range strings.Split(src, "\n") {
 				for _, frag := range strings.Split(line, marker)[1:] {
 					// Guard against marker-prefix collisions (e.g.
-					// want:no-wallclock vs want:no-wallclock-extra).
+					// want:nondet-taint vs want:nondet-taint-extra).
 					if frag != "" && frag[0] != ' ' && frag[0] != '"' {
 						continue
 					}

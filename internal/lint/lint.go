@@ -8,16 +8,26 @@
 // are all banned from the simulation packages. The linter turns that
 // convention into a build-time check.
 //
+// Every analyzer is a module analyzer: it sees all loaded packages plus
+// their static call graph in one pass. nondet-taint owns the
+// nondeterminism sources (it reports each at its own line and propagates
+// it through the call graph); no-raw-goroutine, scoped-timers,
+// pool-lifetime and kernel-ownership check the concurrency and lifecycle
+// rules. The one way to accept a finding is an inline
+// //lint:<directive> <reason> waiver, and a waiver without a reason is
+// itself a finding.
+//
 // The engine deliberately reimplements the small slice of the analysis
-// framework it needs (package loading, per-package type info, diagnostics
-// with positions, waiver comments, an allowlist) so the module keeps its
-// zero-dependency property.
+// framework it needs (package loading, type info, diagnostics with
+// positions, waiver comments) so the module keeps its zero-dependency
+// property.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -36,43 +46,40 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
-// Key is the allowlist-matching identity of the finding.
-func (d Diagnostic) Key() string {
-	return fmt.Sprintf("%s %s:%d", d.Analyzer, d.File, d.Line)
-}
-
-// Analyzer is one determinism rule. A per-package analyzer sets Run and
-// AppliesTo; a module (interprocedural) analyzer sets RunModule instead and
-// sees the whole module plus its call graph in one pass.
+// Analyzer is one determinism rule, run once over the whole module.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, waivers and the
-	// allowlist (kebab-case).
+	// Name identifies the analyzer in diagnostics (kebab-case).
 	Name string
 	// Doc is a one-line description of what the analyzer enforces.
 	Doc string
-	// AppliesTo reports whether the analyzer inspects packages in the
-	// given module-relative directory ("" is the module root). Ignored
-	// for module analyzers.
-	AppliesTo func(dir string) bool
-	// Run inspects one package and reports findings through the pass.
-	Run func(*Pass)
-	// RunModule inspects the whole module at once; set on the
-	// interprocedural analyzers (nondet-taint, pool-lifetime,
-	// kernel-ownership, alloc-budget).
+	// RunModule inspects the loaded module and reports through the pass.
 	RunModule func(*ModulePass)
 }
 
-// Pass is one analyzer's view of one package.
-type Pass struct {
-	Pkg      *Package
+// ModulePass is one analyzer's view of the whole loaded module: all
+// packages plus the call graph.
+type ModulePass struct {
+	Pkgs  []*Package
+	Graph *Graph
+
+	fset     *token.FileSet
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 	comments map[string]map[int]string // file -> line -> raw comment text
+	// emptyAt holds the positions where an empty waiver was reported;
+	// emptyReported the directives (file:line name) already reported.
+	emptyAt       map[token.Pos]bool
+	emptyReported map[string]bool
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
+// Reportf records a finding at pos. A position where an empty waiver was
+// already reported takes no second finding: the empty-waiver finding
+// stands in for the one it failed to waive.
+func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
+	if p.emptyAt[pos] {
+		return
+	}
+	position := p.fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.analyzer.Name,
 		File:     position.Filename,
@@ -82,59 +89,49 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Files yields the package's non-test files. The loader already excludes
-// _test.go files; the filter here keeps synthetic (test-harness) packages
-// honest too.
-func (p *Pass) Files() []*ast.File {
-	out := make([]*ast.File, 0, len(p.Pkg.Files))
-	for _, f := range p.Pkg.Files {
-		name := p.Pkg.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// Waiver looks up a lint waiver directive of the given name (e.g.
-// "ordered" for //lint:ordered) attached to the statement at pos: either a
-// trailing comment on the same line or a comment on the line directly
-// above. It returns the justification text and whether a directive was
-// found at all.
-func (p *Pass) Waiver(pos token.Pos, name string) (reason string, ok bool) {
-	position := p.Pkg.Fset.Position(pos)
+// Waiver reports whether a //lint:<name> <reason> directive (e.g.
+// //lint:ordered) waives the finding at pos: a trailing comment on pos's
+// line or a comment on the line directly above. A directive without a
+// reason waives nothing: it is reported at pos, once per directive, and
+// Waiver returns false.
+func (p *ModulePass) Waiver(pos token.Pos, name string) bool {
+	position := p.fset.Position(pos)
 	lines := p.commentLines(position.Filename)
 	directive := "//lint:" + name
 	for _, line := range []int{position.Line, position.Line - 1} {
-		text, present := lines[line]
-		if !present {
+		text := lines[line]
+		idx := strings.Index(text, directive)
+		if idx < 0 {
 			continue
 		}
-		if idx := strings.Index(text, directive); idx >= 0 {
-			rest := text[idx+len(directive):]
-			return strings.TrimSpace(rest), true
+		if strings.TrimSpace(text[idx+len(directive):]) != "" {
+			return true
 		}
+		key := fmt.Sprintf("%s:%d %s", position.Filename, line, name)
+		if !p.emptyReported[key] {
+			p.Reportf(pos, "empty %s waiver waives nothing: state the reason after the directive", directive)
+			p.emptyReported[key] = true
+			p.emptyAt[pos] = true
+		}
+		return false
 	}
-	return "", false
+	return false
 }
 
-func (p *Pass) commentLines(file string) map[int]string {
-	if p.comments == nil {
-		p.comments = make(map[string]map[int]string)
-	}
+func (p *ModulePass) commentLines(file string) map[int]string {
 	if lines, ok := p.comments[file]; ok {
 		return lines
 	}
 	lines := make(map[int]string)
-	for _, f := range p.Pkg.Files {
-		if p.Pkg.Fset.Position(f.Pos()).Filename != file {
-			continue
-		}
-		for _, group := range f.Comments {
-			for _, c := range group.List {
-				line := p.Pkg.Fset.Position(c.Slash).Line
-				lines[line] = c.Text
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			if p.fset.Position(f.Pos()).Filename != file {
+				continue
+			}
+			for _, group := range f.Comments {
+				for _, c := range group.List {
+					lines[p.fset.Position(c.Slash).Line] = c.Text
+				}
 			}
 		}
 	}
@@ -142,20 +139,43 @@ func (p *Pass) commentLines(file string) map[int]string {
 	return lines
 }
 
-// Analyzers returns the full determinism suite in a stable order: the
-// five per-package syntactic analyzers followed by the four
-// interprocedural module analyzers.
+// sourceFiles yields the package's non-test files. The loader already
+// excludes _test.go files; the filter keeps in-memory fixture modules
+// honest too.
+func (p *ModulePass) sourceFiles(pkg *Package) []*ast.File {
+	out := make([]*ast.File, 0, len(pkg.Files))
+	for _, f := range pkg.Files {
+		if !strings.HasSuffix(p.fset.Position(f.Pos()).Filename, "_test.go") {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// packageMember resolves sel as a reference to a member of an imported
+// package, returning the package path and member name. It returns
+// ok=false for method calls, field selections, and selectors whose base is
+// a shadowing local identifier rather than an import.
+func packageMember(pkg *Package, sel *ast.SelectorExpr) (pkgPath, name string, ok bool) {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", "", false
+	}
+	pkgName, ok := pkg.Info.Uses[id].(*types.PkgName)
+	if !ok {
+		return "", "", false
+	}
+	return pkgName.Imported().Path(), sel.Sel.Name, true
+}
+
+// Analyzers returns the full determinism suite in a stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoWallclock,
-		NoGlobalRand,
-		DeterministicMapRange,
+		NondetTaint,
 		NoRawGoroutine,
 		ScopedTimers,
-		NondetTaint,
 		PoolLifetime,
 		KernelOwnership,
-		AllocBudgetCheck,
 	}
 }
 
@@ -169,52 +189,26 @@ func AnalyzerByName(name string) *Analyzer {
 	return nil
 }
 
-// RunOpts carries optional module-analyzer inputs.
-type RunOpts struct {
-	// Budget and Escapes feed the alloc-budget analyzer; when either is
-	// nil that analyzer is a no-op (collecting escape data requires
-	// invoking the go tool, which is the caller's decision).
-	Budget  *AllocBudget
-	Escapes map[string]int
-}
-
 // Run applies the analyzers to the packages and returns the findings
-// sorted by file, line, column, analyzer.
+// sorted by file, line, column, analyzer (an empty, non-nil slice when
+// there are none, so -json prints []).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunWith(pkgs, analyzers, RunOpts{})
-}
-
-// RunWith is Run with explicit module-analyzer inputs.
-func RunWith(pkgs []*Package, analyzers []*Analyzer, opts RunOpts) []Diagnostic {
-	var diags []Diagnostic
-	var moduleAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			moduleAnalyzers = append(moduleAnalyzers, a)
-			continue
-		}
-		for _, pkg := range pkgs {
-			if a.AppliesTo != nil && !a.AppliesTo(pkg.Dir) {
-				continue
-			}
-			pass := &Pass{Pkg: pkg, analyzer: a, diags: &diags}
-			a.Run(pass)
-		}
+	diags := []Diagnostic{}
+	if len(pkgs) == 0 {
+		return diags
 	}
-	if len(moduleAnalyzers) > 0 && len(pkgs) > 0 {
-		graph := BuildGraph(pkgs)
-		for _, a := range moduleAnalyzers {
-			mp := &ModulePass{
-				Pkgs:     pkgs,
-				Graph:    graph,
-				Escapes:  opts.Escapes,
-				Budget:   opts.Budget,
-				fset:     pkgs[0].Fset,
-				analyzer: a,
-				diags:    &diags,
-			}
-			a.RunModule(mp)
-		}
+	graph := BuildGraph(pkgs)
+	for _, a := range analyzers {
+		a.RunModule(&ModulePass{
+			Pkgs:          pkgs,
+			Graph:         graph,
+			fset:          pkgs[0].Fset,
+			analyzer:      a,
+			diags:         &diags,
+			comments:      make(map[string]map[int]string),
+			emptyAt:       make(map[token.Pos]bool),
+			emptyReported: make(map[string]bool),
+		})
 	}
 	SortDiagnostics(diags)
 	return diags

@@ -6,11 +6,12 @@ import (
 	"go/types"
 )
 
-// DeterministicMapRange flags `for … range` over a map in non-test
-// internal/ code. Go randomizes map iteration order on purpose, so any
-// loop whose effects depend on visit order injects per-run nondeterminism
-// — worse, a loop that draws from the shared RNG inside such a range
-// shifts the random stream for the entire rest of the simulation.
+// mapRangeChecker finds the `for … range` statements over a map whose
+// effects may depend on visit order. Go randomizes map iteration order on
+// purpose, so such a loop injects per-run nondeterminism — worse, a loop
+// that draws from the shared RNG inside such a range shifts the random
+// stream for the entire rest of the simulation. nondet-taint treats every
+// range it finds as a source.
 //
 // A loop is accepted without comment when it is order-insensitive by
 // construction: its body only accumulates commutatively (+=, counters),
@@ -19,39 +20,21 @@ import (
 // subsequently sorts. Everything else needs an explicit
 // `//lint:ordered <reason>` waiver naming why order cannot matter; the
 // waiver covers ranges nested inside the waived statement.
-var DeterministicMapRange = &Analyzer{
-	Name:      "deterministic-map-range",
-	Doc:       "flag map iteration in internal/ unless provably order-insensitive or explicitly waived",
-	AppliesTo: isInternal,
-	Run: func(pass *Pass) {
-		for _, f := range pass.Files() {
-			c := &mapRangeChecker{pass: pass}
-			c.walk(f)
-		}
-	},
-}
-
 type mapRangeChecker struct {
-	pass      *Pass
+	mp        *ModulePass
+	pkg       *Package
 	funcStack []*ast.BlockStmt // enclosing function bodies, innermost last
 	nodeStack []ast.Node       // mirror of the inspect traversal for popping
-	// collect, when non-nil, switches the checker from reporting findings
-	// to accumulating the offending range statements — the taint analyzer
-	// uses this to treat unordered map iteration outside the per-package
-	// analyzer's scope as a nondeterminism source.
-	collect *[]*ast.RangeStmt
+	found     []*ast.RangeStmt
 }
 
-// unorderedMapRanges returns the map-range statements in the package's
-// files that the DeterministicMapRange heuristic would flag, honoring
-// //lint:ordered waivers (a waiver with an empty reason does not count).
-func unorderedMapRanges(pass *Pass) []*ast.RangeStmt {
-	var out []*ast.RangeStmt
-	for _, f := range pass.Files() {
-		c := &mapRangeChecker{pass: pass, collect: &out}
-		c.walk(f)
-	}
-	return out
+// unorderedMapRanges returns the map-range statements in f that the
+// heuristic cannot prove order-insensitive and no //lint:ordered waiver
+// covers.
+func unorderedMapRanges(mp *ModulePass, pkg *Package, f *ast.File) []*ast.RangeStmt {
+	c := &mapRangeChecker{mp: mp, pkg: pkg}
+	c.walk(f)
+	return c.found
 }
 
 func (c *mapRangeChecker) walk(root ast.Node) {
@@ -82,43 +65,25 @@ func (c *mapRangeChecker) walk(root ast.Node) {
 	})
 }
 
-// check inspects one range statement and reports findings. It returns
-// false when the statement carries a waiver, telling the walk to skip the
-// loop body entirely.
+// check inspects one range statement and records it when unordered. It
+// returns false when the statement carries a waiver, telling the walk to
+// skip the loop body entirely.
 func (c *mapRangeChecker) check(rs *ast.RangeStmt) bool {
-	tv, ok := c.pass.Pkg.Info.Types[rs.X]
+	tv, ok := c.pkg.Info.Types[rs.X]
 	if !ok || tv.Type == nil {
 		return true
 	}
 	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 		return true
 	}
-	if reason, waived := c.pass.Waiver(rs.Pos(), "ordered"); waived {
-		if reason == "" {
-			if c.collect != nil {
-				*c.collect = append(*c.collect, rs)
-				return true
-			}
-			c.pass.Reportf(rs.Pos(),
-				"empty //lint:ordered waiver: state why iteration order cannot matter")
-			return true
-		}
+	if c.mp.Waiver(rs.Pos(), "ordered") {
 		return false
 	}
 	// A range that binds no variables runs indistinguishable iterations;
 	// no permutation can change the outcome.
-	if !bindsVars(rs) {
-		return true
+	if bindsVars(rs) && !c.orderInsensitive(rs) {
+		c.found = append(c.found, rs)
 	}
-	if c.orderInsensitive(rs) {
-		return true
-	}
-	if c.collect != nil {
-		*c.collect = append(*c.collect, rs)
-		return true
-	}
-	c.pass.Reportf(rs.Pos(),
-		"map iteration order is randomized: sort the keys first, accumulate into a sorted slice, or waive with //lint:ordered <reason>")
 	return true
 }
 
@@ -131,8 +96,8 @@ func bindsVars(rs *ast.RangeStmt) bool {
 	return false
 }
 
-// orderInsensitive applies the structural heuristic described on the
-// analyzer.
+// orderInsensitive applies the structural heuristic described on
+// mapRangeChecker.
 func (c *mapRangeChecker) orderInsensitive(rs *ast.RangeStmt) bool {
 	vars := make(map[types.Object]bool)
 	c.addLoopVars(rs, vars)
@@ -146,9 +111,9 @@ func (c *mapRangeChecker) addLoopVars(rs *ast.RangeStmt, vars map[types.Object]b
 		if !ok || id.Name == "_" {
 			continue
 		}
-		if obj := c.pass.Pkg.Info.Defs[id]; obj != nil {
+		if obj := c.pkg.Info.Defs[id]; obj != nil {
 			vars[obj] = true
-		} else if obj := c.pass.Pkg.Info.Uses[id]; obj != nil {
+		} else if obj := c.pkg.Info.Uses[id]; obj != nil {
 			vars[obj] = true
 		}
 	}
@@ -178,7 +143,7 @@ func (c *mapRangeChecker) stmtOK(stmt ast.Stmt, rs *ast.RangeStmt, vars map[type
 		}
 		// delete(m, k) is commutative across iterations.
 		if id, ok := call.Fun.(*ast.Ident); ok {
-			if b, ok := c.pass.Pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" {
+			if b, ok := c.pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" {
 				return c.callFreeAll(call.Args)
 			}
 		}
@@ -253,7 +218,7 @@ func (c *mapRangeChecker) assignOK(s *ast.AssignStmt, rs *ast.RangeStmt, vars ma
 		// may key later writes.
 		for _, l := range s.Lhs {
 			if id, ok := l.(*ast.Ident); ok && id.Name != "_" {
-				if obj := c.pass.Pkg.Info.Defs[id]; obj != nil {
+				if obj := c.pkg.Info.Defs[id]; obj != nil {
 					vars[obj] = true
 				}
 			}
@@ -314,16 +279,16 @@ func (c *mapRangeChecker) appendAccumulateOK(s *ast.AssignStmt, rs *ast.RangeStm
 	if !ok {
 		return false
 	}
-	if b, ok := c.pass.Pkg.Info.Uses[fn].(*types.Builtin); !ok || b.Name() != "append" {
+	if b, ok := c.pkg.Info.Uses[fn].(*types.Builtin); !ok || b.Name() != "append" {
 		return false
 	}
 	first, ok := call.Args[0].(*ast.Ident)
 	if !ok || first.Name != lhs.Name {
 		return false
 	}
-	obj := c.pass.Pkg.Info.Uses[lhs]
+	obj := c.pkg.Info.Uses[lhs]
 	if obj == nil {
-		obj = c.pass.Pkg.Info.Defs[lhs]
+		obj = c.pkg.Info.Defs[lhs]
 	}
 	if obj == nil || !c.callFreeAll(call.Args[1:]) {
 		return false
@@ -363,7 +328,7 @@ func (c *mapRangeChecker) sortedLater(obj types.Object, pos token.Pos) bool {
 		if !ok {
 			return true
 		}
-		pkgPath, name, ok := packageMember(c.pass, sel)
+		pkgPath, name, ok := packageMember(c.pkg, sel)
 		if !ok {
 			return true
 		}
@@ -373,11 +338,11 @@ func (c *mapRangeChecker) sortedLater(obj types.Object, pos token.Pos) bool {
 		arg := call.Args[0]
 		// Unwrap one conversion layer, e.g. sort.Sort(sort.IntSlice(out)).
 		if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 {
-			if tv, isType := c.pass.Pkg.Info.Types[conv.Fun]; isType && tv.IsType() {
+			if tv, isType := c.pkg.Info.Types[conv.Fun]; isType && tv.IsType() {
 				arg = conv.Args[0]
 			}
 		}
-		if id, ok := arg.(*ast.Ident); ok && c.pass.Pkg.Info.Uses[id] == obj {
+		if id, ok := arg.(*ast.Ident); ok && c.pkg.Info.Uses[id] == obj {
 			found = true
 			return false
 		}
@@ -392,7 +357,7 @@ func (c *mapRangeChecker) referencesVar(expr ast.Expr, vars map[types.Object]boo
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if obj := c.pass.Pkg.Info.Uses[id]; obj != nil && vars[obj] {
+			if obj := c.pkg.Info.Uses[id]; obj != nil && vars[obj] {
 				found = true
 			}
 		}
@@ -415,11 +380,11 @@ func (c *mapRangeChecker) callFree(expr ast.Expr) bool {
 		if !isCall {
 			return ok
 		}
-		if tv, found := c.pass.Pkg.Info.Types[call.Fun]; found && tv.IsType() {
+		if tv, found := c.pkg.Info.Types[call.Fun]; found && tv.IsType() {
 			return ok // conversion
 		}
 		if id, isIdent := call.Fun.(*ast.Ident); isIdent {
-			if b, isBuiltin := c.pass.Pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
+			if b, isBuiltin := c.pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
 				switch b.Name() {
 				case "len", "cap", "min", "max":
 					return ok

@@ -185,10 +185,7 @@ func runKernelOwnership(mp *ModulePass) {
 		return // fixture module without a sim package: nothing to protect
 	}
 
-	waived := func(pos token.Pos) bool {
-		_, ok := mp.Waiver(pos, "ownership")
-		return ok
-	}
+	waived := func(pos token.Pos) bool { return mp.Waiver(pos, "ownership") }
 
 	// Rule 1 — spawn sites: arguments and receivers of the spawned call.
 	// Also collect the spawn roots for the reachability pass, noting which

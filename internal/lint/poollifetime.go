@@ -307,7 +307,7 @@ func checkReleaseFlow(mp *ModulePass, n *FuncNode, releases map[*types.Func]*rel
 				if !wasReleased {
 					return true
 				}
-				if _, waivedHere := mp.Waiver(id.Pos(), "pooled"); waivedHere {
+				if mp.Waiver(id.Pos(), "pooled") {
 					return true
 				}
 				relLine := mp.fset.Position(relPos).Line
@@ -381,7 +381,7 @@ func checkEscapes(mp *ModulePass, n *FuncNode, pooled func(types.Type) *poolInfo
 				if namedOf(baseTV.Type) == nil {
 					continue
 				}
-				if _, w := mp.Waiver(stmt.Pos(), "pooled"); w {
+				if mp.Waiver(stmt.Pos(), "pooled") {
 					continue
 				}
 				mp.Reportf(stmt.Pos(),
@@ -410,10 +410,7 @@ func checkEscapes(mp *ModulePass, n *FuncNode, pooled func(types.Type) *poolInfo
 				if pool == nil || allowedTarget(target, pool) {
 					continue
 				}
-				if _, w := mp.Waiver(val.Pos(), "pooled"); w {
-					continue
-				}
-				if _, w := mp.Waiver(stmt.Pos(), "pooled"); w {
+				if mp.Waiver(val.Pos(), "pooled") || mp.Waiver(stmt.Pos(), "pooled") {
 					continue
 				}
 				mp.Reportf(val.Pos(),

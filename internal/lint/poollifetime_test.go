@@ -6,7 +6,8 @@ import "testing"
 // pool shaped like the simulator's (receiver-owned free list, recycle
 // method appending a pointer parameter): use-after-release,
 // double-release, escapes into long-lived structs via field assignment
-// and composite literal, the generation-fence waiver, and the documented
+// and composite literal, the generation-fence waiver (which waives nothing
+// without a reason), and the documented
 // limit that a release inside a conditional branch does not poison the
 // straight-line flow after it.
 func TestPoolLifetime(t *testing.T) {
@@ -67,6 +68,12 @@ func (k *K) fenced() *handle {
 	it := k.newItem()
 	//lint:pooled fixture: generation-fenced handle revalidates on every use
 	return &handle{it: it}
+}
+
+func (k *K) lazyFence() *handle {
+	it := k.newItem()
+	//lint:pooled
+	return &handle{it: it} // want:pool-lifetime
 }
 
 func (k *K) clean() int {

@@ -50,7 +50,7 @@ type sarifLocation struct {
 
 type sarifPhysical struct {
 	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           *sarifRegion  `json:"region,omitempty"`
+	Region           sarifRegion   `json:"region"`
 }
 
 type sarifArtifact struct {
@@ -75,10 +75,6 @@ func SARIF(diags []Diagnostic, analyzers []*Analyzer) ([]byte, error) {
 	}
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
-		var region *sarifRegion
-		if d.Line > 0 {
-			region = &sarifRegion{StartLine: d.Line, StartColumn: d.Col}
-		}
 		results = append(results, sarifResult{
 			RuleID:  d.Analyzer,
 			Level:   "error",
@@ -86,7 +82,7 @@ func SARIF(diags []Diagnostic, analyzers []*Analyzer) ([]byte, error) {
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{
 					ArtifactLocation: sarifArtifact{URI: d.File},
-					Region:           region,
+					Region:           sarifRegion{StartLine: d.Line, StartColumn: d.Col},
 				},
 			}},
 		})

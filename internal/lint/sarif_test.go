@@ -8,8 +8,8 @@ import (
 
 func TestSARIF(t *testing.T) {
 	diags := []Diagnostic{
-		{Analyzer: "no-wallclock", File: "internal/x/y.go", Line: 12, Col: 3, Message: "wall clock"},
-		{Analyzer: "alloc-budget", File: "ALLOC_BUDGET.json", Line: 0, Col: 0, Message: "pinned function gone"},
+		{Analyzer: "nondet-taint", File: "internal/x/y.go", Line: 12, Col: 3, Message: "wall clock"},
+		{Analyzer: "pool-lifetime", File: "internal/x/z.go", Line: 40, Col: 1, Message: "use after release"},
 	}
 	data, err := SARIF(diags, Analyzers())
 	if err != nil {
@@ -61,16 +61,15 @@ func TestSARIF(t *testing.T) {
 		t.Fatalf("results = %d, want 2", len(run.Results))
 	}
 	first := run.Results[0]
-	if first.RuleID != "no-wallclock" || first.Level != "error" {
+	if first.RuleID != "nondet-taint" || first.Level != "error" {
 		t.Errorf("result[0] = %+v", first)
 	}
 	loc := first.Locations[0].PhysicalLocation
 	if loc.ArtifactLocation.URI != "internal/x/y.go" || loc.Region == nil || loc.Region.StartLine != 12 {
 		t.Errorf("result[0] location = %+v", loc)
 	}
-	// Position-less findings (file-level) omit the region entirely.
-	if reg := run.Results[1].Locations[0].PhysicalLocation.Region; reg != nil {
-		t.Errorf("file-level finding has a region: %+v", reg)
+	if reg := run.Results[1].Locations[0].PhysicalLocation.Region; reg == nil || reg.StartLine != 40 {
+		t.Errorf("result[1] region = %+v", reg)
 	}
 
 	// Byte-stable across runs.

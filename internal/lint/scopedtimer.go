@@ -21,9 +21,15 @@ var timerMethods = map[string]bool{"At": true, "After": true, "Post": true, "Aft
 var ScopedTimers = &Analyzer{
 	Name:      "scoped-timers",
 	Doc:       "forbid direct sim.Kernel scheduling from node-owned packages — node timers must go through sim.Scope",
-	AppliesTo: func(dir string) bool { return nodeOwnedDirs[dir] },
-	Run: func(pass *Pass) {
-		for _, f := range pass.Files() {
+	RunModule: runScopedTimers,
+}
+
+func runScopedTimers(mp *ModulePass) {
+	for _, pkg := range mp.Pkgs {
+		if !nodeOwnedDirs[pkg.Dir] {
+			continue
+		}
+		for _, f := range mp.sourceFiles(pkg) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -37,10 +43,10 @@ var ScopedTimers = &Analyzer{
 				// sweep timers on the clock it is given, so handing it a
 				// raw kernel smuggles unscoped timers past the method
 				// checks below. The wheel must ride a scope too.
-				if isSimFunc(pass, sel, "NewWheel") {
+				if isSimFunc(pkg, sel, "NewWheel") {
 					if len(call.Args) > 0 {
-						if tv, ok := pass.Pkg.Info.Types[call.Args[0]]; ok && isSimKernel(tv.Type) {
-							pass.Reportf(call.Pos(),
+						if tv, ok := pkg.Info.Types[call.Args[0]]; ok && isSimKernel(tv.Type) {
+							mp.Reportf(call.Pos(),
 								"unscoped wheel: sim.NewWheel on *sim.Kernel sweeps past node crashes; build it on the node's sim.Scope")
 						}
 					}
@@ -49,25 +55,25 @@ var ScopedTimers = &Analyzer{
 				if !timerMethods[sel.Sel.Name] {
 					return true
 				}
-				tv, ok := pass.Pkg.Info.Types[sel.X]
+				tv, ok := pkg.Info.Types[sel.X]
 				if !ok || !isSimKernel(tv.Type) {
 					return true
 				}
-				pass.Reportf(call.Pos(),
+				mp.Reportf(call.Pos(),
 					"unscoped timer: %s on *sim.Kernel survives node crashes; schedule through the node's sim.Scope (accept sim.Clock)", sel.Sel.Name)
 				return true
 			})
 		}
-	},
+	}
 }
 
 // isSimFunc reports whether sel resolves to the named package-level
 // function of the sim package.
-func isSimFunc(pass *Pass, sel *ast.SelectorExpr, name string) bool {
+func isSimFunc(pkg *Package, sel *ast.SelectorExpr, name string) bool {
 	if sel.Sel.Name != name {
 		return false
 	}
-	fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return false
 	}

@@ -7,36 +7,79 @@ import (
 	"strings"
 )
 
-// NondetTaint is the interprocedural nondeterminism checker. The five
-// syntactic analyzers flag a wall-clock read or an unordered map range at
-// the line that contains it; this analyzer closes the loophole of hiding
-// the source behind a helper. It marks every nondeterminism source in the
-// determinism-bound packages (internal/ plus the module root):
+// NondetTaint owns the nondeterminism sources. It reports each source at
+// its own line and closes the loophole of hiding one behind a helper by
+// propagating it through the static call graph. The sources are:
 //
 //   - time.Now/Sleep/... (the wallclockFuncs set)
 //   - package-level math/rand functions (the globalRandFuncs set)
 //   - select statements (outside declared //lint:concurrency-layer packages)
-//   - map ranges the DeterministicMapRange heuristic would flag
+//   - map ranges the mapRangeChecker heuristic cannot prove
+//     order-insensitive (//lint:ordered <reason> waives one)
 //
-// and propagates taint backwards through the static call graph, following
-// both call edges and function-value bind edges (a helper stored as an
-// event callback taints the function that bound it). Every unwaived edge
-// from bound code into a tainted function is reported with the shortest
-// path to the source, so a helper three calls away from time.Now() is
-// flagged at every entry point that can reach it.
+// Reach: a global-rand draw is reported anywhere in the module, cmd/ and
+// examples/ included; the other sources are reported in the
+// determinism-bound packages (internal/ plus the module root — the public
+// scenario API replays runs too). cmd/ and examples/ are drivers and may
+// read the wall clock.
 //
-// Waivers: //lint:nondet <reason> on a source line removes the source;
-// on a call/reference line it cuts the taint path at that edge (the caller
-// and everything above it stay clean through this edge).
+// Taint propagates backwards from the source-bearing functions of bound
+// packages, following both call edges and function-value bind edges (a
+// helper stored as an event callback taints the function that bound it).
+// Every unwaived edge from bound code into a tainted function is reported
+// with the shortest path to the source, so a helper three calls away from
+// time.Now() is flagged at every entry point that can reach it.
+//
+// Waivers: //lint:nondet <reason> on a source line removes the source from
+// propagation and, in the module root, silences its line; inside
+// internal/, and for global rand anywhere, the source line stays a finding.
+// On a call/reference line the waiver cuts the taint path at that edge
+// (the caller and everything above it stay clean through this edge).
 var NondetTaint = &Analyzer{
 	Name:      "nondet-taint",
-	Doc:       "propagate nondeterminism sources (wallclock, global rand, select, unordered map range) through the call graph — determinism-bound code may not reach one",
+	Doc:       "report nondeterminism sources (wallclock, global rand, select, unordered map range) at their line and propagate them through the call graph — determinism-bound code may not reach one",
 	RunModule: runNondetTaint,
 }
 
+// wallclockFuncs are the package time functions that read or wait on the
+// machine's real clock. time.Duration arithmetic, constants and formatting
+// stay legal — only the listed entry points leak wall time.
+var wallclockFuncs = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"After":     true,
+	"AfterFunc": true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
+}
+
+// globalRandFuncs are the math/rand (and math/rand/v2) package-level
+// functions backed by the process-global source. Constructing an explicit
+// seeded generator (rand.New, rand.NewSource, rand.NewPCG, rand.NewZipf)
+// stays legal — that is exactly what the contract demands.
+var globalRandFuncs = map[string]map[string]bool{
+	"math/rand": {
+		"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+		"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+		"Float32": true, "Float64": true, "ExpFloat64": true,
+		"NormFloat64": true, "Perm": true, "Shuffle": true,
+		"Seed": true, "Read": true,
+	},
+	"math/rand/v2": {
+		"Int": true, "IntN": true, "Int32": true, "Int32N": true,
+		"Int64": true, "Int64N": true, "N": true, "Uint": true,
+		"UintN": true, "Uint32": true, "Uint32N": true, "Uint64": true,
+		"Uint64N": true, "Float32": true, "Float64": true,
+		"ExpFloat64": true, "NormFloat64": true, "Perm": true,
+		"Shuffle": true,
+	},
+}
+
 // taintBound reports whether the module-relative directory is bound by the
-// determinism contract: internal/ and the module root (the public scenario
-// API replays runs too). cmd/ and examples/ are drivers and exempt.
+// determinism contract: internal/ and the module root.
 func taintBound(dir string) bool {
 	return dir == "" || isInternal(dir)
 }
@@ -45,6 +88,19 @@ func taintBound(dir string) bool {
 type taintSource struct {
 	kind string // e.g. "time.Now", "rand.Intn", "select", "map range"
 	pos  token.Pos
+}
+
+// message renders the finding reported at the source's own line.
+func (s taintSource) message() string {
+	switch {
+	case strings.HasPrefix(s.kind, "time."):
+		return s.kind + " reads the wall clock; use the sim kernel's virtual clock (sim.Clock) instead"
+	case strings.HasPrefix(s.kind, "rand."):
+		return s.kind + " uses the global math/rand source; draw from a seeded *rand.Rand (sim.Clock.Rand) instead"
+	case s.kind == "select":
+		return "select statement: channel readiness is nondeterministic and bypasses the event kernel's single-threaded replay"
+	}
+	return "map iteration order is randomized: sort the keys first, accumulate into a sorted slice, or waive with //lint:ordered <reason>"
 }
 
 // taintTrace records, for one tainted function, the shortest route to a
@@ -56,29 +112,22 @@ type taintTrace struct {
 }
 
 func runNondetTaint(mp *ModulePass) {
-	bound := make(map[*Package]bool)
-	for _, pkg := range mp.Pkgs {
-		bound[pkg] = taintBound(pkg.Dir)
-	}
-
-	// Phase 1: collect sources in bound packages. Sources are attributed
-	// to the innermost enclosing function; a source outside any function
-	// (package-level initializer) cannot propagate but is still reported
-	// directly when the root package owns it.
+	// Phase 1: collect and report sources. Sources of bound packages are
+	// attributed to the innermost enclosing function for propagation; one
+	// outside any function (a package-level initializer) cannot propagate.
 	perNode := make(map[*FuncNode][]taintSource)
-	var loose []taintSource // sources outside any function, bound pkgs
 	for _, pkg := range mp.Pkgs {
-		if !bound[pkg] {
-			continue
-		}
-		for _, src := range collectTaintSources(mp, pkg) {
-			if _, waived := mp.Waiver(src.pos, "nondet"); waived {
+		bound := taintBound(pkg.Dir)
+		for _, src := range collectTaintSources(mp, pkg, bound) {
+			waived := mp.Waiver(src.pos, "nondet")
+			if !waived || isInternal(pkg.Dir) || strings.HasPrefix(src.kind, "rand.") {
+				mp.Reportf(src.pos, "%s", src.message())
+			}
+			if !bound || waived {
 				continue
 			}
 			if n := mp.Graph.NodeAt(src.pos); n != nil {
 				perNode[n] = append(perNode[n], src)
-			} else {
-				loose = append(loose, src)
 			}
 		}
 	}
@@ -97,7 +146,7 @@ func runNondetTaint(mp *ModulePass) {
 	// Reverse adjacency over bound callers only.
 	callers := make(map[*FuncNode][]Edge) // callee -> edges (Callee field reused as the CALLER here)
 	for _, n := range mp.Graph.Nodes {
-		if !bound[n.Pkg] {
+		if !taintBound(n.Pkg.Dir) {
 			continue
 		}
 		for _, e := range n.Calls {
@@ -115,41 +164,11 @@ func runNondetTaint(mp *ModulePass) {
 			if _, seen := tainted[caller]; seen {
 				continue
 			}
-			if _, waived := mp.Waiver(e.Pos, "nondet"); waived {
+			if mp.Waiver(e.Pos, "nondet") {
 				continue
 			}
 			tainted[caller] = taintTrace{src: tainted[g].src, next: g}
 			queue = append(queue, caller)
-		}
-	}
-
-	// Phase 3a: direct findings for sources in the module root. Inside
-	// internal/ the per-package analyzers already own the source line
-	// (no-wallclock, deterministic-map-range, no-raw-goroutine), and
-	// no-global-rand covers rand everywhere — the taint analyzer extends
-	// the same source-site discipline to the root package.
-	report := func(src taintSource) {
-		switch {
-		case strings.HasPrefix(src.kind, "time."):
-			mp.Reportf(src.pos,
-				"%s reads the wall clock in determinism-bound code; thread the scenario clock through, or waive with //lint:nondet <reason>", src.kind)
-		case src.kind == "select":
-			mp.Reportf(src.pos,
-				"select statement in determinism-bound code: channel readiness is nondeterministic; waive with //lint:nondet <reason> only above the kernel boundary")
-		case src.kind == "map range":
-			mp.Reportf(src.pos,
-				"map iteration order is randomized and this range is not provably order-insensitive; sort the keys first or waive with //lint:nondet <reason>")
-		}
-	}
-	for _, src := range loose {
-		report(src)
-	}
-	for _, n := range mp.Graph.Nodes {
-		if n.Pkg.Dir != "" {
-			continue
-		}
-		for _, src := range perNode[n] {
-			report(src)
 		}
 	}
 
@@ -173,68 +192,61 @@ func runNondetTaint(mp *ModulePass) {
 		}
 	}
 
-	// Phase 3b: cascade findings — every unwaived edge from a bound
+	// Phase 3: cascade findings — every unwaived edge from a bound
 	// function into a tainted function, with the path to the source.
 	for _, n := range mp.Graph.Nodes {
-		if !bound[n.Pkg] {
+		if !taintBound(n.Pkg.Dir) {
 			continue
 		}
-		edges := make([]Edge, 0, len(n.Calls)+len(n.Binds))
-		edges = append(edges, n.Calls...)
-		verbs := make([]string, 0, cap(edges))
-		for range n.Calls {
-			verbs = append(verbs, "call to")
-		}
-		edges = append(edges, n.Binds...)
-		for range n.Binds {
-			verbs = append(verbs, "reference to")
-		}
-		for i, e := range edges {
-			tr, isTainted := tainted[e.Callee]
-			if !isTainted {
-				continue
+		for _, set := range []struct {
+			verb  string
+			edges []Edge
+		}{{"call to", n.Calls}, {"reference to", n.Binds}} {
+			for _, e := range set.edges {
+				tr, isTainted := tainted[e.Callee]
+				if !isTainted || mp.Waiver(e.Pos, "nondet") {
+					continue
+				}
+				mp.Reportf(e.Pos,
+					"%s %s reaches nondeterminism source %s (%s); make the callee deterministic or waive this edge with //lint:nondet <reason>",
+					set.verb, e.Callee.ID, tr.src.kind, taintPath(e.Callee))
 			}
-			if _, waived := mp.Waiver(e.Pos, "nondet"); waived {
-				continue
-			}
-			mp.Reportf(e.Pos,
-				"%s %s reaches nondeterminism source %s (%s); make the callee deterministic or waive this edge with //lint:nondet <reason>",
-				verbs[i], e.Callee.ID, tr.src.kind, taintPath(e.Callee))
 		}
 	}
 }
 
-// collectTaintSources scans one bound package for nondeterminism sources.
-func collectTaintSources(mp *ModulePass, pkg *Package) []taintSource {
+// collectTaintSources scans one package for nondeterminism sources: global
+// rand draws everywhere, and in a bound package the wall-clock reads,
+// selects outside a concurrency layer, and unordered map ranges too.
+func collectTaintSources(mp *ModulePass, pkg *Package, bound bool) []taintSource {
 	var out []taintSource
-	// analyzer stays nil: the pass is only used for waiver lookup and the
-	// collect-mode map-range checker, neither of which reports.
-	pass := &Pass{Pkg: pkg, diags: new([]Diagnostic)}
 	_, isLayer, _ := ConcurrencyLayer(pkg)
-	for _, f := range pass.Files() {
+	for _, f := range mp.sourceFiles(pkg) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:
-				pkgPath, name, ok := packageMemberIn(pkg, x)
+				pkgPath, name, ok := packageMember(pkg, x)
 				if !ok {
 					return true
-				}
-				if pkgPath == "time" && wallclockFuncs[name] {
-					out = append(out, taintSource{kind: "time." + name, pos: x.Pos()})
 				}
 				if funcs, banned := globalRandFuncs[pkgPath]; banned && funcs[name] {
 					out = append(out, taintSource{kind: "rand." + name, pos: x.Pos()})
 				}
+				if bound && pkgPath == "time" && wallclockFuncs[name] {
+					out = append(out, taintSource{kind: "time." + name, pos: x.Pos()})
+				}
 			case *ast.SelectStmt:
-				if !isLayer {
+				if bound && !isLayer {
 					out = append(out, taintSource{kind: "select", pos: x.Pos()})
 				}
 			}
 			return true
 		})
-	}
-	for _, rs := range unorderedMapRanges(pass) {
-		out = append(out, taintSource{kind: "map range", pos: rs.Pos()})
+		if bound {
+			for _, rs := range unorderedMapRanges(mp, pkg, f) {
+				out = append(out, taintSource{kind: "map range", pos: rs.Pos()})
+			}
+		}
 	}
 	return out
 }

@@ -135,8 +135,8 @@ func TestPendingEntryRecycled(t *testing.T) {
 }
 
 // TestRecordHeardAllocsWarm pins the per-overheard-frame cost: with a warm
-// store and wheel, recording a recurring (sender, key) pair allocates
-// nothing.
+// store and wheel, recording a recurring (sender, key) pair and asking
+// whether anyone was heard sending it allocates nothing.
 func TestRecordHeardAllocsWarm(t *testing.T) {
 	k := sim.New(1)
 	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second})
@@ -147,6 +147,9 @@ func TestRecordHeardAllocsWarm(t *testing.T) {
 	i := uint64(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		b.RecordHeard(3, key(1, i%8))
+		if !b.HeardAny(key(1, i%8)) {
+			t.Fatal("a packet just heard is not heard")
+		}
 		i++
 		k.RunFor(300 * time.Millisecond)
 	})
@@ -293,5 +296,45 @@ func TestSweepCachesZeroAllocsWarm(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("warm sweep allocates %.1f objects per step, want 0", allocs)
+	}
+}
+
+// TestCompactSlabAllocsWarm pins the shrink path: a burst of short-lived
+// packet records with a few longer-lived ones recorded after it, a sweep
+// that frees the burst and compacts the survivors' chunks into the freed
+// slots below the new limit, and a sweep that frees the rest. Compaction
+// moves chunks in place; the cycle's allocations are the pages and key
+// table storage the next burst takes back after the sweeps handed them to
+// the collector.
+func TestCompactSlabAllocsWarm(t *testing.T) {
+	s := newFlatStore()
+	now := time.Duration(0)
+	compacted := 0
+	cycle := func() {
+		for p := uint64(0); p < 64; p++ {
+			s.recordHeard(0, key(1, p), now+1)
+		}
+		for p := uint64(0); p < 4; p++ {
+			s.recordHeard(0, key(2, p), now+3)
+		}
+		pages := len(s.chunks.pages)
+		s.sweepCaches(now + 2)
+		if s.used == 4 && len(s.chunks.pages) < pages {
+			compacted++
+		}
+		s.sweepCaches(now + 4)
+		now += 4
+	}
+	for range 8 {
+		cycle()
+		checkSlab(t, s)
+	}
+	allocs := testing.AllocsPerRun(50, cycle)
+	if compacted != 8+51 {
+		t.Fatalf("%d of %d cycles compacted the 4 survivors", compacted, 8+51)
+	}
+	const want = 24
+	if allocs != want {
+		t.Fatalf("burst/compact/drain cycle allocates %.1f objects, want %d", allocs, want)
 	}
 }
