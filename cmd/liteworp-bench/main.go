@@ -13,11 +13,11 @@
 //
 //	liteworp-bench -runs 5 -nodes 40 -duration 60s -o BENCH_PR4.json
 //
-// The -nsweep mode instead measures the N-scaling frontier: for each event
-// queue backend and each node count in -ns it runs one scenario and records
-// events/sec and bytes/node, emitting a sweep JSON (see BENCH_PR9.json):
+// The -nsweep mode instead measures the N-scaling frontier: for each node
+// count in -ns it runs one scenario and records events/sec and bytes/node,
+// emitting a sweep JSON (see BENCH_PR10.json):
 //
-//	liteworp-bench -nsweep -ns 40,100,400,1000,4000,10000 -o BENCH_PR9.json
+//	liteworp-bench -nsweep -ns 40,100,400,1000,4000,10000 -o BENCH_PR10.json
 package main
 
 import (
@@ -56,9 +56,8 @@ type Result struct {
 	EventsPerSec             float64 `json:"events_per_sec"`
 }
 
-// SweepRecord is one (queue, N) point of the N-scaling sweep.
+// SweepRecord is one N point of the N-scaling sweep.
 type SweepRecord struct {
-	Queue       string  `json:"queue"`
 	Nodes       int     `json:"nodes"`
 	AvgDegree   float64 `json:"avg_degree"`
 	DurationSec float64 `json:"virtual_duration_sec"`
@@ -83,8 +82,8 @@ type Sweep struct {
 	Benchmark string `json:"benchmark"`
 	Seed      int64  `json:"seed"`
 	// Baseline names the checked-in BENCH_*.json this sweep should be
-	// compared against (recorded machines differ; same-file backend pairs
-	// compare apples to apples).
+	// compared against (recorded machines differ, so only records from
+	// one machine compare apples to apples).
 	Baseline string        `json:"baseline,omitempty"`
 	Records  []SweepRecord `json:"records"`
 }
@@ -105,9 +104,8 @@ func run(args []string, stdout *os.File) error {
 	out := fs.String("o", "", "write JSON here instead of stdout")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measured runs here")
 	memprofile := fs.String("memprofile", "", "write an allocation profile here after the runs")
-	nsweep := fs.Bool("nsweep", false, "run the N-scaling sweep (-ns x -queues) instead of the single-config benchmark")
+	nsweep := fs.Bool("nsweep", false, "run the N-scaling sweep over -ns instead of the single-config benchmark")
 	nsFlag := fs.String("ns", defaultNs, "comma-separated node counts for -nsweep")
-	queuesFlag := fs.String("queues", "calendar,heap", "comma-separated event-queue backends for -nsweep")
 	baseline := fs.String("baseline", "", "name of the checked-in BENCH_*.json to compare this sweep against (recorded in the output)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -133,7 +131,7 @@ func run(args []string, stdout *os.File) error {
 		if err != nil {
 			return fmt.Errorf("-ns: %w", err)
 		}
-		sweep, err := measureSweep(ns, strings.Split(*queuesFlag, ","), *seed, *memprofile, os.Stderr)
+		sweep, err := measureSweep(ns, *seed, *memprofile, os.Stderr)
 		if err != nil {
 			return err
 		}
@@ -206,22 +204,19 @@ func sweepDuration(n int) time.Duration {
 	return d
 }
 
-// measureSweep runs one scenario per (queue, N) point and records
-// throughput and per-node memory. Progress goes to log (stderr) because a
-// full sweep to N=10,000 takes minutes.
-func measureSweep(ns []int, queues []string, seed int64, memprofile string, progress *os.File) (*Sweep, error) {
+// measureSweep runs one scenario per N point and records throughput and
+// per-node memory. Progress goes to log (stderr) because a full sweep to
+// N=10,000 takes minutes.
+func measureSweep(ns []int, seed int64, memprofile string, progress *os.File) (*Sweep, error) {
 	sweep := &Sweep{Benchmark: "NSweep", Seed: seed}
-	for _, queue := range queues {
-		queue = strings.TrimSpace(queue)
-		for _, n := range ns {
-			rec, err := measurePoint(queue, n, seed, memprofile)
-			if err != nil {
-				return nil, fmt.Errorf("queue %s N=%d: %w", queue, n, err)
-			}
-			fmt.Fprintf(progress, "liteworp-bench: %-8s N=%-6d %12.0f events/sec %10.0f bytes/node (%.1fs wall)\n",
-				queue, n, rec.EventsPerSec, rec.BytesPerNode, float64(rec.WallNs)/float64(time.Second))
-			sweep.Records = append(sweep.Records, *rec)
+	for _, n := range ns {
+		rec, err := measurePoint(n, seed, memprofile)
+		if err != nil {
+			return nil, fmt.Errorf("N=%d: %w", n, err)
 		}
+		fmt.Fprintf(progress, "liteworp-bench: N=%-6d %12.0f events/sec %10.0f bytes/node (%.1fs wall)\n",
+			n, rec.EventsPerSec, rec.BytesPerNode, float64(rec.WallNs)/float64(time.Second))
+		sweep.Records = append(sweep.Records, *rec)
 	}
 	return sweep, nil
 }
@@ -242,7 +237,7 @@ func sweepDegree(n int, base float64) float64 {
 // start is clamped inside it: at the paper's ratio, a tenth of the way
 // into the operational phase. Without the clamp no sweep point would ever
 // switch the attack on.
-func sweepParams(queue string, n int, seed int64) liteworp.Params {
+func sweepParams(n int, seed int64) liteworp.Params {
 	p := liteworp.DefaultParams()
 	p.NumNodes = n
 	p.AvgNeighbors = sweepDegree(n, p.AvgNeighbors)
@@ -251,12 +246,11 @@ func sweepParams(queue string, n int, seed int64) liteworp.Params {
 		p.AttackStart = p.Duration / 10
 	}
 	p.Seed = seed
-	p.EventQueue = queue
 	return p
 }
 
-func measurePoint(queue string, n int, seed int64, memprofile string) (*SweepRecord, error) {
-	p := sweepParams(queue, n, seed)
+func measurePoint(n int, seed int64, memprofile string) (*SweepRecord, error) {
+	p := sweepParams(n, seed)
 
 	var base, after runtime.MemStats
 	runtime.GC()
@@ -291,7 +285,6 @@ func measurePoint(queue string, n int, seed int64, memprofile string) (*SweepRec
 	runtime.KeepAlive(s)
 
 	rec := &SweepRecord{
-		Queue:       queue,
 		Nodes:       n,
 		AvgDegree:   p.AvgNeighbors,
 		DurationSec: p.Duration.Seconds(),

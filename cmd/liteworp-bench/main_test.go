@@ -68,7 +68,7 @@ func TestSweepAttackStartsInsideHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range ns {
-		p := sweepParams("", n, 1)
+		p := sweepParams(n, 1)
 		if p.AttackStart <= 0 || p.AttackStart >= p.Duration {
 			t.Errorf("N=%d: AttackStart %v not inside the %v horizon", n, p.AttackStart, p.Duration)
 		}

@@ -175,26 +175,3 @@ const (
 	goldenTraceAirtime   = "2ea56230ab0267ec37fcd3de4170e245f816473da4d8164162397cbabe142afe"
 	goldenTraceFaults    = "99ddc901d587dde6c867d8912a1b3a4283c43f4af88772808d3ccfdedd2f185b"
 )
-
-// TestGoldenTraceBackendInvariant runs the protected golden case on every
-// selectable event-queue backend and requires the identical pinned hash:
-// the choice must be a pure performance knob, invisible in the trace.
-func TestGoldenTraceBackendInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second simulation")
-	}
-	for _, queue := range []string{"calendar", "heap"} {
-		t.Run("queue-"+queue, func(t *testing.T) {
-			hash, _ := traceHash(t, func(p *Params) {
-				p.NumNodes = 40
-				p.Seed = 20250704
-				p.Duration = 150 * time.Second
-				p.EventQueue = queue
-			}, nil)
-			if hash != goldenTraceProtected {
-				t.Errorf("backend %q drifted from the pinned trace:\n got  %s\n want %s",
-					queue, hash, goldenTraceProtected)
-			}
-		})
-	}
-}

@@ -101,7 +101,7 @@ func classify(err error) FailureKind {
 // Backoff is the capped exponential retry schedule. The delay is a pure
 // function of the retry index — base doubled per prior retry, capped —
 // with no wall-clock reads and no jitter, so the schedule is fully
-// deterministic and the no-wallclock lint stays green: the engine never
+// deterministic and the nondet-taint lint stays green: the engine never
 // computes a delay from real time, it only hands the precomputed
 // duration to the injected Options.Sleep.
 type Backoff struct {

@@ -58,39 +58,22 @@ func ConcurrencyLayer(pkg *Package) (reason string, ok bool, pos token.Pos) {
 //     variable of restricted type
 //   - channels: no channel anywhere in the module may carry restricted
 //     state (channels exist to move values between goroutines)
-//   - queue construction: outside the sim package, a scheduling backend
-//     (sim.NewQueue/NewCalendarQueue/NewHeapQueue) may only be constructed
-//     as a direct argument to sim.NewWithQueue — a queue is part of
-//     exactly one kernel; binding it to a variable first invites sharing
-//     or double-use
 //
 // Restricted types are the containment closure over sim.Kernel, sim.Wheel,
-// sim.Scope, sim.Clock, sim.Timer, sim.Queue and the root package's
-// Scenario: a struct holding a *sim.Kernel three fields deep is as
+// sim.Scope, sim.Clock, sim.Timer and the root package's Scenario: a struct holding a *sim.Kernel three fields deep is as
 // restricted as the kernel itself. Waive individual findings with
 // //lint:ownership <reason>.
 var KernelOwnership = &Analyzer{
 	Name:      "kernel-ownership",
-	Doc:       "goroutine-reachable code must not share sim.Kernel/wheel/scope/queue/Scenario state via captures, globals, channels, go-statement arguments, or free-standing queue construction",
+	Doc:       "goroutine-reachable code must not share sim.Kernel/wheel/scope/Scenario state via captures, globals, channels, or go-statement arguments",
 	RunModule: runKernelOwnership,
 }
 
 // restrictedRootNames are the type names whose containment closure defines
 // "restricted state", keyed by where they live: the sim package (matched
 // by import-path suffix, so fixtures can fake it) and the module root.
-var restrictedSimNames = []string{"Kernel", "Wheel", "Scope", "Clock", "Timer", "Queue"}
+var restrictedSimNames = []string{"Kernel", "Wheel", "Scope", "Clock", "Timer"}
 var restrictedRootNames = []string{"Scenario"}
-
-// queueConstructorNames are the sim functions that mint a scheduling
-// backend; kernelConstructorName is the only place their results may flow
-// directly outside the sim package itself.
-var queueConstructorNames = map[string]bool{
-	"NewQueue":         true,
-	"NewCalendarQueue": true,
-	"NewHeapQueue":     true,
-}
-
-const kernelConstructorName = "NewWithQueue"
 
 func isSimPath(path string) bool {
 	return path == "sim" || strings.HasSuffix(path, "/sim")
@@ -276,63 +259,6 @@ func runKernelOwnership(mp *ModulePass) {
 					mp.Reportf(ch.Pos(),
 						"channel element type %s carries restricted state across goroutines; send plain job/result data and keep kernels goroutine-local — or waive with //lint:ownership <reason>",
 						types.TypeString(tv.Type, nil))
-				}
-				return true
-			})
-		}
-	}
-
-	// Rule 5 — queue construction: outside the sim package, a call to a
-	// queue constructor must be a direct argument of sim.NewWithQueue.
-	// A queue bound to a variable (or field, global, return value) is
-	// free-standing state that can outlive, precede, or be shared between
-	// kernels, defeating the one-queue-one-kernel contract.
-	for _, pkg := range mp.Pkgs {
-		if isSimPath(pkg.Path) {
-			continue // the sim package's own factories construct queues
-		}
-		// simCallName resolves a call to a function imported from the sim
-		// package (matched by import-path suffix, like the type roots).
-		simCallName := func(call *ast.CallExpr) string {
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return ""
-			}
-			fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || !isSimPath(fn.Pkg().Path()) {
-				return ""
-			}
-			return fn.Name()
-		}
-		for _, f := range pkg.Files {
-			// First pass: constructor calls appearing directly as
-			// NewWithQueue arguments are the sanctioned shape.
-			sanctioned := make(map[*ast.CallExpr]bool)
-			ast.Inspect(f, func(x ast.Node) bool {
-				call, ok := x.(*ast.CallExpr)
-				if !ok || simCallName(call) != kernelConstructorName {
-					return true
-				}
-				for _, arg := range call.Args {
-					if inner, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
-						sanctioned[inner] = true
-					}
-				}
-				return true
-			})
-			ast.Inspect(f, func(x ast.Node) bool {
-				call, ok := x.(*ast.CallExpr)
-				if !ok || sanctioned[call] {
-					return true
-				}
-				name := simCallName(call)
-				if !queueConstructorNames[name] {
-					return true
-				}
-				if !waived(call.Pos()) {
-					mp.Reportf(call.Pos(),
-						"sim.%s constructs a free-standing event queue; a queue belongs to exactly one kernel, so construct it in place — sim.NewWithQueue(seed, sim.%s(...)) — or waive with //lint:ownership <reason>",
-						name, name)
 				}
 				return true
 			})

@@ -88,81 +88,6 @@ func main() {
 	checkFixture(t, KernelOwnership, pkgs)
 }
 
-// TestKernelOwnershipQueueConstruction drives the Rule 5 fixture: a queue
-// constructor is only clean as a direct sim.NewWithQueue argument. Bound to
-// a variable, passed indirectly, returned, or stored — it's a finding; the
-// sim package itself and waived sites stay silent.
-func TestKernelOwnershipQueueConstruction(t *testing.T) {
-	pkgs := []fixturePkg{
-		{
-			path: "liteworp/internal/sim",
-			files: map[string]string{"sim.go": `package sim
-
-type Kernel struct {
-	q Queue
-}
-
-type Queue interface {
-	Len() int
-}
-
-type fifo struct{}
-
-func (fifo) Len() int { return 0 }
-
-func NewQueue(kind string) Queue { return fifo{} }
-
-func NewCalendarQueue() Queue { return fifo{} }
-
-func NewHeapQueue() Queue { return fifo{} }
-
-func New(seed int64) *Kernel { return NewWithQueue(seed, NewCalendarQueue()) }
-
-func NewWithQueue(seed int64, q Queue) *Kernel { return &Kernel{q: q} }
-`},
-		},
-		{
-			path: "liteworp/cmd/fix",
-			files: map[string]string{"main.go": `package main
-
-import "liteworp/internal/sim"
-
-func direct() *sim.Kernel {
-	return sim.NewWithQueue(1, sim.NewQueue("heap"))
-}
-
-func directParen() *sim.Kernel {
-	return sim.NewWithQueue(1, (sim.NewCalendarQueue()))
-}
-
-func bound() *sim.Kernel {
-	q := sim.NewQueue("heap") // want:kernel-ownership
-	return sim.NewWithQueue(1, q)
-}
-
-func escaped() sim.Queue {
-	return sim.NewHeapQueue() // want:kernel-ownership
-}
-
-func waivedBench() *sim.Kernel {
-	//lint:ownership fixture: benchmark probes the queue before attaching it
-	q := sim.NewCalendarQueue()
-	return sim.NewWithQueue(1, q)
-}
-
-func main() {
-	direct()
-	directParen()
-	bound()
-	escaped()
-	waivedBench()
-}
-`},
-		},
-	}
-	checkFixture(t, KernelOwnership, pkgs)
-}
-
 // TestKernelOwnershipNoSim: a module without restricted root types (no sim
 // package, no root Scenario) has nothing to protect and must stay silent
 // even around raw goroutines.

@@ -2,9 +2,10 @@ package sim
 
 import "time"
 
-// calendarQueue is a calendar-queue scheduling backend (after R. Brown,
-// "Calendar queues: a fast O(1) priority queue implementation", CACM 1988),
-// adapted to the kernel's determinism contract:
+// calendarQueue is the kernel's event queue: a calendar queue (after R.
+// Brown, "Calendar queues: a fast O(1) priority queue implementation", CACM
+// 1988) over pooled eventItems, adapted to the kernel's determinism
+// contract:
 //
 //   - Events hash into a power-of-two ring of time buckets of equal width;
 //     bucket i of a lap covers virtual time [i*width, (i+1)*width) modulo
@@ -22,8 +23,12 @@ import "time"
 //     between consecutively popped events — the event-density estimate the
 //     original algorithm samples for — and resizing only re-hashes items,
 //     so pop order is untouched.
-//   - Dead (cancelled) items are not removed here: the kernel filters them
-//     at pop and triggers reap when they dominate, exactly as with the heap.
+//   - Buckets give back burst capacity: once a bucket's backing array
+//     outgrows its live items by cqShrinkFactor, it moves to a right-sized
+//     one (see itemRun.fit), so a past burst does not pin its peak.
+//   - Dead (cancelled) items are not removed here: pop and peek return
+//     them like any other item, the kernel filters and recycles them, and
+//     reap drops them all in one pass when they dominate.
 //
 // Everything is integer arithmetic over slices — no map iteration, no
 // wallclock — so two runs with the same seed walk identical bucket states.
@@ -66,6 +71,8 @@ const (
 	// cqBucketSeedCap is the per-bucket slice capacity preallocated at
 	// construction and resize, so warm steady-state pushes never allocate.
 	cqBucketSeedCap = 4
+	// cqShrinkFactor bounds the slack a bucket keeps (see itemRun.fit).
+	cqShrinkFactor = 4
 	// cqFarFuture excludes "effectively never" sentinels (1<<62-1 draws)
 	// from width estimation; they would stretch the spread to uselessness.
 	cqFarFuture = int64(1) << 61
@@ -90,15 +97,14 @@ func (b *itemRun) front() *eventItem {
 	return b.items[b.head]
 }
 
-// NewCalendarQueue returns the calendar-queue backend, the kernel default.
-func NewCalendarQueue() Queue {
+// newCalendarQueue returns an empty queue at the minimum ring size.
+func newCalendarQueue() *calendarQueue {
 	q := &calendarQueue{width: cqInitWidth}
 	q.initBuckets(cqMinBuckets)
 	return q
 }
 
-func (q *calendarQueue) kind() string { return QueueCalendar }
-
+// size returns the number of items queued, dead ones included.
 func (q *calendarQueue) size() int { return q.n }
 
 func (q *calendarQueue) initBuckets(count int) {
@@ -119,6 +125,7 @@ func (q *calendarQueue) windowStart(at time.Duration) int64 {
 	return int64(at) / q.width * q.width
 }
 
+// push inserts an item. The same item is never pushed twice.
 func (q *calendarQueue) push(item *eventItem) {
 	if q.n+1 > 2*len(q.buckets) && len(q.buckets) < cqMaxBuckets {
 		q.resize()
@@ -183,6 +190,28 @@ func (b *itemRun) take() {
 	}
 }
 
+// fit is the buckets' capacity policy: once a run's backing array exceeds
+// cqShrinkFactor*(live+cqBucketSeedCap) slots, its live items move to a
+// fresh array of live+cqBucketSeedCap slots. Growth back is by append
+// doubling, so a trimmed run must lose three quarters of its load before it
+// is trimmed again, and a run that never bursts never reallocates. The
+// policy reads only the run's own state, so runs stay deterministic.
+//
+// Lanes do not use it: the watch buffer's lane refills to about the same
+// peak after every burst, so trimming it between bursts only buys the
+// regrowth (a quarter more bytes allocated on the paper's network).
+func (b *itemRun) fit() {
+	live := len(b.items) - b.head
+	if cap(b.items) <= cqShrinkFactor*(live+cqBucketSeedCap) {
+		return
+	}
+	items := make([]*eventItem, live, live+cqBucketSeedCap)
+	copy(items, b.items[b.head:])
+	b.items, b.head = items, 0
+}
+
+// peek returns the minimum item without removing it, or nil when empty.
+// Repeated peeks with no intervening push or pop are O(1).
 func (q *calendarQueue) peek() *eventItem {
 	if q.n == 0 {
 		return nil
@@ -227,6 +256,7 @@ func (q *calendarQueue) peek() *eventItem {
 	return best
 }
 
+// pop removes and returns the minimum item by (at, seq), or nil when empty.
 func (q *calendarQueue) pop() *eventItem {
 	it := q.peek()
 	if it == nil {
@@ -234,6 +264,7 @@ func (q *calendarQueue) pop() *eventItem {
 	}
 	// The global minimum is the head of its bucket's sorted run.
 	q.buckets[q.minBucket].take()
+	q.buckets[q.minBucket].fit()
 	q.cur = q.minBucket
 	q.top = q.windowStart(it.at)
 	q.min = nil
@@ -246,10 +277,14 @@ func (q *calendarQueue) pop() *eventItem {
 	return it
 }
 
+// reap removes every dead item, handing each to recycle, and returns how
+// many it removed. Pop order is keyed by (at, seq) alone, so reaping early
+// changes nothing observable but memory.
 func (q *calendarQueue) reap(recycle func(*eventItem)) int {
 	removed := 0
 	for i := range q.buckets {
 		removed += q.buckets[i].reap(recycle)
+		q.buckets[i].fit()
 	}
 	q.n -= removed
 	q.min = nil // the cached head may have been reaped

@@ -11,10 +11,10 @@ import (
 // kernel merge more than one FIFO with the queue.
 var laneDelays = [2]time.Duration{3 * time.Millisecond, 7 * time.Millisecond}
 
-// laneScript is a deterministic workload replayed twice on one queue
-// backend: once arming its fixed-delay timers with plain After, once
-// through lanes. Every op draws from the script's own rand stream, so both
-// replays issue the same calls in the same order.
+// laneScript is a deterministic workload replayed twice: once arming its
+// fixed-delay timers with plain After, once through lanes. Every op draws
+// from the script's own rand stream, so both replays issue the same calls
+// in the same order.
 type laneScript struct {
 	seed int64
 	ops  int
@@ -33,9 +33,9 @@ type laneScript struct {
 //     large enough to trigger compaction
 //   - Scope.CancelAll with lane members, followed by a fresh scope
 //   - RunUntil deadlines that fall between lane items, and single Steps
-func (s laneScript) replay(t testing.TB, q Queue, lanes bool) []string {
+func (s laneScript) replay(t testing.TB, lanes bool) []string {
 	t.Helper()
-	k := NewWithQueue(1, q)
+	k := New(1)
 	rng := rand.New(rand.NewSource(s.seed))
 	scope := NewScope(k)
 	var log []string
@@ -127,21 +127,19 @@ func (s laneScript) replay(t testing.TB, q Queue, lanes bool) []string {
 }
 
 // checkLaneScript requires the lane replay to match the After replay
-// exactly on both queue backends.
+// exactly.
 func checkLaneScript(t *testing.T, s laneScript) {
 	t.Helper()
-	for _, kind := range QueueKinds() {
-		plain := s.replay(t, NewQueue(kind), false)
-		laned := s.replay(t, NewQueue(kind), true)
-		if len(plain) != len(laned) {
-			t.Fatalf("%s seed %d: After replay logged %d entries, lane replay %d",
-				kind, s.seed, len(plain), len(laned))
-		}
-		for i := range plain {
-			if plain[i] != laned[i] {
-				t.Fatalf("%s seed %d: replays diverge at entry %d: After %q, lane %q",
-					kind, s.seed, i, plain[i], laned[i])
-			}
+	plain := s.replay(t, false)
+	laned := s.replay(t, true)
+	if len(plain) != len(laned) {
+		t.Fatalf("seed %d: After replay logged %d entries, lane replay %d",
+			s.seed, len(plain), len(laned))
+	}
+	for i := range plain {
+		if plain[i] != laned[i] {
+			t.Fatalf("seed %d: replays diverge at entry %d: After %q, lane %q",
+				s.seed, i, plain[i], laned[i])
 		}
 	}
 }

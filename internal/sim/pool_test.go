@@ -169,48 +169,39 @@ func TestCompactionPreservesDeterminism(t *testing.T) {
 
 // TestPostZeroAllocsWarm is the scheduled-event allocation regression pin:
 // with a warm item pool, a fire-and-forget Post plus its Step must not touch
-// the heap at all, on either queue backend.
+// the heap at all.
 func TestPostZeroAllocsWarm(t *testing.T) {
-	for _, kind := range QueueKinds() {
-		t.Run(kind, func(t *testing.T) {
-			k := warmKernel(t, kind)
-			fn := func() {}
-			allocs := testing.AllocsPerRun(200, func() {
-				k.Post(time.Millisecond, fn)
-				k.Step()
-			})
-			if allocs != 0 {
-				t.Fatalf("warm Post+Step allocates %.1f objects/op, want 0", allocs)
-			}
-		})
+	k := warmKernel(t)
+	fn := func() {}
+	allocs := testing.AllocsPerRun(200, func() {
+		k.Post(time.Millisecond, fn)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Post+Step allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
 // TestAtAllocsWarm bounds the cancellable path: an After (through At) with
-// a warm pool allocates nothing on either queue backend (the Timer handle
-// is a value).
+// a warm pool allocates nothing (the Timer handle is a value).
 func TestAtAllocsWarm(t *testing.T) {
-	for _, kind := range QueueKinds() {
-		t.Run(kind, func(t *testing.T) {
-			k := warmKernel(t, kind)
-			fn := func() {}
-			allocs := testing.AllocsPerRun(200, func() {
-				tm := k.After(time.Millisecond, fn)
-				k.Step()
-				_ = tm.Pending()
-			})
-			if allocs != 0 {
-				t.Fatalf("warm After+Step allocates %.1f objects/op, want 0", allocs)
-			}
-		})
+	k := warmKernel(t)
+	fn := func() {}
+	allocs := testing.AllocsPerRun(200, func() {
+		tm := k.After(time.Millisecond, fn)
+		k.Step()
+		_ = tm.Pending()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm After+Step allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-// warmKernel returns a kernel on the named queue backend whose item pool
-// and queue storage have been through 64 events.
-func warmKernel(t *testing.T, kind string) *Kernel {
+// warmKernel returns a kernel whose item pool and queue storage have been
+// through 64 events.
+func warmKernel(t *testing.T) *Kernel {
 	t.Helper()
-	k := NewWithQueue(1, NewQueue(kind))
+	k := New(1)
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		k.Post(time.Duration(i)*time.Microsecond, fn)

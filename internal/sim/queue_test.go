@@ -1,95 +1,250 @@
 package sim
 
 import (
-	"fmt"
+	"cmp"
+	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
-// queueScript is a deterministic workload of scheduling operations replayed
-// identically against kernels on different queue backends. Every op draws
-// from the script's own rand stream, never the kernel's, so the kernel RNG
-// stays byte-for-byte aligned between replays.
+// heapQueue is the reference priority queue the calendar queue is checked
+// against: a container/heap binary heap over the same items in the same
+// (at, seq) order.
+type heapQueue struct {
+	h eventHeap
+}
+
+func (q *heapQueue) push(item *eventItem) { heap.Push(&q.h, item) }
+
+func (q *heapQueue) pop() *eventItem {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return heap.Pop(&q.h).(*eventItem)
+}
+
+func (q *heapQueue) peek() *eventItem {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
+}
+
+func (q *heapQueue) size() int { return len(q.h) }
+
+// reap rebuilds the heap from the surviving items.
+func (q *heapQueue) reap(recycle func(*eventItem)) int {
+	live := q.h[:0]
+	for _, item := range q.h {
+		if item.dead() {
+			recycle(item)
+			continue
+		}
+		live = append(live, item)
+	}
+	removed := len(q.h) - len(live)
+	for i := len(live); i < len(q.h); i++ {
+		q.h[i] = nil
+	}
+	q.h = live
+	heap.Init(&q.h)
+	return removed
+}
+
+type eventHeap []*eventItem
+
+func (h eventHeap) Len() int { return len(h) }
+
+func (h eventHeap) Less(i, j int) bool { return earlier(h[i], h[j]) }
+
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*eventItem)) }
+
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	item := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return item
+}
+
+// slots returns the calendar's total bucket capacity, the backing-array
+// slots it retains whether or not they hold an item.
+func (q *calendarQueue) slots() int {
+	n := 0
+	for i := range q.buckets {
+		n += cap(q.buckets[i].items)
+	}
+	return n
+}
+
+// queueScript is a deterministic workload of queue operations, replayed in
+// lockstep on a calendar queue and on the heap oracle. Every op draws from
+// the script's own rand stream.
 type queueScript struct {
 	seed int64
 	ops  int
 }
 
-// replay drives the script through a fresh kernel on the given queue and
-// returns the observed firing trace: one "<id>@<virtual time>" entry per
-// fired event, in firing order. The workload deliberately mixes:
-//
-//   - Post (handle-free), After, and At scheduling
-//   - bursts at an identical timestamp (FIFO tie-break coverage)
-//   - cancellations through live timers, repeated cancels, and stale
-//     handles kept across firing (generation-fence coverage)
-//   - interleaved Step calls so pushes land both before and after pops,
-//     exercising the calendar cursor-rewind and resize paths
-func (s queueScript) replay(t testing.TB, q Queue) []string {
-	t.Helper()
-	k := NewWithQueue(1, q)
-	rng := rand.New(rand.NewSource(s.seed))
-	var trace []string
-	var timers []Timer
-	record := func(id int) Event {
-		return func() { trace = append(trace, fmt.Sprintf("%d@%d", id, k.Now())) }
-	}
-	for i := 0; i < s.ops; i++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2: // Post at a random near-future offset
-			k.Post(time.Duration(rng.Intn(5000))*time.Microsecond, record(i))
-		case 3, 4: // After with a cancellable handle
-			timers = append(timers, k.After(time.Duration(rng.Intn(5000))*time.Microsecond, record(i)))
-		case 5: // At, sometimes in the past (clamps to now)
-			at := k.Now() + time.Duration(rng.Intn(2000)-500)*time.Microsecond
-			timers = append(timers, k.At(at, record(i)))
-		case 6: // same-timestamp burst: FIFO tie-break must hold
-			at := k.Now() + time.Duration(rng.Intn(1000))*time.Microsecond
-			for j := 0; j < 3; j++ {
-				k.At(at, record(i*10+j))
-			}
-		case 7: // cancel a random outstanding handle (possibly stale/fired)
-			if len(timers) > 0 {
-				timers[rng.Intn(len(timers))].Cancel()
-			}
-		case 8: // far-future straggler, keeps the queue sparse at the tail
-			k.Post(time.Duration(rng.Intn(60))*time.Second, record(i))
-		case 9: // drain a few events so pushes interleave with pops
-			for j := rng.Intn(4); j > 0; j-- {
-				k.Step()
-			}
-		}
-	}
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return trace
+// queueStats counts what a replay made the calendar do: pops, pushes that
+// grew or shrank the ring, and pops after which a bucket gave back
+// capacity (trims).
+type queueStats struct {
+	pops, grows, shrinks, trims int
 }
 
-// TestQueueEquivalenceRandomized replays randomized workloads through the
-// heap and calendar backends and requires bit-identical firing traces —
-// same events, same order, same virtual timestamps. This is the property
-// the golden trace hashes rest on, checked at the queue seam directly.
-func TestQueueEquivalenceRandomized(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		s := queueScript{seed: seed, ops: 400}
-		heapTrace := s.replay(t, NewHeapQueue())
-		calTrace := s.replay(t, NewCalendarQueue())
-		if len(heapTrace) != len(calTrace) {
-			t.Fatalf("seed %d: heap fired %d events, calendar %d", seed, len(heapTrace), len(calTrace))
+// replay pushes items with explicit (at, seq) keys into both queues — the
+// same pointers, so pops compare by identity — and fails at the first pop,
+// peek, size or reap on which they disagree. Time follows the kernel's
+// contract: nothing is pushed earlier than the last pop. The mix covers:
+//
+//   - near-future pushes, and same-at bursts (FIFO tie-break by seq)
+//   - pushes after a peek that land before the peeked head, rewinding the
+//     calendar's cursor
+//   - far-future stragglers and "never" sentinels (the direct-search
+//     fallback and the width estimate's sentinel filter)
+//   - cancels of random items and reaps of the dead ones
+//   - bursts of hundreds of items at a few instants, drained and followed
+//     by a trickle of single push/pop pairs: the ring grows, shrinks, and
+//     bucket runs give their burst capacity back
+func (s queueScript) replay(t testing.TB) queueStats {
+	t.Helper()
+	cal, ref := newCalendarQueue(), &heapQueue{}
+	rng := rand.New(rand.NewSource(s.seed))
+	var (
+		st     queueStats
+		now    time.Duration
+		seq    uint64
+		pushed []*eventItem
+	)
+	check := func(op string) {
+		t.Helper()
+		if cal.size() != ref.size() {
+			t.Fatalf("seed %d %s: calendar holds %d items, heap %d", s.seed, op, cal.size(), ref.size())
 		}
-		for i := range heapTrace {
-			if heapTrace[i] != calTrace[i] {
-				t.Fatalf("seed %d: traces diverge at event %d: heap %q, calendar %q",
-					seed, i, heapTrace[i], calTrace[i])
+	}
+	push := func(at time.Duration) {
+		seq++
+		it := &eventItem{at: at, seq: seq}
+		ring := len(cal.buckets)
+		cal.push(it)
+		ref.push(it)
+		pushed = append(pushed, it)
+		switch {
+		case len(cal.buckets) > ring:
+			st.grows++
+		case len(cal.buckets) < ring:
+			st.shrinks++
+		}
+	}
+	peek := func() *eventItem {
+		t.Helper()
+		a, b := cal.peek(), ref.peek()
+		if a != b {
+			t.Fatalf("seed %d: peek diverges: calendar %v, heap %v", s.seed, a, b)
+		}
+		return a
+	}
+	pop := func() {
+		t.Helper()
+		ring, slots := len(cal.buckets), cal.slots()
+		a, b := cal.pop(), ref.pop()
+		if a != b {
+			t.Fatalf("seed %d pop %d: calendar %v, heap %v", s.seed, st.pops, a, b)
+		}
+		if a == nil {
+			return
+		}
+		if a.at < now {
+			t.Fatalf("seed %d pop %d: time ran backwards from %v to %v", s.seed, st.pops, now, a.at)
+		}
+		now = a.at
+		st.pops++
+		if len(cal.buckets) == ring && cal.slots() < slots {
+			st.trims++
+		}
+	}
+	us := func(n int) time.Duration { return time.Duration(rng.Intn(n)) * time.Microsecond }
+	for i := 0; i < s.ops; i++ {
+		switch rng.Intn(12) {
+		case 0, 1, 2: // near-future push
+			push(now + us(5000))
+		case 3: // push before the peeked head: rewinds the cursor
+			if head := peek(); head != nil && head.at > now {
+				push(now + time.Duration(rng.Int63n(int64(head.at-now))))
+			} else {
+				push(now)
+			}
+		case 4: // same-at burst: FIFO tie-break must hold
+			at := now + us(1000)
+			for j := 3 + rng.Intn(6); j > 0; j-- {
+				push(at)
+			}
+		case 5: // far-future straggler, or a "never" sentinel
+			if rng.Intn(4) == 0 {
+				push(max(now, time.Duration(1<<62-1)))
+			} else {
+				push(now + time.Duration(rng.Intn(60))*time.Second)
+			}
+		case 6: // cancel a recent item, which may already be popped
+			if n := len(pushed); n > 0 {
+				pushed[n-1-rng.Intn(min(n, 256))].cancelled = true
+			}
+		case 7: // reap every dead item from both queues
+			var a, b []*eventItem
+			na := cal.reap(func(it *eventItem) { a = append(a, it) })
+			nb := ref.reap(func(it *eventItem) { b = append(b, it) })
+			bySeq := func(x, y *eventItem) int { return cmp.Compare(x.seq, y.seq) }
+			slices.SortFunc(a, bySeq)
+			slices.SortFunc(b, bySeq)
+			if na != nb || !slices.Equal(a, b) {
+				t.Fatalf("seed %d: reap removed %d items from the calendar, %d from the heap", s.seed, na, nb)
+			}
+		case 8, 9: // pop a few
+			for j := rng.Intn(4); j > 0; j-- {
+				pop()
+			}
+		case 10:
+			peek()
+		case 11: // burst at a few instants, drain it, then trickle
+			n := 100 + rng.Intn(400)
+			instants := 1 + rng.Intn(3)
+			base := now + us(2000)
+			for j := 0; j < n; j++ {
+				push(base + time.Duration(j%instants)*time.Millisecond)
+			}
+			for j := 0; j < n; j++ {
+				pop()
+			}
+			for j := 20 + rng.Intn(40); j > 0; j-- {
+				push(now + us(2000))
+				pop()
 			}
 		}
+		check("op")
+	}
+	for cal.size() > 0 {
+		pop()
+	}
+	check("drain")
+	return st
+}
+
+// TestQueueEquivalenceRandomized replays randomized scripts through the
+// calendar queue and the heap oracle and requires identical pops — same
+// items, same order. This is the property the golden trace hashes rest on.
+func TestQueueEquivalenceRandomized(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		queueScript{seed: seed, ops: 400}.replay(t)
 	}
 }
 
 // FuzzQueueEquivalence is the fuzzing entry for the same property: any
-// (seed, ops) workload must fire identically on both backends.
+// (seed, ops) script must pop identically from both queues.
 func FuzzQueueEquivalence(f *testing.F) {
 	f.Add(int64(1), 50)
 	f.Add(int64(42), 300)
@@ -98,252 +253,267 @@ func FuzzQueueEquivalence(f *testing.F) {
 		if ops < 0 || ops > 2000 {
 			t.Skip()
 		}
-		s := queueScript{seed: seed, ops: ops}
-		heapTrace := s.replay(t, NewHeapQueue())
-		calTrace := s.replay(t, NewCalendarQueue())
-		if len(heapTrace) != len(calTrace) {
-			t.Fatalf("heap fired %d events, calendar %d", len(heapTrace), len(calTrace))
-		}
-		for i := range heapTrace {
-			if heapTrace[i] != calTrace[i] {
-				t.Fatalf("traces diverge at event %d: heap %q, calendar %q", i, heapTrace[i], calTrace[i])
-			}
-		}
+		queueScript{seed: seed, ops: ops}.replay(t)
 	})
 }
 
-// TestPendingAccountingAcrossBackends cross-checks the live-count invariant
-// Pending() == live scheduled events on both backends while lazy reaping,
-// compaction, and (for the calendar) resize all trigger, for timers
-// cancelled one by one and through a dead scope, in the queue and on a lane. PendingRaw may lag behind
-// (dead items awaiting reap) but must never undercount Pending.
-func TestPendingAccountingAcrossBackends(t *testing.T) {
-	for _, kind := range QueueKinds() {
-		t.Run(kind, func(t *testing.T) {
-			k := NewWithQueue(7, NewQueue(kind))
-			if got := k.QueueKind(); got != kind {
-				t.Fatalf("QueueKind() = %q, want %q", got, kind)
-			}
-			const n = 600
-			timers := make([]Timer, 0, n)
-			// Spread far enough apart that the calendar queue's density
-			// estimate forces at least one grow and later a shrink.
-			for i := 0; i < n; i++ {
-				timers = append(timers, k.After(time.Duration(i)*time.Millisecond, func() {}))
-			}
-			if got := k.Pending(); got != n {
-				t.Fatalf("Pending after %d schedules = %d", n, got)
-			}
-			// Cancel every third timer; compaction will fire mid-way (the
-			// threshold is 64 cancelled and cancelled*2 > size).
-			cancelled := 0
-			for i := 0; i < n; i += 3 {
-				if timers[i].Cancel() {
-					cancelled++
-				}
-			}
-			if got, want := k.Pending(), n-cancelled; got != want {
-				t.Fatalf("Pending after cancels = %d, want %d", got, want)
-			}
-			if k.PendingRaw() < k.Pending() {
-				t.Fatalf("PendingRaw %d < Pending %d", k.PendingRaw(), k.Pending())
-			}
-			// Drain with interleaved refills so pops, lazy pop-side reaps,
-			// and push-side resizes all run under accounting checks.
-			fired := 0
-			for i := 0; i < 200; i++ {
-				before := k.Pending()
-				if !k.Step() {
-					t.Fatalf("queue drained early at step %d", i)
-				}
-				fired++
-				if got := k.Pending(); got != before-1 {
-					t.Fatalf("step %d: Pending %d -> %d, want %d", i, before, got, before-1)
-				}
-				if k.PendingRaw() < k.Pending() {
-					t.Fatalf("step %d: PendingRaw %d < Pending %d", i, k.PendingRaw(), k.Pending())
-				}
-			}
-			live := k.Pending()
-			for k.Step() {
-				fired++
-			}
-			if got, want := fired, n-cancelled; got != want {
-				t.Fatalf("fired %d events, want %d", got, want)
-			}
-			if live != n-cancelled-200 {
-				t.Fatalf("mid-drain Pending = %d, want %d", live, n-cancelled-200)
-			}
-			if k.Pending() != 0 || k.PendingRaw() != 0 {
-				t.Fatalf("drained kernel reports Pending=%d PendingRaw=%d", k.Pending(), k.PendingRaw())
-			}
-
-			// Scope cancellation on the drained kernel: Pending() ==
-			// PendingRaw() minus the dead items still queued must hold
-			// through individual cancels of scoped timers, a CancelAll
-			// below the compaction trigger (its items are reaped lazily
-			// at pop), and a CancelAll that compacts.
-			checkDead := func(stage string, wantLive, wantDead int) {
-				t.Helper()
-				if got := k.Pending(); got != wantLive {
-					t.Fatalf("%s: Pending() = %d, want %d", stage, got, wantLive)
-				}
-				if got := k.PendingRaw() - k.Pending(); got != wantDead {
-					t.Fatalf("%s: PendingRaw()-Pending() = %d dead items, want %d", stage, got, wantDead)
-				}
-			}
-			small, big := NewScope(k), NewScope(k)
-			fired = 0
-			count := func() { fired++ }
-			for i := 0; i < 300; i++ {
-				k.After(time.Duration(i)*time.Millisecond, count)
-			}
-			var smallTimers []Timer
-			for i := 0; i < 40; i++ {
-				smallTimers = append(smallTimers, small.After(time.Duration(3*i)*time.Millisecond, count))
-			}
-			for i := 0; i < 400; i++ {
-				big.After(time.Duration(i)*time.Millisecond, count)
-			}
-			checkDead("scoped schedules", 740, 0)
-			for _, tm := range smallTimers[:10] {
-				tm.Cancel()
-			}
-			checkDead("scoped cancels", 730, 10)
-			if got := small.Pending(); got != 30 {
-				t.Fatalf("small.Pending() = %d, want 30", got)
-			}
-			if got := small.CancelAll(); got != 30 {
-				t.Fatalf("small.CancelAll() = %d, want 30", got)
-			}
-			checkDead("small CancelAll", 700, 40)
-			for i := 0; i < 100; i++ {
-				before := k.Pending()
-				if !k.Step() {
-					t.Fatalf("queue drained early at scoped step %d", i)
-				}
-				if got := k.Pending(); got != before-1 {
-					t.Fatalf("scoped step %d: Pending %d -> %d, want %d", i, before, got, before-1)
-				}
-				if k.PendingRaw() < k.Pending() {
-					t.Fatalf("scoped step %d: PendingRaw %d < Pending %d", i, k.PendingRaw(), k.Pending())
-				}
-			}
-			if got := k.Pending(); got != 600 {
-				t.Fatalf("after 100 scoped steps: Pending() = %d, want 600", got)
-			}
-			bigLive := big.Pending()
-			if got := big.CancelAll(); got != bigLive {
-				t.Fatalf("big.CancelAll() = %d, want %d", got, bigLive)
-			}
-			// Dead items now outnumber live ones, so CancelAll compacted.
-			checkDead("big CancelAll", 600-bigLive, 0)
-			for k.Step() {
-			}
-			if want := 100 + 600 - bigLive; fired != want {
-				t.Fatalf("fired %d events around scope cancellation, want %d", fired, want)
-			}
-			checkDead("scoped drain", 0, 0)
-
-			// Lane members: cancels in the middle of a lane, a CancelAll
-			// below the compaction trigger whose items are reaped lazily
-			// when they reach the front, and a CancelAll that compacts.
-			lane := k.Lane(50 * time.Millisecond)
-			laneSmall, laneBig := NewScope(k), NewScope(k)
-			base := k.Now()
-			fired = 0
-			for i := 0; i < 200; i++ {
-				k.After(time.Duration(i)*time.Millisecond, count)
-			}
-			var laneTimers []Timer
-			for i := 0; i < 30; i++ {
-				laneTimers = append(laneTimers, laneSmall.AfterLane(lane, count))
-			}
-			for i := 0; i < 300; i++ {
-				laneBig.AfterLane(lane, count)
-			}
-			k.AfterLane(lane, count)
-			checkDead("lane schedules", 531, 0)
-			for _, tm := range laneTimers[5:15] {
-				tm.Cancel()
-			}
-			checkDead("mid-lane cancels", 521, 10)
-			if got := laneSmall.Pending(); got != 20 {
-				t.Fatalf("laneSmall.Pending() = %d, want 20", got)
-			}
-			if got := laneSmall.CancelAll(); got != 20 {
-				t.Fatalf("laneSmall.CancelAll() = %d, want 20", got)
-			}
-			checkDead("lane CancelAll", 501, 30)
-			if err := k.RunUntil(base + 49*time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			// Nothing on the lane is due before 50ms, so its dead items
-			// stay held.
-			checkDead("before the lane front", 451, 30)
-			// The queue item at 50ms was armed before the lane items, so
-			// it fires first and the dead lane front stays held.
-			k.Step()
-			checkDead("queue wins the tie", 450, 30)
-			// Next in (at, seq) order is the dead lane front: it is reaped
-			// and laneBig's first member fires.
-			k.Step()
-			checkDead("lane front reaped", 449, 0)
-			if got := laneBig.CancelAll(); got != 299 {
-				t.Fatalf("laneBig.CancelAll() = %d, want 299", got)
-			}
-			// 299 dead against 150 live: CancelAll compacted the lane.
-			checkDead("compacting lane CancelAll", 150, 0)
-			for k.Step() {
-			}
-			if want := 200 + 1 + 1; fired != want {
-				t.Fatalf("fired %d events around lane cancellation, want %d", fired, want)
-			}
-			checkDead("lane drain", 0, 0)
-		})
+// TestPendingAccounting checks the live-count invariant Pending() == live
+// scheduled events while lazy reaping, compaction and resize all trigger,
+// for timers cancelled one by one and through a dead scope, in the queue
+// and on a lane. PendingRaw may lag behind (dead items awaiting reap) but
+// must never undercount Pending.
+func TestPendingAccounting(t *testing.T) {
+	k := New(7)
+	const n = 600
+	timers := make([]Timer, 0, n)
+	// Spread far enough apart that the calendar queue's density
+	// estimate forces at least one grow and later a shrink.
+	for i := 0; i < n; i++ {
+		timers = append(timers, k.After(time.Duration(i)*time.Millisecond, func() {}))
 	}
-}
-
-// TestQueueFactory pins the selector surface: known kinds construct their
-// backend, the empty string selects the default, unknown kinds are nil.
-func TestQueueFactory(t *testing.T) {
-	if q := NewQueue(""); q == nil || q.kind() != QueueCalendar {
-		t.Errorf(`NewQueue("") = %v, want calendar`, q)
+	if got := k.Pending(); got != n {
+		t.Fatalf("Pending after %d schedules = %d", n, got)
 	}
-	for _, kind := range QueueKinds() {
-		if !KnownQueue(kind) {
-			t.Errorf("KnownQueue(%q) = false", kind)
-		}
-		q := NewQueue(kind)
-		if q == nil || q.kind() != kind {
-			t.Errorf("NewQueue(%q) = %v", kind, q)
+	// Cancel every third timer; compaction will fire mid-way (the
+	// threshold is 64 cancelled and cancelled*2 > size).
+	cancelled := 0
+	for i := 0; i < n; i += 3 {
+		if timers[i].Cancel() {
+			cancelled++
 		}
 	}
-	if KnownQueue("splay") {
-		t.Error(`KnownQueue("splay") = true`)
+	if got, want := k.Pending(), n-cancelled; got != want {
+		t.Fatalf("Pending after cancels = %d, want %d", got, want)
 	}
-	if q := NewQueue("splay"); q != nil {
-		t.Errorf(`NewQueue("splay") = %v, want nil`, q)
+	if k.PendingRaw() < k.Pending() {
+		t.Fatalf("PendingRaw %d < Pending %d", k.PendingRaw(), k.Pending())
 	}
-	if k := NewWithQueue(1, nil); k.QueueKind() != QueueCalendar {
-		t.Errorf("NewWithQueue(nil) kind = %q, want calendar", k.QueueKind())
+	// Drain with interleaved refills so pops, lazy pop-side reaps,
+	// and push-side resizes all run under accounting checks.
+	fired := 0
+	for i := 0; i < 200; i++ {
+		before := k.Pending()
+		if !k.Step() {
+			t.Fatalf("queue drained early at step %d", i)
+		}
+		fired++
+		if got := k.Pending(); got != before-1 {
+			t.Fatalf("step %d: Pending %d -> %d, want %d", i, before, got, before-1)
+		}
+		if k.PendingRaw() < k.Pending() {
+			t.Fatalf("step %d: PendingRaw %d < Pending %d", i, k.PendingRaw(), k.Pending())
+		}
 	}
+	live := k.Pending()
+	for k.Step() {
+		fired++
+	}
+	if got, want := fired, n-cancelled; got != want {
+		t.Fatalf("fired %d events, want %d", got, want)
+	}
+	if live != n-cancelled-200 {
+		t.Fatalf("mid-drain Pending = %d, want %d", live, n-cancelled-200)
+	}
+	if k.Pending() != 0 || k.PendingRaw() != 0 {
+		t.Fatalf("drained kernel reports Pending=%d PendingRaw=%d", k.Pending(), k.PendingRaw())
+	}
+
+	// Scope cancellation on the drained kernel: Pending() ==
+	// PendingRaw() minus the dead items still queued must hold
+	// through individual cancels of scoped timers, a CancelAll
+	// below the compaction trigger (its items are reaped lazily
+	// at pop), and a CancelAll that compacts.
+	checkDead := func(stage string, wantLive, wantDead int) {
+		t.Helper()
+		if got := k.Pending(); got != wantLive {
+			t.Fatalf("%s: Pending() = %d, want %d", stage, got, wantLive)
+		}
+		if got := k.PendingRaw() - k.Pending(); got != wantDead {
+			t.Fatalf("%s: PendingRaw()-Pending() = %d dead items, want %d", stage, got, wantDead)
+		}
+	}
+	small, big := NewScope(k), NewScope(k)
+	fired = 0
+	count := func() { fired++ }
+	for i := 0; i < 300; i++ {
+		k.After(time.Duration(i)*time.Millisecond, count)
+	}
+	var smallTimers []Timer
+	for i := 0; i < 40; i++ {
+		smallTimers = append(smallTimers, small.After(time.Duration(3*i)*time.Millisecond, count))
+	}
+	for i := 0; i < 400; i++ {
+		big.After(time.Duration(i)*time.Millisecond, count)
+	}
+	checkDead("scoped schedules", 740, 0)
+	for _, tm := range smallTimers[:10] {
+		tm.Cancel()
+	}
+	checkDead("scoped cancels", 730, 10)
+	if got := small.Pending(); got != 30 {
+		t.Fatalf("small.Pending() = %d, want 30", got)
+	}
+	if got := small.CancelAll(); got != 30 {
+		t.Fatalf("small.CancelAll() = %d, want 30", got)
+	}
+	checkDead("small CancelAll", 700, 40)
+	for i := 0; i < 100; i++ {
+		before := k.Pending()
+		if !k.Step() {
+			t.Fatalf("queue drained early at scoped step %d", i)
+		}
+		if got := k.Pending(); got != before-1 {
+			t.Fatalf("scoped step %d: Pending %d -> %d, want %d", i, before, got, before-1)
+		}
+		if k.PendingRaw() < k.Pending() {
+			t.Fatalf("scoped step %d: PendingRaw %d < Pending %d", i, k.PendingRaw(), k.Pending())
+		}
+	}
+	if got := k.Pending(); got != 600 {
+		t.Fatalf("after 100 scoped steps: Pending() = %d, want 600", got)
+	}
+	bigLive := big.Pending()
+	if got := big.CancelAll(); got != bigLive {
+		t.Fatalf("big.CancelAll() = %d, want %d", got, bigLive)
+	}
+	// Dead items now outnumber live ones, so CancelAll compacted.
+	checkDead("big CancelAll", 600-bigLive, 0)
+	for k.Step() {
+	}
+	if want := 100 + 600 - bigLive; fired != want {
+		t.Fatalf("fired %d events around scope cancellation, want %d", fired, want)
+	}
+	checkDead("scoped drain", 0, 0)
+
+	// Lane members: cancels in the middle of a lane, a CancelAll
+	// below the compaction trigger whose items are reaped lazily
+	// when they reach the front, and a CancelAll that compacts.
+	lane := k.Lane(50 * time.Millisecond)
+	laneSmall, laneBig := NewScope(k), NewScope(k)
+	base := k.Now()
+	fired = 0
+	for i := 0; i < 200; i++ {
+		k.After(time.Duration(i)*time.Millisecond, count)
+	}
+	var laneTimers []Timer
+	for i := 0; i < 30; i++ {
+		laneTimers = append(laneTimers, laneSmall.AfterLane(lane, count))
+	}
+	for i := 0; i < 300; i++ {
+		laneBig.AfterLane(lane, count)
+	}
+	k.AfterLane(lane, count)
+	checkDead("lane schedules", 531, 0)
+	for _, tm := range laneTimers[5:15] {
+		tm.Cancel()
+	}
+	checkDead("mid-lane cancels", 521, 10)
+	if got := laneSmall.Pending(); got != 20 {
+		t.Fatalf("laneSmall.Pending() = %d, want 20", got)
+	}
+	if got := laneSmall.CancelAll(); got != 20 {
+		t.Fatalf("laneSmall.CancelAll() = %d, want 20", got)
+	}
+	checkDead("lane CancelAll", 501, 30)
+	if err := k.RunUntil(base + 49*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing on the lane is due before 50ms, so its dead items
+	// stay held.
+	checkDead("before the lane front", 451, 30)
+	// The queue item at 50ms was armed before the lane items, so
+	// it fires first and the dead lane front stays held.
+	k.Step()
+	checkDead("queue wins the tie", 450, 30)
+	// Next in (at, seq) order is the dead lane front: it is reaped
+	// and laneBig's first member fires.
+	k.Step()
+	checkDead("lane front reaped", 449, 0)
+	if got := laneBig.CancelAll(); got != 299 {
+		t.Fatalf("laneBig.CancelAll() = %d, want 299", got)
+	}
+	// 299 dead against 150 live: CancelAll compacted the lane.
+	checkDead("compacting lane CancelAll", 150, 0)
+	for k.Step() {
+	}
+	if want := 200 + 1 + 1; fired != want {
+		t.Fatalf("fired %d events around lane cancellation, want %d", fired, want)
+	}
+	checkDead("lane drain", 0, 0)
 }
 
-// TestCalendarResizeRoundTrip forces the ring through grow and shrink and
-// checks pop order survives: push a large spread, drain half, push a
-// trickle, drain the rest — all against a reference heap kernel.
+// TestCalendarResizeRoundTrip checks that one script drives the ring
+// through grows and shrinks and makes bucket runs give capacity back, with
+// pop order matching the heap oracle throughout.
 func TestCalendarResizeRoundTrip(t *testing.T) {
-	s := queueScript{seed: 424242, ops: 1500}
-	heapTrace := s.replay(t, NewHeapQueue())
-	calTrace := s.replay(t, NewCalendarQueue())
-	if len(heapTrace) == 0 {
-		t.Fatal("workload fired no events")
+	st := queueScript{seed: 424242, ops: 1500}.replay(t)
+	if st.pops == 0 || st.grows == 0 || st.shrinks == 0 || st.trims == 0 {
+		t.Fatalf("script did not exercise every path: %+v", st)
 	}
-	for i := range heapTrace {
-		if heapTrace[i] != calTrace[i] {
-			t.Fatalf("traces diverge at event %d: heap %q, calendar %q", i, heapTrace[i], calTrace[i])
+}
+
+// TestCalendarReleasesBurstCapacity: a burst that passes through a bucket
+// must not pin its peak capacity there. A hold workload (pop the head, push
+// its successor) keeps the queue size, and so the ring, fixed, so no resize
+// rebuilds the buckets. Bursts of same-instant events, about 4k in all,
+// each fill one bucket window and drain. After several laps of the sparse
+// hold traffic the buckets may retain no more than the policy's bound,
+// cqShrinkFactor*(queued + cqBucketSeedCap*buckets): a small multiple of
+// queued + len(buckets). Without the policy they keep about twice that.
+func TestCalendarReleasesBurstCapacity(t *testing.T) {
+	q := newCalendarQueue()
+	rng := rand.New(rand.NewSource(1))
+	var seq uint64
+	push := func(at time.Duration) {
+		seq++
+		q.push(&eventItem{at: at, seq: seq})
+	}
+	gap := func() time.Duration { return time.Duration(rng.Int63n(int64(time.Second))) }
+	// The push past 2*64 items grows the ring to 128 buckets, which then
+	// hold up to 256 items before the next grow: room for a burst of 119
+	// next to the hold items, which in turn stay above the shrink point.
+	const hold = 129
+	for i := 0; i < hold; i++ {
+		push(gap())
+	}
+	burst := 2*len(q.buckets) - hold - 8
+	step := func() {
+		it := q.pop()
+		push(it.at + gap())
+	}
+	for i := 0; i < 4*hold; i++ {
+		step()
+	}
+	ring := len(q.buckets)
+	for total := 0; total < 4000; total += burst {
+		at := q.peek().at + gap()
+		first := seq + 1
+		for j := 0; j < burst; j++ {
+			push(at)
 		}
+		if len(q.buckets) != ring {
+			t.Fatalf("a burst resized the ring from %d to %d buckets", ring, len(q.buckets))
+		}
+		for left := burst; left > 0; {
+			if it := q.peek(); it.at == at && it.seq >= first {
+				q.pop()
+				left--
+				continue
+			}
+			step()
+		}
+	}
+	lap := time.Duration(len(q.buckets)) * time.Duration(q.width)
+	for end := q.peek().at + 4*lap; q.peek().at < end; {
+		step()
+	}
+	if len(q.buckets) != ring || q.size() != hold {
+		t.Fatalf("ring of %d buckets holds %d items; the workload must keep %d and %d",
+			len(q.buckets), q.size(), ring, hold)
+	}
+	if got, limit := q.slots(), cqShrinkFactor*(q.size()+cqBucketSeedCap*len(q.buckets)); got > limit {
+		t.Fatalf("buckets retain %d slots for %d items in %d buckets, want at most %d",
+			got, q.size(), len(q.buckets), limit)
 	}
 }
 
@@ -351,7 +521,7 @@ func TestCalendarResizeRoundTrip(t *testing.T) {
 // of events scattered over minutes of virtual time (thousands of empty
 // bucket windows apart) must still pop in (at, seq) order.
 func TestCalendarSparseFarFuture(t *testing.T) {
-	k := NewWithQueue(3, NewCalendarQueue())
+	k := New(3)
 	var got []int
 	for i, d := range []time.Duration{
 		45 * time.Minute, 3 * time.Second, 9 * time.Hour, 10 * time.Microsecond, 2 * time.Minute,

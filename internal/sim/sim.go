@@ -106,7 +106,7 @@ func (it *eventItem) dead() bool {
 type Kernel struct {
 	now   time.Duration
 	seq   uint64
-	queue Queue
+	queue *calendarQueue
 	// lanes holds one FIFO per distinct fixed delay (see Lane), in
 	// creation order. Step takes the earliest item across the queue and
 	// every lane head.
@@ -135,28 +135,13 @@ type Kernel struct {
 }
 
 // New returns a kernel whose clock starts at zero and whose random source is
-// seeded with seed, using the default (calendar) queue backend.
+// seeded with seed.
 func New(seed int64) *Kernel {
-	return NewWithQueue(seed, NewCalendarQueue())
-}
-
-// NewWithQueue returns a kernel using the given scheduling backend. Pass the
-// result of NewCalendarQueue/NewHeapQueue/NewQueue directly; a nil queue
-// selects the default. Because every backend honors the same strict (at,
-// seq) total order, the choice changes performance only — the event trace
-// for a given seed is bit-identical across backends.
-func NewWithQueue(seed int64, q Queue) *Kernel {
-	if q == nil {
-		q = NewCalendarQueue()
-	}
 	return &Kernel{
-		queue: q,
+		queue: newCalendarQueue(),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
-
-// QueueKind names the scheduling backend this kernel runs on.
-func (k *Kernel) QueueKind() string { return k.queue.kind() }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
@@ -181,8 +166,8 @@ func (k *Kernel) noteHousekeepingEvent() { k.processedHousekeeping++ }
 // queue and on the lanes — cancelled items still awaiting lazy reaping are
 // excluded, so the count answers the question callers actually ask ("is
 // anything still going to happen?"). The invariant Pending() ==
-// PendingRaw() - cancelled-but-held holds across every backend, through
-// lazy reaping, compaction, and resize.
+// PendingRaw() - cancelled-but-held holds through lazy reaping,
+// compaction, and resize.
 func (k *Kernel) Pending() int {
 	return k.PendingRaw() - k.cancelledQueued - k.cancelledLaned
 }
@@ -440,6 +425,6 @@ func Seconds(s float64) time.Duration {
 
 // String describes the kernel state, for debugging.
 func (k *Kernel) String() string {
-	return fmt.Sprintf("sim.Kernel{now=%v queue=%s pending=%d processed=%d stopped=%v}",
-		k.now, k.queue.kind(), k.PendingRaw(), k.processed, k.stopped)
+	return fmt.Sprintf("sim.Kernel{now=%v pending=%d processed=%d stopped=%v}",
+		k.now, k.PendingRaw(), k.processed, k.stopped)
 }

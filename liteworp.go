@@ -34,7 +34,6 @@ import (
 	"liteworp/internal/attack"
 	"liteworp/internal/detector"
 	"liteworp/internal/field"
-	"liteworp/internal/sim"
 )
 
 // NodeID identifies a node (4 bytes on the wire, as in the paper's cost
@@ -238,13 +237,6 @@ type Params struct {
 	// plots to 2000 s).
 	Duration time.Duration
 
-	// EventQueue selects the kernel's scheduling backend: "calendar"
-	// (time-bucketed ring, ~O(1), the default when empty) or "heap"
-	// (binary heap, the reference implementation). Both honor the same
-	// strict event order, so the choice affects performance only — the
-	// event trace for a given seed is bit-identical across backends.
-	EventQueue string
-
 	// DynamicJoin enables the paper's §7 extension: nodes added after
 	// deployment (Scenario.AddNodeAt) complete a secure join handshake
 	// with their new neighborhood instead of being rejected as strangers.
@@ -317,10 +309,6 @@ func (p Params) Validate() error {
 	}
 	if p.DropProbability < 0 || p.DropProbability > 1 {
 		return fmt.Errorf("liteworp: DropProbability = %g, want [0, 1]", p.DropProbability)
-	}
-	if !sim.KnownQueue(p.EventQueue) {
-		return fmt.Errorf("liteworp: unknown event queue %q (known: %s)",
-			p.EventQueue, strings.Join(sim.QueueKinds(), ", "))
 	}
 	return nil
 }

@@ -115,7 +115,7 @@ func NewScenario(p Params) (*Scenario, error) {
 	}
 	s := &Scenario{
 		params:    p,
-		kernel:    sim.NewWithQueue(p.Seed, sim.NewQueue(p.EventQueue)),
+		kernel:    sim.New(p.Seed),
 		keysrv:    keys.NewKeyServer(uint64(p.Seed)*2654435761 + 97),
 		collector: metrics.NewCollector(),
 		nodes:     make(map[field.NodeID]*node.Node),
