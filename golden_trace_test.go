@@ -175,3 +175,24 @@ const (
 	goldenTraceAirtime   = "2ea56230ab0267ec37fcd3de4170e245f816473da4d8164162397cbabe142afe"
 	goldenTraceFaults    = "99ddc901d587dde6c867d8912a1b3a4283c43f4af88772808d3ccfdedd2f185b"
 )
+
+// TestGoldenTraceBackendInvariant runs the protected golden case on the
+// kernel's event queue (the calendar queue, the one backend left) and
+// requires the pinned hash: the queue's internal layout, including its
+// capacity policy, must stay invisible in the trace.
+func TestGoldenTraceBackendInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulation")
+	}
+	t.Run("queue-calendar", func(t *testing.T) {
+		hash, _ := traceHash(t, func(p *Params) {
+			p.NumNodes = 40
+			p.Seed = 20250704
+			p.Duration = 150 * time.Second
+		}, nil)
+		if hash != goldenTraceProtected {
+			t.Errorf("calendar queue drifted from the pinned trace:\n got  %s\n want %s",
+				hash, goldenTraceProtected)
+		}
+	})
+}

@@ -169,32 +169,36 @@ func TestCompactionPreservesDeterminism(t *testing.T) {
 
 // TestPostZeroAllocsWarm is the scheduled-event allocation regression pin:
 // with a warm item pool, a fire-and-forget Post plus its Step must not touch
-// the heap at all.
+// the heap at all (subtest named for the kernel's calendar queue).
 func TestPostZeroAllocsWarm(t *testing.T) {
-	k := warmKernel(t)
-	fn := func() {}
-	allocs := testing.AllocsPerRun(200, func() {
-		k.Post(time.Millisecond, fn)
-		k.Step()
+	t.Run("calendar", func(t *testing.T) {
+		k := warmKernel(t)
+		fn := func() {}
+		allocs := testing.AllocsPerRun(200, func() {
+			k.Post(time.Millisecond, fn)
+			k.Step()
+		})
+		if allocs != 0 {
+			t.Fatalf("warm Post+Step allocates %.1f objects/op, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("warm Post+Step allocates %.1f objects/op, want 0", allocs)
-	}
 }
 
 // TestAtAllocsWarm bounds the cancellable path: an After (through At) with
 // a warm pool allocates nothing (the Timer handle is a value).
 func TestAtAllocsWarm(t *testing.T) {
-	k := warmKernel(t)
-	fn := func() {}
-	allocs := testing.AllocsPerRun(200, func() {
-		tm := k.After(time.Millisecond, fn)
-		k.Step()
-		_ = tm.Pending()
+	t.Run("calendar", func(t *testing.T) {
+		k := warmKernel(t)
+		fn := func() {}
+		allocs := testing.AllocsPerRun(200, func() {
+			tm := k.After(time.Millisecond, fn)
+			k.Step()
+			_ = tm.Pending()
+		})
+		if allocs != 0 {
+			t.Fatalf("warm After+Step allocates %.1f objects/op, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("warm After+Step allocates %.1f objects/op, want 0", allocs)
-	}
 }
 
 // warmKernel returns a kernel whose item pool and queue storage have been

@@ -257,189 +257,192 @@ func FuzzQueueEquivalence(f *testing.F) {
 	})
 }
 
-// TestPendingAccounting checks the live-count invariant Pending() == live
-// scheduled events while lazy reaping, compaction and resize all trigger,
-// for timers cancelled one by one and through a dead scope, in the queue
-// and on a lane. PendingRaw may lag behind (dead items awaiting reap) but
-// must never undercount Pending.
-func TestPendingAccounting(t *testing.T) {
-	k := New(7)
-	const n = 600
-	timers := make([]Timer, 0, n)
-	// Spread far enough apart that the calendar queue's density
-	// estimate forces at least one grow and later a shrink.
-	for i := 0; i < n; i++ {
-		timers = append(timers, k.After(time.Duration(i)*time.Millisecond, func() {}))
-	}
-	if got := k.Pending(); got != n {
-		t.Fatalf("Pending after %d schedules = %d", n, got)
-	}
-	// Cancel every third timer; compaction will fire mid-way (the
-	// threshold is 64 cancelled and cancelled*2 > size).
-	cancelled := 0
-	for i := 0; i < n; i += 3 {
-		if timers[i].Cancel() {
-			cancelled++
+// TestPendingAccountingAcrossBackends checks the live-count invariant
+// Pending() == live scheduled events while lazy reaping, compaction and
+// resize all trigger, for timers cancelled one by one and through a dead
+// scope, in the queue and on a lane. PendingRaw may lag behind (dead items
+// awaiting reap) but must never undercount Pending. The calendar queue is
+// the kernel's one backend, so it is the one subtest.
+func TestPendingAccountingAcrossBackends(t *testing.T) {
+	t.Run("calendar", func(t *testing.T) {
+		k := New(7)
+		const n = 600
+		timers := make([]Timer, 0, n)
+		// Spread far enough apart that the calendar queue's density
+		// estimate forces at least one grow and later a shrink.
+		for i := 0; i < n; i++ {
+			timers = append(timers, k.After(time.Duration(i)*time.Millisecond, func() {}))
 		}
-	}
-	if got, want := k.Pending(), n-cancelled; got != want {
-		t.Fatalf("Pending after cancels = %d, want %d", got, want)
-	}
-	if k.PendingRaw() < k.Pending() {
-		t.Fatalf("PendingRaw %d < Pending %d", k.PendingRaw(), k.Pending())
-	}
-	// Drain with interleaved refills so pops, lazy pop-side reaps,
-	// and push-side resizes all run under accounting checks.
-	fired := 0
-	for i := 0; i < 200; i++ {
-		before := k.Pending()
-		if !k.Step() {
-			t.Fatalf("queue drained early at step %d", i)
+		if got := k.Pending(); got != n {
+			t.Fatalf("Pending after %d schedules = %d", n, got)
 		}
-		fired++
-		if got := k.Pending(); got != before-1 {
-			t.Fatalf("step %d: Pending %d -> %d, want %d", i, before, got, before-1)
+		// Cancel every third timer; compaction will fire mid-way (the
+		// threshold is 64 cancelled and cancelled*2 > size).
+		cancelled := 0
+		for i := 0; i < n; i += 3 {
+			if timers[i].Cancel() {
+				cancelled++
+			}
+		}
+		if got, want := k.Pending(), n-cancelled; got != want {
+			t.Fatalf("Pending after cancels = %d, want %d", got, want)
 		}
 		if k.PendingRaw() < k.Pending() {
-			t.Fatalf("step %d: PendingRaw %d < Pending %d", i, k.PendingRaw(), k.Pending())
+			t.Fatalf("PendingRaw %d < Pending %d", k.PendingRaw(), k.Pending())
 		}
-	}
-	live := k.Pending()
-	for k.Step() {
-		fired++
-	}
-	if got, want := fired, n-cancelled; got != want {
-		t.Fatalf("fired %d events, want %d", got, want)
-	}
-	if live != n-cancelled-200 {
-		t.Fatalf("mid-drain Pending = %d, want %d", live, n-cancelled-200)
-	}
-	if k.Pending() != 0 || k.PendingRaw() != 0 {
-		t.Fatalf("drained kernel reports Pending=%d PendingRaw=%d", k.Pending(), k.PendingRaw())
-	}
+		// Drain with interleaved refills so pops, lazy pop-side reaps,
+		// and push-side resizes all run under accounting checks.
+		fired := 0
+		for i := 0; i < 200; i++ {
+			before := k.Pending()
+			if !k.Step() {
+				t.Fatalf("queue drained early at step %d", i)
+			}
+			fired++
+			if got := k.Pending(); got != before-1 {
+				t.Fatalf("step %d: Pending %d -> %d, want %d", i, before, got, before-1)
+			}
+			if k.PendingRaw() < k.Pending() {
+				t.Fatalf("step %d: PendingRaw %d < Pending %d", i, k.PendingRaw(), k.Pending())
+			}
+		}
+		live := k.Pending()
+		for k.Step() {
+			fired++
+		}
+		if got, want := fired, n-cancelled; got != want {
+			t.Fatalf("fired %d events, want %d", got, want)
+		}
+		if live != n-cancelled-200 {
+			t.Fatalf("mid-drain Pending = %d, want %d", live, n-cancelled-200)
+		}
+		if k.Pending() != 0 || k.PendingRaw() != 0 {
+			t.Fatalf("drained kernel reports Pending=%d PendingRaw=%d", k.Pending(), k.PendingRaw())
+		}
 
-	// Scope cancellation on the drained kernel: Pending() ==
-	// PendingRaw() minus the dead items still queued must hold
-	// through individual cancels of scoped timers, a CancelAll
-	// below the compaction trigger (its items are reaped lazily
-	// at pop), and a CancelAll that compacts.
-	checkDead := func(stage string, wantLive, wantDead int) {
-		t.Helper()
-		if got := k.Pending(); got != wantLive {
-			t.Fatalf("%s: Pending() = %d, want %d", stage, got, wantLive)
+		// Scope cancellation on the drained kernel: Pending() ==
+		// PendingRaw() minus the dead items still queued must hold
+		// through individual cancels of scoped timers, a CancelAll
+		// below the compaction trigger (its items are reaped lazily
+		// at pop), and a CancelAll that compacts.
+		checkDead := func(stage string, wantLive, wantDead int) {
+			t.Helper()
+			if got := k.Pending(); got != wantLive {
+				t.Fatalf("%s: Pending() = %d, want %d", stage, got, wantLive)
+			}
+			if got := k.PendingRaw() - k.Pending(); got != wantDead {
+				t.Fatalf("%s: PendingRaw()-Pending() = %d dead items, want %d", stage, got, wantDead)
+			}
 		}
-		if got := k.PendingRaw() - k.Pending(); got != wantDead {
-			t.Fatalf("%s: PendingRaw()-Pending() = %d dead items, want %d", stage, got, wantDead)
+		small, big := NewScope(k), NewScope(k)
+		fired = 0
+		count := func() { fired++ }
+		for i := 0; i < 300; i++ {
+			k.After(time.Duration(i)*time.Millisecond, count)
 		}
-	}
-	small, big := NewScope(k), NewScope(k)
-	fired = 0
-	count := func() { fired++ }
-	for i := 0; i < 300; i++ {
-		k.After(time.Duration(i)*time.Millisecond, count)
-	}
-	var smallTimers []Timer
-	for i := 0; i < 40; i++ {
-		smallTimers = append(smallTimers, small.After(time.Duration(3*i)*time.Millisecond, count))
-	}
-	for i := 0; i < 400; i++ {
-		big.After(time.Duration(i)*time.Millisecond, count)
-	}
-	checkDead("scoped schedules", 740, 0)
-	for _, tm := range smallTimers[:10] {
-		tm.Cancel()
-	}
-	checkDead("scoped cancels", 730, 10)
-	if got := small.Pending(); got != 30 {
-		t.Fatalf("small.Pending() = %d, want 30", got)
-	}
-	if got := small.CancelAll(); got != 30 {
-		t.Fatalf("small.CancelAll() = %d, want 30", got)
-	}
-	checkDead("small CancelAll", 700, 40)
-	for i := 0; i < 100; i++ {
-		before := k.Pending()
-		if !k.Step() {
-			t.Fatalf("queue drained early at scoped step %d", i)
+		var smallTimers []Timer
+		for i := 0; i < 40; i++ {
+			smallTimers = append(smallTimers, small.After(time.Duration(3*i)*time.Millisecond, count))
 		}
-		if got := k.Pending(); got != before-1 {
-			t.Fatalf("scoped step %d: Pending %d -> %d, want %d", i, before, got, before-1)
+		for i := 0; i < 400; i++ {
+			big.After(time.Duration(i)*time.Millisecond, count)
 		}
-		if k.PendingRaw() < k.Pending() {
-			t.Fatalf("scoped step %d: PendingRaw %d < Pending %d", i, k.PendingRaw(), k.Pending())
+		checkDead("scoped schedules", 740, 0)
+		for _, tm := range smallTimers[:10] {
+			tm.Cancel()
 		}
-	}
-	if got := k.Pending(); got != 600 {
-		t.Fatalf("after 100 scoped steps: Pending() = %d, want 600", got)
-	}
-	bigLive := big.Pending()
-	if got := big.CancelAll(); got != bigLive {
-		t.Fatalf("big.CancelAll() = %d, want %d", got, bigLive)
-	}
-	// Dead items now outnumber live ones, so CancelAll compacted.
-	checkDead("big CancelAll", 600-bigLive, 0)
-	for k.Step() {
-	}
-	if want := 100 + 600 - bigLive; fired != want {
-		t.Fatalf("fired %d events around scope cancellation, want %d", fired, want)
-	}
-	checkDead("scoped drain", 0, 0)
+		checkDead("scoped cancels", 730, 10)
+		if got := small.Pending(); got != 30 {
+			t.Fatalf("small.Pending() = %d, want 30", got)
+		}
+		if got := small.CancelAll(); got != 30 {
+			t.Fatalf("small.CancelAll() = %d, want 30", got)
+		}
+		checkDead("small CancelAll", 700, 40)
+		for i := 0; i < 100; i++ {
+			before := k.Pending()
+			if !k.Step() {
+				t.Fatalf("queue drained early at scoped step %d", i)
+			}
+			if got := k.Pending(); got != before-1 {
+				t.Fatalf("scoped step %d: Pending %d -> %d, want %d", i, before, got, before-1)
+			}
+			if k.PendingRaw() < k.Pending() {
+				t.Fatalf("scoped step %d: PendingRaw %d < Pending %d", i, k.PendingRaw(), k.Pending())
+			}
+		}
+		if got := k.Pending(); got != 600 {
+			t.Fatalf("after 100 scoped steps: Pending() = %d, want 600", got)
+		}
+		bigLive := big.Pending()
+		if got := big.CancelAll(); got != bigLive {
+			t.Fatalf("big.CancelAll() = %d, want %d", got, bigLive)
+		}
+		// Dead items now outnumber live ones, so CancelAll compacted.
+		checkDead("big CancelAll", 600-bigLive, 0)
+		for k.Step() {
+		}
+		if want := 100 + 600 - bigLive; fired != want {
+			t.Fatalf("fired %d events around scope cancellation, want %d", fired, want)
+		}
+		checkDead("scoped drain", 0, 0)
 
-	// Lane members: cancels in the middle of a lane, a CancelAll
-	// below the compaction trigger whose items are reaped lazily
-	// when they reach the front, and a CancelAll that compacts.
-	lane := k.Lane(50 * time.Millisecond)
-	laneSmall, laneBig := NewScope(k), NewScope(k)
-	base := k.Now()
-	fired = 0
-	for i := 0; i < 200; i++ {
-		k.After(time.Duration(i)*time.Millisecond, count)
-	}
-	var laneTimers []Timer
-	for i := 0; i < 30; i++ {
-		laneTimers = append(laneTimers, laneSmall.AfterLane(lane, count))
-	}
-	for i := 0; i < 300; i++ {
-		laneBig.AfterLane(lane, count)
-	}
-	k.AfterLane(lane, count)
-	checkDead("lane schedules", 531, 0)
-	for _, tm := range laneTimers[5:15] {
-		tm.Cancel()
-	}
-	checkDead("mid-lane cancels", 521, 10)
-	if got := laneSmall.Pending(); got != 20 {
-		t.Fatalf("laneSmall.Pending() = %d, want 20", got)
-	}
-	if got := laneSmall.CancelAll(); got != 20 {
-		t.Fatalf("laneSmall.CancelAll() = %d, want 20", got)
-	}
-	checkDead("lane CancelAll", 501, 30)
-	if err := k.RunUntil(base + 49*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing on the lane is due before 50ms, so its dead items
-	// stay held.
-	checkDead("before the lane front", 451, 30)
-	// The queue item at 50ms was armed before the lane items, so
-	// it fires first and the dead lane front stays held.
-	k.Step()
-	checkDead("queue wins the tie", 450, 30)
-	// Next in (at, seq) order is the dead lane front: it is reaped
-	// and laneBig's first member fires.
-	k.Step()
-	checkDead("lane front reaped", 449, 0)
-	if got := laneBig.CancelAll(); got != 299 {
-		t.Fatalf("laneBig.CancelAll() = %d, want 299", got)
-	}
-	// 299 dead against 150 live: CancelAll compacted the lane.
-	checkDead("compacting lane CancelAll", 150, 0)
-	for k.Step() {
-	}
-	if want := 200 + 1 + 1; fired != want {
-		t.Fatalf("fired %d events around lane cancellation, want %d", fired, want)
-	}
-	checkDead("lane drain", 0, 0)
+		// Lane members: cancels in the middle of a lane, a CancelAll
+		// below the compaction trigger whose items are reaped lazily
+		// when they reach the front, and a CancelAll that compacts.
+		lane := k.Lane(50 * time.Millisecond)
+		laneSmall, laneBig := NewScope(k), NewScope(k)
+		base := k.Now()
+		fired = 0
+		for i := 0; i < 200; i++ {
+			k.After(time.Duration(i)*time.Millisecond, count)
+		}
+		var laneTimers []Timer
+		for i := 0; i < 30; i++ {
+			laneTimers = append(laneTimers, laneSmall.AfterLane(lane, count))
+		}
+		for i := 0; i < 300; i++ {
+			laneBig.AfterLane(lane, count)
+		}
+		k.AfterLane(lane, count)
+		checkDead("lane schedules", 531, 0)
+		for _, tm := range laneTimers[5:15] {
+			tm.Cancel()
+		}
+		checkDead("mid-lane cancels", 521, 10)
+		if got := laneSmall.Pending(); got != 20 {
+			t.Fatalf("laneSmall.Pending() = %d, want 20", got)
+		}
+		if got := laneSmall.CancelAll(); got != 20 {
+			t.Fatalf("laneSmall.CancelAll() = %d, want 20", got)
+		}
+		checkDead("lane CancelAll", 501, 30)
+		if err := k.RunUntil(base + 49*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		// Nothing on the lane is due before 50ms, so its dead items
+		// stay held.
+		checkDead("before the lane front", 451, 30)
+		// The queue item at 50ms was armed before the lane items, so
+		// it fires first and the dead lane front stays held.
+		k.Step()
+		checkDead("queue wins the tie", 450, 30)
+		// Next in (at, seq) order is the dead lane front: it is reaped
+		// and laneBig's first member fires.
+		k.Step()
+		checkDead("lane front reaped", 449, 0)
+		if got := laneBig.CancelAll(); got != 299 {
+			t.Fatalf("laneBig.CancelAll() = %d, want 299", got)
+		}
+		// 299 dead against 150 live: CancelAll compacted the lane.
+		checkDead("compacting lane CancelAll", 150, 0)
+		for k.Step() {
+		}
+		if want := 200 + 1 + 1; fired != want {
+			t.Fatalf("fired %d events around lane cancellation, want %d", fired, want)
+		}
+		checkDead("lane drain", 0, 0)
+	})
 }
 
 // TestCalendarResizeRoundTrip checks that one script drives the ring
