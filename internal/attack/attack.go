@@ -379,10 +379,10 @@ func (a *Attacker) handleControlTunnel(p *packet.Packet) bool {
 		if a.cfg.SmartRepCover {
 			// Cover transmission: satisfy the guards watching us by also
 			// putting the forward on the air (the colluder is out of
-			// radio range, so this copy goes nowhere — but the watch
-			// entries clear).
+			// radio range, so this transmission goes nowhere — but the
+			// watch entries clear).
 			a.stats.CoverTransmissions++
-			_ = a.med.Broadcast(inner.Clone())
+			_ = a.med.Broadcast(inner)
 		}
 		return true
 	default:
@@ -420,7 +420,7 @@ func (a *Attacker) handleControlRelay(p *packet.Packet) bool {
 	}
 	a.replayed[rk] = true
 	a.stats.Replays++
-	_ = a.med.BroadcastFrom(a.self, p.Clone())
+	_ = a.med.BroadcastFrom(a.self, p)
 	return false // the relay also processes the packet normally
 }
 

@@ -485,7 +485,7 @@ func (e *Engine) scheduleAlertRetry(alert *packet.Packet, accused, to field.Node
 		if e.events.AlertRetry != nil {
 			e.events.AlertRetry(accused, to, attempt)
 		}
-		_ = e.send(alert.Clone())
+		_ = e.send(alert)
 		e.scheduleAlertRetry(alert, accused, to, attempt+1)
 	})
 }

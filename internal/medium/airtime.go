@@ -131,29 +131,14 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 			return nil
 		}
 		defer1 := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
-		frame := p.Clone()
 		m.kernel.Post(defer1, func() {
-			_ = m.transmitAirtimeARQ(tx, frame, rangeFactor, attempt+1, arq)
+			_ = m.transmitAirtimeARQ(tx, p, rangeFactor, attempt+1, arq)
 		})
 		m.stats.CarrierDeferrals++
 		return nil
 	}
 
-	// Marshal once, decode once: receivers share the decoded frame (see
-	// Medium.transmit).
-	wire, err := p.MarshalAppend(m.wireBuf[:0])
-	if err != nil {
-		return err
-	}
-	m.wireBuf = wire
-	decoded, err := packet.Unmarshal(wire)
-	if err != nil {
-		return err
-	}
-	m.stats.Transmissions++
-	m.stats.BytesOnAir += uint64(len(wire))
-	m.countBytes(p.Type, len(wire))
-	dur := m.TxDelay(len(wire))
+	dur := m.TxDelay(m.countTransmission(p))
 	end := now + dur
 	arrival := dur + m.cfg.PropagationDelay
 
@@ -177,19 +162,14 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 		}
 		// Residual probabilistic loss still applies (noise floor).
 		noise := m.kernel.Rand().Float64() < m.cfg.Loss.LossProb(tx, rx)
-		// Only the addressed receiver can trigger an ARQ retransmission,
-		// so only it needs a private deep copy of the frame.
-		var retransmit *packet.Packet
-		if p.Receiver == rx {
-			retransmit = p.Clone()
-		}
 		if d == nil {
-			d = m.newDelivery(decoded)
+			d = m.newDelivery(p)
 			d.airtime = true
-			d.tx, d.sent, d.rangeFactor, d.arq = tx, p, rangeFactor, arq
+			d.tx, d.rangeFactor, d.arq = tx, rangeFactor, arq
 		}
 		d.rx = append(d.rx, st)
-		d.air = append(d.air, airReception{iv: iv, noise: noise, retransmit: retransmit})
+		// Only the addressed receiver can trigger an ARQ retransmission.
+		d.air = append(d.air, airReception{iv: iv, noise: noise, retransmit: p.Receiver == rx})
 	}
 	if d != nil {
 		m.kernel.Post(arrival, d.fire)
@@ -199,12 +179,12 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 
 // airtimeLost settles an airtime reception at its arrival instant, when
 // every frame that could overlap it is known. It traces the attempt and
-// reports whether the frame was lost; a lost unicast schedules the MAC's
-// ARQ retransmission from the addressed receiver's private copy.
+// reports whether the frame was lost; a lost unicast at its addressed
+// receiver schedules the MAC's ARQ retransmission of the same frame.
 func (m *Medium) airtimeLost(d *delivery, rx field.NodeID, r *airReception) bool {
 	lost := r.iv.corrupted || r.noise
 	if m.trace != nil {
-		m.trace(TraceEvent{At: m.kernel.Now(), From: d.tx, To: rx, Packet: d.sent, Lost: lost})
+		m.trace(TraceEvent{At: m.kernel.Now(), From: d.tx, To: rx, Packet: d.frame, Lost: lost})
 	}
 	if !lost {
 		return false
@@ -218,10 +198,10 @@ func (m *Medium) airtimeLost(d *delivery, rx field.NodeID, r *airReception) bool
 	}
 	// MAC ARQ: the addressed receiver of a unicast frame failed to
 	// acknowledge; retransmit after a backoff.
-	if r.retransmit != nil && d.arq < m.airUnicastRetries() {
+	if r.retransmit && d.arq < m.airUnicastRetries() {
 		m.stats.ARQRetransmissions++
 		backoff := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
-		tx, frame, rangeFactor, arq := d.tx, r.retransmit, d.rangeFactor, d.arq+1
+		tx, frame, rangeFactor, arq := d.tx, d.frame, d.rangeFactor, d.arq+1
 		m.kernel.Post(backoff, func() {
 			_ = m.transmitAirtimeARQ(tx, frame, rangeFactor, 0, arq)
 		})

@@ -6,8 +6,8 @@ import (
 	"liteworp/internal/sim"
 )
 
-// delivery is one transmission's pending receptions: the frame, decoded
-// once, and every receiver that survived the transmit-time checks, in
+// delivery is one transmission's pending receptions: the sender's frame
+// and every receiver that survived the transmit-time checks, in
 // ascending ID order. A single kernel event fires the whole batch at the
 // common arrival instant.
 //
@@ -19,13 +19,14 @@ import (
 // of the batch. Every random draw (loss, fault, noise) stays at transmit
 // time, in receiver order.
 //
-// Every receiver gets the same *packet.Packet. The frame is shared and
-// read-only: a stack must Clone before it mutates or keeps it.
+// Every receiver gets the same *packet.Packet, the one the sender handed
+// over. The frame is shared and read-only: a stack must Clone before it
+// mutates or keeps it.
 //
 // Batches are pooled on the Medium; the receiver slices keep their
-// capacity across reuses, so a warm delivery allocates nothing beyond the
-// decode. The pool holds as many batches as were ever in flight at once, so
-// a receiver slot is kept to one pointer on the common path.
+// capacity across reuses, so a warm delivery allocates nothing. The pool
+// holds as many batches as were ever in flight at once, so a receiver slot
+// is kept to one pointer on the common path.
 type delivery struct {
 	m     *Medium
 	frame *packet.Packet
@@ -40,7 +41,6 @@ type delivery struct {
 	airtime bool
 	// Airtime context for the arrival-time trace and ARQ retransmissions.
 	tx          field.NodeID
-	sent        *packet.Packet // the sender's frame, as the trace reports it
 	rangeFactor float64
 	arq         int
 
@@ -49,12 +49,12 @@ type delivery struct {
 
 // airReception is one receiver's airtime state: the reception's air
 // interval (an overlapping frame may still corrupt it in flight), the
-// residual-noise draw made at transmit time, and the addressed receiver's
-// private ARQ copy of the frame (nil for overhearers).
+// residual-noise draw made at transmit time, and whether its loss triggers
+// an ARQ retransmission (only at the addressed receiver).
 type airReception struct {
 	iv         *airInterval
 	noise      bool
-	retransmit *packet.Packet
+	retransmit bool
 }
 
 // newDelivery takes a batch for frame from the free list, or allocates one.
@@ -78,7 +78,7 @@ func (m *Medium) recycleDelivery(d *delivery) {
 	d.rx = d.rx[:0]
 	clear(d.air)
 	d.air = d.air[:0]
-	d.frame, d.sent = nil, nil
+	d.frame = nil
 	d.tunnel, d.airtime = false, false
 	m.freeDeliveries = append(m.freeDeliveries, d)
 }

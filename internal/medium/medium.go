@@ -14,11 +14,14 @@
 //     P_C", with P_C growing linearly in the receiver's neighbor count.
 //     Modeling the loss process identically in simulation and analysis is
 //     what lets Fig. 10 compare the two directly.
-//   - Frames cross the medium as encoded bytes (Marshal on send, Unmarshal
-//     on delivery), so only wire-representable information propagates and
-//     transmission delays reflect genuine frame sizes.
-//   - Each transmission is decoded once and delivered by one kernel event
-//     that hands every receiver the same read-only frame (see delivery).
+//   - A frame handed to Broadcast, BroadcastHighPower, BroadcastFrom or
+//     TunnelSend belongs to the medium from then on: the sender must not
+//     touch it again. Every field of packet.Packet is on the wire, so the
+//     frame needs no encode/decode round trip to carry only what the bytes
+//     would; airtime comes from its encoded size, and a frame the codec
+//     would reject (packet.ErrOversize) is refused.
+//   - Each transmission is delivered by one kernel event that hands every
+//     receiver the sender's frame, shared and read-only (see delivery).
 package medium
 
 import (
@@ -42,11 +45,10 @@ var (
 	ErrSenderDown = errors.New("medium: sender is down")
 )
 
-// Receiver is a station's frame-delivery callback. The frame is decoded
-// once per transmission and the same *packet.Packet goes to every station
-// that receives it, so it is shared and read-only: a receiver must Clone it
-// before mutating it or keeping it beyond the call. The sender's own packet
-// is never handed to a receiver.
+// Receiver is a station's frame-delivery callback. The *packet.Packet is
+// the one its sender handed to the medium, and it goes to every station
+// that receives the transmission, so it is shared and read-only: a
+// receiver must Clone it before mutating it or keeping it beyond the call.
 type Receiver func(*packet.Packet)
 
 // LossModel yields the probability that a given reception fails.
@@ -214,11 +216,6 @@ type Medium struct {
 	stats     Stats
 	trace     TraceFunc
 	corrupted func(field.NodeID)
-	// wireBuf is the reusable encoding buffer: each transmission marshals
-	// into it and decodes out of it before returning, so no frame bytes
-	// outlive the transmit call and steady-state encoding allocates
-	// nothing (Unmarshal copies every variable-length section).
-	wireBuf []byte
 	// freeDeliveries recycles fired delivery batches.
 	freeDeliveries []*delivery
 }
@@ -420,25 +417,13 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 	if st.down {
 		return ErrSenderDown
 	}
+	if err := p.CheckLimits(); err != nil {
+		return fmt.Errorf("medium: frame from %d: %w", tx, err)
+	}
 	if m.airCfg.Enabled {
 		return m.transmitAirtime(tx, p, rangeFactor, 0)
 	}
-	// Marshal once into the reusable wire buffer and decode once: every
-	// receiver shares the one decoded frame. Only wire-representable
-	// information propagates — receivers see what the bytes carry.
-	wire, err := p.MarshalAppend(m.wireBuf[:0])
-	if err != nil {
-		return fmt.Errorf("medium: encode from %d: %w", tx, err)
-	}
-	m.wireBuf = wire
-	decoded, err := packet.Unmarshal(wire)
-	if err != nil {
-		return fmt.Errorf("medium: decode roundtrip from %d: %w", tx, err)
-	}
-	m.stats.Transmissions++
-	m.stats.BytesOnAir += uint64(len(wire))
-	m.countBytes(p.Type, len(wire))
-	arrival := m.TxDelay(len(wire)) + m.cfg.PropagationDelay
+	arrival := m.TxDelay(m.countTransmission(p)) + m.cfg.PropagationDelay
 
 	// Deterministic receiver order: ascending IDs from the topology.
 	var d *delivery
@@ -472,7 +457,7 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 			continue
 		}
 		if d == nil {
-			d = m.newDelivery(decoded)
+			d = m.newDelivery(p)
 		}
 		d.rx = append(d.rx, st)
 	}
@@ -480,6 +465,16 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 		m.kernel.Post(arrival, d.fire)
 	}
 	return m.unicastResult(tx, p)
+}
+
+// countTransmission records p going on the air and returns its encoded
+// size, which is what the frame occupies on the channel.
+func (m *Medium) countTransmission(p *packet.Packet) int {
+	size := p.Size()
+	m.stats.Transmissions++
+	m.stats.BytesOnAir += uint64(size)
+	m.countBytes(p.Type, size)
+	return size
 }
 
 // AddTunnel creates a bidirectional out-of-band channel between two
@@ -520,21 +515,15 @@ func (m *Medium) TunnelSend(from, to field.NodeID, p *packet.Packet) error {
 	if src, ok := m.stations[from]; ok && src.down {
 		return ErrSenderDown
 	}
+	if err := p.CheckLimits(); err != nil {
+		return fmt.Errorf("medium: tunnel frame %d->%d: %w", from, to, err)
+	}
 	st := m.stations[to]
-	wire, err := p.MarshalAppend(m.wireBuf[:0])
-	if err != nil {
-		return fmt.Errorf("medium: tunnel encode %d->%d: %w", from, to, err)
-	}
-	m.wireBuf = wire
-	decoded, err := packet.Unmarshal(wire)
-	if err != nil {
-		return fmt.Errorf("medium: tunnel decode %d->%d: %w", from, to, err)
-	}
 	m.stats.TunnelMessages++
 	if m.trace != nil {
 		m.trace(TraceEvent{At: m.kernel.Now(), From: from, To: to, Packet: p, Tunnel: true})
 	}
-	d := m.newDelivery(decoded)
+	d := m.newDelivery(p)
 	d.tunnel = true
 	d.rx = append(d.rx, st)
 	m.kernel.Post(tun.delay, d.fire)

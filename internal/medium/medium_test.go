@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -298,13 +299,12 @@ func TestTunnelValidation(t *testing.T) {
 	}
 }
 
-// TestReceiversShareOneReadOnlyFrame pins the delivery contract: one
-// transmission is decoded once and every receiver gets the same
-// *packet.Packet (stacks Clone before mutating or keeping it); the sender's
-// packet is never aliased; and each receiver's liveness is checked at its
-// own turn in the batch, so a receiver crashed by an earlier receiver of
-// the same frame counts as DownSuppressed. Both channel models deliver
-// through the same batch.
+// TestReceiversShareOneReadOnlyFrame pins the delivery contract: every
+// receiver of a transmission gets the *packet.Packet its sender handed
+// over (stacks Clone before mutating or keeping it), and each receiver's
+// liveness is checked at its own turn in the batch, so a receiver crashed
+// by an earlier receiver of the same frame counts as DownSuppressed. Both
+// channel models deliver through the same batch.
 func TestReceiversShareOneReadOnlyFrame(t *testing.T) {
 	for _, airtime := range []bool{false, true} {
 		name := "collision-model"
@@ -347,11 +347,8 @@ func TestReceiversShareOneReadOnlyFrame(t *testing.T) {
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if got[1] == nil || got[4] == nil {
-				t.Fatalf("frames not delivered: %v", got)
-			}
-			if got[1] != got[4] {
-				t.Fatal("receivers of one transmission got different Packet structs")
+			if got[1] != p || got[4] != p {
+				t.Fatalf("receivers got %p and %p, want the sender's frame %p", got[1], got[4], p)
 			}
 			if _, ok := got[3]; ok {
 				t.Fatal("receiver crashed earlier in the batch still got the frame")
@@ -359,12 +356,52 @@ func TestReceiversShareOneReadOnlyFrame(t *testing.T) {
 			if st := m.Stats(); st.DownSuppressed != 1 || st.Deliveries != 2 {
 				t.Fatalf("DownSuppressed = %d, Deliveries = %d, want 1 and 2", st.DownSuppressed, st.Deliveries)
 			}
-			q := got[1]
-			if q == p || &q.Route[0] == &p.Route[0] || &q.Payload[0] == &p.Payload[0] {
-				t.Fatal("a receiver's frame aliases the sender's packet")
+		})
+	}
+}
+
+// TestOversizeFrameRefused checks that the medium still refuses a frame the
+// wire codec could not encode, although it no longer encodes frames: the
+// send fails with packet.ErrOversize, nothing counts as transmitted and
+// nothing is delivered, on both channel models and through a tunnel.
+func TestOversizeFrameRefused(t *testing.T) {
+	oversize := func() *packet.Packet {
+		return &packet.Packet{
+			Type: packet.TypeRouteRequest, Sender: 1, PrevHop: 1, Origin: 1,
+			Receiver: packet.Broadcast, Route: make([]field.NodeID, packet.MaxRouteLen+1),
+		}
+	}
+	sends := []struct {
+		name    string
+		airtime bool
+		send    func(*Medium, *packet.Packet) error
+	}{
+		{"broadcast", false, (*Medium).Broadcast},
+		{"broadcast-airtime", true, (*Medium).Broadcast},
+		{"tunnel", false, func(m *Medium, p *packet.Packet) error { return m.TunnelSend(1, 3, p) }},
+	}
+	for _, tc := range sends {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New(1)
+			m := New(k, lineTopo(t, 3), Config{Airtime: AirtimeConfig{Enabled: tc.airtime}})
+			s := &sink{}
+			for i := field.NodeID(1); i <= 3; i++ {
+				if err := m.Attach(i, s.recv); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if q.Route[0] != 5 || string(q.Payload) != "x" {
-				t.Fatalf("decoded frame differs from the sent one: %+v", q)
+			if err := m.AddTunnel(1, 3, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.send(m, oversize()); !errors.Is(err, packet.ErrOversize) {
+				t.Fatalf("err = %v, want packet.ErrOversize", err)
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			st := m.Stats()
+			if st.Transmissions != 0 || st.TunnelMessages != 0 || st.BytesOnAir != 0 || len(s.got) != 0 {
+				t.Fatalf("oversize frame went out: %+v, %d deliveries", st, len(s.got))
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -11,38 +12,53 @@ import (
 	"liteworp/internal/packet"
 )
 
-// TestReceiveLeavesSharedFrameUntouched checks the stack side of the
-// medium's delivery contract: every receiver of a transmission gets the
-// same decoded *packet.Packet, so no receive path may mutate it. Frames are
-// recorded from real runs — discovery, routing, data, alerts, and each
-// attacker mode's traffic (tunneled, relayed and high-power frames) — then
-// every frame is replayed into every node's Receive, honest and malicious
-// alike, and must come out deeply equal to an untouched decode.
+// TestReceiveLeavesSharedFrameUntouched checks both sides of the medium's
+// frame contract. Every receiver of a transmission gets the *packet.Packet
+// its sender handed over, so no receive path may mutate it, and no sender
+// may touch a frame once it is handed over.
+//
+// Frames are recorded from real runs — discovery, routing, data, alerts,
+// and each attacker mode's traffic (tunneled, relayed and high-power
+// frames), plus a run under the airtime model with carrier sense, whose
+// deferrals and ARQ retransmissions put a frame on the air again later.
+// Each frame is kept with its encoding at first transmission. At the end of
+// the run every kept frame must still encode to those bytes (the sender
+// side). Then every frame is replayed into every node's Receive, honest and
+// malicious alike, and must come out deeply equal to an untouched decode
+// (the receiver side).
 func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 	modes := []struct {
 		name      string
 		mode      attack.Mode
 		malicious []field.NodeID
+		airtime   bool
 	}{
-		{"out-of-band", attack.ModeOutOfBand, []field.NodeID{2, 6}},
-		{"relay", attack.ModeRelay, []field.NodeID{4}},
-		{"high-power", attack.ModeHighPower, []field.NodeID{4}},
+		{"out-of-band", attack.ModeOutOfBand, []field.NodeID{2, 6}, false},
+		{"relay", attack.ModeRelay, []field.NodeID{4}, false},
+		{"high-power", attack.ModeHighPower, []field.NodeID{4}, false},
+		{"out-of-band-airtime-csma", attack.ModeOutOfBand, []field.NodeID{2, 6}, true},
 	}
 	for _, tc := range modes {
 		t.Run(tc.name, func(t *testing.T) {
-			var wires [][]byte
-			seen := map[*packet.Packet]bool{}
-			record := func(ev medium.TraceEvent) {
-				if seen[ev.Packet] {
-					return // one record per transmission, not per receiver
-				}
-				seen[ev.Packet] = true
-				wire, err := ev.Packet.Marshal()
+			var sent []*packet.Packet
+			wires := map[*packet.Packet][]byte{}
+			// keep records a frame at its first transmission and checks it
+			// is unchanged at every later one (relays, CSMA deferrals, ARQ).
+			keep := func(p *packet.Packet) {
+				wire, err := p.Marshal()
 				if err != nil {
 					t.Fatal(err)
 				}
-				wires = append(wires, wire)
+				if old, ok := wires[p]; ok {
+					if !bytes.Equal(old, wire) {
+						t.Fatalf("a %v frame changed between transmissions:\n was %x\n now %x", p.Type, old, wire)
+					}
+					return
+				}
+				sent = append(sent, p)
+				wires[p] = wire
 			}
+			record := func(ev medium.TraceEvent) { keep(ev.Packet) }
 			malicious := map[field.NodeID]*attack.Config{}
 			for _, id := range tc.malicious {
 				ac := attack.DefaultConfig(tc.mode)
@@ -53,6 +69,16 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 				if err := w.med.AddTunnel(2, 6, 0); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if tc.airtime {
+				// The airtime model traces a reception at its arrival, so a
+				// delivery-fault hook that never fires records each frame at
+				// transmit time instead.
+				w.med.SetDeliveryFault(func(_, _ field.NodeID, p *packet.Packet) bool {
+					keep(p)
+					return false
+				})
+				w.med.SetAirtime(medium.AirtimeConfig{Enabled: true, CarrierSense: true})
 			}
 			for _, pair := range [][2]field.NodeID{{1, 7}, {7, 1}, {3, 5}} {
 				if err := w.nodes[pair[0]].SendData(pair[1], []byte("payload")); err != nil {
@@ -77,6 +103,22 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 				t.Fatal(err)
 			}
 			w.med.SetTrace(nil) // replays below must not record more frames
+			w.med.SetDeliveryFault(nil)
+			if tc.airtime {
+				if st := w.med.Stats(); st.CarrierDeferrals == 0 || st.ARQRetransmissions == 0 {
+					t.Fatalf("airtime run had %d carrier deferrals and %d ARQ retransmissions; both paths must be exercised",
+						st.CarrierDeferrals, st.ARQRetransmissions)
+				}
+			}
+			for _, p := range sent {
+				wire, err := p.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wire, wires[p]) {
+					t.Fatalf("a sender touched a %v frame after handing it to the medium:\n sent %x\n now  %x", p.Type, wires[p], wire)
+				}
+			}
 			var st attack.Stats
 			for _, id := range tc.malicious {
 				s := w.nodes[id].Attacker().Stats()
@@ -87,10 +129,11 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 			if st.ReqsTunneled+st.Replays+st.HighPowerTxs == 0 {
 				t.Fatalf("the %s attacker put no frame on the air or tunnel", tc.name)
 			}
-			t.Logf("%d transmissions recorded, attacker stats %+v", len(wires), st)
+			t.Logf("%d frames recorded, attacker stats %+v", len(sent), st)
 
 			types := map[packet.Type]bool{}
-			for _, wire := range wires {
+			for _, p := range sent {
+				wire := wires[p]
 				for _, id := range w.topo.IDs() {
 					q, err := packet.Unmarshal(wire)
 					if err != nil {

@@ -189,18 +189,26 @@ func (p *Packet) Marshal() ([]byte, error) {
 	return p.MarshalAppend(make([]byte, 0, p.Size()))
 }
 
+// CheckLimits reports ErrOversize if a variable-length section is too long
+// for its wire length field, i.e. if the packet cannot be encoded.
+func (p *Packet) CheckLimits() error {
+	switch {
+	case len(p.Route) > MaxRouteLen:
+		return fmt.Errorf("%w: route %d", ErrOversize, len(p.Route))
+	case len(p.Payload) > MaxPayloadLen:
+		return fmt.Errorf("%w: payload %d", ErrOversize, len(p.Payload))
+	case len(p.MAC) > MaxMACLen:
+		return fmt.Errorf("%w: mac %d", ErrOversize, len(p.MAC))
+	}
+	return nil
+}
+
 // MarshalAppend encodes the packet onto buf and returns the extended slice,
-// letting hot paths reuse one wire buffer across transmissions instead of
-// allocating per frame.
+// letting callers reuse one buffer across encodes instead of allocating per
+// frame.
 func (p *Packet) MarshalAppend(buf []byte) ([]byte, error) {
-	if len(p.Route) > MaxRouteLen {
-		return nil, fmt.Errorf("%w: route %d", ErrOversize, len(p.Route))
-	}
-	if len(p.Payload) > MaxPayloadLen {
-		return nil, fmt.Errorf("%w: payload %d", ErrOversize, len(p.Payload))
-	}
-	if len(p.MAC) > MaxMACLen {
-		return nil, fmt.Errorf("%w: mac %d", ErrOversize, len(p.MAC))
+	if err := p.CheckLimits(); err != nil {
+		return nil, err
 	}
 	buf = append(buf, byte(p.Type))
 	buf = binary.BigEndian.AppendUint64(buf, p.Seq)
