@@ -1,7 +1,7 @@
 // Package flatmap provides the open-addressed hash tables behind the watch
-// layer's packet-keyed heard cache and pending-watch table and the
-// router's REQ-suppression caches: power-of-two capacity, linear probing,
-// and tombstone-free deletion by backward shift.
+// layer's packet-keyed watch records and the router's REQ-suppression
+// caches: power-of-two capacity, linear probing, and tombstone-free
+// deletion by backward shift.
 //
 // The tables exist because profiling (PR 9/10) showed Go's generic map
 // machinery — per-op hashing of composite struct keys, control-group
@@ -15,9 +15,9 @@
 //
 // Keys are 128-bit values with one invariant the caller must uphold:
 // a live key's Lo word is never zero. This frees the all-zero slot to act
-// as the empty marker, so no separate occupancy bitmap is needed. The
-// packers in this package (PackIdxKey, PackKey) guarantee the invariant by
-// folding a nonzero packet type tag into Lo's low byte.
+// as the empty marker, so no separate occupancy bitmap is needed. PackKey
+// guarantees the invariant by folding a nonzero packet type tag into Lo's
+// low byte.
 //
 // Determinism: probe placement depends only on the key set and the order
 // of insertions and deletions, all of which are kernel-event-ordered, so
@@ -260,25 +260,10 @@ func (t *ExpiryTable) Sweep(now time.Duration) int {
 	return removed
 }
 
-// FootprintBytes returns the allocated table storage in bytes (keys plus
-// expiry values), for memory accounting.
-func (t *ExpiryTable) FootprintBytes() int {
-	return len(t.keys)*16 + len(t.vals)*8
-}
-
-// PackIdxKey packs a dense per-node index and a packet identity
-// (origin, seq, type tag) into a Key. idx and origin fill Hi exactly;
-// Lo folds the nonzero type tag into the low byte, upholding the Lo != 0
-// invariant for any seq < 2^56 (seq is a per-origin counter — unreachable
-// in any feasible run).
-func PackIdxKey(idx int32, origin uint32, seq uint64, typ uint8) Key {
-	return Key{
-		Hi: uint64(uint32(idx))<<32 | uint64(origin),
-		Lo: seq<<8 | uint64(typ),
-	}
-}
-
-// PackKey packs a packet identity alone (no per-node index).
+// PackKey packs a packet identity (origin, seq, type tag) into a Key.
+// origin fills Hi; Lo folds the nonzero type tag into the low byte,
+// upholding the Lo != 0 invariant for any seq < 2^56 (seq is a per-origin
+// counter — unreachable in any feasible run).
 func PackKey(origin uint32, seq uint64, typ uint8) Key {
-	return PackIdxKey(0, origin, seq, typ)
+	return Key{Hi: uint64(origin), Lo: seq<<8 | uint64(typ)}
 }

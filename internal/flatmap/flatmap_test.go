@@ -115,23 +115,22 @@ func TestLiveBoundary(t *testing.T) {
 	}
 }
 
-// TestPackIdxKeyDistinct spot-checks that distinct (idx, origin, seq, type)
-// tuples map to distinct keys and never produce the empty sentinel.
+// TestPackIdxKeyDistinct spot-checks that distinct (origin, seq, type)
+// packet identities map to distinct keys and never produce the empty
+// sentinel.
 func TestPackIdxKeyDistinct(t *testing.T) {
 	seen := make(map[Key]bool)
-	for idx := int32(0); idx < 4; idx++ {
-		for origin := uint32(0); origin < 4; origin++ {
-			for seq := uint64(0); seq < 4; seq++ {
-				for _, typ := range []uint8{1, 5, 9} {
-					k := PackIdxKey(idx, origin, seq, typ)
-					if k.zero() {
-						t.Fatalf("packed key is the empty sentinel: %+v", k)
-					}
-					if seen[k] {
-						t.Fatalf("collision at idx=%d origin=%d seq=%d typ=%d", idx, origin, seq, typ)
-					}
-					seen[k] = true
+	for origin := uint32(0); origin < 4; origin++ {
+		for seq := uint64(0); seq < 4; seq++ {
+			for _, typ := range []uint8{1, 5, 9} {
+				k := PackKey(origin, seq, typ)
+				if k.zero() {
+					t.Fatalf("packed key is the empty sentinel: %+v", k)
 				}
+				if seen[k] {
+					t.Fatalf("collision at origin=%d seq=%d typ=%d", origin, seq, typ)
+				}
+				seen[k] = true
 			}
 		}
 	}

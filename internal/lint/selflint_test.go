@@ -48,7 +48,6 @@ func TestModulePoolsDiscovered(t *testing.T) {
 	}
 	for rec, owner := range map[string]string{
 		"liteworp/internal/sim.eventItem":       "Kernel",
-		"liteworp/internal/watch.pendingEntry":  "Buffer",
 		"liteworp/internal/medium.delivery":     "Medium",
 		"liteworp/internal/routing.cachedRoute": "Router",
 	} {

@@ -109,28 +109,27 @@ func TestSharedWheelConfig(t *testing.T) {
 	}
 }
 
-// TestPendingEntryRecycled: watch entries come from the freelist once warm —
-// satisfy-then-re-expect must reuse the same entry object, and a stale
-// deadline for the old incarnation must not fire against the new one.
+// TestPendingEntryRecycled: a warm expect/satisfy/re-expect cycle reuses
+// the deadline queue's storage, and a satisfied deadline never fires — only
+// the re-armed expectation's drop is accused, at its own deadline.
 func TestPendingEntryRecycled(t *testing.T) {
 	k := sim.New(1)
 	b, acc, _ := newBuffer(k, Config{Timeout: time.Second, CacheTTL: 2 * time.Second})
 	b.Expect(5, key(1, 1))
-	first, _ := b.store.pendingGet(b.Intern(5), key(1, 1))
-	b.RecordHeard(5, key(1, 1)) // satisfied: entry recycled
+	first := &b.deadlines.items[b.deadlines.head]
+	b.RecordHeard(5, key(1, 1)) // satisfied: its deadline is cancelled
 	k.RunFor(3 * time.Second)   // duplicate-forward suppression expires
 
 	b.Expect(5, key(1, 2))
-	second, _ := b.store.pendingGet(b.Intern(5), key(1, 2))
-	if first != second {
-		t.Fatal("freelist miss: satisfied entry was not reused")
+	if second := &b.deadlines.items[b.deadlines.head]; first != second {
+		t.Fatal("the re-armed deadline did not reuse the satisfied one's slot")
 	}
 	k.RunFor(10 * time.Second)
 	if len(*acc) != 1 {
 		t.Fatalf("%d accusations, want exactly 1 (the second expectation's drop)", len(*acc))
 	}
-	if (*acc)[0].Key != key(1, 2) {
-		t.Fatalf("accusation for %v, want the live expectation's key", (*acc)[0].Key)
+	if a := (*acc)[0]; a.Key != key(1, 2) || a.At != 4*time.Second {
+		t.Fatalf("accusation for %v at %v, want the live expectation's key at 4s", a.Key, a.At)
 	}
 }
 
@@ -158,8 +157,9 @@ func TestRecordHeardAllocsWarm(t *testing.T) {
 	}
 }
 
-// TestExpectAllocsWarm pins the per-guarded-forwarder cost: entry from the
-// freelist, prebound dispatch, no closure — no allocation. The DropFilter
+// TestExpectAllocsWarm pins the per-guarded-forwarder cost: the deadline
+// goes into the queue's storage, the lane item dispatches to the buffer's
+// prebound expire, no closure — no allocation. The DropFilter
 // suppresses the expiry accusations so the pin measures the watch
 // machinery, not the MalC bookkeeping.
 func TestExpectAllocsWarm(t *testing.T) {
@@ -172,7 +172,7 @@ func TestExpectAllocsWarm(t *testing.T) {
 	b := New(k, cfg, nil, nil)
 	for i := uint64(0); i < 64; i++ {
 		b.Expect(5, key(1, i%8))
-		k.RunFor(300 * time.Millisecond) // entry expires (filtered), recycles
+		k.RunFor(300 * time.Millisecond) // entry expires (filtered)
 	}
 	i := uint64(0)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -185,18 +185,22 @@ func TestExpectAllocsWarm(t *testing.T) {
 	}
 }
 
-// TestFreePendingBounded churns far more watch entries through a buffer
-// than the freelist cap and checks the retained freelist never exceeds it:
-// a traffic spike must not pin its high-water mark in memory forever.
+// TestFreePendingBounded arms a burst of 4x256 watch entries and lets
+// every one expire: the deadline queue then gives the burst's capacity
+// back, so a traffic spike does not pin its high-water mark at every guard.
 func TestFreePendingBounded(t *testing.T) {
 	k := sim.New(9)
 	b, _, _ := newBuffer(k, Config{Timeout: time.Second, CacheTTL: 2 * time.Second})
-	for i := 0; i < 4*freePendingCap; i++ {
+	const burst = 4 * 256
+	for i := 0; i < burst; i++ {
 		b.Expect(5, key(1, uint64(i)))
 	}
-	k.RunFor(time.Minute) // every watch expires and recycles its entry
-	if got := len(b.freePending); got > freePendingCap {
-		t.Fatalf("freelist retains %d entries, cap is %d", got, freePendingCap)
+	if got := cap(b.deadlines.items); got < burst {
+		t.Fatalf("queue capacity %d holds fewer than the burst's %d entries", got, burst)
+	}
+	k.RunFor(time.Minute) // every watch expires
+	if got, limit := cap(b.deadlines.items), queueShrinkFactor*queueSeedCap; got > limit {
+		t.Fatalf("queue retains capacity %d after the burst drained, limit %d", got, limit)
 	}
 }
 
@@ -218,8 +222,8 @@ func floodCycle(k *sim.Kernel, b *Buffer, seq uint64, expect bool) uint64 {
 	return seq + 1
 }
 
-// warmFloodBuffer returns a buffer whose slab, key table, pending table,
-// freelist and wheel have reached their steady state under floodCycle.
+// warmFloodBuffer returns a buffer whose slab, key table, deadline queue
+// and wheel have reached their steady state under floodCycle.
 // The DropFilter suppresses expiry accusations so the pins measure the
 // watch machinery, not MalC bookkeeping.
 func warmFloodBuffer(expect bool) (*sim.Kernel, *Buffer, uint64) {
@@ -253,8 +257,8 @@ func TestRecordHeardIdxZeroAllocsWarm(t *testing.T) {
 }
 
 // TestExpectIdxZeroAllocsWarm pins the per-guarded-forwarder cost: the
-// heard check, the pending entry from the freelist, its lane deadline and
-// its expiry allocate nothing once warm.
+// heard and duplicate check on the packet's record, the deadline in the
+// queue, its lane item and its expiry allocate nothing once warm.
 func TestExpectIdxZeroAllocsWarm(t *testing.T) {
 	k, b, seq := warmFloodBuffer(true)
 	allocs := testing.AllocsPerRun(200, func() { seq = floodCycle(k, b, seq, true) })

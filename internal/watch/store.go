@@ -15,19 +15,24 @@ import (
 // differential suite in store_test.go holds the two to operation-for-
 // operation equivalence.
 type storeBackend interface {
-	// Outstanding watch deadlines (the paper's watch buffer proper).
-	pendingGet(fidx int32, key packet.Key) (*pendingEntry, bool)
-	pendingPut(fidx int32, key packet.Key, e *pendingEntry)
-	pendingDelete(fidx int32, key packet.Key)
-	pendingLen() int
-
-	// Heard-transmission caches: per (sender, key) and per key. The
-	// per-sender cache doubles as the duplicate-flood suppression that
-	// Expect consults. Recorded expiries never decrease (the buffer
-	// records with now+CacheTTL).
-	recordHeard(sidx int32, key packet.Key, exp time.Duration)
+	// Watch records: per (sender, key), a heard expiry or an outstanding
+	// expectation, identified by the ref of its deadline on the buffer's
+	// queue. The two exclude each other: expect arms only on a sender not
+	// heard, and hearing the sender resolves the expectation. Recorded
+	// expiries never decrease (the buffer records with now+CacheTTL).
+	//
+	// recordHeard records sidx sending key until exp, and returns the ref
+	// of the expectation on (sidx, key) this resolves, if there was one.
+	recordHeard(sidx int32, key packet.Key, exp time.Duration) (ref uint64, met bool)
 	heard(sidx int32, key packet.Key, now time.Duration) bool
 	heardAny(key packet.Key, now time.Duration) bool
+	// expect notes expectation ref on (fidx, key), unless fidx was heard
+	// sending key (live at now) or an expectation on it is outstanding,
+	// and reports whether it did.
+	expect(fidx int32, key packet.Key, ref uint64, now time.Duration) bool
+	// clearExpect removes the outstanding expectation on (fidx, key),
+	// which the buffer resolved as a drop.
+	clearExpect(fidx int32, key packet.Key)
 
 	// MalC records. The pointer returned by ensureMalc is transient: it
 	// may point into dense backing storage and is invalidated by any
@@ -35,7 +40,8 @@ type storeBackend interface {
 	malc(aidx int32) *malcRecord
 	ensureMalc(aidx int32) *malcRecord
 
-	// Housekeeping sweeps; each returns how many records it reclaimed.
+	// Housekeeping sweeps; each returns how many records it reclaimed. A
+	// record holding an outstanding expectation is never reclaimed.
 	sweepCaches(now time.Duration) int
 	sweepMalc(now, window time.Duration) int
 

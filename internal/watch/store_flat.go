@@ -7,13 +7,13 @@ import (
 	"liteworp/internal/packet"
 )
 
-// flatStore is the buffer's storage layout. The heard cache is key-major:
-// one record per overheard packet identity, holding the any-sender expiry
-// and the list of senders heard transmitting it, so a flooded REQ that
-// arrives from d neighbors costs one packet record and d sender slots
-// rather than d+1 hashed table slots. The pending-watch table keeps its
-// own open-addressed table keyed by (forwarder nbrIdx, packet identity),
-// and MalC records sit in a slice indexed directly by nbrIdx.
+// flatStore is the buffer's storage layout. Watch records are key-major:
+// one record per packet identity, holding the any-sender expiry and a slot
+// per sender heard transmitting it or expected to forward it, so a flooded
+// REQ that arrives from d neighbors and is expected from e more costs one
+// packet record and d+e sender slots, and every overheard frame resolves
+// heard, heard-any and its expectations with one key probe. MalC records
+// sit in a slice indexed directly by nbrIdx.
 //
 //   - keys maps the packed packet identity to its record's position in
 //     recs (see internal/flatmap).
@@ -29,8 +29,6 @@ import (
 // against the same packet for every guarded neighbor of one overheard
 // frame, so the table is probed once per frame.
 type flatStore struct {
-	pending flatmap.Table[*pendingEntry]
-
 	keys   flatmap.Table[int32]
 	recs   paged[heardRecord]
 	nrecs  int32
@@ -58,18 +56,23 @@ const chunkSlots = 4
 // noChunk ends a chunk chain and marks an empty free list.
 const noChunk = -1
 
-// heardChunk holds up to chunkSlots (sender, expiry) records of one packet.
+// heardChunk holds up to chunkSlots sender slots of one packet. A slot's
+// exp is the sender's heard expiry or, while an expectation on the sender
+// is outstanding, the complement ^ref of its deadline's ref: negative, so
+// dead to every reader. A slot holds at most one of the two (see
+// storeBackend), and 0 once an expectation is cleared.
 type heardChunk struct {
 	sidx [chunkSlots]int32
 	exp  [chunkSlots]time.Duration
 	next int32 // next chunk of the chain, noChunk at its end
 }
 
-// heardRecord is one overheard packet identity. anyExp is the expiry of
-// its newest recording, which is the newest of its senders' expiries: the
+// heardRecord is one watched packet identity. anyExp is the expiry of its
+// newest recording, which is the newest of its senders' expiries: the
 // buffer records with now+CacheTTL, so expiries never decrease. Every
-// sender slot is therefore dead once anyExp is, which is what lets a
-// reader stop at anyExp and the sweep free the record whole.
+// sender slot is therefore dead once anyExp is, which is what lets the
+// sweep free the record whole once it also holds no expectation. A record made by an expectation on a packet no one was
+// heard sending has anyExp 0.
 type heardRecord struct {
 	key    flatmap.Key
 	anyExp time.Duration
@@ -118,29 +121,9 @@ func (p *paged[T]) trim(k int) {
 
 func newFlatStore() *flatStore { return &flatStore{free: noChunk} }
 
-// pendingKey packs (forwarder nbrIdx, packet identity). packet.Type is in
-// [1,9], so a live key always has Lo != 0, the table's empty sentinel.
-func pendingKey(idx int32, key packet.Key) flatmap.Key {
-	return flatmap.PackIdxKey(idx, uint32(key.Origin), key.Seq, uint8(key.Type))
-}
-
 func anyKey(key packet.Key) flatmap.Key {
 	return flatmap.PackKey(uint32(key.Origin), key.Seq, uint8(key.Type))
 }
-
-func (s *flatStore) pendingGet(fidx int32, key packet.Key) (*pendingEntry, bool) {
-	return s.pending.Get(pendingKey(fidx, key))
-}
-
-func (s *flatStore) pendingPut(fidx int32, key packet.Key, e *pendingEntry) {
-	s.pending.Put(pendingKey(fidx, key), e)
-}
-
-func (s *flatStore) pendingDelete(fidx int32, key packet.Key) {
-	s.pending.Delete(pendingKey(fidx, key))
-}
-
-func (s *flatStore) pendingLen() int { return s.pending.Len() }
 
 // find returns the recs position of k's record, or -1, through the memo.
 func (s *flatStore) find(k flatmap.Key) int32 {
@@ -155,47 +138,65 @@ func (s *flatStore) find(k flatmap.Key) int32 {
 	return ri
 }
 
-func (s *flatStore) recordHeard(sidx int32, key packet.Key, exp time.Duration) {
+// record returns key's record, creating an empty one when there is none.
+func (s *flatStore) record(key packet.Key) *heardRecord {
 	k := anyKey(key)
 	ri := s.find(k)
 	if ri < 0 {
-		c := s.newChunk()
-		ch := s.chunks.at(c)
-		ch.sidx[0], ch.exp[0] = sidx, exp
 		ri = s.nrecs
 		s.recs.reserve(ri)
-		*s.recs.at(ri) = heardRecord{key: k, anyExp: exp, head: c, n: 1}
+		*s.recs.at(ri) = heardRecord{key: k, head: s.newChunk()}
 		s.nrecs++
 		s.keys.Put(k, ri)
 		s.memoRec = ri
-		return
 	}
-	r := s.recs.at(ri)
-	r.anyExp = exp
+	return s.recs.at(ri)
+}
+
+// lookup returns sidx's slot on r or, when r has none, nil and r's last
+// chunk.
+func (s *flatStore) lookup(r *heardRecord, sidx int32) (*time.Duration, int32) {
 	c := r.head
 	for base := int32(0); ; base += chunkSlots {
 		ch := s.chunks.at(c)
 		for i := range min(r.n-base, chunkSlots) {
 			if ch.sidx[i] == sidx {
-				ch.exp[i] = exp
-				return
+				return &ch.exp[i], c
 			}
 		}
 		if ch.next == noChunk {
-			break
+			return nil, c
 		}
 		c = ch.next
 	}
-	// A new sender: append at slot n, opening a chunk when the last is full.
+}
+
+// slot returns sidx's slot on r, appending one with exp 0 when r has none:
+// at slot n, opening a chunk when the last is full.
+func (s *flatStore) slot(r *heardRecord, sidx int32) *time.Duration {
+	e, c := s.lookup(r, sidx)
+	if e != nil {
+		return e
+	}
 	i := r.n % chunkSlots
-	if i == 0 {
+	if i == 0 && r.n > 0 {
 		nc := s.newChunk()
 		s.chunks.at(c).next = nc
 		c = nc
 	}
 	ch := s.chunks.at(c)
-	ch.sidx[i], ch.exp[i] = sidx, exp
+	ch.sidx[i], ch.exp[i] = sidx, 0
 	r.n++
+	return &ch.exp[i]
+}
+
+func (s *flatStore) recordHeard(sidx int32, key packet.Key, exp time.Duration) (uint64, bool) {
+	r := s.record(key)
+	r.anyExp = exp
+	e := s.slot(r, sidx)
+	old := *e
+	*e = exp
+	return uint64(^old), old < 0
 }
 
 func (s *flatStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
@@ -203,25 +204,40 @@ func (s *flatStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 	if ri < 0 {
 		return false
 	}
-	r := s.recs.at(ri)
-	if !live(r.anyExp, now) {
-		return false // every sender expired with it
-	}
-	for c, base := r.head, int32(0); c != noChunk; base += chunkSlots {
-		ch := s.chunks.at(c)
-		for i := range min(r.n-base, chunkSlots) {
-			if ch.sidx[i] == sidx {
-				return live(ch.exp[i], now)
-			}
-		}
-		c = ch.next
-	}
-	return false
+	e, _ := s.lookup(s.recs.at(ri), sidx)
+	return e != nil && live(*e, now)
 }
 
 func (s *flatStore) heardAny(key packet.Key, now time.Duration) bool {
 	ri := s.find(anyKey(key))
 	return ri >= 0 && live(s.recs.at(ri).anyExp, now)
+}
+
+func (s *flatStore) expect(fidx int32, key packet.Key, ref uint64, now time.Duration) bool {
+	e := s.slot(s.record(key), fidx)
+	if *e < 0 || live(*e, now) {
+		return false
+	}
+	*e = ^time.Duration(ref)
+	return true
+}
+
+func (s *flatStore) clearExpect(fidx int32, key packet.Key) {
+	*s.slot(s.recs.at(s.find(anyKey(key))), fidx) = 0
+}
+
+// expecting reports whether r holds an outstanding expectation.
+func (s *flatStore) expecting(r *heardRecord) bool {
+	for c, base := r.head, int32(0); c != noChunk; base += chunkSlots {
+		ch := s.chunks.at(c)
+		for i := range min(r.n-base, chunkSlots) {
+			if ch.exp[i] < 0 {
+				return true
+			}
+		}
+		c = ch.next
+	}
+	return false
 }
 
 // newChunk takes a chunk off the free list, or the next one past top.
@@ -270,16 +286,16 @@ func (s *flatStore) ensureMalc(aidx int32) *malcRecord {
 }
 
 // sweepCaches frees every packet record whose any-sender expiry has
-// passed, with all of its sender slots, and returns the slots and records
-// freed. A live record keeps its expired sender slots until it goes:
-// readers check each slot's expiry, and a sender heard again reuses its
-// slot. Then the key table, the records and the slab give back the memory
-// a burst left spare.
+// passed and that holds no outstanding expectation, with all of its sender
+// slots, and returns the slots and records freed. A kept record keeps its
+// expired sender slots until it goes: readers check each slot's expiry,
+// and a sender heard again reuses its slot. Then the key table, the
+// records and the slab give back the memory a burst left spare.
 func (s *flatStore) sweepCaches(now time.Duration) int {
 	n := 0
 	for i := int32(0); i < s.nrecs; {
 		r := s.recs.at(i)
-		if live(r.anyExp, now) {
+		if live(r.anyExp, now) || s.expecting(r) {
 			i++
 			continue
 		}

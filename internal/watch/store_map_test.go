@@ -17,13 +17,14 @@ type mapKey struct {
 
 // mapStore is the original map-shaped storage, preserved (modulo NodeID
 // keys becoming nbrIdx) as the oracle flatStore is differentially tested
-// against: one map entry per (sender, key) and one per key. Its sweeps
-// iterate Go maps in randomized order, which is safe exactly because sweeps
-// are delete-only housekeeping. flatStore's sweep reclaims a packet's
-// sender slots only with the whole packet record, later than this store
-// deletes an expired sender; readers check expiries, so no query can tell.
+// against: one map entry per (sender, key) heard, one per key heard and
+// one per outstanding expectation. Its sweeps iterate Go maps in
+// randomized order, which is safe exactly because sweeps are delete-only
+// housekeeping. flatStore's sweep reclaims a packet's sender slots only
+// with the whole packet record, later than this store deletes an expired
+// sender; readers check expiries, so no query can tell.
 type mapStore struct {
-	pending    map[mapKey]*pendingEntry
+	pending    map[mapKey]uint64            // outstanding expectations' refs
 	heardAt    map[mapKey]time.Duration     // expiry instants per (sender, key)
 	heardAnyAt map[packet.Key]time.Duration // expiry instants per key, any sender
 	malcs      map[int32]*malcRecord
@@ -36,31 +37,33 @@ func newMapBuffer(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshol
 
 func newMapStore() *mapStore {
 	return &mapStore{
-		pending:    make(map[mapKey]*pendingEntry),
+		pending:    make(map[mapKey]uint64),
 		heardAt:    make(map[mapKey]time.Duration),
 		heardAnyAt: make(map[packet.Key]time.Duration),
 		malcs:      make(map[int32]*malcRecord),
 	}
 }
 
-func (s *mapStore) pendingGet(fidx int32, key packet.Key) (*pendingEntry, bool) {
-	e, ok := s.pending[mapKey{fidx, key}]
-	return e, ok
-}
-
-func (s *mapStore) pendingPut(fidx int32, key packet.Key, e *pendingEntry) {
-	s.pending[mapKey{fidx, key}] = e
-}
-
-func (s *mapStore) pendingDelete(fidx int32, key packet.Key) {
-	delete(s.pending, mapKey{fidx, key})
-}
-
-func (s *mapStore) pendingLen() int { return len(s.pending) }
-
-func (s *mapStore) recordHeard(sidx int32, key packet.Key, exp time.Duration) {
-	s.heardAt[mapKey{sidx, key}] = exp
+func (s *mapStore) recordHeard(sidx int32, key packet.Key, exp time.Duration) (uint64, bool) {
+	hk := mapKey{sidx, key}
+	s.heardAt[hk] = exp
 	s.heardAnyAt[key] = exp
+	ref, met := s.pending[hk]
+	delete(s.pending, hk)
+	return ref, met
+}
+
+func (s *mapStore) expect(fidx int32, key packet.Key, ref uint64, now time.Duration) bool {
+	hk := mapKey{fidx, key}
+	if _, dup := s.pending[hk]; dup || s.heard(fidx, key, now) {
+		return false
+	}
+	s.pending[hk] = ref
+	return true
+}
+
+func (s *mapStore) clearExpect(fidx int32, key packet.Key) {
+	delete(s.pending, mapKey{fidx, key})
 }
 
 func (s *mapStore) heard(sidx int32, key packet.Key, now time.Duration) bool {

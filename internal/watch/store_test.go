@@ -19,8 +19,9 @@ import (
 // capacity boundaries in both directions), long idle stretches (so the
 // expiry wheel sweeps and the tables and slab shrink), floods heard from
 // more senders than one slab chunk holds, senders of one packet that
-// expire at different sweeps, and reboots (buffer recreation mid-run, with
-// the old incarnation's timers still firing).
+// expire at different sweeps, forwards racing their deadlines, deadlines
+// that outlive their packet's senders, and reboots (buffer recreation
+// mid-run, with the old incarnation's timers still firing).
 
 // diffOps is the script length per seed; diffSeeds the number of seeds.
 const (
@@ -51,6 +52,13 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 	// of one packet, recorded a few ticks apart, expire at different
 	// sweeps; the rest keep the default one-second wheel.
 	fineWheel := rng.Intn(2) == 0
+	// A third of the seeds wait longer for a forward than a heard record
+	// lives, and longer than a one-second wheel tick after that, so a
+	// sweep always runs between a record's expiry and the deadlines armed
+	// with it.
+	if rng.Intn(3) == 0 {
+		cfg.Timeout = cfg.CacheTTL + 1300*time.Millisecond
+	}
 	var b *Buffer
 	boot := func() {
 		g := gen
@@ -83,7 +91,7 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 	}
 
 	for op := 0; op < diffOps; op++ {
-		switch rng.Intn(16) {
+		switch rng.Intn(18) {
 		case 0, 1:
 			b.RecordHeard(node(), somekey())
 		case 2, 3:
@@ -173,6 +181,45 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 			query("part", a, k)
 			query("part", c, k)
 			log = append(log, fmt.Sprintf("pexp %v %v", b.Expect(a, k), b.Expect(c, k)))
+		case 16:
+			// Expect/forward race on one record: expectations on several
+			// forwarders of a packet heard once, then each forward heard
+			// before, at or after its deadline, queried as it lands.
+			k := packet.Key{Type: packet.TypeRouteRequest, Origin: node(), Seq: uint64(3_000_000 + op)}
+			b.RecordHeard(node(), k)
+			fwds := make([]field.NodeID, 1+rng.Intn(6))
+			for i := range fwds {
+				fwds[i] = node()
+				log = append(log, fmt.Sprintf("rexp %v", b.Expect(fwds[i], k)))
+			}
+			step := int(cfg.Timeout / time.Millisecond / 2)
+			for _, f := range fwds {
+				kernel.RunFor(time.Duration(rng.Intn(step+1)) * time.Millisecond)
+				log = append(log, fmt.Sprintf("rfwd %v", b.RecordHeard(f, k)))
+				query("race", f, k)
+			}
+		case 17:
+			// A sweep and a reboot while expectations are live: deadlines
+			// armed on heard and never-heard packets, an idle stretch
+			// shorter than tau or past CacheTTL (on long-tau seeds the
+			// sweep then runs with the deadlines pending), and a reboot
+			// with the deadlines still armed on the old incarnation.
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				k := packet.Key{Type: packet.TypeRouteReply, Origin: node(), Seq: uint64(4_000_000 + 8*op + i)}
+				if rng.Intn(2) == 0 {
+					b.RecordHeard(node(), k)
+				}
+				log = append(log, fmt.Sprintf("sexp %v", b.Expect(node(), k)))
+			}
+			idle := time.Duration(rng.Intn(int(cfg.Timeout/time.Millisecond))) * time.Millisecond
+			if rng.Intn(2) == 0 {
+				idle = cfg.CacheTTL + time.Duration(rng.Intn(1100))*time.Millisecond
+			}
+			kernel.RunFor(idle)
+			query("swept", node(), somekey())
+			gen++
+			boot()
+			log = append(log, fmt.Sprintf("boot g%d", gen))
 		}
 	}
 	kernel.RunFor(5 * time.Second) // drain every deadline and sweep

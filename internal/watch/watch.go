@@ -9,12 +9,14 @@
 // this buffer with the neighbor table.
 //
 // Storage layout: the buffer addresses watched nodes by their dense
-// neighbor index (nbrIdx, see neighbor.Index) and keeps its three
-// collections — pending watches, the heard cache and MalC records —
-// behind the storeBackend seam. flatStore (store_flat.go) keeps pending
-// watches in an open-addressed table, the heard cache as one record per
-// overheard packet with its senders in a chunked slab, and MalC records in
-// a slice by nbrIdx; the tests check it against a Go-map oracle.
+// neighbor index (nbrIdx, see neighbor.Index) and keeps two collections
+// behind the storeBackend seam: one watch record per overheard packet, in
+// which each sender slot holds either the sender's heard expiry or an
+// outstanding expectation on it, and the MalC records. flatStore
+// (store_flat.go) keeps the packet records with their slots in a chunked
+// slab and MalC records in a slice by nbrIdx; the tests check it against a
+// Go-map oracle. The buffer itself keeps its expectations' deadlines, in
+// the order they were armed (see deadlineQueue).
 package watch
 
 import (
@@ -163,19 +165,70 @@ type Stats struct {
 	ThresholdHits uint64 // nodes whose MalC crossed C_t
 }
 
-// pendingEntry is one outstanding watch deadline, keyed by the watched
-// forwarder's dense index plus the packet identity. Entries are pooled on
-// the buffer's freelist and dispatch through fn, a method value bound once
-// per allocated entry — re-arming a recycled entry schedules no new
-// closure. The timer rides the kernel's lane for tau: every deadline is
-// now+Timeout, so a FIFO holds them in firing order, and a forward that
-// clears the entry cancels it there.
-type pendingEntry struct {
-	b     *Buffer
-	fidx  int32
-	key   packet.Key
+// deadline is one watch entry: forwarder fidx must forward the packet
+// key before timer fires. fidx is -1 once a heard forward has cancelled it.
+type deadline struct {
 	timer sim.Timer
-	fn    sim.Event // prebound (*pendingEntry).expire
+	key   packet.Key
+	fidx  int32
+}
+
+// deadlineQueue holds a buffer's watch entries, live and cancelled, in the
+// order they were armed. An entry's ref is its arming number, so it stays
+// valid while the queue compacts or reallocates. Every entry is armed on
+// the clock's lane for tau, which fires the live ones in arming order and
+// the cancelled ones never: the oldest live entry is always the one whose
+// timer fires next.
+type deadlineQueue struct {
+	items []deadline
+	head  int    // items[head] is the oldest entry
+	base  uint64 // ref of items[head]
+}
+
+// queueSeedCap and queueShrinkFactor set the queue's capacity policy, the
+// one sim's calendar buckets use: once the backing array exceeds
+// queueShrinkFactor*(entries+queueSeedCap) slots, the entries move to a
+// fresh array of entries+queueSeedCap slots, so a burst's capacity goes
+// back to the collector instead of staying at every guard; an idle guard
+// keeps at most 128 slots (7 KB). The queue holds every entry armed
+// within tau of its oldest live one, so a guard's queue refills to about
+// the same size on every flood. Of the seeds measured on flood-n400 (4 to
+// 64), 4 allocated 49% more bytes per event than 32, through trimming and
+// regrowth, and 64 retained 6% more watch bytes than 32.
+const (
+	queueSeedCap      = 32
+	queueShrinkFactor = 4
+)
+
+// next returns the ref the next armed entry gets.
+func (q *deadlineQueue) next() uint64 { return q.base + uint64(len(q.items)-q.head) }
+
+func (q *deadlineQueue) at(ref uint64) *deadline { return &q.items[q.head+int(ref-q.base)] }
+
+// dropCancelled pops the cancelled entries at the head.
+func (q *deadlineQueue) dropCancelled() {
+	for q.head < len(q.items) && q.items[q.head].fidx < 0 {
+		q.pop()
+	}
+}
+
+// pop removes the oldest entry. Then it trims the backing array (see
+// queueSeedCap) or, once the popped prefix is at least as long as the
+// rest, moves the rest to the front.
+func (q *deadlineQueue) pop() {
+	q.items[q.head] = deadline{}
+	q.head++
+	q.base++
+	switch n := len(q.items) - q.head; {
+	case cap(q.items) > queueShrinkFactor*(n+queueSeedCap):
+		items := make([]deadline, n, n+queueSeedCap)
+		copy(items, q.items[q.head:])
+		q.items, q.head = items, 0
+	case q.head >= n:
+		m := copy(q.items, q.items[q.head:])
+		clear(q.items[m:])
+		q.items, q.head = q.items[:m], 0
+	}
 }
 
 type malcRecord struct {
@@ -192,18 +245,16 @@ type Buffer struct {
 	idx    *neighbor.Index
 	store  storeBackend
 	// lane is the clock's fixed-delay lane for Timeout, on which every
-	// watch deadline is armed.
-	lane *sim.Lane
+	// watch deadline is armed; each of its items dispatches to onDeadline,
+	// the buffer's prebound expire.
+	lane       *sim.Lane
+	onDeadline sim.Event
+	deadlines  deadlineQueue
 
 	// cacheSlot arms the expiry wheel for the two CacheTTL caches (heard,
 	// heardAny); malcSlot arms it for Window pruning.
 	cacheSlot sim.WheelSlot
 	malcSlot  sim.WheelSlot
-	// freePending recycles fired/satisfied watch entries. It is capped at
-	// freePendingCap: the freelist only needs to cover the steady-state
-	// churn between bursts, and an uncapped list would permanently retain
-	// the high-water mark of every traffic spike on all 10k guards at once.
-	freePending []*pendingEntry
 
 	onAccuse    func(Accusation)
 	onThreshold func(field.NodeID)
@@ -235,20 +286,14 @@ func newWithStore(k sim.Clock, cfg Config, store storeBackend, onAccuse func(Acc
 		b.idx = neighbor.NewIndex()
 	}
 	b.lane = k.Lane(b.cfg.Timeout)
+	b.onDeadline = b.expire
 	wheel := b.cfg.Wheel
 	if wheel == nil {
 		wheel = sim.NewWheel(k, 0)
 	}
-	b.cacheSlot = wheel.Register(b.sweepCaches)
+	b.cacheSlot = wheel.Register(b.store.sweepCaches)
 	b.malcSlot = wheel.Register(b.sweepMalc)
 	return b
-}
-
-// sweepCaches reaps expired heard/heardAny records. Sweeps are
-// pure housekeeping: every reader rechecks the stored expiry via live(), so
-// when a record is deleted relative to its expiry is unobservable.
-func (b *Buffer) sweepCaches(now time.Duration) int {
-	return b.store.sweepCaches(now)
 }
 
 // sweepMalc drops MalC records whose newest observation fell out of the
@@ -267,8 +312,12 @@ func (b *Buffer) Config() Config { return b.cfg }
 // Stats returns a copy of the counters.
 func (b *Buffer) Stats() Stats { return b.stats }
 
-// Len returns the number of outstanding watch entries.
-func (b *Buffer) Len() int { return b.store.pendingLen() }
+// Len returns the number of outstanding watch entries: those armed and
+// neither matched nor expired.
+func (b *Buffer) Len() int {
+	st := b.stats
+	return int(st.Expectations - st.Matches - st.Drops - st.FilteredDrops)
+}
 
 // Index returns the dense neighbor index the buffer keys its state by.
 func (b *Buffer) Index() *neighbor.Index { return b.idx }
@@ -285,7 +334,7 @@ const EntryBytes = 20
 
 // MemoryBytes returns the current watch-buffer footprint per the paper's
 // cost model.
-func (b *Buffer) MemoryBytes() int { return b.store.pendingLen() * EntryBytes }
+func (b *Buffer) MemoryBytes() int { return b.Len() * EntryBytes }
 
 // RecordHeard notes that this guard overheard sender transmitting the
 // packet identified by key. The record expires after CacheTTL; reclamation
@@ -302,15 +351,14 @@ func (b *Buffer) RecordHeard(sender field.NodeID, key packet.Key) bool {
 // RecordHeardIdx is RecordHeard for a pre-interned sender.
 func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 	expiry := b.kernel.Now() + b.cfg.CacheTTL
-	b.store.recordHeard(sidx, key, expiry)
+	ref, met := b.store.recordHeard(sidx, key, expiry)
 	b.cacheSlot.Arm(expiry)
-	entry, ok := b.store.pendingGet(sidx, key)
-	if !ok {
+	if !met {
 		return false
 	}
-	entry.timer.Cancel()
-	b.store.pendingDelete(sidx, key)
-	b.recyclePending(entry)
+	d := b.deadlines.at(ref)
+	d.timer.Cancel()
+	d.fidx = -1
 	b.stats.Matches++
 	return true
 }
@@ -350,72 +398,32 @@ func (b *Buffer) Expect(forwarder field.NodeID, key packet.Key) bool {
 
 // ExpectIdx is Expect for a pre-interned forwarder.
 func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
-	// The heard check goes first: the frame that prompted this call has
-	// just resolved key's heard record, so it costs a short sender scan
-	// where the pending check costs a table probe.
-	if b.store.heard(fidx, key, b.kernel.Now()) {
+	b.deadlines.dropCancelled()
+	if !b.store.expect(fidx, key, b.deadlines.next(), b.kernel.Now()) {
 		return false
 	}
-	if _, dup := b.store.pendingGet(fidx, key); dup {
-		return false
-	}
-	entry := b.newPending(fidx, key)
-	entry.timer = b.kernel.AfterLane(b.lane, entry.fn)
-	b.store.pendingPut(fidx, key, entry)
+	b.deadlines.items = append(b.deadlines.items, deadline{timer: b.kernel.AfterLane(b.lane, b.onDeadline), key: key, fidx: fidx})
 	b.stats.Expectations++
-	if n := b.store.pendingLen(); n > b.stats.PeakEntries {
+	if n := b.Len(); n > b.stats.PeakEntries {
 		b.stats.PeakEntries = n
 	}
 	return true
 }
 
-// newPending takes an entry from the freelist (or allocates one, binding
-// its dispatch method value exactly once) and keys it to (fidx, key).
-func (b *Buffer) newPending(fidx int32, key packet.Key) *pendingEntry {
-	var e *pendingEntry
-	if n := len(b.freePending); n > 0 {
-		e = b.freePending[n-1]
-		b.freePending[n-1] = nil
-		b.freePending = b.freePending[:n-1]
-	} else {
-		e = &pendingEntry{b: b}
-		e.fn = e.expire
-	}
-	e.fidx = fidx
-	e.key = key
-	return e
-}
-
-// freePendingCap bounds the per-buffer pendingEntry freelist; entries
-// released beyond it go to the garbage collector instead.
-const freePendingCap = 256
-
-func (b *Buffer) recyclePending(e *pendingEntry) {
-	if len(b.freePending) >= freePendingCap {
-		return
-	}
-	e.timer = sim.Timer{}
-	b.freePending = append(b.freePending, e)
-}
-
-// expire is the watch deadline firing: the monitored node failed to forward
-// within tau. The identity check guards against a stale timer whose entry
-// was satisfied and re-armed for the same key in the meantime.
-func (e *pendingEntry) expire() {
-	b := e.b
-	if cur, ok := b.store.pendingGet(e.fidx, e.key); !ok || cur != e {
-		return
-	}
-	b.store.pendingDelete(e.fidx, e.key)
-	forwarder, key := b.idx.ID(e.fidx), e.key
-	fidx := e.fidx
-	b.recyclePending(e)
-	if b.cfg.DropFilter != nil && b.cfg.DropFilter(forwarder, key) {
+// expire is a watch deadline firing: the monitored node failed to forward
+// within tau. The firing entry is the oldest live one (see deadlineQueue).
+func (b *Buffer) expire() {
+	b.deadlines.dropCancelled()
+	d := b.deadlines.items[b.deadlines.head]
+	b.deadlines.pop()
+	b.store.clearExpect(d.fidx, d.key)
+	forwarder := b.idx.ID(d.fidx)
+	if b.cfg.DropFilter != nil && b.cfg.DropFilter(forwarder, d.key) {
 		b.stats.FilteredDrops++
 		return
 	}
 	b.stats.Drops++
-	b.accuse(fidx, forwarder, ReasonDrop, key, b.cfg.DropIncrement)
+	b.accuse(d.fidx, forwarder, ReasonDrop, d.key, b.cfg.DropIncrement)
 }
 
 // AccuseFabrication raises a fabrication accusation against the node.

@@ -316,36 +316,69 @@ func TestReasonString(t *testing.T) {
 }
 
 // Conservation property: every expectation is resolved exactly once —
-// either matched or dropped, never both, never neither.
+// either matched or dropped, never both, never neither — and each drop is
+// accused at exactly its deadline. A model independent of the store lists
+// every expectation as it is armed and marks it met when its forward is
+// due strictly before the deadline (a forward due at the deadline itself
+// was scheduled after the deadline's lane item, so it runs second). The
+// drop accusations must then be the model's unmet expectations, in arming
+// order, each at armedAt+tau.
 func TestPropertyExpectationConservation(t *testing.T) {
 	k := sim.New(99)
-	b, _, _ := newBuffer(k, Config{Timeout: 50 * time.Millisecond, Threshold: 1 << 30})
+	const tau = 50 * time.Millisecond
+	b, acc, _ := newBuffer(k, Config{Timeout: tau, Threshold: 1 << 30})
 	rng := k.Rand()
+	type armed struct {
+		fwd     field.NodeID
+		key     packet.Key
+		armedAt time.Duration
+		met     bool
+	}
+	var model []armed
 	const n = 500
-	created := 0
 	for i := 0; i < n; i++ {
 		i := i
 		at := time.Duration(rng.Intn(1000)) * time.Millisecond
 		k.At(at, func() {
-			if b.Expect(field.NodeID(i%7), key(1, uint64(i))) {
-				created++
+			fwd, kk := field.NodeID(i%7), key(1, uint64(i))
+			if !b.Expect(fwd, kk) {
+				t.Errorf("Expect(%d, %v) on a fresh packet returned false", fwd, kk)
+				return
 			}
+			model = append(model, armed{fwd: fwd, key: kk, armedAt: k.Now()})
 			if rng.Float64() < 0.6 {
 				// Forward after a random delay, possibly past deadline.
 				delay := time.Duration(rng.Intn(100)) * time.Millisecond
-				k.After(delay, func() {
-					b.RecordHeard(field.NodeID(i%7), key(1, uint64(i)))
-				})
+				model[len(model)-1].met = delay < tau
+				k.After(delay, func() { b.RecordHeard(fwd, kk) })
 			}
 		})
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	met, next := 0, 0
+	for _, m := range model {
+		if m.met {
+			met++
+			continue
+		}
+		if next == len(*acc) {
+			t.Fatalf("no drop accused for %v on %d armed at %v", m.key, m.fwd, m.armedAt)
+		}
+		a := (*acc)[next]
+		if a.Accused != m.fwd || a.Key != m.key || a.Reason != ReasonDrop || a.At != m.armedAt+tau {
+			t.Fatalf("drop %d: accused %d for %v (%v) at %v; model says %d for %v at %v",
+				next, a.Accused, a.Key, a.Reason, a.At, m.fwd, m.key, m.armedAt+tau)
+		}
+		next++
+	}
+	if next != len(*acc) {
+		t.Fatalf("%d accusations, model expects %d drops", len(*acc), next)
+	}
 	st := b.Stats()
-	if int(st.Matches+st.Drops) != created {
-		t.Fatalf("conservation violated: %d created, %d matched + %d dropped",
-			created, st.Matches, st.Drops)
+	if int(st.Matches) != met || int(st.Drops) != next || int(st.Expectations) != len(model) {
+		t.Fatalf("stats %+v; model: %d armed, %d met, %d dropped", st, len(model), met, next)
 	}
 	if b.Len() != 0 {
 		t.Fatalf("%d entries leaked", b.Len())
