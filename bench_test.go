@@ -326,7 +326,7 @@ func BenchmarkNSweepDetection(b *testing.B) {
 	var det, lat float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.NSweep(
-			experiments.Scale{Runs: 1, Duration: benchScale.Duration}, []int{60})
+			experiments.Scale{Runs: 1, Duration: benchScale.Duration}, []int{60}, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,7 +6,6 @@
 //	liteworp-experiments -only F8,F10         # a subset
 //	liteworp-experiments -parallel 0          # fan seeded runs over all cores
 //	liteworp-experiments -checkpoint state/   # resume interrupted campaigns
-//	liteworp-experiments -retries 2           # retry crashed/failed runs
 //	liteworp-experiments -job-timeout 5m      # wall-clock budget per run
 //	liteworp-experiments -on-error skip       # keep going past doomed runs
 //	liteworp-experiments -json                # machine-readable results
@@ -26,16 +25,17 @@
 // restarting, and per-figure progress is reported on stderr.
 //
 // The campaign runtime is supervised: a run that panics or errors is
-// retried up to -retries times on a deterministic exponential backoff, a
-// run that exceeds -job-timeout of wall-clock time is cancelled and
-// counted as a timeout, -on-error picks whether a permanently failed run
-// aborts the figure (fail, the default) or is skipped with the remaining
-// runs aggregated (skip), and -stall-after arms a watchdog that reports
-// worker liveness when no run completes for that long. SIGINT/SIGTERM
-// trigger a graceful drain: in-flight runs finish and are checkpointed,
-// then the process exits with the campaign interrupted; a second signal
-// exits immediately. -chaos-panic is a fault-injection hook for the CI
-// chaos job.
+// recorded as failed without taking the process down, a run that exceeds
+// -job-timeout of wall-clock time is cancelled and counted as a timeout,
+// -on-error picks whether a failed run aborts the figure (fail, the
+// default) or is skipped with the remaining runs aggregated (skip), and
+// -stall-after arms a watchdog that reports worker liveness when no run
+// completes for that long. A seeded run is deterministic, so it is never
+// retried in-process; rerunning with the same -checkpoint under -on-error
+// fail re-runs recorded failures. SIGINT/SIGTERM trigger a graceful
+// drain: in-flight runs finish and are checkpointed, then the process
+// exits with the campaign interrupted; a second signal exits
+// immediately.
 package main
 
 import (
@@ -73,20 +73,19 @@ func main() {
 // workers invoke the progress and notice hooks concurrently, so every
 // line is fully composed first and emitted under the mutex in a single
 // Fprint — two workers can never interleave partial lines. It also keeps
-// the running retried/failed tallies that annotate progress lines.
+// the running failed tally that annotates progress lines.
 type reporter struct {
-	mu      sync.Mutex
-	w       io.Writer
-	retried int
-	failed  int
+	mu     sync.Mutex
+	w      io.Writer
+	failed int
 }
 
 func (r *reporter) progress(figure string, done, total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	line := fmt.Sprintf("%s: %d/%d runs", figure, done, total)
-	if r.retried > 0 || r.failed > 0 {
-		line += fmt.Sprintf(" (%d retried, %d failed)", r.retried, r.failed)
+	if r.failed > 0 {
+		line += fmt.Sprintf(" (%d failed)", r.failed)
 	}
 	fmt.Fprintln(r.w, line)
 }
@@ -94,20 +93,10 @@ func (r *reporter) progress(figure string, done, total int) {
 func (r *reporter) notice(figure string, n campaign.Notice) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch n.Kind {
-	case campaign.NoticeRetry:
-		r.retried++
-		fmt.Fprintf(r.w, "%s: attempt %d of %s failed (%s); retrying in %v\n",
-			figure, n.Attempt, n.Job, n.Msg, n.Delay)
-	case campaign.NoticeFailed:
+	if n.Kind == campaign.NoticeFailed {
 		r.failed++
-		fmt.Fprintf(r.w, "%s: %s permanently failed after attempt %d: %s\n",
-			figure, n.Job, n.Attempt, n.Msg)
-	case campaign.NoticeQuarantine:
-		fmt.Fprintf(r.w, "%s: %s\n", figure, n.Msg)
-	case campaign.NoticeStall:
-		fmt.Fprintf(r.w, "%s: %s\n", figure, n.Msg)
 	}
+	fmt.Fprintf(r.w, "%s: %s\n", figure, n.Msg)
 }
 
 func run(args []string) error {
@@ -119,11 +108,9 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 1, "campaign workers for simulated experiments (0 = all CPU cores, 1 = sequential)")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per experiment on stdout instead of text")
 	checkpoint := fs.String("checkpoint", "", "directory of campaign checkpoints; interrupted runs resume from completed seeds")
-	retries := fs.Int("retries", 0, "retries per seeded run after a crash, error, or timeout")
-	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock budget per run attempt (0 = unlimited)")
-	onError := fs.String("on-error", "fail", "permanently failed run policy: fail|skip")
+	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock budget per run (0 = unlimited)")
+	onError := fs.String("on-error", "fail", "failed run policy: fail|skip")
 	stallAfter := fs.Duration("stall-after", 0, "report worker liveness when no run completes for this long (0 = off)")
-	chaosPanic := fs.String("chaos-panic", "", "fault injection for testing: panic the first attempt of runs whose key contains this substring")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -196,9 +183,7 @@ func run(args []string) error {
 		CheckpointDir: *checkpoint,
 		Progress:      rep.progress,
 		Notice:        rep.notice,
-		Retries:       *retries,
-		Backoff:       campaign.Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second},
-		JobBudget:     campaign.Budget{Real: *jobTimeout},
+		JobTimeout:    *jobTimeout,
 		OnError:       policy,
 		Context:       ctx,
 		StallAfter:    *stallAfter,
@@ -211,14 +196,6 @@ func run(args []string) error {
 			case <-ctx.Done():
 			}
 		},
-	}
-	if *chaosPanic != "" {
-		needle := *chaosPanic
-		opt.Chaos = &campaign.Chaos{
-			PanicOn: func(key string, attempt int) bool {
-				return attempt == 1 && strings.Contains(key, needle)
-			},
-		}
 	}
 
 	type experiment struct {
@@ -243,7 +220,7 @@ func run(args []string) error {
 			return data, experiments.RenderFigure6(), nil
 		}, false},
 		{"F8", func() (any, string, error) {
-			curves, err := experiments.Figure8Opts(scale, scale.Duration/10, opt)
+			curves, err := experiments.Figure8(scale, scale.Duration/10, opt)
 			if err != nil {
 				return nil, "", err
 			}
@@ -254,14 +231,14 @@ func run(args []string) error {
 			return curves, out, nil
 		}, true},
 		{"F9", func() (any, string, error) {
-			rows, err := experiments.Figure9Opts(scale, opt)
+			rows, err := experiments.Figure9(scale, opt)
 			if err != nil {
 				return nil, "", err
 			}
 			return rows, experiments.RenderFigure9(rows), nil
 		}, true},
 		{"F10", func() (any, string, error) {
-			rows, err := experiments.Figure10Opts(scale, nil, opt)
+			rows, err := experiments.Figure10(scale, nil, opt)
 			if err != nil {
 				return nil, "", err
 			}
@@ -272,14 +249,14 @@ func run(args []string) error {
 			return rows, out, nil
 		}, true},
 		{"N1", func() (any, string, error) {
-			rows, err := experiments.NSweepOpts(scale, nil, opt)
+			rows, err := experiments.NSweep(scale, nil, opt)
 			if err != nil {
 				return nil, "", err
 			}
 			return rows, experiments.RenderNSweep(rows), nil
 		}, true},
 		{"D1", func() (any, string, error) {
-			cells, err := experiments.DetectorComparisonOpts(scale, nil, nil, opt)
+			cells, err := experiments.DetectorComparison(scale, nil, nil, opt)
 			if err != nil {
 				return nil, "", err
 			}

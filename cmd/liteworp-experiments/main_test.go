@@ -69,29 +69,8 @@ func TestRunRejectsUnknownErrorPolicy(t *testing.T) {
 	}
 }
 
-func TestRunChaosPanicRecoveredByRetries(t *testing.T) {
-	// Inject a first-attempt panic into every F10 run; with retries the
-	// figure must still complete. This is the same path the CI chaos job
-	// exercises end to end.
-	args := []string{"-only", "F10", "-runs", "1", "-parallel", "2",
-		"-chaos-panic", "run=0", "-retries", "2"}
-	if err := run(args); err != nil {
-		t.Fatalf("retried campaign did not recover from injected panics: %v", err)
-	}
-}
-
-func TestRunChaosPanicWithoutRetriesFails(t *testing.T) {
-	err := run([]string{"-only", "F10", "-runs", "1", "-chaos-panic", "run=0"})
-	if err == nil {
-		t.Fatal("injected panic with zero retries should fail the figure")
-	}
-	if !strings.Contains(err.Error(), "panic") {
-		t.Errorf("error %q does not classify the failure as a panic", err)
-	}
-}
-
 func TestRunJobTimeout(t *testing.T) {
-	// A 1 ns wall-clock budget cannot fit any run attempt; the failure
+	// A 1 ns wall-clock budget cannot fit any run; the failure
 	// must be a timeout naming the blown budget.
 	err := run([]string{"-only", "F10", "-runs", "1", "-job-timeout", "1ns"})
 	if err == nil {

@@ -33,17 +33,15 @@ func BenchmarkCampaign(b *testing.B) {
 			}
 		})
 		// The supervised variant prices the fault-tolerance machinery on
-		// the happy path: retries armed, budgets checked between kernel
-		// slices, per-worker state tracked — but no fault ever fires. The
-		// delta vs the plain variant is the supervision overhead.
+		// the happy path: the budget checked between kernel slices,
+		// per-worker state tracked — but no fault ever fires. The delta
+		// vs the plain variant is the supervision overhead.
 		b.Run(fmt.Sprintf("supervised/workers=%d", w), func(b *testing.B) {
 			opt := Options{
-				Workers:   w,
-				Retries:   2,
-				Backoff:   Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second},
-				JobBudget: Budget{Real: time.Hour, Sim: 24 * time.Hour},
-				OnError:   SkipFailed,
-				Elapsed:   func() time.Duration { return 0 },
+				Workers:    w,
+				JobTimeout: time.Hour,
+				OnError:    SkipFailed,
+				Elapsed:    func() time.Duration { return 0 },
 			}
 			for i := 0; i < b.N; i++ {
 				err := Run(jobs, opt, func(int, Job, *liteworp.Results) error { return nil })

@@ -22,21 +22,21 @@
 // the kernel-ownership analyzer checks that no goroutine the pool spawns
 // ever shares a run's kernel, wheel, or scenario state.
 //
-//lint:concurrency-layer supervised worker pool fanning out independent seeded runs; each scenario stays single-threaded, panics/retries/deadlines are handled per worker, and results merge in seed order
-//
 // The runtime is supervised (see supervise.go for the failure model): a
-// panicking job becomes a structured JobError instead of killing the
-// process, failed jobs are retried on a deterministic capped-exponential
-// schedule, jobs that blow a real-time or simulated-time budget are
-// cancelled via their attempt context and recorded as timeouts, a
-// cancelled Options.Context drains in-flight jobs into the checkpoint
-// and returns ErrInterrupted with resumable state, and a stall watchdog
-// reports per-worker liveness when progress halts.
+// job is a pure function of its Params, so it runs exactly once and a
+// failure is final. A panicking job becomes a structured JobError
+// instead of killing the process, a job that blows its real-time budget
+// is recorded as a timeout, a cancelled Options.Context drains in-flight
+// jobs into the checkpoint and returns ErrInterrupted with resumable
+// state, and a stall watchdog reports per-worker liveness when progress
+// halts.
 //
-// An optional JSON-lines checkpoint persists every completed run — and,
-// under SkipFailed, every permanent failure — so an interrupted
-// Paper-scale campaign resumes from its completed seeds and never
-// re-runs a job that is known to fail deterministically.
+// An optional JSON-lines checkpoint persists every completed run and
+// every failure. Rerunning with the same checkpoint is the only retry:
+// a SkipFailed resume skips recorded failures, a FailFast resume re-runs
+// them.
+//
+//lint:concurrency-layer supervised worker pool fanning out independent seeded runs; each scenario stays single-threaded, panics and deadlines are handled per worker, and results merge in seed order
 package campaign
 
 import (
@@ -50,6 +50,12 @@ import (
 
 	"liteworp"
 )
+
+// newScenario, when non-nil, replaces liteworp.NewScenario so tests can
+// substitute a constructor that panics, fails or wedges. attempt names
+// liteworp.NewScenario itself, which keeps the simulator inside the lint
+// call graph's reach from the worker goroutines.
+var newScenario func(liteworp.Params) (*liteworp.Scenario, error)
 
 // Job is one independent seeded simulation run. Params fully determines
 // the run (Params.Seed carries the seed), so equal jobs always produce
@@ -81,65 +87,49 @@ type Options struct {
 	// order results are collected in.
 	OnProgress func(done, total int, fromCheckpoint bool)
 
-	// Retries is how many times a permanently failing job is
-	// re-attempted after its first failure (0 = one attempt, no
-	// retries). Every attempt re-runs the same Params, so a retry can
-	// only help with non-deterministic failures (real-time budget under
-	// machine load, injected chaos); deterministic failures exhaust the
-	// schedule and surface per OnError.
-	Retries int
-	// Backoff schedules the pause before each retry; the zero value
-	// retries immediately. Delays only take effect when Sleep is wired.
-	Backoff Backoff
-	// JobBudget bounds every attempt; see Budget. Exceeding a budget
-	// cancels the attempt via its context and records a timeout.
-	JobBudget Budget
+	// JobTimeout, when > 0 (and Elapsed is wired), bounds the real time
+	// of every job: a job still running past it is cancelled between
+	// kernel slices and recorded as a FailTimeout.
+	JobTimeout time.Duration
 	// OnError selects FailFast (default) or SkipFailed handling of
-	// permanently failed jobs.
+	// failed jobs.
 	OnError ErrorPolicy
 	// Context, when non-nil, requests graceful shutdown once cancelled:
-	// no further jobs or retries are dispatched, in-flight attempts
-	// drain to completion and are checkpointed, and Run returns an
-	// error wrapping ErrInterrupted. Completed work stays resumable.
+	// no further jobs are dispatched, in-flight jobs drain to completion
+	// and are checkpointed, and Run returns an error wrapping
+	// ErrInterrupted. Completed work stays resumable.
 	Context context.Context
-	// Sleep paces backoff delays and the stall watchdog; nil means no
-	// waiting (immediate retries, watchdog off). The engine itself
-	// never touches the wall clock — drivers inject it here.
+	// Sleep paces the stall watchdog; nil turns the watchdog off. The
+	// engine itself never touches the wall clock — drivers inject it
+	// here.
 	Sleep SleepFunc
 	// Elapsed returns monotonically increasing real elapsed time; it
-	// enables JobBudget.Real and timestamps for stall reports. Nil
-	// disables real-time budgets. Like Sleep, this keeps wall-clock
-	// reads in the caller, outside the determinism boundary.
+	// enables JobTimeout. Like Sleep, this keeps wall-clock reads in the
+	// caller, outside the determinism boundary.
 	Elapsed func() time.Duration
 	// StallAfter, when > 0 (and Sleep is wired), arms a watchdog that
 	// emits a NoticeStall with per-worker liveness whenever no job
 	// completes for a full interval.
 	StallAfter time.Duration
-	// OnNotice, when non-nil, receives supervision events (retries,
-	// permanent failures, checkpoint quarantines, stall reports). It
-	// may be called concurrently from worker goroutines and must be
-	// safe for concurrent use.
+	// OnNotice, when non-nil, receives supervision events (failures,
+	// checkpoint quarantines, stall reports). It may be called
+	// concurrently from worker goroutines and must be safe for
+	// concurrent use.
 	OnNotice func(Notice)
-	// Chaos, when non-nil, injects faults into the runtime for
-	// robustness testing; see Chaos.
-	Chaos *Chaos
 }
 
 // outcome carries one finished job from a worker to the merge loop.
 type outcome struct {
-	i       int
-	res     *liteworp.Results
-	err     error
-	retries int
+	i   int
+	res *liteworp.Results
+	err error
 }
 
 // workerState is one worker's liveness snapshot for the stall watchdog.
 type workerState struct {
-	busy    bool
-	key     string
-	attempt int
-	started time.Duration // Elapsed() at attempt start (0 if unwired)
-	simNow  time.Duration // kernel clock, updated once per drive slice
+	busy   bool
+	key    string
+	simNow time.Duration // kernel clock, updated once per drive slice
 }
 
 // engine is the per-Run supervision state shared between the dispatcher,
@@ -148,10 +138,9 @@ type engine struct {
 	jobs []Job
 	opt  Options
 
-	mu      sync.Mutex
-	states  []workerState
-	done    int // completed outcomes (successes + permanent failures)
-	retried int
+	mu     sync.Mutex
+	states []workerState
+	done   int // completed outcomes (successes + failures)
 }
 
 func (e *engine) notice(n Notice) {
@@ -163,19 +152,6 @@ func (e *engine) notice(n Notice) {
 // interrupted reports whether graceful shutdown was requested.
 func (e *engine) interrupted() bool {
 	return e.opt.Context != nil && e.opt.Context.Err() != nil
-}
-
-func (e *engine) sleep(ctx context.Context, d time.Duration) {
-	if e.opt.Sleep != nil && d > 0 {
-		e.opt.Sleep(ctx, d)
-	}
-}
-
-func (e *engine) elapsed() time.Duration {
-	if e.opt.Elapsed == nil {
-		return 0
-	}
-	return e.opt.Elapsed()
 }
 
 func (e *engine) setState(w int, st workerState) {
@@ -193,7 +169,7 @@ func (e *engine) setSimNow(w int, now time.Duration) {
 // Run executes every job and calls collect exactly once per surviving
 // job in ascending job index order — never completion order — streaming
 // the completed prefix as it fills. Under FailFast the error of the
-// lowest-indexed permanently failed job is returned (after every job
+// lowest-indexed failed job is returned (after every job
 // preceding it was collected), so error behavior is as deterministic as
 // success behavior.
 func Run(jobs []Job, opt Options, collect func(i int, job Job, res *liteworp.Results) error) error {
@@ -202,8 +178,8 @@ func Run(jobs []Job, opt Options, collect func(i int, job Job, res *liteworp.Res
 }
 
 // RunReport is Run plus a Report of what happened: completions,
-// restorations, retries, permanent failures, and whether the campaign
-// was interrupted. The Report is valid even when err is non-nil.
+// restorations, failures, and whether the campaign was interrupted.
+// The Report is valid even when err is non-nil.
 func RunReport(jobs []Job, opt Options, collect func(i int, job Job, res *liteworp.Results) error) (Report, error) {
 	report := Report{Total: len(jobs)}
 	if len(jobs) == 0 {
@@ -235,10 +211,11 @@ func RunReport(jobs []Job, opt Options, collect func(i int, job Job, res *litewo
 				report.Restored++
 			}
 		}
-		// Recorded permanent failures are honored only under SkipFailed,
-		// where skipping them is deterministic; FailFast re-runs them
-		// (the failure may have been environmental, e.g. a blown
-		// real-time budget on a loaded machine).
+		// Recorded failures are honored only under SkipFailed, where
+		// skipping them is deterministic; FailFast re-runs them. That
+		// rerun is the campaign's one way to retry a job (the failure
+		// may have been environmental, e.g. a blown real-time budget on
+		// a loaded machine).
 		if opt.OnError == SkipFailed {
 			for i, je := range ckpt.restoredErr {
 				if je != nil && results[i] == nil {
@@ -269,17 +246,12 @@ func RunReport(jobs []Job, opt Options, collect func(i int, job Job, res *litewo
 	// completed prefix to collect in order. Under FailFast it freezes on
 	// the first failed job; under SkipFailed it steps over failures so
 	// the collect stream covers exactly the surviving subset, still in
-	// job order. Either way it freezes on a collect refusal, and on an
-	// abandoned job (shutdown mid-retry) it freezes without an error —
-	// the final ErrInterrupted covers it.
+	// job order. Either way it freezes on a collect refusal.
 	next := 0
 	var jobErr, collectErr, ckptErr error
 	advance := func() {
 		for next < total && jobErr == nil && collectErr == nil {
 			if err := errs[next]; err != nil {
-				if err == errAbandoned {
-					return
-				}
 				if opt.OnError == SkipFailed {
 					next++
 					continue
@@ -346,16 +318,10 @@ func RunReport(jobs []Job, opt Options, collect func(i int, job Job, res *litewo
 		// shuts down cleanly; advance() freezes once an error is set, so
 		// late completions cannot leak into the aggregates.
 		for o := range outCh {
-			if o.err == errAbandoned {
-				// Shutdown cut the job's retry schedule short: leave it
-				// un-run and un-checkpointed so a resume re-attempts it.
-				continue
-			}
 			results[o.i], errs[o.i] = o.res, o.err
 			done++
 			e.mu.Lock()
 			e.done = done
-			e.retried += o.retries
 			e.mu.Unlock()
 			if ckpt != nil && ckptErr == nil {
 				if o.err == nil {
@@ -372,16 +338,14 @@ func RunReport(jobs []Job, opt Options, collect func(i int, job Job, res *litewo
 		watchCancel()
 	}
 
-	e.mu.Lock()
-	report.Retried = e.retried
-	e.mu.Unlock()
 	for _, err := range errs {
 		if je, ok := err.(*JobError); ok {
 			report.Failed = append(report.Failed, je)
 		}
 	}
 	report.Completed = done - len(report.Failed)
-	report.Interrupted = e.interrupted()
+	// A cancel that lands after the last collect interrupted nothing.
+	report.Interrupted = e.interrupted() && next < total
 
 	switch {
 	case jobErr != nil:
@@ -397,125 +361,70 @@ func RunReport(jobs []Job, opt Options, collect func(i int, job Job, res *litewo
 	return report, nil
 }
 
-// execute supervises one job on worker w: attempts, panic recovery,
-// classification, and the deterministic retry schedule. It returns a
-// success, a permanent *JobError, or errAbandoned when shutdown cut the
-// schedule short.
+// execute runs job i once on worker w and classifies a failure into a
+// *JobError. Equal jobs produce equal results, so there is nothing to
+// retry: a failure is final for this campaign.
 func (e *engine) execute(w, i int) outcome {
 	job := e.jobs[i]
-	retries := 0
-	for attempt := 1; ; attempt++ {
-		started := e.elapsed()
-		e.setState(w, workerState{busy: true, key: job.Key, attempt: attempt, started: started})
-		res, err := e.attempt(w, job, attempt, started)
-		if err == nil {
-			return outcome{i: i, res: res, retries: retries}
-		}
-		jerr := &JobError{Index: i, Key: job.Key, Seed: job.Params.Seed,
-			Attempts: attempt, Kind: classify(err), Err: err}
-		if pe, ok := err.(*panicError); ok {
-			jerr.Stack = pe.stack
-		}
-		if attempt > e.opt.Retries {
-			e.notice(Notice{Kind: NoticeFailed, Job: job.Key, Attempt: attempt,
-				Msg: fmt.Sprintf("permanently failed after %d attempt(s) [%s]: %v", attempt, jerr.Kind, err)})
-			return outcome{i: i, err: jerr, retries: retries}
-		}
-		if e.interrupted() {
-			return outcome{i: i, err: errAbandoned, retries: retries}
-		}
-		delay := e.opt.Backoff.Delay(attempt)
-		e.notice(Notice{Kind: NoticeRetry, Job: job.Key, Attempt: attempt, Delay: delay,
-			Msg: fmt.Sprintf("attempt %d failed [%s]: %v; retrying in %v", attempt, jerr.Kind, err, delay)})
-		if e.opt.Context != nil {
-			e.sleep(e.opt.Context, delay)
-		} else {
-			e.sleep(context.Background(), delay)
-		}
-		if e.interrupted() {
-			return outcome{i: i, err: errAbandoned, retries: retries}
-		}
-		retries++
+	e.setState(w, workerState{busy: true, key: job.Key})
+	res, err := e.attempt(w, job)
+	if err == nil {
+		return outcome{i: i, res: res}
 	}
-}
-
-// attempt runs one try of one job, converting a panic anywhere inside
-// scenario construction or execution into a *panicError instead of
-// letting it kill the process — the core of worker supervision.
-func (e *engine) attempt(w int, job Job, attempt int, started time.Duration) (res *liteworp.Results, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &panicError{val: r, stack: string(debug.Stack())}
-		}
-	}()
-	if c := e.opt.Chaos; c != nil {
-		if c.FailOn != nil {
-			if ferr := c.FailOn(job.Key, attempt); ferr != nil {
-				return nil, ferr
-			}
-		}
-		if c.PanicOn != nil && c.PanicOn(job.Key, attempt) {
-			panic(fmt.Sprintf("chaos: injected panic (%s attempt %d)", job.Key, attempt))
-		}
-		if c.SlowOn != nil {
-			if d := c.SlowOn(job.Key, attempt); d > 0 {
-				e.sleep(context.Background(), d)
-			}
-		}
+	jerr := &JobError{Index: i, Key: job.Key, Seed: job.Params.Seed, Kind: classify(err), Err: err}
+	if pe, ok := err.(*panicError); ok {
+		jerr.Stack = pe.stack
 	}
-	s, err := liteworp.NewScenario(job.Params)
-	if err != nil {
-		return nil, err
-	}
-	return e.drive(w, s, job, started)
+	e.notice(Notice{Kind: NoticeFailed, Job: job.Key,
+		Msg: fmt.Sprintf("%s failed [%s]: %v", job.Key, jerr.Kind, err)})
+	return outcome{i: i, err: jerr}
 }
 
 // driveSlices is how many budget checkpoints a run gets: the kernel is
-// advanced in driveSlices equal simulated-time slices, and the attempt's
-// deadline context is checked between slices. Slicing RunUntil is
+// advanced in driveSlices equal simulated-time slices, and the real-time
+// budget is checked between slices. Slicing RunUntil is
 // behavior-identical to one call — events fire in the same order and the
 // clock lands on the same horizon — which the experiments golden test
 // and the trace-hash test pin.
 const driveSlices = 32
 
-// drive advances the scenario's kernel to its horizon in slices,
-// cancelling the attempt via its context when a budget is exceeded.
-// started is the attempt's Elapsed() origin, captured before any chaos
-// stall so the real-time budget covers the whole attempt.
-func (e *engine) drive(w int, s *liteworp.Scenario, job Job, started time.Duration) (*liteworp.Results, error) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	horizon := s.OperationalStart() + job.Params.Duration
-	budget := e.opt.JobBudget
-	start := started
-	step := horizon / driveSlices
-	// A simulated-time budget must be checked well before the horizon:
-	// bound the slice so the kernel never overshoots the budget by more
-	// than a quarter of it, however large the (possibly runaway) horizon.
-	if budget.Sim > 0 && step > budget.Sim/4 {
-		step = budget.Sim / 4
+// attempt builds and runs one job, converting a panic anywhere inside
+// scenario construction or execution into a *panicError instead of
+// letting it kill the process — the core of worker supervision. The
+// real-time budget covers construction too.
+func (e *engine) attempt(w int, job Job) (res *liteworp.Results, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &panicError{val: r, stack: string(debug.Stack())}
+		}
+	}()
+	timed := e.opt.JobTimeout > 0 && e.opt.Elapsed != nil
+	var start time.Duration
+	if timed {
+		start = e.opt.Elapsed()
 	}
+	build := liteworp.NewScenario
+	if newScenario != nil {
+		build = newScenario
+	}
+	s, err := build(job.Params)
+	if err != nil {
+		return nil, err
+	}
+	horizon := s.OperationalStart() + job.Params.Duration
+	step := horizon / driveSlices
 	if step <= 0 {
 		step = horizon
 	}
 	k := s.Kernel()
 	for now := time.Duration(0); now < horizon; {
-		now += step
-		if now > horizon {
-			now = horizon
-		}
+		now = min(now+step, horizon)
 		if err := k.RunUntil(now); err != nil {
 			return nil, err
 		}
 		e.setSimNow(w, k.Now())
-		if budget.Sim > 0 && k.Now() >= budget.Sim && now < horizon {
-			cancel(&timeoutError{budget: "simulated-time", limit: budget.Sim})
-		}
-		if budget.Real > 0 && e.opt.Elapsed != nil && e.opt.Elapsed()-start > budget.Real {
-			cancel(&timeoutError{budget: "real-time", limit: budget.Real})
-		}
-		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
+		if timed && e.opt.Elapsed()-start > e.opt.JobTimeout {
+			return nil, &timeoutError{limit: e.opt.JobTimeout}
 		}
 	}
 	return s.Results(), nil
@@ -537,7 +446,7 @@ func (e *engine) watchdog(ctx context.Context) {
 		var busy []string
 		for w, st := range e.states {
 			if st.busy {
-				busy = append(busy, fmt.Sprintf("worker %d: %s attempt %d, sim clock %v", w, st.key, st.attempt, st.simNow))
+				busy = append(busy, fmt.Sprintf("worker %d: %s, sim clock %v", w, st.key, st.simNow))
 			}
 		}
 		e.mu.Unlock()

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,11 +14,11 @@ import (
 )
 
 // The chaos harness proves the acceptance contract of the supervised
-// runtime: with injected worker panics, transient errors, slow-job
-// deadlines, and a mid-run interrupt+resume, the final aggregates are
-// bitwise identical to a clean sequential run over the same surviving
-// job subset, for workers=1 and workers=8. Every injection is keyed by
-// (job key, attempt), so the fault schedule itself is deterministic.
+// runtime: with injected worker panics and errors, and a mid-run
+// interrupt+resume, the final aggregates are bitwise identical to a
+// clean sequential run over the same surviving job subset, for
+// workers=1 and workers=8. Faults go in through the newScenario hook and
+// are keyed by seed, so the fault schedule itself is deterministic.
 
 // chaosAgg folds a campaign the way the experiment figures do, but keyed
 // by job key rather than index so campaigns over different job subsets
@@ -50,87 +48,62 @@ func foldChaos(t *testing.T, jobs []Job, opt Options) (chaosAgg, Report) {
 	return chaosAgg{Keys: keys, Det: det.Summary(), Dropped: fd.Summary(), Curve: curve.Means()}, report
 }
 
-// chaosMatrix is the fault schedule shared by every worker count:
-//   - run=1 panics on its first attempt, then succeeds (transient crash)
-//   - run=3 panics on every attempt (permanently failed, skipped)
-//   - run=4 hits a transient injected error twice, succeeds on attempt 3
-//   - run=6 is slowed past its real-time budget once, then succeeds
-func chaosMatrix() *Chaos {
-	return &Chaos{
-		PanicOn: func(key string, attempt int) bool {
-			return (strings.Contains(key, "run=1") && attempt == 1) ||
-				strings.Contains(key, "run=3")
-		},
-		FailOn: func(key string, attempt int) error {
-			if strings.Contains(key, "run=4") && attempt <= 2 {
-				return errors.New("chaos: transient failure")
-			}
-			return nil
-		},
-		SlowOn: func(key string, attempt int) time.Duration {
-			if strings.Contains(key, "run=6") && attempt == 1 {
-				return time.Hour
-			}
-			return 0
-		},
+// chaosMatrix is the fault schedule shared by every worker count: run=1
+// and run=3 panic, run=4 returns an error. Every faulted job fails for
+// good, so the survivors are runs 0, 2, 5, 6 and 7.
+func chaosMatrix(t *testing.T) {
+	hookScenario(t, func(p liteworp.Params) error {
+		switch runOf(p) {
+		case 1, 3:
+			panic("chaos: injected panic")
+		case 4:
+			return errors.New("chaos: injected failure")
+		}
+		return nil
+	})
+}
+
+// chaosFailed is what Report.Failed must list under chaosMatrix.
+var chaosFailed = map[int]FailureKind{1: FailPanic, 3: FailPanic, 4: FailError}
+
+func chaosSurvivors(jobs []Job) []Job {
+	var out []Job
+	for i, j := range jobs {
+		if _, failed := chaosFailed[i]; !failed {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+func checkChaosFailed(t *testing.T, failed []*JobError) {
+	t.Helper()
+	got := map[int]FailureKind{}
+	for k, je := range failed {
+		if k > 0 && failed[k-1].Index >= je.Index {
+			t.Errorf("Report.Failed not in ascending job order: %v", failed)
+		}
+		got[je.Index] = je.Kind
+	}
+	if !reflect.DeepEqual(got, chaosFailed) {
+		t.Fatalf("Report.Failed = %v, want %v", got, chaosFailed)
 	}
 }
 
 // TestChaosAggregatesBitwiseIdentical is the tentpole acceptance test.
 func TestChaosAggregatesBitwiseIdentical(t *testing.T) {
 	jobs := testJobs(8)
-	// The surviving subset: everything except the permanently doomed run=3.
-	var survivors []Job
-	for i, j := range jobs {
-		if i != 3 {
-			survivors = append(survivors, j)
-		}
-	}
-	base, _ := foldChaos(t, survivors, Options{Workers: 1})
+	base, _ := foldChaos(t, chaosSurvivors(jobs), Options{Workers: 1})
+	chaosMatrix(t)
 
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			// A fake clock: Sleep advances it, Elapsed reads it, so the
-			// slow job trips its real-time budget deterministically and
-			// instantly. Retried attempts are not slowed, so every job
-			// except run=3 eventually completes bit-identically.
-			var mu sync.Mutex
-			var fake time.Duration
-			opt := Options{
-				Workers: workers,
-				Retries: 3,
-				Backoff: Backoff{Base: time.Second, Max: 4 * time.Second},
-				OnError: SkipFailed,
-				JobBudget: Budget{
-					Real: 30 * time.Minute,
-					Sim:  time.Hour, // far above every horizon: must never fire
-				},
-				Elapsed: func() time.Duration {
-					mu.Lock()
-					defer mu.Unlock()
-					return fake
-				},
-				Sleep: func(_ context.Context, d time.Duration) {
-					mu.Lock()
-					fake += d
-					mu.Unlock()
-				},
-				Chaos: chaosMatrix(),
-			}
-			got, report := foldChaos(t, jobs, opt)
+			got, report := foldChaos(t, jobs, Options{Workers: workers, OnError: SkipFailed})
 			if !reflect.DeepEqual(base, got) {
 				t.Fatalf("chaos aggregates diverge from clean run over the surviving subset:\nclean: %+v\nchaos: %+v", base, got)
 			}
-			if len(report.Failed) != 1 || report.Failed[0].Index != 3 || report.Failed[0].Kind != FailPanic {
-				t.Fatalf("Report.Failed = %v, want exactly the doomed job 3 (panic)", report.Failed)
-			}
-			if report.Failed[0].Attempts != 4 {
-				t.Errorf("doomed job tried %d times, want 4 (1 + 3 retries)", report.Failed[0].Attempts)
-			}
-			if report.Retried < 4 {
-				t.Errorf("Report.Retried = %d, want >= 4 (transient panic + 2 errors + timeout)", report.Retried)
-			}
+			checkChaosFailed(t, report.Failed)
 		})
 	}
 }
@@ -140,61 +113,28 @@ func TestChaosAggregatesBitwiseIdentical(t *testing.T) {
 // clean-run aggregates over the surviving subset.
 func TestChaosInterruptResume(t *testing.T) {
 	jobs := testJobs(8)
-	var survivors []Job
-	for i, j := range jobs {
-		if i != 3 {
-			survivors = append(survivors, j)
-		}
-	}
-	base, _ := foldChaos(t, survivors, Options{Workers: 1})
+	base, _ := foldChaos(t, chaosSurvivors(jobs), Options{Workers: 1})
+	chaosMatrix(t)
 
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	newOpt := func(workers int, ctx context.Context, progress func(done int)) Options {
-		var mu sync.Mutex
-		var fake time.Duration
-		return Options{
-			Workers:    workers,
-			Retries:    3,
-			OnError:    SkipFailed,
-			Checkpoint: path,
-			Context:    ctx,
-			JobBudget:  Budget{Real: 30 * time.Minute},
-			Elapsed: func() time.Duration {
-				mu.Lock()
-				defer mu.Unlock()
-				return fake
-			},
-			Sleep: func(_ context.Context, d time.Duration) {
-				mu.Lock()
-				fake += d
-				mu.Unlock()
-			},
-			Chaos: chaosMatrix(),
-			OnProgress: func(done, _ int, fromCheckpoint bool) {
-				if progress != nil && !fromCheckpoint {
-					progress(done)
-				}
-			},
-		}
-	}
-
 	// Interrupt after the second completion; drain, then resume.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := RunReport(jobs, newOpt(4, ctx, func(done int) {
-		if done == 2 {
-			cancel()
-		}
-	}), func(int, Job, *liteworp.Results) error { return nil })
+	_, err := RunReport(jobs, Options{
+		Workers: 4, OnError: SkipFailed, Checkpoint: path, Context: ctx,
+		OnProgress: func(done, _ int, fromCheckpoint bool) {
+			if !fromCheckpoint && done == 2 {
+				cancel()
+			}
+		},
+	}, func(int, Job, *liteworp.Results) error { return nil })
 	if err != nil && !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted leg: err = %v, want ErrInterrupted or completion", err)
 	}
 
-	got, report := foldChaos(t, jobs, newOpt(8, nil, nil))
+	got, report := foldChaos(t, jobs, Options{Workers: 8, OnError: SkipFailed, Checkpoint: path})
 	if !reflect.DeepEqual(base, got) {
 		t.Fatalf("resumed chaos aggregates diverge:\nclean:   %+v\nresumed: %+v", base, got)
 	}
-	if len(report.Failed) != 1 || report.Failed[0].Index != 3 {
-		t.Fatalf("Report.Failed = %v, want exactly job 3", report.Failed)
-	}
+	checkChaosFailed(t, report.Failed)
 }

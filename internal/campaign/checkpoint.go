@@ -15,9 +15,8 @@ import (
 
 // The checkpoint is a JSON-lines file: a header identifying the job list,
 // then one entry per finished job in completion order — results for
-// successes and, under SkipFailed, structured outcomes for permanent
-// failures, so a resume skips deterministically-failing jobs instead of
-// re-running them. Entries are appended and fsynced as jobs finish, so a
+// successes and structured outcomes for failures, so a SkipFailed resume
+// skips deterministically-failing jobs instead of re-running them. Entries are appended and fsynced as jobs finish, so a
 // killed campaign loses at most the runs that were still in flight. On
 // open the file is compacted: entries for the current job list are kept,
 // a torn trailing line or a truncated record from an interrupted write is
@@ -40,18 +39,18 @@ type ckptHeader struct {
 	Jobs        int    `json:"jobs"`
 }
 
-// ckptEntry records one finished job: a completed run (Results set) or,
-// for supervised campaigns, a permanent failure (Status "failed" with
-// the attempt count and classified reason).
+// ckptEntry records one finished job: a completed run (Results set) or
+// a failure (Status "failed" with the classified reason). Checkpoints
+// written by older versions also carry an "attempts" count on failures;
+// decoding ignores it.
 type ckptEntry struct {
-	Index    int               `json:"index"`
-	Key      string            `json:"key"`
-	Seed     int64             `json:"seed"`
-	Status   string            `json:"status,omitempty"` // "" or "ok" = success; "failed"
-	Attempts int               `json:"attempts,omitempty"`
-	Kind     string            `json:"kind,omitempty"`
-	Error    string            `json:"error,omitempty"`
-	Results  *liteworp.Results `json:"results,omitempty"`
+	Index   int               `json:"index"`
+	Key     string            `json:"key"`
+	Seed    int64             `json:"seed"`
+	Status  string            `json:"status,omitempty"` // "" or "ok" = success; "failed"
+	Kind    string            `json:"kind,omitempty"`
+	Error   string            `json:"error,omitempty"`
+	Results *liteworp.Results `json:"results,omitempty"`
 }
 
 // checkpoint is an open checkpoint file ready for appending.
@@ -61,7 +60,7 @@ type checkpoint struct {
 	// restored holds the per-job results recovered on open (nil where
 	// the job still has to run).
 	restored []*liteworp.Results
-	// restoredErr holds recorded permanent failures recovered on open.
+	// restoredErr holds recorded failures recovered on open.
 	restoredErr []*JobError
 }
 
@@ -128,11 +127,8 @@ func openCheckpoint(path string, jobs []Job, notice func(Notice)) (*checkpoint, 
 					restored[e.Index] = e.Results
 					restoredErr[e.Index] = nil
 				case e.Status == "failed":
-					restoredErr[e.Index] = &JobError{
-						Index: e.Index, Key: e.Key, Seed: e.Seed,
-						Attempts: e.Attempts, Kind: FailureKind(e.Kind),
-						Err: errors.New(e.Error),
-					}
+					restoredErr[e.Index] = &JobError{Index: e.Index, Key: e.Key, Seed: e.Seed,
+						Kind: FailureKind(e.Kind), Err: errors.New(e.Error)}
 				}
 			}
 		}
@@ -194,11 +190,11 @@ func (c *checkpoint) append(i int, job Job, res *liteworp.Results) error {
 	return c.encode(ckptEntry{Index: i, Key: job.Key, Seed: job.Params.Seed, Status: "ok", Results: res})
 }
 
-// appendFailure records one permanently failed job durably, so a
-// SkipFailed resume skips it without re-running the doomed seed.
+// appendFailure records one failed job durably, so a SkipFailed resume
+// skips it without re-running the doomed seed.
 func (c *checkpoint) appendFailure(je *JobError) error {
 	return c.encode(ckptEntry{Index: je.Index, Key: je.Key, Seed: je.Seed,
-		Status: "failed", Attempts: je.Attempts, Kind: string(je.Kind), Error: je.Err.Error()})
+		Status: "failed", Kind: string(je.Kind), Error: je.Err.Error()})
 }
 
 func (c *checkpoint) encode(e ckptEntry) error {

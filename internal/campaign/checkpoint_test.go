@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -195,16 +197,25 @@ func TestQuarantineTruncatedMidRecord(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecordsPermanentFailure: under SkipFailed a permanently
-// failed job is recorded in the checkpoint, and a resume skips it —
-// zero re-attempts of the doomed seed — while FailFast re-runs it.
+// TestCheckpointRecordsPermanentFailure: under SkipFailed a failed job
+// is recorded in the checkpoint, and a resume skips it — zero
+// re-attempts of the doomed seed — while FailFast re-runs it.
 func TestCheckpointRecordsPermanentFailure(t *testing.T) {
 	jobs := testJobs(4)
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	doomed := func(key string, attempt int) bool { return strings.Contains(key, "run=1") }
+	var mu sync.Mutex
+	built, doomed := 0, true
+	hookScenario(t, func(p liteworp.Params) error {
+		mu.Lock()
+		defer mu.Unlock()
+		built++
+		if doomed && runOf(p) == 1 {
+			panic("injected")
+		}
+		return nil
+	})
 
-	report, err := RunReport(jobs, Options{Workers: 2, OnError: SkipFailed, Retries: 1,
-		Checkpoint: path, Chaos: &Chaos{PanicOn: doomed}},
+	report, err := RunReport(jobs, Options{Workers: 2, OnError: SkipFailed, Checkpoint: path},
 		func(int, Job, *liteworp.Results) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -213,34 +224,27 @@ func TestCheckpointRecordsPermanentFailure(t *testing.T) {
 		t.Fatalf("Report.Failed = %v, want job 1", report.Failed)
 	}
 
-	// SkipFailed resume: the recorded failure is honored; the chaos hook
-	// counts attempts and must never fire.
-	attempts := 0
-	var mu sync.Mutex
-	counting := &Chaos{PanicOn: func(key string, attempt int) bool {
-		mu.Lock()
-		attempts++
-		mu.Unlock()
-		return doomed(key, attempt)
-	}}
-	report2, err := RunReport(jobs, Options{Workers: 2, OnError: SkipFailed, Retries: 1,
-		Checkpoint: path, Chaos: counting},
+	// SkipFailed resume: the recorded failure is honored; no scenario is
+	// built.
+	built = 0
+	report2, err := RunReport(jobs, Options{Workers: 2, OnError: SkipFailed, Checkpoint: path},
 		func(int, Job, *liteworp.Results) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempts != 0 {
-		t.Errorf("SkipFailed resume re-attempted %d jobs, want 0 (all restored)", attempts)
+	if built != 0 {
+		t.Errorf("SkipFailed resume built %d scenarios, want 0 (all restored)", built)
 	}
-	if len(report2.Failed) != 1 || report2.Failed[0].Kind != FailPanic || report2.Failed[0].Attempts != 2 {
-		t.Fatalf("restored failure = %+v, want the recorded panic after 2 attempts", report2.Failed)
+	if len(report2.Failed) != 1 || report2.Failed[0].Kind != FailPanic {
+		t.Fatalf("restored failure = %+v, want the recorded panic", report2.Failed)
 	}
 	if report2.Restored != len(jobs) {
 		t.Errorf("Restored = %d, want %d (3 results + 1 recorded failure)", report2.Restored, len(jobs))
 	}
 
 	// FailFast resume ignores the recorded failure and re-runs the job —
-	// without chaos it now succeeds and the campaign completes fully.
+	// with the fault gone it now succeeds and the campaign completes.
+	doomed = false
 	fresh := 0
 	full := runAggregates(t, jobs, Options{Workers: 2, Checkpoint: path,
 		OnProgress: func(_, _ int, fromCheckpoint bool) {
@@ -254,6 +258,68 @@ func TestCheckpointRecordsPermanentFailure(t *testing.T) {
 	base := runAggregates(t, jobs, Options{Workers: 1})
 	if !reflect.DeepEqual(base, full) {
 		t.Fatal("recovered campaign diverged from a clean run")
+	}
+}
+
+// TestParentFormatCheckpointResumes pins cross-version resume: a
+// checkpoint written before retries were removed — its failure entries
+// carry an "attempts" count — still restores under SkipFailed, and a
+// FailFast resume re-runs exactly its recorded failure.
+func TestParentFormatCheckpointResumes(t *testing.T) {
+	jobs := testJobs(2)
+	var res0 *liteworp.Results
+	if err := Run(jobs[:1], Options{Workers: 1}, func(_ int, _ Job, r *liteworp.Results) error {
+		res0 = r
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(res0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := fmt.Sprintf(`{"fingerprint":%q,"jobs":2}
+{"index":0,"key":"test/run=0","seed":700,"status":"ok","results":%s}
+{"index":1,"key":"test/run=1","seed":701,"status":"failed","attempts":2,"kind":"panic","error":"panic: chaos: injected panic (test/run=1 attempt 2)"}
+`, fingerprint(jobs), raw)
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	var built []int64
+	hookScenario(t, func(p liteworp.Params) error {
+		built = append(built, p.Seed)
+		return nil
+	})
+
+	if err := os.WriteFile(path, []byte(parent), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var collected []*liteworp.Results
+	report, err := RunReport(jobs, Options{Workers: 1, OnError: SkipFailed, Checkpoint: path},
+		func(_ int, _ Job, r *liteworp.Results) error {
+			collected = append(collected, r)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built) != 0 || report.Restored != 2 {
+		t.Errorf("SkipFailed resume built %v and restored %d, want nothing built and 2 restored", built, report.Restored)
+	}
+	if len(collected) != 1 || !reflect.DeepEqual(collected[0], res0) {
+		t.Error("the restored success does not match the result it was written from")
+	}
+	if len(report.Failed) != 1 || report.Failed[0].Index != 1 || report.Failed[0].Kind != FailPanic {
+		t.Fatalf("Report.Failed = %v, want job 1 restored as a panic", report.Failed)
+	}
+
+	if err := os.WriteFile(path, []byte(parent), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	full := runAggregates(t, jobs, Options{Workers: 1, Checkpoint: path})
+	if !reflect.DeepEqual(built, []int64{701}) {
+		t.Errorf("FailFast resume built seeds %v, want exactly the recorded failure's [701]", built)
+	}
+	if base := runAggregates(t, jobs, Options{Workers: 1}); !reflect.DeepEqual(base, full) {
+		t.Fatal("FailFast resume of a parent checkpoint diverged from a clean run")
 	}
 }
 

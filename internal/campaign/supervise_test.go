@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,47 +12,38 @@ import (
 	"liteworp"
 )
 
-// TestBackoffSchedule pins the deterministic retry schedule: delays are
-// a pure function of the retry index, doubled per retry and capped.
-func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 800 * time.Millisecond}
-	want := []time.Duration{
-		100 * time.Millisecond, // retry 1
-		200 * time.Millisecond,
-		400 * time.Millisecond,
-		800 * time.Millisecond,
-		800 * time.Millisecond, // capped
-		800 * time.Millisecond,
-	}
-	for i, w := range want {
-		if got := b.Delay(i + 1); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", i+1, got, w)
+// hookScenario makes fault run before every scenario the engine builds
+// for the rest of the test: a non-nil error fails the job, a panic
+// inside fault crashes it, and blocking inside fault wedges its worker.
+func hookScenario(t *testing.T, fault func(p liteworp.Params) error) {
+	t.Helper()
+	newScenario = func(p liteworp.Params) (*liteworp.Scenario, error) {
+		if err := fault(p); err != nil {
+			return nil, err
 		}
+		return liteworp.NewScenario(p)
 	}
-	if got := (Backoff{}).Delay(3); got != 0 {
-		t.Errorf("zero Backoff delayed %v, want 0", got)
-	}
-	if got := (Backoff{Base: time.Second}).Delay(0); got != 0 {
-		t.Errorf("Delay(0) = %v, want 0", got)
-	}
-	// Uncapped doubling must not overflow into a negative delay.
-	if got := (Backoff{Base: time.Hour}).Delay(60); got < 0 {
-		t.Errorf("uncapped Delay(60) overflowed to %v", got)
-	}
+	t.Cleanup(func() { newScenario = nil })
 }
 
+// runOf maps a testJobs scenario back to its job index.
+func runOf(p liteworp.Params) int { return int(p.Seed - 700) }
+
 // TestPanicBecomesJobError is the supervision contract: a worker panic
-// becomes a structured JobError — job, seed, attempts, kind, stack —
-// instead of killing the process.
+// becomes a structured JobError — job, seed, kind, stack — instead of
+// killing the process.
 func TestPanicBecomesJobError(t *testing.T) {
 	jobs := testJobs(3)
-	chaos := &Chaos{PanicOn: func(key string, attempt int) bool {
-		return strings.Contains(key, "run=1")
-	}}
-	report, err := RunReport(jobs, Options{Workers: 2, Retries: 1, Chaos: chaos},
+	hookScenario(t, func(p liteworp.Params) error {
+		if runOf(p) == 1 {
+			panic("injected")
+		}
+		return nil
+	})
+	_, err := RunReport(jobs, Options{Workers: 2},
 		func(int, Job, *liteworp.Results) error { return nil })
 	if err == nil {
-		t.Fatal("persistent panic did not fail the campaign under FailFast")
+		t.Fatal("a panicking job did not fail the campaign under FailFast")
 	}
 	var je *JobError
 	if !errors.As(err, &je) {
@@ -65,158 +55,45 @@ func TestPanicBecomesJobError(t *testing.T) {
 	if je.Kind != FailPanic {
 		t.Errorf("Kind = %s, want %s", je.Kind, FailPanic)
 	}
-	if je.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2 (one attempt + one retry)", je.Attempts)
-	}
 	if !strings.Contains(je.Stack, "campaign") {
 		t.Errorf("JobError.Stack does not look like a goroutine stack: %q", je.Stack)
 	}
-	if report.Retried != 1 {
-		t.Errorf("Report.Retried = %d, want 1", report.Retried)
-	}
 }
 
-// TestRetryRecoversTransientFailure: a job that fails on its first
-// attempts and succeeds later must leave the aggregates bitwise
-// identical to a clean run, with the retries visible in notices.
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	jobs := testJobs(4)
-	base := runAggregates(t, jobs, Options{Workers: 1})
-
-	boom := errors.New("transient infrastructure failure")
-	var mu sync.Mutex
-	var notices []Notice
-	var delays []time.Duration
-	chaos := &Chaos{FailOn: func(key string, attempt int) error {
-		if strings.Contains(key, "run=2") && attempt <= 2 {
-			return boom
-		}
-		return nil
-	}}
-	opt := Options{
-		Workers: 3, Retries: 2,
-		Backoff: Backoff{Base: 50 * time.Millisecond, Max: time.Second},
-		Chaos:   chaos,
-		Sleep: func(_ context.Context, d time.Duration) {
-			mu.Lock()
-			delays = append(delays, d)
-			mu.Unlock()
-		},
-		OnNotice: func(n Notice) {
-			mu.Lock()
-			notices = append(notices, n)
-			mu.Unlock()
-		},
-	}
-	got := runAggregates(t, jobs, opt)
-	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("retried campaign diverged from clean run:\nclean:   %+v\nretried: %+v", base, got)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !reflect.DeepEqual(delays, []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}) {
-		t.Errorf("backoff delays = %v, want the attempt-indexed schedule [50ms 100ms]", delays)
-	}
-	retries := 0
-	for _, n := range notices {
-		if n.Kind == NoticeRetry {
-			retries++
-			if n.Job != "test/run=2" {
-				t.Errorf("retry notice for %q, want test/run=2", n.Job)
-			}
-		}
-		if n.Kind == NoticeFailed {
-			t.Errorf("unexpected permanent failure notice: %+v", n)
-		}
-	}
-	if retries != 2 {
-		t.Errorf("saw %d retry notices, want 2", retries)
-	}
-}
-
-// TestSimBudgetTimeout: a job whose horizon exceeds the simulated-time
-// budget is cancelled via its attempt context, classified as a timeout,
-// and (deterministic failure) skipped under SkipFailed while the
-// surviving jobs aggregate exactly like a clean campaign over them.
-func TestSimBudgetTimeout(t *testing.T) {
-	jobs := testJobs(4)
-	jobs[2].Params.Duration = 100 * time.Hour // would run ~forever vs the budget
-	survivors := append(append([]Job{}, jobs[:2]...), jobs[3])
-	base := runAggregates(t, survivors, Options{Workers: 1})
-
-	var det, fd MeanVar
-	report, err := RunReport(jobs, Options{
-		Workers: 2, OnError: SkipFailed,
-		JobBudget: Budget{Sim: 10 * time.Minute},
-	}, func(i int, _ Job, r *liteworp.Results) error {
-		det.Add(r.DetectionRatio)
-		fd.Add(r.FractionDropped)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Failed) != 1 {
-		t.Fatalf("Failed = %v, want exactly job 2", report.Failed)
-	}
-	je := report.Failed[0]
-	if je.Index != 2 || je.Kind != FailTimeout || je.Attempts != 1 {
-		t.Errorf("failure = %+v, want job 2, timeout, 1 attempt", je)
-	}
-	if !strings.Contains(je.Err.Error(), "simulated-time budget") {
-		t.Errorf("timeout cause %q does not name the simulated-time budget", je.Err)
-	}
-	if det.Summary() != base.Det || fd.Summary() != base.Dropped {
-		t.Fatalf("surviving aggregates diverged from clean run over the same subset:\nclean: %+v\ngot:   %+v",
-			base.Det, det.Summary())
-	}
-}
-
-// TestRealBudgetTimeout drives the real-time deadline with an injected
-// fake clock: a chaos-slowed attempt blows the budget and is retried,
-// the retry (no longer slow) succeeds, and aggregates match a clean run.
+// TestRealBudgetTimeout drives the real-time deadline with a fake clock
+// that jumps an hour while job 1 is being built: that job alone blows
+// its one-minute budget, is recorded as a timeout, and the survivors
+// aggregate exactly like a clean campaign over them.
 func TestRealBudgetTimeout(t *testing.T) {
 	jobs := testJobs(3)
-	base := runAggregates(t, jobs, Options{Workers: 1})
+	base, _ := foldChaos(t, []Job{jobs[0], jobs[2]}, Options{Workers: 1})
 
 	var mu sync.Mutex
 	var fake time.Duration
-	var kinds []FailureKind
-	opt := Options{
-		Workers: 1, Retries: 1,
-		JobBudget: Budget{Real: time.Minute},
+	hookScenario(t, func(p liteworp.Params) error {
+		if runOf(p) == 1 {
+			mu.Lock()
+			fake += time.Hour
+			mu.Unlock()
+		}
+		return nil
+	})
+	got, report := foldChaos(t, jobs, Options{
+		Workers: 1, OnError: SkipFailed, JobTimeout: time.Minute,
 		Elapsed: func() time.Duration {
 			mu.Lock()
 			defer mu.Unlock()
 			return fake
 		},
-		Sleep: func(_ context.Context, d time.Duration) {
-			mu.Lock()
-			fake += d
-			mu.Unlock()
-		},
-		Chaos: &Chaos{SlowOn: func(key string, attempt int) time.Duration {
-			if strings.Contains(key, "run=1") && attempt == 1 {
-				return time.Hour // >> the one-minute budget
-			}
-			return 0
-		}},
-		OnNotice: func(n Notice) {
-			if n.Kind == NoticeRetry {
-				mu.Lock()
-				kinds = append(kinds, FailTimeout)
-				mu.Unlock()
-			}
-		},
-	}
-	got := runAggregates(t, jobs, opt)
+	})
 	if !reflect.DeepEqual(base, got) {
-		t.Fatalf("timeout+retry campaign diverged from clean run:\nclean: %+v\ngot:   %+v", base, got)
+		t.Fatalf("survivors of a timed-out job diverged from a clean run over them:\nclean: %+v\ngot:   %+v", base, got)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(kinds) != 1 {
-		t.Errorf("saw %d retries, want exactly the one timed-out attempt", len(kinds))
+	if len(report.Failed) != 1 || report.Failed[0].Index != 1 || report.Failed[0].Kind != FailTimeout {
+		t.Fatalf("Report.Failed = %v, want exactly job 1 (timeout)", report.Failed)
+	}
+	if msg := report.Failed[0].Err.Error(); !strings.Contains(msg, "real-time budget") {
+		t.Errorf("timeout cause %q does not name the real-time budget", msg)
 	}
 }
 
@@ -224,11 +101,14 @@ func TestRealBudgetTimeout(t *testing.T) {
 // shape: collect sees exactly the surviving indices, ascending.
 func TestSkipFailedCollectsSurvivorsInOrder(t *testing.T) {
 	jobs := testJobs(5)
-	chaos := &Chaos{PanicOn: func(key string, attempt int) bool {
-		return strings.Contains(key, "run=1") || strings.Contains(key, "run=3")
-	}}
+	hookScenario(t, func(p liteworp.Params) error {
+		if r := runOf(p); r == 1 || r == 3 {
+			panic("injected")
+		}
+		return nil
+	})
 	var collected []int
-	report, err := RunReport(jobs, Options{Workers: 4, OnError: SkipFailed, Chaos: chaos},
+	report, err := RunReport(jobs, Options{Workers: 4, OnError: SkipFailed},
 		func(i int, _ Job, _ *liteworp.Results) error {
 			collected = append(collected, i)
 			return nil
@@ -315,20 +195,46 @@ func TestInterruptBeforeStart(t *testing.T) {
 	}
 }
 
+// TestInterruptAfterLastCollect: a cancel that lands inside the final
+// collect leaves nothing uncollected, so the campaign is complete, not
+// interrupted — the driver must keep the finished figure.
+func TestInterruptAfterLastCollect(t *testing.T) {
+	jobs := testJobs(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	report, err := RunReport(jobs, Options{Workers: 2, Context: ctx},
+		func(i int, _ Job, _ *liteworp.Results) error {
+			if i == len(jobs)-1 {
+				cancel()
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("err = %v, want nil: every job was collected", err)
+	}
+	if report.Interrupted || report.Completed != len(jobs) {
+		t.Errorf("report = %+v, want %d completed and not interrupted", report, len(jobs))
+	}
+}
+
 // TestStallWatchdogReportsLiveness: when no job completes for a full
 // StallAfter interval, the watchdog emits a NoticeStall naming the busy
-// worker, its job, attempt, and simulated-clock position. The job blocks
-// inside a chaos hook until the first stall report arrives, so the test
+// worker, its job, and simulated-clock position. The job blocks inside
+// the scenario hook until the first stall report arrives, so the test
 // is deterministic without any real clock.
 func TestStallWatchdogReportsLiveness(t *testing.T) {
 	jobs := testJobs(1)
 	stalled := make(chan struct{})
 	var once sync.Once
+	hookScenario(t, func(liteworp.Params) error {
+		<-stalled // wedge until the watchdog notices
+		return nil
+	})
 	opt := Options{
 		Workers:    1,
 		StallAfter: time.Minute,
 		// The fake sleep returns immediately, so the watchdog ticks as
-		// fast as it can while the job is wedged below.
+		// fast as it can while the job is wedged.
 		Sleep: func(ctx context.Context, _ time.Duration) {},
 		OnNotice: func(n Notice) {
 			if n.Kind == NoticeStall {
@@ -338,10 +244,6 @@ func TestStallWatchdogReportsLiveness(t *testing.T) {
 				once.Do(func() { close(stalled) })
 			}
 		},
-		Chaos: &Chaos{FailOn: func(key string, attempt int) error {
-			<-stalled // wedge until the watchdog notices
-			return nil
-		}},
 	}
 	got := runAggregates(t, jobs, opt)
 	base := runAggregates(t, jobs, Options{Workers: 1})
@@ -352,49 +254,5 @@ func TestStallWatchdogReportsLiveness(t *testing.T) {
 	case <-stalled:
 	default:
 		t.Fatal("watchdog never reported the stall")
-	}
-}
-
-// TestAbandonedJobNotCheckpointed: shutdown arriving between retry
-// attempts abandons the job — it is neither collected nor checkpointed,
-// so the resume re-attempts it from scratch.
-func TestAbandonedJobNotCheckpointed(t *testing.T) {
-	jobs := testJobs(2)
-	dir := t.TempDir()
-	path := dir + "/ckpt.json"
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	chaos := &Chaos{FailOn: func(key string, attempt int) error {
-		if strings.Contains(key, "run=1") {
-			cancel() // shutdown lands while this job still has retries left
-			return fmt.Errorf("transient")
-		}
-		return nil
-	}}
-	_, err := RunReport(jobs, Options{Workers: 1, Retries: 3, Checkpoint: path, Context: ctx, Chaos: chaos},
-		func(int, Job, *liteworp.Results) error { return nil })
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-
-	restoredJobs := 0
-	fresh := 0
-	resumed := runAggregates(t, jobs, Options{Workers: 1, Checkpoint: path,
-		OnProgress: func(done, _ int, fromCheckpoint bool) {
-			if fromCheckpoint {
-				restoredJobs = done
-			} else {
-				fresh++
-			}
-		}})
-	base := runAggregates(t, jobs, Options{Workers: 1})
-	if !reflect.DeepEqual(base, resumed) {
-		t.Fatal("resume after an abandoned retry diverged from a clean run")
-	}
-	if fresh == 0 {
-		t.Error("the abandoned job was not re-attempted on resume")
-	}
-	if restoredJobs+fresh != len(jobs) {
-		t.Errorf("restored %d + fresh %d != %d jobs", restoredJobs, fresh, len(jobs))
 	}
 }

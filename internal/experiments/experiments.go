@@ -294,43 +294,33 @@ type Options struct {
 	// package sits inside the determinism boundary and never reads the
 	// clock itself.
 
-	// Retries is the per-job retry count for failed runs.
-	Retries int
-	// Backoff is the deterministic capped-exponential retry schedule.
-	Backoff campaign.Backoff
-	// JobBudget bounds each run attempt in real and simulated time.
-	JobBudget campaign.Budget
-	// OnError selects FailFast or SkipFailed for permanently failed runs.
+	// JobTimeout bounds each run in real time (needs Elapsed).
+	JobTimeout time.Duration
+	// OnError selects FailFast or SkipFailed for failed runs.
 	OnError campaign.ErrorPolicy
 	// Context requests graceful shutdown of the campaigns when cancelled.
 	Context context.Context
-	// Sleep paces retries and the stall watchdog (driver-injected clock).
+	// Sleep paces the stall watchdog (driver-injected clock).
 	Sleep campaign.SleepFunc
-	// Elapsed reads driver-injected real elapsed time for JobBudget.Real.
+	// Elapsed reads driver-injected real elapsed time for JobTimeout.
 	Elapsed func() time.Duration
 	// StallAfter arms the per-figure stall watchdog.
 	StallAfter time.Duration
 	// Notice receives supervision events, tagged with the figure. Like
 	// campaign.Options.OnNotice it may be called concurrently.
 	Notice func(figure string, n campaign.Notice)
-	// Chaos injects runtime faults for robustness testing (never set in
-	// production; the CI chaos job uses it via the driver).
-	Chaos *campaign.Chaos
 }
 
 // campaignOptions adapts the experiment options to one figure's campaign.
 func (o Options) campaignOptions(figure string) campaign.Options {
 	copt := campaign.Options{
 		Workers:    o.Workers,
-		Retries:    o.Retries,
-		Backoff:    o.Backoff,
-		JobBudget:  o.JobBudget,
+		JobTimeout: o.JobTimeout,
 		OnError:    o.OnError,
 		Context:    o.Context,
 		Sleep:      o.Sleep,
 		Elapsed:    o.Elapsed,
 		StallAfter: o.StallAfter,
-		Chaos:      o.Chaos,
 	}
 	if copt.Workers <= 0 {
 		copt.Workers = 1
@@ -380,12 +370,7 @@ type Fig8Curve struct {
 // Figure8 reproduces the cumulative dropped-packets-over-time comparison:
 // M in {2, 4} colluders, with and without LITEWORP, attack starting 50 s
 // into the operational phase.
-func Figure8(sc Scale, step time.Duration) ([]Fig8Curve, error) {
-	return Figure8Opts(sc, step, Options{})
-}
-
-// Figure8Opts is Figure8 with explicit execution options.
-func Figure8Opts(sc Scale, step time.Duration, opt Options) ([]Fig8Curve, error) {
+func Figure8(sc Scale, step time.Duration, opt Options) ([]Fig8Curve, error) {
 	type cell struct {
 		m  int
 		lw bool
@@ -476,12 +461,7 @@ type Fig9Row struct {
 // Figure9 reproduces the fraction-of-packets-dropped and
 // fraction-of-wormhole-routes snapshot for M = 0..4 colluders, with and
 // without LITEWORP.
-func Figure9(sc Scale) ([]Fig9Row, error) {
-	return Figure9Opts(sc, Options{})
-}
-
-// Figure9Opts is Figure9 with explicit execution options.
-func Figure9Opts(sc Scale, opt Options) ([]Fig9Row, error) {
+func Figure9(sc Scale, opt Options) ([]Fig9Row, error) {
 	type cell struct {
 		m  int
 		lw bool
@@ -564,12 +544,7 @@ type Fig10Row struct {
 // isolation latency against the analytic curve (at NB = 15 in the paper;
 // we keep the scenario's density and evaluate the analysis at the same
 // neighbor count).
-func Figure10(sc Scale, gammas []int) ([]Fig10Row, error) {
-	return Figure10Opts(sc, gammas, Options{})
-}
-
-// Figure10Opts is Figure10 with explicit execution options.
-func Figure10Opts(sc Scale, gammas []int, opt Options) ([]Fig10Row, error) {
+func Figure10(sc Scale, gammas []int, opt Options) ([]Fig10Row, error) {
 	if len(gammas) == 0 {
 		gammas = []int{2, 3, 4, 5, 6, 7, 8}
 	}
@@ -653,12 +628,7 @@ type NSweepRow struct {
 // isolated within a very short period of time over a large range of
 // scenarios": the Table 2 network sizes N in {20, 50, 100, 150} under the
 // out-of-band wormhole with LITEWORP.
-func NSweep(sc Scale, sizes []int) ([]NSweepRow, error) {
-	return NSweepOpts(sc, sizes, Options{})
-}
-
-// NSweepOpts is NSweep with explicit execution options.
-func NSweepOpts(sc Scale, sizes []int, opt Options) ([]NSweepRow, error) {
+func NSweep(sc Scale, sizes []int, opt Options) ([]NSweepRow, error) {
 	if len(sizes) == 0 {
 		sizes = []int{20, 50, 100, 150}
 	}
@@ -723,13 +693,7 @@ type DetectorCell struct {
 // M replays byte-identical radio schedules up to each strategy's first
 // isolation, so the curves differ only through what gets accused. Empty
 // inputs default to every registered strategy and the paper's M in {2, 4}.
-func DetectorComparison(sc Scale, detectors []string, ms []int) ([]DetectorCell, error) {
-	return DetectorComparisonOpts(sc, detectors, ms, Options{})
-}
-
-// DetectorComparisonOpts is DetectorComparison with explicit execution
-// options.
-func DetectorComparisonOpts(sc Scale, detectors []string, ms []int, opt Options) ([]DetectorCell, error) {
+func DetectorComparison(sc Scale, detectors []string, ms []int, opt Options) ([]DetectorCell, error) {
 	if len(detectors) == 0 {
 		detectors = detector.Names()
 	}

@@ -33,11 +33,11 @@ func TestScaleParamsShareOneBase(t *testing.T) {
 // equal, including every Summary statistic.
 func TestCampaignMatchesSequential(t *testing.T) {
 	gammas := []int{2, 6}
-	seq, err := Figure10Opts(tiny, gammas, Options{Workers: 1})
+	seq, err := Figure10(tiny, gammas, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Figure10Opts(tiny, gammas, Options{Workers: 8})
+	par, err := Figure10(tiny, gammas, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFigureCheckpointResume(t *testing.T) {
 		}
 		calls++
 	}
-	first, err := Figure8Opts(tiny, 100*time.Second, opt)
+	first, err := Figure8(tiny, 100*time.Second, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFigureCheckpointResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "f8.json")); err != nil {
 		t.Fatalf("per-figure checkpoint missing: %v", err)
 	}
-	resumed, err := Figure8Opts(tiny, 100*time.Second, opt)
+	resumed, err := Figure8(tiny, 100*time.Second, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFigure6Curves(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	curves, err := Figure8(tiny, 50*time.Second)
+	curves, err := Figure8(tiny, 50*time.Second, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	rows, err := Figure9(tiny)
+	rows, err := Figure9(tiny, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	rows, err := Figure10(tiny, []int{2, 4, 6})
+	rows, err := Figure10(tiny, []int{2, 4, 6}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,14 +298,14 @@ func TestChartsRender(t *testing.T) {
 	if out := ChartFigure6(); !strings.Contains(out, "6(a)") || !strings.Contains(out, "6(b)") {
 		t.Fatal("figure 6 charts incomplete")
 	}
-	curves, err := Figure8(tiny, 100*time.Second)
+	curves, err := Figure8(tiny, 100*time.Second, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := ChartFigure8(curves); !strings.Contains(out, "Figure 8") || !strings.Contains(out, "M=2") {
 		t.Fatal("figure 8 chart incomplete")
 	}
-	rows, err := Figure10(tiny, []int{2, 6})
+	rows, err := Figure10(tiny, []int{2, 6}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestChartsRender(t *testing.T) {
 }
 
 func TestNSweepDetectsEverywhere(t *testing.T) {
-	rows, err := NSweep(Scale{Runs: 1, Nodes: 0, Duration: 200 * time.Second}, []int{20, 60})
+	rows, err := NSweep(Scale{Runs: 1, Nodes: 0, Duration: 200 * time.Second}, []int{20, 60}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +340,11 @@ func TestNSweepDetectsEverywhere(t *testing.T) {
 // aggregates per detector whatever the parallelism.
 func TestDetectorCampaignMatchesSequential(t *testing.T) {
 	detectors := []string{"liteworp", "none"}
-	seq, err := DetectorComparisonOpts(tiny, detectors, []int{2}, Options{Workers: 1})
+	seq, err := DetectorComparison(tiny, detectors, []int{2}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DetectorComparisonOpts(tiny, detectors, []int{2}, Options{Workers: 8})
+	par, err := DetectorComparison(tiny, detectors, []int{2}, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestDetectorCampaignMatchesSequential(t *testing.T) {
 // strategy detects while the null strategy never accuses.
 func TestDetectorComparisonRacesAllStrategies(t *testing.T) {
 	detectors := []string{"liteworp", "none", "range", "zscore"}
-	cells, err := DetectorComparison(tiny, detectors, []int{2})
+	cells, err := DetectorComparison(tiny, detectors, []int{2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,12 @@ var update = flag.Bool("update", false, "rewrite the quick-scale golden file")
 // aggregation behavior.
 func quickGolden() (string, error) {
 	var b strings.Builder
-	curves, err := Figure8(Quick, Quick.Duration/10)
+	curves, err := Figure8(Quick, Quick.Duration/10, Options{})
 	if err != nil {
 		return "", fmt.Errorf("figure 8: %w", err)
 	}
 	b.WriteString(RenderFigure8(curves))
-	rows, err := Figure10(Quick, []int{2, 6})
+	rows, err := Figure10(Quick, []int{2, 6}, Options{})
 	if err != nil {
 		return "", fmt.Errorf("figure 10: %w", err)
 	}
