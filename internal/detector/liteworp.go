@@ -156,13 +156,17 @@ func (d *liteworpDetector) Overheard(p *packet.Packet) {
 		if sender != table.Self() && !table.HasEntry(sender) {
 			return
 		}
+		// Every copy of the flood runs this loop, and on all but the
+		// first most neighbors are already expected or heard, so the
+		// O(1) Settled test goes before the route scan. Both are pure,
+		// so their order changes no expectation.
 		nbrs := table.Neighbors()
 		idxs := table.NeighborIdxs()
 		for i, a := range nbrs {
 			if a == sender || a == p.Origin || a == p.FinalDest {
 				continue
 			}
-			if routeContains(p.Route, a) {
+			if d.buffer.Settled(idxs[i], key) || routeContains(p.Route, a) {
 				continue
 			}
 			d.buffer.ExpectIdx(idxs[i], key)

@@ -2,6 +2,7 @@ package detector
 
 import (
 	"testing"
+	"time"
 
 	"liteworp/internal/field"
 	"liteworp/internal/neighbor"
@@ -106,5 +107,53 @@ func TestOwnSendNeitherSatisfiesNorSuppresses(t *testing.T) {
 	// is what keeps the guard from calling it a fabrication.
 	if len(*acc) != 0 {
 		t.Fatalf("accusations = %v", *acc)
+	}
+}
+
+// BenchmarkOverheardFlood measures the guard hot path of §4.2.3: one
+// guard with 12 neighbors hears one copy of each new REQ from every
+// neighbor. The first copy arms expectations on the other eleven; each
+// later copy resolves its sender's and finds every other neighbor
+// already expected or heard. Each op also advances 50 ms of virtual time,
+// so the heard cache sweeps at a steady size.
+func BenchmarkOverheardFlood(b *testing.B) {
+	const degree = 12
+	table := neighbor.NewTable(1)
+	copies := make([]*packet.Packet, degree)
+	for i := range copies {
+		id := field.NodeID(2 + i)
+		table.AddDirect(id)
+		copies[i] = &packet.Packet{
+			Type: packet.TypeRouteRequest, Origin: 100, FinalDest: 200,
+			Sender: id, PrevHop: 100, Receiver: packet.Broadcast,
+			Route: []field.NodeID{100},
+		}
+	}
+	kernel := sim.New(1)
+	d, err := New(Env{Clock: kernel, Table: table}, Config{Watch: watch.DefaultConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	flood := func(seq uint64) {
+		for _, p := range copies {
+			p.Seq = seq
+			d.Overheard(p)
+		}
+		kernel.RunFor(50 * time.Millisecond)
+	}
+	seq := uint64(0)
+	for ; seq < 256; seq++ {
+		flood(seq)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		flood(seq)
+		seq++
+	}
+	b.StopTimer()
+	// Every neighbor forwards every REQ, so no expectation may drop.
+	if st := d.(interface{ Buffer() *watch.Buffer }).Buffer().Stats(); st.Drops != 0 || st.Matches == 0 {
+		b.Fatalf("flood stats %+v: want matches and no drops", st)
 	}
 }

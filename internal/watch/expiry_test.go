@@ -207,8 +207,10 @@ func TestFreePendingBounded(t *testing.T) {
 // floodCycle is one warm-path step of a guard on a flood: a packet heard
 // from six senders, an expectation armed on six neighbors, and 300 ms of
 // virtual time, enough for the wheel to sweep the records and deadlines
-// of earlier steps. It returns the next key sequence number.
-func floodCycle(k *sim.Kernel, b *Buffer, seq uint64, expect bool) uint64 {
+// of earlier steps. With expect, each sender's repeat copy then asks for
+// all twelve neighbors again, and every one is answered by Settled. It
+// returns the next key sequence number.
+func floodCycle(tb testing.TB, k *sim.Kernel, b *Buffer, seq uint64, expect bool) uint64 {
 	kk := key(1, seq)
 	for s := int32(0); s < 6; s++ {
 		b.RecordHeardIdx(s, kk)
@@ -216,6 +218,14 @@ func floodCycle(k *sim.Kernel, b *Buffer, seq uint64, expect bool) uint64 {
 	if expect {
 		for f := int32(6); f < 12; f++ {
 			b.ExpectIdx(f, kk)
+		}
+		for s := int32(0); s < 6; s++ {
+			b.RecordHeardIdx(s, kk)
+			for f := int32(0); f < 12; f++ {
+				if !b.Settled(f, kk) || b.ExpectIdx(f, kk) {
+					tb.Fatalf("repeat copy: neighbor %d unsettled or re-armed", f)
+				}
+			}
 		}
 	}
 	k.RunFor(300 * time.Millisecond)
@@ -226,7 +236,7 @@ func floodCycle(k *sim.Kernel, b *Buffer, seq uint64, expect bool) uint64 {
 // and wheel have reached their steady state under floodCycle.
 // The DropFilter suppresses expiry accusations so the pins measure the
 // watch machinery, not MalC bookkeeping.
-func warmFloodBuffer(expect bool) (*sim.Kernel, *Buffer, uint64) {
+func warmFloodBuffer(tb testing.TB, expect bool) (*sim.Kernel, *Buffer, uint64) {
 	k := sim.New(1)
 	cfg := Config{
 		Timeout:    100 * time.Millisecond,
@@ -239,7 +249,7 @@ func warmFloodBuffer(expect bool) (*sim.Kernel, *Buffer, uint64) {
 	}
 	seq := uint64(0)
 	for range 64 {
-		seq = floodCycle(k, b, seq, expect)
+		seq = floodCycle(tb, k, b, seq, expect)
 	}
 	return k, b, seq
 }
@@ -249,8 +259,8 @@ func warmFloodBuffer(expect bool) (*sim.Kernel, *Buffer, uint64) {
 // record, a chained second chunk, the wheel arming and the sweeps that
 // free earlier records — allocates nothing.
 func TestRecordHeardIdxZeroAllocsWarm(t *testing.T) {
-	k, b, seq := warmFloodBuffer(false)
-	allocs := testing.AllocsPerRun(200, func() { seq = floodCycle(k, b, seq, false) })
+	k, b, seq := warmFloodBuffer(t, false)
+	allocs := testing.AllocsPerRun(200, func() { seq = floodCycle(t, k, b, seq, false) })
 	if allocs != 0 {
 		t.Fatalf("warm RecordHeardIdx allocates %.1f objects per flood, want 0", allocs)
 	}
@@ -258,10 +268,11 @@ func TestRecordHeardIdxZeroAllocsWarm(t *testing.T) {
 
 // TestExpectIdxZeroAllocsWarm pins the per-guarded-forwarder cost: the
 // heard and duplicate check on the packet's record, the deadline in the
-// queue, its lane item and its expiry allocate nothing once warm.
+// queue, its lane item and its expiry, and the repeat copies' settled
+// answers allocate nothing once warm.
 func TestExpectIdxZeroAllocsWarm(t *testing.T) {
-	k, b, seq := warmFloodBuffer(true)
-	allocs := testing.AllocsPerRun(200, func() { seq = floodCycle(k, b, seq, true) })
+	k, b, seq := warmFloodBuffer(t, true)
+	allocs := testing.AllocsPerRun(200, func() { seq = floodCycle(t, k, b, seq, true) })
 	if allocs != 0 {
 		t.Fatalf("warm ExpectIdx allocates %.1f objects per flood, want 0", allocs)
 	}

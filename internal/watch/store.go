@@ -13,7 +13,8 @@ import (
 // bytes. Production buffers use flatStore; the tests build buffers on a
 // Go-map store as the oracle (store_map_test.go), and the randomized
 // differential suite in store_test.go holds the two to operation-for-
-// operation equivalence.
+// operation equivalence. The oracle's settled always answers false, so
+// the suite also holds flatStore's settled fast path to the chain walk.
 type storeBackend interface {
 	// Watch records: per (sender, key), a heard expiry or an outstanding
 	// expectation, identified by the ref of its deadline on the buffer's
@@ -30,6 +31,11 @@ type storeBackend interface {
 	// sending key (live at now) or an expectation on it is outstanding,
 	// and reports whether it did.
 	expect(fidx int32, key packet.Key, ref uint64, now time.Duration) bool
+	// settled is true only if expect(fidx, key, _, now) would return
+	// false and change nothing: an O(1) answer for the common no-op
+	// call. False means only that the store does not know; the caller
+	// then asks expect. It changes no record.
+	settled(fidx int32, key packet.Key, now time.Duration) bool
 	// clearExpect removes the outstanding expectation on (fidx, key),
 	// which the buffer resolved as a drop.
 	clearExpect(fidx int32, key packet.Key)

@@ -28,6 +28,12 @@ import (
 // record (or its absence): the detector checks, records and then expects
 // against the same packet for every guarded neighbor of one overheard
 // frame, so the table is probed once per frame.
+//
+// Most of those expectations are no-ops: after a flood's first copy, a
+// guard's neighbors are already expected or heard. A mask on the record's
+// head chunk and a lower bound on its oldest heard expiry answer them
+// without walking the chain (see settled); the walk stays the one general
+// path.
 type flatStore struct {
 	keys   flatmap.Table[int32]
 	recs   paged[heardRecord]
@@ -61,23 +67,73 @@ const noChunk = -1
 // is outstanding, the complement ^ref of its deadline's ref: negative, so
 // dead to every reader. A slot holds at most one of the two (see
 // storeBackend), and 0 once an expectation is cleared.
+//
+// settled is used on a record's head chunk only, in the four bytes of
+// padding every chunk carries: bit i is set exactly while the slot of
+// sender i, for i below settledBits, holds a heard expiry or an
+// expectation, that is while its exp is not 0 (see flatStore.settled).
 type heardChunk struct {
-	sidx [chunkSlots]int32
-	exp  [chunkSlots]time.Duration
-	next int32 // next chunk of the chain, noChunk at its end
+	sidx    [chunkSlots]int32
+	exp     [chunkSlots]time.Duration
+	next    int32  // next chunk of the chain, noChunk at its end
+	settled uint32 // head chunk: senders below settledBits with exp != 0
 }
+
+// settledBits is the width of a head chunk's settled mask. Guards index
+// their neighbors densely from 0, and no forwarder index reached 18 on
+// the benchmark workloads; a wider index takes the chain walk.
+const settledBits = 32
 
 // heardRecord is one watched packet identity. anyExp is the expiry of its
 // newest recording, which is the newest of its senders' expiries: the
 // buffer records with now+CacheTTL, so expiries never decrease. Every
 // sender slot is therefore dead once anyExp is, which is what lets the
-// sweep free the record whole once it also holds no expectation. A record made by an expectation on a packet no one was
-// heard sending has anyExp 0.
+// sweep free the record whole once it also holds no expectation.
+//
+// A record made by an expectation on a packet no one was heard sending
+// has anyExp 0. spread bounds its oldest heard expiry from below (see
+// oldest); spreadOff means no bound is known.
 type heardRecord struct {
 	key    flatmap.Key
 	anyExp time.Duration
-	head   int32 // first chunk of the sender chain
-	n      int32 // sender slots used along the chain
+	head   int32  // first chunk of the sender chain
+	n      uint16 // sender slots used along the chain
+	spread uint16 // ceilUnits(anyExp) - floorUnits(first heard expiry)
+}
+
+// spreadShift sets the unit of heardRecord.spread: 2^16 ns, about 66 µs,
+// so 16 bits span about 4.3 s of copies of one packet, most of the
+// default 5 s CacheTTL. A record whose copies spread wider saturates at
+// spreadOff and answers every settled query with a chain walk.
+const (
+	spreadShift = 16
+	spreadOff   = 1<<16 - 1
+)
+
+func floorUnits(d time.Duration) int64 { return int64(d) >> spreadShift }
+
+func ceilUnits(d time.Duration) int64 { return (int64(d) + 1<<spreadShift - 1) >> spreadShift }
+
+// widen folds a new recording's expiry exp into r's spread. Expiries never
+// decrease, so the first heard expiry is the oldest, and later ones only
+// widen the spread; the rounding is against that first expiry, so it does
+// not accumulate.
+func (r *heardRecord) widen(exp time.Duration) {
+	switch {
+	case r.anyExp == 0:
+		r.spread = uint16(ceilUnits(exp) - floorUnits(exp))
+	case r.spread != spreadOff:
+		r.spread = uint16(min(int64(r.spread)+ceilUnits(exp)-ceilUnits(r.anyExp), spreadOff))
+	}
+}
+
+// oldest returns a lower bound on every heard expiry on r, or 0 when none
+// is known: while now is below it, every heard slot on r is live.
+func (r *heardRecord) oldest() time.Duration {
+	if r.spread == spreadOff {
+		return 0
+	}
+	return time.Duration(ceilUnits(r.anyExp)-int64(r.spread)) << spreadShift
 }
 
 // pageShift sets the page size: 8 elements, 256 bytes of records or 448
@@ -159,7 +215,7 @@ func (s *flatStore) lookup(r *heardRecord, sidx int32) (*time.Duration, int32) {
 	c := r.head
 	for base := int32(0); ; base += chunkSlots {
 		ch := s.chunks.at(c)
-		for i := range min(r.n-base, chunkSlots) {
+		for i := range min(int32(r.n)-base, chunkSlots) {
 			if ch.sidx[i] == sidx {
 				return &ch.exp[i], c
 			}
@@ -172,11 +228,16 @@ func (s *flatStore) lookup(r *heardRecord, sidx int32) (*time.Duration, int32) {
 }
 
 // slot returns sidx's slot on r, appending one with exp 0 when r has none:
-// at slot n, opening a chunk when the last is full.
+// at slot n, opening a chunk when the last is full. A record holds one
+// slot per node interned by the guard's index, which radio neighborhoods
+// keep far below n's 16 bits.
 func (s *flatStore) slot(r *heardRecord, sidx int32) *time.Duration {
 	e, c := s.lookup(r, sidx)
 	if e != nil {
 		return e
+	}
+	if r.n == 1<<16-1 {
+		panic("watch: more than 65535 senders on one packet")
 	}
 	i := r.n % chunkSlots
 	if i == 0 && r.n > 0 {
@@ -190,12 +251,27 @@ func (s *flatStore) slot(r *heardRecord, sidx int32) *time.Duration {
 	return &ch.exp[i]
 }
 
+// mark sets sidx's bit in r's settled mask when on, clears it otherwise.
+func (s *flatStore) mark(r *heardRecord, sidx int32, on bool) {
+	if uint32(sidx) >= settledBits {
+		return
+	}
+	m := &s.chunks.at(r.head).settled
+	if on {
+		*m |= 1 << sidx
+	} else {
+		*m &^= 1 << sidx
+	}
+}
+
 func (s *flatStore) recordHeard(sidx int32, key packet.Key, exp time.Duration) (uint64, bool) {
 	r := s.record(key)
+	r.widen(exp)
 	r.anyExp = exp
 	e := s.slot(r, sidx)
 	old := *e
 	*e = exp
+	s.mark(r, sidx, true)
 	return uint64(^old), old < 0
 }
 
@@ -214,23 +290,44 @@ func (s *flatStore) heardAny(key packet.Key, now time.Duration) bool {
 }
 
 func (s *flatStore) expect(fidx int32, key packet.Key, ref uint64, now time.Duration) bool {
-	e := s.slot(s.record(key), fidx)
+	r := s.record(key)
+	e := s.slot(r, fidx)
 	if *e < 0 || live(*e, now) {
 		return false
 	}
 	*e = ^time.Duration(ref)
+	s.mark(r, fidx, true)
 	return true
 }
 
+// settled answers from key's record alone that fidx is pending or heard
+// live. A set bit means the slot is pending or heard; while now is below
+// the record's oldest heard expiry, a heard slot is live. Any other case,
+// including a fidx past the mask and a record whose spread saturated,
+// answers false and leaves the question to expect's chain walk.
+func (s *flatStore) settled(fidx int32, key packet.Key, now time.Duration) bool {
+	if uint32(fidx) >= settledBits {
+		return false
+	}
+	ri := s.find(anyKey(key))
+	if ri < 0 {
+		return false
+	}
+	r := s.recs.at(ri)
+	return now < r.oldest() && s.chunks.at(r.head).settled&(1<<fidx) != 0
+}
+
 func (s *flatStore) clearExpect(fidx int32, key packet.Key) {
-	*s.slot(s.recs.at(s.find(anyKey(key))), fidx) = 0
+	r := s.recs.at(s.find(anyKey(key)))
+	*s.slot(r, fidx) = 0
+	s.mark(r, fidx, false)
 }
 
 // expecting reports whether r holds an outstanding expectation.
 func (s *flatStore) expecting(r *heardRecord) bool {
 	for c, base := r.head, int32(0); c != noChunk; base += chunkSlots {
 		ch := s.chunks.at(c)
-		for i := range min(r.n-base, chunkSlots) {
+		for i := range min(int32(r.n)-base, chunkSlots) {
 			if ch.exp[i] < 0 {
 				return true
 			}
@@ -251,7 +348,8 @@ func (s *flatStore) newChunk() int32 {
 	} else {
 		s.free = s.chunks.at(c).next
 	}
-	s.chunks.at(c).next = noChunk
+	ch := s.chunks.at(c)
+	ch.next, ch.settled = noChunk, 0
 	return c
 }
 

@@ -62,6 +62,10 @@ func (s *mapStore) expect(fidx int32, key packet.Key, ref uint64, now time.Durat
 	return true
 }
 
+// settled never answers early: the oracle decides every expectation the
+// slow way, against which flatStore's fast path is checked.
+func (s *mapStore) settled(int32, packet.Key, time.Duration) bool { return false }
+
 func (s *mapStore) clearExpect(fidx int32, key packet.Key) {
 	delete(s.pending, mapKey{fidx, key})
 }

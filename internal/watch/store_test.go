@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"liteworp/internal/field"
 	"liteworp/internal/packet"
@@ -21,7 +22,11 @@ import (
 // more senders than one slab chunk holds, senders of one packet that
 // expire at different sweeps, forwards racing their deadlines, deadlines
 // that outlive their packet's senders, and reboots (buffer recreation
-// mid-run, with the old incarnation's timers still firing).
+// mid-run, with the old incarnation's timers still firing). The map
+// oracle never answers an expectation early, so the script also drives
+// flatStore's settled fast path against the chain walk: neighborhoods
+// wider than its mask, a sender whose heard record dies on a packet that
+// later copies keep alive, and a forwarder expected again after a drop.
 
 // diffOps is the script length per seed; diffSeeds the number of seeds.
 const (
@@ -76,8 +81,18 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 	boot()
 
 	// Twenty neighbors: a packet heard from many of them spans several
-	// slab chunks.
+	// slab chunks. wide draws from 48, so the dense indexes the buffer
+	// interns them at pass the settled mask's width.
 	node := func() field.NodeID { return field.NodeID(1 + rng.Intn(20)) }
+	wide := func() field.NodeID { return field.NodeID(1 + rng.Intn(48)) }
+	// other draws a node other than n.
+	other := func(n field.NodeID) field.NodeID {
+		for {
+			if o := node(); o != n {
+				return o
+			}
+		}
+	}
 	somekey := func() packet.Key {
 		types := []packet.Type{packet.TypeRouteRequest, packet.TypeRouteReply, packet.TypeData}
 		return packet.Key{
@@ -91,7 +106,7 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 	}
 
 	for op := 0; op < diffOps; op++ {
-		switch rng.Intn(18) {
+		switch rng.Intn(20) {
 		case 0, 1:
 			b.RecordHeard(node(), somekey())
 		case 2, 3:
@@ -220,6 +235,42 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 			gen++
 			boot()
 			log = append(log, fmt.Sprintf("boot g%d", gen))
+		case 18:
+			// A stale bit: a sender heard once on a packet that copies
+			// from others keep alive past the sender's own CacheTTL, asked
+			// for at every copy. Once its record dies it must be expected
+			// again. Then a forwarder nobody hears is expected, its
+			// deadline drops while copies keep the packet alive, and it is
+			// expected again.
+			k := packet.Key{Type: packet.TypeRouteRequest, Origin: node(), Seq: uint64(5_000_000 + op)}
+			first := node()
+			b.RecordHeard(first, k)
+			keepAlive := func(span time.Duration, tag string, f field.NodeID) {
+				for t := time.Duration(0); t <= span; {
+					d := cfg.CacheTTL/4 + time.Duration(rng.Intn(20))*time.Millisecond
+					kernel.RunFor(d)
+					t += d
+					b.RecordHeard(other(f), k)
+					log = append(log, fmt.Sprintf("%s %v", tag, b.Expect(f, k)))
+				}
+			}
+			keepAlive(cfg.CacheTTL, "stale", first)
+			f := other(first)
+			log = append(log, fmt.Sprintf("dexp %v", b.Expect(f, k)))
+			keepAlive(cfg.Timeout, "redo", f)
+			query("redo", f, k)
+		case 19:
+			// A wide neighborhood: a packet heard from and expected of
+			// nodes whose indexes reach past the settled mask.
+			k := packet.Key{Type: packet.TypeRouteRequest, Origin: wide(), Seq: uint64(6_000_000 + op)}
+			for range 1 + rng.Intn(12) {
+				b.RecordHeard(wide(), k)
+				for range rng.Intn(4) {
+					log = append(log, fmt.Sprintf("wexp %v", b.Expect(wide(), k)))
+				}
+				kernel.RunFor(time.Duration(rng.Intn(20)) * time.Millisecond)
+			}
+			query("wide", wide(), k)
 		}
 	}
 	kernel.RunFor(5 * time.Second) // drain every deadline and sweep
@@ -269,7 +320,9 @@ func FuzzWatchStoreEquivalence(f *testing.F) {
 // exactly one record's chain or on the free list, used counts the chained
 // ones, a chain is as long as its record's sender count needs, every
 // record is reachable through keys at its own position, and the pages
-// cover top.
+// cover top. It also checks the settled fast path's two facts: a record's
+// mask has bit i set exactly when sender i's slot is pending or heard,
+// and no heard expiry lies below the record's oldest bound.
 func checkSlab(t *testing.T, s *flatStore) {
 	t.Helper()
 	seen := make([]bool, s.top)
@@ -286,11 +339,25 @@ func checkSlab(t *testing.T, s *flatStore) {
 	for i := int32(0); i < s.nrecs; i++ {
 		r := s.recs.at(i)
 		n := int32(0)
+		mask, slots := uint32(0), int32(r.n)
 		for c := r.head; c != noChunk; c = s.chunks.at(c).next {
 			mark(c, "chained")
 			n++
+			ch := s.chunks.at(c)
+			for j := range min(slots, chunkSlots) {
+				if e := ch.exp[j]; e > 0 && e < r.oldest() {
+					t.Fatalf("record %d: sender %d heard until %v, below the bound %v", i, ch.sidx[j], e, r.oldest())
+				}
+				if ch.exp[j] != 0 && ch.sidx[j] < settledBits {
+					mask |= 1 << ch.sidx[j]
+				}
+			}
+			slots -= chunkSlots
 		}
-		if want := (r.n + chunkSlots - 1) / chunkSlots; n != want {
+		if got := s.chunks.at(r.head).settled; got != mask {
+			t.Fatalf("record %d: settled mask %#x, its slots say %#x", i, got, mask)
+		}
+		if want := (int32(r.n) + chunkSlots - 1) / chunkSlots; n != want {
 			t.Fatalf("record %d: %d senders on %d chunks, want %d chunks", i, r.n, n, want)
 		}
 		chained += n
@@ -320,11 +387,26 @@ func checkSlab(t *testing.T, s *flatStore) {
 // TestSlabAccounting drives a flatStore through bursts of floods and idle
 // stretches, sweeping as it goes, and checks the slab's bookkeeping after
 // every sweep; once everything has expired, the pages are handed back.
+// Senders and forwarders range past the settled mask's width, and about
+// half the expectations armed are dropped a round or more later.
 func TestSlabAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := newFlatStore()
 	now := time.Duration(0)
 	const ttl = 50
+	type expectation struct {
+		fidx int32
+		key  packet.Key
+	}
+	var pending []expectation
+	resolve := func(e expectation) {
+		for i, p := range pending {
+			if p == e {
+				pending = append(pending[:i], pending[i+1:]...)
+				return
+			}
+		}
+	}
 	peak := 0
 	for round := 0; round < 400; round++ {
 		floods := rng.Intn(4)
@@ -334,13 +416,33 @@ func TestSlabAccounting(t *testing.T) {
 		for f := 0; f < floods; f++ {
 			k := packet.Key{Type: packet.TypeRouteRequest, Origin: field.NodeID(1 + rng.Intn(30)), Seq: uint64(rng.Intn(200))}
 			for range 1 + rng.Intn(14) {
-				s.recordHeard(int32(rng.Intn(20)), k, now+ttl)
+				sidx := int32(rng.Intn(40))
+				if _, met := s.recordHeard(sidx, k, now+ttl); met {
+					resolve(expectation{sidx, k})
+				}
 			}
+			for range rng.Intn(3) {
+				fidx := int32(rng.Intn(40))
+				settled := s.settled(fidx, k, now)
+				if s.expect(fidx, k, 0, now) {
+					if settled {
+						t.Fatalf("settled(%d, %v) held, yet expect armed", fidx, k)
+					}
+					pending = append(pending, expectation{fidx, k})
+				}
+			}
+		}
+		for len(pending) > 0 && rng.Intn(2) == 0 {
+			s.clearExpect(pending[0].fidx, pending[0].key)
+			pending = pending[1:]
 		}
 		peak = max(peak, len(s.chunks.pages))
 		now += time.Duration(1 + rng.Intn(10))
 		s.sweepCaches(now)
 		checkSlab(t, s)
+	}
+	for _, e := range pending {
+		s.clearExpect(e.fidx, e.key)
 	}
 	s.sweepCaches(now + ttl)
 	checkSlab(t, s)
@@ -350,5 +452,70 @@ func TestSlabAccounting(t *testing.T) {
 	if len(s.chunks.pages) > keep(0) || len(s.recs.pages) > keep(0) || peak <= keep(0) {
 		t.Fatalf("pages not handed back: %d chunk pages (peak %d), %d record pages",
 			len(s.chunks.pages), peak, len(s.recs.pages))
+	}
+}
+
+// TestSettledFastPath walks one packet record through the cases settled
+// must answer: a heard sender and an expected forwarder below the mask
+// width answer at once; a never-seen node, a forwarder past the width, a
+// sender whose heard record died on a packet kept alive by later copies,
+// a dropped forwarder and a record whose copies spread past 16 bits of
+// units all leave the answer to expect.
+func TestSettledFastPath(t *testing.T) {
+	s := newFlatStore()
+	k := key(1, 1)
+	const ttl = time.Second
+	s.recordHeard(2, k, ttl)
+	if !s.settled(2, k, 0) || s.settled(3, k, 0) {
+		t.Fatal("heard sender 2 unsettled or unseen 3 settled")
+	}
+	if !s.expect(3, k, 7, 0) || !s.settled(3, k, 0) {
+		t.Fatal("expected forwarder 3 is not settled")
+	}
+	if !s.expect(settledBits, k, 8, 0) || s.settled(settledBits, k, 0) || s.expect(settledBits, k, 9, 0) {
+		t.Fatal("a forwarder past the mask must be answered by the chain walk")
+	}
+
+	// A later copy keeps the record alive past sender 2's expiry.
+	s.recordHeard(4, k, ttl+ttl/2)
+	if !s.settled(2, k, ttl/2) {
+		t.Fatal("sender 2 unsettled while heard")
+	}
+	if s.settled(2, k, ttl) || !s.expect(2, k, 10, ttl) || s.expect(2, k, 13, ttl) {
+		t.Fatal("sender 2's stale bit answered, or its expectation was not armed once")
+	}
+	if s.heard(2, k, ttl) {
+		t.Fatal("sender 2 heard after its expiry")
+	}
+
+	// A dropped expectation clears its bit and can be armed again.
+	s.clearExpect(3, k)
+	if s.settled(3, k, 0) || !s.expect(3, k, 11, 0) {
+		t.Fatal("forwarder 3 not re-armed after its drop")
+	}
+
+	// Copies 5 s apart saturate the spread: sender 4 is live, yet only
+	// the walk may say so.
+	s.recordHeard(5, k, ttl+5*time.Second)
+	if r := s.recs.at(s.find(anyKey(k))); r.spread != spreadOff {
+		t.Fatalf("spread %d over 5 s of copies, want saturated", r.spread)
+	}
+	if s.settled(4, k, ttl) || s.settled(3, k, 0) || s.expect(4, k, 12, ttl) {
+		t.Fatal("a saturated record answered settled, or live sender 4 was armed")
+	}
+	checkSlab(t, s)
+}
+
+// TestRecordLayout pins the watch record and chunk sizes. The settled
+// mask sits in the chunk's padding and the spread in the upper half of
+// the old sender count. A prototype of the fast path that kept them in
+// 16 more bytes per record retained 4.0% more bytes per node on
+// flood-n400: every guard holds a record per packet it hears.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(heardRecord{}); got != 32 {
+		t.Errorf("heardRecord is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(heardChunk{}); got != 56 {
+		t.Errorf("heardChunk is %d bytes, want 56", got)
 	}
 }

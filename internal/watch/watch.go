@@ -396,18 +396,30 @@ func (b *Buffer) Expect(forwarder field.NodeID, key packet.Key) bool {
 	return b.ExpectIdx(b.idx.Intern(forwarder), key)
 }
 
-// ExpectIdx is Expect for a pre-interned forwarder.
+// ExpectIdx is Expect for a pre-interned forwarder. Most calls are no-ops
+// on a forwarder already expected or heard; Settled answers most of those
+// without the store's chain walk. Only an armed expectation drops the
+// cancelled deadlines at the queue's head, which moves no ref.
 func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
-	b.deadlines.dropCancelled()
-	if !b.store.expect(fidx, key, b.deadlines.next(), b.kernel.Now()) {
+	now := b.kernel.Now()
+	if b.store.settled(fidx, key, now) || !b.store.expect(fidx, key, b.deadlines.next(), now) {
 		return false
 	}
+	b.deadlines.dropCancelled()
 	b.deadlines.items = append(b.deadlines.items, deadline{timer: b.kernel.AfterLane(b.lane, b.onDeadline), key: key, fidx: fidx})
 	b.stats.Expectations++
 	if n := b.Len(); n > b.stats.PeakEntries {
 		b.stats.PeakEntries = n
 	}
 	return true
+}
+
+// Settled reports whether ExpectIdx(fidx, key) is known to be a no-op
+// now: fidx is already expected to forward key, or was heard sending it.
+// It reads one packet record and changes nothing. False means only that
+// the answer needs ExpectIdx's full check.
+func (b *Buffer) Settled(fidx int32, key packet.Key) bool {
+	return b.store.settled(fidx, key, b.kernel.Now())
 }
 
 // expire is a watch deadline firing: the monitored node failed to forward
