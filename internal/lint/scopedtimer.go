@@ -8,10 +8,11 @@ import (
 
 // timerMethods are the Kernel scheduling entry points that bypass scope
 // tracking. Post is the handle-free fast path and just as unscoped;
-// AfterLane arms a fixed-delay lane timer, scoped only through a Scope.
-var timerMethods = map[string]bool{"At": true, "After": true, "Post": true, "AfterLane": true}
+// AtSeq arms a timer at a reserved sequence number, scoped only through a
+// Scope.
+var timerMethods = map[string]bool{"At": true, "After": true, "Post": true, "AtSeq": true}
 
-// ScopedTimers flags direct *sim.Kernel.At / After / Post / AfterLane calls from
+// ScopedTimers flags direct *sim.Kernel.At / After / Post / AtSeq calls from
 // node-owned packages (core, neighbor, watch, routing, node). Timers that
 // belong to one node incarnation must be scheduled through that node's
 // sim.Scope — an unscoped timer survives the node's crash, fires into a

@@ -13,15 +13,15 @@ type Event func()
 
 type Timer struct{}
 
-type Lane struct{ d time.Duration }
-
 type Kernel struct{ now time.Duration }
 
 func (k *Kernel) Now() time.Duration                      { return k.now }
 func (k *Kernel) At(t time.Duration, fn Event) *Timer     { return &Timer{} }
 func (k *Kernel) After(d time.Duration, fn Event) *Timer  { return &Timer{} }
-func (k *Kernel) Lane(d time.Duration) *Lane              { return &Lane{d: d} }
-func (k *Kernel) AfterLane(l *Lane, fn Event) *Timer      { return &Timer{} }
+func (k *Kernel) Reserve() uint64                         { return 1 }
+func (k *Kernel) AtSeq(t time.Duration, seq uint64, fn Event) *Timer {
+	return &Timer{}
+}
 
 type Scope struct{ k *Kernel }
 
@@ -30,15 +30,17 @@ func NewScope(k *Kernel) *Scope { return &Scope{k: k} }
 func (s *Scope) Now() time.Duration                     { return s.k.Now() }
 func (s *Scope) At(t time.Duration, fn Event) *Timer    { return s.k.At(t, fn) }
 func (s *Scope) After(d time.Duration, fn Event) *Timer { return s.k.After(d, fn) }
-func (s *Scope) Lane(d time.Duration) *Lane             { return s.k.Lane(d) }
-func (s *Scope) AfterLane(l *Lane, fn Event) *Timer     { return s.k.AfterLane(l, fn) }
+func (s *Scope) Reserve() uint64                        { return s.k.Reserve() }
+func (s *Scope) AtSeq(t time.Duration, seq uint64, fn Event) *Timer {
+	return s.k.AtSeq(t, seq, fn)
+}
 
 type Clock interface {
 	Now() time.Duration
 	At(t time.Duration, fn Event) *Timer
 	After(d time.Duration, fn Event) *Timer
-	Lane(d time.Duration) *Lane
-	AfterLane(l *Lane, fn Event) *Timer
+	Reserve() uint64
+	AtSeq(t time.Duration, seq uint64, fn Event) *Timer
 }
 
 type Wheel struct{ clock Clock }
@@ -74,9 +76,9 @@ func (e *engine) arm() {
 	e.kernel.At(5*time.Second, func() {}) // want:scoped-timers
 }
 
-func (e *engine) armLane() {
-	lane := e.kernel.Lane(time.Second) // fetching a lane schedules nothing
-	e.kernel.AfterLane(lane, func() {}) // want:scoped-timers
+func (e *engine) armReserved() {
+	seq := e.kernel.Reserve() // reserving a sequence number schedules nothing
+	e.kernel.AtSeq(time.Second, seq, func() {}) // want:scoped-timers
 }
 `},
 			}},
@@ -104,9 +106,9 @@ func (b *buffer) arm(k *sim.Kernel) {
 	_ = k.Now() // reading the clock is fine; only scheduling is scoped
 }
 
-func (b *buffer) armLane(k *sim.Kernel) {
-	b.scope.AfterLane(b.scope.Lane(time.Second), func() {})
-	b.clock.AfterLane(k.Lane(time.Second), func() {}) // a kernel's lane armed through a clock is scoped
+func (b *buffer) armReserved(k *sim.Kernel) {
+	b.scope.AtSeq(time.Second, b.scope.Reserve(), func() {})
+	b.clock.AtSeq(time.Second, k.Reserve(), func() {}) // a kernel's seq armed through a clock is scoped
 }
 `},
 			}},

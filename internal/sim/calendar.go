@@ -78,23 +78,12 @@ const (
 	cqFarFuture = int64(1) << 61
 )
 
-// itemRun is a sorted run of items: one calendar bucket, or one Lane.
-// items[head:] are queued, sorted ascending by (at, seq); items[:head] are
-// popped slots awaiting compaction.
+// itemRun is one calendar bucket: items[head:] are queued, sorted
+// ascending by (at, seq); items[:head] are popped slots awaiting
+// compaction.
 type itemRun struct {
 	items []*eventItem
 	head  int
-}
-
-// len returns the number of queued items, dead ones included.
-func (b *itemRun) len() int { return len(b.items) - b.head }
-
-// front returns the run's minimum item, or nil when it is empty.
-func (b *itemRun) front() *eventItem {
-	if b.head == len(b.items) {
-		return nil
-	}
-	return b.items[b.head]
 }
 
 // newCalendarQueue returns an empty queue at the minimum ring size.
@@ -151,7 +140,8 @@ func (q *calendarQueue) push(item *eventItem) {
 
 // insert places it into the sorted run. Pushes arrive mostly in
 // nondecreasing (at, seq) order, so the append fast path dominates; the
-// binary-search path covers jitter and cursor rewinds.
+// binary-search path covers jitter, cursor rewinds and AtSeq timers, whose
+// reserved seq may be older than items already in the bucket.
 func (b *itemRun) insert(it *eventItem) {
 	if n := len(b.items); n == b.head || !earlier(it, b.items[n-1]) {
 		b.items = append(b.items, it)
@@ -196,10 +186,6 @@ func (b *itemRun) take() {
 // doubling, so a trimmed run must lose three quarters of its load before it
 // is trimmed again, and a run that never bursts never reallocates. The
 // policy reads only the run's own state, so runs stay deterministic.
-//
-// Lanes do not use it: the watch buffer's lane refills to about the same
-// peak after every burst, so trimming it between bursts only buys the
-// regrowth (a quarter more bytes allocated on the paper's network).
 func (b *itemRun) fit() {
 	live := len(b.items) - b.head
 	if cap(b.items) <= cqShrinkFactor*(live+cqBucketSeedCap) {

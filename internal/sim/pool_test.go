@@ -7,8 +7,7 @@ import (
 )
 
 // TestEventItemSize pins the pooled item at 48 bytes on 64-bit platforms:
-// the flags share the padding after the scope pointer, so marking lane
-// members costs no memory per item.
+// the cancelled flag sits in the padding after the scope pointer.
 func TestEventItemSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms")

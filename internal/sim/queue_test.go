@@ -260,9 +260,10 @@ func FuzzQueueEquivalence(f *testing.F) {
 // TestPendingAccountingAcrossBackends checks the live-count invariant
 // Pending() == live scheduled events while lazy reaping, compaction and
 // resize all trigger, for timers cancelled one by one and through a dead
-// scope, in the queue and on a lane. PendingRaw may lag behind (dead items
-// awaiting reap) but must never undercount Pending. The calendar queue is
-// the kernel's one backend, so it is the one subtest.
+// scope, armed at once or late with reserved sequence numbers (AtSeq).
+// PendingRaw may lag behind (dead items awaiting reap) but must never
+// undercount Pending. The calendar queue is the kernel's one backend, so
+// it is the one subtest.
 func TestPendingAccountingAcrossBackends(t *testing.T) {
 	t.Run("calendar", func(t *testing.T) {
 		k := New(7)
@@ -387,61 +388,72 @@ func TestPendingAccountingAcrossBackends(t *testing.T) {
 		}
 		checkDead("scoped drain", 0, 0)
 
-		// Lane members: cancels in the middle of a lane, a CancelAll
-		// below the compaction trigger whose items are reaped lazily
-		// when they reach the front, and a CancelAll that compacts.
-		lane := k.Lane(50 * time.Millisecond)
-		laneSmall, laneBig := NewScope(k), NewScope(k)
+		// Late-armed members: 331 sequence numbers reserved in a row
+		// for one instant and armed in reverse, so every AtSeq lands
+		// before items already in its bucket. Then cancels among them,
+		// a CancelAll below the compaction trigger whose items are
+		// reaped lazily when they reach the front, and a CancelAll that
+		// compacts.
 		base := k.Now()
+		due := base + 50*time.Millisecond
 		fired = 0
 		for i := 0; i < 200; i++ {
 			k.After(time.Duration(i)*time.Millisecond, count)
 		}
-		var laneTimers []Timer
+		lateSmall, lateBig := NewScope(k), NewScope(k)
+		clocks := make([]Clock, 0, 331)
 		for i := 0; i < 30; i++ {
-			laneTimers = append(laneTimers, laneSmall.AfterLane(lane, count))
+			clocks = append(clocks, lateSmall)
 		}
 		for i := 0; i < 300; i++ {
-			laneBig.AfterLane(lane, count)
+			clocks = append(clocks, lateBig)
 		}
-		k.AfterLane(lane, count)
-		checkDead("lane schedules", 531, 0)
-		for _, tm := range laneTimers[5:15] {
+		clocks = append(clocks, k)
+		seqs := make([]uint64, len(clocks))
+		for i, c := range clocks {
+			seqs[i] = c.Reserve()
+		}
+		lateTimers := make([]Timer, len(clocks))
+		for i := len(clocks) - 1; i >= 0; i-- {
+			lateTimers[i] = clocks[i].AtSeq(due, seqs[i], count)
+		}
+		checkDead("late schedules", 531, 0)
+		for _, tm := range lateTimers[5:15] {
 			tm.Cancel()
 		}
-		checkDead("mid-lane cancels", 521, 10)
-		if got := laneSmall.Pending(); got != 20 {
-			t.Fatalf("laneSmall.Pending() = %d, want 20", got)
+		checkDead("late cancels", 521, 10)
+		if got := lateSmall.Pending(); got != 20 {
+			t.Fatalf("lateSmall.Pending() = %d, want 20", got)
 		}
-		if got := laneSmall.CancelAll(); got != 20 {
-			t.Fatalf("laneSmall.CancelAll() = %d, want 20", got)
+		if got := lateSmall.CancelAll(); got != 20 {
+			t.Fatalf("lateSmall.CancelAll() = %d, want 20", got)
 		}
-		checkDead("lane CancelAll", 501, 30)
-		if err := k.RunUntil(base + 49*time.Millisecond); err != nil {
+		checkDead("late CancelAll", 501, 30)
+		if err := k.RunUntil(due - time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		// Nothing on the lane is due before 50ms, so its dead items
-		// stay held.
-		checkDead("before the lane front", 451, 30)
-		// The queue item at 50ms was armed before the lane items, so
-		// it fires first and the dead lane front stays held.
+		// Nothing reserved is due before 50ms, so its dead items stay
+		// held.
+		checkDead("before the reserved instant", 451, 30)
+		// The After item at 50ms took its seq before the reservations,
+		// so it fires first and the dead reserved items stay held.
 		k.Step()
-		checkDead("queue wins the tie", 450, 30)
-		// Next in (at, seq) order is the dead lane front: it is reaped
-		// and laneBig's first member fires.
+		checkDead("earlier seq wins the tie", 450, 30)
+		// Next in (at, seq) order are lateSmall's 30 dead items: they
+		// are reaped and lateBig's first member fires.
 		k.Step()
-		checkDead("lane front reaped", 449, 0)
-		if got := laneBig.CancelAll(); got != 299 {
-			t.Fatalf("laneBig.CancelAll() = %d, want 299", got)
+		checkDead("dead reserved items reaped", 449, 0)
+		if got := lateBig.CancelAll(); got != 299 {
+			t.Fatalf("lateBig.CancelAll() = %d, want 299", got)
 		}
-		// 299 dead against 150 live: CancelAll compacted the lane.
-		checkDead("compacting lane CancelAll", 150, 0)
+		// 299 dead against 150 live: CancelAll compacted the queue.
+		checkDead("compacting CancelAll", 150, 0)
 		for k.Step() {
 		}
 		if want := 200 + 1 + 1; fired != want {
-			t.Fatalf("fired %d events around lane cancellation, want %d", fired, want)
+			t.Fatalf("fired %d events around late-armed cancellation, want %d", fired, want)
 		}
-		checkDead("lane drain", 0, 0)
+		checkDead("late drain", 0, 0)
 	})
 }
 

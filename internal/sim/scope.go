@@ -8,9 +8,6 @@ import (
 // Clock is the scheduling surface components program against. *Kernel
 // implements it directly; *Scope implements it with group cancellation so a
 // whole protocol stack's timers can be torn down at once (node crash).
-// Timers armed with At/After go to the kernel's priority queue; timers that
-// all share one delay may go through AfterLane instead, which appends to a
-// FIFO with the same firing order and a cheaper insert.
 type Clock interface {
 	// Now returns the current virtual time.
 	Now() time.Duration
@@ -18,12 +15,11 @@ type Clock interface {
 	At(t time.Duration, fn Event) Timer
 	// After schedules fn d from now.
 	After(d time.Duration, fn Event) Timer
-	// Lane returns the shared lane for fixed delay d.
-	Lane(d time.Duration) *Lane
-	// AfterLane schedules fn the lane's delay from now, exactly as After
-	// would, on the lane's FIFO instead of the priority queue. Use it for
-	// a deadline armed in bulk with one fixed delay.
-	AfterLane(l *Lane, fn Event) Timer
+	// Reserve takes the sequence number a timer scheduled now would get.
+	Reserve() uint64
+	// AtSeq schedules fn at (t, seq) with seq from an earlier Reserve, so
+	// it fires where At at the Reserve would have put it.
+	AtSeq(t time.Duration, seq uint64, fn Event) Timer
 	// Rand returns the deterministic random source.
 	Rand() *rand.Rand
 	// ExpDuration draws an exponential inter-arrival duration.
@@ -50,13 +46,11 @@ var _ Clock = (*Scope)(nil)
 // path.
 type Scope struct {
 	k *Kernel
-	// live counts this scope's timers still in the queue, laneLive those
-	// still on lanes, neither fired nor cancelled. The kernel decrements
-	// them as they fire or are cancelled; CancelAll charges each to the
-	// kernel's tally for the structure that holds it.
-	live     int
-	laneLive int
-	dead     bool
+	// live counts this scope's timers that have neither fired nor been
+	// cancelled. The kernel decrements it as they fire or are cancelled;
+	// CancelAll charges them all to the kernel's dead-item tally.
+	live int
+	dead bool
 }
 
 // NewScope returns a live scope over k.
@@ -95,40 +89,33 @@ func (s *Scope) After(d time.Duration, fn Event) Timer {
 	return s.adopt(s.k.After(d, fn))
 }
 
-// Lane implements Clock: the kernel's shared lane for delay d.
-func (s *Scope) Lane(d time.Duration) *Lane { return s.k.Lane(d) }
+// Reserve implements Clock. A dead scope takes no number and returns 0,
+// as its At takes none; its AtSeq schedules nothing.
+func (s *Scope) Reserve() uint64 {
+	if s.dead {
+		return 0
+	}
+	return s.k.Reserve()
+}
 
-// AfterLane schedules fn on the lane as a member of the scope.
-func (s *Scope) AfterLane(l *Lane, fn Event) Timer {
+// AtSeq schedules fn at (t, seq) as a member of the scope.
+func (s *Scope) AtSeq(t time.Duration, seq uint64, fn Event) Timer {
 	if s.dead || fn == nil {
 		return Timer{}
 	}
-	return s.adopt(s.k.AfterLane(l, fn))
+	return s.adopt(s.k.AtSeq(t, seq, fn))
 }
 
 // adopt makes a timer the kernel just scheduled a member of the scope.
 func (s *Scope) adopt(t Timer) Timer {
 	t.item.scope = s
-	if t.item.inLane {
-		s.laneLive++
-	} else {
-		s.live++
-	}
+	s.live++
 	return t
 }
 
-// forget drops a member that fired or was cancelled from the live counts.
-func (s *Scope) forget(it *eventItem) {
-	if it.inLane {
-		s.laneLive--
-	} else {
-		s.live--
-	}
-}
-
 // Pending returns the number of the scope's timers that have neither fired
-// nor been cancelled, queued and laned alike.
-func (s *Scope) Pending() int { return s.live + s.laneLive }
+// nor been cancelled.
+func (s *Scope) Pending() int { return s.live }
 
 // Dead reports whether CancelAll has been called.
 func (s *Scope) Dead() bool { return s.dead }
@@ -141,9 +128,9 @@ func (s *Scope) CancelAll() int {
 	if s.dead {
 		return 0
 	}
-	queued, laned := s.live, s.laneLive
-	s.live, s.laneLive = 0, 0
+	n := s.live
+	s.live = 0
 	s.dead = true
-	s.k.noteCancelled(queued, laned)
-	return queued + laned
+	s.k.noteCancelled(n)
+	return n
 }

@@ -101,15 +101,15 @@ func TestScopeCancelAll(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		s.After(time.Duration(i+1)*time.Millisecond, func() { fired++ })
 	}
-	// Lane members: 200 fire at 300ms, 100 armed at 400ms are still on
-	// the lane at 500ms when the scope dies.
-	lane := s.Lane(300 * time.Millisecond)
+	// Members armed with reserved sequence numbers: 200 fire at 300ms,
+	// and 100 reserved at 400ms for 700ms are still queued at 500ms when
+	// the scope dies.
 	for i := 0; i < 200; i++ {
-		s.AfterLane(lane, func() { fired++ })
+		s.AtSeq(300*time.Millisecond, s.Reserve(), func() { fired++ })
 	}
 	k.At(400*time.Millisecond, func() {
 		for i := 0; i < 100; i++ {
-			s.AfterLane(lane, func() { fired++ })
+			s.AtSeq(700*time.Millisecond, s.Reserve(), func() { fired++ })
 		}
 	})
 	if err := k.RunUntil(500 * time.Millisecond); err != nil {
@@ -141,8 +141,17 @@ func TestScopeCancelAll(t *testing.T) {
 	if tm.Pending() {
 		t.Fatal("dead scope produced a pending timer")
 	}
-	if tm := s.AfterLane(lane, func() { fired++ }); tm.Pending() {
-		t.Fatal("dead scope produced a pending lane timer")
+	// A dead scope reserves nothing: the kernel's next number follows
+	// its last one.
+	last := k.Reserve()
+	if seq := s.Reserve(); seq != 0 {
+		t.Fatalf("dead scope reserved seq %d, want 0", seq)
+	}
+	if next := k.Reserve(); next != last+1 {
+		t.Fatalf("kernel reserved %d after %d across a dead scope's Reserve, want %d", next, last, last+1)
+	}
+	if tm := s.AtSeq(time.Second, last, func() { fired++ }); tm.Pending() {
+		t.Fatal("dead scope produced a pending AtSeq timer")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

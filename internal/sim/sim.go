@@ -52,13 +52,9 @@ func (t Timer) Cancel() bool {
 	}
 	t.item.cancelled = true
 	if s := t.item.scope; s != nil {
-		s.forget(t.item)
+		s.live--
 	}
-	if t.item.inLane {
-		t.k.noteCancelled(0, 1)
-	} else {
-		t.k.noteCancelled(1, 0)
-	}
+	t.k.noteCancelled(1)
 	return true
 }
 
@@ -80,9 +76,6 @@ type eventItem struct {
 	// it had been cancelled individually.
 	scope     *Scope
 	cancelled bool
-	// inLane marks an item queued on a Lane rather than in the queue; it
-	// tells cancellation which dead-item tally to charge.
-	inLane bool
 }
 
 // earlier is the kernel's strict total order on items: by time, then by
@@ -102,15 +95,12 @@ func (it *eventItem) dead() bool {
 }
 
 // Kernel is the discrete-event simulation core: a virtual clock, an event
-// queue plus its fixed-delay lanes, and a deterministic random source.
+// queue, and a deterministic random source.
 type Kernel struct {
-	now   time.Duration
-	seq   uint64
-	queue *calendarQueue
-	// lanes holds one FIFO per distinct fixed delay (see Lane), in
-	// creation order. Step takes the earliest item across the queue and
-	// every lane head.
-	lanes   []*Lane
+	now time.Duration
+	// seq is the last sequence number handed out (see Reserve).
+	seq     uint64
+	queue   *calendarQueue
 	rng     *rand.Rand
 	stopped bool
 	// processed counts events that have fired, for diagnostics and as a
@@ -125,13 +115,11 @@ type Kernel struct {
 	// whose cancellation was reaped go here instead of to the garbage
 	// collector, so steady-state scheduling allocates nothing.
 	free []*eventItem
-	// cancelledQueued counts cancelled items still sitting in the queue,
-	// cancelledLaned those still sitting in lanes; when together they
-	// dominate, compact() reaps them in one pass so cancel-heavy
-	// workloads (watch deadlines, ARQ and alert retries) stop growing
-	// the structures that hold them.
+	// cancelledQueued counts cancelled items still sitting in the queue;
+	// when they dominate, noteCancelled reaps them in one pass so
+	// cancel-heavy workloads (ARQ and alert retries, scope kills) stop
+	// growing the queue.
 	cancelledQueued int
-	cancelledLaned  int
 }
 
 // New returns a kernel whose clock starts at zero and whose random source is
@@ -162,41 +150,43 @@ func (k *Kernel) ProcessedHousekeeping() uint64 { return k.processedHousekeeping
 // per fired event.
 func (k *Kernel) noteHousekeepingEvent() { k.processedHousekeeping++ }
 
-// Pending returns the number of live events currently scheduled, in the
-// queue and on the lanes — cancelled items still awaiting lazy reaping are
-// excluded, so the count answers the question callers actually ask ("is
-// anything still going to happen?"). The invariant Pending() ==
+// Pending returns the number of live events currently scheduled —
+// cancelled items still awaiting lazy reaping are excluded, so the count
+// answers the question callers actually ask ("is anything still going to
+// happen?"). The invariant Pending() ==
 // PendingRaw() - cancelled-but-held holds through lazy reaping,
 // compaction, and resize.
 func (k *Kernel) Pending() int {
-	return k.PendingRaw() - k.cancelledQueued - k.cancelledLaned
+	return k.PendingRaw() - k.cancelledQueued
 }
 
-// PendingRaw returns the raw count of held items, queue and lanes,
-// including cancelled items that have not yet been popped or compacted
-// away. It exists for tests exercising the lazy-reaping machinery itself;
-// everyone else wants Pending.
-func (k *Kernel) PendingRaw() int {
-	n := k.queue.size()
-	for _, l := range k.lanes {
-		n += l.run.len()
-	}
-	return n
+// PendingRaw returns the raw count of queued items, including cancelled
+// items that have not yet been popped or compacted away. It exists for
+// tests exercising the lazy-reaping machinery itself; everyone else wants
+// Pending.
+func (k *Kernel) PendingRaw() int { return k.queue.size() }
+
+// Reserve hands out the next sequence number, the one At would give a
+// timer scheduled now. A caller that knows now when an event is due but
+// arms it later passes the number to AtSeq, and the event then pops where
+// At would have put it (see AtSeq).
+func (k *Kernel) Reserve() uint64 {
+	k.seq++
+	return k.seq
 }
 
 // newItem takes an eventItem from the pool (or allocates one) and
-// initializes it for scheduling at t.
-func (k *Kernel) newItem(t time.Duration, fn Event) *eventItem {
-	k.seq++
+// initializes it for scheduling at (t, seq).
+func (k *Kernel) newItem(t time.Duration, seq uint64, fn Event) *eventItem {
 	if n := len(k.free); n > 0 {
 		item := k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		item.at, item.seq, item.fn = t, k.seq, fn
-		item.cancelled, item.inLane = false, false
+		item.at, item.seq, item.fn = t, seq, fn
+		item.cancelled = false
 		return item
 	}
-	return &eventItem{at: t, seq: k.seq, fn: fn}
+	return &eventItem{at: t, seq: seq, fn: fn}
 }
 
 // recycle returns a popped item to the pool. Bumping the generation
@@ -216,10 +206,24 @@ func (k *Kernel) At(t time.Duration, fn Event) Timer {
 	if fn == nil {
 		return Timer{}
 	}
+	return k.AtSeq(t, k.Reserve(), fn)
+}
+
+// AtSeq schedules fn at (t, seq), where seq came from an earlier Reserve.
+// Armed before the kernel has run past (t, seq), fn fires exactly where
+// At(t, fn) called at the Reserve would have put it: after every event
+// scheduled for t before the Reserve, before every one scheduled after.
+// A caller can so hold its deadlines in a structure of its own and arm a
+// kernel timer only for the next one due. A t before now is clamped to
+// now, as At does. Nil fn is ignored.
+func (k *Kernel) AtSeq(t time.Duration, seq uint64, fn Event) Timer {
+	if fn == nil {
+		return Timer{}
+	}
 	if t < k.now {
 		t = k.now
 	}
-	item := k.newItem(t, fn)
+	item := k.newItem(t, seq, fn)
 	k.queue.push(item)
 	//lint:pooled Timer is a generation-fenced handle: every use revalidates item.gen, so a recycled entry is detected and ignored
 	return Timer{k: k, item: item, gen: item.gen, at: t}
@@ -246,7 +250,7 @@ func (k *Kernel) Post(d time.Duration, fn Event) {
 	if d < 0 {
 		t = k.now
 	}
-	k.queue.push(k.newItem(t, fn))
+	k.queue.push(k.newItem(t, k.Reserve(), fn))
 }
 
 // Step fires the next pending event, advancing the clock to its timestamp.
@@ -256,14 +260,14 @@ func (k *Kernel) Step() bool {
 	if k.stopped {
 		return false
 	}
-	item, lane := k.head()
+	item := k.head()
 	if item == nil {
 		return false
 	}
-	k.take(lane)
+	k.queue.pop()
 	k.now = item.at
 	if s := item.scope; s != nil {
-		s.forget(item)
+		s.live--
 	}
 	k.processed++
 	fn := item.fn
@@ -275,39 +279,17 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// head returns the earliest live item across the queue and the lane heads,
-// and the lane holding it (nil for the queue). Dead items are reaped as they
-// reach the front of that merged order — exactly where one queue holding
-// every item would reap them — so lanes change no count, not even
-// PendingRaw.
-func (k *Kernel) head() (*eventItem, *Lane) {
+// head returns the earliest live item, leaving it queued. Dead items are
+// reaped as they reach the front.
+func (k *Kernel) head() *eventItem {
 	for {
 		item := k.queue.peek()
-		var lane *Lane
-		for _, l := range k.lanes {
-			if it := l.run.front(); it != nil && (item == nil || earlier(it, item)) {
-				item, lane = it, l
-			}
-		}
 		if item == nil || !item.dead() {
-			return item, lane
+			return item
 		}
-		k.take(lane)
-		if lane != nil {
-			k.cancelledLaned--
-		} else {
-			k.cancelledQueued--
-		}
-		k.recycle(item)
-	}
-}
-
-// take removes the head that head() just returned from its structure.
-func (k *Kernel) take(lane *Lane) {
-	if lane != nil {
-		lane.run.take()
-	} else {
 		k.queue.pop()
+		k.cancelledQueued--
+		k.recycle(item)
 	}
 }
 
@@ -356,7 +338,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Stopped() bool { return k.stopped }
 
 func (k *Kernel) peek() (time.Duration, bool) {
-	item, _ := k.head()
+	item := k.head()
 	if item == nil {
 		return 0, false
 	}
@@ -367,30 +349,14 @@ func (k *Kernel) peek() (time.Duration, bool) {
 // be reaped lazily at pop time; compacting tiny queues isn't worth a pass.
 const compactMinCancelled = 64
 
-// noteCancelled records newly dead items (cancelled one by one or through
-// their scope): queued of them in the queue, laned on lanes. When the dead
-// outnumber the live across both, compaction reaps every cancelled item in
-// one pass; pop order is fully determined by the (at, seq) keys, so reaping
-// early changes nothing observable but memory. The trigger counts the queue
-// and the lanes together, so moving timers onto a lane changes neither when
-// compaction runs nor what it removes.
-func (k *Kernel) noteCancelled(queued, laned int) {
-	k.cancelledQueued += queued
-	k.cancelledLaned += laned
-	if dead := k.cancelledQueued + k.cancelledLaned; dead >= compactMinCancelled && dead*2 > k.PendingRaw() {
-		k.compact()
-	}
-}
-
-// compact reaps the dead items of each structure that holds any.
-func (k *Kernel) compact() {
-	if k.cancelledQueued > 0 {
+// noteCancelled records n newly dead queued items (cancelled one by one or
+// through their scope). When the dead outnumber the live, compaction reaps
+// every cancelled item in one pass; pop order is fully determined by the
+// (at, seq) keys, so reaping early changes nothing observable but memory.
+func (k *Kernel) noteCancelled(n int) {
+	k.cancelledQueued += n
+	if dead := k.cancelledQueued; dead >= compactMinCancelled && dead*2 > k.PendingRaw() {
 		k.cancelledQueued -= k.queue.reap(k.recycle)
-	}
-	if k.cancelledLaned > 0 {
-		for _, l := range k.lanes {
-			k.cancelledLaned -= l.run.reap(k.recycle)
-		}
 	}
 }
 

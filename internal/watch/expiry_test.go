@@ -158,7 +158,7 @@ func TestRecordHeardAllocsWarm(t *testing.T) {
 }
 
 // TestExpectAllocsWarm pins the per-guarded-forwarder cost: the deadline
-// goes into the queue's storage, the lane item dispatches to the buffer's
+// goes into the queue's storage, the buffer's one timer dispatches to its
 // prebound expire, no closure — no allocation. The DropFilter
 // suppresses the expiry accusations so the pin measures the watch
 // machinery, not the MalC bookkeeping.
@@ -268,8 +268,8 @@ func TestRecordHeardIdxZeroAllocsWarm(t *testing.T) {
 
 // TestExpectIdxZeroAllocsWarm pins the per-guarded-forwarder cost: the
 // heard and duplicate check on the packet's record, the deadline in the
-// queue, its lane item and its expiry, and the repeat copies' settled
-// answers allocate nothing once warm.
+// queue, the timer armed for it and its expiry, and the repeat copies'
+// settled answers allocate nothing once warm.
 func TestExpectIdxZeroAllocsWarm(t *testing.T) {
 	k, b, seq := warmFloodBuffer(t, true)
 	allocs := testing.AllocsPerRun(200, func() { seq = floodCycle(t, k, b, seq, true) })

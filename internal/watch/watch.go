@@ -16,7 +16,8 @@
 // (store_flat.go) keeps the packet records with their slots in a chunked
 // slab and MalC records in a slice by nbrIdx; the tests check it against a
 // Go-map oracle. The buffer itself keeps its expectations' deadlines, in
-// the order they were armed (see deadlineQueue).
+// the order they were armed, and one kernel timer for the oldest live one
+// (see deadlineQueue).
 package watch
 
 import (
@@ -103,8 +104,9 @@ type Config struct {
 	// housekeeping TTLs (heard caches, MalC window pruning) ride
 	// instead of per-record kernel timers. Nil means the buffer builds a
 	// private wheel over its own clock. The watch deadline tau is semantic
-	// — a drop accusation must fire at exactly Timeout — and always keeps
-	// an exact timer, armed on the clock's lane for Timeout.
+	// — a drop accusation must fire at exactly Timeout — and keeps an
+	// exact timer: the buffer's one clock timer, armed for its oldest live
+	// deadline at the sequence number reserved when that was armed.
 	Wheel *sim.Wheel
 	// Index, when non-nil, is the node incarnation's shared dense
 	// neighbor index (neighbor.Table.Index()). Nil means the buffer
@@ -166,19 +168,23 @@ type Stats struct {
 }
 
 // deadline is one watch entry: forwarder fidx must forward the packet
-// key before timer fires. fidx is -1 once a heard forward has cancelled it.
+// key before (at, seq), the kernel instant and the sequence number
+// reserved when the entry was armed. fidx is -1 once a heard forward has
+// cancelled it.
 type deadline struct {
-	timer sim.Timer
-	key   packet.Key
-	fidx  int32
+	at   time.Duration
+	seq  uint64
+	key  packet.Key
+	fidx int32
 }
 
 // deadlineQueue holds a buffer's watch entries, live and cancelled, in the
-// order they were armed. An entry's ref is its arming number, so it stays
-// valid while the queue compacts or reallocates. Every entry is armed on
-// the clock's lane for tau, which fires the live ones in arming order and
-// the cancelled ones never: the oldest live entry is always the one whose
-// timer fires next.
+// order they were armed, which is also (at, seq) order. An entry's ref is
+// its arming number, so it stays valid while the queue compacts or
+// reallocates. The head entry is live whenever the queue is non-empty:
+// whoever cancels or pops the head drops the cancelled entries behind it.
+// The buffer's one clock timer is armed for the head, so the oldest live
+// entry is always the one whose deadline fires next.
 type deadlineQueue struct {
 	items []deadline
 	head  int    // items[head] is the oldest entry
@@ -190,7 +196,7 @@ type deadlineQueue struct {
 // queueShrinkFactor*(entries+queueSeedCap) slots, the entries move to a
 // fresh array of entries+queueSeedCap slots, so a burst's capacity goes
 // back to the collector instead of staying at every guard; an idle guard
-// keeps at most 128 slots (7 KB). The queue holds every entry armed
+// keeps at most 128 slots (5 KB). The queue holds every entry armed
 // within tau of its oldest live one, so a guard's queue refills to about
 // the same size on every flood. Of the seeds measured on flood-n400 (4 to
 // 64), 4 allocated 49% more bytes per event than 32, through trimming and
@@ -202,6 +208,9 @@ const (
 
 // next returns the ref the next armed entry gets.
 func (q *deadlineQueue) next() uint64 { return q.base + uint64(len(q.items)-q.head) }
+
+// empty reports whether the queue holds no entry, so no live one.
+func (q *deadlineQueue) empty() bool { return q.head == len(q.items) }
 
 func (q *deadlineQueue) at(ref uint64) *deadline { return &q.items[q.head+int(ref-q.base)] }
 
@@ -244,10 +253,9 @@ type Buffer struct {
 	cfg    Config
 	idx    *neighbor.Index
 	store  storeBackend
-	// lane is the clock's fixed-delay lane for Timeout, on which every
-	// watch deadline is armed; each of its items dispatches to onDeadline,
-	// the buffer's prebound expire.
-	lane       *sim.Lane
+	// timer is armed for the oldest live deadline whenever there is one;
+	// it dispatches to onDeadline, the buffer's prebound expire.
+	timer      sim.Timer
 	onDeadline sim.Event
 	deadlines  deadlineQueue
 
@@ -285,7 +293,6 @@ func newWithStore(k sim.Clock, cfg Config, store storeBackend, onAccuse func(Acc
 	if b.idx == nil {
 		b.idx = neighbor.NewIndex()
 	}
-	b.lane = k.Lane(b.cfg.Timeout)
 	b.onDeadline = b.expire
 	wheel := b.cfg.Wheel
 	if wheel == nil {
@@ -356,10 +363,13 @@ func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 	if !met {
 		return false
 	}
-	d := b.deadlines.at(ref)
-	d.timer.Cancel()
-	d.fidx = -1
+	b.deadlines.at(ref).fidx = -1
 	b.stats.Matches++
+	if ref == b.deadlines.base {
+		b.timer.Cancel()
+		b.deadlines.dropCancelled()
+		b.armHead()
+	}
 	return true
 }
 
@@ -398,15 +408,19 @@ func (b *Buffer) Expect(forwarder field.NodeID, key packet.Key) bool {
 
 // ExpectIdx is Expect for a pre-interned forwarder. Most calls are no-ops
 // on a forwarder already expected or heard; Settled answers most of those
-// without the store's chain walk. Only an armed expectation drops the
-// cancelled deadlines at the queue's head, which moves no ref.
+// without the store's chain walk. An armed expectation reserves the
+// kernel sequence number a timer armed now would get; the buffer's timer
+// is armed for it only if the entry is the queue's only one.
 func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
 	now := b.kernel.Now()
 	if b.store.settled(fidx, key, now) || !b.store.expect(fidx, key, b.deadlines.next(), now) {
 		return false
 	}
-	b.deadlines.dropCancelled()
-	b.deadlines.items = append(b.deadlines.items, deadline{timer: b.kernel.AfterLane(b.lane, b.onDeadline), key: key, fidx: fidx})
+	idle := b.deadlines.empty()
+	b.deadlines.items = append(b.deadlines.items, deadline{at: now + b.cfg.Timeout, seq: b.kernel.Reserve(), key: key, fidx: fidx})
+	if idle {
+		b.armHead()
+	}
 	b.stats.Expectations++
 	if n := b.Len(); n > b.stats.PeakEntries {
 		b.stats.PeakEntries = n
@@ -422,12 +436,27 @@ func (b *Buffer) Settled(fidx int32, key packet.Key) bool {
 	return b.store.settled(fidx, key, b.kernel.Now())
 }
 
+// armHead arms the buffer's timer for the queue's head, the oldest live
+// deadline, if there is one. The timer fires at the entry's reserved
+// (at, seq), so it pops exactly where a timer armed with the entry would
+// have: after every event scheduled for that instant before the entry was
+// armed, before every one scheduled after.
+func (b *Buffer) armHead() {
+	if !b.deadlines.empty() {
+		d := &b.deadlines.items[b.deadlines.head]
+		b.timer = b.kernel.AtSeq(d.at, d.seq, b.onDeadline)
+	}
+}
+
 // expire is a watch deadline firing: the monitored node failed to forward
-// within tau. The firing entry is the oldest live one (see deadlineQueue).
+// within tau. The firing entry is the queue's head. The timer is re-armed
+// for the next live entry before the accusation, whose callbacks may arm
+// new entries.
 func (b *Buffer) expire() {
-	b.deadlines.dropCancelled()
 	d := b.deadlines.items[b.deadlines.head]
 	b.deadlines.pop()
+	b.deadlines.dropCancelled()
+	b.armHead()
 	b.store.clearExpect(d.fidx, d.key)
 	forwarder := b.idx.ID(d.fidx)
 	if b.cfg.DropFilter != nil && b.cfg.DropFilter(forwarder, d.key) {

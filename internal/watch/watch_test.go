@@ -268,26 +268,92 @@ func TestPeakEntriesTracksHighWater(t *testing.T) {
 	}
 }
 
-// TestWatchDeadlinesRideTheTimeoutLane: every buffer on one clock arms its
-// deadlines on the clock's shared lane for tau, and a deadline armed there
-// still accuses at exactly Timeout after the Expect.
-func TestWatchDeadlinesRideTheTimeoutLane(t *testing.T) {
-	k := sim.New(1)
-	const tau = 300 * time.Millisecond
-	b1, acc, _ := newBuffer(k, Config{Timeout: tau, Threshold: 100})
-	b2, _, _ := newBuffer(k, Config{Timeout: tau, Threshold: 100})
-	if b1.lane != k.Lane(tau) || b2.lane != b1.lane {
-		t.Fatal("buffers with one Timeout do not share the clock's lane for it")
+// TestWatchHoldsOneKernelTimer: whatever a buffer on a scope arms, matches
+// or lets expire, it holds exactly one pending kernel timer while it has an
+// outstanding expectation and none otherwise. The wheel rides the kernel so
+// that the scope holds only the buffer's deadline timer.
+func TestWatchHoldsOneKernelTimer(t *testing.T) {
+	k := sim.New(7)
+	s := sim.NewScope(k)
+	const tau = 40 * time.Millisecond
+	b := New(s, Config{Timeout: tau, Threshold: 1 << 30, Wheel: sim.NewWheel(k, 0)}, nil, nil)
+	rng := k.Rand()
+	check := func(op int) {
+		t.Helper()
+		want := 0
+		if b.Len() > 0 {
+			want = 1
+		}
+		if got := s.Pending(); got != want {
+			t.Fatalf("op %d: scope holds %d timers with %d outstanding expectations, want %d",
+				op, got, b.Len(), want)
+		}
 	}
-	k.RunFor(time.Second)
-	b1.Expect(5, key(1, 1))
-	b2.Expect(6, key(1, 2))
-	b2.RecordHeard(6, key(1, 2)) // cleared: its lane item is cancelled
-	if err := k.RunFor(2 * time.Second); err != nil {
+	for op := 0; op < 3000; op++ {
+		fwd, kk := field.NodeID(rng.Intn(6)), key(1, uint64(rng.Intn(40)))
+		switch rng.Intn(4) {
+		case 0, 1:
+			b.Expect(fwd, kk)
+		case 2:
+			b.RecordHeard(fwd, kk)
+		case 3:
+			if err := k.RunFor(time.Duration(rng.Intn(30)) * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(op)
+	}
+	if st := b.Stats(); st.Matches == 0 || st.Drops == 0 || st.PeakEntries < 2 {
+		t.Fatalf("script did not match, drop and overlap expectations: %+v", st)
+	}
+	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(*acc) != 1 || (*acc)[0].At != time.Second+tau || (*acc)[0].Reason != ReasonDrop {
-		t.Fatalf("accusations = %+v, want one drop at %v", *acc, time.Second+tau)
+	check(-1)
+}
+
+// TestWatchDropsInArmingOrderAcrossBuffers: two buffers on one clock arm
+// expectations at the same instant, interleaved, and the first buffer's
+// oldest one is then matched, so its timer is re-armed for its next entry.
+// The drops must still be accused in arming order, each at armedAt+tau: a
+// re-armed timer fires at the sequence number its entry reserved, not at
+// one taken when it was re-armed.
+func TestWatchDropsInArmingOrderAcrossBuffers(t *testing.T) {
+	k := sim.New(1)
+	const tau = 300 * time.Millisecond
+	var got []packet.Key
+	var at []time.Duration
+	onAccuse := func(a Accusation) {
+		got = append(got, a.Key)
+		at = append(at, a.At)
+	}
+	cfg := Config{Timeout: tau, Threshold: 100}
+	b1 := New(k, cfg, onAccuse, nil)
+	b2 := New(k, cfg, onAccuse, nil)
+	if err := k.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	b1.Expect(5, key(1, 1))
+	b1.Expect(6, key(1, 2))
+	b2.Expect(7, key(1, 3))
+	b1.Expect(8, key(1, 4))
+	b2.Expect(9, key(1, 5))
+	if err := k.RunFor(tau / 2); err != nil {
+		t.Fatal(err)
+	}
+	b1.RecordHeard(5, key(1, 1)) // b1's head: its timer moves to key 2
+	if err := k.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := []packet.Key{key(1, 2), key(1, 3), key(1, 4), key(1, 5)}
+	if len(got) != len(want) {
+		t.Fatalf("accused %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] || at[i] != time.Second+tau {
+			t.Fatalf("drop %d: %v at %v, want %v at %v (all: %v)",
+				i, got[i], at[i], want[i], time.Second+tau, got)
+		}
 	}
 }
 
@@ -320,7 +386,8 @@ func TestReasonString(t *testing.T) {
 // accused at exactly its deadline. A model independent of the store lists
 // every expectation as it is armed and marks it met when its forward is
 // due strictly before the deadline (a forward due at the deadline itself
-// was scheduled after the deadline's lane item, so it runs second). The
+// was scheduled after the deadline reserved its sequence number, so it
+// runs second). The
 // drop accusations must then be the model's unmet expectations, in arming
 // order, each at armedAt+tau.
 func TestPropertyExpectationConservation(t *testing.T) {
