@@ -177,9 +177,9 @@ const (
 )
 
 // TestGoldenTraceBackendInvariant runs the protected golden case on the
-// kernel's event queue (the calendar queue, the one backend left) and
-// requires the pinned hash: the queue's internal layout, including its
-// capacity policy, must stay invisible in the trace.
+// kernel's event queue (the binary heap; the subtest keeps the name of the
+// calendar queue it replaced) and requires the pinned hash: the queue's
+// internal layout must stay invisible in the trace.
 func TestGoldenTraceBackendInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
@@ -191,7 +191,7 @@ func TestGoldenTraceBackendInvariant(t *testing.T) {
 			p.Duration = 150 * time.Second
 		}, nil)
 		if hash != goldenTraceProtected {
-			t.Errorf("calendar queue drifted from the pinned trace:\n got  %s\n want %s",
+			t.Errorf("event queue drifted from the pinned trace:\n got  %s\n want %s",
 				hash, goldenTraceProtected)
 		}
 	})

@@ -1,71 +1,13 @@
 package campaign
 
-import (
-	"math"
-	"time"
-
-	"liteworp/internal/metrics"
-)
+import "time"
 
 // The aggregation layer turns the per-run results the engine streams out
-// into the quantities the paper's figures report. Everything here is a
-// plain streaming accumulator: feed order is the only thing that matters,
+// into the quantities the paper's figures report (per-value statistics
+// fold through metrics.MeanVar). Everything here is a plain streaming
+// accumulator: feed order is the only thing that matters,
 // and the engine guarantees feed order is job order, so aggregates are
 // bitwise reproducible for any worker count.
-
-// MeanVar accumulates a value stream with Welford's online mean/variance
-// algorithm, replacing the collect-then-Summarize pattern the experiment
-// loops used to duplicate per figure.
-type MeanVar struct {
-	n        int
-	mean, m2 float64
-	total    float64
-	min, max float64
-}
-
-// Add feeds one value.
-func (a *MeanVar) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	a.total += x
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns how many values were added.
-func (a *MeanVar) N() int { return a.n }
-
-// Mean returns the running mean (0 with no values).
-func (a *MeanVar) Mean() float64 { return a.mean }
-
-// Summary freezes the stream into the metrics.Summary shape the
-// experiment tables report: population Std like metrics.Summarize, plus
-// the 95% confidence half-width of the mean.
-func (a *MeanVar) Summary() metrics.Summary {
-	s := metrics.Summary{N: a.n}
-	if a.n == 0 {
-		return s
-	}
-	s.HasValues = true
-	s.Mean = a.mean
-	s.Total = a.total
-	s.Min, s.Max = a.min, a.max
-	s.Std = math.Sqrt(a.m2 / float64(a.n))
-	if a.n > 1 {
-		s.CI95 = 1.96 * math.Sqrt(a.m2/float64(a.n-1)/float64(a.n))
-	}
-	return s
-}
 
 // Curve averages bucketized time series across runs — the Figure 8
 // cumulative-drop merge. Each Add samples one run at every bucket offset

@@ -41,7 +41,7 @@ type aggregates struct {
 
 func runAggregates(t *testing.T, jobs []Job, opt Options) aggregates {
 	t.Helper()
-	var det, fd MeanVar
+	var det, fd metrics.MeanVar
 	curve := NewCurve(30*time.Second, 120*time.Second)
 	var order []string
 	err := Run(jobs, opt, func(i int, job Job, r *liteworp.Results) error {

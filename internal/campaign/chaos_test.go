@@ -32,7 +32,7 @@ type chaosAgg struct {
 
 func foldChaos(t *testing.T, jobs []Job, opt Options) (chaosAgg, Report) {
 	t.Helper()
-	var det, fd MeanVar
+	var det, fd metrics.MeanVar
 	curve := NewCurve(30*time.Second, 120*time.Second)
 	var keys []string
 	report, err := RunReport(jobs, opt, func(_ int, job Job, r *liteworp.Results) error {

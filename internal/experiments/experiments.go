@@ -341,7 +341,7 @@ func (o Options) campaignOptions(figure string) campaign.Options {
 // the N sweep share: detection ratio, isolation latency over fully
 // isolated attackers, and the dropped fraction.
 type detectionAgg struct {
-	det, lat, fd campaign.MeanVar
+	det, lat, fd metrics.MeanVar
 }
 
 func (a *detectionAgg) add(r *liteworp.Results) {
@@ -492,7 +492,7 @@ func Figure9(sc Scale, opt Options) ([]Fig9Row, error) {
 			}
 		}
 	}
-	aggs := make([]struct{ fd, fw, det campaign.MeanVar }, len(cells))
+	aggs := make([]struct{ fd, fw, det metrics.MeanVar }, len(cells))
 	err := campaign.Run(jobs, opt.campaignOptions("F9"), func(i int, _ campaign.Job, r *liteworp.Results) error {
 		a := &aggs[i/sc.Runs]
 		a.fd.Add(r.FractionDropped)
@@ -724,7 +724,7 @@ func DetectorComparison(sc Scale, detectors []string, ms []int, opt Options) ([]
 			}
 		}
 	}
-	aggs := make([]struct{ det, lat, fa, fi, fd campaign.MeanVar }, len(cells))
+	aggs := make([]struct{ det, lat, fa, fi, fd metrics.MeanVar }, len(cells))
 	err := campaign.Run(jobs, opt.campaignOptions("D1"), func(i int, _ campaign.Job, r *liteworp.Results) error {
 		a := &aggs[i/sc.Runs]
 		a.det.Add(r.DetectionRatio)

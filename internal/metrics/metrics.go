@@ -79,34 +79,55 @@ type Summary struct {
 	HasValues bool
 }
 
-// Summarize computes mean/std/min/max over xs (population std) plus the
-// 95% confidence half-width of the mean.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
+// MeanVar accumulates a value stream with Welford's online mean/variance
+// algorithm, so experiment loops fold each run's value as it arrives
+// instead of collecting a slice per figure.
+type MeanVar struct {
+	n        int
+	mean, m2 float64
+	total    float64
+	min, max float64
+}
+
+// Add feeds one value.
+func (a *MeanVar) Add(x float64) {
+	a.n++
+	if a.n == 1 {
+		a.min, a.max = x, x
+	} else {
+		if x < a.min {
+			a.min = x
+		}
+		if x > a.max {
+			a.max = x
+		}
+	}
+	a.total += x
+	d := x - a.mean
+	a.mean += d / float64(a.n)
+	a.m2 += d * (x - a.mean)
+}
+
+// N returns how many values were added.
+func (a *MeanVar) N() int { return a.n }
+
+// Mean returns the running mean (0 with no values).
+func (a *MeanVar) Mean() float64 { return a.mean }
+
+// Summary freezes the stream into the Summary the experiment tables
+// report: population Std, plus the 95% confidence half-width of the mean.
+func (a *MeanVar) Summary() Summary {
+	s := Summary{N: a.n}
+	if a.n == 0 {
 		return s
 	}
 	s.HasValues = true
-	s.Min = math.Inf(1)
-	s.Max = math.Inf(-1)
-	for _, x := range xs {
-		s.Total += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Total / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Std = math.Sqrt(ss / float64(len(xs)))
-	if len(xs) > 1 {
-		s.CI95 = 1.96 * math.Sqrt(ss/float64(len(xs)-1)/float64(len(xs)))
+	s.Mean = a.mean
+	s.Total = a.total
+	s.Min, s.Max = a.min, a.max
+	s.Std = math.Sqrt(a.m2 / float64(a.n))
+	if a.n > 1 {
+		s.CI95 = 1.96 * math.Sqrt(a.m2/float64(a.n-1)/float64(a.n))
 	}
 	return s
 }

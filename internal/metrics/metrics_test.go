@@ -58,6 +58,39 @@ func TestTimeSeriesBucketize(t *testing.T) {
 	}
 }
 
+// Summarize is the two-pass oracle MeanVar is checked against: it computes
+// mean/std/min/max over xs (population std) plus the 95% confidence
+// half-width of the mean from the whole slice at once.
+func Summarize(xs []float64) Summary {
+	s := Summary{N: len(xs)}
+	if len(xs) == 0 {
+		return s
+	}
+	s.HasValues = true
+	s.Min = math.Inf(1)
+	s.Max = math.Inf(-1)
+	for _, x := range xs {
+		s.Total += x
+		if x < s.Min {
+			s.Min = x
+		}
+		if x > s.Max {
+			s.Max = x
+		}
+	}
+	s.Mean = s.Total / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		d := x - s.Mean
+		ss += d * d
+	}
+	s.Std = math.Sqrt(ss / float64(len(xs)))
+	if len(xs) > 1 {
+		s.CI95 = 1.96 * math.Sqrt(ss/float64(len(xs)-1)/float64(len(xs)))
+	}
+	return s
+}
+
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N != 8 || math.Abs(s.Mean-5) > 1e-12 || math.Abs(s.Std-2) > 1e-12 {
@@ -69,6 +102,60 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if empty.HasValues || empty.N != 0 {
 		t.Fatalf("empty summary = %+v", empty)
+	}
+}
+
+func TestMeanVarMatchesSummarize(t *testing.T) {
+	xs := []float64{0.25, 0.5, 0.125, 0.75, 1.5, 0.0625}
+	var mv MeanVar
+	for _, x := range xs {
+		mv.Add(x)
+	}
+	got, want := mv.Summary(), Summarize(xs)
+	if got.N != want.N || got.HasValues != want.HasValues {
+		t.Fatalf("N/HasValues mismatch: %+v vs %+v", got, want)
+	}
+	if got.Min != want.Min || got.Max != want.Max || got.Total != want.Total {
+		t.Fatalf("Min/Max/Total mismatch: %+v vs %+v", got, want)
+	}
+	for _, f := range []struct {
+		name     string
+		got, wnt float64
+	}{{"Mean", got.Mean, want.Mean}, {"Std", got.Std, want.Std}, {"CI95", got.CI95, want.CI95}} {
+		if math.Abs(f.got-f.wnt) > 1e-12 {
+			t.Errorf("%s: online %g vs batch %g", f.name, f.got, f.wnt)
+		}
+	}
+}
+
+func TestMeanVarCI95(t *testing.T) {
+	// Four values with mean 5, sample std 2: CI95 = 1.96*2/sqrt(4) = 1.96.
+	var mv MeanVar
+	for _, x := range []float64{3, 4, 6, 7} {
+		mv.Add(x)
+	}
+	s := mv.Summary()
+	if math.Abs(s.Mean-5) > 1e-12 {
+		t.Fatalf("mean = %g", s.Mean)
+	}
+	want := 1.96 * math.Sqrt(10.0/3.0) / 2
+	if math.Abs(s.CI95-want) > 1e-12 {
+		t.Fatalf("CI95 = %g, want %g", s.CI95, want)
+	}
+}
+
+func TestMeanVarDegenerate(t *testing.T) {
+	var mv MeanVar
+	if s := mv.Summary(); s.HasValues || s.N != 0 {
+		t.Fatalf("empty summary = %+v", s)
+	}
+	mv.Add(2.5)
+	s := mv.Summary()
+	if !s.HasValues || s.N != 1 || s.Mean != 2.5 || s.Min != 2.5 || s.Max != 2.5 {
+		t.Fatalf("single-value summary = %+v", s)
+	}
+	if s.Std != 0 || s.CI95 != 0 {
+		t.Fatalf("single value has spread: %+v", s)
 	}
 }
 

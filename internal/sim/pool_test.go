@@ -168,7 +168,8 @@ func TestCompactionPreservesDeterminism(t *testing.T) {
 
 // TestPostZeroAllocsWarm is the scheduled-event allocation regression pin:
 // with a warm item pool, a fire-and-forget Post plus its Step must not touch
-// the heap at all (subtest named for the kernel's calendar queue).
+// the Go heap at all (the subtest keeps the name of the calendar queue the
+// event heap replaced).
 func TestPostZeroAllocsWarm(t *testing.T) {
 	t.Run("calendar", func(t *testing.T) {
 		k := warmKernel(t)

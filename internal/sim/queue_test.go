@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// heapQueue is the reference priority queue the calendar queue is checked
-// against: a container/heap binary heap over the same items in the same
-// (at, seq) order.
+// heapQueue is the reference priority queue the kernel's event heap is
+// checked against: a container/heap binary heap over the same items in the
+// same (at, seq) order.
 type heapQueue struct {
 	h eventHeap
 }
@@ -72,108 +72,86 @@ func (h *eventHeap) Pop() any {
 	return item
 }
 
-// slots returns the calendar's total bucket capacity, the backing-array
-// slots it retains whether or not they hold an item.
-func (q *calendarQueue) slots() int {
-	n := 0
-	for i := range q.buckets {
-		n += cap(q.buckets[i].items)
-	}
-	return n
-}
-
 // queueScript is a deterministic workload of queue operations, replayed in
-// lockstep on a calendar queue and on the heap oracle. Every op draws from
-// the script's own rand stream.
+// lockstep on the kernel's event heap and on the container/heap oracle.
+// Every op draws from the script's own rand stream.
 type queueScript struct {
 	seed int64
 	ops  int
 }
 
-// queueStats counts what a replay made the calendar do: pops, pushes that
-// grew or shrank the ring, and pops after which a bucket gave back
-// capacity (trims).
-type queueStats struct {
-	pops, grows, shrinks, trims int
-}
-
 // replay pushes items with explicit (at, seq) keys into both queues — the
 // same pointers, so pops compare by identity — and fails at the first pop,
-// peek, size or reap on which they disagree. Time follows the kernel's
-// contract: nothing is pushed earlier than the last pop. The mix covers:
+// peek, size or reap on which they disagree, or at the first op after
+// which an item of the event heap is earlier than its parent. Time follows
+// the kernel's contract: nothing is pushed earlier than the last pop. The
+// mix covers:
 //
 //   - near-future pushes, and same-at bursts (FIFO tie-break by seq)
-//   - pushes after a peek that land before the peeked head, rewinding the
-//     calendar's cursor
-//   - far-future stragglers and "never" sentinels (the direct-search
-//     fallback and the width estimate's sentinel filter)
+//   - pushes after a peek that land before the peeked head, so they sift
+//     all the way to the root
+//   - far-future stragglers and "never" sentinels
 //   - cancels of random items and reaps of the dead ones
 //   - bursts of hundreds of items at a few instants, drained and followed
-//     by a trickle of single push/pop pairs: the ring grows, shrinks, and
-//     bucket runs give their burst capacity back
-func (s queueScript) replay(t testing.TB) queueStats {
+//     by a trickle of single push/pop pairs
+func (s queueScript) replay(t testing.TB) {
 	t.Helper()
-	cal, ref := newCalendarQueue(), &heapQueue{}
+	q, ref := &eventQueue{}, &heapQueue{}
 	rng := rand.New(rand.NewSource(s.seed))
 	var (
-		st     queueStats
+		pops   int
 		now    time.Duration
 		seq    uint64
 		pushed []*eventItem
 	)
 	check := func(op string) {
 		t.Helper()
-		if cal.size() != ref.size() {
-			t.Fatalf("seed %d %s: calendar holds %d items, heap %d", s.seed, op, cal.size(), ref.size())
+		if q.size() != ref.size() {
+			t.Fatalf("seed %d %s: event heap holds %d items, oracle %d", s.seed, op, q.size(), ref.size())
+		}
+		for i := 1; i < len(q.items); i++ {
+			if parent := (i - 1) / 2; earlier(q.items[i], q.items[parent]) {
+				t.Fatalf("seed %d %s: item %d %v is earlier than its parent %d %v",
+					s.seed, op, i, q.items[i], parent, q.items[parent])
+			}
 		}
 	}
 	push := func(at time.Duration) {
 		seq++
 		it := &eventItem{at: at, seq: seq}
-		ring := len(cal.buckets)
-		cal.push(it)
+		q.push(it)
 		ref.push(it)
 		pushed = append(pushed, it)
-		switch {
-		case len(cal.buckets) > ring:
-			st.grows++
-		case len(cal.buckets) < ring:
-			st.shrinks++
-		}
 	}
 	peek := func() *eventItem {
 		t.Helper()
-		a, b := cal.peek(), ref.peek()
+		a, b := q.peek(), ref.peek()
 		if a != b {
-			t.Fatalf("seed %d: peek diverges: calendar %v, heap %v", s.seed, a, b)
+			t.Fatalf("seed %d: peek diverges: event heap %v, oracle %v", s.seed, a, b)
 		}
 		return a
 	}
 	pop := func() {
 		t.Helper()
-		ring, slots := len(cal.buckets), cal.slots()
-		a, b := cal.pop(), ref.pop()
+		a, b := q.pop(), ref.pop()
 		if a != b {
-			t.Fatalf("seed %d pop %d: calendar %v, heap %v", s.seed, st.pops, a, b)
+			t.Fatalf("seed %d pop %d: event heap %v, oracle %v", s.seed, pops, a, b)
 		}
 		if a == nil {
 			return
 		}
 		if a.at < now {
-			t.Fatalf("seed %d pop %d: time ran backwards from %v to %v", s.seed, st.pops, now, a.at)
+			t.Fatalf("seed %d pop %d: time ran backwards from %v to %v", s.seed, pops, now, a.at)
 		}
 		now = a.at
-		st.pops++
-		if len(cal.buckets) == ring && cal.slots() < slots {
-			st.trims++
-		}
+		pops++
 	}
 	us := func(n int) time.Duration { return time.Duration(rng.Intn(n)) * time.Microsecond }
 	for i := 0; i < s.ops; i++ {
 		switch rng.Intn(12) {
 		case 0, 1, 2: // near-future push
 			push(now + us(5000))
-		case 3: // push before the peeked head: rewinds the cursor
+		case 3: // push before the peeked head: sifts to the root
 			if head := peek(); head != nil && head.at > now {
 				push(now + time.Duration(rng.Int63n(int64(head.at-now))))
 			} else {
@@ -196,13 +174,13 @@ func (s queueScript) replay(t testing.TB) queueStats {
 			}
 		case 7: // reap every dead item from both queues
 			var a, b []*eventItem
-			na := cal.reap(func(it *eventItem) { a = append(a, it) })
+			na := q.reap(func(it *eventItem) { a = append(a, it) })
 			nb := ref.reap(func(it *eventItem) { b = append(b, it) })
 			bySeq := func(x, y *eventItem) int { return cmp.Compare(x.seq, y.seq) }
 			slices.SortFunc(a, bySeq)
 			slices.SortFunc(b, bySeq)
 			if na != nb || !slices.Equal(a, b) {
-				t.Fatalf("seed %d: reap removed %d items from the calendar, %d from the heap", s.seed, na, nb)
+				t.Fatalf("seed %d: reap removed %d items from the event heap, %d from the oracle", s.seed, na, nb)
 			}
 		case 8, 9: // pop a few
 			for j := rng.Intn(4); j > 0; j-- {
@@ -227,16 +205,16 @@ func (s queueScript) replay(t testing.TB) queueStats {
 		}
 		check("op")
 	}
-	for cal.size() > 0 {
+	for q.size() > 0 {
 		pop()
 	}
 	check("drain")
-	return st
 }
 
 // TestQueueEquivalenceRandomized replays randomized scripts through the
-// calendar queue and the heap oracle and requires identical pops — same
-// items, same order. This is the property the golden trace hashes rest on.
+// event heap and the container/heap oracle and requires identical pops —
+// same items, same order. This is the property the golden trace hashes
+// rest on.
 func TestQueueEquivalenceRandomized(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		queueScript{seed: seed, ops: 400}.replay(t)
@@ -258,19 +236,17 @@ func FuzzQueueEquivalence(f *testing.F) {
 }
 
 // TestPendingAccountingAcrossBackends checks the live-count invariant
-// Pending() == live scheduled events while lazy reaping, compaction and
-// resize all trigger, for timers cancelled one by one and through a dead
-// scope, armed at once or late with reserved sequence numbers (AtSeq).
+// Pending() == live scheduled events while lazy reaping and compaction
+// both trigger, for timers cancelled one by one and through a dead scope,
+// armed at once or late with reserved sequence numbers (AtSeq).
 // PendingRaw may lag behind (dead items awaiting reap) but must never
-// undercount Pending. The calendar queue is the kernel's one backend, so
-// it is the one subtest.
+// undercount Pending. The event heap is the kernel's one queue, so it is
+// the one subtest (named "calendar" for the queue it replaced).
 func TestPendingAccountingAcrossBackends(t *testing.T) {
 	t.Run("calendar", func(t *testing.T) {
 		k := New(7)
 		const n = 600
 		timers := make([]Timer, 0, n)
-		// Spread far enough apart that the calendar queue's density
-		// estimate forces at least one grow and later a shrink.
 		for i := 0; i < n; i++ {
 			timers = append(timers, k.After(time.Duration(i)*time.Millisecond, func() {}))
 		}
@@ -291,8 +267,8 @@ func TestPendingAccountingAcrossBackends(t *testing.T) {
 		if k.PendingRaw() < k.Pending() {
 			t.Fatalf("PendingRaw %d < Pending %d", k.PendingRaw(), k.Pending())
 		}
-		// Drain with interleaved refills so pops, lazy pop-side reaps,
-		// and push-side resizes all run under accounting checks.
+		// Drain so pops and lazy pop-side reaps run under accounting
+		// checks.
 		fired := 0
 		for i := 0; i < 200; i++ {
 			before := k.Pending()
@@ -389,8 +365,8 @@ func TestPendingAccountingAcrossBackends(t *testing.T) {
 		checkDead("scoped drain", 0, 0)
 
 		// Late-armed members: 331 sequence numbers reserved in a row
-		// for one instant and armed in reverse, so every AtSeq lands
-		// before items already in its bucket. Then cancels among them,
+		// for one instant and armed in reverse, so every AtSeq sifts up
+		// past items already queued for that instant. Then cancels among them,
 		// a CancelAll below the compaction trigger whose items are
 		// reaped lazily when they reach the front, and a CancelAll that
 		// compacts.
@@ -457,84 +433,9 @@ func TestPendingAccountingAcrossBackends(t *testing.T) {
 	})
 }
 
-// TestCalendarResizeRoundTrip checks that one script drives the ring
-// through grows and shrinks and makes bucket runs give capacity back, with
-// pop order matching the heap oracle throughout.
-func TestCalendarResizeRoundTrip(t *testing.T) {
-	st := queueScript{seed: 424242, ops: 1500}.replay(t)
-	if st.pops == 0 || st.grows == 0 || st.shrinks == 0 || st.trims == 0 {
-		t.Fatalf("script did not exercise every path: %+v", st)
-	}
-}
-
-// TestCalendarReleasesBurstCapacity: a burst that passes through a bucket
-// must not pin its peak capacity there. A hold workload (pop the head, push
-// its successor) keeps the queue size, and so the ring, fixed, so no resize
-// rebuilds the buckets. Bursts of same-instant events, about 4k in all,
-// each fill one bucket window and drain. After several laps of the sparse
-// hold traffic the buckets may retain no more than the policy's bound,
-// cqShrinkFactor*(queued + cqBucketSeedCap*buckets): a small multiple of
-// queued + len(buckets). Without the policy they keep about twice that.
-func TestCalendarReleasesBurstCapacity(t *testing.T) {
-	q := newCalendarQueue()
-	rng := rand.New(rand.NewSource(1))
-	var seq uint64
-	push := func(at time.Duration) {
-		seq++
-		q.push(&eventItem{at: at, seq: seq})
-	}
-	gap := func() time.Duration { return time.Duration(rng.Int63n(int64(time.Second))) }
-	// The push past 2*64 items grows the ring to 128 buckets, which then
-	// hold up to 256 items before the next grow: room for a burst of 119
-	// next to the hold items, which in turn stay above the shrink point.
-	const hold = 129
-	for i := 0; i < hold; i++ {
-		push(gap())
-	}
-	burst := 2*len(q.buckets) - hold - 8
-	step := func() {
-		it := q.pop()
-		push(it.at + gap())
-	}
-	for i := 0; i < 4*hold; i++ {
-		step()
-	}
-	ring := len(q.buckets)
-	for total := 0; total < 4000; total += burst {
-		at := q.peek().at + gap()
-		first := seq + 1
-		for j := 0; j < burst; j++ {
-			push(at)
-		}
-		if len(q.buckets) != ring {
-			t.Fatalf("a burst resized the ring from %d to %d buckets", ring, len(q.buckets))
-		}
-		for left := burst; left > 0; {
-			if it := q.peek(); it.at == at && it.seq >= first {
-				q.pop()
-				left--
-				continue
-			}
-			step()
-		}
-	}
-	lap := time.Duration(len(q.buckets)) * time.Duration(q.width)
-	for end := q.peek().at + 4*lap; q.peek().at < end; {
-		step()
-	}
-	if len(q.buckets) != ring || q.size() != hold {
-		t.Fatalf("ring of %d buckets holds %d items; the workload must keep %d and %d",
-			len(q.buckets), q.size(), ring, hold)
-	}
-	if got, limit := q.slots(), cqShrinkFactor*(q.size()+cqBucketSeedCap*len(q.buckets)); got > limit {
-		t.Fatalf("buckets retain %d slots for %d items in %d buckets, want at most %d",
-			got, q.size(), len(q.buckets), limit)
-	}
-}
-
-// TestCalendarSparseFarFuture covers the direct-search fallback: a handful
-// of events scattered over minutes of virtual time (thousands of empty
-// bucket windows apart) must still pop in (at, seq) order.
+// TestCalendarSparseFarFuture: a handful of events scattered over hours of
+// virtual time must pop in (at, seq) order (named for the calendar queue
+// the event heap replaced, whose sparse-queue fallback it was written for).
 func TestCalendarSparseFarFuture(t *testing.T) {
 	k := New(3)
 	var got []int

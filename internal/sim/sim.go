@@ -100,7 +100,7 @@ type Kernel struct {
 	now time.Duration
 	// seq is the last sequence number handed out (see Reserve).
 	seq     uint64
-	queue   *calendarQueue
+	queue   eventQueue
 	rng     *rand.Rand
 	stopped bool
 	// processed counts events that have fired, for diagnostics and as a
@@ -125,10 +125,7 @@ type Kernel struct {
 // New returns a kernel whose clock starts at zero and whose random source is
 // seeded with seed.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		queue: newCalendarQueue(),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -154,8 +151,8 @@ func (k *Kernel) noteHousekeepingEvent() { k.processedHousekeeping++ }
 // cancelled items still awaiting lazy reaping are excluded, so the count
 // answers the question callers actually ask ("is anything still going to
 // happen?"). The invariant Pending() ==
-// PendingRaw() - cancelled-but-held holds through lazy reaping,
-// compaction, and resize.
+// PendingRaw() - cancelled-but-held holds through lazy reaping and
+// compaction.
 func (k *Kernel) Pending() int {
 	return k.PendingRaw() - k.cancelledQueued
 }

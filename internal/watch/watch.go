@@ -191,12 +191,11 @@ type deadlineQueue struct {
 	base  uint64 // ref of items[head]
 }
 
-// queueSeedCap and queueShrinkFactor set the queue's capacity policy, the
-// one sim's calendar buckets use: once the backing array exceeds
-// queueShrinkFactor*(entries+queueSeedCap) slots, the entries move to a
-// fresh array of entries+queueSeedCap slots, so a burst's capacity goes
-// back to the collector instead of staying at every guard; an idle guard
-// keeps at most 128 slots (5 KB). The queue holds every entry armed
+// queueSeedCap and queueShrinkFactor set the queue's capacity policy: once
+// the backing array exceeds queueShrinkFactor*(entries+queueSeedCap)
+// slots, the entries move to a fresh array of entries+queueSeedCap slots,
+// so a burst's capacity goes back to the collector instead of staying at
+// every guard; an idle guard keeps at most 128 slots (5 KB). The queue holds every entry armed
 // within tau of its oldest live one, so a guard's queue refills to about
 // the same size on every flood. Of the seeds measured on flood-n400 (4 to
 // 64), 4 allocated 49% more bytes per event than 32, through trimming and
