@@ -9,7 +9,8 @@ import (
 
 // PoolLifetime checks the freelist discipline the PR 4–5 hot paths depend
 // on. The simulator pools its high-churn records — sim.eventItem,
-// medium's delivery, routing's cachedRoute/hopEntry/discoveryState —
+// medium's delivery, routing's cachedRoute/hopEntry/discoveryState/
+// pendingForward, packet's reference-counted frames —
 // and a released entry is immediately eligible for re-acquisition, so any
 // read after release observes another event's data and silently corrupts a
 // run without tripping a single runtime assertion.

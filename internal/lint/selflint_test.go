@@ -47,9 +47,11 @@ func TestModulePoolsDiscovered(t *testing.T) {
 		found[rec.Pkg().Path()+"."+rec.Name()] = pool.owner.Name()
 	}
 	for rec, owner := range map[string]string{
-		"liteworp/internal/sim.eventItem":       "Kernel",
-		"liteworp/internal/medium.delivery":     "Medium",
-		"liteworp/internal/routing.cachedRoute": "Router",
+		"liteworp/internal/sim.eventItem":          "Kernel",
+		"liteworp/internal/medium.delivery":        "Medium",
+		"liteworp/internal/routing.cachedRoute":    "Router",
+		"liteworp/internal/routing.pendingForward": "Router",
+		"liteworp/internal/packet.Packet":          "Pool",
 	} {
 		if got, ok := found[rec]; !ok || got != owner {
 			t.Errorf("pool %s: discovered owner %q (found=%v), want %q", rec, got, ok, owner)

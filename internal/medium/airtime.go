@@ -131,8 +131,10 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 			return nil
 		}
 		defer1 := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
+		p.Retain() // the deferral's reference, released once it has run
 		m.kernel.Post(defer1, func() {
 			_ = m.transmitAirtimeARQ(tx, p, rangeFactor, attempt+1, arq)
+			p.Release()
 		})
 		m.stats.CarrierDeferrals++
 		return nil
@@ -155,9 +157,7 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 		iv := m.air.add(rx, tx, now, end)
 		if m.fault != nil && m.fault(tx, rx, p) {
 			m.stats.FaultDrops++
-			if m.trace != nil {
-				m.trace(TraceEvent{At: now, From: tx, To: rx, Packet: p, Lost: true})
-			}
+			m.traceRx(tx, rx, p, true, false)
 			continue
 		}
 		// Residual probabilistic loss still applies (noise floor).
@@ -183,9 +183,7 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 // receiver schedules the MAC's ARQ retransmission of the same frame.
 func (m *Medium) airtimeLost(d *delivery, rx field.NodeID, r *airReception) bool {
 	lost := r.iv.corrupted || r.noise
-	if m.trace != nil {
-		m.trace(TraceEvent{At: m.kernel.Now(), From: d.tx, To: rx, Packet: d.frame, Lost: lost})
-	}
+	m.traceRx(d.tx, rx, d.frame, lost, false)
 	if !lost {
 		return false
 	}
@@ -202,8 +200,10 @@ func (m *Medium) airtimeLost(d *delivery, rx field.NodeID, r *airReception) bool
 		m.stats.ARQRetransmissions++
 		backoff := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
 		tx, frame, rangeFactor, arq := d.tx, d.frame, d.rangeFactor, d.arq+1
+		frame.Retain() // the retransmission's reference, released once it has run
 		m.kernel.Post(backoff, func() {
 			_ = m.transmitAirtimeARQ(tx, frame, rangeFactor, 0, arq)
+			frame.Release()
 		})
 	}
 	return true

@@ -21,7 +21,10 @@ import (
 //
 // Every receiver gets the same *packet.Packet, the one the sender handed
 // over. The frame is shared and read-only: a stack must Clone before it
-// mutates or keeps it.
+// mutates or keeps it. The batch holds its own reference to the frame,
+// taken in newDelivery and released in recycleDelivery once every
+// receiver has returned; for a pooled frame that may be the last
+// reference, which sends the frame back to Frames for the next forward.
 //
 // Batches are pooled on the Medium; the receiver slices keep their
 // capacity across reuses, so a warm delivery allocates nothing. The pool
@@ -57,27 +60,32 @@ type airReception struct {
 	retransmit bool
 }
 
-// newDelivery takes a batch for frame from the free list, or allocates one.
+// newDelivery takes a batch for frame from the free list, or allocates one,
+// and takes the batch's reference to frame.
 func (m *Medium) newDelivery(frame *packet.Packet) *delivery {
+	var d *delivery
 	if n := len(m.freeDeliveries); n > 0 {
-		d := m.freeDeliveries[n-1]
+		d = m.freeDeliveries[n-1]
 		m.freeDeliveries[n-1] = nil
 		m.freeDeliveries = m.freeDeliveries[:n-1]
-		d.frame = frame
-		return d
+	} else {
+		d = &delivery{m: m}
+		d.fire = d.deliver
 	}
-	d := &delivery{m: m, frame: frame}
-	d.fire = d.deliver
+	frame.Retain()
+	d.frame = frame //lint:pooled the batch holds the reference just taken until recycleDelivery releases it
 	return d
 }
 
-// recycleDelivery returns a fired batch to the free list. It drops every
-// frame and station reference, so nothing the batch carried outlives it.
+// recycleDelivery returns a fired batch to the free list. It releases the
+// batch's frame reference and drops every station reference, so nothing
+// the batch carried outlives it.
 func (m *Medium) recycleDelivery(d *delivery) {
 	clear(d.rx)
 	d.rx = d.rx[:0]
 	clear(d.air)
 	d.air = d.air[:0]
+	d.frame.Release()
 	d.frame = nil
 	d.tunnel, d.airtime = false, false
 	m.freeDeliveries = append(m.freeDeliveries, d)

@@ -15,13 +15,20 @@
 //     Modeling the loss process identically in simulation and analysis is
 //     what lets Fig. 10 compare the two directly.
 //   - A frame handed to Broadcast, BroadcastHighPower, BroadcastFrom or
-//     TunnelSend belongs to the medium from then on: the sender must not
-//     touch it again. Every field of packet.Packet is on the wire, so the
-//     frame needs no encode/decode round trip to carry only what the bytes
-//     would; airtime comes from its encoded size, and a frame the codec
-//     would reject (packet.ErrOversize) is refused.
+//     TunnelSend must not be changed by its sender again. Every field of
+//     packet.Packet is on the wire, so the frame needs no encode/decode
+//     round trip to carry only what the bytes would; airtime comes from
+//     its encoded size, and a frame the codec would reject
+//     (packet.ErrOversize) is refused.
 //   - Each transmission is delivered by one kernel event that hands every
 //     receiver the sender's frame, shared and read-only (see delivery).
+//   - The medium owns the scenario's frame pool (Frames), from which
+//     routing takes the frames it builds per hop. A pooled frame lives
+//     while someone holds a reference: its sender until the hand-over
+//     returns, each delivery batch until it has fired, and each airtime
+//     deferral and ARQ retransmission until it has run. A relay's
+//     BroadcastFrom of a received frame is one more batch, so it needs no
+//     reference of its own.
 package medium
 
 import (
@@ -47,8 +54,12 @@ var (
 
 // Receiver is a station's frame-delivery callback. The *packet.Packet is
 // the one its sender handed to the medium, and it goes to every station
-// that receives the transmission, so it is shared and read-only: a
-// receiver must Clone it before mutating it or keeping it beyond the call.
+// that receives the transmission, so it is shared and read-only. It is
+// valid for the call only: the delivery batch holds the frame's reference
+// until every receiver has returned, and a pooled frame may then be
+// reused at once. A receiver must Clone it before mutating it or keeping
+// it beyond the call; passing it to BroadcastFrom is allowed, as the new
+// transmission takes its own reference.
 type Receiver func(*packet.Packet)
 
 // LossModel yields the probability that a given reception fails.
@@ -216,6 +227,8 @@ type Medium struct {
 	stats     Stats
 	trace     TraceFunc
 	corrupted func(field.NodeID)
+	// frames is the scenario's frame pool (see Frames).
+	frames packet.Pool
 	// freeDeliveries recycles fired delivery batches.
 	freeDeliveries []*delivery
 }
@@ -239,6 +252,11 @@ func New(k *sim.Kernel, topo *field.Field, cfg Config) *Medium {
 		downLinks: make(map[[2]field.NodeID]bool),
 	}
 }
+
+// Frames returns the medium's frame pool. Routers built for this medium
+// take their per-hop frames from it, so a frame released by the last
+// delivery batch is the next forward's frame.
+func (m *Medium) Frames() *packet.Pool { return &m.frames }
 
 // SetDown powers a station off (crash) or back on (reboot). A down station
 // transmits nothing, receives nothing — including frames already in flight —
@@ -321,6 +339,14 @@ func (m *Medium) unicastResult(tx field.NodeID, p *packet.Packet) error {
 
 // SetTrace installs a delivery observer (nil disables tracing).
 func (m *Medium) SetTrace(fn TraceFunc) { m.trace = fn }
+
+// traceRx reports one reception attempt to the trace hook, if any.
+func (m *Medium) traceRx(from, to field.NodeID, p *packet.Packet, lost, tunnel bool) {
+	if m.trace != nil {
+		//lint:pooled the caller holds a reference to p for the whole call, and a TraceFunc, like a Receiver, must Clone what it keeps
+		m.trace(TraceEvent{At: m.kernel.Now(), From: from, To: to, Packet: p, Lost: lost, Tunnel: tunnel})
+	}
+}
 
 // SetCorruptionNotify installs a callback invoked whenever a station's
 // reception is destroyed by airtime overlap — the radio-level "CRC failed"
@@ -438,15 +464,11 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 		}
 		if m.fault != nil && m.fault(tx, rx, p) {
 			m.stats.FaultDrops++
-			if m.trace != nil {
-				m.trace(TraceEvent{At: m.kernel.Now(), From: tx, To: rx, Packet: p, Lost: true})
-			}
+			m.traceRx(tx, rx, p, true, false)
 			continue
 		}
 		lost := m.kernel.Rand().Float64() < m.cfg.Loss.LossProb(tx, rx)
-		if m.trace != nil {
-			m.trace(TraceEvent{At: m.kernel.Now(), From: tx, To: rx, Packet: p, Lost: lost})
-		}
+		m.traceRx(tx, rx, p, lost, false)
 		if lost {
 			m.stats.Losses++
 			// A collision-model loss is a garbled frame: surface the
@@ -520,9 +542,7 @@ func (m *Medium) TunnelSend(from, to field.NodeID, p *packet.Packet) error {
 	}
 	st := m.stations[to]
 	m.stats.TunnelMessages++
-	if m.trace != nil {
-		m.trace(TraceEvent{At: m.kernel.Now(), From: from, To: to, Packet: p, Tunnel: true})
-	}
+	m.traceRx(from, to, p, false, true)
 	d := m.newDelivery(p)
 	d.tunnel = true
 	d.rx = append(d.rx, st)

@@ -133,6 +133,8 @@ func (n *Node) buildStack() {
 	// The router's dense per-next-hop state shares the incarnation's
 	// neighbor index, so nbrIdx values agree across the whole stack.
 	rcfg.Index = n.table.Index()
+	// Routed frames come from the medium's pool, which every node shares.
+	rcfg.Frames = n.deps.Medium.Frames()
 	n.router = routing.New(n.scope, n.id, rcfg, n.transmit, n.routerEvents())
 }
 

@@ -21,9 +21,13 @@ import (
 // and each attacker mode's traffic (tunneled, relayed and high-power
 // frames), plus a run under the airtime model with carrier sense, whose
 // deferrals and ARQ retransmissions put a frame on the air again later.
-// Each frame is kept with its encoding at first transmission. At the end of
-// the run every kept frame must still encode to those bytes (the sender
-// side). Then every frame is replayed into every node's Receive, honest and
+// Each frame is kept with its encoding at first transmission, and must
+// still encode to those bytes at every later transmission, at its final
+// release to the frame pool, and, if it is never released, at the end of
+// the run (the sender side). A routed frame's pointer is reused once its
+// last reference is gone, so a pointer seen again after its release starts
+// a new record. Then every record's frame, decoded from its bytes at first
+// transmission, is replayed into every node's Receive, honest and
 // malicious alike, and must come out deeply equal to an untouched decode
 // (the receiver side).
 func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
@@ -40,24 +44,41 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 	}
 	for _, tc := range modes {
 		t.Run(tc.name, func(t *testing.T) {
-			var sent []*packet.Packet
-			wires := map[*packet.Packet][]byte{}
+			// A lifetime is one frame on one pointer, from its first
+			// transmission to its final release: the pointer and the
+			// frame's bytes at first transmission. live maps each pointer
+			// to its current lifetime.
+			type lifetime struct {
+				p    *packet.Packet
+				wire []byte
+			}
+			var sent []*lifetime
+			live := map[*packet.Packet]*lifetime{}
+			check := func(r *lifetime, when string) {
+				wire, err := r.p.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(r.wire, wire) {
+					t.Fatalf("a %v frame changed %s:\n was %x\n now %x", r.p.Type, when, r.wire, wire)
+				}
+			}
 			// keep records a frame at its first transmission and checks it
 			// is unchanged at every later one (relays, CSMA deferrals, ARQ).
 			keep := func(p *packet.Packet) {
+				if r, ok := live[p]; ok {
+					check(r, "between transmissions")
+					return
+				}
 				wire, err := p.Marshal()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if old, ok := wires[p]; ok {
-					if !bytes.Equal(old, wire) {
-						t.Fatalf("a %v frame changed between transmissions:\n was %x\n now %x", p.Type, old, wire)
-					}
-					return
-				}
-				sent = append(sent, p)
-				wires[p] = wire
+				r := &lifetime{p: p, wire: wire}
+				sent = append(sent, r)
+				live[p] = r
 			}
+			reused, released := 0, 0
 			record := func(ev medium.TraceEvent) { keep(ev.Packet) }
 			malicious := map[field.NodeID]*attack.Config{}
 			for _, id := range tc.malicious {
@@ -65,6 +86,22 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 				malicious[id] = &ac
 			}
 			w := buildTracedWorld(t, 7, true, malicious, record)
+			// The final release ends a lifetime: the frame must still hold
+			// its first bytes, and its pointer may then carry a new frame.
+			seen := map[*packet.Packet]bool{}
+			w.med.Frames().Recycled = func(p *packet.Packet) {
+				r, ok := live[p]
+				if !ok {
+					return // never reached a receiver
+				}
+				check(r, "before its final release")
+				delete(live, p)
+				released++
+				if seen[p] {
+					reused++
+				}
+				seen[p] = true
+			}
 			if tc.mode == attack.ModeOutOfBand {
 				if err := w.med.AddTunnel(2, 6, 0); err != nil {
 					t.Fatal(err)
@@ -110,14 +147,12 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 						st.CarrierDeferrals, st.ARQRetransmissions)
 				}
 			}
-			for _, p := range sent {
-				wire, err := p.Marshal()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wire, wires[p]) {
-					t.Fatalf("a sender touched a %v frame after handing it to the medium:\n sent %x\n now  %x", p.Type, wires[p], wire)
-				}
+			w.med.Frames().Recycled = nil
+			for _, r := range live {
+				check(r, "after it was handed to the medium")
+			}
+			if released == 0 || reused == 0 {
+				t.Fatalf("%d pooled frames released, %d of them on a reused pointer; the run must exercise both", released, reused)
 			}
 			var st attack.Stats
 			for _, id := range tc.malicious {
@@ -129,17 +164,17 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 			if st.ReqsTunneled+st.Replays+st.HighPowerTxs == 0 {
 				t.Fatalf("the %s attacker put no frame on the air or tunnel", tc.name)
 			}
-			t.Logf("%d frames recorded, attacker stats %+v", len(sent), st)
+			t.Logf("%d frames recorded, %d pooled frames released (%d on a reused pointer), attacker stats %+v",
+				len(sent), released, reused, st)
 
 			types := map[packet.Type]bool{}
-			for _, p := range sent {
-				wire := wires[p]
+			for _, r := range sent {
 				for _, id := range w.topo.IDs() {
-					q, err := packet.Unmarshal(wire)
+					q, err := packet.Unmarshal(r.wire)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, _ := packet.Unmarshal(wire)
+					want, _ := packet.Unmarshal(r.wire)
 					types[q.Type] = true
 					w.nodes[id].Receive(q)
 					if !reflect.DeepEqual(q, want) {

@@ -111,12 +111,19 @@ type Packet struct {
 	// MAC authenticates unicast messages between nodes sharing a pairwise
 	// key (HELLO replies, neighbor lists, alerts). Empty when unused.
 	MAC []byte
+
+	// pool and refs are a pooled frame's lifetime (see Pool); they are
+	// bookkeeping, not wire content, and nil/0 on every other frame.
+	pool *Pool
+	refs int32
 }
 
 // Clone returns a deep copy; forwarding mutates the copy, never the
 // original (slices are not shared — see "copy slices at boundaries").
+// The copy is an ordinary frame, even when p is pooled.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.pool, q.refs = nil, 0
 	if p.Route != nil {
 		q.Route = make([]NodeID, len(p.Route))
 		copy(q.Route, p.Route)

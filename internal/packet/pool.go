@@ -1,0 +1,88 @@
+package packet
+
+// Pool recycles the frames routing builds per hop, so a warm forward
+// allocates nothing. A pooled frame carries a reference count, and the
+// rule is that whoever holds a reference releases it exactly once: the
+// sender until its hand-over to the medium returns, each delivery batch
+// until it has fired, each airtime deferral or retransmission event until
+// it has run. The last Release returns the frame to its pool, which may
+// hand it out again at once; a receiver that wants the frame past its
+// delivery call must Clone it, as for any shared frame.
+//
+// Frames not taken from a Pool (discovery, alert and attacker frames,
+// decoded frames) carry no count, and Retain and Release leave them alone.
+//
+// The zero Pool is empty and ready to use. A Pool is not safe for
+// concurrent use; one scenario's kernel, medium and routers share one.
+type Pool struct {
+	free []*Packet
+
+	// Recycled, when non-nil, sees each frame as its last reference is
+	// released, before the pool clears it: the point after which nothing
+	// may read the frame.
+	Recycled func(*Packet)
+}
+
+// get returns an empty frame holding one reference, the caller's. Its
+// Route, Payload and MAC are empty but keep the capacity of earlier uses.
+func (pl *Pool) get() *Packet {
+	n := len(pl.free)
+	if n == 0 {
+		return &Packet{pool: pl, refs: 1}
+	}
+	p := pl.free[n-1]
+	pl.free[n-1] = nil
+	pl.free = pl.free[:n-1]
+	p.refs = 1
+	return p
+}
+
+// Clone returns a pooled deep copy of p holding one reference, the
+// caller's. Its Route has room for one more hop, so a REQ forward appends
+// itself without growing it.
+func (pl *Pool) Clone(p *Packet) *Packet {
+	q := pl.get()
+	route, payload, mac := q.Route[:0], q.Payload[:0], q.MAC[:0]
+	if cap(route) <= len(p.Route) {
+		route = make([]NodeID, 0, len(p.Route)+1)
+	}
+	*q = *p
+	q.pool, q.refs = pl, 1
+	q.Route = append(route, p.Route...)
+	q.Payload = append(payload, p.Payload...)
+	q.MAC = append(mac, p.MAC...)
+	return q
+}
+
+// Retain adds a reference to a pooled frame.
+func (p *Packet) Retain() {
+	if p.pool != nil {
+		p.refs++
+	}
+}
+
+// Release drops one reference to a pooled frame; the last one returns it
+// to its pool, after which no holder may touch it. Releasing a frame more
+// times than it was referenced is a bug, and panics.
+func (p *Packet) Release() {
+	if p.pool == nil {
+		return
+	}
+	if p.refs <= 0 {
+		panic("packet: frame released more often than it was referenced")
+	}
+	p.refs--
+	if p.refs == 0 {
+		p.pool.recycle(p)
+	}
+}
+
+// recycle clears a frame whose last reference is gone, keeping its
+// slices' capacity, and puts it on the free list.
+func (pl *Pool) recycle(p *Packet) {
+	if pl.Recycled != nil {
+		pl.Recycled(p)
+	}
+	*p = Packet{Route: p.Route[:0], Payload: p.Payload[:0], MAC: p.MAC[:0], pool: pl}
+	pl.free = append(pl.free, p)
+}

@@ -21,7 +21,7 @@ type failingSender struct {
 }
 
 func (f *failingSender) send(p *packet.Packet) error {
-	f.sent = append(f.sent, p)
+	f.sent = append(f.sent, p.Clone()) // the router reuses its frames once send returns
 	if p.Receiver != packet.Broadcast && f.dead[p.Receiver] {
 		return medium.ErrLinkDown
 	}

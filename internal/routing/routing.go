@@ -72,6 +72,11 @@ type Config struct {
 	// builds a private index — correct, but nbrIdx values are then not
 	// shared with the watch layer.
 	Index *neighbor.Index
+	// Frames, when non-nil, is the scenario's frame pool
+	// (medium.Medium.Frames()), from which the router takes every frame it
+	// sends. Nil means the router builds a private pool; a frame always
+	// goes back to the pool it came from (see packet.Pool).
+	Frames *packet.Pool
 	// MaxSendFailures is the dead next-hop threshold: after this many
 	// consecutive unicast send failures (the MAC's no-ack signal — the
 	// neighbor crashed or the link flapped) toward the same next hop, all
@@ -194,12 +199,17 @@ type Stats struct {
 }
 
 // Router is one node's routing state machine.
+//
+// Every frame the router sends comes from its frame pool and holds one
+// reference, the router's, which it releases as soon as send returns (for
+// a REQ forward, when the jitter has passed and the frame is sent).
 type Router struct {
 	kernel sim.Clock
 	self   field.NodeID
 	cfg    Config
 	send   func(*packet.Packet) error
 	events Events
+	frames *packet.Pool
 
 	seq       uint64
 	cache     map[field.NodeID]*cachedRoute
@@ -221,6 +231,7 @@ type Router struct {
 	freeRoutes []*cachedRoute
 	freeHops   []*hopEntry
 	freeDisc   []*discoveryState
+	freeFwds   []*pendingForward
 
 	// Sorted key views, rebuilt lazily after a membership change and shared
 	// between calls (the neighbor-table cached-view pattern): evictVia runs
@@ -257,6 +268,10 @@ func New(k sim.Clock, self field.NodeID, cfg Config, send func(*packet.Packet) e
 	r.idx = r.cfg.Index
 	if r.idx == nil {
 		r.idx = neighbor.NewIndex()
+	}
+	r.frames = r.cfg.Frames
+	if r.frames == nil {
+		r.frames = new(packet.Pool)
 	}
 	wheel := r.cfg.Wheel
 	if wheel == nil {
@@ -487,7 +502,7 @@ func (r *Router) Send(dest field.NodeID, payload []byte) error {
 
 func (r *Router) startDiscovery(dest field.NodeID, ds *discoveryState) {
 	ds.seq = r.nextSeq()
-	req := &packet.Packet{
+	req := r.frames.Clone(&packet.Packet{
 		Type:      packet.TypeRouteRequest,
 		Seq:       ds.seq,
 		Origin:    r.self,
@@ -495,12 +510,13 @@ func (r *Router) startDiscovery(dest field.NodeID, ds *discoveryState) {
 		Sender:    r.self,
 		PrevHop:   r.self,
 		Receiver:  packet.Broadcast,
-		Route:     []field.NodeID{r.self},
-	}
+	})
+	req.Route = append(req.Route, r.self)
 	r.stats.RequestsOriginated++
 	// Mark our own request as seen so a reflected copy is not reflooded.
 	r.markSeen(req.Key())
 	_ = r.send(req)
+	req.Release()
 	ds.timer = r.kernel.After(r.cfg.RequestTimeout, ds.fn)
 }
 
@@ -569,7 +585,7 @@ func (r *Router) HandleRouteRequest(p *packet.Packet) {
 	if contains(p.Route, r.self) {
 		return // routing loop
 	}
-	fwd := p.Clone()
+	fwd := r.frames.Clone(p)
 	fwd.Route = append(fwd.Route, r.self)
 	fwd.HopCount++
 	fwd.PrevHop = p.Sender
@@ -577,7 +593,47 @@ func (r *Router) HandleRouteRequest(p *packet.Packet) {
 	fwd.Receiver = packet.Broadcast
 	r.stats.RequestsForwarded++
 	jitter := r.kernel.UniformDuration(r.cfg.ForwardJitter)
-	r.kernel.After(jitter, func() { _ = r.send(fwd) })
+	r.kernel.After(jitter, r.newForward(fwd).fire)
+}
+
+// pendingForward is a REQ forward waiting out its jitter. It holds the
+// router's reference to the frame until fire has sent it. Records are
+// pooled like hopEntry; a crash cancels the pending fire with the rest of
+// the incarnation, and the record and its frame are then garbage.
+type pendingForward struct {
+	r     *Router
+	frame *packet.Packet
+	fire  sim.Event // prebound (*pendingForward).send
+}
+
+// newForward takes a forward record for frame from the freelist (or
+// allocates one, binding its dispatch exactly once).
+func (r *Router) newForward(frame *packet.Packet) *pendingForward {
+	var f *pendingForward
+	if n := len(r.freeFwds); n > 0 {
+		f = r.freeFwds[n-1]
+		r.freeFwds[n-1] = nil
+		r.freeFwds = r.freeFwds[:n-1]
+	} else {
+		f = &pendingForward{r: r}
+		f.fire = f.send
+	}
+	f.frame = frame //lint:pooled the record holds the router's reference until send releases it
+	return f
+}
+
+func (r *Router) recycleForward(f *pendingForward) {
+	f.frame = nil
+	r.freeFwds = append(r.freeFwds, f)
+}
+
+// send transmits the frame once its jitter has passed and releases the
+// router's reference.
+func (f *pendingForward) send() {
+	r := f.r
+	_ = r.send(f.frame)
+	f.frame.Release()
+	r.recycleForward(f)
 }
 
 func (r *Router) answerRequest(p *packet.Packet) {
@@ -592,25 +648,24 @@ func (r *Router) answerRequest(p *packet.Packet) {
 	r.repliedReq.Put(seenKey(rk), exp)
 	r.seenSlot.Arm(exp)
 
-	fullRoute := make([]field.NodeID, 0, len(p.Route)+1)
-	fullRoute = append(fullRoute, p.Route...)
-	fullRoute = append(fullRoute, r.self)
-	if len(fullRoute) < 2 {
-		return
+	if len(p.Route) == 0 {
+		return // the full route would not reach back to a previous hop
 	}
-	rep := &packet.Packet{
+	rep := r.frames.Clone(&packet.Packet{
 		Type:      packet.TypeRouteReply,
 		Seq:       p.Seq, // REP shares the request's identity
 		Origin:    p.Origin,
 		FinalDest: p.Origin,
 		Sender:    r.self,
 		PrevHop:   r.self,
-		Receiver:  fullRoute[len(fullRoute)-2],
+		Receiver:  p.Route[len(p.Route)-1],
 		HopCount:  0,
-		Route:     fullRoute,
-	}
+		Route:     p.Route,
+	})
+	rep.Route = append(rep.Route, r.self)
 	r.stats.RepliesOriginated++
 	_ = r.unicast(rep.Receiver, rep)
+	rep.Release()
 }
 
 // HandleRouteReply processes a REP addressed to this node.
@@ -633,13 +688,14 @@ func (r *Router) HandleRouteReply(p *packet.Packet) {
 		r.setForward(p.FinalDest, p.Route[idx-1])
 		r.setForward(p.Route[len(p.Route)-1], p.Sender)
 	}
-	fwd := p.Clone()
+	fwd := r.frames.Clone(p)
 	fwd.PrevHop = p.Sender
 	fwd.Sender = r.self
 	fwd.Receiver = p.Route[idx-1]
 	fwd.HopCount++
 	r.stats.RepliesForwarded++
 	_ = r.unicast(fwd.Receiver, fwd)
+	fwd.Release()
 }
 
 func (r *Router) installRoute(p *packet.Packet) {
@@ -720,7 +776,7 @@ func (r *Router) sendData(route []field.NodeID, payload []byte) {
 		return
 	}
 	dest := route[len(route)-1]
-	p := &packet.Packet{
+	tmpl := packet.Packet{
 		Type:      packet.TypeData,
 		Seq:       r.nextSeq(),
 		Origin:    r.self,
@@ -728,13 +784,16 @@ func (r *Router) sendData(route []field.NodeID, payload []byte) {
 		Sender:    r.self,
 		PrevHop:   r.self,
 		Receiver:  route[1],
+		Payload:   payload,
 	}
 	if !r.cfg.HopByHop {
-		p.Route = append([]field.NodeID(nil), route...)
+		tmpl.Route = route
 	}
-	p.Payload = append([]byte(nil), payload...)
+	p := r.frames.Clone(&tmpl)
 	r.stats.DataOriginated++
-	if err := r.unicast(route[1], p); err != nil && !r.HasRoute(dest) {
+	err := r.unicast(route[1], p)
+	p.Release()
+	if err != nil && !r.HasRoute(dest) {
 		// The failure just evicted the route through the dead first hop:
 		// instead of dropping the payload, re-enter discovery with it, so
 		// traffic recovers on a fresh path.
@@ -769,7 +828,7 @@ func (r *Router) HandleData(p *packet.Packet) error {
 		}
 		next = p.Route[idx+1]
 	}
-	fwd := p.Clone()
+	fwd := r.frames.Clone(p)
 	fwd.PrevHop = p.Sender
 	fwd.Sender = r.self
 	fwd.Receiver = next
@@ -778,7 +837,9 @@ func (r *Router) HandleData(p *packet.Packet) error {
 	if r.events.DataForwarded != nil {
 		r.events.DataForwarded(fwd, next)
 	}
-	return r.unicast(next, fwd)
+	err := r.unicast(next, fwd)
+	fwd.Release()
+	return err
 }
 
 // ReportBrokenRoute originates a RERR toward the data packet's source:
@@ -792,7 +853,7 @@ func (r *Router) ReportBrokenRoute(p *packet.Packet) {
 	if !r.cfg.SendRouteErrors || p.Type != packet.TypeData || p.Origin == r.self {
 		return
 	}
-	rerr := &packet.Packet{
+	tmpl := packet.Packet{
 		Type:      packet.TypeRouteError,
 		Seq:       uint64(p.FinalDest), // unreachable destination
 		Origin:    r.self,
@@ -800,26 +861,26 @@ func (r *Router) ReportBrokenRoute(p *packet.Packet) {
 		Sender:    r.self,
 		PrevHop:   r.self,
 	}
-	var next field.NodeID
 	switch {
 	case r.cfg.HopByHop:
 		hop, ok := r.NextHop(p.Origin)
 		if !ok {
 			return
 		}
-		next = hop
+		tmpl.Receiver = hop
 	default:
 		idx := indexOf(p.Route, r.self)
 		if idx <= 0 {
 			return
 		}
-		next = p.Route[idx-1]
+		tmpl.Receiver = p.Route[idx-1]
 		// Carry the reverse path so intermediates need no state.
-		rerr.Route = append([]field.NodeID(nil), p.Route[:idx+1]...)
+		tmpl.Route = p.Route[:idx+1]
 	}
-	rerr.Receiver = next
+	rerr := r.frames.Clone(&tmpl)
 	r.stats.RouteErrorsSent++
 	_ = r.send(rerr)
+	rerr.Release()
 }
 
 // HandleRouteError processes a RERR addressed to this node: relay it
@@ -840,26 +901,29 @@ func (r *Router) HandleRouteError(p *packet.Packet) {
 		return
 	}
 	// Relay toward the source.
-	fwd := p.Clone()
-	fwd.PrevHop = p.Sender
-	fwd.Sender = r.self
-	fwd.HopCount++
+	var next field.NodeID
 	switch {
 	case r.cfg.HopByHop:
 		hop, ok := r.NextHop(p.FinalDest)
 		if !ok {
 			return
 		}
-		fwd.Receiver = hop
+		next = hop
 	default:
 		idx := indexOf(p.Route, r.self)
 		if idx <= 0 {
 			return
 		}
-		fwd.Receiver = p.Route[idx-1]
+		next = p.Route[idx-1]
 	}
+	fwd := r.frames.Clone(p)
+	fwd.PrevHop = p.Sender
+	fwd.Sender = r.self
+	fwd.Receiver = next
+	fwd.HopCount++
 	r.stats.RouteErrorsRelayed++
 	_ = r.send(fwd)
+	fwd.Release()
 }
 
 // EvictRoute drops the cached route to dest (e.g. on link failure).

@@ -73,7 +73,7 @@ func TestEndToEndDelivery(t *testing.T) {
 		if id != 5 {
 			return Events{}
 		}
-		return Events{DataDelivered: func(p *packet.Packet) { delivered = append(delivered, p) }}
+		return Events{DataDelivered: func(p *packet.Packet) { delivered = append(delivered, p.Clone()) }}
 	})
 	if err := h.routers[1].Send(5, []byte("payload")); err != nil {
 		t.Fatal(err)

@@ -204,6 +204,56 @@ func TestFreePendingBounded(t *testing.T) {
 	}
 }
 
+// TestDeadlineQueueCompacts arms a burst of expectations and hears the
+// forwards of all but every tenth, latest first and never the first one's.
+// The queue must stay within 2*live+queueSeedCap entries and give back the
+// burst's capacity, and every live entry must still resolve: a forward
+// heard after the compactions cancels its own entry (its ref was
+// rewritten in the store), and the rest expire as drops at their
+// deadlines, in arming order.
+func TestDeadlineQueueCompacts(t *testing.T) {
+	k := sim.New(3)
+	b, acc, _ := newBuffer(k, Config{Timeout: time.Second, CacheTTL: 2 * time.Second})
+	const burst = 400
+	fwd := func(i int) field.NodeID { return field.NodeID(5 + i%3) }
+	for i := 0; i < burst; i++ {
+		if !b.Expect(fwd(i), key(1, uint64(i))) {
+			t.Fatalf("expectation %d not armed", i)
+		}
+		k.RunFor(time.Millisecond)
+	}
+	for i := burst - 1; i >= 0; i-- {
+		if i%10 != 0 && !b.RecordHeard(fwd(i), key(1, uint64(i))) {
+			t.Fatalf("forward %d met no expectation", i)
+		}
+		checkQueue(t, b)
+	}
+	if got := cap(b.deadlines.items); got >= burst {
+		t.Fatalf("queue keeps capacity %d for %d live entries", got, b.Len())
+	}
+	if !b.RecordHeard(fwd(10), key(1, 10)) {
+		t.Fatal("forward 10 met no expectation after the compactions")
+	}
+	k.RunFor(time.Minute)
+	var want []int
+	for i := 0; i < burst; i += 10 {
+		if i != 10 {
+			want = append(want, i)
+		}
+	}
+	if len(*acc) != len(want) {
+		t.Fatalf("%d drop accusations, want %d", len(*acc), len(want))
+	}
+	for j, i := range want {
+		a := (*acc)[j]
+		if a.Reason != ReasonDrop || a.Accused != fwd(i) || a.Key != key(1, uint64(i)) ||
+			a.At != time.Duration(i)*time.Millisecond+time.Second {
+			t.Fatalf("accusation %d = %+v, want a drop by %d of %v at %v", j, a, fwd(i), key(1, uint64(i)),
+				time.Duration(i)*time.Millisecond+time.Second)
+		}
+	}
+}
+
 // floodCycle is one warm-path step of a guard on a flood: a packet heard
 // from six senders, an expectation armed on six neighbors, and 300 ms of
 // virtual time, enough for the wheel to sweep the records and deadlines

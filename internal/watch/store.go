@@ -39,6 +39,9 @@ type storeBackend interface {
 	// clearExpect removes the outstanding expectation on (fidx, key),
 	// which the buffer resolved as a drop.
 	clearExpect(fidx int32, key packet.Key)
+	// rekey gives the outstanding expectation on (fidx, key) the ref of
+	// its deadline's new place in the compacted queue.
+	rekey(fidx int32, key packet.Key, ref uint64)
 
 	// MalC records. The pointer returned by ensureMalc is transient: it
 	// may point into dense backing storage and is invalidated by any

@@ -323,6 +323,11 @@ func (s *flatStore) clearExpect(fidx int32, key packet.Key) {
 	s.mark(r, fidx, false)
 }
 
+func (s *flatStore) rekey(fidx int32, key packet.Key, ref uint64) {
+	e, _ := s.lookup(s.recs.at(s.find(anyKey(key))), fidx)
+	*e = ^time.Duration(ref)
+}
+
 // expecting reports whether r holds an outstanding expectation.
 func (s *flatStore) expecting(r *heardRecord) bool {
 	for c, base := r.head, int32(0); c != noChunk; base += chunkSlots {

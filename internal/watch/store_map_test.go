@@ -70,6 +70,10 @@ func (s *mapStore) clearExpect(fidx int32, key packet.Key) {
 	delete(s.pending, mapKey{fidx, key})
 }
 
+func (s *mapStore) rekey(fidx int32, key packet.Key, ref uint64) {
+	s.pending[mapKey{fidx, key}] = ref
+}
+
 func (s *mapStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 	exp, ok := s.heardAt[mapKey{sidx, key}]
 	return ok && live(exp, now)

@@ -38,8 +38,9 @@ const (
 type storeCtor func(sim.Clock, Config, func(Accusation), func(field.NodeID)) *Buffer
 
 // runStoreScript replays the op script derived from seed against buffers
-// built by ctor and returns the observation log.
-func runStoreScript(ctor storeCtor, seed int64) []string {
+// built by ctor and returns the observation log. After every op it checks
+// the live buffer's deadline queue (see checkQueue).
+func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	kernel := sim.New(seed + 1)
 	var log []string
@@ -106,6 +107,9 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 	}
 
 	for op := 0; op < diffOps; op++ {
+		if op > 0 {
+			checkQueue(tb, b)
+		}
 		switch rng.Intn(20) {
 		case 0, 1:
 			b.RecordHeard(node(), somekey())
@@ -127,12 +131,29 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 		case 10:
 			// Burst: drive the tables across a capacity boundary, then on a
 			// later idle stretch the sweep takes them back down (shrink).
+			// Then the forwards of all but every fifth armed expectation are
+			// heard, latest first, and never the first one's: cancelled
+			// entries come to outnumber live ones behind a live head, and
+			// the deadline queue compacts.
 			base := uint64(1000 * (op + 1))
+			type armed struct {
+				f field.NodeID
+				k packet.Key
+			}
+			var burst []armed
 			for i := uint64(0); i < uint64(64+rng.Intn(64)); i++ {
 				k := packet.Key{Type: packet.TypeRouteRequest, Origin: node(), Seq: base + i}
 				b.RecordHeard(node(), k)
-				if i%4 == 0 {
-					b.Expect(node(), k)
+				if i%2 == 0 {
+					if f := node(); b.Expect(f, k) {
+						burst = append(burst, armed{f, k})
+					}
+				}
+			}
+			log = append(log, fmt.Sprintf("burst %d", b.Len()))
+			for i := len(burst) - 1; i >= 0; i-- {
+				if i%5 != 0 {
+					log = append(log, fmt.Sprintf("bfwd %v", b.RecordHeard(burst[i].f, burst[i].k)))
 				}
 			}
 			log = append(log, fmt.Sprintf("burst %d", b.Len()))
@@ -273,16 +294,40 @@ func runStoreScript(ctor storeCtor, seed int64) []string {
 			query("wide", wide(), k)
 		}
 	}
+	checkQueue(tb, b)
 	kernel.RunFor(5 * time.Second) // drain every deadline and sweep
+	checkQueue(tb, b)
 	st := b.Stats()
 	log = append(log, fmt.Sprintf("stats %+v len %d", st, b.Len()))
 	return log
 }
 
+// checkQueue checks b's deadline queue: its cancelled count is the number
+// of cancelled entries in it, it holds exactly b's outstanding
+// expectations as live entries, and compaction keeps it within
+// 2*live+queueSeedCap entries.
+func checkQueue(tb testing.TB, b *Buffer) {
+	tb.Helper()
+	q := &b.deadlines
+	cancelled := 0
+	for _, d := range q.items[q.head:] {
+		if d.fidx < 0 {
+			cancelled++
+		}
+	}
+	n, live := len(q.items)-q.head, b.Len()
+	if cancelled != q.cancelled || n-cancelled != live {
+		tb.Fatalf("queue of %d entries holds %d cancelled (counted %d), want %d live", n, cancelled, q.cancelled, live)
+	}
+	if n > 2*live+queueSeedCap {
+		tb.Fatalf("queue holds %d entries for %d live ones, over 2*live+%d", n, live, queueSeedCap)
+	}
+}
+
 func diffCompare(t *testing.T, seed int64) {
 	t.Helper()
-	flat := runStoreScript(New, seed)
-	ref := runStoreScript(newMapBuffer, seed)
+	flat := runStoreScript(t, New, seed)
+	ref := runStoreScript(t, newMapBuffer, seed)
 	if len(flat) != len(ref) {
 		t.Fatalf("seed %d: log lengths diverge: flat %d vs map %d", seed, len(flat), len(ref))
 	}

@@ -180,24 +180,27 @@ type deadline struct {
 
 // deadlineQueue holds a buffer's watch entries, live and cancelled, in the
 // order they were armed, which is also (at, seq) order. An entry's ref is
-// its arming number, so it stays valid while the queue compacts or
-// reallocates. The head entry is live whenever the queue is non-empty:
-// whoever cancels or pops the head drops the cancelled entries behind it.
-// The buffer's one clock timer is armed for the head, so the oldest live
-// entry is always the one whose deadline fires next.
+// its position counted from the head's ref, base, so it stays valid while
+// the queue pops or reallocates; compact, which closes the gaps cancelled
+// entries leave, gives the live entries behind a gap new refs and writes
+// them through the store. The head entry is live whenever the queue is
+// non-empty: whoever cancels or pops the head drops the cancelled entries
+// behind it. The buffer's one clock timer is armed for the head, so the
+// oldest live entry is always the one whose deadline fires next.
 type deadlineQueue struct {
-	items []deadline
-	head  int    // items[head] is the oldest entry
-	base  uint64 // ref of items[head]
+	items     []deadline
+	head      int    // items[head] is the oldest entry
+	base      uint64 // ref of items[head]
+	cancelled int    // entries with fidx -1
 }
 
 // queueSeedCap and queueShrinkFactor set the queue's capacity policy: once
 // the backing array exceeds queueShrinkFactor*(entries+queueSeedCap)
 // slots, the entries move to a fresh array of entries+queueSeedCap slots,
 // so a burst's capacity goes back to the collector instead of staying at
-// every guard; an idle guard keeps at most 128 slots (5 KB). The queue holds every entry armed
-// within tau of its oldest live one, so a guard's queue refills to about
-// the same size on every flood. Of the seeds measured on flood-n400 (4 to
+// every guard; an idle guard keeps at most 128 slots (5 KB). A queue no
+// longer than queueSeedCap also keeps its cancelled entries until they
+// reach the head (see compact). Of the seeds measured on flood-n400 (4 to
 // 64), 4 allocated 49% more bytes per event than 32, through trimming and
 // regrowth, and 64 retained 6% more watch bytes than 32.
 const (
@@ -220,10 +223,51 @@ func (q *deadlineQueue) dropCancelled() {
 	}
 }
 
+// cancel marks entry ref met by its forward.
+func (q *deadlineQueue) cancel(ref uint64) {
+	q.at(ref).fidx = -1
+	q.cancelled++
+}
+
+// compact drops every cancelled entry once they outnumber the live ones
+// in a queue longer than queueSeedCap. The buffer calls it after each
+// cancel, so the queue never holds more than 2*live+queueSeedCap entries
+// (a pop removes a live entry and at least one slot, which keeps that
+// bound); otherwise one live entry would keep every entry armed after it
+// queued, cancelled or not. The live entries keep their order and their
+// reserved (at, seq), so the head, whose ref stays base, is still the one
+// the buffer's timer is armed for; each entry that moves gets the ref of
+// its new position, which s.rekey writes into its store slot.
+func (q *deadlineQueue) compact(s storeBackend) {
+	n := len(q.items) - q.head
+	live := n - q.cancelled
+	if n <= queueSeedCap || q.cancelled <= live {
+		return
+	}
+	items := q.items[:0]
+	if cap(q.items) > queueShrinkFactor*(live+queueSeedCap) {
+		items = make([]deadline, 0, live+queueSeedCap)
+	}
+	for i, d := range q.items[q.head:] {
+		if d.fidx < 0 {
+			continue
+		}
+		if len(items) != i {
+			s.rekey(d.fidx, d.key, q.base+uint64(len(items)))
+		}
+		items = append(items, d)
+	}
+	clear(q.items[len(items):])
+	q.items, q.head, q.cancelled = items, 0, 0
+}
+
 // pop removes the oldest entry. Then it trims the backing array (see
 // queueSeedCap) or, once the popped prefix is at least as long as the
 // rest, moves the rest to the front.
 func (q *deadlineQueue) pop() {
+	if q.items[q.head].fidx < 0 {
+		q.cancelled--
+	}
 	q.items[q.head] = deadline{}
 	q.head++
 	q.base++
@@ -362,13 +406,14 @@ func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 	if !met {
 		return false
 	}
-	b.deadlines.at(ref).fidx = -1
+	b.deadlines.cancel(ref)
 	b.stats.Matches++
 	if ref == b.deadlines.base {
 		b.timer.Cancel()
 		b.deadlines.dropCancelled()
 		b.armHead()
 	}
+	b.deadlines.compact(b.store)
 	return true
 }
 
