@@ -3,7 +3,7 @@
 // coverage curves, the Figure 10 analytic detection curve, and the §5.2
 // cost model — all without running a simulation.
 //
-// -detectors additionally races the registered detection strategies on
+// -detectors additionally races the built-in detection strategies on
 // one small seeded wormhole scenario and prints each strategy's
 // DetectorStats (accusation mix, false accusations, time to first
 // isolation) side by side — a fast empirical complement to the analytic
@@ -90,7 +90,7 @@ func run(args []string) error {
 }
 
 // compareDetectors runs one small out-of-band wormhole scenario per
-// registered strategy — identical seed, topology, traffic, and attack —
+// built-in strategy — identical seed, topology, traffic, and attack —
 // and prints each strategy's DetectorStats side by side.
 func compareDetectors(seed int64) error {
 	fmt.Printf("Detector comparison: N=50, M=2, out-of-band wormhole, seed=%d\n", seed)

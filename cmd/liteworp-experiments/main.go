@@ -6,13 +6,11 @@
 //	liteworp-experiments -only F8,F10         # a subset
 //	liteworp-experiments -parallel 0          # fan seeded runs over all cores
 //	liteworp-experiments -checkpoint state/   # resume interrupted campaigns
-//	liteworp-experiments -job-timeout 5m      # wall-clock budget per run
-//	liteworp-experiments -on-error skip       # keep going past doomed runs
 //	liteworp-experiments -json                # machine-readable results
 //
 // IDs: T1 T2 F5 F6a F6b F8 F9 F10 N1 D1 C1.
 //
-// D1 is the detector comparison: the registered detection strategies
+// D1 is the detector comparison: the built-in detection strategies
 // (liteworp, zscore, range, none) race against the same seeded wormhole
 // attacks, yielding detection probability, first-isolation latency, and
 // false-positive curves per strategy.
@@ -24,18 +22,14 @@
 // are persisted so an interrupted campaign resumes instead of
 // restarting, and per-figure progress is reported on stderr.
 //
-// The campaign runtime is supervised: a run that panics or errors is
-// recorded as failed without taking the process down, a run that exceeds
-// -job-timeout of wall-clock time is cancelled and counted as a timeout,
-// -on-error picks whether a failed run aborts the figure (fail, the
-// default) or is skipped with the remaining runs aggregated (skip), and
-// -stall-after arms a watchdog that reports worker liveness when no run
-// completes for that long. A seeded run is deterministic, so it is never
-// retried in-process; rerunning with the same -checkpoint under -on-error
-// fail re-runs recorded failures. SIGINT/SIGTERM trigger a graceful
-// drain: in-flight runs finish and are checkpointed, then the process
-// exits with the campaign interrupted; a second signal exits
-// immediately.
+// A run that errors or panics fails its figure: the process exits 1 with
+// an error naming the figure, the run's key and seed (and a panic's
+// stack), and every run completed before it stays in the checkpoint, so
+// a rerun with the same -checkpoint resumes from there. A figure's run
+// count is fixed by the scale and -runs; no run is ever skipped.
+// SIGINT/SIGTERM trigger a graceful drain: in-flight runs finish and are
+// checkpointed, then the process exits 130 with the campaign
+// interrupted; a second signal exits immediately.
 package main
 
 import (
@@ -44,13 +38,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -69,36 +61,6 @@ func main() {
 	}
 }
 
-// reporter serializes all supervision output on one writer. Campaign
-// workers invoke the progress and notice hooks concurrently, so every
-// line is fully composed first and emitted under the mutex in a single
-// Fprint — two workers can never interleave partial lines. It also keeps
-// the running failed tally that annotates progress lines.
-type reporter struct {
-	mu     sync.Mutex
-	w      io.Writer
-	failed int
-}
-
-func (r *reporter) progress(figure string, done, total int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	line := fmt.Sprintf("%s: %d/%d runs", figure, done, total)
-	if r.failed > 0 {
-		line += fmt.Sprintf(" (%d failed)", r.failed)
-	}
-	fmt.Fprintln(r.w, line)
-}
-
-func (r *reporter) notice(figure string, n campaign.Notice) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n.Kind == campaign.NoticeFailed {
-		r.failed++
-	}
-	fmt.Fprintf(r.w, "%s: %s\n", figure, n.Msg)
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("liteworp-experiments", flag.ContinueOnError)
 	scaleName := fs.String("scale", "quick", "experiment scale: quick|paper")
@@ -107,10 +69,7 @@ func run(args []string) error {
 	plot := fs.Bool("plot", false, "render figures as ASCII charts too")
 	parallel := fs.Int("parallel", 1, "campaign workers for simulated experiments (0 = all CPU cores, 1 = sequential)")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per experiment on stdout instead of text")
-	checkpoint := fs.String("checkpoint", "", "directory of campaign checkpoints; interrupted runs resume from completed seeds")
-	jobTimeout := fs.Duration("job-timeout", 0, "wall-clock budget per run (0 = unlimited)")
-	onError := fs.String("on-error", "fail", "failed run policy: fail|skip")
-	stallAfter := fs.Duration("stall-after", 0, "report worker liveness when no run completes for this long (0 = off)")
+	checkpoint := fs.String("checkpoint", "", "directory of campaign checkpoints; interrupted or failed campaigns resume from completed seeds")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -126,16 +85,6 @@ func run(args []string) error {
 	}
 	if *runs > 0 {
 		scale.Runs = *runs
-	}
-
-	var policy campaign.ErrorPolicy
-	switch *onError {
-	case "fail":
-		policy = campaign.FailFast
-	case "skip":
-		policy = campaign.SkipFailed
-	default:
-		return fmt.Errorf("unknown -on-error policy %q (want fail or skip)", *onError)
 	}
 
 	workers := *parallel
@@ -174,28 +123,16 @@ func run(args []string) error {
 		}
 	}()
 
-	// The campaign engine sits inside the determinism boundary and never
-	// touches the wall clock itself; the real clock is injected here.
-	start := time.Now()
-	rep := &reporter{w: os.Stderr}
+	// Progress and quarantine notices both arrive on the goroutine that
+	// runs the figure, so they print in order without a lock.
 	opt := experiments.Options{
 		Workers:       workers,
 		CheckpointDir: *checkpoint,
-		Progress:      rep.progress,
-		Notice:        rep.notice,
-		JobTimeout:    *jobTimeout,
-		OnError:       policy,
 		Context:       ctx,
-		StallAfter:    *stallAfter,
-		Elapsed:       func() time.Duration { return time.Since(start) },
-		Sleep: func(ctx context.Context, d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
+		Progress: func(figure string, done, total int) {
+			fmt.Fprintf(os.Stderr, "%s: %d/%d runs\n", figure, done, total)
 		},
+		Notice: func(figure, msg string) { fmt.Fprintf(os.Stderr, "%s: %s\n", figure, msg) },
 	}
 
 	type experiment struct {
@@ -310,8 +247,8 @@ func run(args []string) error {
 		expStart := time.Now()
 		data, out, err := e.fn()
 		if err != nil {
-			if errors.Is(err, campaign.ErrInterrupted) && *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "%s interrupted; re-run with -checkpoint %s to resume\n", e.id, *checkpoint)
+			if e.sim && *checkpoint != "" {
+				fmt.Fprintf(os.Stderr, "%s stopped; completed runs are checkpointed, re-run with -checkpoint %s to resume\n", e.id, *checkpoint)
 			}
 			return fmt.Errorf("%s: %w", e.id, err)
 		}

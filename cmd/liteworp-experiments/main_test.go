@@ -59,40 +59,6 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 }
 
-func TestRunRejectsUnknownErrorPolicy(t *testing.T) {
-	err := run([]string{"-on-error", "explode"})
-	if err == nil {
-		t.Fatal("unknown -on-error policy accepted")
-	}
-	if !strings.Contains(err.Error(), "explode") {
-		t.Errorf("error %q does not name the bad policy", err)
-	}
-}
-
-func TestRunJobTimeout(t *testing.T) {
-	// A 1 ns wall-clock budget cannot fit any run; the failure
-	// must be a timeout naming the blown budget.
-	err := run([]string{"-only", "F10", "-runs", "1", "-job-timeout", "1ns"})
-	if err == nil {
-		t.Fatal("an unmeetable -job-timeout should fail the campaign")
-	}
-	for _, want := range []string{"timeout", "real-time budget"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
-		}
-	}
-}
-
-func TestRunJobTimeoutSkipPolicy(t *testing.T) {
-	// Under -on-error skip the timed-out runs are dropped and the
-	// experiment still renders from the (empty) survivor set.
-	args := []string{"-only", "F10", "-runs", "1", "-job-timeout", "1ns",
-		"-on-error", "skip"}
-	if err := run(args); err != nil {
-		t.Fatalf("-on-error skip should survive timed-out runs: %v", err)
-	}
-}
-
 func TestRunParallelWithCheckpoint(t *testing.T) {
 	// One small simulated figure through the campaign path: all cores,
 	// checkpoint directory created and populated, then a resumed rerun

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkCampaign compares sequential and pooled wall-clock time over a
 // fixed seed set. The per-iteration simulated work is identical, so the
-// workers=N/workers=1 time ratio is the fan-out speedup.
+// workers=1/workers=GOMAXPROCS time ratio is the fan-out speedup.
 func BenchmarkCampaign(b *testing.B) {
 	jobs := make([]Job, 8)
 	for i := range jobs {
@@ -27,24 +27,6 @@ func BenchmarkCampaign(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				err := Run(jobs, Options{Workers: w}, func(int, Job, *liteworp.Results) error { return nil })
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// The supervised variant prices the fault-tolerance machinery on
-		// the happy path: the budget checked between kernel slices,
-		// per-worker state tracked — but no fault ever fires. The delta
-		// vs the plain variant is the supervision overhead.
-		b.Run(fmt.Sprintf("supervised/workers=%d", w), func(b *testing.B) {
-			opt := Options{
-				Workers:    w,
-				JobTimeout: time.Hour,
-				OnError:    SkipFailed,
-				Elapsed:    func() time.Duration { return 0 },
-			}
-			for i := 0; i < b.N; i++ {
-				err := Run(jobs, opt, func(int, Job, *liteworp.Results) error { return nil })
 				if err != nil {
 					b.Fatal(err)
 				}

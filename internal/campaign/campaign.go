@@ -22,37 +22,37 @@
 // the kernel-ownership analyzer checks that no goroutine the pool spawns
 // ever shares a run's kernel, wheel, or scenario state.
 //
-// The runtime is supervised (see supervise.go for the failure model): a
-// job is a pure function of its Params, so it runs exactly once and a
-// failure is final. A panicking job becomes a structured JobError
-// instead of killing the process, a job that blows its real-time budget
-// is recorded as a timeout, a cancelled Options.Context drains in-flight
-// jobs into the checkpoint and returns ErrInterrupted with resumable
-// state, and a stall watchdog reports per-worker liveness when progress
-// halts.
+// A campaign fails fast. A job is a pure function of its Params, so a
+// job that errors or panics would do so again: the campaign stops
+// dispatching and returns that job's error, naming its index, key and
+// seed (and, for a panic, the stack), after collecting exactly the jobs
+// before it. A cancelled Options.Context drains the in-flight jobs and
+// returns ErrInterrupted. Either way every completed run is in the
+// optional JSON-lines checkpoint, and rerunning with the same checkpoint
+// resumes from it.
 //
-// An optional JSON-lines checkpoint persists every completed run and
-// every failure. Rerunning with the same checkpoint is the only retry:
-// a SkipFailed resume skips recorded failures, a FailFast resume re-runs
-// them.
-//
-//lint:concurrency-layer supervised worker pool fanning out independent seeded runs; each scenario stays single-threaded, panics and deadlines are handled per worker, and results merge in seed order
+//lint:concurrency-layer worker pool fanning out independent seeded runs; each scenario stays single-threaded on one worker, and results merge in seed order
 package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
-	"time"
 
 	"liteworp"
 )
 
+// ErrInterrupted is returned (wrapped) by Run when Options.Context ended
+// the campaign with jobs left uncollected: dispatch stopped, in-flight
+// jobs drained, and every completed run is durably checkpointed, so a
+// rerun with the same checkpoint resumes where this one left off.
+var ErrInterrupted = errors.New("campaign interrupted")
+
 // newScenario, when non-nil, replaces liteworp.NewScenario so tests can
-// substitute a constructor that panics, fails or wedges. attempt names
+// substitute a constructor that panics or fails. execute names
 // liteworp.NewScenario itself, which keeps the simulator inside the lint
 // call graph's reach from the worker goroutines.
 var newScenario func(liteworp.Params) (*liteworp.Scenario, error)
@@ -84,38 +84,17 @@ type Options struct {
 	// executed job (with the cumulative done count, in completion
 	// order), and once up front with fromCheckpoint=true if any results
 	// were restored. Progress is cosmetic — it never influences the
-	// order results are collected in.
+	// order results are collected in. It is called on the goroutine that
+	// called Run, as OnNotice is.
 	OnProgress func(done, total int, fromCheckpoint bool)
-
-	// JobTimeout, when > 0 (and Elapsed is wired), bounds the real time
-	// of every job: a job still running past it is cancelled between
-	// kernel slices and recorded as a FailTimeout.
-	JobTimeout time.Duration
-	// OnError selects FailFast (default) or SkipFailed handling of
-	// failed jobs.
-	OnError ErrorPolicy
 	// Context, when non-nil, requests graceful shutdown once cancelled:
 	// no further jobs are dispatched, in-flight jobs drain to completion
 	// and are checkpointed, and Run returns an error wrapping
 	// ErrInterrupted. Completed work stays resumable.
 	Context context.Context
-	// Sleep paces the stall watchdog; nil turns the watchdog off. The
-	// engine itself never touches the wall clock — drivers inject it
-	// here.
-	Sleep SleepFunc
-	// Elapsed returns monotonically increasing real elapsed time; it
-	// enables JobTimeout. Like Sleep, this keeps wall-clock reads in the
-	// caller, outside the determinism boundary.
-	Elapsed func() time.Duration
-	// StallAfter, when > 0 (and Sleep is wired), arms a watchdog that
-	// emits a NoticeStall with per-worker liveness whenever no job
-	// completes for a full interval.
-	StallAfter time.Duration
-	// OnNotice, when non-nil, receives supervision events (failures,
-	// checkpoint quarantines, stall reports). It may be called
-	// concurrently from worker goroutines and must be safe for
-	// concurrent use.
-	OnNotice func(Notice)
+	// OnNotice, when non-nil, receives a message when a corrupt
+	// checkpoint is quarantined. Notices never influence results.
+	OnNotice func(msg string)
 }
 
 // outcome carries one finished job from a worker to the merge loop.
@@ -125,284 +104,150 @@ type outcome struct {
 	err error
 }
 
-// workerState is one worker's liveness snapshot for the stall watchdog.
-type workerState struct {
-	busy   bool
-	key    string
-	simNow time.Duration // kernel clock, updated once per drive slice
-}
-
-// engine is the per-Run supervision state shared between the dispatcher,
-// the workers, the merge loop, and the watchdog.
-type engine struct {
-	jobs []Job
-	opt  Options
-
-	mu     sync.Mutex
-	states []workerState
-	done   int // completed outcomes (successes + failures)
-}
-
-func (e *engine) notice(n Notice) {
-	if e.opt.OnNotice != nil {
-		e.opt.OnNotice(n)
-	}
-}
-
-// interrupted reports whether graceful shutdown was requested.
-func (e *engine) interrupted() bool {
-	return e.opt.Context != nil && e.opt.Context.Err() != nil
-}
-
-func (e *engine) setState(w int, st workerState) {
-	e.mu.Lock()
-	e.states[w] = st
-	e.mu.Unlock()
-}
-
-func (e *engine) setSimNow(w int, now time.Duration) {
-	e.mu.Lock()
-	e.states[w].simNow = now
-	e.mu.Unlock()
-}
-
-// Run executes every job and calls collect exactly once per surviving
-// job in ascending job index order — never completion order — streaming
-// the completed prefix as it fills. Under FailFast the error of the
-// lowest-indexed failed job is returned (after every job
-// preceding it was collected), so error behavior is as deterministic as
-// success behavior.
+// Run executes every job and calls collect exactly once per job in
+// ascending job index order — never completion order — streaming the
+// completed prefix as it fills. The first failed job or refused collect
+// stops dispatch; Run then returns the error of the lowest-indexed
+// failure, after every job preceding it was collected, so error behavior
+// is as deterministic as success behavior.
 func Run(jobs []Job, opt Options, collect func(i int, job Job, res *liteworp.Results) error) error {
-	_, err := RunReport(jobs, opt, collect)
-	return err
-}
-
-// RunReport is Run plus a Report of what happened: completions,
-// restorations, failures, and whether the campaign was interrupted.
-// The Report is valid even when err is non-nil.
-func RunReport(jobs []Job, opt Options, collect func(i int, job Job, res *liteworp.Results) error) (Report, error) {
-	report := Report{Total: len(jobs)}
-	if len(jobs) == 0 {
-		return report, nil
+	total := len(jobs)
+	if total == 0 {
+		return nil
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	e := &engine{jobs: jobs, opt: opt, states: make([]workerState, workers)}
-
-	results := make([]*liteworp.Results, len(jobs))
-	errs := make([]error, len(jobs))
-
+	results := make([]*liteworp.Results, total)
+	errs := make([]error, total)
 	var ckpt *checkpoint
 	if opt.Checkpoint != "" {
 		var err error
-		ckpt, err = openCheckpoint(opt.Checkpoint, jobs, e.notice)
-		if err != nil {
-			return report, err
+		if ckpt, err = openCheckpoint(opt.Checkpoint, jobs, opt.OnNotice); err != nil {
+			return err
 		}
 		defer ckpt.close()
-		for i, r := range ckpt.restored {
-			if r != nil {
-				results[i] = r
-				report.Restored++
-			}
-		}
-		// Recorded failures are honored only under SkipFailed, where
-		// skipping them is deterministic; FailFast re-runs them. That
-		// rerun is the campaign's one way to retry a job (the failure
-		// may have been environmental, e.g. a blown real-time budget on
-		// a loaded machine).
-		if opt.OnError == SkipFailed {
-			for i, je := range ckpt.restoredErr {
-				if je != nil && results[i] == nil {
-					errs[i] = je
-					report.Restored++
-				}
-			}
-		}
+		copy(results, ckpt.restored)
 	}
-
 	var pending []int
-	for i := range jobs {
-		if results[i] == nil && errs[i] == nil {
+	for i, r := range results {
+		if r == nil {
 			pending = append(pending, i)
 		}
 	}
-
-	total := len(jobs)
-	done := report.Restored
-	e.mu.Lock()
-	e.done = done
-	e.mu.Unlock()
-	if opt.OnProgress != nil && report.Restored > 0 {
+	done := total - len(pending)
+	if opt.OnProgress != nil && done > 0 {
 		opt.OnProgress(done, total, true)
 	}
 
 	// next is the lowest index not yet collected; advance releases the
-	// completed prefix to collect in order. Under FailFast it freezes on
-	// the first failed job; under SkipFailed it steps over failures so
-	// the collect stream covers exactly the surviving subset, still in
-	// job order. Either way it freezes on a collect refusal.
+	// completed prefix to collect in order and freezes on the first
+	// failed job or refused collect.
 	next := 0
-	var jobErr, collectErr, ckptErr error
+	var err, ckptErr error
 	advance := func() {
-		for next < total && jobErr == nil && collectErr == nil {
-			if err := errs[next]; err != nil {
-				if opt.OnError == SkipFailed {
-					next++
-					continue
-				}
-				jobErr = fmt.Errorf("campaign job %d (%s): %w", next, jobs[next].Key, err)
-				return
-			}
-			r := results[next]
-			if r == nil {
-				return
-			}
-			if err := collect(next, jobs[next], r); err != nil {
-				collectErr = err
+		for next < total && err == nil && results[next] != nil {
+			if err = collect(next, jobs[next], results[next]); err != nil {
 				return
 			}
 			results[next] = nil // the prefix is consumed; free it
 			next++
 		}
+		if next < total && err == nil {
+			err = errs[next]
+		}
 	}
 	advance() // checkpoint-restored prefix, if any
 
-	if len(pending) > 0 && !e.interrupted() {
-		var interruptCh <-chan struct{}
-		if opt.Context != nil {
-			interruptCh = opt.Context.Done()
-		}
-		jobCh := make(chan int)
-		outCh := make(chan outcome)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range jobCh {
-					o := e.execute(w, i)
-					e.setState(w, workerState{})
-					outCh <- o
-				}
-			}(w)
-		}
-		// The dispatcher stops feeding the pool the moment shutdown is
-		// requested; workers then drain their in-flight job and exit.
-		go func() {
-			defer close(jobCh)
-			for _, i := range pending {
-				select {
-				case jobCh <- i:
-				case <-interruptCh:
-					return
-				}
-			}
-		}()
-		go func() {
-			wg.Wait()
-			close(outCh)
-		}()
-		// The watchdog lives for the duration of the pool; cancelling
-		// watchCtx releases its Sleep so it never outlives Run.
-		watchCtx, watchCancel := context.WithCancel(context.Background())
-		if opt.StallAfter > 0 && opt.Sleep != nil && opt.OnNotice != nil {
-			go e.watchdog(watchCtx)
-		}
-		// Drain every outcome even after an error so the pool always
-		// shuts down cleanly; advance() freezes once an error is set, so
-		// late completions cannot leak into the aggregates.
-		for o := range outCh {
+	parent := opt.Context
+	if parent == nil {
+		parent = context.Background()
+	}
+	if len(pending) > 0 && err == nil && parent.Err() == nil {
+		// stop ends dispatch on an interrupt or the first failure; the
+		// workers then drain their in-flight jobs and exit. Dispatch is
+		// in ascending job order, so every job below a failed one has
+		// already been dispatched and the lowest failure is the same for
+		// any worker count.
+		ctx, stop := context.WithCancel(parent)
+		defer stop()
+		for o := range startPool(ctx, jobs, pending, opt.Workers) {
 			results[o.i], errs[o.i] = o.res, o.err
 			done++
-			e.mu.Lock()
-			e.done = done
-			e.mu.Unlock()
-			if ckpt != nil && ckptErr == nil {
-				if o.err == nil {
-					ckptErr = ckpt.append(o.i, jobs[o.i], o.res)
-				} else if je, ok := o.err.(*JobError); ok {
-					ckptErr = ckpt.appendFailure(je)
-				}
+			if ckpt != nil && o.err == nil && ckptErr == nil {
+				ckptErr = ckpt.append(o.i, jobs[o.i], o.res)
 			}
 			if opt.OnProgress != nil {
 				opt.OnProgress(done, total, false)
 			}
 			advance()
-		}
-		watchCancel()
-	}
-
-	for _, err := range errs {
-		if je, ok := err.(*JobError); ok {
-			report.Failed = append(report.Failed, je)
+			if o.err != nil || err != nil || ckptErr != nil {
+				stop()
+			}
 		}
 	}
-	report.Completed = done - len(report.Failed)
-	// A cancel that lands after the last collect interrupted nothing.
-	report.Interrupted = e.interrupted() && next < total
 
 	switch {
-	case jobErr != nil:
-		return report, jobErr
-	case collectErr != nil:
-		return report, collectErr
+	case err != nil:
+		return err
 	case ckptErr != nil:
-		return report, fmt.Errorf("campaign checkpoint %s: %w", opt.Checkpoint, ckptErr)
-	case report.Interrupted:
-		return report, fmt.Errorf("campaign: %w (completed %d/%d jobs; checkpoint state is resumable)",
+		return fmt.Errorf("campaign checkpoint %s: %w", opt.Checkpoint, ckptErr)
+	case next < total: // only an interrupt leaves jobs uncollected without an error
+		return fmt.Errorf("campaign: %w (completed %d/%d jobs; checkpoint state is resumable)",
 			ErrInterrupted, done, total)
 	}
-	return report, nil
+	return nil
 }
 
-// execute runs job i once on worker w and classifies a failure into a
-// *JobError. Equal jobs produce equal results, so there is nothing to
-// retry: a failure is final for this campaign.
-func (e *engine) execute(w, i int) outcome {
-	job := e.jobs[i]
-	e.setState(w, workerState{busy: true, key: job.Key})
-	res, err := e.attempt(w, job)
-	if err == nil {
-		return outcome{i: i, res: res}
+// startPool runs the pending jobs on a pool of workers (<= 0 means
+// GOMAXPROCS) and returns the channel their outcomes arrive on, in
+// completion order. The channel closes once dispatch has stopped — every
+// job sent, or ctx cancelled — and every dispatched job has finished.
+func startPool(ctx context.Context, jobs []Job, pending []int, workers int) <-chan outcome {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	jerr := &JobError{Index: i, Key: job.Key, Seed: job.Params.Seed, Kind: classify(err), Err: err}
-	if pe, ok := err.(*panicError); ok {
-		jerr.Stack = pe.stack
+	workers = min(workers, len(pending))
+	jobCh := make(chan int)
+	outCh := make(chan outcome)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobCh {
+				res, err := execute(i, jobs[i])
+				outCh <- outcome{i: i, res: res, err: err}
+			}
+		}()
 	}
-	e.notice(Notice{Kind: NoticeFailed, Job: job.Key,
-		Msg: fmt.Sprintf("%s failed [%s]: %v", job.Key, jerr.Kind, err)})
-	return outcome{i: i, err: jerr}
-}
-
-// driveSlices is how many budget checkpoints a run gets: the kernel is
-// advanced in driveSlices equal simulated-time slices, and the real-time
-// budget is checked between slices. Slicing RunUntil is
-// behavior-identical to one call — events fire in the same order and the
-// clock lands on the same horizon — which the experiments golden test
-// and the trace-hash test pin.
-const driveSlices = 32
-
-// attempt builds and runs one job, converting a panic anywhere inside
-// scenario construction or execution into a *panicError instead of
-// letting it kill the process — the core of worker supervision. The
-// real-time budget covers construction too.
-func (e *engine) attempt(w int, job Job) (res *liteworp.Results, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &panicError{val: r, stack: string(debug.Stack())}
+	go func() {
+		defer close(jobCh)
+		for _, i := range pending {
+			select {
+			case jobCh <- i:
+			case <-ctx.Done():
+				return
+			}
 		}
 	}()
-	timed := e.opt.JobTimeout > 0 && e.opt.Elapsed != nil
-	var start time.Duration
-	if timed {
-		start = e.opt.Elapsed()
-	}
+	go func() {
+		wg.Wait()
+		close(outCh)
+	}()
+	return outCh
+}
+
+// execute builds and runs job i. An error or a panic anywhere in
+// construction or the run comes back as an error naming the job, its key
+// and seed; a panic also carries its stack. Recovering here keeps a
+// crashing job from killing the process before the checkpoint is closed.
+func execute(i int, job Job) (res *liteworp.Results, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+		if err != nil {
+			res, err = nil, fmt.Errorf("campaign job %d (%s) seed %d: %w", i, job.Key, job.Params.Seed, err)
+		}
+	}()
 	build := liteworp.NewScenario
 	if newScenario != nil {
 		build = newScenario
@@ -411,49 +256,5 @@ func (e *engine) attempt(w int, job Job) (res *liteworp.Results, err error) {
 	if err != nil {
 		return nil, err
 	}
-	horizon := s.OperationalStart() + job.Params.Duration
-	step := horizon / driveSlices
-	if step <= 0 {
-		step = horizon
-	}
-	k := s.Kernel()
-	for now := time.Duration(0); now < horizon; {
-		now = min(now+step, horizon)
-		if err := k.RunUntil(now); err != nil {
-			return nil, err
-		}
-		e.setSimNow(w, k.Now())
-		if timed && e.opt.Elapsed()-start > e.opt.JobTimeout {
-			return nil, &timeoutError{limit: e.opt.JobTimeout}
-		}
-	}
-	return s.Results(), nil
-}
-
-// watchdog reports per-worker liveness whenever a full StallAfter
-// interval passes with no job completing. It only observes — a stalled
-// worker is never killed, because the in-flight kernel cannot be
-// preempted safely; the report tells the operator which seed is wedged.
-func (e *engine) watchdog(ctx context.Context) {
-	last := -1
-	for {
-		e.opt.Sleep(ctx, e.opt.StallAfter)
-		if ctx.Err() != nil {
-			return
-		}
-		e.mu.Lock()
-		d := e.done
-		var busy []string
-		for w, st := range e.states {
-			if st.busy {
-				busy = append(busy, fmt.Sprintf("worker %d: %s, sim clock %v", w, st.key, st.simNow))
-			}
-		}
-		e.mu.Unlock()
-		if d == last && len(busy) > 0 {
-			e.notice(Notice{Kind: NoticeStall,
-				Msg: fmt.Sprintf("no job completed in the last %v\n  %s", e.opt.StallAfter, strings.Join(busy, "\n  "))})
-		}
-		last = d
-	}
+	return s.Run()
 }

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +15,23 @@ import (
 	"liteworp"
 	"liteworp/internal/metrics"
 )
+
+// hookScenario makes fault run before every scenario the engine builds
+// for the rest of the test: a non-nil error fails the job, and a panic
+// inside fault crashes it.
+func hookScenario(t *testing.T, fault func(p liteworp.Params) error) {
+	t.Helper()
+	newScenario = func(p liteworp.Params) (*liteworp.Scenario, error) {
+		if err := fault(p); err != nil {
+			return nil, err
+		}
+		return liteworp.NewScenario(p)
+	}
+	t.Cleanup(func() { newScenario = nil })
+}
+
+// runOf maps a testJobs scenario back to its job index.
+func runOf(p liteworp.Params) int { return int(p.Seed - 700) }
 
 // testJobs lays out n small independent runs with pinned seeds.
 func testJobs(n int) []Job {
@@ -104,6 +123,40 @@ func TestErrorReportedInJobOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(collected, []int{0, 1}) {
 		t.Fatalf("collected %v, want exactly the prefix [0 1]", collected)
+	}
+}
+
+// TestPanicBecomesJobError: a panic at job k fails the campaign instead
+// of killing the process, and the error names k's index, key and seed
+// and carries the recovered stack. Exactly the jobs before k were
+// collected.
+func TestPanicBecomesJobError(t *testing.T) {
+	jobs := testJobs(3)
+	hookScenario(t, func(p liteworp.Params) error {
+		if runOf(p) == 1 {
+			panic("injected")
+		}
+		return nil
+	})
+	var collected []int
+	err := Run(jobs, Options{Workers: 2}, func(i int, _ Job, _ *liteworp.Results) error {
+		collected = append(collected, i)
+		return nil
+	})
+	if err == nil {
+		t.Fatal("a panicking job did not fail the campaign")
+	}
+	msg := err.Error()
+	for _, want := range []string{"campaign job 1 (test/run=1) seed 701", "panic: injected", "campaign.execute"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error does not contain %q:\n%s", want, msg)
+		}
+	}
+	if errors.Is(err, ErrInterrupted) {
+		t.Error("a failed campaign reported itself interrupted")
+	}
+	if !reflect.DeepEqual(collected, []int{0}) {
+		t.Fatalf("collected %v, want exactly the prefix [0]", collected)
 	}
 }
 
@@ -243,5 +296,106 @@ func TestFingerprintSensitivity(t *testing.T) {
 	c[0].Key = "renamed"
 	if fingerprint(a) == fingerprint(c) {
 		t.Fatal("key change not reflected in the fingerprint")
+	}
+}
+
+// TestInterruptDrainsAndResumes is the SIGTERM-equivalent story (the
+// experiments command cancels this same Options.Context from its signal
+// handler): cancellation mid-campaign returns ErrInterrupted with a
+// checkpoint from which a resumed campaign produces deep-equal
+// aggregates vs. an uninterrupted run. Runs under -race in CI, covering
+// the drain path.
+func TestInterruptDrainsAndResumes(t *testing.T) {
+	jobs := testJobs(6)
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	base := runAggregates(t, jobs, Options{Workers: 1})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	completions, collected := 0, 0
+	err := Run(jobs, Options{
+		Workers: 2, Checkpoint: path, Context: ctx,
+		OnProgress: func(done, total int, fromCheckpoint bool) {
+			if !fromCheckpoint {
+				completions++
+				if completions == 2 {
+					cancel() // the signal handler's move
+				}
+			}
+		},
+	}, func(int, Job, *liteworp.Results) error { collected++; return nil })
+	switch {
+	case err == nil:
+		// The race where every job finished before the cancel landed is
+		// legal (drain semantics); the resume check below still holds.
+		t.Log("campaign completed before the interrupt landed")
+		if collected != len(jobs) {
+			t.Errorf("completed campaign collected %d of %d jobs", collected, len(jobs))
+		}
+	case !errors.Is(err, ErrInterrupted):
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	case collected >= len(jobs):
+		t.Errorf("interrupted campaign collected all %d jobs", collected)
+	}
+	if collected > completions {
+		t.Errorf("collected %d jobs but only %d completed", collected, completions)
+	}
+
+	fresh := 0
+	resumed := runAggregates(t, jobs, Options{Workers: 3, Checkpoint: path,
+		OnProgress: func(_, _ int, fromCheckpoint bool) {
+			if !fromCheckpoint {
+				fresh++
+			}
+		}})
+	if !reflect.DeepEqual(base, resumed) {
+		t.Fatalf("resumed aggregates diverge from the uninterrupted run:\nbase:    %+v\nresumed: %+v", base, resumed)
+	}
+	if fresh+completions != len(jobs) {
+		t.Errorf("fresh(%d) + pre-interrupt completions(%d) != %d jobs: the checkpoint lost or repeated work",
+			fresh, completions, len(jobs))
+	}
+}
+
+// TestInterruptBeforeStart: a context already cancelled when Run is
+// called dispatches nothing and reports an interrupted, resumable state.
+func TestInterruptBeforeStart(t *testing.T) {
+	jobs := testJobs(3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran, progress := 0, 0
+	err := Run(jobs, Options{Workers: 2, Context: ctx,
+		OnProgress: func(int, int, bool) { progress++ }},
+		func(int, Job, *liteworp.Results) error { ran++; return nil })
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if ran != 0 || progress != 0 {
+		t.Errorf("pre-cancelled campaign still collected %d jobs and reported %d completions", ran, progress)
+	}
+}
+
+// TestInterruptAfterLastCollect: a cancel that lands inside the final
+// collect leaves nothing uncollected, so the campaign is complete, not
+// interrupted — the command must keep the finished figure.
+func TestInterruptAfterLastCollect(t *testing.T) {
+	jobs := testJobs(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	collected, completions := 0, 0
+	err := Run(jobs, Options{Workers: 2, Context: ctx,
+		OnProgress: func(int, int, bool) { completions++ }},
+		func(i int, _ Job, _ *liteworp.Results) error {
+			collected++
+			if i == len(jobs)-1 {
+				cancel()
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("err = %v, want nil: every job was collected", err)
+	}
+	if collected != len(jobs) || completions != len(jobs) {
+		t.Errorf("collected %d and completed %d jobs, want %d of each", collected, completions, len(jobs))
 	}
 }

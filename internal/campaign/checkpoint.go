@@ -14,10 +14,9 @@ import (
 )
 
 // The checkpoint is a JSON-lines file: a header identifying the job list,
-// then one entry per finished job in completion order — results for
-// successes and structured outcomes for failures, so a SkipFailed resume
-// skips deterministically-failing jobs instead of re-running them. Entries are appended and fsynced as jobs finish, so a
-// killed campaign loses at most the runs that were still in flight. On
+// then one entry per completed run, in completion order. Entries are
+// appended and fsynced as jobs finish, so a killed or failed campaign
+// loses at most the runs that were still in flight. On
 // open the file is compacted: entries for the current job list are kept,
 // a torn trailing line or a truncated record from an interrupted write is
 // quarantined (the damaged original is renamed to *.corrupt and the
@@ -39,17 +38,14 @@ type ckptHeader struct {
 	Jobs        int    `json:"jobs"`
 }
 
-// ckptEntry records one finished job: a completed run (Results set) or
-// a failure (Status "failed" with the classified reason). Checkpoints
-// written by older versions also carry an "attempts" count on failures;
-// decoding ignores it.
+// ckptEntry records one completed run. Checkpoints written by older
+// versions also mark entries with a "status" and hold failure entries
+// ("status":"failed", no results); a failure restores nothing, so that
+// job runs again.
 type ckptEntry struct {
 	Index   int               `json:"index"`
 	Key     string            `json:"key"`
 	Seed    int64             `json:"seed"`
-	Status  string            `json:"status,omitempty"` // "" or "ok" = success; "failed"
-	Kind    string            `json:"kind,omitempty"`
-	Error   string            `json:"error,omitempty"`
 	Results *liteworp.Results `json:"results,omitempty"`
 }
 
@@ -60,8 +56,6 @@ type checkpoint struct {
 	// restored holds the per-job results recovered on open (nil where
 	// the job still has to run).
 	restored []*liteworp.Results
-	// restoredErr holds recorded failures recovered on open.
-	restoredErr []*JobError
 }
 
 // fingerprint hashes the job list — keys, seeds, and every parameter —
@@ -93,10 +87,9 @@ func syncDir(path string) {
 // (with a notice explaining why) and the campaign proceeds from whatever
 // good prefix was readable, never erroring out over damage that losing a
 // process mid-write can legitimately cause.
-func openCheckpoint(path string, jobs []Job, notice func(Notice)) (*checkpoint, error) {
+func openCheckpoint(path string, jobs []Job, notice func(string)) (*checkpoint, error) {
 	fp := fingerprint(jobs)
 	restored := make([]*liteworp.Results, len(jobs))
-	restoredErr := make([]*JobError, len(jobs))
 	corrupt := "" // non-empty: reason the file must be quarantined
 	if data, err := os.ReadFile(path); err == nil {
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -122,19 +115,14 @@ func openCheckpoint(path string, jobs []Job, notice func(Notice)) (*checkpoint, 
 				if jobs[e.Index].Key != e.Key || jobs[e.Index].Params.Seed != e.Seed {
 					continue
 				}
-				switch {
-				case e.Results != nil && (e.Status == "" || e.Status == "ok"):
+				if e.Results != nil {
 					restored[e.Index] = e.Results
-					restoredErr[e.Index] = nil
-				case e.Status == "failed":
-					restoredErr[e.Index] = &JobError{Index: e.Index, Key: e.Key, Seed: e.Seed,
-						Kind: FailureKind(e.Kind), Err: errors.New(e.Error)}
 				}
 			}
 		}
 		// A well-formed checkpoint with a different fingerprint is not
 		// corruption — it is a different campaign's state, discarded
-		// wholesale by leaving restored/restoredErr empty.
+		// wholesale by leaving restored empty.
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("campaign checkpoint %s: %w", path, err)
 	}
@@ -146,8 +134,7 @@ func openCheckpoint(path string, jobs []Job, notice func(Notice)) (*checkpoint, 
 		}
 		syncDir(path)
 		if notice != nil {
-			notice(Notice{Kind: NoticeQuarantine,
-				Msg: fmt.Sprintf("checkpoint %s quarantined to %s (%s); resuming from last good entry", path, quarantined, corrupt)})
+			notice(fmt.Sprintf("checkpoint %s quarantined to %s (%s); resuming from last good entry", path, quarantined, corrupt))
 		}
 	}
 
@@ -163,7 +150,7 @@ func openCheckpoint(path string, jobs []Job, notice func(Notice)) (*checkpoint, 
 		f.Close()
 		return nil, fmt.Errorf("campaign checkpoint %s: %w", path, err)
 	}
-	c := &checkpoint{f: f, enc: enc, restored: restored, restoredErr: restoredErr}
+	c := &checkpoint{f: f, enc: enc, restored: restored}
 	for i, r := range restored {
 		if r == nil {
 			continue
@@ -173,32 +160,12 @@ func openCheckpoint(path string, jobs []Job, notice func(Notice)) (*checkpoint, 
 			return nil, fmt.Errorf("campaign checkpoint %s: %w", path, err)
 		}
 	}
-	for _, je := range restoredErr {
-		if je == nil {
-			continue
-		}
-		if err := c.appendFailure(je); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("campaign checkpoint %s: %w", path, err)
-		}
-	}
 	return c, nil
 }
 
 // append records one completed run durably.
 func (c *checkpoint) append(i int, job Job, res *liteworp.Results) error {
-	return c.encode(ckptEntry{Index: i, Key: job.Key, Seed: job.Params.Seed, Status: "ok", Results: res})
-}
-
-// appendFailure records one failed job durably, so a SkipFailed resume
-// skips it without re-running the doomed seed.
-func (c *checkpoint) appendFailure(je *JobError) error {
-	return c.encode(ckptEntry{Index: je.Index, Key: je.Key, Seed: je.Seed,
-		Status: "failed", Kind: string(je.Kind), Error: je.Err.Error()})
-}
-
-func (c *checkpoint) encode(e ckptEntry) error {
-	if err := c.enc.Encode(e); err != nil {
+	if err := c.enc.Encode(ckptEntry{Index: i, Key: job.Key, Seed: job.Params.Seed, Results: res}); err != nil {
 		return err
 	}
 	return c.f.Sync()

@@ -17,28 +17,18 @@ import (
 
 // collectNotices returns an Options hook capturing notices thread-safely
 // plus the accessor for them.
-func collectNotices() (func(Notice), func() []Notice) {
+func collectNotices() (func(string), func() []string) {
 	var mu sync.Mutex
-	var ns []Notice
-	return func(n Notice) {
+	var ns []string
+	return func(n string) {
 			mu.Lock()
 			ns = append(ns, n)
 			mu.Unlock()
-		}, func() []Notice {
+		}, func() []string {
 			mu.Lock()
 			defer mu.Unlock()
-			return append([]Notice(nil), ns...)
+			return append([]string(nil), ns...)
 		}
-}
-
-func quarantines(ns []Notice) []Notice {
-	var out []Notice
-	for _, n := range ns {
-		if n.Kind == NoticeQuarantine {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // TestQuarantineUnreadableHeader: a checkpoint whose header line is
@@ -77,8 +67,8 @@ func TestQuarantineUnreadableHeader(t *testing.T) {
 	if !bytes.Equal(kept, garbage) {
 		t.Error("quarantine file does not preserve the original corrupt bytes")
 	}
-	qs := quarantines(notices())
-	if len(qs) != 1 || !strings.Contains(qs[0].Msg, "unreadable header") {
+	qs := notices()
+	if len(qs) != 1 || !strings.Contains(qs[0], "unreadable header") {
 		t.Errorf("quarantine notices = %+v, want one naming the unreadable header", qs)
 	}
 	// The rewritten checkpoint must be fully resumable.
@@ -154,8 +144,8 @@ func TestQuarantineTornLastLine(t *testing.T) {
 	if !bytes.Equal(kept, torn) {
 		t.Error("quarantine file does not preserve the torn original")
 	}
-	qs := quarantines(notices())
-	if len(qs) != 1 || !strings.Contains(qs[0].Msg, "torn or truncated") {
+	qs := notices()
+	if len(qs) != 1 || !strings.Contains(qs[0], "torn or truncated") {
 		t.Errorf("quarantine notices = %+v, want one torn-write notice", qs)
 	}
 }
@@ -192,68 +182,79 @@ func TestQuarantineTruncatedMidRecord(t *testing.T) {
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
-	if len(quarantines(notices())) != 1 {
+	if len(notices()) != 1 {
 		t.Errorf("want exactly one quarantine notice, got %+v", notices())
 	}
 }
 
-// TestCheckpointRecordsPermanentFailure: under SkipFailed a failed job
-// is recorded in the checkpoint, and a resume skips it — zero
-// re-attempts of the doomed seed — while FailFast re-runs it.
+// TestCheckpointRecordsPermanentFailure: a permanent failure leaves the
+// checkpoint holding every run completed before the campaign stopped, and
+// nothing for the failed job itself. A rerun with the fault still there
+// fails again without re-running the checkpointed jobs; once the fault is
+// gone, a rerun builds exactly the failed job and those never run.
 func TestCheckpointRecordsPermanentFailure(t *testing.T) {
 	jobs := testJobs(4)
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	var mu sync.Mutex
-	built, doomed := 0, true
+	var built []int
+	doomed := true
 	hookScenario(t, func(p liteworp.Params) error {
 		mu.Lock()
 		defer mu.Unlock()
-		built++
+		built = append(built, runOf(p))
 		if doomed && runOf(p) == 1 {
 			panic("injected")
 		}
 		return nil
 	})
-
-	report, err := RunReport(jobs, Options{Workers: 2, OnError: SkipFailed, Checkpoint: path},
+	const fault = "campaign job 1 (test/run=1) seed 701"
+	completed := 0
+	err := Run(jobs, Options{Workers: 2, Checkpoint: path,
+		OnProgress: func(done, _ int, _ bool) { completed = done - 1 }}, // one outcome is the failure
 		func(int, Job, *liteworp.Results) error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), fault) {
+		t.Fatalf("err = %v, want the job-1 panic", err)
 	}
-	if len(report.Failed) != 1 || report.Failed[0].Index != 1 {
-		t.Fatalf("Report.Failed = %v, want job 1", report.Failed)
+	first := append([]int(nil), built...)
+
+	// The fault is still there: the checkpointed runs are restored, not
+	// rebuilt, and the campaign fails on job 1 again.
+	built = nil
+	restored := 0
+	err = Run(jobs, Options{Workers: 2, Checkpoint: path,
+		OnProgress: func(done, _ int, fromCheckpoint bool) {
+			if fromCheckpoint {
+				restored = done
+			}
+		}}, func(int, Job, *liteworp.Results) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), fault) {
+		t.Fatalf("rerun: err = %v, want the job-1 panic", err)
+	}
+	if restored != completed || restored != len(first)-1 {
+		t.Errorf("rerun restored %d runs, want the %d completed before the failure (first run built %v)", restored, completed, first)
+	}
+	for _, r := range first {
+		if r != 1 && containsRun(built, r) {
+			t.Errorf("rerun rebuilt checkpointed run %d (built %v)", r, built)
+		}
 	}
 
-	// SkipFailed resume: the recorded failure is honored; no scenario is
-	// built.
-	built = 0
-	report2, err := RunReport(jobs, Options{Workers: 2, OnError: SkipFailed, Checkpoint: path},
-		func(int, Job, *liteworp.Results) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built != 0 {
-		t.Errorf("SkipFailed resume built %d scenarios, want 0 (all restored)", built)
-	}
-	if len(report2.Failed) != 1 || report2.Failed[0].Kind != FailPanic {
-		t.Fatalf("restored failure = %+v, want the recorded panic", report2.Failed)
-	}
-	if report2.Restored != len(jobs) {
-		t.Errorf("Restored = %d, want %d (3 results + 1 recorded failure)", report2.Restored, len(jobs))
-	}
-
-	// FailFast resume ignores the recorded failure and re-runs the job —
-	// with the fault gone it now succeeds and the campaign completes.
-	doomed = false
+	// With the fault gone the rerun builds only what is not checkpointed
+	// and the campaign completes.
+	mu.Lock()
+	doomed, built = false, nil
+	mu.Unlock()
 	fresh := 0
 	full := runAggregates(t, jobs, Options{Workers: 2, Checkpoint: path,
-		OnProgress: func(_, _ int, fromCheckpoint bool) {
-			if !fromCheckpoint {
+		OnProgress: func(done, _ int, fromCheckpoint bool) {
+			if fromCheckpoint {
+				restored = done
+			} else {
 				fresh++
 			}
 		}})
-	if fresh != 1 {
-		t.Errorf("FailFast resume re-ran %d jobs, want exactly the recorded failure", fresh)
+	if restored+fresh != len(jobs) || len(built) != fresh || !containsRun(built, 1) {
+		t.Errorf("recovery restored %d and built %v, want job 1 and the rest of the %d jobs", restored, built, len(jobs))
 	}
 	base := runAggregates(t, jobs, Options{Workers: 1})
 	if !reflect.DeepEqual(base, full) {
@@ -261,12 +262,21 @@ func TestCheckpointRecordsPermanentFailure(t *testing.T) {
 	}
 }
 
+func containsRun(runs []int, r int) bool {
+	for _, x := range runs {
+		if x == r {
+			return true
+		}
+	}
+	return false
+}
+
 // TestParentFormatCheckpointResumes pins cross-version resume: a
-// checkpoint written before retries were removed — its failure entries
-// carry an "attempts" count — still restores under SkipFailed, and a
-// FailFast resume re-runs exactly its recorded failure.
+// checkpoint written by an older version holds failure entries
+// ("status":"failed", with an "attempts" count, a kind and an error). Its
+// "ok" entries are restored; its failed jobs run again.
 func TestParentFormatCheckpointResumes(t *testing.T) {
-	jobs := testJobs(2)
+	jobs := testJobs(3)
 	var res0 *liteworp.Results
 	if err := Run(jobs[:1], Options{Workers: 1}, func(_ int, _ Job, r *liteworp.Results) error {
 		res0 = r
@@ -278,48 +288,50 @@ func TestParentFormatCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent := fmt.Sprintf(`{"fingerprint":%q,"jobs":2}
+	parent := fmt.Sprintf(`{"fingerprint":%q,"jobs":3}
 {"index":0,"key":"test/run=0","seed":700,"status":"ok","results":%s}
 {"index":1,"key":"test/run=1","seed":701,"status":"failed","attempts":2,"kind":"panic","error":"panic: chaos: injected panic (test/run=1 attempt 2)"}
+{"index":2,"key":"test/run=2","seed":702,"status":"failed","kind":"timeout","error":"real-time budget 1m0s exceeded"}
 `, fingerprint(jobs), raw)
 	path := filepath.Join(t.TempDir(), "ckpt.json")
+	if err := os.WriteFile(path, []byte(parent), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
 	var built []int64
 	hookScenario(t, func(p liteworp.Params) error {
+		mu.Lock()
 		built = append(built, p.Seed)
+		mu.Unlock()
 		return nil
 	})
 
-	if err := os.WriteFile(path, []byte(parent), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	restored := 0
 	var collected []*liteworp.Results
-	report, err := RunReport(jobs, Options{Workers: 1, OnError: SkipFailed, Checkpoint: path},
-		func(_ int, _ Job, r *liteworp.Results) error {
-			collected = append(collected, r)
-			return nil
-		})
-	if err != nil {
+	if err := Run(jobs, Options{Workers: 1, Checkpoint: path,
+		OnProgress: func(done, _ int, fromCheckpoint bool) {
+			if fromCheckpoint {
+				restored = done
+			}
+		}}, func(_ int, _ Job, r *liteworp.Results) error {
+		collected = append(collected, r)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(built) != 0 || report.Restored != 2 {
-		t.Errorf("SkipFailed resume built %v and restored %d, want nothing built and 2 restored", built, report.Restored)
+	if restored != 1 || !reflect.DeepEqual(built, []int64{701, 702}) {
+		t.Errorf("resume restored %d and built seeds %v, want the ok entry restored and exactly the failed [701 702] re-run", restored, built)
 	}
-	if len(collected) != 1 || !reflect.DeepEqual(collected[0], res0) {
+	if len(collected) != len(jobs) || !reflect.DeepEqual(collected[0], res0) {
 		t.Error("the restored success does not match the result it was written from")
-	}
-	if len(report.Failed) != 1 || report.Failed[0].Index != 1 || report.Failed[0].Kind != FailPanic {
-		t.Fatalf("Report.Failed = %v, want job 1 restored as a panic", report.Failed)
 	}
 
 	if err := os.WriteFile(path, []byte(parent), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	full := runAggregates(t, jobs, Options{Workers: 1, Checkpoint: path})
-	if !reflect.DeepEqual(built, []int64{701}) {
-		t.Errorf("FailFast resume built seeds %v, want exactly the recorded failure's [701]", built)
-	}
+	full := runAggregates(t, jobs, Options{Workers: 2, Checkpoint: path})
 	if base := runAggregates(t, jobs, Options{Workers: 1}); !reflect.DeepEqual(base, full) {
-		t.Fatal("FailFast resume of a parent checkpoint diverged from a clean run")
+		t.Fatal("resume of a parent checkpoint diverged from a clean run")
 	}
 }
 
@@ -343,7 +355,7 @@ func TestForeignCheckpointNotQuarantined(t *testing.T) {
 	if _, err := os.Stat(path + ".corrupt"); !errors.Is(err, os.ErrNotExist) {
 		t.Error("a merely foreign checkpoint was quarantined as corrupt")
 	}
-	if len(quarantines(notices())) != 0 {
+	if len(notices()) != 0 {
 		t.Errorf("unexpected quarantine notices: %+v", notices())
 	}
 }

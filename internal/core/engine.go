@@ -198,7 +198,7 @@ type Engine struct {
 }
 
 // New wires an engine for the owner of table/ring. send puts frames on the
-// shared medium. The configured detector kind must be registered
+// shared medium. The configured detector kind must be a built-in
 // (validated at the Params layer); an unknown kind panics here because the
 // engine cannot run without a strategy.
 func New(k sim.Clock, ring *keys.Ring, table *neighbor.Table, cfg Config, send func(*packet.Packet) error, events Events) *Engine {

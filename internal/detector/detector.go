@@ -1,8 +1,8 @@
 // Package detector defines the pluggable wormhole-detection boundary: the
 // Detector interface through which the protocol engine feeds link-layer
 // observations (overheard control transmissions, the node's own sends,
-// authenticated neighbor announcements, radio interference), and a
-// registry of strategies that consume them.
+// authenticated neighbor announcements, radio interference), and the
+// fixed set of strategies that consume them.
 //
 // The engine owns the response protocol — revocation, authenticated
 // alerts, gamma-confidence isolation — and stays detector-agnostic: every
@@ -37,7 +37,7 @@ package detector
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"liteworp/internal/field"
 	"liteworp/internal/neighbor"
@@ -65,7 +65,7 @@ const (
 // unrevoked neighbors of the host, and never the host's own — so
 // implementations start from "a monitorable neighbor transmitted this".
 type Detector interface {
-	// Name returns the registry kind that built this detector.
+	// Name returns the kind that built this detector.
 	Name() string
 	// OwnSend notes a control packet the host node itself transmitted
 	// (the host guards its own outgoing links).
@@ -159,50 +159,19 @@ func DefaultConfig() Config {
 	return Config{Kind: KindLiteworp, Watch: watch.DefaultConfig()}
 }
 
-// Factory builds one strategy instance for a host node.
-type Factory func(env Env, cfg Config) Detector
+// kinds lists the built-in strategies, ascending.
+var kinds = []string{KindLiteworp, KindNone, KindRange, KindZScore}
 
-var registry = map[string]Factory{
-	KindLiteworp: newLiteworpDetector,
-	KindZScore:   newZScoreDetector,
-	KindRange:    newRangeDetector,
-	KindNone:     newNoneDetector,
-}
+// Names returns the detector kinds, ascending.
+func Names() []string { return slices.Clone(kinds) }
 
-// Register adds a strategy kind; it errors on duplicates. Built-ins are
-// pre-registered.
-func Register(kind string, f Factory) error {
-	if kind == "" || f == nil {
-		return fmt.Errorf("detector: Register needs a kind and a factory")
-	}
-	if _, dup := registry[kind]; dup {
-		return fmt.Errorf("detector: kind %q already registered", kind)
-	}
-	registry[kind] = f
-	return nil
-}
-
-// Names returns the registered kinds, ascending.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	//lint:ordered collects the keys; sorted before return
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Known reports whether kind is registered ("" counts: it is the default).
+// Known reports whether kind names a detector ("" counts: it is the
+// default).
 func Known(kind string) bool {
-	if kind == "" {
-		return true
-	}
-	_, ok := registry[kind]
-	return ok
+	return kind == "" || slices.Contains(kinds, kind)
 }
 
-// Canonical resolves the empty default to its registry kind.
+// Canonical resolves the empty default to its kind.
 func Canonical(kind string) string {
 	if kind == "" {
 		return KindLiteworp
@@ -213,9 +182,16 @@ func Canonical(kind string) string {
 // New builds the strategy cfg.Kind selects. Unknown kinds error with the
 // valid names.
 func New(env Env, cfg Config) (Detector, error) {
-	f, ok := registry[Canonical(cfg.Kind)]
-	if !ok {
-		return nil, fmt.Errorf("detector: unknown kind %q (known: %v)", cfg.Kind, Names())
+	env = env.withDefaults()
+	switch Canonical(cfg.Kind) {
+	case KindLiteworp:
+		return newLiteworpDetector(env, cfg), nil
+	case KindNone:
+		return newNoneDetector(env, cfg), nil
+	case KindRange:
+		return newRangeDetector(env, cfg), nil
+	case KindZScore:
+		return newZScoreDetector(env, cfg), nil
 	}
-	return f(env.withDefaults(), cfg), nil
+	return nil, fmt.Errorf("detector: unknown kind %q (known: %v)", cfg.Kind, kinds)
 }

@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"reflect"
 	"testing"
 
 	"liteworp/internal/field"
@@ -9,11 +10,17 @@ import (
 	"liteworp/internal/watch"
 )
 
+// TestRegistry pins the fixed kind list: Names is exactly the built-ins,
+// ascending, and a caller cannot change it through the returned slice.
 func TestRegistry(t *testing.T) {
 	want := []string{KindLiteworp, KindNone, KindRange, KindZScore}
 	names := Names()
-	if len(names) < len(want) {
-		t.Fatalf("Names() = %v, want at least the built-ins %v", names, want)
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
+	}
+	names[0] = "clobbered"
+	if Names()[0] != KindLiteworp {
+		t.Fatal("Names() exposes the kind list to its callers")
 	}
 	for _, kind := range want {
 		if !Known(kind) {
@@ -24,16 +31,13 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("empty kind must be known (it is the default)")
 	}
 	if Known("no-such-strategy") {
-		t.Fatal("unregistered kind reported known")
+		t.Fatal("unknown kind reported known")
 	}
 	if got := Canonical(""); got != KindLiteworp {
 		t.Fatalf("Canonical(\"\") = %q, want %q", got, KindLiteworp)
 	}
 	if _, err := New(Env{Clock: sim.New(1)}, Config{Kind: "no-such-strategy"}); err == nil {
 		t.Fatal("New accepted an unknown kind")
-	}
-	if err := Register(KindNone, func(Env, Config) Detector { return noneDetector{} }); err == nil {
-		t.Fatal("Register accepted a duplicate kind")
 	}
 }
 

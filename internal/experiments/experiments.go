@@ -283,48 +283,21 @@ type Options struct {
 	// Workers is the campaign pool size; <= 1 runs sequentially.
 	Workers int
 	// CheckpointDir, when non-empty, stores one checkpoint file per
-	// figure so an interrupted campaign resumes from completed seeds.
+	// figure so an interrupted or failed campaign resumes from completed
+	// seeds.
 	CheckpointDir string
 	// Progress, when non-nil, receives per-figure completion counts.
 	Progress func(figure string, done, total int)
-
-	// The supervision knobs below pass straight through to the campaign
-	// runtime; see campaign.Options for their semantics. Wall-clock
-	// hooks (Sleep, Elapsed) must be injected by the driver — this
-	// package sits inside the determinism boundary and never reads the
-	// clock itself.
-
-	// JobTimeout bounds each run in real time (needs Elapsed).
-	JobTimeout time.Duration
-	// OnError selects FailFast or SkipFailed for failed runs.
-	OnError campaign.ErrorPolicy
 	// Context requests graceful shutdown of the campaigns when cancelled.
 	Context context.Context
-	// Sleep paces the stall watchdog (driver-injected clock).
-	Sleep campaign.SleepFunc
-	// Elapsed reads driver-injected real elapsed time for JobTimeout.
-	Elapsed func() time.Duration
-	// StallAfter arms the per-figure stall watchdog.
-	StallAfter time.Duration
-	// Notice receives supervision events, tagged with the figure. Like
-	// campaign.Options.OnNotice it may be called concurrently.
-	Notice func(figure string, n campaign.Notice)
+	// Notice, when non-nil, receives checkpoint quarantine messages,
+	// tagged with the figure.
+	Notice func(figure, msg string)
 }
 
 // campaignOptions adapts the experiment options to one figure's campaign.
 func (o Options) campaignOptions(figure string) campaign.Options {
-	copt := campaign.Options{
-		Workers:    o.Workers,
-		JobTimeout: o.JobTimeout,
-		OnError:    o.OnError,
-		Context:    o.Context,
-		Sleep:      o.Sleep,
-		Elapsed:    o.Elapsed,
-		StallAfter: o.StallAfter,
-	}
-	if copt.Workers <= 0 {
-		copt.Workers = 1
-	}
+	copt := campaign.Options{Workers: max(o.Workers, 1), Context: o.Context}
 	if o.CheckpointDir != "" {
 		copt.Checkpoint = filepath.Join(o.CheckpointDir, strings.ToLower(figure)+".json")
 	}
@@ -332,7 +305,7 @@ func (o Options) campaignOptions(figure string) campaign.Options {
 		copt.OnProgress = func(done, total int, _ bool) { o.Progress(figure, done, total) }
 	}
 	if o.Notice != nil {
-		copt.OnNotice = func(n campaign.Notice) { o.Notice(figure, n) }
+		copt.OnNotice = func(msg string) { o.Notice(figure, msg) }
 	}
 	return copt
 }
@@ -692,7 +665,7 @@ type DetectorCell struct {
 // topologies, and out-of-band wormhole attacks: every cell with the same
 // M replays byte-identical radio schedules up to each strategy's first
 // isolation, so the curves differ only through what gets accused. Empty
-// inputs default to every registered strategy and the paper's M in {2, 4}.
+// inputs default to every built-in strategy and the paper's M in {2, 4}.
 func DetectorComparison(sc Scale, detectors []string, ms []int, opt Options) ([]DetectorCell, error) {
 	if len(detectors) == 0 {
 		detectors = detector.Names()

@@ -46,6 +46,25 @@ func TestCampaignMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestFigureFailureNamesRun: a run that fails stops its figure with an
+// error naming the run's key and seed, and the figure's checkpoint keeps
+// the run completed before it. Here the N=1 network is rejected by
+// parameter validation.
+func TestFigureFailureNamesRun(t *testing.T) {
+	dir := t.TempDir()
+	_, err := NSweep(Scale{Runs: 1, Duration: 100 * time.Second}, []int{20, 1}, Options{Workers: 2, CheckpointDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "(N1/N=1/run=0) seed 5003") {
+		t.Fatalf("err = %v, want the failure of N1/N=1/run=0 with its seed", err)
+	}
+	ckpt, err := os.ReadFile(filepath.Join(dir, "n1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(ckpt), `"key":"N1/N=20/run=0"`) || strings.Contains(string(ckpt), `"key":"N1/N=1/run=0"`) {
+		t.Errorf("checkpoint should hold the completed N=20 run and nothing for the failed one:\n%.300s", ckpt)
+	}
+}
+
 // TestFigureCheckpointResume exercises the Options plumbing end to end:
 // a checkpointed figure rerun restores every seed and reproduces the
 // first result exactly.

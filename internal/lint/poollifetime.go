@@ -21,7 +21,10 @@ import (
 // either the field starts with "free" or the function name looks like a
 // release (recycle/release/free/put), so ordinary collection helpers don't
 // get misread as pools. The appended parameter's type becomes a pooled
-// type and the receiver its owner.
+// type and the receiver its owner. A method on a pooled record that hands
+// its receiver to a release, directly or through another such method, is
+// a release too: packet.Packet.Release reaches Pool.recycle, so
+// `p.Release()` ends p's lifetime.
 //
 // Checked, per function, over straight-line statement sequences (a release
 // inside a nested block is not tracked past that block — documented limit):
@@ -51,7 +54,8 @@ type poolInfo struct {
 // releaseFunc describes one discovered release function: calling it with a
 // pooled pointer ends that pointer's lifetime.
 type releaseFunc struct {
-	param int // index of the pooled parameter
+	param int  // index of the pooled parameter, when !recv
+	recv  bool // the method releases its own receiver
 	pool  *poolInfo
 }
 
@@ -131,7 +135,58 @@ func discoverPools(mp *ModulePass) (map[*types.TypeName]*poolInfo, map[*types.Fu
 			return true
 		})
 	}
+	// Release methods on the records themselves, to a fixed point so a
+	// method that reaches the pool through another one is found too.
+	for found := true; found; {
+		found = false
+		for _, n := range mp.Graph.Nodes {
+			if n.Obj == nil || releases[n.Obj] != nil {
+				continue
+			}
+			recv := n.Obj.Type().(*types.Signature).Recv()
+			if recv == nil || pools[namedOf(recv.Type())] == nil {
+				continue
+			}
+			n.InspectOwn(func(x ast.Node) bool {
+				if call, ok := x.(*ast.CallExpr); ok && releases[n.Obj] == nil {
+					if id := releasedArg(n, call, releases); id != nil && n.Pkg.Info.Uses[id] == recv {
+						releases[n.Obj] = &releaseFunc{recv: true, pool: pools[namedOf(recv.Type())]}
+						found = true
+					}
+				}
+				return releases[n.Obj] == nil
+			})
+		}
+	}
 	return pools, releases
+}
+
+// releasedArg returns the identifier whose pooled value call releases —
+// the pooled argument of a release function, or the receiver of a
+// release method — or nil when call releases nothing by name.
+func releasedArg(n *FuncNode, call *ast.CallExpr, releases map[*types.Func]*releaseFunc) *ast.Ident {
+	var fn *types.Func
+	var recvExpr ast.Expr
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ = n.Pkg.Info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = n.Pkg.Info.Uses[fun.Sel].(*types.Func)
+		recvExpr = fun.X
+	}
+	rel, ok := releases[fn]
+	if !ok {
+		return nil
+	}
+	arg := recvExpr
+	if !rel.recv {
+		if rel.param >= len(call.Args) {
+			return nil
+		}
+		arg = call.Args[rel.param]
+	}
+	id, _ := ast.Unparen(arg).(*ast.Ident)
+	return id
 }
 
 // namedOf unwraps pointers down to the named (struct) type, or nil.
@@ -202,18 +257,7 @@ func releaseCallsIn(n *FuncNode, stmt ast.Stmt, releases map[*types.Func]*releas
 		if !ok {
 			return true
 		}
-		var fn *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			fn, _ = n.Pkg.Info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			fn, _ = n.Pkg.Info.Uses[fun.Sel].(*types.Func)
-		}
-		rel, ok := releases[fn]
-		if !ok || rel.param >= len(call.Args) {
-			return true
-		}
-		if arg, ok := ast.Unparen(call.Args[rel.param]).(*ast.Ident); ok {
+		if arg := releasedArg(n, call, releases); arg != nil {
 			if obj := n.Pkg.Info.Uses[arg]; obj != nil {
 				out[arg] = obj
 			}

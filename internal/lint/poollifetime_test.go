@@ -7,7 +7,9 @@ import "testing"
 // method appending a pointer parameter): use-after-release,
 // double-release, escapes into long-lived structs via field assignment
 // and composite literal, the generation-fence waiver (which waives nothing
-// without a reason), and the documented
+// without a reason), a read after a release method on the record itself
+// (a reference-counted frame's Release, which reaches the pool's recycle,
+// also through a second method), and the documented
 // limit that a release inside a conditional branch does not poison the
 // straight-line flow after it.
 func TestPoolLifetime(t *testing.T) {
@@ -100,6 +102,60 @@ func (k *K) reuse() int {
 	it = k.newItem()
 	n := it.n
 	k.recycle(it)
+	return n
+}
+
+type frame struct {
+	n    int
+	refs int
+	pool *framePool
+}
+
+type framePool struct {
+	free []*frame
+}
+
+func (pl *framePool) get() *frame {
+	if n := len(pl.free); n > 0 {
+		f := pl.free[n-1]
+		pl.free = pl.free[:n-1]
+		f.refs = 1
+		return f
+	}
+	return &frame{pool: pl, refs: 1}
+}
+
+func (pl *framePool) recycle(f *frame) {
+	pl.free = append(pl.free, f)
+}
+
+func (f *frame) Release() {
+	f.refs--
+	if f.refs == 0 {
+		f.pool.recycle(f)
+	}
+}
+
+func (f *frame) Drop() {
+	f.Release()
+}
+
+func (pl *framePool) readAfterRelease() int {
+	p := pl.get()
+	p.Release()
+	return p.n // want:pool-lifetime
+}
+
+func (pl *framePool) readAfterDrop() int {
+	p := pl.get()
+	p.Drop()
+	return p.n // want:pool-lifetime
+}
+
+func (pl *framePool) readBeforeRelease() int {
+	p := pl.get()
+	n := p.n
+	p.Release()
 	return n
 }
 `},

@@ -40,7 +40,7 @@ func TestModulePoolsDiscovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pools, _ := discoverPools(&ModulePass{Pkgs: pkgs, Graph: BuildGraph(pkgs), fset: pkgs[0].Fset})
+	pools, releases := discoverPools(&ModulePass{Pkgs: pkgs, Graph: BuildGraph(pkgs), fset: pkgs[0].Fset})
 	found := map[string]string{}
 	//lint:ordered keyed idempotent stores; iteration order immaterial
 	for rec, pool := range pools {
@@ -56,6 +56,17 @@ func TestModulePoolsDiscovered(t *testing.T) {
 		if got, ok := found[rec]; !ok || got != owner {
 			t.Errorf("pool %s: discovered owner %q (found=%v), want %q", rec, got, ok, owner)
 		}
+	}
+	// A frame's own Release reaches Pool.recycle, so p.Release() ends p.
+	var frameRelease bool
+	//lint:ordered a membership test; iteration order immaterial
+	for fn, rel := range releases {
+		if FuncID(fn) == "liteworp/internal/packet.(*Packet).Release" && rel.recv {
+			frameRelease = true
+		}
+	}
+	if !frameRelease {
+		t.Error("packet.(*Packet).Release not discovered as a release of its receiver")
 	}
 }
 
