@@ -1,7 +1,7 @@
 // Command liteworp-lint runs the determinism lint suite (internal/lint)
 // over the module and reports violations of the reproducibility contract:
 // nondeterminism sources (wall-clock reads, global math/rand draws,
-// order-sensitive map iteration, select) at their own line and wherever
+// any range over a map, select) at their own line and wherever
 // the call graph lets determinism-bound code reach one, raw concurrency,
 // unscoped node timers, pooled-record lifetime bugs, and cross-goroutine
 // kernel sharing.

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"liteworp"
@@ -54,8 +55,14 @@ func main() {
 		}
 		fmt.Printf("  %8v  %-28s %s\n", a.At.Round(time.Millisecond), a.What, status)
 	}
-	for node, down := range results.NodeDowntime {
-		fmt.Printf("node %d was down for %v\n", node, down.Round(time.Millisecond))
+	// Print in ascending node order: map order would differ between runs.
+	nodes := make([]liteworp.NodeID, 0, len(results.NodeDowntime))
+	for node := range results.NodeDowntime {
+		nodes = append(nodes, node)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	for _, node := range nodes {
+		fmt.Printf("node %d was down for %v\n", node, results.NodeDowntime[node].Round(time.Millisecond))
 	}
 	fmt.Printf("alert retransmissions forced by the jammer: %d\n", results.AlertRetries)
 }

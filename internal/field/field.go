@@ -6,6 +6,7 @@ package field
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -178,12 +179,7 @@ func (f *Field) Adjacency() map[NodeID][]NodeID {
 // Unreachable nodes are absent from the map. src maps to 0. The returned
 // map is a copy of the memoised traversal and safe to mutate.
 func (f *Field) HopDistances(src NodeID) map[NodeID]int {
-	cached := f.hopDistances(src)
-	dist := make(map[NodeID]int, len(cached))
-	for id, d := range cached {
-		dist[id] = d
-	}
-	return dist
+	return maps.Clone(f.hopDistances(src))
 }
 
 // HopDistance returns the hop count between a and b, or -1 if disconnected.

@@ -4,9 +4,9 @@
 // DESIGN.md. A LITEWORP run must replay bit-identically from its seed —
 // the paper's detection/isolation numbers are averages over controlled
 // repeatable runs — so wall-clock reads, the global math/rand source,
-// Go's randomized map iteration order, raw goroutines, and unscoped timers
-// are all banned from the simulation packages. The linter turns that
-// convention into a build-time check.
+// ranges over maps (Go randomizes their order), raw goroutines, and
+// unscoped timers are all banned from the simulation packages. The linter
+// turns that convention into a build-time check.
 //
 // Every analyzer is a module analyzer: it sees all loaded packages plus
 // their static call graph in one pass. nondet-taint owns the

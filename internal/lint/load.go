@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"liteworp/internal/ordered"
 )
 
 // Package is one loaded, type-checked package.
@@ -216,12 +218,7 @@ func localImports(modPath string, s *pkgSpec) []string {
 			}
 		}
 	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return ordered.Keys(set)
 }
 
 // moduleImporter resolves module-local imports from the packages already
@@ -275,13 +272,8 @@ func FindModuleRoot(dir string) (string, error) {
 // generated code. pkgs maps import path to filename to source text.
 func LoadSource(modPath string, pkgs map[string]map[string]string) ([]*Package, error) {
 	fset := token.NewFileSet()
-	paths := make([]string, 0, len(pkgs))
-	for path := range pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
 	var specs []*pkgSpec
-	for _, path := range paths {
+	for _, path := range ordered.Keys(pkgs) {
 		files := pkgs[path]
 		dir := ""
 		if path != modPath {
@@ -292,12 +284,7 @@ func LoadSource(modPath string, pkgs map[string]map[string]string) ([]*Package, 
 			}
 		}
 		spec := &pkgSpec{path: path, dir: dir}
-		names := make([]string, 0, len(files))
-		for name := range files {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range ordered.Keys(files) {
 			display := name
 			if dir != "" {
 				display = dir + "/" + name

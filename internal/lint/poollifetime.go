@@ -246,9 +246,9 @@ func stopAtNested(root ast.Stmt, x ast.Node) bool {
 }
 
 // releaseCallsIn returns, for each release call at stmt's own nesting
-// level, the released local object.
-func releaseCallsIn(n *FuncNode, stmt ast.Stmt, releases map[*types.Func]*releaseFunc) map[*ast.Ident]types.Object {
-	out := make(map[*ast.Ident]types.Object)
+// level, the identifier of the released local, in source order.
+func releaseCallsIn(n *FuncNode, stmt ast.Stmt, releases map[*types.Func]*releaseFunc) []*ast.Ident {
+	var out []*ast.Ident
 	ast.Inspect(stmt, func(x ast.Node) bool {
 		if x != nil && stopAtNested(stmt, x) {
 			return false
@@ -257,10 +257,8 @@ func releaseCallsIn(n *FuncNode, stmt ast.Stmt, releases map[*types.Func]*releas
 		if !ok {
 			return true
 		}
-		if arg := releasedArg(n, call, releases); arg != nil {
-			if obj := n.Pkg.Info.Uses[arg]; obj != nil {
-				out[arg] = obj
-			}
+		if arg := releasedArg(n, call, releases); arg != nil && n.Pkg.Info.Uses[arg] != nil {
+			out = append(out, arg)
 		}
 		return true
 	})
@@ -297,7 +295,7 @@ func releaseCallsIn(n *FuncNode, stmt ast.Stmt, releases map[*types.Func]*releas
 		if namedOf(obj.Type()) == nil {
 			return true
 		}
-		out[arg] = obj
+		out = append(out, arg)
 		return true
 	})
 	return out
@@ -313,14 +311,15 @@ func checkReleaseFlow(mp *ModulePass, n *FuncNode, releases map[*types.Func]*rel
 		}
 		released := make(map[types.Object]token.Pos)
 		for _, stmt := range block.List {
-			relHere := releaseCallsIn(n, stmt, releases)
-			relObjs := make(map[types.Object]bool, len(relHere))
-			relIdents := make(map[*ast.Ident]bool, len(relHere))
-			//lint:ordered keyed idempotent true-stores; iteration order immaterial
-			for id, obj := range relHere {
+			var relHere []types.Object
+			relObjs := make(map[types.Object]bool)
+			relIdents := make(map[*ast.Ident]bool)
+			for _, id := range releaseCallsIn(n, stmt, releases) {
+				obj := n.Pkg.Info.Uses[id]
 				if pooled(obj.Type()) == nil {
 					continue
 				}
+				relHere = append(relHere, obj)
 				relObjs[obj] = true
 				relIdents[id] = true
 			}
@@ -380,7 +379,7 @@ func checkReleaseFlow(mp *ModulePass, n *FuncNode, releases map[*types.Func]*rel
 				}
 			}
 			relPos := stmt.Pos()
-			for obj := range relObjs {
+			for _, obj := range relHere {
 				if _, already := released[obj]; !already {
 					released[obj] = relPos
 				}

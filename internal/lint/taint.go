@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -14,8 +15,11 @@ import (
 //   - time.Now/Sleep/... (the wallclockFuncs set)
 //   - package-level math/rand functions (the globalRandFuncs set)
 //   - select statements (outside declared //lint:concurrency-layer packages)
-//   - map ranges the mapRangeChecker heuristic cannot prove
-//     order-insensitive (//lint:ordered <reason> waives one)
+//   - every range over a map, or over a type parameter whose constraint
+//     admits only maps: Go randomizes the visit order, so the loop's
+//     effects may differ between runs of one seed. Iterate a slice or the
+//     sorted keys instead; //lint:ordered <reason> waives one range and
+//     the ranges nested in it
 //
 // Reach: a global-rand draw is reported anywhere in the module, cmd/ and
 // examples/ included; the other sources are reported in the
@@ -37,7 +41,7 @@ import (
 // (the caller and everything above it stay clean through this edge).
 var NondetTaint = &Analyzer{
 	Name:      "nondet-taint",
-	Doc:       "report nondeterminism sources (wallclock, global rand, select, unordered map range) at their line and propagate them through the call graph — determinism-bound code may not reach one",
+	Doc:       "report nondeterminism sources (wallclock, global rand, select, map range) at their line and propagate them through the call graph — determinism-bound code may not reach one",
 	RunModule: runNondetTaint,
 }
 
@@ -100,7 +104,7 @@ func (s taintSource) message() string {
 	case s.kind == "select":
 		return "select statement: channel readiness is nondeterministic and bypasses the event kernel's single-threaded replay"
 	}
-	return "map iteration order is randomized: sort the keys first, accumulate into a sorted slice, or waive with //lint:ordered <reason>"
+	return "range over a map visits keys in random order: iterate a slice or the sorted keys instead, or waive with //lint:ordered <reason>"
 }
 
 // taintTrace records, for one tainted function, the shortest route to a
@@ -217,11 +221,12 @@ func runNondetTaint(mp *ModulePass) {
 
 // collectTaintSources scans one package for nondeterminism sources: global
 // rand draws everywhere, and in a bound package the wall-clock reads,
-// selects outside a concurrency layer, and unordered map ranges too.
+// selects outside a concurrency layer, and unwaived map ranges too.
 func collectTaintSources(mp *ModulePass, pkg *Package, bound bool) []taintSource {
 	var out []taintSource
 	_, isLayer, _ := ConcurrencyLayer(pkg)
 	for _, f := range mp.sourceFiles(pkg) {
+		var waivedEnd token.Pos // end of the innermost //lint:ordered range
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:
@@ -239,14 +244,45 @@ func collectTaintSources(mp *ModulePass, pkg *Package, bound bool) []taintSource
 				if bound && !isLayer {
 					out = append(out, taintSource{kind: "select", pos: x.Pos()})
 				}
+			case *ast.RangeStmt:
+				// A waiver covers the map ranges nested in its statement.
+				if !bound || x.Pos() < waivedEnd || !isMap(pkg.Info.TypeOf(x.X)) {
+					return true
+				}
+				if mp.Waiver(x.Pos(), "ordered") {
+					waivedEnd = x.End()
+				} else {
+					out = append(out, taintSource{kind: "map range", pos: x.Pos()})
+				}
 			}
 			return true
 		})
-		if bound {
-			for _, rs := range unorderedMapRanges(mp, pkg, f) {
-				out = append(out, taintSource{kind: "map range", pos: rs.Pos()})
+	}
+	return out
+}
+
+// isMap reports whether t is a map or a type parameter whose constraint
+// admits only maps (ranging one still visits its keys in random order).
+func isMap(t types.Type) bool {
+	if tp, ok := t.(*types.TypeParam); ok {
+		t = tp.Constraint()
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Map:
+		return true
+	case *types.Union:
+		for i := 0; i < u.Len(); i++ {
+			if !isMap(u.Term(i).Type()) {
+				return false
+			}
+		}
+		return u.Len() > 0
+	case *types.Interface:
+		for i := 0; i < u.NumEmbeddeds(); i++ {
+			if isMap(u.EmbeddedType(i)) {
+				return true
 			}
 		}
 	}
-	return out
+	return false
 }

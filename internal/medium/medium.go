@@ -166,7 +166,7 @@ type Stats struct {
 	// BytesByType breaks down on-air bytes per packet type, the basis of
 	// the empirical bandwidth-overhead accounting (discovery and alert
 	// traffic vs routing control vs data).
-	BytesByType map[packet.Type]uint64
+	BytesByType [packet.NumTypes]uint64
 
 	Transmissions      uint64 // frames put on the air
 	Deliveries         uint64 // successful receptions (incl. overhears)
@@ -371,21 +371,7 @@ func (m *Medium) SetLoss(l LossModel) {
 }
 
 // Stats returns a copy of the medium counters.
-func (m *Medium) Stats() Stats {
-	out := m.stats
-	out.BytesByType = make(map[packet.Type]uint64, len(m.stats.BytesByType))
-	for k, v := range m.stats.BytesByType {
-		out.BytesByType[k] = v
-	}
-	return out
-}
-
-func (m *Medium) countBytes(t packet.Type, n int) {
-	if m.stats.BytesByType == nil {
-		m.stats.BytesByType = make(map[packet.Type]uint64, 8)
-	}
-	m.stats.BytesByType[t] += uint64(n)
-}
+func (m *Medium) Stats() Stats { return m.stats }
 
 // Topology returns the underlying field.
 func (m *Medium) Topology() *field.Field { return m.topo }
@@ -495,7 +481,7 @@ func (m *Medium) countTransmission(p *packet.Packet) int {
 	size := p.Size()
 	m.stats.Transmissions++
 	m.stats.BytesOnAir += uint64(size)
-	m.countBytes(p.Type, size)
+	m.stats.BytesByType[p.Type] += uint64(size)
 	return size
 }
 

@@ -7,11 +7,13 @@
 package metrics
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"time"
 
 	"liteworp/internal/field"
+	"liteworp/internal/ordered"
 )
 
 // Sample is one point of a time series.
@@ -228,21 +230,18 @@ func (c *Collector) RecordIsolation(observer, accused field.NodeID, at time.Dura
 
 // AccusedNodes returns every node that at least one observer isolated.
 func (c *Collector) AccusedNodes() []field.NodeID {
-	out := make([]field.NodeID, 0, len(c.isolations))
-	for id := range c.isolations {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return ordered.Keys(c.isolations)
 }
 
-// IsolatedBy returns the observers that isolated accused, with times.
+// IsolatedBy returns a copy of the observers that isolated accused, with
+// times (nil when none has).
 func (c *Collector) IsolatedBy(accused field.NodeID) map[field.NodeID]time.Duration {
-	out := make(map[field.NodeID]time.Duration, len(c.isolations[accused]))
-	for k, v := range c.isolations[accused] {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(c.isolations[accused])
+}
+
+// IsolatedCount returns how many observers isolated accused.
+func (c *Collector) IsolatedCount(accused field.NodeID) int {
+	return len(c.isolations[accused])
 }
 
 // IsolationLatency returns the time from AttackStart until every node in

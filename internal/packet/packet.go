@@ -41,6 +41,10 @@ const (
 	TypeAlert
 	TypeTunnelEncap
 	TypeRouteError
+
+	// NumTypes is one past the largest packet type: a table indexed by
+	// Type has NumTypes slots.
+	NumTypes
 )
 
 var typeNames = map[Type]string{

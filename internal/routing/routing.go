@@ -14,12 +14,12 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"liteworp/internal/field"
 	"liteworp/internal/flatmap"
 	"liteworp/internal/neighbor"
+	"liteworp/internal/ordered"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
 )
@@ -358,15 +358,6 @@ func (r *Router) evictVia(next field.NodeID) {
 	}
 }
 
-func sortedKeys[V any](m map[field.NodeID]V) []field.NodeID {
-	out := make([]field.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // destinations returns the sorted cached-route keys, rebuilding the shared
 // view only after a membership change. The slice is capacity-clipped: an
 // append by a caller cannot scribble over the shared backing, and because
@@ -374,7 +365,7 @@ func sortedKeys[V any](m map[field.NodeID]V) []field.NodeID {
 // across mutations.
 func (r *Router) destinations() []field.NodeID {
 	if !r.destViewOK {
-		v := sortedKeys(r.cache)
+		v := ordered.Keys(r.cache)
 		r.destView = v[:len(v):len(v)]
 		r.destViewOK = true
 	}
@@ -384,7 +375,7 @@ func (r *Router) destinations() []field.NodeID {
 // forwardDests is the same view over the per-hop forwarding table.
 func (r *Router) forwardDests() []field.NodeID {
 	if !r.fwdViewOK {
-		v := sortedKeys(r.forward)
+		v := ordered.Keys(r.forward)
 		r.fwdView = v[:len(v):len(v)]
 		r.fwdViewOK = true
 	}

@@ -2,11 +2,11 @@ package liteworp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"liteworp/internal/metrics"
+	"liteworp/internal/ordered"
 )
 
 // Sample is one point of a cumulative time series (absolute virtual time).
@@ -199,12 +199,7 @@ func (r *Results) String() string {
 		r.Accusations, r.FalseAccusations, r.LocalRevocations, r.AlertsSent, r.AlertRetries, r.FalseIsolations)
 	fmt.Fprintf(&b, "  detector %s:", r.Detector.Detector)
 	if len(r.Detector.ByReason) > 0 {
-		reasons := make([]string, 0, len(r.Detector.ByReason))
-		for reason := range r.Detector.ByReason {
-			reasons = append(reasons, reason)
-		}
-		sort.Strings(reasons)
-		for _, reason := range reasons {
+		for _, reason := range ordered.Keys(r.Detector.ByReason) {
 			fmt.Fprintf(&b, " %s=%d", reason, r.Detector.ByReason[reason])
 		}
 	} else {
@@ -219,8 +214,8 @@ func (r *Results) String() string {
 	fmt.Fprintf(&b, "\n")
 	if r.FaultEvents > 0 || len(r.NodeDowntime) > 0 {
 		var total time.Duration
-		for _, d := range r.NodeDowntime {
-			total += d
+		for _, id := range ordered.Keys(r.NodeDowntime) {
+			total += r.NodeDowntime[id]
 		}
 		fmt.Fprintf(&b, "  faults: events=%d nodes-with-downtime=%d total-downtime=%v\n",
 			r.FaultEvents, len(r.NodeDowntime), total.Round(time.Millisecond))

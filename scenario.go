@@ -3,6 +3,7 @@ package liteworp
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"sort"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"liteworp/internal/metrics"
 	"liteworp/internal/neighbor"
 	"liteworp/internal/node"
+	"liteworp/internal/ordered"
 	"liteworp/internal/packet"
 	"liteworp/internal/routing"
 	"liteworp/internal/sim"
@@ -566,7 +568,7 @@ func (s *Scenario) bandwidthBreakdown() BandwidthBreakdown {
 	var b BandwidthBreakdown
 	b.TotalBytes = st.BytesOnAir
 	for t, n := range st.BytesByType {
-		switch t {
+		switch packet.Type(t) {
 		case packet.TypeHello, packet.TypeHelloReply, packet.TypeNeighborList:
 			b.DiscoveryBytes += n
 		case packet.TypeRouteRequest, packet.TypeRouteReply:
@@ -612,14 +614,11 @@ func (s *Scenario) Results() *Results {
 		FaultEvents:        len(s.FaultLog()),
 	}
 	if len(s.downtime) > 0 || len(s.downSince) > 0 {
-		r.NodeDowntime = make(map[NodeID]time.Duration, len(s.downtime)+len(s.downSince))
-		for id, d := range s.downtime {
-			r.NodeDowntime[id] = d
-		}
+		r.NodeDowntime = maps.Clone(s.downtime)
 		now := s.kernel.Now()
-		for id, since := range s.downSince {
+		for _, id := range ordered.Keys(s.downSince) {
 			// Still down at snapshot time: count the open interval.
-			r.NodeDowntime[id] += now - since
+			r.NodeDowntime[id] += now - s.downSince[id]
 		}
 	}
 	for _, accused := range c.AccusedNodes() {
@@ -638,10 +637,7 @@ func (s *Scenario) Results() *Results {
 		FalselyIsolatedNodes: r.FalselyIsolatedNodes,
 	}
 	if len(c.AccusationsByReason) > 0 {
-		r.Detector.ByReason = make(map[string]uint64, len(c.AccusationsByReason))
-		for reason, n := range c.AccusationsByReason {
-			r.Detector.ByReason[reason] = n
-		}
+		r.Detector.ByReason = maps.Clone(c.AccusationsByReason)
 	}
 	if at, ok := c.FirstIsolation(); ok {
 		r.Detector.Detected = true
@@ -652,12 +648,12 @@ func (s *Scenario) Results() *Results {
 	fully := 0
 	for _, m := range s.malicious {
 		required := s.HonestNeighborsOf(m)
-		isolatedBy := c.IsolatedBy(m)
+		isolated := c.IsolatedCount(m)
 		out := MaliciousOutcome{
 			ID:              m,
 			HonestNeighbors: len(required),
-			IsolatedByCount: len(isolatedBy),
-			Detected:        len(isolatedBy) > 0,
+			IsolatedByCount: isolated,
+			Detected:        isolated > 0,
 		}
 		if lat, ok := c.IsolationLatency(m, required); ok {
 			out.FullyIsolated = true
