@@ -493,3 +493,36 @@ func TestRejectReasonString(t *testing.T) {
 		}
 	}
 }
+
+// TestRevokedSenderNeverReachesTheLog: two guards share one reception log
+// and hear the same frame of neighbor 3 in one delivery batch. The guard
+// that revoked 3 does not monitor it, so the log's entry for that
+// transmission holds only the other guard, and only the other guard
+// answers that it heard 3 send it.
+func TestRevokedSenderNeverReachesTheLog(t *testing.T) {
+	k := sim.New(1)
+	ks := keys.NewKeyServer(1)
+	cfg := testConfig()
+	cfg.Detector.Watch.Log = watch.NewLog(k)
+	revoker := newTestNode(k, ks, 1, cfg, Events{})
+	other := newTestNode(k, ks, 4, cfg, Events{})
+	for _, n := range []*testNode{revoker, other} {
+		wire(n, map[field.NodeID][]field.NodeID{
+			2: {1, 3, 4, 9},
+			3: {1, 2, 4},
+		})
+	}
+	revoker.table.Revoke(3)
+	p := rep(9, 9, 3, 3, 2, 7)
+	k.At(time.Millisecond, func() {
+		revoker.engine.Monitor(p)
+		other.engine.Monitor(p)
+	})
+	k.RunFor(2 * time.Millisecond)
+	if revoker.engine.Buffer().Heard(3, p.Key()) || revoker.engine.Buffer().HeardAny(p.Key()) {
+		t.Fatal("the guard that revoked 3 answers from 3's transmission")
+	}
+	if !other.engine.Buffer().Heard(3, p.Key()) {
+		t.Fatal("the other guard lost its reception of 3's transmission")
+	}
+}

@@ -27,10 +27,13 @@ func newLiteworpDetector(env Env, cfg Config) Detector {
 	if wcfg.Wheel == nil {
 		wcfg.Wheel = env.Wheel
 	}
-	if wcfg.Index == nil && env.Table != nil {
-		// Share the host table's dense neighbor index so the buffer, the
-		// routing layer and the scoreboard agree on nbrIdx values.
-		wcfg.Index = env.Table.Index()
+	if env.Table != nil {
+		if wcfg.Index == nil {
+			// Share the host table's dense neighbor index so the buffer,
+			// the routing layer and the scoreboard agree on nbrIdx values.
+			wcfg.Index = env.Table.Index()
+		}
+		wcfg.Self = env.Table.Self()
 	}
 	d := &liteworpDetector{env: env, cfg: cfg}
 	d.buffer = watch.New(env.Clock, wcfg, env.OnAccusation, env.OnThreshold)
@@ -44,12 +47,13 @@ func (d *liteworpDetector) Name() string { return KindLiteworp }
 // surfaces it through the same type assertion.
 func (d *liteworpDetector) Buffer() *watch.Buffer { return d.buffer }
 
-// OwnSend remembers the host's own control transmissions in the heard
-// cache: a node is the guard of all its own outgoing links (§4.2.1), so
-// when a neighbor forwards a packet claiming "I got this from you", the
-// node must be able to tell whether it really sent it. The record is keyed
-// by the host itself, on which no expectation is ever armed, so it neither
-// satisfies nor suppresses an expectation on any neighbor.
+// OwnSend records the host's own control transmissions as heard facts
+// (own sends, on the reception log): a node is the guard of all its own
+// outgoing links (§4.2.1), so when a neighbor forwards a packet claiming
+// "I got this from you", the node must be able to tell whether it really
+// sent it. The fact is keyed by the host itself, on which no expectation
+// is ever armed, so it neither satisfies nor suppresses an expectation on
+// any neighbor.
 func (d *liteworpDetector) OwnSend(p *packet.Packet) {
 	d.buffer.RecordHeard(d.env.Table.Self(), p.Key())
 }
@@ -81,13 +85,13 @@ func (d *liteworpDetector) Overheard(p *packet.Packet) {
 	// Fabrication check for forwarded packets on links we guard: sender
 	// claims PrevHop gave it this packet, but we watch that link and
 	// never saw it (strict mode: from that hop; default: from anyone).
-	// This must be evaluated against the heard cache *before* the current
-	// transmission is recorded into it.
+	// This must be evaluated against the heard facts *before* the current
+	// transmission is recorded.
 	if p.PrevHop != sender && table.IsGuardOf(p.PrevHop, sender) {
-		fabricated := false
-		if d.cfg.StrictFabricationCheck {
-			fabricated = !d.buffer.Heard(p.PrevHop, key)
-		} else {
+		// Hearing PrevHop send it implies hearing anyone send it, and
+		// that one question answers most default-mode checks too.
+		fabricated := !d.buffer.Heard(p.PrevHop, key)
+		if fabricated && !d.cfg.StrictFabricationCheck {
 			fabricated = !d.buffer.HeardAny(key)
 		}
 		// Negative evidence ("I never heard this packet") is unreliable

@@ -157,3 +157,70 @@ func BenchmarkOverheardFlood(b *testing.B) {
 		b.Fatalf("flood stats %+v: want matches and no drops", st)
 	}
 }
+
+// BenchmarkOverheardBatch measures the shared path of one transmission:
+// a new REQ from node 1 is delivered in one kernel event to its 12
+// neighbors, all guards on one reception log, each of which neighbors
+// the other 11. The first guard opens the log entry and the other eleven
+// set their bits through the log's memo; each guard then arms an
+// expectation on each of the other guards, whose drops the DropFilter
+// suppresses. Each op also advances 50 ms of virtual time, so entries
+// pop and expectations drop at a steady rate.
+func BenchmarkOverheardBatch(b *testing.B) {
+	const guards = 12
+	kernel := sim.New(1)
+	log := watch.NewLog(kernel)
+	ids := make([]field.NodeID, guards)
+	for i := range ids {
+		ids[i] = field.NodeID(2 + i)
+	}
+	dets := make([]Detector, guards)
+	for i, self := range ids {
+		table := neighbor.NewTable(self)
+		table.AddDirect(1)
+		for _, id := range ids {
+			if id != self {
+				table.AddDirect(id)
+			}
+		}
+		cfg := Config{Watch: watch.DefaultConfig()}
+		cfg.Watch.Log = log
+		d, err := New(Env{
+			Clock:      kernel,
+			Table:      table,
+			DropFilter: func(field.NodeID, packet.Key) bool { return true },
+		}, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dets[i] = d
+	}
+	p := &packet.Packet{
+		Type: packet.TypeRouteRequest, Origin: 100, FinalDest: 200,
+		Sender: 1, PrevHop: 100, Receiver: packet.Broadcast,
+		Route: []field.NodeID{100, 1},
+	}
+	deliver := func() {
+		for _, d := range dets {
+			d.Overheard(p)
+		}
+	}
+	op := func() {
+		p.Seq++
+		kernel.Post(0, deliver)
+		kernel.RunFor(50 * time.Millisecond)
+	}
+	for range 256 {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		op()
+	}
+	b.StopTimer()
+	st := dets[0].(interface{ Buffer() *watch.Buffer }).Buffer().Stats()
+	if st.Expectations == 0 || st.FilteredDrops == 0 || st.Drops != 0 {
+		b.Fatalf("guard stats %+v: want expectations, filtered drops and no accusations", st)
+	}
+}

@@ -46,6 +46,10 @@ func (k Key) hash() uint64 {
 	return h
 }
 
+// Hash returns the key's table hash, for tables outside this package that
+// index records by Key without storing the keys themselves.
+func (k Key) Hash() uint64 { return k.hash() }
+
 // minCap is the smallest table allocation: small enough that an idle
 // guard's caches cost little, large enough that steady chatter does not
 // immediately grow.
@@ -210,6 +214,21 @@ func (t *Table[V]) Shrink() {
 		newCap /= 2
 	}
 	t.rehash(newCap)
+}
+
+// ShrinkFor rehashes into the smallest table that holds n entries at no
+// more than half load, when that is smaller than the current one. n is
+// at least Len: an owner whose load swings between sweeps passes its
+// recent peak, and so keeps the room that peak needs rather than
+// shrinking and growing back every time.
+func (t *Table[V]) ShrinkFor(n int) {
+	newCap := minCap
+	for newCap < 2*n {
+		newCap *= 2
+	}
+	if newCap < len(t.keys) {
+		t.rehash(newCap)
+	}
 }
 
 // ExpiryTable is a Table holding expiry instants, with a sweep that reaps

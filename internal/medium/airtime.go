@@ -118,7 +118,7 @@ func (m *Medium) transmitAirtime(tx field.NodeID, p *packet.Packet, rangeFactor 
 }
 
 func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFactor float64, attempt, arq int) error {
-	if st, ok := m.stations[tx]; !ok || st.down {
+	if st := m.station(tx); st == nil || st.down {
 		// The transmitter crashed between a carrier-sense deferral or ARQ
 		// backoff and this retry.
 		return nil
@@ -146,8 +146,8 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 
 	var d *delivery
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
-		st, ok := m.stations[rx]
-		if !ok {
+		st := m.station(rx)
+		if st == nil {
 			continue
 		}
 		if !m.reachable(tx, rx) {

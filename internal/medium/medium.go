@@ -34,6 +34,7 @@ package medium
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"liteworp/internal/field"
@@ -92,21 +93,22 @@ type LinearCollisionModel struct {
 	NB0   float64 // reference neighbor count
 	Max   float64 // cap (defaults to 0.9 when zero)
 
-	degrees map[field.NodeID]int // precomputed at construction; topology is static
+	// degrees caches each node's degree, by ID (see nodeSlots); -1 is not
+	// yet known. The topology is static, so the cache never goes stale.
+	degrees nodeSlots[int32]
 }
 
 // NewLinearCollision returns the paper-parameterized model over f, with the
 // per-node degree cache precomputed up front so the hot LossProb path is a
-// single map read.
+// single slice read.
 func NewLinearCollision(f *field.Field, pc0, nb0, max float64) *LinearCollisionModel {
 	if max <= 0 {
 		max = 0.9
 	}
 	m := &LinearCollisionModel{Field: f, Pc0: pc0, NB0: nb0, Max: max}
 	if f != nil {
-		m.degrees = make(map[field.NodeID]int, f.Len())
 		for _, id := range f.IDs() {
-			m.degrees[id] = f.Degree(id)
+			*m.degrees.at(id, -1) = int32(f.Degree(id))
 		}
 	}
 	return m
@@ -117,17 +119,13 @@ func (m *LinearCollisionModel) LossProb(_, rx field.NodeID) float64 {
 	if m.Field == nil || m.Pc0 <= 0 || m.NB0 <= 0 {
 		return 0
 	}
-	deg, ok := m.degrees[rx]
-	if !ok {
-		// Fallback for struct-literal construction and nodes placed after
-		// the model was built.
-		deg = m.Field.Degree(rx)
-		if m.degrees == nil {
-			m.degrees = make(map[field.NodeID]int, m.Field.Len())
-		}
-		m.degrees[rx] = deg
+	d := m.degrees.at(rx, -1)
+	if *d < 0 {
+		// Struct-literal construction, or a node placed after the model
+		// was built.
+		*d = int32(m.Field.Degree(rx))
 	}
-	p := m.Pc0 * float64(deg) / m.NB0
+	p := m.Pc0 * float64(*d) / m.NB0
 	if p > m.Max {
 		p = m.Max
 	}
@@ -201,6 +199,45 @@ type station struct {
 	// frames already in flight toward it evaporate at delivery time), but
 	// it stays registered so tunnels and a later reboot keep working.
 	down bool
+	// cut lists, ascending, the stations whose link to this one is
+	// flapped down.
+	cut []field.NodeID
+}
+
+// nodeSlots is a slice of T indexed by node ID minus the lowest ID seen:
+// node IDs are dense (the field places FirstID+i), so per-node state on
+// the per-transmission path is an index, not a hash.
+type nodeSlots[T any] struct {
+	first field.NodeID
+	s     []T
+}
+
+// get returns id's slot, or nil when id lies outside the slots.
+func (n *nodeSlots[T]) get(id field.NodeID) *T {
+	if i := uint64(id - n.first); len(n.s) > 0 && i < uint64(len(n.s)) {
+		return &n.s[i]
+	}
+	return nil
+}
+
+// at returns id's slot, growing the slots to hold it; new slots hold
+// fill.
+func (n *nodeSlots[T]) at(id field.NodeID, fill T) *T {
+	if len(n.s) == 0 {
+		n.first = id
+	}
+	if id < n.first {
+		grown := make([]T, int(n.first-id)+len(n.s))
+		for i := range int(n.first - id) {
+			grown[i] = fill
+		}
+		copy(grown[n.first-id:], n.s)
+		n.s, n.first = grown, id
+	}
+	for int(id-n.first) >= len(n.s) {
+		n.s = append(n.s, fill)
+	}
+	return &n.s[id-n.first]
 }
 
 // DeliveryFault is an injected per-reception fault: return true to destroy
@@ -220,9 +257,8 @@ type Medium struct {
 	cfg       Config
 	airCfg    AirtimeConfig
 	air       *airState
-	stations  map[field.NodeID]*station
+	stations  nodeSlots[*station]
 	tunnels   map[[2]field.NodeID]tunnel
-	downLinks map[[2]field.NodeID]bool
 	fault     DeliveryFault
 	stats     Stats
 	trace     TraceFunc
@@ -242,14 +278,12 @@ func New(k *sim.Kernel, topo *field.Field, cfg Config) *Medium {
 		cfg.Loss = NoLoss{}
 	}
 	return &Medium{
-		kernel:    k,
-		topo:      topo,
-		cfg:       cfg,
-		airCfg:    cfg.Airtime,
-		air:       newAirState(),
-		stations:  make(map[field.NodeID]*station),
-		tunnels:   make(map[[2]field.NodeID]tunnel),
-		downLinks: make(map[[2]field.NodeID]bool),
+		kernel:  k,
+		topo:    topo,
+		cfg:     cfg,
+		airCfg:  cfg.Airtime,
+		air:     newAirState(),
+		tunnels: make(map[[2]field.NodeID]tunnel),
 	}
 }
 
@@ -258,13 +292,21 @@ func New(k *sim.Kernel, topo *field.Field, cfg Config) *Medium {
 // delivery batch is the next forward's frame.
 func (m *Medium) Frames() *packet.Pool { return &m.frames }
 
+// station returns the attached station id, or nil.
+func (m *Medium) station(id field.NodeID) *station {
+	if st := m.stations.get(id); st != nil {
+		return *st
+	}
+	return nil
+}
+
 // SetDown powers a station off (crash) or back on (reboot). A down station
 // transmits nothing, receives nothing — including frames already in flight —
 // and tunnels ending at it go silent. The station stays attached, so a
 // reboot is just SetDown(id, false). Unknown stations are an error.
 func (m *Medium) SetDown(id field.NodeID, down bool) error {
-	st, ok := m.stations[id]
-	if !ok {
+	st := m.station(id)
+	if st == nil {
 		return fmt.Errorf("medium: node %d not attached", id)
 	}
 	st.down = down
@@ -273,8 +315,8 @@ func (m *Medium) SetDown(id field.NodeID, down bool) error {
 
 // IsDown reports whether the station is attached and powered off.
 func (m *Medium) IsDown(id field.NodeID) bool {
-	st, ok := m.stations[id]
-	return ok && st.down
+	st := m.station(id)
+	return st != nil && st.down
 }
 
 // SetLinkDown flaps the bidirectional radio link between a and b down or
@@ -282,28 +324,41 @@ func (m *Medium) IsDown(id field.NodeID) bool {
 // reach every other station in range). Flapping a link between unattached
 // nodes is an error.
 func (m *Medium) SetLinkDown(a, b field.NodeID, down bool) error {
-	if _, ok := m.stations[a]; !ok {
+	sa, sb := m.station(a), m.station(b)
+	if sa == nil {
 		return fmt.Errorf("medium: link endpoint %d not attached", a)
 	}
-	if _, ok := m.stations[b]; !ok {
+	if sb == nil {
 		return fmt.Errorf("medium: link endpoint %d not attached", b)
 	}
 	if a == b {
 		return fmt.Errorf("medium: link endpoints must differ (%d)", a)
 	}
-	if down {
-		m.downLinks[[2]field.NodeID{a, b}] = true
-		m.downLinks[[2]field.NodeID{b, a}] = true
-	} else {
-		delete(m.downLinks, [2]field.NodeID{a, b})
-		delete(m.downLinks, [2]field.NodeID{b, a})
-	}
+	sa.cut = setCut(sa.cut, b, down)
+	sb.cut = setCut(sb.cut, a, down)
 	return nil
+}
+
+// setCut adds id to the ascending list cut, or removes it.
+func setCut(cut []field.NodeID, id field.NodeID, down bool) []field.NodeID {
+	i, found := slices.BinarySearch(cut, id)
+	switch {
+	case down && !found:
+		return slices.Insert(cut, i, id)
+	case !down && found:
+		return slices.Delete(cut, i, i+1)
+	}
+	return cut
 }
 
 // LinkDown reports whether the a<->b link is currently flapped down.
 func (m *Medium) LinkDown(a, b field.NodeID) bool {
-	return m.downLinks[[2]field.NodeID{a, b}]
+	st := m.station(a)
+	if st == nil {
+		return false
+	}
+	_, found := slices.BinarySearch(st.cut, b)
+	return found
 }
 
 // SetDeliveryFault installs an injected per-reception fault (nil disables).
@@ -312,11 +367,15 @@ func (m *Medium) SetDeliveryFault(fn DeliveryFault) { m.fault = fn }
 // reachable reports whether a frame from tx can currently reach rx's radio:
 // rx attached and powered, and the tx-rx link not flapped down.
 func (m *Medium) reachable(tx, rx field.NodeID) bool {
-	st, ok := m.stations[rx]
-	if !ok || st.down {
+	st := m.station(rx)
+	if st == nil || st.down {
 		return false
 	}
-	return !m.downLinks[[2]field.NodeID{tx, rx}]
+	if len(st.cut) == 0 {
+		return true
+	}
+	_, found := slices.BinarySearch(st.cut, tx)
+	return !found
 }
 
 // unicastResult translates the delivery fate of an addressed frame into the
@@ -327,7 +386,7 @@ func (m *Medium) unicastResult(tx field.NodeID, p *packet.Packet) error {
 	if p.Receiver == packet.Broadcast {
 		return nil
 	}
-	if _, ok := m.stations[p.Receiver]; !ok {
+	if m.station(p.Receiver) == nil {
 		return nil
 	}
 	if !m.reachable(tx, p.Receiver) {
@@ -385,10 +444,11 @@ func (m *Medium) Attach(id field.NodeID, recv Receiver) error {
 	if recv == nil {
 		return fmt.Errorf("medium: node %d: nil receiver", id)
 	}
-	if _, dup := m.stations[id]; dup {
+	st := m.stations.at(id, nil)
+	if *st != nil {
 		return fmt.Errorf("medium: node %d already attached", id)
 	}
-	m.stations[id] = &station{id: id, recv: recv}
+	*st = &station{id: id, recv: recv}
 	return nil
 }
 
@@ -422,8 +482,8 @@ func (m *Medium) BroadcastFrom(tx field.NodeID, p *packet.Packet) error {
 }
 
 func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64) error {
-	st, ok := m.stations[tx]
-	if !ok {
+	st := m.station(tx)
+	if st == nil {
 		return fmt.Errorf("medium: sender %d not attached", tx)
 	}
 	if st.down {
@@ -440,8 +500,8 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 	// Deterministic receiver order: ascending IDs from the topology.
 	var d *delivery
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
-		st, ok := m.stations[rx]
-		if !ok {
+		st := m.station(rx)
+		if st == nil {
 			continue
 		}
 		if !m.reachable(tx, rx) {
@@ -491,10 +551,10 @@ func (m *Medium) countTransmission(p *packet.Packet) int {
 // packets instantaneously to their colluding parties"); a positive delay
 // models packet encapsulation over an existing multihop path.
 func (m *Medium) AddTunnel(a, b field.NodeID, delay time.Duration) error {
-	if _, ok := m.stations[a]; !ok {
+	if m.station(a) == nil {
 		return fmt.Errorf("medium: tunnel endpoint %d not attached", a)
 	}
-	if _, ok := m.stations[b]; !ok {
+	if m.station(b) == nil {
 		return fmt.Errorf("medium: tunnel endpoint %d not attached", b)
 	}
 	if a == b {
@@ -520,13 +580,13 @@ func (m *Medium) TunnelSend(from, to field.NodeID, p *packet.Packet) error {
 	if !ok {
 		return fmt.Errorf("medium: no tunnel %d->%d", from, to)
 	}
-	if src, ok := m.stations[from]; ok && src.down {
+	if src := m.station(from); src != nil && src.down {
 		return ErrSenderDown
 	}
 	if err := p.CheckLimits(); err != nil {
 		return fmt.Errorf("medium: tunnel frame %d->%d: %w", from, to, err)
 	}
-	st := m.stations[to]
+	st := m.station(to)
 	m.stats.TunnelMessages++
 	m.traceRx(from, to, p, false, true)
 	d := m.newDelivery(p)

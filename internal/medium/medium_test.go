@@ -682,3 +682,49 @@ func TestAirtimeARQRetransmits(t *testing.T) {
 		t.Fatalf("ARQRetransmissions = %d, want 2", got)
 	}
 }
+
+// TestStationsAttachedOutOfIDOrder: stations live in a slice by ID, so
+// attaching the highest ID first, then one below every ID seen, must
+// keep each station reachable by its own ID; unattached IDs on either
+// side stay unknown, and a link flapped down twice comes back with one
+// restore.
+func TestStationsAttachedOutOfIDOrder(t *testing.T) {
+	k := sim.New(1)
+	m := New(k, lineTopo(t, 4), Config{BandwidthBps: 40_000})
+	sinks := map[field.NodeID]*sink{}
+	for _, id := range []field.NodeID{3, 4, 1} {
+		sinks[id] = &sink{}
+		if err := m.Attach(id, sinks[id].recv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Attach(1, sinks[1].recv); err == nil {
+		t.Fatal("a second attach of 1 was accepted")
+	}
+	for _, id := range []field.NodeID{0, 2, 5} {
+		if err := m.SetDown(id, true); err == nil {
+			t.Fatalf("SetDown(%d) of an unattached ID was accepted", id)
+		}
+	}
+	for range 2 {
+		if err := m.SetLinkDown(3, 4, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.SetLinkDown(4, 3, false); err != nil {
+		t.Fatal(err)
+	}
+	if m.LinkDown(3, 4) || m.LinkDown(4, 3) {
+		t.Fatal("one restore left the link down")
+	}
+	p := &packet.Packet{Type: packet.TypeRouteRequest, Sender: 3, PrevHop: 3, Origin: 3, Receiver: packet.Broadcast}
+	if err := m.Broadcast(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sinks[4].got) != 1 || len(sinks[1].got) != 0 {
+		t.Fatalf("node 3's broadcast reached 4 %d times and 1 %d times, want once and never", len(sinks[4].got), len(sinks[1].got))
+	}
+}

@@ -51,6 +51,9 @@ type Deps struct {
 	Medium    *medium.Medium
 	Keys      *keys.KeyServer
 	Collector *metrics.Collector
+	// Log is the scenario's reception log, which every LITEWORP guard
+	// shares; nil gives each guard a log of its own.
+	Log *watch.Log
 	// MaliciousSet is ground truth for metrics classification (false
 	// accusations, wormhole routes). Nil means "no malicious nodes".
 	MaliciousSet map[field.NodeID]bool
@@ -120,6 +123,11 @@ func (n *Node) buildStack() {
 	} else if n.cfg.Liteworp {
 		ccfg := n.cfg.Core
 		ccfg.Wheel = wheel
+		// Every incarnation records its heard facts on the scenario's
+		// log, which tells them apart by the incarnation's join.
+		if ccfg.Detector.Watch.Log == nil {
+			ccfg.Detector.Watch.Log = n.deps.Log
+		}
 		if ccfg.Positions == nil && n.deps.Topo != nil {
 			// Position-aware detectors read the ground-truth deployment
 			// coordinates (the paper's GPS assumption for range tests).

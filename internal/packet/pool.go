@@ -12,10 +12,16 @@ package packet
 // Frames not taken from a Pool (discovery, alert and attacker frames,
 // decoded frames) carry no count, and Retain and Release leave them alone.
 //
+// The free list keeps at most poolSlack more frames than are out at the
+// time; a frame released past that goes to the collector. So a flood's
+// burst of frames in flight is given back once it drains, rather than
+// kept at its peak for the rest of the run.
+//
 // The zero Pool is empty and ready to use. A Pool is not safe for
 // concurrent use; one scenario's kernel, medium and routers share one.
 type Pool struct {
 	free []*Packet
+	out  int // frames handed out and not yet back
 
 	// Recycled, when non-nil, sees each frame as its last reference is
 	// released, before the pool clears it: the point after which nothing
@@ -23,9 +29,15 @@ type Pool struct {
 	Recycled func(*Packet)
 }
 
+// poolSlack is how many free frames beyond those out the pool keeps: a
+// warm routed hop takes and returns one or two at a time, so it never
+// reaches past the free list.
+const poolSlack = 32
+
 // get returns an empty frame holding one reference, the caller's. Its
 // Route, Payload and MAC are empty but keep the capacity of earlier uses.
 func (pl *Pool) get() *Packet {
+	pl.out++
 	n := len(pl.free)
 	if n == 0 {
 		return &Packet{pool: pl, refs: 1}
@@ -78,10 +90,26 @@ func (p *Packet) Release() {
 }
 
 // recycle clears a frame whose last reference is gone, keeping its
-// slices' capacity, and puts it on the free list.
+// slices' capacity, and puts it on the free list, which holds at most
+// poolSlack frames more than are out. At that bound the frame goes to the
+// collector instead, and so does one more from the free list if one fewer
+// out has left it past the bound. A free list left with a quarter of its
+// array in use moves to a smaller one.
 func (pl *Pool) recycle(p *Packet) {
 	if pl.Recycled != nil {
 		pl.Recycled(p)
+	}
+	pl.out--
+	if n := len(pl.free); n >= pl.out+poolSlack {
+		*p = Packet{}
+		if n > pl.out+poolSlack {
+			pl.free[n-1] = nil
+			pl.free = pl.free[:n-1]
+		}
+		if c := cap(pl.free); c > 4*poolSlack && len(pl.free) <= c/4 {
+			pl.free = append(make([]*Packet, 0, 2*len(pl.free)), pl.free...)
+		}
+		return
 	}
 	*p = Packet{Route: p.Route[:0], Payload: p.Payload[:0], MAC: p.MAC[:0], pool: pl}
 	pl.free = append(pl.free, p)

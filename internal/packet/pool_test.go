@@ -74,3 +74,29 @@ func TestOrdinaryFrameIgnoresReferences(t *testing.T) {
 		t.Fatalf("ordinary frame changed: %+v", p)
 	}
 }
+
+// TestPoolDrainedBurstIsBounded: a burst of 1,000 frames in flight at
+// once, all released, leaves at most poolSlack frames on the free list and
+// a free list array a few times that, not the burst's peak; the frames
+// still out keep their share.
+func TestPoolDrainedBurstIsBounded(t *testing.T) {
+	var pl Pool
+	src := &Packet{Type: TypeRouteRequest, Route: []NodeID{1, 2}}
+	burst := make([]*Packet, 1000)
+	for i := range burst {
+		burst[i] = pl.Clone(src)
+	}
+	for _, p := range burst[10:] {
+		p.Release()
+	}
+	if got := len(pl.free); got != 10+poolSlack {
+		t.Fatalf("%d frames out: free list holds %d, want %d", 10, got, 10+poolSlack)
+	}
+	for _, p := range burst[:10] {
+		p.Release()
+	}
+	if got, c := len(pl.free), cap(pl.free); got > poolSlack || c > 8*poolSlack || pl.out != 0 {
+		t.Fatalf("drained burst left %d free frames in an array of %d (%d out), want at most %d in %d",
+			got, c, pl.out, poolSlack, 8*poolSlack)
+	}
+}

@@ -83,17 +83,17 @@ func NewWheel(clock Clock, gran time.Duration) *Wheel {
 	}
 	w := &Wheel{
 		clock: clock,
-		k:     kernelOf(clock),
+		k:     KernelOf(clock),
 		gran:  gran,
 	}
 	w.sweep = w.doSweep
 	return w
 }
 
-// kernelOf unwraps the Clock implementations this package provides; an
-// external Clock yields nil and the wheel simply skips the housekeeping
-// event counter.
-func kernelOf(c Clock) *Kernel {
+// KernelOf unwraps the Clock implementations this package provides; an
+// external Clock yields nil (the wheel then skips the housekeeping event
+// counter).
+func KernelOf(c Clock) *Kernel {
 	switch c := c.(type) {
 	case *Kernel:
 		return c

@@ -311,14 +311,14 @@ func TestWheelZeroSlotInert(t *testing.T) {
 // counter: direct kernel, scope, and foreign Clock (nil).
 func TestWheelKernelOf(t *testing.T) {
 	k := New(1)
-	if kernelOf(k) != k {
-		t.Fatal("kernelOf(*Kernel) != kernel")
+	if KernelOf(k) != k {
+		t.Fatal("KernelOf(*Kernel) != kernel")
 	}
-	if kernelOf(NewScope(k)) != k {
-		t.Fatal("kernelOf(*Scope) != underlying kernel")
+	if KernelOf(NewScope(k)) != k {
+		t.Fatal("KernelOf(*Scope) != underlying kernel")
 	}
-	if kernelOf(nil) != nil {
-		t.Fatal("kernelOf(nil) != nil")
+	if KernelOf(nil) != nil {
+		t.Fatal("KernelOf(nil) != nil")
 	}
 }
 

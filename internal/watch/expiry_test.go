@@ -42,27 +42,30 @@ func TestExpiryBoundaryConvention(t *testing.T) {
 	}
 }
 
-// TestWheelReclaimsCaches: the two heard caches are emptied by the shared
-// sweep — expiry is not just a reader-side illusion. Overheard forwards
-// land in the same per-sender cache as any other transmission; there is no
-// third table to reclaim.
+// TestWheelReclaimsCaches: the guard's packet records are emptied by the
+// shared sweep once no expectation is outstanding on them, and the log
+// pops its expired entries as it records new ones — expiry is not just a
+// reader-side illusion. Overheard forwards land on the log like any other
+// transmission; there is no third table to reclaim.
 func TestWheelReclaimsCaches(t *testing.T) {
 	k := sim.New(1)
 	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second})
+	s := b.store.(*logStore)
 	for i := uint64(0); i < 50; i++ {
 		b.RecordHeard(3, key(1, i))
 		b.Expect(4, key(1, i))
 		b.RecordHeard(4, key(1, i)) // the forward: satisfies the expectation
 	}
-	if h, a := b.store.cacheSizes(); h != 100 || a != 50 {
-		t.Fatalf("cache sizes %d/%d before expiry, want 100/50", h, a)
+	if s.nrecs != 50 || s.log.entries() != 100 {
+		t.Fatalf("%d records, %d log entries before expiry, want 50 and 100", s.nrecs, s.log.entries())
 	}
 	if b.Len() != 0 || b.Stats().Matches != 50 {
 		t.Fatalf("Len = %d, Matches = %d; want every expectation satisfied", b.Len(), b.Stats().Matches)
 	}
 	k.RunFor(5 * time.Second)
-	if h, a := b.store.cacheSizes(); h != 0 || a != 0 {
-		t.Fatalf("cache sizes %d/%d after expiry, want 0 each", h, a)
+	b.RecordHeard(3, key(2, 0))
+	if s.nrecs != 0 || s.keys.Len() != 0 || s.log.entries() != 1 {
+		t.Fatalf("%d records, %d keys, %d log entries after expiry, want 0, 0 and 1", s.nrecs, s.keys.Len(), s.log.entries())
 	}
 }
 
@@ -99,12 +102,13 @@ func TestSharedWheelConfig(t *testing.T) {
 	k := sim.New(1)
 	w := sim.NewWheel(k, time.Second)
 	b := New(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second, Wheel: w}, nil, nil)
-	b.RecordHeard(3, key(1, 1))
+	b.Expect(4, key(1, 1))
+	b.RecordHeard(4, key(1, 1))
 	k.RunFor(5 * time.Second)
 	if got := w.Stats().Records; got == 0 {
 		t.Fatal("external wheel reaped nothing; buffer built a private wheel?")
 	}
-	if h, _ := b.store.cacheSizes(); h != 0 {
+	if s := b.store.(*logStore); s.nrecs != 0 {
 		t.Fatal("record not reclaimed through the shared wheel")
 	}
 }
@@ -255,19 +259,23 @@ func TestDeadlineQueueCompacts(t *testing.T) {
 }
 
 // floodCycle is one warm-path step of a guard on a flood: a packet heard
-// from six senders, an expectation armed on six neighbors, and 300 ms of
-// virtual time, enough for the wheel to sweep the records and deadlines
-// of earlier steps. With expect, each sender's repeat copy then asks for
-// all twelve neighbors again, and every one is answered by Settled. It
-// returns the next key sequence number.
+// from six senders, and 300 ms of virtual time, enough for the wheel to
+// sweep the records and deadlines of earlier steps. With expect, the
+// guard then asks for all twelve neighbors, as the detector does on a
+// packet's first copy: the six senders are found on the log and cached,
+// and the other six are armed. Each sender's repeat copy then asks for all
+// twelve again, and every one is answered by Settled. It returns the next
+// key sequence number.
 func floodCycle(tb testing.TB, k *sim.Kernel, b *Buffer, seq uint64, expect bool) uint64 {
 	kk := key(1, seq)
 	for s := int32(0); s < 6; s++ {
 		b.RecordHeardIdx(s, kk)
 	}
 	if expect {
-		for f := int32(6); f < 12; f++ {
-			b.ExpectIdx(f, kk)
+		for f := int32(0); f < 12; f++ {
+			if b.ExpectIdx(f, kk) != (f >= 6) {
+				tb.Fatalf("first copy: neighbor %d armed wrongly", f)
+			}
 		}
 		for s := int32(0); s < 6; s++ {
 			b.RecordHeardIdx(s, kk)
@@ -282,8 +290,9 @@ func floodCycle(tb testing.TB, k *sim.Kernel, b *Buffer, seq uint64, expect bool
 	return seq + 1
 }
 
-// warmFloodBuffer returns a buffer whose slab, key table, deadline queue
-// and wheel have reached their steady state under floodCycle.
+// warmFloodBuffer returns a buffer whose log, records, key table,
+// deadline queue and wheel have reached their steady state under
+// floodCycle.
 // The DropFilter suppresses expiry accusations so the pins measure the
 // watch machinery, not MalC bookkeeping.
 func warmFloodBuffer(tb testing.TB, expect bool) (*sim.Kernel, *Buffer, uint64) {
@@ -305,8 +314,8 @@ func warmFloodBuffer(tb testing.TB, expect bool) (*sim.Kernel, *Buffer, uint64) 
 }
 
 // TestRecordHeardIdxZeroAllocsWarm pins the per-overheard-frame cost:
-// once the slab is warm, recording a packet's senders — a new packet
-// record, a chained second chunk, the wheel arming and the sweeps that
+// once the log is warm, recording a packet's senders — a log entry per
+// transmission, its index slot, the wheel arming and the pops that
 // free earlier records — allocates nothing.
 func TestRecordHeardIdxZeroAllocsWarm(t *testing.T) {
 	k, b, seq := warmFloodBuffer(t, false)
@@ -328,78 +337,45 @@ func TestExpectIdxZeroAllocsWarm(t *testing.T) {
 	}
 }
 
-// TestSweepCachesZeroAllocsWarm pins the sweep on its own: each step frees
-// one expired batch of packet records (chains returned to the free list,
-// the last record moved into each hole) and records a new batch into the
-// freed chunks, with nothing allocated.
+// TestSweepCachesZeroAllocsWarm pins the sweep: each step arms nine
+// expectations on each of 16 new packets, meets those armed eight steps
+// before, and sweeps, which frees their 16 records (the last record moved
+// into each hole), with nothing allocated once the pages, the key table
+// and the log are warm.
 func TestSweepCachesZeroAllocsWarm(t *testing.T) {
-	s := newFlatStore()
-	const lag = 8 // batches live at once
-	batch := func(j int) {
+	k := sim.New(1)
+	b := New(k, Config{Timeout: time.Hour, CacheTTL: time.Second}, nil, nil)
+	s := b.store.(*logStore)
+	for id := field.NodeID(0); id < 9; id++ {
+		b.Intern(id)
+	}
+	const lag = 8 // steps an expectation stays outstanding
+	j := uint64(0)
+	step := func() {
 		for p := uint64(0); p < 16; p++ {
-			kk := key(field.NodeID(1+p), uint64(j))
-			for sidx := int32(0); sidx < 9; sidx++ {
-				s.recordHeard(sidx, kk, time.Duration(j+lag))
+			for f := int32(0); f < 9; f++ {
+				b.ExpectIdx(f, key(field.NodeID(1+p), j+lag))
+				b.RecordHeardIdx(f, key(field.NodeID(1+p), j))
+			}
+		}
+		k.RunFor(100 * time.Millisecond) // the log pops what has expired
+		s.sweepCaches(k.Now())
+		if s.nrecs != 16*lag {
+			t.Fatalf("after sweep %d: %d records, want %d", j, s.nrecs, 16*lag)
+		}
+		j++
+	}
+	for p := uint64(0); p < 16; p++ {
+		for i := uint64(0); i < lag; i++ {
+			for f := int32(0); f < 9; f++ {
+				b.ExpectIdx(f, key(field.NodeID(1+p), i))
 			}
 		}
 	}
-	j := 0
-	step := func() {
-		batch(j + lag)
-		if n := s.sweepCaches(time.Duration(j + lag)); n != 16*(9+1) {
-			t.Fatalf("sweep at %d freed %d slots and records, want %d", j+lag, n, 16*10)
-		}
-		j++
-	}
-	for range lag {
-		batch(j)
-		j++
-	}
-	j = 0
 	for range 64 {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("warm sweep allocates %.1f objects per step, want 0", allocs)
-	}
-}
-
-// TestCompactSlabAllocsWarm pins the shrink path: a burst of short-lived
-// packet records with a few longer-lived ones recorded after it, a sweep
-// that frees the burst and compacts the survivors' chunks into the freed
-// slots below the new limit, and a sweep that frees the rest. Compaction
-// moves chunks in place; the cycle's allocations are the pages and key
-// table storage the next burst takes back after the sweeps handed them to
-// the collector.
-func TestCompactSlabAllocsWarm(t *testing.T) {
-	s := newFlatStore()
-	now := time.Duration(0)
-	compacted := 0
-	cycle := func() {
-		for p := uint64(0); p < 64; p++ {
-			s.recordHeard(0, key(1, p), now+1)
-		}
-		for p := uint64(0); p < 4; p++ {
-			s.recordHeard(0, key(2, p), now+3)
-		}
-		pages := len(s.chunks.pages)
-		s.sweepCaches(now + 2)
-		if s.used == 4 && len(s.chunks.pages) < pages {
-			compacted++
-		}
-		s.sweepCaches(now + 4)
-		now += 4
-	}
-	for range 8 {
-		cycle()
-		checkSlab(t, s)
-	}
-	allocs := testing.AllocsPerRun(50, cycle)
-	if compacted != 8+51 {
-		t.Fatalf("%d of %d cycles compacted the 4 survivors", compacted, 8+51)
-	}
-	const want = 24
-	if allocs != want {
-		t.Fatalf("burst/compact/drain cycle allocates %.1f objects, want %d", allocs, want)
 	}
 }

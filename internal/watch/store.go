@@ -8,40 +8,38 @@ import (
 
 // storeBackend is the seam between the buffer's semantics and its storage
 // layout. Every collection is keyed by the watched node's dense index
-// (nbrIdx) plus the packet identity; the buffer owns interning, expiry
-// conventions, stats, callbacks and timers, the store owns nothing but
-// bytes. Production buffers use flatStore; the tests build buffers on a
-// Go-map store as the oracle (store_map_test.go), and the randomized
-// differential suite in store_test.go holds the two to operation-for-
-// operation equivalence. The oracle's settled always answers false, so
-// the suite also holds flatStore's settled fast path to the chain walk.
+// (nbrIdx) plus the packet identity; the buffer owns interning, stats,
+// callbacks, timers and the deadline queue, the store owns the heard facts,
+// which expectations are outstanding, and the MalC records. Production
+// buffers use logStore, which keeps the heard facts in the scenario's
+// reception log; the tests build buffers on a Go-map store as the oracle
+// (store_map_test.go), and the randomized differential suite in
+// store_test.go holds the two to operation-for-operation equivalence. The
+// oracle's settled always answers false, so the suite also holds
+// logStore's settled fast path to the slow path.
 type storeBackend interface {
-	// Watch records: per (sender, key), a heard expiry or an outstanding
-	// expectation, identified by the ref of its deadline on the buffer's
-	// queue. The two exclude each other: expect arms only on a sender not
-	// heard, and hearing the sender resolves the expectation. Recorded
-	// expiries never decrease (the buffer records with now+CacheTTL).
-	//
-	// recordHeard records sidx sending key until exp, and returns the ref
-	// of the expectation on (sidx, key) this resolves, if there was one.
-	recordHeard(sidx int32, key packet.Key, exp time.Duration) (ref uint64, met bool)
+	// recordHeard notes that the guard heard sidx send key at now; the
+	// fact is live for CacheTTL. It reports whether this met an
+	// outstanding expectation on (sidx, key), which it then resolves, and
+	// the ref of its deadline on the buffer's queue.
+	recordHeard(sidx int32, key packet.Key, now time.Duration) (ref uint64, met bool)
 	heard(sidx int32, key packet.Key, now time.Duration) bool
 	heardAny(key packet.Key, now time.Duration) bool
-	// expect notes expectation ref on (fidx, key), unless fidx was heard
-	// sending key (live at now) or an expectation on it is outstanding,
+	// expect notes an outstanding expectation on (fidx, key), unless fidx
+	// was heard sending key (live at now) or one is outstanding already,
 	// and reports whether it did.
-	expect(fidx int32, key packet.Key, ref uint64, now time.Duration) bool
-	// settled is true only if expect(fidx, key, _, now) would return
-	// false and change nothing: an O(1) answer for the common no-op
-	// call. False means only that the store does not know; the caller
-	// then asks expect. It changes no record.
+	expect(fidx int32, key packet.Key, now time.Duration) bool
+	// settled is true only if expect(fidx, key, now) would return false
+	// and change nothing: an O(1) answer for the common no-op call.
+	// False means only that the store does not know; the caller then asks
+	// expect. It changes no answer.
 	settled(fidx int32, key packet.Key, now time.Duration) bool
 	// clearExpect removes the outstanding expectation on (fidx, key),
 	// which the buffer resolved as a drop.
 	clearExpect(fidx int32, key packet.Key)
-	// rekey gives the outstanding expectation on (fidx, key) the ref of
-	// its deadline's new place in the compacted queue.
-	rekey(fidx int32, key packet.Key, ref uint64)
+	// moved tells the store that the queue's compaction moved the first
+	// of a run of key's outstanding deadlines to ref.
+	moved(key packet.Key, ref uint64)
 
 	// MalC records. The pointer returned by ensureMalc is transient: it
 	// may point into dense backing storage and is invalidated by any
@@ -49,12 +47,8 @@ type storeBackend interface {
 	malc(aidx int32) *malcRecord
 	ensureMalc(aidx int32) *malcRecord
 
-	// Housekeeping sweeps; each returns how many records it reclaimed. A
-	// record holding an outstanding expectation is never reclaimed.
+	// Housekeeping sweeps; each returns how many records it reclaimed. An
+	// outstanding expectation is never reclaimed.
 	sweepCaches(now time.Duration) int
 	sweepMalc(now, window time.Duration) int
-
-	// cacheSizes reports the record counts of the two caches —
-	// introspection for tests.
-	cacheSizes() (heard, heardAny int)
 }

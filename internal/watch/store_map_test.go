@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"fmt"
 	"time"
 
 	"liteworp/internal/field"
@@ -16,15 +17,15 @@ type mapKey struct {
 }
 
 // mapStore is the original map-shaped storage, preserved (modulo NodeID
-// keys becoming nbrIdx) as the oracle flatStore is differentially tested
-// against: one map entry per (sender, key) heard, one per key heard and
-// one per outstanding expectation. Its sweeps iterate Go maps in
-// randomized order, which is safe exactly because sweeps are delete-only
-// housekeeping. flatStore's sweep reclaims a packet's sender slots only
-// with the whole packet record, later than this store deletes an expired
-// sender; readers check expiries, so no query can tell.
+// keys becoming nbrIdx) as the oracle logStore is differentially tested
+// against: each guard keeps its own heard facts, one map entry per
+// (sender, key) heard and one per key heard, plus one per outstanding
+// expectation. Its sweeps iterate Go maps in randomized order, which is
+// safe exactly because sweeps are delete-only housekeeping.
 type mapStore struct {
-	pending    map[mapKey]uint64            // outstanding expectations' refs
+	ttl        time.Duration
+	q          *deadlineQueue               // the buffer's, for the refs of met expectations
+	pending    map[mapKey]bool              // outstanding expectations
 	heardAt    map[mapKey]time.Duration     // expiry instants per (sender, key)
 	heardAnyAt map[packet.Key]time.Duration // expiry instants per key, any sender
 	malcs      map[int32]*malcRecord
@@ -32,47 +33,53 @@ type mapStore struct {
 
 // newMapBuffer is New over the map oracle.
 func newMapBuffer(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
-	return newWithStore(k, cfg, newMapStore(), onAccuse, onThreshold)
+	return newWithStore(k, cfg, func(b *Buffer) storeBackend { return newMapStore(b) }, onAccuse, onThreshold)
 }
 
-func newMapStore() *mapStore {
+func newMapStore(b *Buffer) *mapStore {
 	return &mapStore{
-		pending:    make(map[mapKey]uint64),
+		ttl:        b.cfg.CacheTTL,
+		q:          &b.deadlines,
+		pending:    make(map[mapKey]bool),
 		heardAt:    make(map[mapKey]time.Duration),
 		heardAnyAt: make(map[packet.Key]time.Duration),
 		malcs:      make(map[int32]*malcRecord),
 	}
 }
 
-func (s *mapStore) recordHeard(sidx int32, key packet.Key, exp time.Duration) (uint64, bool) {
+func (s *mapStore) recordHeard(sidx int32, key packet.Key, now time.Duration) (uint64, bool) {
 	hk := mapKey{sidx, key}
-	s.heardAt[hk] = exp
-	s.heardAnyAt[key] = exp
-	ref, met := s.pending[hk]
+	s.heardAt[hk] = now + s.ttl
+	s.heardAnyAt[key] = now + s.ttl
+	if !s.pending[hk] {
+		return 0, false
+	}
 	delete(s.pending, hk)
-	return ref, met
+	return s.q.find(sidx, key, 0)
 }
 
-func (s *mapStore) expect(fidx int32, key packet.Key, ref uint64, now time.Duration) bool {
-	hk := mapKey{fidx, key}
-	if _, dup := s.pending[hk]; dup || s.heard(fidx, key, now) {
+// noop reports whether expect(fidx, key, now) would arm nothing.
+func (s *mapStore) noop(fidx int32, key packet.Key, now time.Duration) bool {
+	return s.pending[mapKey{fidx, key}] || s.heard(fidx, key, now)
+}
+
+func (s *mapStore) expect(fidx int32, key packet.Key, now time.Duration) bool {
+	if s.noop(fidx, key, now) {
 		return false
 	}
-	s.pending[hk] = ref
+	s.pending[mapKey{fidx, key}] = true
 	return true
 }
 
 // settled never answers early: the oracle decides every expectation the
-// slow way, against which flatStore's fast path is checked.
+// slow way, against which logStore's fast path is checked.
 func (s *mapStore) settled(int32, packet.Key, time.Duration) bool { return false }
 
 func (s *mapStore) clearExpect(fidx int32, key packet.Key) {
 	delete(s.pending, mapKey{fidx, key})
 }
 
-func (s *mapStore) rekey(fidx int32, key packet.Key, ref uint64) {
-	s.pending[mapKey{fidx, key}] = ref
-}
+func (s *mapStore) moved(packet.Key, uint64) {}
 
 func (s *mapStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 	exp, ok := s.heardAt[mapKey{sidx, key}]
@@ -125,6 +132,88 @@ func (s *mapStore) sweepMalc(now, window time.Duration) int {
 	return n
 }
 
-func (s *mapStore) cacheSizes() (heard, heardAny int) {
-	return len(s.heardAt), len(s.heardAnyAt)
+// auditStore runs a buffer on its production store while a map oracle,
+// fed the same calls, checks every answer: heard, heard-any, expect and
+// whether a forward met an expectation must match, and settled may answer
+// true only where the oracle says expect would arm nothing. The buffer
+// sees the production store's answers. Each mismatch goes to report, and
+// calls counts the answers checked, by kind.
+type auditStore struct {
+	prod   storeBackend
+	oracle *mapStore
+	b      *Buffer
+	report func(string)
+	calls  *AuditCounts
+}
+
+func (a *auditStore) mismatch(what string, sidx int32, key packet.Key, got, want bool) {
+	a.report(fmt.Sprintf("guard %d at %v: %s(%d, %v) = %v, oracle %v",
+		a.b.cfg.Self, a.b.kernel.Now(), what, a.b.idx.ID(sidx), key, got, want))
+}
+
+func (a *auditStore) recordHeard(sidx int32, key packet.Key, now time.Duration) (uint64, bool) {
+	ref, got := a.prod.recordHeard(sidx, key, now)
+	wantRef, want := a.oracle.recordHeard(sidx, key, now)
+	a.calls.Record++
+	if got != want || ref != wantRef {
+		a.mismatch("recordHeard", sidx, key, got, want)
+	}
+	return ref, got
+}
+
+func (a *auditStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
+	got, want := a.prod.heard(sidx, key, now), a.oracle.heard(sidx, key, now)
+	a.calls.Heard++
+	if got != want {
+		a.mismatch("heard", sidx, key, got, want)
+	}
+	return got
+}
+
+func (a *auditStore) heardAny(key packet.Key, now time.Duration) bool {
+	got, want := a.prod.heardAny(key, now), a.oracle.heardAny(key, now)
+	a.calls.HeardAny++
+	if got != want {
+		a.mismatch("heardAny", -1, key, got, want)
+	}
+	return got
+}
+
+func (a *auditStore) expect(fidx int32, key packet.Key, now time.Duration) bool {
+	got, want := a.prod.expect(fidx, key, now), a.oracle.expect(fidx, key, now)
+	a.calls.Expect++
+	if got != want {
+		a.mismatch("expect", fidx, key, got, want)
+	}
+	return got
+}
+
+func (a *auditStore) settled(fidx int32, key packet.Key, now time.Duration) bool {
+	got := a.prod.settled(fidx, key, now)
+	a.calls.Settled++
+	if got {
+		a.calls.SettledTrue++
+		if !a.oracle.noop(fidx, key, now) {
+			a.mismatch("settled", fidx, key, got, false)
+		}
+	}
+	return got
+}
+
+func (a *auditStore) clearExpect(fidx int32, key packet.Key) {
+	a.prod.clearExpect(fidx, key)
+	a.oracle.clearExpect(fidx, key)
+}
+
+func (a *auditStore) moved(key packet.Key, ref uint64)  { a.prod.moved(key, ref) }
+func (a *auditStore) malc(aidx int32) *malcRecord       { return a.prod.malc(aidx) }
+func (a *auditStore) ensureMalc(aidx int32) *malcRecord { return a.prod.ensureMalc(aidx) }
+
+func (a *auditStore) sweepCaches(now time.Duration) int {
+	a.oracle.sweepCaches(now)
+	return a.prod.sweepCaches(now)
+}
+
+func (a *auditStore) sweepMalc(now, window time.Duration) int {
+	return a.prod.sweepMalc(now, window)
 }

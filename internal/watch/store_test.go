@@ -13,20 +13,24 @@ import (
 )
 
 // The differential suite: a randomized operation script is replayed
-// against a buffer on flatStore and on the Go-map oracle, and every
+// against a buffer on logStore and on the Go-map oracle, and every
 // observable output — method returns, query results, accusation and
 // threshold streams, stats, and virtual timestamps — must match entry for
-// entry. The script mixes bursts (to cross open-addressing and slab
+// entry. The script mixes bursts (to cross open-addressing and page
 // capacity boundaries in both directions), long idle stretches (so the
-// expiry wheel sweeps and the tables and slab shrink), floods heard from
-// more senders than one slab chunk holds, senders of one packet that
-// expire at different sweeps, forwards racing their deadlines, deadlines
-// that outlive their packet's senders, and reboots (buffer recreation
-// mid-run, with the old incarnation's timers still firing). The map
-// oracle never answers an expectation early, so the script also drives
-// flatStore's settled fast path against the chain walk: neighborhoods
-// wider than its mask, a sender whose heard record dies on a packet that
-// later copies keep alive, and a forwarder expected again after a drop.
+// expiry wheel sweeps, the log pops and the tables shrink), floods heard
+// from many senders, senders of one packet that expire at different
+// times, forwards racing their deadlines, deadlines that outlive their
+// packet's senders, own sends, and reboots (buffer recreation mid-run on
+// the same log, with the old incarnation's timers still firing). A peer
+// guard on the same log records many of the same transmissions, in the
+// same batches, so its facts share entries with the guard's; on half the
+// seeds every sender's receiver list is crowded first, so the guard's
+// receptions go to the log's overflow set. The map oracle never answers
+// an expectation early, so the script also drives the settled fast path
+// against the slow path: neighborhoods wider than its masks, a sender
+// whose heard fact dies on a packet that later copies keep alive, and a
+// forwarder expected again after a drop.
 
 // diffOps is the script length per seed; diffSeeds the number of seeds.
 const (
@@ -35,6 +39,7 @@ const (
 )
 
 // storeCtor builds a buffer on one storage layout: New, or newMapBuffer.
+// The map oracle ignores Config.Log and Config.Self.
 type storeCtor func(sim.Clock, Config, func(Accusation), func(field.NodeID)) *Buffer
 
 // runStoreScript replays the op script derived from seed against buffers
@@ -65,6 +70,21 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	if rng.Intn(3) == 0 {
 		cfg.Timeout = cfg.CacheTTL + 1300*time.Millisecond
 	}
+	// The guard is node 99 on a log it shares with peer 98; node 99 among
+	// the senders is the guard's own send.
+	const self, peerID = field.NodeID(99), field.NodeID(98)
+	shared := NewLog(kernel)
+	if rng.Intn(2) == 0 {
+		for s := field.NodeID(1); s <= 48; s++ {
+			for r := range maskBits + 4 {
+				shared.place(s, field.NodeID(1000+r), true)
+			}
+		}
+	}
+	cfg.Log, cfg.Self = shared, self
+	peerCfg := cfg
+	peerCfg.Self = peerID
+	peer := ctor(kernel, peerCfg, nil, nil)
 	var b *Buffer
 	boot := func() {
 		g := gen
@@ -78,13 +98,36 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			func(id field.NodeID) {
 				log = append(log, fmt.Sprintf("g%d thr %d", g, id))
 			})
+		if g > 0 {
+			// A rebooted node's rediscovery interns its neighborhood again,
+			// so queries about the old incarnation's senders reach the log,
+			// where only the incarnation stamp hides the old facts.
+			for id := field.NodeID(1); id <= 48; id++ {
+				b.Intern(id)
+			}
+		}
 	}
 	boot()
 
 	// Twenty neighbors: a packet heard from many of them spans several
-	// slab chunks. wide draws from 48, so the dense indexes the buffer
+	// a long chain of log entries. wide draws from 48, so the dense indexes the buffer
 	// interns them at pass the settled mask's width.
 	node := func() field.NodeID { return field.NodeID(1 + rng.Intn(20)) }
+	// hear records s sending k at the guard and, half the time, at the
+	// peer in the same batch.
+	// lastS and lastK are the last transmission hear recorded, the fact
+	// a reboot must hide from the new incarnation; a zero lastK means
+	// none yet (no packet has a zero type).
+	var lastS field.NodeID
+	var lastK packet.Key
+	hear := func(s field.NodeID, k packet.Key) bool {
+		met := b.RecordHeard(s, k)
+		lastS, lastK = s, k
+		if rng.Intn(2) == 0 {
+			peer.RecordHeard(s, k)
+		}
+		return met
+	}
 	wide := func() field.NodeID { return field.NodeID(1 + rng.Intn(48)) }
 	// other draws a node other than n.
 	other := func(n field.NodeID) field.NodeID {
@@ -111,12 +154,19 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			checkQueue(tb, b)
 		}
 		switch rng.Intn(20) {
-		case 0, 1:
-			b.RecordHeard(node(), somekey())
+		case 0:
+			hear(node(), somekey())
+		case 1:
+			// An own send, or a transmission only the peer hears.
+			if rng.Intn(2) == 0 {
+				b.RecordHeard(self, somekey())
+			} else {
+				peer.RecordHeard(node(), somekey())
+			}
 		case 2, 3:
 			log = append(log, fmt.Sprintf("exp %v", b.Expect(node(), somekey())))
 		case 4, 5:
-			log = append(log, fmt.Sprintf("fwd %v", b.RecordHeard(node(), somekey())))
+			log = append(log, fmt.Sprintf("fwd %v", hear(node(), somekey())))
 		case 6:
 			query("qry", node(), somekey())
 		case 7:
@@ -165,10 +215,14 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				gen++
 				boot()
 				log = append(log, fmt.Sprintf("boot g%d", gen))
+				if lastK.Type != 0 {
+					query("boot", lastS, lastK)
+					log = append(log, fmt.Sprintf("bexp %v", b.Expect(lastS, lastK)))
+				}
 			}
 		case 12:
 			// Flood: one packet heard from up to twenty senders a few
-			// ticks apart, so its sender list spans chunks and its
+			// ticks apart, so its entries span batches and its
 			// senders expire at different sweeps; the first sender is
 			// heard again partway. Then queries and expectations as the
 			// record ages.
@@ -180,9 +234,9 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				if i > 0 {
 					s = node()
 				}
-				b.RecordHeard(s, k)
+				hear(s, k)
 				if i == senders/2 {
-					b.RecordHeard(first, k)
+					hear(first, k)
 				}
 				kernel.RunFor(time.Duration(rng.Intn(30)) * time.Millisecond)
 			}
@@ -190,6 +244,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				kernel.RunFor(time.Duration(rng.Intn(120)) * time.Millisecond)
 				n := node()
 				query("fld", n, k)
+				query("own", self, k)
 				log = append(log, fmt.Sprintf("fexp %v", b.Expect(n, k)))
 			}
 		case 13:
@@ -256,6 +311,9 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			gen++
 			boot()
 			log = append(log, fmt.Sprintf("boot g%d", gen))
+			if lastK.Type != 0 {
+				query("boot", lastS, lastK)
+			}
 		case 18:
 			// A stale bit: a sender heard once on a packet that copies
 			// from others keep alive past the sender's own CacheTTL, asked
@@ -326,19 +384,19 @@ func checkQueue(tb testing.TB, b *Buffer) {
 
 func diffCompare(t *testing.T, seed int64) {
 	t.Helper()
-	flat := runStoreScript(t, New, seed)
+	got := runStoreScript(t, New, seed)
 	ref := runStoreScript(t, newMapBuffer, seed)
-	if len(flat) != len(ref) {
-		t.Fatalf("seed %d: log lengths diverge: flat %d vs map %d", seed, len(flat), len(ref))
+	if len(got) != len(ref) {
+		t.Fatalf("seed %d: log lengths diverge: log store %d vs map %d", seed, len(got), len(ref))
 	}
 	for i := range ref {
-		if flat[i] != ref[i] {
-			t.Fatalf("seed %d: logs diverge at entry %d:\n flat: %s\n map:  %s", seed, i, flat[i], ref[i])
+		if got[i] != ref[i] {
+			t.Fatalf("seed %d: logs diverge at entry %d:\n log: %s\n map: %s", seed, i, got[i], ref[i])
 		}
 	}
 }
 
-// TestWatchStoreEquivalence is the randomized map-vs-flat differential
+// TestWatchStoreEquivalence is the randomized map-vs-log differential
 // suite: diffSeeds seeds, diffOps operations each.
 func TestWatchStoreEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= diffSeeds; seed++ {
@@ -351,216 +409,208 @@ func TestWatchStoreEquivalence(t *testing.T) {
 }
 
 // FuzzWatchStoreEquivalence lets the fuzzer hunt for a seed whose script
-// splits flatStore from the oracle.
+// splits logStore from the oracle.
 func FuzzWatchStoreEquivalence(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
 	}
+	f.Add(int64(-130)) // reboots before the guard has heard anything
 	f.Fuzz(func(t *testing.T, seed int64) {
 		diffCompare(t, seed)
 	})
 }
 
-// checkSlab verifies flatStore's bookkeeping: every chunk below top is on
-// exactly one record's chain or on the free list, used counts the chained
-// ones, a chain is as long as its record's sender count needs, every
-// record is reachable through keys at its own position, and the pages
-// cover top. It also checks the settled fast path's two facts: a record's
-// mask has bit i set exactly when sender i's slot is pending or heard,
-// and no heard expiry lies below the record's oldest bound.
-func checkSlab(t *testing.T, s *flatStore) {
+// checkLog verifies the log's bookkeeping: the pages cover exactly the
+// held ids, every index slot names a held entry that is the newest of its
+// pair, every held entry with a fact is on its pair's chain, and the
+// overflow set holds one key per queued overflow reception.
+func checkLog(t *testing.T, l *Log) {
 	t.Helper()
-	seen := make([]bool, s.top)
-	mark := func(c int32, what string) {
-		if c < 0 || c >= s.top {
-			t.Fatalf("%s chunk %d outside [0, %d)", what, c, s.top)
-		}
-		if seen[c] {
-			t.Fatalf("chunk %d is on two lists", c)
-		}
-		seen[c] = true
+	if l.head > l.next {
+		t.Fatalf("head %d past next %d", l.head, l.next)
 	}
-	chained := int32(0)
-	for i := int32(0); i < s.nrecs; i++ {
-		r := s.recs.at(i)
-		n := int32(0)
-		mask, slots := uint32(0), int32(r.n)
-		for c := r.head; c != noChunk; c = s.chunks.at(c).next {
-			mark(c, "chained")
-			n++
-			ch := s.chunks.at(c)
-			for j := range min(slots, chunkSlots) {
-				if e := ch.exp[j]; e > 0 && e < r.oldest() {
-					t.Fatalf("record %d: sender %d heard until %v, below the bound %v", i, ch.sidx[j], e, r.oldest())
-				}
-				if ch.exp[j] != 0 && ch.sidx[j] < settledBits {
-					mask |= 1 << ch.sidx[j]
-				}
-			}
-			slots -= chunkSlots
-		}
-		if got := s.chunks.at(r.head).settled; got != mask {
-			t.Fatalf("record %d: settled mask %#x, its slots say %#x", i, got, mask)
-		}
-		if want := (int32(r.n) + chunkSlots - 1) / chunkSlots; n != want {
-			t.Fatalf("record %d: %d senders on %d chunks, want %d chunks", i, r.n, n, want)
-		}
-		chained += n
-		if ri, ok := s.keys.Get(r.key); !ok || ri != i {
-			t.Fatalf("record %d: keys maps its key to %d (present %v)", i, ri, ok)
+	if l.head < l.next {
+		if want := int((l.next-1)>>logPageShift-l.first) + 1; len(l.pages) != want || l.head>>logPageShift != l.first {
+			t.Fatalf("%d pages from page %d for ids [%d, %d), want %d from %d",
+				len(l.pages), l.first, l.head, l.next, want, l.head>>logPageShift)
 		}
 	}
-	if chained != s.used {
-		t.Fatalf("%d chunks chained, used says %d", chained, s.used)
-	}
-	for c := s.free; c != noChunk; c = s.chunks.at(c).next {
-		mark(c, "free")
-	}
-	for c, ok := range seen {
-		if !ok {
-			t.Fatalf("chunk %d is neither chained nor free", c)
+	n := 0
+	for _, v := range l.slots {
+		if v == 0 {
+			continue
+		}
+		n++
+		id := l.idOf(v)
+		if id < l.head || id >= l.next {
+			t.Fatalf("index names entry %d outside [%d, %d)", id, l.head, l.next)
+		}
+		if got := l.find(l.at(id).key); got != id {
+			t.Fatalf("index slot for entry %d finds %d", id, got)
 		}
 	}
-	if s.keys.Len() != int(s.nrecs) {
-		t.Fatalf("keys holds %d entries for %d records", s.keys.Len(), s.nrecs)
+	if n != l.n {
+		t.Fatalf("%d index slots occupied, n says %d", n, l.n)
 	}
-	if int(s.top) > len(s.chunks.pages)*pageSize || int(s.nrecs) > len(s.recs.pages)*pageSize {
-		t.Fatalf("pages do not cover top %d / %d records", s.top, s.nrecs)
+	for id := l.head; id < l.next; id++ {
+		e := l.at(id)
+		if e.batch == 0 && e.ownBatch == 0 {
+			continue
+		}
+		c := l.find(e.key)
+		for c > id && l.at(c).prev != 0 {
+			c -= uint64(l.at(c).prev)
+		}
+		if c != id {
+			t.Fatalf("entry %d is not on its pair's chain", id)
+		}
+	}
+	if l.over.Len() != len(l.overQ) {
+		t.Fatalf("overflow set holds %d receptions, queue %d", l.over.Len(), len(l.overQ))
 	}
 }
 
-// TestSlabAccounting drives a flatStore through bursts of floods and idle
-// stretches, sweeping as it goes, and checks the slab's bookkeeping after
-// every sweep; once everything has expired, the pages are handed back.
-// Senders and forwarders range past the settled mask's width, and about
-// half the expectations armed are dropped a round or more later.
-func TestSlabAccounting(t *testing.T) {
+// TestLogAccounting drives a shared log through bursts of floods heard by
+// up to forty guards, retransmissions, own sends and idle stretches, and
+// checks its bookkeeping after every round and every answer against a
+// per-guard model. Once everything has expired, one more record leaves the
+// log one page and the smallest index.
+func TestLogAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := newFlatStore()
-	now := time.Duration(0)
-	const ttl = 50
-	type expectation struct {
-		fidx int32
-		key  packet.Key
+	k := sim.New(1)
+	l := NewLog(k)
+	const guards, ttl = 40, 50 * time.Millisecond
+	type fact struct {
+		sender, rx field.NodeID
+		key        packet.Key
 	}
-	var pending []expectation
-	resolve := func(e expectation) {
-		for i, p := range pending {
-			if p == e {
-				pending = append(pending[:i], pending[i+1:]...)
-				return
-			}
-		}
+	model := map[fact]time.Duration{} // expiry
+	incs := make([]uint64, guards)
+	places := make([]map[field.NodeID]int, guards)
+	for g := range incs {
+		incs[g] = l.join(ttl)
+		places[g] = map[field.NodeID]int{}
 	}
-	peak := 0
-	for round := 0; round < 400; round++ {
-		floods := rng.Intn(4)
-		if round%50 < 10 {
-			floods = 40 + rng.Intn(40) // a burst
+	place := func(g int, s field.NodeID) int {
+		p, ok := places[g][s]
+		if !ok {
+			p, _ = l.place(s, field.NodeID(g), true)
+			places[g][s] = p
 		}
-		for f := 0; f < floods; f++ {
-			k := packet.Key{Type: packet.TypeRouteRequest, Origin: field.NodeID(1 + rng.Intn(30)), Seq: uint64(rng.Intn(200))}
-			for range 1 + rng.Intn(14) {
-				sidx := int32(rng.Intn(40))
-				if _, met := s.recordHeard(sidx, k, now+ttl); met {
-					resolve(expectation{sidx, k})
+		return p
+	}
+	rec := func(g int, s field.NodeID, kk packet.Key) {
+		own := s == field.NodeID(g)
+		pos := 0
+		if !own {
+			pos = place(g, s)
+		}
+		l.record(pairKey(s, anyKey(kk)), own, pos, field.NodeID(g), k.Now())
+		model[fact{s, field.NodeID(g), kk}] = k.Now() + ttl
+	}
+	peakPages := 0
+	for round := 0; round < 300; round++ {
+		floods := rng.Intn(3)
+		if round%60 < 10 {
+			floods = 20 + rng.Intn(20) // a burst
+		}
+		k.At(k.Now(), func() {
+			for range floods {
+				kk := packet.Key{Type: packet.TypeRouteRequest, Origin: field.NodeID(1 + rng.Intn(30)), Seq: uint64(rng.Intn(40))}
+				s := field.NodeID(rng.Intn(guards))
+				if rng.Intn(3) == 0 {
+					rec(int(s), s, kk) // the sender's own send
 				}
-			}
-			for range rng.Intn(3) {
-				fidx := int32(rng.Intn(40))
-				settled := s.settled(fidx, k, now)
-				if s.expect(fidx, k, 0, now) {
-					if settled {
-						t.Fatalf("settled(%d, %v) held, yet expect armed", fidx, k)
+				for range 1 + rng.Intn(guards) {
+					if g := rng.Intn(guards); field.NodeID(g) != s {
+						rec(g, s, kk)
 					}
-					pending = append(pending, expectation{fidx, k})
 				}
 			}
+		})
+		k.RunFor(time.Duration(1+rng.Intn(10)) * time.Millisecond)
+		peakPages = max(peakPages, len(l.pages))
+		checkLog(t, l)
+		now := k.Now()
+		for f, exp := range model {
+			own := f.sender == f.rx
+			pos := 0
+			if !own {
+				pos = places[f.rx][f.sender]
+			}
+			got, ok := l.heard(pairKey(f.sender, anyKey(f.key)), own, pos, f.rx, incs[f.rx], ttl, now)
+			if ok != live(exp, now) || (ok && got != exp) {
+				t.Fatalf("round %d: %d heard %d send %v: (%v, %v), model expires at %v", round, f.rx, f.sender, f.key, got, ok, exp)
+			}
 		}
-		for len(pending) > 0 && rng.Intn(2) == 0 {
-			s.clearExpect(pending[0].fidx, pending[0].key)
-			pending = pending[1:]
-		}
-		peak = max(peak, len(s.chunks.pages))
-		now += time.Duration(1 + rng.Intn(10))
-		s.sweepCaches(now)
-		checkSlab(t, s)
 	}
-	for _, e := range pending {
-		s.clearExpect(e.fidx, e.key)
-	}
-	s.sweepCaches(now + ttl)
-	checkSlab(t, s)
-	if s.nrecs != 0 || s.used != 0 {
-		t.Fatalf("%d records, %d chunks left after everything expired", s.nrecs, s.used)
-	}
-	if len(s.chunks.pages) > keep(0) || len(s.recs.pages) > keep(0) || peak <= keep(0) {
-		t.Fatalf("pages not handed back: %d chunk pages (peak %d), %d record pages",
-			len(s.chunks.pages), peak, len(s.recs.pages))
+	k.RunFor(ttl)
+	rec(1, 2, key(1, 1))
+	checkLog(t, l)
+	if l.entries() != 1 || len(l.pages) != 1 || len(l.slots) != logMinSlots || l.over.Len() != 0 || peakPages < 2 {
+		t.Fatalf("after everything expired: %d entries on %d pages (peak %d), %d index slots, %d overflow receptions",
+			l.entries(), len(l.pages), peakPages, len(l.slots), l.over.Len())
 	}
 }
 
 // TestSettledFastPath walks one packet record through the cases settled
-// must answer: a heard sender and an expected forwarder below the mask
-// width answer at once; a never-seen node, a forwarder past the width, a
-// sender whose heard record died on a packet kept alive by later copies,
-// a dropped forwarder and a record whose copies spread past 16 bits of
-// units all leave the answer to expect.
+// must answer: an expected forwarder and a sender heard while the record
+// exists answer at once; a never-seen node, a forwarder past the masks
+// and a sender heard before the record existed leave the answer to
+// expect, which finds the last one on the log and caches it; a cached
+// fact stops answering once it has expired, and a dropped forwarder is
+// unsettled until it is expected again.
 func TestSettledFastPath(t *testing.T) {
-	s := newFlatStore()
-	k := key(1, 1)
-	const ttl = time.Second
-	s.recordHeard(2, k, ttl)
-	if !s.settled(2, k, 0) || s.settled(3, k, 0) {
-		t.Fatal("heard sender 2 unsettled or unseen 3 settled")
+	k := sim.New(1)
+	b, _, _ := newBuffer(k, Config{Timeout: 2 * time.Second, CacheTTL: time.Second})
+	for id := field.NodeID(0); id <= settledBits; id++ {
+		b.Intern(id)
 	}
-	if !s.expect(3, k, 7, 0) || !s.settled(3, k, 0) {
-		t.Fatal("expected forwarder 3 is not settled")
+	kk := key(1, 1)
+	b.RecordHeardIdx(1, kk) // before the record exists
+	if b.Settled(1, kk) || b.Settled(2, kk) {
+		t.Fatal("settled without a record")
 	}
-	if !s.expect(settledBits, k, 8, 0) || s.settled(settledBits, k, 0) || s.expect(settledBits, k, 9, 0) {
-		t.Fatal("a forwarder past the mask must be answered by the chain walk")
+	if !b.ExpectIdx(2, kk) || !b.Settled(2, kk) {
+		t.Fatal("expected forwarder 2 is not settled")
 	}
-
-	// A later copy keeps the record alive past sender 2's expiry.
-	s.recordHeard(4, k, ttl+ttl/2)
-	if !s.settled(2, k, ttl/2) {
-		t.Fatal("sender 2 unsettled while heard")
+	if b.Settled(1, kk) || b.ExpectIdx(1, kk) || !b.Settled(1, kk) {
+		t.Fatal("sender 1, heard before the record, must be found on the log once and then cached")
 	}
-	if s.settled(2, k, ttl) || !s.expect(2, k, 10, ttl) || s.expect(2, k, 13, ttl) {
-		t.Fatal("sender 2's stale bit answered, or its expectation was not armed once")
+	if !b.ExpectIdx(settledBits, kk) || b.Settled(settledBits, kk) || b.ExpectIdx(settledBits, kk) {
+		t.Fatal("a forwarder past the masks must be answered by the slow path")
 	}
-	if s.heard(2, k, ttl) {
-		t.Fatal("sender 2 heard after its expiry")
-	}
-
-	// A dropped expectation clears its bit and can be armed again.
-	s.clearExpect(3, k)
-	if s.settled(3, k, 0) || !s.expect(3, k, 11, 0) {
-		t.Fatal("forwarder 3 not re-armed after its drop")
+	k.RunFor(time.Second / 2)
+	b.RecordHeardIdx(3, kk) // while the record exists
+	if !b.Settled(3, kk) || b.Settled(4, kk) {
+		t.Fatal("heard sender 3 unsettled or unseen 4 settled")
 	}
 
-	// Copies 5 s apart saturate the spread: sender 4 is live, yet only
-	// the walk may say so.
-	s.recordHeard(5, k, ttl+5*time.Second)
-	if r := s.recs.at(s.find(anyKey(k))); r.spread != spreadOff {
-		t.Fatalf("spread %d over 5 s of copies, want saturated", r.spread)
+	// Sender 1's fact expires first; the cache stops answering for every
+	// sender, and the slow path re-arms 1 but not 3.
+	k.RunFor(time.Second / 2)
+	if b.Settled(1, kk) || b.Settled(3, kk) {
+		t.Fatal("the cache answered past its oldest fact's expiry")
 	}
-	if s.settled(4, k, ttl) || s.settled(3, k, 0) || s.expect(4, k, 12, ttl) {
-		t.Fatal("a saturated record answered settled, or live sender 4 was armed")
+	if !b.ExpectIdx(1, kk) || b.ExpectIdx(3, kk) || !b.Settled(3, kk) {
+		t.Fatal("slow path after the cache expired: 1 must be armed, 3 still heard")
 	}
-	checkSlab(t, s)
+
+	// Forwarder 2's expectation drops; it can be armed again.
+	k.RunFor(time.Second)
+	if b.Settled(2, kk) || !b.ExpectIdx(2, kk) {
+		t.Fatal("forwarder 2 not re-armed after its drop")
+	}
 }
 
-// TestRecordLayout pins the watch record and chunk sizes. The settled
-// mask sits in the chunk's padding and the spread in the upper half of
-// the old sender count. A prototype of the fast path that kept them in
-// 16 more bytes per record retained 4.0% more bytes per node on
-// flood-n400: every guard holds a record per packet it hears.
+// TestRecordLayout pins the log entry and the guard record sizes: an
+// entry per transmission is the log's whole cost, and a record per packet
+// a guard expects forwards of is the guard's.
 func TestRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(heardRecord{}); got != 32 {
-		t.Errorf("heardRecord is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(entry{}); got != 48 {
+		t.Errorf("log entry is %d bytes, want 48", got)
 	}
-	if got := unsafe.Sizeof(heardChunk{}); got != 56 {
-		t.Errorf("heardChunk is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(guardRecord{}); got != 40 {
+		t.Errorf("guardRecord is %d bytes, want 40", got)
 	}
 }

@@ -9,15 +9,17 @@
 // this buffer with the neighbor table.
 //
 // Storage layout: the buffer addresses watched nodes by their dense
-// neighbor index (nbrIdx, see neighbor.Index) and keeps two collections
-// behind the storeBackend seam: one watch record per overheard packet, in
-// which each sender slot holds either the sender's heard expiry or an
-// outstanding expectation on it, and the MalC records. flatStore
-// (store_flat.go) keeps the packet records with their slots in a chunked
-// slab and MalC records in a slice by nbrIdx; the tests check it against a
-// Go-map oracle. The buffer itself keeps its expectations' deadlines, in
-// the order they were armed, and one kernel timer for the oldest live one
-// (see deadlineQueue).
+// neighbor index (nbrIdx, see neighbor.Index). Heard facts live in the
+// scenario's reception log (Log, log.go), which every guard shares and
+// which stores each transmission once, with the set of guards that
+// recorded it; a guard's queries answer only from what it recorded in its
+// current incarnation. Each guard keeps, behind the storeBackend seam,
+// only its own state: a small record per packet it expects forwards of,
+// which lives about as long as those expectations, and its MalC records
+// (logStore, store_log.go). The tests check it against a Go-map oracle
+// that keeps every heard fact per guard. The buffer itself keeps its
+// expectations' deadlines, in the order they were armed, and one kernel
+// timer for the oldest live one (see deadlineQueue).
 package watch
 
 import (
@@ -101,7 +103,7 @@ type Config struct {
 	// selectively refusing to forward.
 	DropFilter func(accused field.NodeID, key packet.Key) bool
 	// Wheel, when non-nil, is the shared expiry wheel the buffer's
-	// housekeeping TTLs (heard caches, MalC window pruning) ride
+	// housekeeping TTLs (the guard's records, MalC window pruning) ride
 	// instead of per-record kernel timers. Nil means the buffer builds a
 	// private wheel over its own clock. The watch deadline tau is semantic
 	// — a drop accusation must fire at exactly Timeout — and keeps an
@@ -113,6 +115,13 @@ type Config struct {
 	// builds a private index — correct, but then nbrIdx values are not
 	// shared with the routing layer or scoreboard.
 	Index *neighbor.Index
+	// Log, when non-nil, is the scenario's reception log, which the
+	// guards share. Nil means the buffer keeps a log of its own.
+	Log *Log
+	// Self is the guard's own node ID: its name on the log, and the
+	// sender whose transmissions are its own sends. Guards sharing a log
+	// must have distinct IDs; a reboot keeps its node's.
+	Self field.NodeID
 }
 
 // live is the package-wide expiry convention: a record whose stored expiry
@@ -223,6 +232,31 @@ func (q *deadlineQueue) dropCancelled() {
 	}
 }
 
+// find returns the ref of the live entry on (fidx, key), searching from
+// the entry whose ref has low bits from: where the packet's first
+// outstanding expectation was armed (compaction keeps the store's copy of
+// that ref current). A packet's expectations are armed together, so the
+// entry is usually a few steps on; the scan wraps around to the head, so
+// find answers wherever the entry is.
+func (q *deadlineQueue) find(fidx int32, key packet.Key, from uint32) (uint64, bool) {
+	items := q.items[q.head:]
+	lo := int(from - uint32(q.base))
+	if lo >= len(items) || lo < 0 {
+		lo = 0
+	}
+	for i := lo; i < len(items); i++ {
+		if d := &items[i]; d.fidx == fidx && d.key == key {
+			return q.base + uint64(i), true
+		}
+	}
+	for i := 0; i < lo; i++ {
+		if d := &items[i]; d.fidx == fidx && d.key == key {
+			return q.base + uint64(i), true
+		}
+	}
+	return 0, false
+}
+
 // cancel marks entry ref met by its forward.
 func (q *deadlineQueue) cancel(ref uint64) {
 	q.at(ref).fidx = -1
@@ -236,8 +270,9 @@ func (q *deadlineQueue) cancel(ref uint64) {
 // bound); otherwise one live entry would keep every entry armed after it
 // queued, cancelled or not. The live entries keep their order and their
 // reserved (at, seq), so the head, whose ref stays base, is still the one
-// the buffer's timer is armed for; each entry that moves gets the ref of
-// its new position, which s.rekey writes into its store slot.
+// the buffer's timer is armed for; each entry that moves takes the ref of
+// its new position, and s.moved learns the new ref of each entry that
+// moved and starts a run of one packet's entries.
 func (q *deadlineQueue) compact(s storeBackend) {
 	n := len(q.items) - q.head
 	live := n - q.cancelled
@@ -252,8 +287,8 @@ func (q *deadlineQueue) compact(s storeBackend) {
 		if d.fidx < 0 {
 			continue
 		}
-		if len(items) != i {
-			s.rekey(d.fidx, d.key, q.base+uint64(len(items)))
+		if j := len(items); j != i && (j == 0 || items[j-1].key != d.key) {
+			s.moved(d.key, q.base+uint64(j))
 		}
 		items = append(items, d)
 	}
@@ -302,8 +337,9 @@ type Buffer struct {
 	onDeadline sim.Event
 	deadlines  deadlineQueue
 
-	// cacheSlot arms the expiry wheel for the two CacheTTL caches (heard,
-	// heardAny); malcSlot arms it for Window pruning.
+	// cacheSlot arms the expiry wheel for the sweep of the store's
+	// records, at the CacheTTL expiry of each transmission the guard
+	// records; malcSlot arms it for Window pruning.
 	cacheSlot sim.WheelSlot
 	malcSlot  sim.WheelSlot
 
@@ -319,22 +355,29 @@ type Buffer struct {
 // onThreshold (may be nil) fires once per accused node when its windowed
 // MalC reaches the threshold.
 func New(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
-	return newWithStore(k, cfg, newFlatStore(), onAccuse, onThreshold)
+	return newWithStore(k, cfg, func(b *Buffer) storeBackend { return newLogStore(b) }, onAccuse, onThreshold)
 }
 
-// newWithStore is New over the given storage; the tests use it to run a
-// buffer on the map oracle.
-func newWithStore(k sim.Clock, cfg Config, store storeBackend, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
+// wrapStore, when non-nil, wraps each new buffer's store. Only tests set
+// it, to hold every buffer of a whole scenario to the map oracle.
+var wrapStore func(*Buffer, storeBackend) storeBackend
+
+// newWithStore is New over the storage store builds for the buffer; the
+// tests use it to run a buffer on the map oracle.
+func newWithStore(k sim.Clock, cfg Config, store func(*Buffer) storeBackend, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
 	b := &Buffer{
 		kernel:      k,
 		cfg:         cfg.withDefaults(),
-		store:       store,
 		onAccuse:    onAccuse,
 		onThreshold: onThreshold,
 	}
 	b.idx = b.cfg.Index
 	if b.idx == nil {
 		b.idx = neighbor.NewIndex()
+	}
+	b.store = store(b)
+	if wrapStore != nil {
+		b.store = wrapStore(b, b.store)
 	}
 	b.onDeadline = b.expire
 	wheel := b.cfg.Wheel
@@ -387,8 +430,7 @@ const EntryBytes = 20
 func (b *Buffer) MemoryBytes() int { return b.Len() * EntryBytes }
 
 // RecordHeard notes that this guard overheard sender transmitting the
-// packet identified by key. The record expires after CacheTTL; reclamation
-// rides the shared expiry wheel instead of a per-record timer.
+// packet identified by key. The fact lives CacheTTL, on the reception log.
 //
 // A transmission of the packet by sender is also the forward that a
 // pending expectation on (sender, key) waits for: RecordHeard clears it
@@ -400,9 +442,9 @@ func (b *Buffer) RecordHeard(sender field.NodeID, key packet.Key) bool {
 
 // RecordHeardIdx is RecordHeard for a pre-interned sender.
 func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
-	expiry := b.kernel.Now() + b.cfg.CacheTTL
-	ref, met := b.store.recordHeard(sidx, key, expiry)
-	b.cacheSlot.Arm(expiry)
+	now := b.kernel.Now()
+	ref, met := b.store.recordHeard(sidx, key, now)
+	b.cacheSlot.Arm(now + b.cfg.CacheTTL)
 	if !met {
 		return false
 	}
@@ -452,12 +494,12 @@ func (b *Buffer) Expect(forwarder field.NodeID, key packet.Key) bool {
 
 // ExpectIdx is Expect for a pre-interned forwarder. Most calls are no-ops
 // on a forwarder already expected or heard; Settled answers most of those
-// without the store's chain walk. An armed expectation reserves the
+// without asking the reception log. An armed expectation reserves the
 // kernel sequence number a timer armed now would get; the buffer's timer
 // is armed for it only if the entry is the queue's only one.
 func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
 	now := b.kernel.Now()
-	if b.store.settled(fidx, key, now) || !b.store.expect(fidx, key, b.deadlines.next(), now) {
+	if b.store.settled(fidx, key, now) || !b.store.expect(fidx, key, now) {
 		return false
 	}
 	idle := b.deadlines.empty()

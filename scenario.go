@@ -34,6 +34,7 @@ type Scenario struct {
 	kernel    *sim.Kernel
 	topo      *field.Field
 	med       *medium.Medium
+	log       *watch.Log // the guards' reception log; nil without LITEWORP
 	keysrv    *keys.KeyServer
 	collector *metrics.Collector
 	nodes     map[field.NodeID]*node.Node
@@ -157,11 +158,17 @@ func NewScenario(p Params) (*Scenario, error) {
 		PropagationDelay: 5 * time.Microsecond,
 	})
 
+	if p.Liteworp {
+		// One log for every guard; it allocates its entries as the first
+		// guard records a transmission.
+		s.log = watch.NewLog(s.kernel)
+	}
 	deps := node.Deps{
 		Kernel:       s.kernel,
 		Medium:       s.med,
 		Keys:         s.keysrv,
 		Collector:    s.collector,
+		Log:          s.log,
 		MaliciousSet: s.malSet,
 		Topo:         topo,
 		OnAlertRetry: func(nodeID, accused, to field.NodeID, attempt int) {
@@ -325,6 +332,7 @@ func (s *Scenario) AddNodeAt(x, y float64) (NodeID, error) {
 		Medium:       s.med,
 		Keys:         s.keysrv,
 		Collector:    s.collector,
+		Log:          s.log,
 		MaliciousSet: s.malSet,
 		Topo:         s.topo,
 	})
