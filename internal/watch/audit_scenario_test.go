@@ -13,7 +13,7 @@ import (
 
 // TestReceptionLogMatchesOracle runs whole scenarios at smoke scale with
 // every guard's store audited against the per-guard map oracle: each
-// Heard, HeardAny, Expect and forward-met answer the reception log gives
+// Heard, HeardAny, Expect, forward-met and waiting answer the store gives
 // must be the oracle's, and each Settled it answers true must be a no-op
 // Expect there. The scenarios cover the paper's network, churn (crashes,
 // reboots, link flaps and 30% alert loss), a 200-node flood, and the
@@ -79,7 +79,7 @@ func TestReceptionLogMatchesOracle(t *testing.T) {
 			}
 			c := *counts
 			// The strict check asks Heard(PrevHop) alone, never HeardAny.
-			if c.Record == 0 || c.Heard == 0 || (c.HeardAny == 0) != tc.params.StrictFabrication || c.Expect == 0 || c.SettledTrue == 0 {
+			if c.Record == 0 || c.Heard == 0 || (c.HeardAny == 0) != tc.params.StrictFabrication || c.Expect == 0 || c.SettledTrue == 0 || c.Waiting == 0 {
 				t.Fatalf("audit checked too little: %+v", c)
 			}
 			if tc.churn {

@@ -16,7 +16,7 @@ import (
 // immortal in the map or vice versa.
 func TestExpiryBoundaryConvention(t *testing.T) {
 	k := sim.New(1)
-	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second})
+	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond})
 	b.RecordHeard(3, key(1, 1))
 
 	var liveBefore, liveAt, anyAt, reExpectAt bool
@@ -49,7 +49,7 @@ func TestExpiryBoundaryConvention(t *testing.T) {
 // transmission; there is no third table to reclaim.
 func TestWheelReclaimsCaches(t *testing.T) {
 	k := sim.New(1)
-	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second})
+	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond})
 	s := b.store.(*logStore)
 	for i := uint64(0); i < 50; i++ {
 		b.RecordHeard(3, key(1, i))
@@ -85,7 +85,7 @@ func TestWheelReclaimsMalc(t *testing.T) {
 	k.RunFor(15 * time.Second)
 	if aidx, ok := b.idx.Lookup(7); !ok {
 		t.Fatal("accused node was never interned")
-	} else if b.store.malc(aidx) != nil {
+	} else if b.malc(aidx) != nil {
 		t.Fatal("unfired MalC record not reclaimed after window")
 	}
 	if !b.ThresholdFired(8) {
@@ -96,12 +96,41 @@ func TestWheelReclaimsMalc(t *testing.T) {
 	}
 }
 
+// TestMalcRecordPerAccusedNode: a guard keeps one MalC record per node
+// it accused, however high the node's nbrIdx, in first-accused order; the
+// sweep drops an unfired record past the window and keeps a fired one.
+func TestMalcRecordPerAccusedNode(t *testing.T) {
+	k := sim.New(1)
+	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, Threshold: 4, Window: 10 * time.Second})
+	for id := field.NodeID(0); id < 40; id++ {
+		b.Intern(id)
+	}
+	b.AccuseFabrication(39, key(1, 1)) // +3, below threshold 4
+	if len(b.malcs) != 1 || b.malcs[0].aidx != 39 {
+		t.Fatalf("one accusation of nbrIdx 39 left %d MalC records", len(b.malcs))
+	}
+	b.AccuseFabrication(21, key(1, 2))
+	b.AccuseFabrication(21, key(1, 3)) // 6: fires
+	b.AccuseFabrication(39, key(1, 4)) // 6: fires
+	b.AccuseFabrication(30, key(1, 5)) // unfired
+	if len(b.malcs) != 3 || b.malcs[0].aidx != 39 || b.malcs[1].aidx != 21 || b.malcs[2].aidx != 30 {
+		t.Fatalf("MalC records %+v, want 39, 21 and 30 in first-accused order", b.malcs)
+	}
+	k.RunFor(15 * time.Second)
+	if len(b.malcs) != 2 || b.malcs[0].aidx != 39 || b.malcs[1].aidx != 21 {
+		t.Fatalf("after the window: records %+v, want the fired 39 and 21", b.malcs)
+	}
+	if !b.ThresholdFired(39) || !b.ThresholdFired(21) || b.ThresholdFired(30) || b.MalC(30) != 0 {
+		t.Fatal("the sweep changed an answer")
+	}
+}
+
 // TestSharedWheelConfig: a buffer handed an external wheel schedules its
 // housekeeping through it instead of building a private one.
 func TestSharedWheelConfig(t *testing.T) {
 	k := sim.New(1)
 	w := sim.NewWheel(k, time.Second)
-	b := New(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second, Wheel: w}, nil, nil)
+	b := New(k, Config{Timeout: 100 * time.Millisecond, Wheel: w}, nil, nil)
 	b.Expect(4, key(1, 1))
 	b.RecordHeard(4, key(1, 1))
 	k.RunFor(5 * time.Second)
@@ -118,22 +147,23 @@ func TestSharedWheelConfig(t *testing.T) {
 // the re-armed expectation's drop is accused, at its own deadline.
 func TestPendingEntryRecycled(t *testing.T) {
 	k := sim.New(1)
-	b, acc, _ := newBuffer(k, Config{Timeout: time.Second, CacheTTL: 2 * time.Second})
+	const tau = time.Second
+	b, acc, _ := newBuffer(k, Config{Timeout: tau})
 	b.Expect(5, key(1, 1))
-	first := &b.deadlines.items[b.deadlines.head]
-	b.RecordHeard(5, key(1, 1)) // satisfied: its deadline is cancelled
-	k.RunFor(3 * time.Second)   // duplicate-forward suppression expires
+	first := b.deadlines.first()
+	b.RecordHeard(5, key(1, 1)) // satisfied: its deadline is popped
+	k.RunFor(11 * tau)          // duplicate-forward suppression expires
 
 	b.Expect(5, key(1, 2))
-	if second := &b.deadlines.items[b.deadlines.head]; first != second {
+	if second := b.deadlines.first(); first != second {
 		t.Fatal("the re-armed deadline did not reuse the satisfied one's slot")
 	}
-	k.RunFor(10 * time.Second)
+	k.RunFor(10 * tau)
 	if len(*acc) != 1 {
 		t.Fatalf("%d accusations, want exactly 1 (the second expectation's drop)", len(*acc))
 	}
-	if a := (*acc)[0]; a.Key != key(1, 2) || a.At != 4*time.Second {
-		t.Fatalf("accusation for %v at %v, want the live expectation's key at 4s", a.Key, a.At)
+	if a := (*acc)[0]; a.Key != key(1, 2) || a.At != 12*tau {
+		t.Fatalf("accusation for %v at %v, want the live expectation's key at %v", a.Key, a.At, 12*tau)
 	}
 }
 
@@ -142,7 +172,7 @@ func TestPendingEntryRecycled(t *testing.T) {
 // whether anyone was heard sending it allocates nothing.
 func TestRecordHeardAllocsWarm(t *testing.T) {
 	k := sim.New(1)
-	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second})
+	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond})
 	for i := uint64(0); i < 64; i++ {
 		b.RecordHeard(3, key(1, i%8))
 		k.RunFor(300 * time.Millisecond)
@@ -170,7 +200,6 @@ func TestExpectAllocsWarm(t *testing.T) {
 	k := sim.New(1)
 	cfg := Config{
 		Timeout:    100 * time.Millisecond,
-		CacheTTL:   time.Second,
 		DropFilter: func(field.NodeID, packet.Key) bool { return true },
 	}
 	b := New(k, cfg, nil, nil)
@@ -194,7 +223,7 @@ func TestExpectAllocsWarm(t *testing.T) {
 // back, so a traffic spike does not pin its high-water mark at every guard.
 func TestFreePendingBounded(t *testing.T) {
 	k := sim.New(9)
-	b, _, _ := newBuffer(k, Config{Timeout: time.Second, CacheTTL: 2 * time.Second})
+	b, _, _ := newBuffer(k, Config{Timeout: time.Second})
 	const burst = 4 * 256
 	for i := 0; i < burst; i++ {
 		b.Expect(5, key(1, uint64(i)))
@@ -208,16 +237,15 @@ func TestFreePendingBounded(t *testing.T) {
 	}
 }
 
-// TestDeadlineQueueCompacts arms a burst of expectations and hears the
-// forwards of all but every tenth, latest first and never the first one's.
-// The queue must stay within 2*live+queueSeedCap entries and give back the
-// burst's capacity, and every live entry must still resolve: a forward
-// heard after the compactions cancels its own entry (its ref was
-// rewritten in the store), and the rest expire as drops at their
-// deadlines, in arming order.
-func TestDeadlineQueueCompacts(t *testing.T) {
+// TestDeadlineQueueResolvesInArmingOrder arms a burst of expectations
+// and hears the forwards of all but every tenth, latest first and never
+// the first one's, so the met entries stay queued behind a waiting head.
+// A forward heard late still resolves its own entry, and the rest expire
+// as drops at their deadlines, in arming order; the met entries never
+// fire, and once the burst has drained the queue gives its capacity back.
+func TestDeadlineQueueResolvesInArmingOrder(t *testing.T) {
 	k := sim.New(3)
-	b, acc, _ := newBuffer(k, Config{Timeout: time.Second, CacheTTL: 2 * time.Second})
+	b, acc, _ := newBuffer(k, Config{Timeout: time.Second})
 	const burst = 400
 	fwd := func(i int) field.NodeID { return field.NodeID(5 + i%3) }
 	for i := 0; i < burst; i++ {
@@ -232,12 +260,10 @@ func TestDeadlineQueueCompacts(t *testing.T) {
 		}
 		checkQueue(t, b)
 	}
-	if got := cap(b.deadlines.items); got >= burst {
-		t.Fatalf("queue keeps capacity %d for %d live entries", got, b.Len())
-	}
 	if !b.RecordHeard(fwd(10), key(1, 10)) {
-		t.Fatal("forward 10 met no expectation after the compactions")
+		t.Fatal("late forward 10 met no expectation")
 	}
+	checkQueue(t, b)
 	k.RunFor(time.Minute)
 	var want []int
 	for i := 0; i < burst; i += 10 {
@@ -255,6 +281,9 @@ func TestDeadlineQueueCompacts(t *testing.T) {
 			t.Fatalf("accusation %d = %+v, want a drop by %d of %v at %v", j, a, fwd(i), key(1, uint64(i)),
 				time.Duration(i)*time.Millisecond+time.Second)
 		}
+	}
+	if !b.deadlines.empty() || cap(b.deadlines.items) > queueShrinkFactor*queueSeedCap {
+		t.Fatalf("drained queue holds %d entries in %d slots", len(b.deadlines.items)-b.deadlines.head, cap(b.deadlines.items))
 	}
 }
 
@@ -299,7 +328,6 @@ func warmFloodBuffer(tb testing.TB, expect bool) (*sim.Kernel, *Buffer, uint64) 
 	k := sim.New(1)
 	cfg := Config{
 		Timeout:    100 * time.Millisecond,
-		CacheTTL:   time.Second,
 		DropFilter: func(field.NodeID, packet.Key) bool { return true },
 	}
 	b := New(k, cfg, nil, nil)
@@ -339,12 +367,13 @@ func TestExpectIdxZeroAllocsWarm(t *testing.T) {
 
 // TestSweepCachesZeroAllocsWarm pins the sweep: each step arms nine
 // expectations on each of 16 new packets, meets those armed eight steps
-// before, and sweeps, which frees their 16 records (the last record moved
-// into each hole), with nothing allocated once the pages, the key table
-// and the log are warm.
+// (800 ms, within tau) before, and sweeps, which frees their 16 records
+// (the last record moved into each hole), with nothing allocated once the
+// pages, the key table, the deadline queue and the log, which holds ten
+// tau of transmissions, are warm.
 func TestSweepCachesZeroAllocsWarm(t *testing.T) {
 	k := sim.New(1)
-	b := New(k, Config{Timeout: time.Hour, CacheTTL: time.Second}, nil, nil)
+	b := New(k, Config{Timeout: time.Second}, nil, nil)
 	s := b.store.(*logStore)
 	for id := field.NodeID(0); id < 9; id++ {
 		b.Intern(id)
@@ -372,7 +401,7 @@ func TestSweepCachesZeroAllocsWarm(t *testing.T) {
 			}
 		}
 	}
-	for range 64 {
+	for range 128 {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {

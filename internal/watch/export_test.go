@@ -2,7 +2,7 @@ package watch
 
 // AuditCounts counts the store answers an audit checked, by kind.
 type AuditCounts struct {
-	Record, Heard, HeardAny, Expect, Settled, SettledTrue int
+	Record, Heard, HeardAny, Expect, Settled, SettledTrue, Waiting int
 }
 
 // Audit runs every buffer built until stop is called on its production

@@ -243,7 +243,7 @@ func (e *entry) open(own bool, b uint32) bool {
 // instant it expires. For a reception, pos is rx's place in the sender's
 // receiver list.
 func (l *Log) heard(k flatmap.Key, own bool, pos int, rx field.NodeID, inc uint64, ttl, now time.Duration) (time.Duration, bool) {
-	for id := l.find(k); id != 0; {
+	for id := l.newest(k); id != 0; {
 		e := l.at(id)
 		at, b := e.at, e.batch
 		if own {
@@ -373,8 +373,8 @@ func (l *Log) lookup(k flatmap.Key) (id, slot uint64) {
 	}
 }
 
-// find returns the newest entry of pair k, or 0.
-func (l *Log) find(k flatmap.Key) uint64 {
+// newest returns the newest entry of pair k, or 0.
+func (l *Log) newest(k flatmap.Key) uint64 {
 	if l.n == 0 {
 		return 0
 	}

@@ -11,19 +11,19 @@ import (
 // entries returns the number of entries the log holds.
 func (l *Log) entries() int { return int(l.next - l.head) }
 
-// sharedGuards builds a buffer for each id on one log over k, with
-// CacheTTL 1 s.
+// sharedGuards builds a buffer for each id on one log over k, with tau
+// 100 ms, so heard facts live 1 s.
 func sharedGuards(k *sim.Kernel, l *Log, ids ...field.NodeID) map[field.NodeID]*Buffer {
 	out := make(map[field.NodeID]*Buffer, len(ids))
 	for _, id := range ids {
-		out[id] = New(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second, Log: l, Self: id}, nil, nil)
+		out[id] = New(k, Config{Timeout: 100 * time.Millisecond, Log: l, Self: id}, nil, nil)
 	}
 	return out
 }
 
 // TestLogRetransmissionToOtherReceivers: sender 10 transmits a packet
 // heard by guards 1 and 2, then transmits it again later, heard by 2 and
-// 3. Each guard's fact lives CacheTTL from its own last reception, and
+// 3. Each guard's fact lives 1 s from its own last reception, and
 // the two transmissions are two entries of one pair.
 func TestLogRetransmissionToOtherReceivers(t *testing.T) {
 	k := sim.New(1)
@@ -190,7 +190,7 @@ func TestLogReceiverPastMaskWidth(t *testing.T) {
 // TestLogBatchIsOneInstant: records made outside any kernel event, with
 // the clock moved on between them by a RunFor that fired nothing, are two
 // batches, not one: guard 1's reception at 0 must not take guard 2's
-// instant, 100 ms later, and so outlive its own CacheTTL.
+// instant, 100 ms later, and so outlive its own 1 s.
 func TestLogBatchIsOneInstant(t *testing.T) {
 	k := sim.New(1)
 	l := NewLog(k)

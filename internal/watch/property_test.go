@@ -79,8 +79,9 @@ func TestPropertyHeardCacheModel(t *testing.T) {
 	}
 	f := func(steps []step) bool {
 		k := sim.New(3)
-		ttl := 2 * time.Second
-		b := New(k, Config{Timeout: time.Second, CacheTTL: ttl, Threshold: 1 << 30}, nil, nil)
+		const tau = 200 * time.Millisecond
+		ttl := 10 * tau // how long a heard fact lives
+		b := New(k, Config{Timeout: tau, Threshold: 1 << 30}, nil, nil)
 		type key struct {
 			sender field.NodeID
 			seq    uint64

@@ -9,20 +9,20 @@ import (
 // storeBackend is the seam between the buffer's semantics and its storage
 // layout. Every collection is keyed by the watched node's dense index
 // (nbrIdx) plus the packet identity; the buffer owns interning, stats,
-// callbacks, timers and the deadline queue, the store owns the heard facts,
-// which expectations are outstanding, and the MalC records. Production
-// buffers use logStore, which keeps the heard facts in the scenario's
-// reception log; the tests build buffers on a Go-map store as the oracle
-// (store_map_test.go), and the randomized differential suite in
-// store_test.go holds the two to operation-for-operation equivalence. The
-// oracle's settled always answers false, so the suite also holds
-// logStore's settled fast path to the slow path.
+// callbacks, timers, the deadline queue and the MalC records, the store
+// owns the heard facts and is the only record of which expectations are
+// outstanding. Production buffers use logStore, which keeps the heard
+// facts in the scenario's reception log; the tests build buffers on a
+// Go-map store as the oracle (store_map_test.go), and the randomized
+// differential suite in store_test.go holds the two to
+// operation-for-operation equivalence. The oracle's settled always answers
+// false, so the suite also holds logStore's settled fast path to the slow
+// path.
 type storeBackend interface {
 	// recordHeard notes that the guard heard sidx send key at now; the
-	// fact is live for CacheTTL. It reports whether this met an
-	// outstanding expectation on (sidx, key), which it then resolves, and
-	// the ref of its deadline on the buffer's queue.
-	recordHeard(sidx int32, key packet.Key, now time.Duration) (ref uint64, met bool)
+	// fact is live for cacheTTL. It reports whether this met an
+	// outstanding expectation on (sidx, key), which it then resolves.
+	recordHeard(sidx int32, key packet.Key, now time.Duration) (met bool)
 	heard(sidx int32, key packet.Key, now time.Duration) bool
 	heardAny(key packet.Key, now time.Duration) bool
 	// expect notes an outstanding expectation on (fidx, key), unless fidx
@@ -34,21 +34,14 @@ type storeBackend interface {
 	// False means only that the store does not know; the caller then asks
 	// expect. It changes no answer.
 	settled(fidx int32, key packet.Key, now time.Duration) bool
+	// waiting reports whether the expectation on (fidx, key) is
+	// outstanding: neither met by recordHeard nor cleared.
+	waiting(fidx int32, key packet.Key) bool
 	// clearExpect removes the outstanding expectation on (fidx, key),
 	// which the buffer resolved as a drop.
 	clearExpect(fidx int32, key packet.Key)
-	// moved tells the store that the queue's compaction moved the first
-	// of a run of key's outstanding deadlines to ref.
-	moved(key packet.Key, ref uint64)
 
-	// MalC records. The pointer returned by ensureMalc is transient: it
-	// may point into dense backing storage and is invalidated by any
-	// subsequent store call (see Buffer.accuse).
-	malc(aidx int32) *malcRecord
-	ensureMalc(aidx int32) *malcRecord
-
-	// Housekeeping sweeps; each returns how many records it reclaimed. An
-	// outstanding expectation is never reclaimed.
+	// sweepCaches is the housekeeping sweep; it returns how many records
+	// it reclaimed. An outstanding expectation is never reclaimed.
 	sweepCaches(now time.Duration) int
-	sweepMalc(now, window time.Duration) int
 }

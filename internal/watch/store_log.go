@@ -1,7 +1,6 @@
 package watch
 
 import (
-	"math/bits"
 	"time"
 
 	"liteworp/internal/field"
@@ -16,16 +15,15 @@ import (
 // each transmission once. The guard itself keeps only what is its own:
 // which expectations are outstanding, and a cache of the answers the
 // settled fast path needs, both in one small record per packet identity
-// that lives about as long as its expectations do; plus its MalC records,
-// in a slice indexed by nbrIdx.
+// that lives about as long as its expectations do.
 //
 //   - keys maps the packed packet identity to its record's position in
 //     recs (see internal/flatmap); recs is dense and paged, and the sweep
 //     fills a freed record's slot with the last one.
 //   - A record's pend mask has bit i set while an expectation on
 //     forwarder i is outstanding, and npend counts the outstanding ones
-//     over every forwarder index, including those past settledBits; the
-//     deadline queue holds their refs.
+//     over every forwarder index. An expectation on a forwarder at or
+//     past settledBits is also a key in wide, by packet and forwarder.
 //   - A record's heard mask caches senders this guard heard send the
 //     packet, and oldest is the earliest expiry among them: while now is
 //     below it, every bit in heard is a live fact. The cache is filled
@@ -39,14 +37,13 @@ import (
 //
 // A record goes at the first sweep that finds no expectation outstanding
 // on it. The expiry wheel sweeps a busy guard every epoch, so a record
-// lives about τ plus one epoch, not CacheTTL.
+// lives about τ plus one epoch, not cacheTTL.
 type logStore struct {
 	log  *Log
 	idx  *neighbor.Index
 	self field.NodeID
 	inc  uint64 // this incarnation's stamp on the log
 	ttl  time.Duration
-	q    *deadlineQueue // the buffer's, which holds the expectations' refs
 
 	// places caches, by sidx, this guard's place in that sender's
 	// receiver list on the log (see placeOf); 0 is not yet known. Every
@@ -62,10 +59,10 @@ type logStore struct {
 	memoKey flatmap.Key // zero when the memo is empty
 	memoRec int32       // recs position for memoKey, or -1: no record
 
-	// malc is dense by nbrIdx; malcUsed marks live records so a swept
-	// (reset-in-place) slot is indistinguishable from a never-used one.
-	malcs    []malcRecord
-	malcUsed []bool
+	// wide holds the outstanding expectations on forwarders at or past
+	// settledBits, keyed by pairKey(forwarder, packet). No benchmark
+	// workload armed one.
+	wide flatmap.Table[struct{}]
 }
 
 // guardRecord is one packet identity this guard expects forwards of.
@@ -75,12 +72,11 @@ type guardRecord struct {
 	pend   uint32        // forwarders below settledBits with an expectation
 	heard  uint32        // cached heard senders below settledBits
 	npend  int32         // outstanding expectations, every forwarder index
-	ref0   uint32        // low bits of the first one's ref on the queue
 }
 
 // settledBits is the width of a record's masks. Guards index their
 // neighbors densely from 0, and no forwarder index reached 18 on the
-// benchmark workloads; a wider index takes the slow path.
+// benchmark workloads; a wider index takes the slow path, through wide.
 const settledBits = 32
 
 // Cached places (see logStore.places): 1 + a place below maskBits, or one
@@ -138,9 +134,8 @@ func newLogStore(b *Buffer) *logStore {
 		log:     log,
 		idx:     b.idx,
 		self:    b.cfg.Self,
-		inc:     log.join(b.cfg.CacheTTL),
-		ttl:     b.cfg.CacheTTL,
-		q:       &b.deadlines,
+		inc:     log.join(b.cfg.cacheTTL()),
+		ttl:     b.cfg.cacheTTL(),
 		memoRec: -1,
 	}
 }
@@ -149,8 +144,8 @@ func anyKey(key packet.Key) flatmap.Key {
 	return flatmap.PackKey(uint32(key.Origin), key.Seq, uint8(key.Type))
 }
 
-// find returns the recs position of k's record, or -1, through the memo.
-func (s *logStore) find(k flatmap.Key) int32 {
+// lookup returns the recs position of k's record, or -1, through the memo.
+func (s *logStore) lookup(k flatmap.Key) int32 {
 	if k == s.memoKey {
 		return s.memoRec
 	}
@@ -164,7 +159,7 @@ func (s *logStore) find(k flatmap.Key) int32 {
 
 // record returns k's record, creating an empty one when there is none.
 func (s *logStore) record(k flatmap.Key) *guardRecord {
-	ri := s.find(k)
+	ri := s.lookup(k)
 	if ri < 0 {
 		ri = s.nrecs
 		s.recs.reserve(ri)
@@ -194,14 +189,10 @@ func (r *guardRecord) cached(bit uint32, now time.Duration) bool {
 	return r.heard&bit != 0 && live(r.oldest, now)
 }
 
-// outstanding reports whether (fidx, key) holds an expectation, for a
-// forwarder index past settledBits, and returns its ref: only then is the
-// queue searched.
-func (s *logStore) outstanding(r *guardRecord, fidx int32, key packet.Key) (uint64, bool) {
-	if r.npend <= int32(bits.OnesCount32(r.pend)) {
-		return 0, false
-	}
-	return s.q.find(fidx, key, r.ref0)
+// wideKey is wide's key for forwarder fidx, at or past settledBits, and
+// the packet k.
+func (s *logStore) wideKey(fidx int32, k flatmap.Key) flatmap.Key {
+	return pairKey(s.idx.ID(fidx), k)
 }
 
 // placeOf returns where the guard sits among sidx's receivers on the log:
@@ -242,32 +233,29 @@ func (s *logStore) logHeard(sidx int32, k flatmap.Key, now time.Duration) (time.
 	return s.log.heard(pairKey(s.idx.ID(sidx), k), own, pos, s.self, s.inc, s.ttl, now)
 }
 
-func (s *logStore) recordHeard(sidx int32, key packet.Key, now time.Duration) (uint64, bool) {
+func (s *logStore) recordHeard(sidx int32, key packet.Key, now time.Duration) bool {
 	k := anyKey(key)
 	own, pos, _ := s.placeOf(sidx, true)
 	s.log.record(pairKey(s.idx.ID(sidx), k), own, pos, s.self, now)
 
-	ri := s.find(k)
+	ri := s.lookup(k)
 	if ri < 0 {
-		return 0, false // no record, so no expectation on key
+		return false // no record, so no expectation on key
 	}
 	r := s.recs.at(ri)
-	var ref uint64
-	met := false
+	var met bool
 	if uint32(sidx) >= settledBits {
-		ref, met = s.outstanding(r, sidx, key)
+		met = s.wide.Delete(s.wideKey(sidx, k))
 	} else {
 		bit := uint32(1) << sidx
-		if met = r.pend&bit != 0; met {
-			ref, _ = s.q.find(sidx, key, r.ref0)
-			r.pend &^= bit
-		}
+		met = r.pend&bit != 0
+		r.pend &^= bit
 		r.cache(bit, now+s.ttl, now)
 	}
 	if met {
 		r.npend--
 	}
-	return ref, met
+	return met
 }
 
 // heard asks the record's cache, then the log, and caches what the log
@@ -276,7 +264,7 @@ func (s *logStore) recordHeard(sidx int32, key packet.Key, now time.Duration) (u
 // first copy, which was heard before the record was made.
 func (s *logStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 	k := anyKey(key)
-	ri := s.find(k)
+	ri := s.lookup(k)
 	bit := uint32(0)
 	if uint32(sidx) < settledBits && ri >= 0 {
 		bit = 1 << sidx
@@ -295,7 +283,7 @@ func (s *logStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 // a known place.
 func (s *logStore) heardAny(key packet.Key, now time.Duration) bool {
 	k := anyKey(key)
-	if ri := s.find(k); ri >= 0 {
+	if ri := s.lookup(k); ri >= 0 {
 		if r := s.recs.at(ri); r.heard != 0 && live(r.oldest, now) {
 			return true
 		}
@@ -320,7 +308,7 @@ func (s *logStore) expect(fidx int32, key packet.Key, now time.Duration) bool {
 		if r.pend&bit != 0 || r.cached(bit, now) {
 			return false
 		}
-	} else if _, ok := s.outstanding(r, fidx, key); ok {
+	} else if _, ok := s.wide.Get(s.wideKey(fidx, k)); ok {
 		return false
 	}
 	if exp, ok := s.logHeard(fidx, k, now); ok {
@@ -329,8 +317,8 @@ func (s *logStore) expect(fidx int32, key packet.Key, now time.Duration) bool {
 		}
 		return false
 	}
-	if r.npend == 0 {
-		r.ref0 = uint32(s.q.next())
+	if bit == 0 {
+		s.wide.Put(s.wideKey(fidx, k), struct{}{})
 	}
 	r.pend |= bit
 	r.npend++
@@ -344,7 +332,7 @@ func (s *logStore) settled(fidx int32, key packet.Key, now time.Duration) bool {
 	if uint32(fidx) >= settledBits {
 		return false
 	}
-	ri := s.find(anyKey(key))
+	ri := s.lookup(anyKey(key))
 	if ri < 0 {
 		return false
 	}
@@ -353,38 +341,25 @@ func (s *logStore) settled(fidx int32, key packet.Key, now time.Duration) bool {
 	return r.pend&bit != 0 || r.cached(bit, now)
 }
 
+func (s *logStore) waiting(fidx int32, key packet.Key) bool {
+	k := anyKey(key)
+	if uint32(fidx) >= settledBits {
+		_, ok := s.wide.Get(s.wideKey(fidx, k))
+		return ok
+	}
+	ri := s.lookup(k)
+	return ri >= 0 && s.recs.at(ri).pend&(1<<fidx) != 0
+}
+
 func (s *logStore) clearExpect(fidx int32, key packet.Key) {
-	r := s.recs.at(s.find(anyKey(key)))
+	k := anyKey(key)
+	r := s.recs.at(s.lookup(k))
 	if uint32(fidx) < settledBits {
 		r.pend &^= 1 << fidx
+	} else {
+		s.wide.Delete(s.wideKey(fidx, k))
 	}
 	r.npend--
-}
-
-// moved keeps ref0 at or before the first outstanding deadline of key:
-// compaction moved the first of a run of them to ref.
-func (s *logStore) moved(key packet.Key, ref uint64) {
-	if ri := s.find(anyKey(key)); ri >= 0 {
-		if r := s.recs.at(ri); uint32(ref)-r.ref0 > uint32(ref)-uint32(s.q.base) {
-			r.ref0 = uint32(ref)
-		}
-	}
-}
-
-func (s *logStore) malc(aidx int32) *malcRecord {
-	if int(aidx) >= len(s.malcs) || !s.malcUsed[aidx] {
-		return nil
-	}
-	return &s.malcs[aidx]
-}
-
-func (s *logStore) ensureMalc(aidx int32) *malcRecord {
-	for int(aidx) >= len(s.malcs) {
-		s.malcs = append(s.malcs, malcRecord{})
-		s.malcUsed = append(s.malcUsed, false)
-	}
-	s.malcUsed[aidx] = true
-	return &s.malcs[aidx]
 }
 
 // sweepCaches frees every record on which no expectation is outstanding,
@@ -414,26 +389,8 @@ func (s *logStore) sweepCaches(time.Duration) int {
 	}
 	s.memoKey = flatmap.Key{}
 	s.keys.ShrinkFor(int(s.peak))
+	s.wide.Shrink()
 	s.recs.trim(keep(s.nrecs))
 	s.peak = s.nrecs
-	return n
-}
-
-// sweepMalc resets records whose newest observation fell strictly out of
-// the window without firing. Reset-in-place keeps the slices' capacity for
-// the slot's next incarnation; slot order makes the pass deterministic.
-func (s *logStore) sweepMalc(now, window time.Duration) int {
-	n := 0
-	for i := range s.malcs {
-		rec := &s.malcs[i]
-		if !s.malcUsed[i] || rec.fired || rec.latest+window >= now {
-			continue
-		}
-		rec.times = rec.times[:0]
-		rec.incs = rec.incs[:0]
-		rec.latest = 0
-		s.malcUsed[i] = false
-		n++
-	}
 	return n
 }

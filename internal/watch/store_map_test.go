@@ -24,11 +24,9 @@ type mapKey struct {
 // safe exactly because sweeps are delete-only housekeeping.
 type mapStore struct {
 	ttl        time.Duration
-	q          *deadlineQueue               // the buffer's, for the refs of met expectations
 	pending    map[mapKey]bool              // outstanding expectations
 	heardAt    map[mapKey]time.Duration     // expiry instants per (sender, key)
 	heardAnyAt map[packet.Key]time.Duration // expiry instants per key, any sender
-	malcs      map[int32]*malcRecord
 }
 
 // newMapBuffer is New over the map oracle.
@@ -38,24 +36,20 @@ func newMapBuffer(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshol
 
 func newMapStore(b *Buffer) *mapStore {
 	return &mapStore{
-		ttl:        b.cfg.CacheTTL,
-		q:          &b.deadlines,
+		ttl:        b.cfg.cacheTTL(),
 		pending:    make(map[mapKey]bool),
 		heardAt:    make(map[mapKey]time.Duration),
 		heardAnyAt: make(map[packet.Key]time.Duration),
-		malcs:      make(map[int32]*malcRecord),
 	}
 }
 
-func (s *mapStore) recordHeard(sidx int32, key packet.Key, now time.Duration) (uint64, bool) {
+func (s *mapStore) recordHeard(sidx int32, key packet.Key, now time.Duration) bool {
 	hk := mapKey{sidx, key}
 	s.heardAt[hk] = now + s.ttl
 	s.heardAnyAt[key] = now + s.ttl
-	if !s.pending[hk] {
-		return 0, false
-	}
+	met := s.pending[hk]
 	delete(s.pending, hk)
-	return s.q.find(sidx, key, 0)
+	return met
 }
 
 // noop reports whether expect(fidx, key, now) would arm nothing.
@@ -75,11 +69,11 @@ func (s *mapStore) expect(fidx int32, key packet.Key, now time.Duration) bool {
 // slow way, against which logStore's fast path is checked.
 func (s *mapStore) settled(int32, packet.Key, time.Duration) bool { return false }
 
+func (s *mapStore) waiting(fidx int32, key packet.Key) bool { return s.pending[mapKey{fidx, key}] }
+
 func (s *mapStore) clearExpect(fidx int32, key packet.Key) {
 	delete(s.pending, mapKey{fidx, key})
 }
-
-func (s *mapStore) moved(packet.Key, uint64) {}
 
 func (s *mapStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 	exp, ok := s.heardAt[mapKey{sidx, key}]
@@ -89,19 +83,6 @@ func (s *mapStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 func (s *mapStore) heardAny(key packet.Key, now time.Duration) bool {
 	exp, ok := s.heardAnyAt[key]
 	return ok && live(exp, now)
-}
-
-func (s *mapStore) malc(aidx int32) *malcRecord {
-	return s.malcs[aidx] // nil when absent
-}
-
-func (s *mapStore) ensureMalc(aidx int32) *malcRecord {
-	rec, ok := s.malcs[aidx]
-	if !ok {
-		rec = &malcRecord{}
-		s.malcs[aidx] = rec
-	}
-	return rec
 }
 
 func (s *mapStore) sweepCaches(now time.Duration) int {
@@ -121,21 +102,11 @@ func (s *mapStore) sweepCaches(now time.Duration) int {
 	return n
 }
 
-func (s *mapStore) sweepMalc(now, window time.Duration) int {
-	n := 0
-	for idx, rec := range s.malcs {
-		if rec.latest+window < now && !rec.fired {
-			delete(s.malcs, idx)
-			n++
-		}
-	}
-	return n
-}
-
 // auditStore runs a buffer on its production store while a map oracle,
 // fed the same calls, checks every answer: heard, heard-any, expect and
-// whether a forward met an expectation must match, and settled may answer
-// true only where the oracle says expect would arm nothing. The buffer
+// whether a forward met an expectation and whether one is waiting must
+// match, and settled may answer true only where the oracle says expect
+// would arm nothing. The buffer
 // sees the production store's answers. Each mismatch goes to report, and
 // calls counts the answers checked, by kind.
 type auditStore struct {
@@ -151,14 +122,13 @@ func (a *auditStore) mismatch(what string, sidx int32, key packet.Key, got, want
 		a.b.cfg.Self, a.b.kernel.Now(), what, a.b.idx.ID(sidx), key, got, want))
 }
 
-func (a *auditStore) recordHeard(sidx int32, key packet.Key, now time.Duration) (uint64, bool) {
-	ref, got := a.prod.recordHeard(sidx, key, now)
-	wantRef, want := a.oracle.recordHeard(sidx, key, now)
+func (a *auditStore) recordHeard(sidx int32, key packet.Key, now time.Duration) bool {
+	got, want := a.prod.recordHeard(sidx, key, now), a.oracle.recordHeard(sidx, key, now)
 	a.calls.Record++
-	if got != want || ref != wantRef {
+	if got != want {
 		a.mismatch("recordHeard", sidx, key, got, want)
 	}
-	return ref, got
+	return got
 }
 
 func (a *auditStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
@@ -200,20 +170,21 @@ func (a *auditStore) settled(fidx int32, key packet.Key, now time.Duration) bool
 	return got
 }
 
+func (a *auditStore) waiting(fidx int32, key packet.Key) bool {
+	got, want := a.prod.waiting(fidx, key), a.oracle.waiting(fidx, key)
+	a.calls.Waiting++
+	if got != want {
+		a.mismatch("waiting", fidx, key, got, want)
+	}
+	return got
+}
+
 func (a *auditStore) clearExpect(fidx int32, key packet.Key) {
 	a.prod.clearExpect(fidx, key)
 	a.oracle.clearExpect(fidx, key)
 }
 
-func (a *auditStore) moved(key packet.Key, ref uint64)  { a.prod.moved(key, ref) }
-func (a *auditStore) malc(aidx int32) *malcRecord       { return a.prod.malc(aidx) }
-func (a *auditStore) ensureMalc(aidx int32) *malcRecord { return a.prod.ensureMalc(aidx) }
-
 func (a *auditStore) sweepCaches(now time.Duration) int {
 	a.oracle.sweepCaches(now)
 	return a.prod.sweepCaches(now)
-}
-
-func (a *auditStore) sweepMalc(now, window time.Duration) int {
-	return a.prod.sweepMalc(now, window)
 }

@@ -51,25 +51,19 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	var log []string
 	gen := 0
 
+	// Heard facts live ttl, ten tau: 200 ms.
 	cfg := Config{
-		Timeout:              50 * time.Millisecond,
-		CacheTTL:             200 * time.Millisecond,
+		Timeout:              20 * time.Millisecond,
 		Window:               2 * time.Second,
 		Threshold:            5,
 		FabricationIncrement: 3,
 		DropIncrement:        1,
 	}
-	// Half the seeds sweep on a wheel finer than CacheTTL, so the senders
-	// of one packet, recorded a few ticks apart, expire at different
-	// sweeps; the rest keep the default one-second wheel.
+	ttl := cfg.cacheTTL()
+	// Half the seeds sweep on a wheel finer than ttl, so the senders of
+	// one packet, recorded a few ticks apart, expire at different sweeps;
+	// the rest keep the default one-second wheel.
 	fineWheel := rng.Intn(2) == 0
-	// A third of the seeds wait longer for a forward than a heard record
-	// lives, and longer than a one-second wheel tick after that, so a
-	// sweep always runs between a record's expiry and the deadlines armed
-	// with it.
-	if rng.Intn(3) == 0 {
-		cfg.Timeout = cfg.CacheTTL + 1300*time.Millisecond
-	}
 	// The guard is node 99 on a log it shares with peer 98; node 99 among
 	// the senders is the guard's own send.
 	const self, peerID = field.NodeID(99), field.NodeID(98)
@@ -182,9 +176,8 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			// Burst: drive the tables across a capacity boundary, then on a
 			// later idle stretch the sweep takes them back down (shrink).
 			// Then the forwards of all but every fifth armed expectation are
-			// heard, latest first, and never the first one's: cancelled
-			// entries come to outnumber live ones behind a live head, and
-			// the deadline queue compacts.
+			// heard, latest first, and never the first one's: met entries
+			// come to outnumber waiting ones behind a waiting head.
 			base := uint64(1000 * (op + 1))
 			type armed struct {
 				f field.NodeID
@@ -266,9 +259,9 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			k := somekey()
 			a, c := node(), node()
 			b.RecordHeard(a, k)
-			kernel.RunFor(cfg.CacheTTL / 2)
+			kernel.RunFor(ttl / 2)
 			b.RecordHeard(c, k)
-			kernel.RunFor(cfg.CacheTTL/2 + time.Duration(rng.Intn(60))*time.Millisecond)
+			kernel.RunFor(ttl/2 + time.Duration(rng.Intn(60))*time.Millisecond)
 			query("part", a, k)
 			query("part", c, k)
 			log = append(log, fmt.Sprintf("pexp %v %v", b.Expect(a, k), b.Expect(c, k)))
@@ -292,9 +285,8 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 		case 17:
 			// A sweep and a reboot while expectations are live: deadlines
 			// armed on heard and never-heard packets, an idle stretch
-			// shorter than tau or past CacheTTL (on long-tau seeds the
-			// sweep then runs with the deadlines pending), and a reboot
-			// with the deadlines still armed on the old incarnation.
+			// shorter than tau or past ttl, and a reboot with the
+			// deadlines still armed on the old incarnation.
 			for i := 0; i < 1+rng.Intn(4); i++ {
 				k := packet.Key{Type: packet.TypeRouteReply, Origin: node(), Seq: uint64(4_000_000 + 8*op + i)}
 				if rng.Intn(2) == 0 {
@@ -304,7 +296,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			}
 			idle := time.Duration(rng.Intn(int(cfg.Timeout/time.Millisecond))) * time.Millisecond
 			if rng.Intn(2) == 0 {
-				idle = cfg.CacheTTL + time.Duration(rng.Intn(1100))*time.Millisecond
+				idle = ttl + time.Duration(rng.Intn(1100))*time.Millisecond
 			}
 			kernel.RunFor(idle)
 			query("swept", node(), somekey())
@@ -316,7 +308,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			}
 		case 18:
 			// A stale bit: a sender heard once on a packet that copies
-			// from others keep alive past the sender's own CacheTTL, asked
+			// from others keep alive past the sender's own ttl, asked
 			// for at every copy. Once its record dies it must be expected
 			// again. Then a forwarder nobody hears is expected, its
 			// deadline drops while copies keep the packet alive, and it is
@@ -326,14 +318,14 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			b.RecordHeard(first, k)
 			keepAlive := func(span time.Duration, tag string, f field.NodeID) {
 				for t := time.Duration(0); t <= span; {
-					d := cfg.CacheTTL/4 + time.Duration(rng.Intn(20))*time.Millisecond
+					d := ttl/4 + time.Duration(rng.Intn(20))*time.Millisecond
 					kernel.RunFor(d)
 					t += d
 					b.RecordHeard(other(f), k)
 					log = append(log, fmt.Sprintf("%s %v", tag, b.Expect(f, k)))
 				}
 			}
-			keepAlive(cfg.CacheTTL, "stale", first)
+			keepAlive(ttl, "stale", first)
 			f := other(first)
 			log = append(log, fmt.Sprintf("dexp %v", b.Expect(f, k)))
 			keepAlive(cfg.Timeout, "redo", f)
@@ -360,25 +352,23 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	return log
 }
 
-// checkQueue checks b's deadline queue: its cancelled count is the number
-// of cancelled entries in it, it holds exactly b's outstanding
-// expectations as live entries, and compaction keeps it within
-// 2*live+queueSeedCap entries.
+// checkQueue checks b's deadline queue against its store: the head is
+// waiting, and the entries the store holds as waiting are exactly b's
+// outstanding expectations.
 func checkQueue(tb testing.TB, b *Buffer) {
 	tb.Helper()
 	q := &b.deadlines
-	cancelled := 0
+	if !q.empty() && !b.store.waiting(q.first().fidx, q.first().key) {
+		tb.Fatalf("queue head %+v is not waiting", *q.first())
+	}
+	waiting := 0
 	for _, d := range q.items[q.head:] {
-		if d.fidx < 0 {
-			cancelled++
+		if b.store.waiting(d.fidx, d.key) {
+			waiting++
 		}
 	}
-	n, live := len(q.items)-q.head, b.Len()
-	if cancelled != q.cancelled || n-cancelled != live {
-		tb.Fatalf("queue of %d entries holds %d cancelled (counted %d), want %d live", n, cancelled, q.cancelled, live)
-	}
-	if n > 2*live+queueSeedCap {
-		tb.Fatalf("queue holds %d entries for %d live ones, over 2*live+%d", n, live, queueSeedCap)
+	if n := len(q.items) - q.head; waiting != b.Len() {
+		tb.Fatalf("queue of %d entries holds %d waiting, want %d", n, waiting, b.Len())
 	}
 }
 
@@ -414,7 +404,7 @@ func FuzzWatchStoreEquivalence(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
 	}
-	f.Add(int64(-130)) // reboots before the guard has heard anything
+	f.Add(int64(-19)) // reboots before the guard has heard anything
 	f.Fuzz(func(t *testing.T, seed int64) {
 		diffCompare(t, seed)
 	})
@@ -445,7 +435,7 @@ func checkLog(t *testing.T, l *Log) {
 		if id < l.head || id >= l.next {
 			t.Fatalf("index names entry %d outside [%d, %d)", id, l.head, l.next)
 		}
-		if got := l.find(l.at(id).key); got != id {
+		if got := l.newest(l.at(id).key); got != id {
 			t.Fatalf("index slot for entry %d finds %d", id, got)
 		}
 	}
@@ -457,7 +447,7 @@ func checkLog(t *testing.T, l *Log) {
 		if e.batch == 0 && e.ownBatch == 0 {
 			continue
 		}
-		c := l.find(e.key)
+		c := l.newest(e.key)
 		for c > id && l.at(c).prev != 0 {
 			c -= uint64(l.at(c).prev)
 		}
@@ -559,15 +549,18 @@ func TestLogAccounting(t *testing.T) {
 // and a sender heard before the record existed leave the answer to
 // expect, which finds the last one on the log and caches it; a cached
 // fact stops answering once it has expired, and a dropped forwarder is
-// unsettled until it is expected again.
+// unsettled until it is expected again. Facts live ten tau, so the record
+// is made late in the life of the first sender's fact.
 func TestSettledFastPath(t *testing.T) {
 	k := sim.New(1)
-	b, _, _ := newBuffer(k, Config{Timeout: 2 * time.Second, CacheTTL: time.Second})
+	const tau = 100 * time.Millisecond
+	b, _, _ := newBuffer(k, Config{Timeout: tau})
 	for id := field.NodeID(0); id <= settledBits; id++ {
 		b.Intern(id)
 	}
 	kk := key(1, 1)
-	b.RecordHeardIdx(1, kk) // before the record exists
+	b.RecordHeardIdx(1, kk) // before the record exists; live until 10 tau
+	k.RunFor(10*tau - tau/2)
 	if b.Settled(1, kk) || b.Settled(2, kk) {
 		t.Fatal("settled without a record")
 	}
@@ -580,7 +573,7 @@ func TestSettledFastPath(t *testing.T) {
 	if !b.ExpectIdx(settledBits, kk) || b.Settled(settledBits, kk) || b.ExpectIdx(settledBits, kk) {
 		t.Fatal("a forwarder past the masks must be answered by the slow path")
 	}
-	k.RunFor(time.Second / 2)
+	k.RunFor(tau / 4)
 	b.RecordHeardIdx(3, kk) // while the record exists
 	if !b.Settled(3, kk) || b.Settled(4, kk) {
 		t.Fatal("heard sender 3 unsettled or unseen 4 settled")
@@ -588,7 +581,7 @@ func TestSettledFastPath(t *testing.T) {
 
 	// Sender 1's fact expires first; the cache stops answering for every
 	// sender, and the slow path re-arms 1 but not 3.
-	k.RunFor(time.Second / 2)
+	k.RunFor(tau / 4)
 	if b.Settled(1, kk) || b.Settled(3, kk) {
 		t.Fatal("the cache answered past its oldest fact's expiry")
 	}
@@ -597,7 +590,7 @@ func TestSettledFastPath(t *testing.T) {
 	}
 
 	// Forwarder 2's expectation drops; it can be armed again.
-	k.RunFor(time.Second)
+	k.RunFor(tau / 2)
 	if b.Settled(2, kk) || !b.ExpectIdx(2, kk) {
 		t.Fatal("forwarder 2 not re-armed after its drop")
 	}

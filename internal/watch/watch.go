@@ -14,12 +14,13 @@
 // which stores each transmission once, with the set of guards that
 // recorded it; a guard's queries answer only from what it recorded in its
 // current incarnation. Each guard keeps, behind the storeBackend seam,
-// only its own state: a small record per packet it expects forwards of,
-// which lives about as long as those expectations, and its MalC records
-// (logStore, store_log.go). The tests check it against a Go-map oracle
-// that keeps every heard fact per guard. The buffer itself keeps its
-// expectations' deadlines, in the order they were armed, and one kernel
-// timer for the oldest live one (see deadlineQueue).
+// only a small record per packet it expects forwards of, which lives
+// about as long as those expectations (logStore, store_log.go); the store
+// alone knows which expectations are outstanding. The tests check it
+// against a Go-map oracle that keeps every heard fact per guard. The
+// buffer itself keeps its expectations' deadlines in a FIFO in the order
+// they were armed, one kernel timer for the oldest one still waiting (see
+// deadlineQueue), and its MalC records.
 package watch
 
 import (
@@ -92,10 +93,6 @@ type Config struct {
 	// MalC (the paper's analysis assumes fabrications "occur within a
 	// certain time window, T").
 	Window time.Duration
-	// CacheTTL bounds how long heard-transmission records are kept. It
-	// defaults to 10*Timeout; it only needs to outlive the propagation of
-	// one flood.
-	CacheTTL time.Duration
 	// DropFilter, when non-nil, is consulted as a watch entry expires. A
 	// true return suppresses the drop accusation (the entry is still
 	// removed and counted under FilteredDrops). The engine uses it to
@@ -107,7 +104,7 @@ type Config struct {
 	// instead of per-record kernel timers. Nil means the buffer builds a
 	// private wheel over its own clock. The watch deadline tau is semantic
 	// — a drop accusation must fire at exactly Timeout — and keeps an
-	// exact timer: the buffer's one clock timer, armed for its oldest live
+	// exact timer: the buffer's one clock timer, armed for its oldest waiting
 	// deadline at the sequence number reserved when that was armed.
 	Wheel *sim.Wheel
 	// Index, when non-nil, is the node incarnation's shared dense
@@ -159,11 +156,13 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 200 * time.Second
 	}
-	if c.CacheTTL <= 0 {
-		c.CacheTTL = 10 * c.Timeout
-	}
 	return c
 }
+
+// cacheTTL is how long a heard fact lives: ten times tau. It only needs to
+// outlive the propagation of one flood; that it outlives a deadline is
+// what lets the deadline queue keep met entries (see deadlineQueue).
+func (c Config) cacheTTL() time.Duration { return 10 * c.Timeout }
 
 // Stats counts buffer activity.
 type Stats struct {
@@ -178,8 +177,7 @@ type Stats struct {
 
 // deadline is one watch entry: forwarder fidx must forward the packet
 // key before (at, seq), the kernel instant and the sequence number
-// reserved when the entry was armed. fidx is -1 once a heard forward has
-// cancelled it.
+// reserved when the entry was armed.
 type deadline struct {
 	at   time.Duration
 	seq  uint64
@@ -187,125 +185,51 @@ type deadline struct {
 	fidx int32
 }
 
-// deadlineQueue holds a buffer's watch entries, live and cancelled, in the
-// order they were armed, which is also (at, seq) order. An entry's ref is
-// its position counted from the head's ref, base, so it stays valid while
-// the queue pops or reallocates; compact, which closes the gaps cancelled
-// entries leave, gives the live entries behind a gap new refs and writes
-// them through the store. The head entry is live whenever the queue is
-// non-empty: whoever cancels or pops the head drops the cancelled entries
-// behind it. The buffer's one clock timer is armed for the head, so the
-// oldest live entry is always the one whose deadline fires next.
+// deadlineQueue is a FIFO of a buffer's watch entries in the order they
+// were armed, which is also (at, seq) order. Nothing searches or marks it:
+// the store alone knows which expectations are still waiting
+// (storeBackend.waiting). An entry whose forward was heard stays queued
+// until it reaches the head, and whoever pops the head drops the met
+// entries behind it, so the head is waiting whenever the queue is
+// non-empty. The buffer's one clock timer is armed for the head, so the
+// oldest waiting entry is always the one whose deadline fires next.
+//
+// A met entry is never taken for a waiting one: that would need its
+// (fidx, key) expected again while it is queued. It has left the queue by
+// its own deadline, a Timeout after it was armed, since every entry ahead
+// of it is popped by its own deadline or earlier; and the forward that met
+// it is a heard fact, which refuses a new expectation on the same
+// (fidx, key) for cacheTTL, ten Timeouts.
 type deadlineQueue struct {
-	items     []deadline
-	head      int    // items[head] is the oldest entry
-	base      uint64 // ref of items[head]
-	cancelled int    // entries with fidx -1
+	items []deadline
+	head  int // items[head] is the oldest entry
 }
 
 // queueSeedCap and queueShrinkFactor set the queue's capacity policy: once
 // the backing array exceeds queueShrinkFactor*(entries+queueSeedCap)
 // slots, the entries move to a fresh array of entries+queueSeedCap slots,
 // so a burst's capacity goes back to the collector instead of staying at
-// every guard; an idle guard keeps at most 128 slots (5 KB). A queue no
-// longer than queueSeedCap also keeps its cancelled entries until they
-// reach the head (see compact). Of the seeds measured on flood-n400 (4 to
-// 64), 4 allocated 49% more bytes per event than 32, through trimming and
-// regrowth, and 64 retained 6% more watch bytes than 32.
+// every guard; an idle guard keeps at most 128 slots (5 KB). Of the seeds
+// measured on flood-n400 (4 to 64), 4 allocated 49% more bytes per event
+// than 32, through trimming and regrowth, and 64 retained 6% more watch
+// bytes than 32.
 const (
 	queueSeedCap      = 32
 	queueShrinkFactor = 4
 )
 
-// next returns the ref the next armed entry gets.
-func (q *deadlineQueue) next() uint64 { return q.base + uint64(len(q.items)-q.head) }
-
-// empty reports whether the queue holds no entry, so no live one.
+// empty reports whether the queue holds no entry.
 func (q *deadlineQueue) empty() bool { return q.head == len(q.items) }
 
-func (q *deadlineQueue) at(ref uint64) *deadline { return &q.items[q.head+int(ref-q.base)] }
+// first returns the head entry; the queue must not be empty.
+func (q *deadlineQueue) first() *deadline { return &q.items[q.head] }
 
-// dropCancelled pops the cancelled entries at the head.
-func (q *deadlineQueue) dropCancelled() {
-	for q.head < len(q.items) && q.items[q.head].fidx < 0 {
-		q.pop()
-	}
-}
-
-// find returns the ref of the live entry on (fidx, key), searching from
-// the entry whose ref has low bits from: where the packet's first
-// outstanding expectation was armed (compaction keeps the store's copy of
-// that ref current). A packet's expectations are armed together, so the
-// entry is usually a few steps on; the scan wraps around to the head, so
-// find answers wherever the entry is.
-func (q *deadlineQueue) find(fidx int32, key packet.Key, from uint32) (uint64, bool) {
-	items := q.items[q.head:]
-	lo := int(from - uint32(q.base))
-	if lo >= len(items) || lo < 0 {
-		lo = 0
-	}
-	for i := lo; i < len(items); i++ {
-		if d := &items[i]; d.fidx == fidx && d.key == key {
-			return q.base + uint64(i), true
-		}
-	}
-	for i := 0; i < lo; i++ {
-		if d := &items[i]; d.fidx == fidx && d.key == key {
-			return q.base + uint64(i), true
-		}
-	}
-	return 0, false
-}
-
-// cancel marks entry ref met by its forward.
-func (q *deadlineQueue) cancel(ref uint64) {
-	q.at(ref).fidx = -1
-	q.cancelled++
-}
-
-// compact drops every cancelled entry once they outnumber the live ones
-// in a queue longer than queueSeedCap. The buffer calls it after each
-// cancel, so the queue never holds more than 2*live+queueSeedCap entries
-// (a pop removes a live entry and at least one slot, which keeps that
-// bound); otherwise one live entry would keep every entry armed after it
-// queued, cancelled or not. The live entries keep their order and their
-// reserved (at, seq), so the head, whose ref stays base, is still the one
-// the buffer's timer is armed for; each entry that moves takes the ref of
-// its new position, and s.moved learns the new ref of each entry that
-// moved and starts a run of one packet's entries.
-func (q *deadlineQueue) compact(s storeBackend) {
-	n := len(q.items) - q.head
-	live := n - q.cancelled
-	if n <= queueSeedCap || q.cancelled <= live {
-		return
-	}
-	items := q.items[:0]
-	if cap(q.items) > queueShrinkFactor*(live+queueSeedCap) {
-		items = make([]deadline, 0, live+queueSeedCap)
-	}
-	for i, d := range q.items[q.head:] {
-		if d.fidx < 0 {
-			continue
-		}
-		if j := len(items); j != i && (j == 0 || items[j-1].key != d.key) {
-			s.moved(d.key, q.base+uint64(j))
-		}
-		items = append(items, d)
-	}
-	clear(q.items[len(items):])
-	q.items, q.head, q.cancelled = items, 0, 0
-}
-
-// pop removes the oldest entry. Then it trims the backing array (see
+// pop removes the head entry. Then it trims the backing array (see
 // queueSeedCap) or, once the popped prefix is at least as long as the
 // rest, moves the rest to the front.
 func (q *deadlineQueue) pop() {
-	if q.items[q.head].fidx < 0 {
-		q.cancelled--
-	}
 	q.items[q.head] = deadline{}
 	q.head++
-	q.base++
 	switch n := len(q.items) - q.head; {
 	case cap(q.items) > queueShrinkFactor*(n+queueSeedCap):
 		items := make([]deadline, n, n+queueSeedCap)
@@ -318,11 +242,13 @@ func (q *deadlineQueue) pop() {
 	}
 }
 
+// malcRecord is the MalC record of one accused node.
 type malcRecord struct {
+	aidx   int32           // the accused node's nbrIdx
+	fired  bool            // the threshold latch
+	latest time.Duration   // time of the newest increment
 	times  []time.Duration // timestamps of increments
 	incs   []int           // increment values, parallel to times
-	latest time.Duration   // time of the newest increment
-	fired  bool
 }
 
 // Buffer is one guard's monitoring state.
@@ -331,14 +257,18 @@ type Buffer struct {
 	cfg    Config
 	idx    *neighbor.Index
 	store  storeBackend
-	// timer is armed for the oldest live deadline whenever there is one;
+	// timer is armed for the oldest waiting deadline whenever there is one;
 	// it dispatches to onDeadline, the buffer's prebound expire.
 	timer      sim.Timer
 	onDeadline sim.Event
 	deadlines  deadlineQueue
 
+	// malcs holds the MalC records in first-accused order: a guard accuses
+	// few nodes, so a scan finds a record.
+	malcs []malcRecord
+
 	// cacheSlot arms the expiry wheel for the sweep of the store's
-	// records, at the CacheTTL expiry of each transmission the guard
+	// records, at the cacheTTL expiry of each transmission the guard
 	// records; malcSlot arms it for Window pruning.
 	cacheSlot sim.WheelSlot
 	malcSlot  sim.WheelSlot
@@ -394,9 +324,28 @@ func newWithStore(k sim.Clock, cfg Config, store func(*Buffer) storeBackend, onA
 // indistinguishable from having no record at all. Fired records persist:
 // ThresholdFired is a latch. Strictly past-window only: windowedValue still
 // counts an observation at exactly now-Window, so deleting at the boundary
-// would be observable.
+// would be observable. The survivors keep their order.
 func (b *Buffer) sweepMalc(now time.Duration) int {
-	return b.store.sweepMalc(now, b.cfg.Window)
+	keep := b.malcs[:0]
+	for _, rec := range b.malcs {
+		if rec.fired || rec.latest+b.cfg.Window >= now {
+			keep = append(keep, rec)
+		}
+	}
+	n := len(b.malcs) - len(keep)
+	clear(b.malcs[len(keep):])
+	b.malcs = keep
+	return n
+}
+
+// malc returns aidx's MalC record, or nil.
+func (b *Buffer) malc(aidx int32) *malcRecord {
+	for i := range b.malcs {
+		if b.malcs[i].aidx == aidx {
+			return &b.malcs[i]
+		}
+	}
+	return nil
 }
 
 // Config returns the effective configuration.
@@ -430,7 +379,7 @@ const EntryBytes = 20
 func (b *Buffer) MemoryBytes() int { return b.Len() * EntryBytes }
 
 // RecordHeard notes that this guard overheard sender transmitting the
-// packet identified by key. The fact lives CacheTTL, on the reception log.
+// packet identified by key. The fact lives cacheTTL, on the reception log.
 //
 // A transmission of the packet by sender is also the forward that a
 // pending expectation on (sender, key) waits for: RecordHeard clears it
@@ -443,19 +392,18 @@ func (b *Buffer) RecordHeard(sender field.NodeID, key packet.Key) bool {
 // RecordHeardIdx is RecordHeard for a pre-interned sender.
 func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 	now := b.kernel.Now()
-	ref, met := b.store.recordHeard(sidx, key, now)
-	b.cacheSlot.Arm(now + b.cfg.CacheTTL)
+	met := b.store.recordHeard(sidx, key, now)
+	b.cacheSlot.Arm(now + b.cfg.cacheTTL())
 	if !met {
 		return false
 	}
-	b.deadlines.cancel(ref)
 	b.stats.Matches++
-	if ref == b.deadlines.base {
+	// The head is waiting, and the store held one expectation on (sidx,
+	// key): if the head is on (sidx, key), it is the entry just met.
+	if d := b.deadlines.first(); d.fidx == sidx && d.key == key {
 		b.timer.Cancel()
-		b.deadlines.dropCancelled()
-		b.armHead()
+		b.popHead()
 	}
-	b.deadlines.compact(b.store)
 	return true
 }
 
@@ -522,28 +470,37 @@ func (b *Buffer) Settled(fidx int32, key packet.Key) bool {
 	return b.store.settled(fidx, key, b.kernel.Now())
 }
 
-// armHead arms the buffer's timer for the queue's head, the oldest live
+// popHead pops the queue's head, then every met entry behind it, and
+// re-arms the timer for the new head, the oldest entry still waiting.
+func (b *Buffer) popHead() {
+	q := &b.deadlines
+	q.pop()
+	for !q.empty() && !b.store.waiting(q.first().fidx, q.first().key) {
+		q.pop()
+	}
+	b.armHead()
+}
+
+// armHead arms the buffer's timer for the queue's head, the oldest waiting
 // deadline, if there is one. The timer fires at the entry's reserved
 // (at, seq), so it pops exactly where a timer armed with the entry would
 // have: after every event scheduled for that instant before the entry was
 // armed, before every one scheduled after.
 func (b *Buffer) armHead() {
 	if !b.deadlines.empty() {
-		d := &b.deadlines.items[b.deadlines.head]
+		d := b.deadlines.first()
 		b.timer = b.kernel.AtSeq(d.at, d.seq, b.onDeadline)
 	}
 }
 
 // expire is a watch deadline firing: the monitored node failed to forward
 // within tau. The firing entry is the queue's head. The timer is re-armed
-// for the next live entry before the accusation, whose callbacks may arm
-// new entries.
+// for the next waiting entry before the accusation, whose callbacks may
+// arm new entries.
 func (b *Buffer) expire() {
-	d := b.deadlines.items[b.deadlines.head]
-	b.deadlines.pop()
-	b.deadlines.dropCancelled()
-	b.armHead()
+	d := *b.deadlines.first()
 	b.store.clearExpect(d.fidx, d.key)
+	b.popHead()
 	forwarder := b.idx.ID(d.fidx)
 	if b.cfg.DropFilter != nil && b.cfg.DropFilter(forwarder, d.key) {
 		b.stats.FilteredDrops++
@@ -560,13 +517,16 @@ func (b *Buffer) AccuseFabrication(accused field.NodeID, key packet.Key) {
 }
 
 // accuse applies one observation to the accused's MalC record. The record
-// pointer returned by ensureMalc may point into dense backing storage, so
-// all record mutation — including the threshold latch — happens before the
-// callbacks run: a callback can re-enter the buffer (the engine's response
-// transmits, which records the host's own send) and grow the storage
-// underneath a held pointer.
+// pointer points into b.malcs, so all record mutation — including the
+// threshold latch — happens before the callbacks run: a callback can
+// re-enter the buffer and accuse, which may grow the slice underneath a
+// held pointer.
 func (b *Buffer) accuse(aidx int32, accused field.NodeID, reason Reason, key packet.Key, inc int) {
-	rec := b.store.ensureMalc(aidx)
+	rec := b.malc(aidx)
+	if rec == nil {
+		b.malcs = append(b.malcs, malcRecord{aidx: aidx})
+		rec = &b.malcs[len(b.malcs)-1]
+	}
 	now := b.kernel.Now()
 	rec.times = append(rec.times, now)
 	rec.incs = append(rec.incs, inc)
@@ -593,7 +553,7 @@ func (b *Buffer) accuse(aidx int32, accused field.NodeID, reason Reason, key pac
 
 func (b *Buffer) windowedValue(rec *malcRecord, now time.Duration) int {
 	cutoff := now - b.cfg.Window
-	// Compact expired observations in place.
+	// Drop expired observations in place.
 	keep := 0
 	total := 0
 	for i, t := range rec.times {
@@ -630,7 +590,7 @@ func (b *Buffer) MalC(id field.NodeID) int {
 	if !ok {
 		return 0
 	}
-	rec := b.store.malc(aidx)
+	rec := b.malc(aidx)
 	if rec == nil {
 		return 0
 	}
@@ -643,6 +603,6 @@ func (b *Buffer) ThresholdFired(id field.NodeID) bool {
 	if !ok {
 		return false
 	}
-	rec := b.store.malc(aidx)
+	rec := b.malc(aidx)
 	return rec != nil && rec.fired
 }

@@ -138,13 +138,13 @@ func TestForwardedSuppressesReExpect(t *testing.T) {
 
 func TestForwardedSuppressionExpires(t *testing.T) {
 	k := sim.New(1)
-	cfg := Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second}
+	cfg := Config{Timeout: 100 * time.Millisecond}
 	b, _, _ := newBuffer(k, cfg)
 	b.Expect(5, key(1, 1))
 	b.RecordHeard(5, key(1, 1))
 	k.RunFor(2 * time.Second)
 	if !b.Expect(5, key(1, 1)) {
-		t.Fatal("suppression did not expire after CacheTTL")
+		t.Fatal("suppression did not expire after ten tau")
 	}
 }
 
@@ -210,7 +210,7 @@ func TestMalCWindowExpires(t *testing.T) {
 
 func TestHeardCache(t *testing.T) {
 	k := sim.New(1)
-	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second})
+	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond})
 	if b.Heard(3, key(1, 1)) {
 		t.Fatal("Heard true before RecordHeard")
 	}
@@ -226,7 +226,7 @@ func TestHeardCache(t *testing.T) {
 
 func TestHeardCacheRefresh(t *testing.T) {
 	k := sim.New(1)
-	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second})
+	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond})
 	b.RecordHeard(3, key(1, 1))
 	k.RunFor(800 * time.Millisecond)
 	b.RecordHeard(3, key(1, 1)) // refresh
@@ -361,7 +361,7 @@ func TestDefaultsApplied(t *testing.T) {
 	k := sim.New(1)
 	b := New(k, Config{}, nil, nil)
 	cfg := b.Config()
-	if cfg.Timeout <= 0 || cfg.Threshold <= 0 || cfg.Window <= 0 || cfg.CacheTTL <= 0 {
+	if cfg.Timeout <= 0 || cfg.Threshold <= 0 || cfg.Window <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	// Nil callbacks must not panic.
