@@ -46,14 +46,9 @@ type Result struct {
 	AllocsPerOp uint64 `json:"allocs_per_op"`
 	BytesPerOp  uint64 `json:"bytes_per_op"`
 
-	// EventsPerRun is the total kernel event count of the final run, split
-	// into protocol events (packet deliveries, semantic deadlines) and
-	// housekeeping events (expiry-wheel sweeps). The split shows how much
-	// of the kernel's work is cache maintenance rather than simulation.
-	EventsPerRun             uint64  `json:"events_per_run"`
-	ProtocolEventsPerRun     uint64  `json:"protocol_events_per_run"`
-	HousekeepingEventsPerRun uint64  `json:"housekeeping_events_per_run"`
-	EventsPerSec             float64 `json:"events_per_sec"`
+	// EventsPerRun is the total kernel event count of the final run.
+	EventsPerRun uint64  `json:"events_per_run"`
+	EventsPerSec float64 `json:"events_per_sec"`
 }
 
 // SweepRecord is one N point of the N-scaling sweep.
@@ -312,11 +307,10 @@ func measurePoint(n int, seed int64, memprofile string) (*SweepRecord, error) {
 // the kernel is seed-determined and unaffected.
 func measure(runs, nodes int, duration time.Duration, seed int64) (*Result, error) {
 	var (
-		totalNs      int64
-		totalAllocs  uint64
-		totalBytes   uint64
-		events       uint64
-		housekeeping uint64
+		totalNs     int64
+		totalAllocs uint64
+		totalBytes  uint64
+		events      uint64
 	)
 	for i := 0; i < runs; i++ {
 		p := liteworp.DefaultParams()
@@ -339,20 +333,17 @@ func measure(runs, nodes int, duration time.Duration, seed int64) (*Result, erro
 		totalAllocs += after.Mallocs - before.Mallocs
 		totalBytes += after.TotalAlloc - before.TotalAlloc
 		events = s.Kernel().Processed()
-		housekeeping = s.Kernel().ProcessedHousekeeping()
 	}
 	n := uint64(runs)
 	res := &Result{
-		Benchmark:                "ScenarioThroughput",
-		Nodes:                    nodes,
-		DurationSec:              duration.Seconds(),
-		Runs:                     runs,
-		NsPerOp:                  totalNs / int64(runs),
-		AllocsPerOp:              totalAllocs / n,
-		BytesPerOp:               totalBytes / n,
-		EventsPerRun:             events,
-		ProtocolEventsPerRun:     events - housekeeping,
-		HousekeepingEventsPerRun: housekeeping,
+		Benchmark:    "ScenarioThroughput",
+		Nodes:        nodes,
+		DurationSec:  duration.Seconds(),
+		Runs:         runs,
+		NsPerOp:      totalNs / int64(runs),
+		AllocsPerOp:  totalAllocs / n,
+		BytesPerOp:   totalBytes / n,
+		EventsPerRun: events,
 	}
 	if res.NsPerOp > 0 {
 		res.EventsPerSec = float64(events) / (float64(res.NsPerOp) / float64(time.Second))

@@ -37,9 +37,10 @@ func traceHash(t *testing.T, mutate func(*Params), setup func(*testing.T, *Scena
 // TestGoldenTraceBitIdentical pins the protocol-observable behavior of the
 // simulator: the byte-exact transmission/accusation/isolation trace per
 // seed. This is the invariant the performance work must preserve — kernel
-// event counts (Kernel.Processed()) are allowed to change when housekeeping
-// timers are restructured (e.g. per-record expiry timers collapsing onto a
-// shared wheel), but the trace a run emits must not move by a single byte.
+// event counts (Kernel.Processed()) are allowed to change when the way
+// records are reclaimed changes (e.g. sweep timers giving way to sweeps
+// inside protocol events), but the trace a run emits must not move by a
+// single byte.
 //
 // If a protocol-behavior change is intentional, re-pin the hashes with an
 // explanation in the commit (mirroring goldenWant in golden_test.go).

@@ -20,7 +20,7 @@
 // no-raw-goroutine analyzer (see internal/lint), because concurrency here
 // lives strictly above the simulation kernel boundary — and in exchange
 // the kernel-ownership analyzer checks that no goroutine the pool spawns
-// ever shares a run's kernel, wheel, or scenario state.
+// ever shares a run's kernel, scopes, or scenario state.
 //
 // A campaign fails fast. A job is a pure function of its Params, so a
 // job that errors or panics would do so again: the campaign stops

@@ -105,12 +105,6 @@ type Config struct {
 	// AlertRetryBackoff is the delay before the first alert
 	// retransmission; it doubles per attempt. Default 1s.
 	AlertRetryBackoff time.Duration
-	// Wheel, when non-nil, is the node incarnation's shared expiry wheel,
-	// handed down to the watch buffer (unless Watch.Wheel is already set)
-	// so all of the stack's housekeeping TTLs collapse onto one sweep
-	// timer source. Semantic deadlines — the watch timeout tau, alert
-	// retries — are unaffected.
-	Wheel *sim.Wheel
 }
 
 // DefaultConfig returns the paper's default parameterization with gamma=2.
@@ -215,7 +209,6 @@ func New(k sim.Clock, ring *keys.Ring, table *neighbor.Table, cfg Config, send f
 	env := detector.Env{
 		Clock:     k,
 		Table:     table,
-		Wheel:     cfg.Wheel,
 		Positions: cfg.Positions,
 		Suspect:   func(id field.NodeID) bool { return len(e.alerts[id]) > 0 },
 		OnAccusation: func(a watch.Accusation) {

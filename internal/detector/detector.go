@@ -29,7 +29,7 @@
 // Determinism obligations for implementations: observations arrive in
 // kernel event order and must be processed with no wall clock, no global
 // randomness, and no unordered map iteration with observable effects.
-// Timers may only be armed through the Env clock or wheel; a detector
+// Timers may only be armed through the Env clock; a detector
 // that needs none of them (zscore, range, none) must draw no RNG at all,
 // so scenarios differing only in detector choice replay identical radio
 // schedules.
@@ -98,9 +98,6 @@ type Env struct {
 	// Table is the host's secure two-hop neighbor table (read-only from
 	// the detector's perspective except through the engine callbacks).
 	Table *neighbor.Table
-	// Wheel, when non-nil, is the node incarnation's shared expiry wheel
-	// for housekeeping TTLs.
-	Wheel *sim.Wheel
 	// Positions, when non-nil, grants position-aware strategies the
 	// deployment coordinates. Nil disables those checks (the strategy
 	// degrades to never accusing).

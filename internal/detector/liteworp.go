@@ -24,9 +24,6 @@ func newLiteworpDetector(env Env, cfg Config) Detector {
 	if env.DropFilter != nil {
 		wcfg.DropFilter = env.DropFilter
 	}
-	if wcfg.Wheel == nil {
-		wcfg.Wheel = env.Wheel
-	}
 	if env.Table != nil {
 		if wcfg.Index == nil {
 			// Share the host table's dense neighbor index so the buffer,

@@ -11,7 +11,7 @@
 // lookups are one multiply-shift hash plus a short linear scan over
 // contiguous memory, the garbage collector never scans the key storage,
 // and Shrink gives the capacity back when a traffic burst subsides
-// (ExpiryTable shrinks on every sweep) — something Go maps never do.
+// (ExpiryTable's sweep does) — something Go maps never do.
 //
 // Keys are 128-bit values with one invariant the caller must uphold:
 // a live key's Lo word is never zero. This frees the all-zero slot to act
@@ -204,7 +204,7 @@ func (t *Table[V]) putFresh(k Key, v V) {
 // Shrink rehashes into smaller storage when occupancy has fallen to an
 // eighth of capacity — the burst is over, give the memory back. The target
 // keeps load under a half so a shrink is never immediately undone. Owners
-// call it after a batch of deletions (ExpiryTable.Sweep does).
+// call it after a batch of deletions.
 func (t *Table[V]) Shrink() {
 	if len(t.keys) <= minCap || t.n > len(t.keys)/8 {
 		return
@@ -231,13 +231,23 @@ func (t *Table[V]) ShrinkFor(n int) {
 	}
 }
 
-// ExpiryTable is a Table holding expiry instants, with a sweep that reaps
-// every entry whose expiry has passed and returns capacity when occupancy
-// collapses after a burst. It implements the repo-wide liveness convention:
-// a record with stored expiry exp is alive while now < exp; the sweep
-// deletes once exp <= now.
+// ExpiryTable is a Table holding expiry instants, under the repo-wide
+// liveness convention: an entry with expiry exp is alive while now < exp.
+// Add reclaims the dead ones, so the table needs no timer.
 type ExpiryTable struct {
 	Table[time.Duration]
+}
+
+// Add stores exp under k. At the growth point it first sweeps out the
+// entries dead at now, and grows only if more than half the slots still
+// hold live ones, so sweeps are at least a quarter table of Adds apart.
+func (t *ExpiryTable) Add(k Key, exp, now time.Duration) {
+	if c := len(t.keys); c > 0 && t.n >= c-c/4 {
+		if t.sweep(now); t.n > c/2 {
+			t.rehash(2 * c)
+		}
+	}
+	t.Put(k, exp)
 }
 
 // Live reports whether k is present and unexpired at now.
@@ -246,14 +256,14 @@ func (t *ExpiryTable) Live(k Key, now time.Duration) bool {
 	return ok && now < exp
 }
 
-// Sweep deletes every entry with exp <= now and returns how many it
-// removed. To make one pass exact under backward-shift deletion, the scan
-// starts at an empty anchor slot: shifts move entries strictly toward the
-// anchor side already scanned, and a probe chain never crosses an empty
-// slot, so no live entry can jump behind the cursor unseen.
-func (t *ExpiryTable) Sweep(now time.Duration) int {
+// sweep deletes every entry with exp <= now, then shrinks the table if
+// few are left. To make one pass exact under backward-shift deletion, the
+// scan starts at an empty anchor slot: shifts move entries strictly toward
+// the anchor side already scanned, and a probe chain never crosses an
+// empty slot, so no live entry can jump behind the cursor unseen.
+func (t *ExpiryTable) sweep(now time.Duration) {
 	if t.n == 0 {
-		return 0
+		return
 	}
 	capSlots := uint64(len(t.keys))
 	// An empty anchor always exists: load never exceeds 3/4.
@@ -261,7 +271,6 @@ func (t *ExpiryTable) Sweep(now time.Duration) int {
 	for !t.keys[anchor].zero() {
 		anchor++
 	}
-	removed := 0
 	for off := uint64(1); off <= capSlots; off++ {
 		i := (anchor + off) & t.mask
 		// Re-examine the slot after a deletion: the backward shift may
@@ -272,11 +281,9 @@ func (t *ExpiryTable) Sweep(now time.Duration) int {
 				break
 			}
 			t.deleteAt(i)
-			removed++
 		}
 	}
 	t.Shrink()
-	return removed
 }
 
 // PackKey packs a packet identity (origin, seq, type tag) into a Key.

@@ -55,7 +55,7 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestExpirySweepExact checks that one Sweep removes exactly the expired
+// TestExpirySweepExact checks that one sweep removes exactly the expired
 // entries — none escape via backward shifts — and that capacity shrinks
 // back after a burst.
 func TestExpirySweepExact(t *testing.T) {
@@ -71,16 +71,12 @@ func TestExpirySweepExact(t *testing.T) {
 		}
 		peak := tab.Cap()
 		now := time.Duration(500)
-		wantRemoved := 0
 		for k, exp := range ref {
 			if exp <= now {
-				wantRemoved++
 				delete(ref, k)
 			}
 		}
-		if removed := tab.Sweep(now); removed != wantRemoved {
-			t.Fatalf("seed %d: Sweep removed %d, want %d", seed, removed, wantRemoved)
-		}
+		tab.sweep(now)
 		if tab.Len() != len(ref) {
 			t.Fatalf("seed %d: post-sweep Len = %d, want %d", seed, tab.Len(), len(ref))
 		}
@@ -91,13 +87,41 @@ func TestExpirySweepExact(t *testing.T) {
 			}
 		}
 		// Sweep everything: the table must hand its capacity back.
-		tab.Sweep(time.Duration(2000))
+		tab.sweep(time.Duration(2000))
 		if tab.Len() != 0 {
 			t.Fatalf("seed %d: final Len = %d, want 0", seed, tab.Len())
 		}
 		if tab.Cap() >= peak {
 			t.Fatalf("seed %d: capacity did not shrink (peak %d, now %d)", seed, peak, tab.Cap())
 		}
+	}
+}
+
+// TestAddSweepsBeforeGrowth: an Add at the growth point sweeps out the
+// dead entries and grows only if more than half the slots still hold live
+// ones, so a table whose entries keep expiring stays at the size its live
+// entries need, and a table of live entries grows as a Table does.
+func TestAddSweepsBeforeGrowth(t *testing.T) {
+	var tab ExpiryTable
+	const ttl = 100
+	// About 12 entries live at any time: an Add every ttl/12, each live
+	// for ttl.
+	for now := time.Duration(0); now < 100*ttl; now += ttl / 12 {
+		tab.Add(PackKey(1, uint64(now), 1), now+ttl, now)
+		if tab.Cap() > 2*minCap {
+			t.Fatalf("at %d: %d entries in %d slots; the dead ones were not swept", now, tab.Len(), tab.Cap())
+		}
+	}
+	// Nothing expires: the table grows at 3/4 load, as Put does.
+	var live ExpiryTable
+	for i := range 1000 {
+		live.Add(PackKey(2, uint64(i), 1), ttl, 0)
+		if live.Len() != i+1 || live.Len() > live.Cap()-live.Cap()/4 {
+			t.Fatalf("after %d live Adds: %d entries in %d slots", i+1, live.Len(), live.Cap())
+		}
+	}
+	if live.Cap() != 2048 {
+		t.Fatalf("1000 live entries in %d slots, want 2048", live.Cap())
 	}
 }
 

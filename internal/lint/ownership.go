@@ -37,8 +37,8 @@ func ConcurrencyLayer(pkg *Package) (reason string, ok bool, pos token.Pos) {
 }
 
 // KernelOwnership statically enforces the DESIGN §6.3 concurrency
-// boundary: a simulation run — its sim.Kernel, timer wheel, scopes, timers
-// and Scenario — is owned by exactly one goroutine for its whole lifetime.
+// boundary: a simulation run — its sim.Kernel, scopes, timers and
+// Scenario — is owned by exactly one goroutine for its whole lifetime.
 // Ownership may only move down a call chain through explicit parameters;
 // it must never be shared through closure captures, package-level
 // variables, channels, or arguments smuggled into a go statement while the
@@ -59,20 +59,20 @@ func ConcurrencyLayer(pkg *Package) (reason string, ok bool, pos token.Pos) {
 //   - channels: no channel anywhere in the module may carry restricted
 //     state (channels exist to move values between goroutines)
 //
-// Restricted types are the containment closure over sim.Kernel, sim.Wheel,
-// sim.Scope, sim.Clock, sim.Timer and the root package's Scenario: a struct holding a *sim.Kernel three fields deep is as
+// Restricted types are the containment closure over sim.Kernel, sim.Scope,
+// sim.Clock, sim.Timer and the root package's Scenario: a struct holding a *sim.Kernel three fields deep is as
 // restricted as the kernel itself. Waive individual findings with
 // //lint:ownership <reason>.
 var KernelOwnership = &Analyzer{
 	Name:      "kernel-ownership",
-	Doc:       "goroutine-reachable code must not share sim.Kernel/wheel/scope/Scenario state via captures, globals, channels, or go-statement arguments",
+	Doc:       "goroutine-reachable code must not share sim.Kernel/scope/Scenario state via captures, globals, channels, or go-statement arguments",
 	RunModule: runKernelOwnership,
 }
 
 // restrictedRootNames are the type names whose containment closure defines
 // "restricted state", keyed by where they live: the sim package (matched
 // by import-path suffix, so fixtures can fake it) and the module root.
-var restrictedSimNames = []string{"Kernel", "Wheel", "Scope", "Clock", "Timer"}
+var restrictedSimNames = []string{"Kernel", "Scope", "Clock", "Timer"}
 var restrictedRootNames = []string{"Scenario"}
 
 func isSimPath(path string) bool {

@@ -40,19 +40,6 @@ func runScopedTimers(mp *ModulePass) {
 				if !ok {
 					return true
 				}
-				// sim.NewWheel(clock, gran): a wheel schedules its own
-				// sweep timers on the clock it is given, so handing it a
-				// raw kernel smuggles unscoped timers past the method
-				// checks below. The wheel must ride a scope too.
-				if isSimFunc(pkg, sel, "NewWheel") {
-					if len(call.Args) > 0 {
-						if tv, ok := pkg.Info.Types[call.Args[0]]; ok && isSimKernel(tv.Type) {
-							mp.Reportf(call.Pos(),
-								"unscoped wheel: sim.NewWheel on *sim.Kernel sweeps past node crashes; build it on the node's sim.Scope")
-						}
-					}
-					return true
-				}
 				if !timerMethods[sel.Sel.Name] {
 					return true
 				}
@@ -66,20 +53,6 @@ func runScopedTimers(mp *ModulePass) {
 			})
 		}
 	}
-}
-
-// isSimFunc reports whether sel resolves to the named package-level
-// function of the sim package.
-func isSimFunc(pkg *Package, sel *ast.SelectorExpr, name string) bool {
-	if sel.Sel.Name != name {
-		return false
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	path := fn.Pkg().Path()
-	return path == "sim" || strings.HasSuffix(path, "/sim")
 }
 
 // isSimKernel matches sim.Kernel and *sim.Kernel, identifying the sim

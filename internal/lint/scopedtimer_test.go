@@ -42,10 +42,6 @@ type Clock interface {
 	Reserve() uint64
 	AtSeq(t time.Duration, seq uint64, fn Event) *Timer
 }
-
-type Wheel struct{ clock Clock }
-
-func NewWheel(clock Clock, gran time.Duration) *Wheel { return &Wheel{clock: clock} }
 `
 
 func TestScopedTimers(t *testing.T) {
@@ -109,27 +105,6 @@ func (b *buffer) arm(k *sim.Kernel) {
 func (b *buffer) armReserved(k *sim.Kernel) {
 	b.scope.AtSeq(time.Second, b.scope.Reserve(), func() {})
 	b.clock.AtSeq(time.Second, k.Reserve(), func() {}) // a kernel's seq armed through a clock is scoped
-}
-`},
-			}},
-		},
-		{
-			name: "wheel built on a raw kernel flagged, on scope or clock sanctioned",
-			pkgs: []fixturePkg{simPkg, {
-				path: "liteworp/internal/routing",
-				files: map[string]string{"router.go": `package routing
-
-import "liteworp/internal/sim"
-
-type router struct {
-	scope *sim.Scope
-	clock sim.Clock
-}
-
-func (r *router) build(k *sim.Kernel) {
-	_ = sim.NewWheel(k, 0) // want:scoped-timers
-	_ = sim.NewWheel(r.scope, 0)
-	_ = sim.NewWheel(r.clock, 0)
 }
 `},
 			}},

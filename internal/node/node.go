@@ -110,19 +110,12 @@ func (n *Node) buildStack() {
 	n.discovery = neighbor.NewDiscovery(n.scope, n.ring, n.table, n.deps.Medium.Broadcast, n.cfg.Discovery)
 	n.discovery.OnComplete(func() { n.operational = true })
 
-	// One expiry wheel per incarnation, scheduled through the scope so a
-	// crash silences the sweeps with the rest of the stack. The engine's
-	// watch caches and the router's REQ-suppression maps share it: all of
-	// this node's housekeeping TTLs cost one pending kernel event.
-	wheel := sim.NewWheel(n.scope, 0)
-
 	if n.cfg.Attack != nil {
 		if n.attacker == nil {
 			n.attacker = attack.New(n.deps.Kernel, n.deps.Medium, n.id, n.cfg.Colluders, *n.cfg.Attack)
 		}
 	} else if n.cfg.Liteworp {
 		ccfg := n.cfg.Core
-		ccfg.Wheel = wheel
 		// Every incarnation records its heard facts on the scenario's
 		// log, which tells them apart by the incarnation's join.
 		if ccfg.Detector.Watch.Log == nil {
@@ -137,7 +130,6 @@ func (n *Node) buildStack() {
 	}
 
 	rcfg := n.cfg.Routing
-	rcfg.Wheel = wheel
 	// The router's dense per-next-hop state shares the incarnation's
 	// neighbor index, so nbrIdx values agree across the whole stack.
 	rcfg.Index = n.table.Index()

@@ -59,13 +59,6 @@ type Config struct {
 	// route and each forwarder consults its own table. Both on-demand
 	// styles the paper names (DSR, AODV) are thereby covered.
 	HopByHop bool
-	// Wheel, when non-nil, is the shared expiry wheel the REQ
-	// duplicate-suppression caches (seenReq/repliedReq) ride instead of one
-	// kernel timer per flooded request. Nil means the router builds a
-	// private wheel over its own clock. Route and forwarding-table
-	// evictions are protocol-observable (they gate rediscovery) and keep
-	// exact timers.
-	Wheel *sim.Wheel
 	// Index, when non-nil, is the node incarnation's shared dense
 	// neighbor index (neighbor.Table.Index()); the per-next-hop failure
 	// counters are dense slices addressed by it. Nil means the router
@@ -216,7 +209,8 @@ type Router struct {
 	discovery map[field.NodeID]*discoveryState
 	// seenReq/repliedReq are the REQ duplicate-suppression caches: expiry
 	// instants in open-addressed tables keyed by the packed packet identity
-	// (REQ floods are the hottest lookup in the whole stack).
+	// (REQ floods are the hottest lookup in the whole stack). Each sweeps
+	// out its dead entries when it would grow (flatmap.ExpiryTable.Add).
 	seenReq    flatmap.ExpiryTable
 	repliedReq flatmap.ExpiryTable
 	forward    map[field.NodeID]*hopEntry // HopByHop: dest -> next hop
@@ -225,8 +219,6 @@ type Router struct {
 	idx       *neighbor.Index
 	sendFails []int
 
-	// seenSlot arms the expiry wheel for both suppression caches.
-	seenSlot sim.WheelSlot
 	// Record freelists; see the type comments above.
 	freeRoutes []*cachedRoute
 	freeHops   []*hopEntry
@@ -273,18 +265,7 @@ func New(k sim.Clock, self field.NodeID, cfg Config, send func(*packet.Packet) e
 	if r.frames == nil {
 		r.frames = new(packet.Pool)
 	}
-	wheel := r.cfg.Wheel
-	if wheel == nil {
-		wheel = sim.NewWheel(k, 0)
-	}
-	r.seenSlot = wheel.Register(r.sweepSeen)
 	return r
-}
-
-// sweepSeen reaps expired REQ-suppression records. Readers recheck the
-// stored expiry, so reclamation timing is protocol-invisible.
-func (r *Router) sweepSeen(now time.Duration) int {
-	return r.seenReq.Sweep(now) + r.repliedReq.Sweep(now)
 }
 
 // seenKey packs a packet identity for the suppression tables. packet.Type
@@ -556,9 +537,8 @@ func (ds *discoveryState) timeout() {
 }
 
 func (r *Router) markSeen(k packet.Key) {
-	exp := r.kernel.Now() + r.cfg.SeenTTL
-	r.seenReq.Put(seenKey(k), exp)
-	r.seenSlot.Arm(exp)
+	now := r.kernel.Now()
+	r.seenReq.Add(seenKey(k), now+r.cfg.SeenTTL, now)
 }
 
 // HandleRouteRequest processes a REQ heard from the channel. The node layer
@@ -632,12 +612,11 @@ func (r *Router) answerRequest(p *packet.Packet) {
 	// defines the chosen (fastest) path, which is also how the wormhole
 	// captures routes.
 	rk := packet.Key{Type: packet.TypeRouteReply, Origin: p.Origin, Seq: p.Seq}
-	if r.repliedReq.Live(seenKey(rk), r.kernel.Now()) {
+	now := r.kernel.Now()
+	if r.repliedReq.Live(seenKey(rk), now) {
 		return
 	}
-	exp := r.kernel.Now() + r.cfg.SeenTTL
-	r.repliedReq.Put(seenKey(rk), exp)
-	r.seenSlot.Arm(exp)
+	r.repliedReq.Add(seenKey(rk), now+r.cfg.SeenTTL, now)
 
 	if len(p.Route) == 0 {
 		return // the full route would not reach back to a previous hop

@@ -112,52 +112,88 @@ func TestRouteRecordRecycled(t *testing.T) {
 	}
 }
 
-// TestSeenReqRidesWheel: the REQ-suppression maps are reclaimed by the
-// shared wheel, and an expired entry no longer suppresses a re-flood.
-func TestSeenReqRidesWheel(t *testing.T) {
+// TestSeenReqSweptBeforeGrowth: with no timer, an expired REQ-suppression
+// entry stays in the table yet no longer suppresses a re-flood, and the
+// dead entries go when the table would next grow.
+func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 	k := sim.New(1)
-	w := sim.NewWheel(k, time.Second)
 	sent := 0
-	r := New(k, 2, Config{SeenTTL: 5 * time.Second, Wheel: w},
+	r := New(k, 2, Config{SeenTTL: 5 * time.Second},
 		func(*packet.Packet) error { sent++; return nil }, Events{})
+	req := func(origin field.NodeID) *packet.Packet {
+		return &packet.Packet{
+			Type:      packet.TypeRouteRequest,
+			Seq:       1,
+			Origin:    origin,
+			FinalDest: 8,
+			Sender:    origin,
+			Receiver:  packet.Broadcast,
+			Route:     []field.NodeID{origin},
+		}
+	}
+	flood := func(origin field.NodeID) {
+		r.HandleRouteRequest(req(origin))
+		k.RunFor(100 * time.Millisecond) // the forward rides a jitter timer
+	}
 
-	req := &packet.Packet{
-		Type:      packet.TypeRouteRequest,
-		Seq:       1,
-		Origin:    9,
-		FinalDest: 8,
-		Sender:    9,
-		Receiver:  packet.Broadcast,
-		Route:     []field.NodeID{9},
+	for o := field.NodeID(10); o < 20; o++ {
+		flood(o)
 	}
-	r.HandleRouteRequest(req.Clone())
-	forwardedOnce := sent
-	if forwardedOnce == 0 {
-		// The forward rides a jitter timer; flush it.
-		k.RunFor(time.Second)
-		forwardedOnce = sent
+	flood(10)
+	if sent != 10 {
+		t.Fatalf("10 REQs and a duplicate within SeenTTL forwarded %d times, want 10", sent)
 	}
-	if forwardedOnce != 1 {
-		t.Fatalf("first REQ forwarded %d times, want 1", forwardedOnce)
+	k.RunFor(4900 * time.Millisecond) // every entry expires
+	flood(20)                         // 11 entries: one short of the growth point
+	flood(10)                         // dead: refloods, and replaces its own entry
+	if sent != 12 || r.seenReq.Len() != 11 {
+		t.Fatalf("after SeenTTL: sent %d, %d entries; want 12 and all 11 until the table would grow", sent, r.seenReq.Len())
 	}
-	r.HandleRouteRequest(req.Clone())
-	k.RunFor(time.Second)
-	if sent != 1 {
-		t.Fatal("duplicate REQ within SeenTTL was reflooded")
+	flood(21) // 12 entries: the growth point
+	flood(22) // sweeps out the nine dead entries instead of growing
+	if got := r.seenReq.Len(); got != 4 || r.seenReq.Cap() != 16 || sent != 14 {
+		t.Fatalf("after the sweep: %d entries in %d slots, sent %d; want 4 in 16, sent 14", got, r.seenReq.Cap(), sent)
 	}
-	if r.seenReq.Len() == 0 {
-		t.Fatal("seenReq empty while suppression should be active")
+}
+
+// TestSuppressionTablesBounded: a router fed REQs from many origins for
+// six SeenTTLs, a quarter of them addressed to it, keeps each suppression
+// table within eight slots per live entry, with no timer reclaiming them.
+func TestSuppressionTablesBounded(t *testing.T) {
+	k := sim.New(1)
+	const ttl = 2 * time.Second
+	const gap = 10 * time.Millisecond // 200 REQs live at a time
+	r := New(k, 2, Config{SeenTTL: ttl}, func(*packet.Packet) error { return nil }, Events{})
+	peakSeen, peakReplied := 0, 0
+	for i := 0; k.Now() < 6*ttl; i++ {
+		dest := field.NodeID(8)
+		if i%4 == 0 {
+			dest = 2
+		}
+		origin := field.NodeID(100 + i%300)
+		r.HandleRouteRequest(&packet.Packet{
+			Type:      packet.TypeRouteRequest,
+			Seq:       uint64(i),
+			Origin:    origin,
+			FinalDest: dest,
+			Sender:    origin,
+			Receiver:  packet.Broadcast,
+			Route:     []field.NodeID{origin},
+		})
+		k.RunFor(gap)
+		if k.Now() < ttl {
+			continue // still filling
+		}
+		const live = int(ttl / gap)
+		if c := r.seenReq.Cap(); c > 8*live {
+			t.Fatalf("at %v: seenReq has %d slots for %d live entries", k.Now(), c, live)
+		}
+		if c := r.repliedReq.Cap(); c > 8*live/4 {
+			t.Fatalf("at %v: repliedReq has %d slots for %d live entries", k.Now(), c, live/4)
+		}
+		peakSeen, peakReplied = max(peakSeen, r.seenReq.Len()), max(peakReplied, r.repliedReq.Len())
 	}
-	k.RunFor(10 * time.Second)
-	if r.seenReq.Len() != 0 {
-		t.Fatalf("seenReq not reclaimed by the wheel: %d entries", r.seenReq.Len())
-	}
-	if w.Stats().Records == 0 {
-		t.Fatal("external wheel reaped nothing; router built a private wheel?")
-	}
-	r.HandleRouteRequest(req.Clone())
-	k.RunFor(time.Second)
-	if sent != 2 {
-		t.Fatalf("re-flood after SeenTTL: sent = %d, want 2", sent)
+	if peakSeen < 200 || peakReplied < 50 {
+		t.Fatalf("peak %d seen and %d replied entries: the tables never filled", peakSeen, peakReplied)
 	}
 }

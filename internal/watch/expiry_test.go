@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -11,9 +12,8 @@ import (
 
 // TestExpiryBoundaryConvention pins the single liveness convention for every
 // expiring record: live strictly before the expiry instant, dead exactly at
-// it. Readers (Heard/HeardAny, Expect's duplicate-forward check) and the
-// wheel sweep must agree, so a record can never be dead to a reader yet
-// immortal in the map or vice versa.
+// it. Readers (Heard/HeardAny, Expect's duplicate-forward check) must
+// agree.
 func TestExpiryBoundaryConvention(t *testing.T) {
 	k := sim.New(1)
 	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond})
@@ -42,63 +42,143 @@ func TestExpiryBoundaryConvention(t *testing.T) {
 	}
 }
 
-// TestWheelReclaimsCaches: the guard's packet records are emptied by the
-// shared sweep once no expectation is outstanding on them, and the log
-// pops its expired entries as it records new ones — expiry is not just a
-// reader-side illusion. Overheard forwards land on the log like any other
-// transmission; there is no third table to reclaim.
-func TestWheelReclaimsCaches(t *testing.T) {
+// TestRecordsReclaimedAtCountTrigger: with no timer, a guard's packet
+// records stay until it is about to create a record with its record count
+// at the sweep point: one page at first, then twice the records left by
+// the last sweep. The sweep frees exactly the records with no expectation
+// outstanding.
+func TestRecordsReclaimedAtCountTrigger(t *testing.T) {
 	k := sim.New(1)
 	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond})
 	s := b.store.(*logStore)
-	for i := uint64(0); i < 50; i++ {
-		b.RecordHeard(3, key(1, i))
-		b.Expect(4, key(1, i))
-		b.RecordHeard(4, key(1, i)) // the forward: satisfies the expectation
+	expect := func(from, to uint64, met bool) {
+		for i := from; i < to; i++ {
+			b.Expect(4, key(1, i))
+			if met {
+				b.RecordHeard(4, key(1, i)) // the forward
+			}
+		}
 	}
-	if s.nrecs != 50 || s.log.entries() != 100 {
-		t.Fatalf("%d records, %d log entries before expiry, want 50 and 100", s.nrecs, s.log.entries())
+	check := func(when string, nrecs, sweepAt int32) {
+		t.Helper()
+		if s.nrecs != nrecs || s.sweepAt != sweepAt || s.keys.Len() != int(nrecs) {
+			t.Fatalf("%s: %d records (%d keys), sweep at %d; want %d, sweep at %d",
+				when, s.nrecs, s.keys.Len(), s.sweepAt, nrecs, sweepAt)
+		}
 	}
-	if b.Len() != 0 || b.Stats().Matches != 50 {
-		t.Fatalf("Len = %d, Matches = %d; want every expectation satisfied", b.Len(), b.Stats().Matches)
+	expect(0, pageSize, true)
+	check("one page of met records", pageSize, pageSize)
+	expect(pageSize, pageSize+1, false)
+	check("the next record", 1, pageSize)
+
+	// Outstanding records are never freed: the sweep point doubles.
+	expect(pageSize+1, pageSize+11, false)
+	check("eleven waiting", 11, 2*pageSize)
+	for i := uint64(pageSize); i < pageSize+11; i++ {
+		b.RecordHeard(4, key(1, i))
 	}
 	k.RunFor(5 * time.Second)
-	b.RecordHeard(3, key(2, 0))
-	if s.nrecs != 0 || s.keys.Len() != 0 || s.log.entries() != 1 {
-		t.Fatalf("%d records, %d keys, %d log entries after expiry, want 0, 0 and 1", s.nrecs, s.keys.Len(), s.log.entries())
+	check("all met, long after", 11, 2*pageSize)
+	expect(100, 105, false)
+	check("five more", 16, 2*pageSize)
+	expect(105, 106, false)
+	check("past the sweep point", 6, 10)
+	for i := uint64(100); i < 106; i++ {
+		if !b.RecordHeard(4, key(1, i)) {
+			t.Fatalf("forward of %d met nothing after the sweep moved its record", i)
+		}
 	}
 }
 
-// TestWheelReclaimsMalc: an accused node whose observations all age out of
-// the window without firing the threshold is forgotten entirely; a fired
-// record persists because ThresholdFired is a latch.
-func TestWheelReclaimsMalc(t *testing.T) {
+// TestGuardRecordsBounded: a guard that arms expectations on four new
+// packets every 10 ms for 100 tau, hears half of the forwards 50 ms later
+// and lets the rest drop, holds at most twice its outstanding records
+// plus one page, with no timer reclaiming them.
+func TestGuardRecordsBounded(t *testing.T) {
 	k := sim.New(1)
-	cfg := Config{Timeout: 100 * time.Millisecond, Threshold: 4, Window: 10 * time.Second}
-	b, _, _ := newBuffer(k, cfg)
+	const tau = 100 * time.Millisecond
+	b := New(k, Config{
+		Timeout:    tau,
+		DropFilter: func(field.NodeID, packet.Key) bool { return true },
+	}, nil, nil)
+	s := b.store.(*logStore)
+	peak := int32(0) // most outstanding records so far
+	for step := uint64(0); step < 1000; step++ {
+		for p := uint64(0); p < 4; p++ {
+			b.Expect(5, key(1, 4*step+p))
+			b.Expect(6, key(1, 4*step+p))
+			if step >= 5 {
+				b.RecordHeard(5, key(1, 4*(step-5)+p))
+			}
+		}
+		k.RunFor(10 * time.Millisecond)
+		out := int32(0)
+		for i := int32(0); i < s.nrecs; i++ {
+			if s.recs.at(i).npend > 0 {
+				out++
+			}
+		}
+		peak = max(peak, out)
+		if s.nrecs > 2*peak+pageSize {
+			t.Fatalf("step %d: %d records, %d outstanding (peak %d)", step, s.nrecs, out, peak)
+		}
+	}
+	if peak < 36 || b.Stats().Expectations != 8000 {
+		t.Fatalf("peak %d outstanding records over %d expectations: the guard never filled", peak, b.Stats().Expectations)
+	}
+}
+
+// TestMalcReclaimedAtNewAccusation: with no timer, an accused node whose
+// observations have all aged out of the window without firing the
+// threshold keeps its record, which answers as none would, until the
+// guard accuses a node it holds no record for. That accusation drops it,
+// but not a record whose newest observation is exactly Window old, which
+// windowedValue still counts; a fired record persists because
+// ThresholdFired is a latch.
+func TestMalcReclaimedAtNewAccusation(t *testing.T) {
+	k := sim.New(1)
+	const window = 10 * time.Second
+	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, Threshold: 4, Window: window})
+	accused := func() []field.NodeID {
+		var ids []field.NodeID
+		for _, rec := range b.malcs {
+			ids = append(ids, b.idx.ID(rec.aidx))
+		}
+		return ids
+	}
 	b.AccuseFabrication(7, key(1, 1)) // +3, below threshold 4
 	b.AccuseFabrication(8, key(1, 2)) // +3
 	b.AccuseFabrication(8, key(1, 3)) // +3 -> 6, fires
-	if !b.ThresholdFired(8) || b.ThresholdFired(7) {
-		t.Fatal("threshold latch wrong before expiry")
+	k.RunFor(window)
+	b.AccuseFabrication(9, key(1, 4)) // 7's observation is exactly Window old
+	if got := accused(); !slices.Equal(got, []field.NodeID{7, 8, 9}) || b.MalC(7) != 3 {
+		t.Fatalf("at the window's edge: records for %v, MalC(7) = %d; want [7 8 9] and 3", got, b.MalC(7))
 	}
-	k.RunFor(15 * time.Second)
-	if aidx, ok := b.idx.Lookup(7); !ok {
-		t.Fatal("accused node was never interned")
-	} else if b.malc(aidx) != nil {
-		t.Fatal("unfired MalC record not reclaimed after window")
+	k.RunFor(time.Nanosecond)
+	if got := accused(); !slices.Equal(got, []field.NodeID{7, 8, 9}) || b.MalC(7) != 0 || b.ThresholdFired(7) {
+		t.Fatalf("past the window: records for %v; want [7 8 9] until the next new accusation, answering as none", got)
 	}
-	if !b.ThresholdFired(8) {
-		t.Fatal("fired MalC record lost its latch")
+	b.AccuseFabrication(9, key(1, 5)) // a node already on record: no sweep
+	if got := accused(); !slices.Equal(got, []field.NodeID{7, 8, 9}) {
+		t.Fatalf("records for %v after re-accusing 9, want [7 8 9]", got)
 	}
-	if b.MalC(8) != 0 {
-		t.Fatalf("MalC(8) = %d after window, want 0", b.MalC(8))
+	b.AccuseFabrication(10, key(1, 6))
+	if got := accused(); !slices.Equal(got, []field.NodeID{8, 9, 10}) {
+		t.Fatalf("records for %v after accusing 10, want [8 9 10]", got)
+	}
+	if !b.ThresholdFired(8) || b.MalC(8) != 0 {
+		t.Fatalf("fired record: latch %v, MalC %d after window; want true and 0", b.ThresholdFired(8), b.MalC(8))
+	}
+	b.AccuseFabrication(7, key(1, 7))
+	if got := accused(); !slices.Equal(got, []field.NodeID{8, 9, 10, 7}) || b.MalC(7) != 3 {
+		t.Fatalf("re-accused 7: records for %v, MalC(7) = %d; want [8 9 10 7] and 3", got, b.MalC(7))
 	}
 }
 
 // TestMalcRecordPerAccusedNode: a guard keeps one MalC record per node
-// it accused, however high the node's nbrIdx, in first-accused order; the
-// sweep drops an unfired record past the window and keeps a fired one.
+// it accused, however high the node's nbrIdx, in first-accused order; a
+// new accusation past the window drops an unfired record and keeps the
+// fired ones in order.
 func TestMalcRecordPerAccusedNode(t *testing.T) {
 	k := sim.New(1)
 	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, Threshold: 4, Window: 10 * time.Second})
@@ -117,28 +197,12 @@ func TestMalcRecordPerAccusedNode(t *testing.T) {
 		t.Fatalf("MalC records %+v, want 39, 21 and 30 in first-accused order", b.malcs)
 	}
 	k.RunFor(15 * time.Second)
-	if len(b.malcs) != 2 || b.malcs[0].aidx != 39 || b.malcs[1].aidx != 21 {
-		t.Fatalf("after the window: records %+v, want the fired 39 and 21", b.malcs)
+	b.AccuseFabrication(5, key(1, 6))
+	if len(b.malcs) != 3 || b.malcs[0].aidx != 39 || b.malcs[1].aidx != 21 || b.malcs[2].aidx != 5 {
+		t.Fatalf("after the window: records %+v, want the fired 39 and 21, then 5", b.malcs)
 	}
 	if !b.ThresholdFired(39) || !b.ThresholdFired(21) || b.ThresholdFired(30) || b.MalC(30) != 0 {
 		t.Fatal("the sweep changed an answer")
-	}
-}
-
-// TestSharedWheelConfig: a buffer handed an external wheel schedules its
-// housekeeping through it instead of building a private one.
-func TestSharedWheelConfig(t *testing.T) {
-	k := sim.New(1)
-	w := sim.NewWheel(k, time.Second)
-	b := New(k, Config{Timeout: 100 * time.Millisecond, Wheel: w}, nil, nil)
-	b.Expect(4, key(1, 1))
-	b.RecordHeard(4, key(1, 1))
-	k.RunFor(5 * time.Second)
-	if got := w.Stats().Records; got == 0 {
-		t.Fatal("external wheel reaped nothing; buffer built a private wheel?")
-	}
-	if s := b.store.(*logStore); s.nrecs != 0 {
-		t.Fatal("record not reclaimed through the shared wheel")
 	}
 }
 
@@ -168,7 +232,7 @@ func TestPendingEntryRecycled(t *testing.T) {
 }
 
 // TestRecordHeardAllocsWarm pins the per-overheard-frame cost: with a warm
-// store and wheel, recording a recurring (sender, key) pair and asking
+// store, recording a recurring (sender, key) pair and asking
 // whether anyone was heard sending it allocates nothing.
 func TestRecordHeardAllocsWarm(t *testing.T) {
 	k := sim.New(1)
@@ -288,8 +352,8 @@ func TestDeadlineQueueResolvesInArmingOrder(t *testing.T) {
 }
 
 // floodCycle is one warm-path step of a guard on a flood: a packet heard
-// from six senders, and 300 ms of virtual time, enough for the wheel to
-// sweep the records and deadlines of earlier steps. With expect, the
+// from six senders, and 300 ms of virtual time, enough for the deadlines
+// of earlier steps to fire. With expect, the
 // guard then asks for all twelve neighbors, as the detector does on a
 // packet's first copy: the six senders are found on the log and cached,
 // and the other six are armed. Each sender's repeat copy then asks for all
@@ -320,7 +384,7 @@ func floodCycle(tb testing.TB, k *sim.Kernel, b *Buffer, seq uint64, expect bool
 }
 
 // warmFloodBuffer returns a buffer whose log, records, key table,
-// deadline queue and wheel have reached their steady state under
+// and deadline queue have reached their steady state under
 // floodCycle.
 // The DropFilter suppresses expiry accusations so the pins measure the
 // watch machinery, not MalC bookkeeping.
@@ -343,8 +407,8 @@ func warmFloodBuffer(tb testing.TB, expect bool) (*sim.Kernel, *Buffer, uint64) 
 
 // TestRecordHeardIdxZeroAllocsWarm pins the per-overheard-frame cost:
 // once the log is warm, recording a packet's senders — a log entry per
-// transmission, its index slot, the wheel arming and the pops that
-// free earlier records — allocates nothing.
+// transmission, its index slot and the pops that free earlier entries —
+// allocates nothing.
 func TestRecordHeardIdxZeroAllocsWarm(t *testing.T) {
 	k, b, seq := warmFloodBuffer(t, false)
 	allocs := testing.AllocsPerRun(200, func() { seq = floodCycle(t, k, b, seq, false) })
@@ -388,7 +452,7 @@ func TestSweepCachesZeroAllocsWarm(t *testing.T) {
 			}
 		}
 		k.RunFor(100 * time.Millisecond) // the log pops what has expired
-		s.sweepCaches(k.Now())
+		s.sweepCaches()
 		if s.nrecs != 16*lag {
 			t.Fatalf("after sweep %d: %d records, want %d", j, s.nrecs, 16*lag)
 		}

@@ -40,8 +40,4 @@ type storeBackend interface {
 	// clearExpect removes the outstanding expectation on (fidx, key),
 	// which the buffer resolved as a drop.
 	clearExpect(fidx int32, key packet.Key)
-
-	// sweepCaches is the housekeeping sweep; it returns how many records
-	// it reclaimed. An outstanding expectation is never reclaimed.
-	sweepCaches(now time.Duration) int
 }

@@ -36,8 +36,9 @@ import (
 // frame, so the table is probed once per frame.
 //
 // A record goes at the first sweep that finds no expectation outstanding
-// on it. The expiry wheel sweeps a busy guard every epoch, so a record
-// lives about τ plus one epoch, not cacheTTL.
+// on it. The store sweeps when it is about to create a record and the
+// record count has doubled since the last sweep (see record), so it holds
+// at most twice the records outstanding at that sweep, or one page.
 type logStore struct {
 	log  *Log
 	idx  *neighbor.Index
@@ -51,10 +52,10 @@ type logStore struct {
 	// the only senders heardAny need ask the log about.
 	places []uint8
 
-	keys  flatmap.Table[int32]
-	recs  paged[guardRecord]
-	nrecs int32
-	peak  int32 // most records held since the last sweep that freed any
+	keys    flatmap.Table[int32]
+	recs    paged[guardRecord]
+	nrecs   int32
+	sweepAt int32 // record count at which the next new record sweeps first
 
 	memoKey flatmap.Key // zero when the memo is empty
 	memoRec int32       // recs position for memoKey, or -1: no record
@@ -107,14 +108,6 @@ func (p *paged[T]) reserve(i int32) {
 	}
 }
 
-// keep is the page count trim leaves for n elements: the pages they fill
-// plus a quarter and one more spare, so a store whose load swings by less
-// than that between sweeps does not drop and reallocate pages each time.
-func keep(n int32) int {
-	p := int(n+pageMask) >> pageShift
-	return p + p/4 + 1
-}
-
 // trim drops the pages past the first k.
 func (p *paged[T]) trim(k int) {
 	for i := k; i < len(p.pages); i++ {
@@ -136,6 +129,7 @@ func newLogStore(b *Buffer) *logStore {
 		self:    b.cfg.Self,
 		inc:     log.join(b.cfg.cacheTTL()),
 		ttl:     b.cfg.cacheTTL(),
+		sweepAt: pageSize,
 		memoRec: -1,
 	}
 }
@@ -157,17 +151,20 @@ func (s *logStore) lookup(k flatmap.Key) int32 {
 	return ri
 }
 
-// record returns k's record, creating an empty one when there is none.
+// record returns k's record, creating an empty one when there is none. A
+// store at its sweep point sweeps before it creates one.
 func (s *logStore) record(k flatmap.Key) *guardRecord {
 	ri := s.lookup(k)
 	if ri < 0 {
+		if s.nrecs >= s.sweepAt {
+			s.sweepCaches()
+		}
 		ri = s.nrecs
 		s.recs.reserve(ri)
 		*s.recs.at(ri) = guardRecord{key: k}
 		s.nrecs++
-		s.peak = max(s.peak, s.nrecs)
 		s.keys.Put(k, ri)
-		s.memoRec = ri
+		s.memoKey, s.memoRec = k, ri
 	}
 	return s.recs.at(ri)
 }
@@ -363,12 +360,12 @@ func (s *logStore) clearExpect(fidx int32, key packet.Key) {
 }
 
 // sweepCaches frees every record on which no expectation is outstanding,
-// and returns how many it freed. Then the pages give back what the
-// records left do not need, and the key table what the most records held
-// since the previous sweep did not: a guard's records come and go within
-// about a second, so a table sized for the records left would only be
-// rehashed larger again by the next sweep.
-func (s *logStore) sweepCaches(time.Duration) int {
+// and sets the next sweep point at twice the records left, or one page.
+// The pages and the key table keep the room the records need up to that
+// point, and give back the rest: a guard's records come and go within
+// about a second, so storage sized for the records left would only be
+// grown again before the next sweep.
+func (s *logStore) sweepCaches() {
 	n := 0
 	for i := int32(0); i < s.nrecs; {
 		r := s.recs.at(i)
@@ -384,13 +381,12 @@ func (s *logStore) sweepCaches(time.Duration) int {
 			s.keys.Put(r.key, i)
 		}
 	}
+	s.sweepAt = max(2*s.nrecs, pageSize)
 	if n == 0 {
-		return 0
+		return
 	}
 	s.memoKey = flatmap.Key{}
-	s.keys.ShrinkFor(int(s.peak))
+	s.keys.ShrinkFor(int(s.sweepAt))
 	s.wide.Shrink()
-	s.recs.trim(keep(s.nrecs))
-	s.peak = s.nrecs
-	return n
+	s.recs.trim(int(s.sweepAt+pageMask) >> pageShift)
 }

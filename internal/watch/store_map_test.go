@@ -20,8 +20,8 @@ type mapKey struct {
 // keys becoming nbrIdx) as the oracle logStore is differentially tested
 // against: each guard keeps its own heard facts, one map entry per
 // (sender, key) heard and one per key heard, plus one per outstanding
-// expectation. Its sweeps iterate Go maps in randomized order, which is
-// safe exactly because sweeps are delete-only housekeeping.
+// expectation. It never reclaims an expired fact: readers check the
+// expiry, and the tests that use it are short.
 type mapStore struct {
 	ttl        time.Duration
 	pending    map[mapKey]bool              // outstanding expectations
@@ -83,23 +83,6 @@ func (s *mapStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 func (s *mapStore) heardAny(key packet.Key, now time.Duration) bool {
 	exp, ok := s.heardAnyAt[key]
 	return ok && live(exp, now)
-}
-
-func (s *mapStore) sweepCaches(now time.Duration) int {
-	n := 0
-	for hk, exp := range s.heardAt {
-		if exp <= now {
-			delete(s.heardAt, hk)
-			n++
-		}
-	}
-	for key, exp := range s.heardAnyAt {
-		if exp <= now {
-			delete(s.heardAnyAt, key)
-			n++
-		}
-	}
-	return n
 }
 
 // auditStore runs a buffer on its production store while a map oracle,
@@ -182,9 +165,4 @@ func (a *auditStore) waiting(fidx int32, key packet.Key) bool {
 func (a *auditStore) clearExpect(fidx int32, key packet.Key) {
 	a.prod.clearExpect(fidx, key)
 	a.oracle.clearExpect(fidx, key)
-}
-
-func (a *auditStore) sweepCaches(now time.Duration) int {
-	a.oracle.sweepCaches(now)
-	return a.prod.sweepCaches(now)
 }

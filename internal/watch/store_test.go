@@ -18,11 +18,12 @@ import (
 // threshold streams, stats, and virtual timestamps — must match entry for
 // entry. The script mixes bursts (to cross open-addressing and page
 // capacity boundaries in both directions), long idle stretches (so the
-// expiry wheel sweeps, the log pops and the tables shrink), floods heard
-// from many senders, senders of one packet that expire at different
-// times, forwards racing their deadlines, deadlines that outlive their
-// packet's senders, own sends, and reboots (buffer recreation mid-run on
-// the same log, with the old incarnation's timers still firing). A peer
+// log pops and, at the next new records, the store sweeps and its tables
+// shrink), floods heard from many senders, senders of one packet that
+// expire at different times, forwards racing their deadlines, deadlines
+// that outlive their packet's senders, own sends, and reboots (buffer
+// recreation mid-run on the same log, with the old incarnation's timers
+// still firing). A peer
 // guard on the same log records many of the same transmissions, in the
 // same batches, so its facts share entries with the guard's; on half the
 // seeds every sender's receiver list is crowded first, so the guard's
@@ -44,7 +45,9 @@ type storeCtor func(sim.Clock, Config, func(Accusation), func(field.NodeID)) *Bu
 
 // runStoreScript replays the op script derived from seed against buffers
 // built by ctor and returns the observation log. After every op it checks
-// the live buffer's deadline queue (see checkQueue).
+// the live buffer's deadline queue (see checkQueue). On logStore, it also
+// checks that a sweep freed records at least once: the only way a store's
+// record count falls.
 func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	kernel := sim.New(seed + 1)
@@ -60,10 +63,6 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 		DropIncrement:        1,
 	}
 	ttl := cfg.cacheTTL()
-	// Half the seeds sweep on a wheel finer than ttl, so the senders of
-	// one packet, recorded a few ticks apart, expire at different sweeps;
-	// the rest keep the default one-second wheel.
-	fineWheel := rng.Intn(2) == 0
 	// The guard is node 99 on a log it shares with peer 98; node 99 among
 	// the senders is the guard's own send.
 	const self, peerID = field.NodeID(99), field.NodeID(98)
@@ -80,11 +79,11 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	peerCfg.Self = peerID
 	peer := ctor(kernel, peerCfg, nil, nil)
 	var b *Buffer
+	var lastRecs int32 // the live store's record count after the last op
+	freed := false
 	boot := func() {
 		g := gen
-		if fineWheel {
-			cfg.Wheel = sim.NewWheel(kernel, 20*time.Millisecond)
-		}
+		lastRecs = 0
 		b = ctor(kernel, cfg,
 			func(a Accusation) {
 				log = append(log, fmt.Sprintf("g%d acc %d %v %d %v %v", g, a.Accused, a.Reason, a.MalC, a.Key, a.At))
@@ -143,9 +142,16 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 		log = append(log, fmt.Sprintf("%s %v %v %d", tag, b.Heard(n, k), b.HeardAny(k), b.Len()))
 	}
 
+	afterOp := func() {
+		checkQueue(tb, b)
+		if s, ok := b.store.(*logStore); ok {
+			freed = freed || s.nrecs < lastRecs
+			lastRecs = s.nrecs
+		}
+	}
 	for op := 0; op < diffOps; op++ {
 		if op > 0 {
-			checkQueue(tb, b)
+			afterOp()
 		}
 		switch rng.Intn(20) {
 		case 0:
@@ -170,11 +176,11 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			log = append(log, fmt.Sprintf("mal %d %v", b.MalC(n), b.ThresholdFired(n)))
 		case 9:
 			// Advance virtual time: deadlines expire (drop accusations),
-			// wheel sweeps reclaim caches and MalC records.
+			// facts and MalC observations age out.
 			kernel.RunFor(time.Duration(rng.Intn(400)) * time.Millisecond)
 		case 10:
-			// Burst: drive the tables across a capacity boundary, then on a
-			// later idle stretch the sweep takes them back down (shrink).
+			// Burst: drive the tables across a capacity boundary, then a
+			// later sweep takes them back down (shrink).
 			// Then the forwards of all but every fifth armed expectation are
 			// heard, latest first, and never the first one's: met entries
 			// come to outnumber waiting ones behind a waiting head.
@@ -216,7 +222,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 		case 12:
 			// Flood: one packet heard from up to twenty senders a few
 			// ticks apart, so its entries span batches and its
-			// senders expire at different sweeps; the first sender is
+			// senders expire at different times; the first sender is
 			// heard again partway. Then queries and expectations as the
 			// record ages.
 			k := packet.Key{Type: packet.TypeRouteRequest, Origin: node(), Seq: uint64(1_000_000 + op)}
@@ -255,7 +261,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			query("nqry", node(), k)
 		case 15:
 			// A packet whose first sender has expired while a later one is
-			// live, queried across the sweep that passes between them.
+			// live, queried about both.
 			k := somekey()
 			a, c := node(), node()
 			b.RecordHeard(a, k)
@@ -283,9 +289,9 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				query("race", f, k)
 			}
 		case 17:
-			// A sweep and a reboot while expectations are live: deadlines
-			// armed on heard and never-heard packets, an idle stretch
-			// shorter than tau or past ttl, and a reboot with the
+			// An idle stretch and a reboot while expectations are live:
+			// deadlines armed on heard and never-heard packets, an idle
+			// stretch shorter than tau or past ttl, and a reboot with the
 			// deadlines still armed on the old incarnation.
 			for i := 0; i < 1+rng.Intn(4); i++ {
 				k := packet.Key{Type: packet.TypeRouteReply, Origin: node(), Seq: uint64(4_000_000 + 8*op + i)}
@@ -344,9 +350,12 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			query("wide", wide(), k)
 		}
 	}
+	afterOp()
+	kernel.RunFor(5 * time.Second) // drain every deadline
 	checkQueue(tb, b)
-	kernel.RunFor(5 * time.Second) // drain every deadline and sweep
-	checkQueue(tb, b)
+	if _, ok := b.store.(*logStore); ok && !freed {
+		tb.Fatalf("seed %d: no sweep freed a record", seed)
+	}
 	st := b.Stats()
 	log = append(log, fmt.Sprintf("stats %+v len %d", st, b.Len()))
 	return log

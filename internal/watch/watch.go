@@ -99,14 +99,6 @@ type Config struct {
 	// distinguish a crashed neighbor — total silence — from a live one
 	// selectively refusing to forward.
 	DropFilter func(accused field.NodeID, key packet.Key) bool
-	// Wheel, when non-nil, is the shared expiry wheel the buffer's
-	// housekeeping TTLs (the guard's records, MalC window pruning) ride
-	// instead of per-record kernel timers. Nil means the buffer builds a
-	// private wheel over its own clock. The watch deadline tau is semantic
-	// — a drop accusation must fire at exactly Timeout — and keeps an
-	// exact timer: the buffer's one clock timer, armed for its oldest waiting
-	// deadline at the sequence number reserved when that was armed.
-	Wheel *sim.Wheel
 	// Index, when non-nil, is the node incarnation's shared dense
 	// neighbor index (neighbor.Table.Index()). Nil means the buffer
 	// builds a private index — correct, but then nbrIdx values are not
@@ -267,12 +259,6 @@ type Buffer struct {
 	// few nodes, so a scan finds a record.
 	malcs []malcRecord
 
-	// cacheSlot arms the expiry wheel for the sweep of the store's
-	// records, at the cacheTTL expiry of each transmission the guard
-	// records; malcSlot arms it for Window pruning.
-	cacheSlot sim.WheelSlot
-	malcSlot  sim.WheelSlot
-
 	onAccuse    func(Accusation)
 	onThreshold func(field.NodeID)
 	stats       Stats
@@ -310,12 +296,6 @@ func newWithStore(k sim.Clock, cfg Config, store func(*Buffer) storeBackend, onA
 		b.store = wrapStore(b, b.store)
 	}
 	b.onDeadline = b.expire
-	wheel := b.cfg.Wheel
-	if wheel == nil {
-		wheel = sim.NewWheel(k, 0)
-	}
-	b.cacheSlot = wheel.Register(b.store.sweepCaches)
-	b.malcSlot = wheel.Register(b.sweepMalc)
 	return b
 }
 
@@ -324,18 +304,18 @@ func newWithStore(k sim.Clock, cfg Config, store func(*Buffer) storeBackend, onA
 // indistinguishable from having no record at all. Fired records persist:
 // ThresholdFired is a latch. Strictly past-window only: windowedValue still
 // counts an observation at exactly now-Window, so deleting at the boundary
-// would be observable. The survivors keep their order.
-func (b *Buffer) sweepMalc(now time.Duration) int {
+// would be observable. The survivors keep their order. accuse calls it
+// before it adds a record, so the records never outnumber the nodes
+// accused within a window plus the fired ones.
+func (b *Buffer) sweepMalc(now time.Duration) {
 	keep := b.malcs[:0]
 	for _, rec := range b.malcs {
 		if rec.fired || rec.latest+b.cfg.Window >= now {
 			keep = append(keep, rec)
 		}
 	}
-	n := len(b.malcs) - len(keep)
 	clear(b.malcs[len(keep):])
 	b.malcs = keep
-	return n
 }
 
 // malc returns aidx's MalC record, or nil.
@@ -393,7 +373,6 @@ func (b *Buffer) RecordHeard(sender field.NodeID, key packet.Key) bool {
 func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 	now := b.kernel.Now()
 	met := b.store.recordHeard(sidx, key, now)
-	b.cacheSlot.Arm(now + b.cfg.cacheTTL())
 	if !met {
 		return false
 	}
@@ -522,19 +501,16 @@ func (b *Buffer) AccuseFabrication(accused field.NodeID, key packet.Key) {
 // re-enter the buffer and accuse, which may grow the slice underneath a
 // held pointer.
 func (b *Buffer) accuse(aidx int32, accused field.NodeID, reason Reason, key packet.Key, inc int) {
+	now := b.kernel.Now()
 	rec := b.malc(aidx)
 	if rec == nil {
+		b.sweepMalc(now)
 		b.malcs = append(b.malcs, malcRecord{aidx: aidx})
 		rec = &b.malcs[len(b.malcs)-1]
 	}
-	now := b.kernel.Now()
 	rec.times = append(rec.times, now)
 	rec.incs = append(rec.incs, inc)
 	rec.latest = now
-	// +1ns: windowedValue still counts an observation at exactly
-	// now-Window, so the record is only reclaimable strictly after
-	// latest+Window (sweepMalc checks <, and the wheel rounds up).
-	b.malcSlot.Arm(now + b.cfg.Window + 1)
 	val := b.windowedValue(rec, now)
 	fire := !rec.fired && val >= b.cfg.Threshold
 	if fire {

@@ -270,13 +270,12 @@ func TestPeakEntriesTracksHighWater(t *testing.T) {
 
 // TestWatchHoldsOneKernelTimer: whatever a buffer on a scope arms, matches
 // or lets expire, it holds exactly one pending kernel timer while it has an
-// outstanding expectation and none otherwise. The wheel rides the kernel so
-// that the scope holds only the buffer's deadline timer.
+// outstanding expectation and none otherwise.
 func TestWatchHoldsOneKernelTimer(t *testing.T) {
 	k := sim.New(7)
 	s := sim.NewScope(k)
 	const tau = 40 * time.Millisecond
-	b := New(s, Config{Timeout: tau, Threshold: 1 << 30, Wheel: sim.NewWheel(k, 0)}, nil, nil)
+	b := New(s, Config{Timeout: tau, Threshold: 1 << 30}, nil, nil)
 	rng := k.Rand()
 	check := func(op int) {
 		t.Helper()
