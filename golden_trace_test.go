@@ -116,6 +116,45 @@ func TestGoldenTraceBitIdentical(t *testing.T) {
 			wantHash: goldenTraceFaults,
 			wantMin:  5000,
 		},
+		{
+			// Late joiners: nodes placed beside deployed ones during the
+			// operational phase run the secure join handshake, and the
+			// neighbors they join re-announce their lists.
+			name: "dynamic-join-30",
+			mutate: func(p *Params) {
+				p.NumNodes = 30
+				p.Seed = 2024
+				p.Duration = 120 * time.Second
+				p.DynamicJoin = true
+			},
+			setup:    scheduleJoiners,
+			wantHash: goldenTraceDynamicJoin,
+			wantMin:  5000,
+		},
+		{
+			// The rival range-check detector in place of LITEWORP's.
+			name: "detector-range-30",
+			mutate: func(p *Params) {
+				p.NumNodes = 30
+				p.Seed = 5150
+				p.Duration = 120 * time.Second
+				p.Detector = "range"
+			},
+			wantHash: goldenTraceRange,
+			wantMin:  5000,
+		},
+		{
+			// The rival z-score detector in place of LITEWORP's.
+			name: "detector-zscore-30",
+			mutate: func(p *Params) {
+				p.NumNodes = 30
+				p.Seed = 6160
+				p.Duration = 120 * time.Second
+				p.Detector = "zscore"
+			},
+			wantHash: goldenTraceZScore,
+			wantMin:  5000,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,16 +204,38 @@ func injectCrashesAndFlaps(t *testing.T, s *Scenario) {
 	}
 }
 
+// scheduleJoiners adds four honest nodes during the operational phase, each
+// placed beside a deployed node so that it has radio neighbors to join.
+func scheduleJoiners(t *testing.T, s *Scenario) {
+	t.Helper()
+	ids := s.NodeIDs()
+	for i := 0; i < 4; i++ {
+		anchor := ids[(i*7)%len(ids)]
+		at := s.OperationalStart() + time.Duration(10+15*i)*time.Second
+		s.kernel.At(at, func() {
+			ap, _ := s.Position(anchor)
+			if _, err := s.AddNodeAt(ap.X+4, ap.Y+3); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // Golden trace hashes (SHA-256 over the full JSONL trace). The first three
 // were captured before the event-pressure rework; the airtime and fault
 // cases before deliveries were batched into one kernel event per
-// transmission. All are required to survive performance work unchanged.
+// transmission; the dynamic-join and rival-detector cases before their
+// internal settings became constants. All are required to survive
+// performance work unchanged.
 const (
-	goldenTraceProtected = "84a36cfdbce0dd4434d687da8d24786af2ed57dec101c7fff801aec7389cca99"
-	goldenTraceBaseline  = "31ec827aa01106e432da1aa2aaa477a55f3ec982df7d2cbb776d32f0dba4b50a"
-	goldenTraceHopByHop  = "af8f8c52bc5daf656f07bc33c626f85d7a8f22159fca2b0d5ac53de282b6c3f8"
-	goldenTraceAirtime   = "2ea56230ab0267ec37fcd3de4170e245f816473da4d8164162397cbabe142afe"
-	goldenTraceFaults    = "99ddc901d587dde6c867d8912a1b3a4283c43f4af88772808d3ccfdedd2f185b"
+	goldenTraceProtected   = "84a36cfdbce0dd4434d687da8d24786af2ed57dec101c7fff801aec7389cca99"
+	goldenTraceBaseline    = "31ec827aa01106e432da1aa2aaa477a55f3ec982df7d2cbb776d32f0dba4b50a"
+	goldenTraceHopByHop    = "af8f8c52bc5daf656f07bc33c626f85d7a8f22159fca2b0d5ac53de282b6c3f8"
+	goldenTraceAirtime     = "2ea56230ab0267ec37fcd3de4170e245f816473da4d8164162397cbabe142afe"
+	goldenTraceFaults      = "99ddc901d587dde6c867d8912a1b3a4283c43f4af88772808d3ccfdedd2f185b"
+	goldenTraceDynamicJoin = "1f0ecd4318dcbba724246c617485789aaf105f713d639dcc925d77667f43b5ee"
+	goldenTraceRange       = "e861e81242a1e5f8ad8563a58de94ee673d2b8e97b74428b30a28080f4e5120b"
+	goldenTraceZScore      = "f2ae421f8e7b58cbf6b9b6211e4bbd1ad9fbd2d1d8893fbdfd1644b299f7e9db"
 )
 
 // TestGoldenTraceBackendInvariant runs the protected golden case on the
