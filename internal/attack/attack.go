@@ -14,7 +14,10 @@
 //
 // Once routes are captured, wormhole endpoints drop every data packet
 // forwarded to them (§6: "the malicious nodes at each end of the wormhole
-// drop all the packets forwarded to them").
+// drop all the packets forwarded to them"). Tunnel entrances also forward
+// each REQ along the legal path, hiding the endpoint from drop detection,
+// and REPs travel back through the tunnel so route establishment
+// completes.
 package attack
 
 import (
@@ -111,24 +114,20 @@ func (s PrevHopStrategy) String() string {
 	}
 }
 
-// Config parameterizes an attacker.
+// Config parameterizes an attacker. What every attacker does is fixed
+// (see the package comment): endpoints drop data, tunnel entrances also
+// forward REQs along the legal path, and REPs return through the tunnel.
 type Config struct {
 	Mode Mode
 	// PrevHop picks the tunnel exit strategy (default ForgeNeighbor, the
 	// harder case for LITEWORP).
 	PrevHop PrevHopStrategy
-	// DropData makes wormhole endpoints drop data packets routed through
-	// them (the paper's behavior; disable for a benign tunnel).
-	DropData bool
 	// DropProbability selects selective dropping ("they can then launch a
 	// variety of attacks against the data traffic flowing on the
 	// wormhole, such as selectively dropping the data packets"): each
 	// eligible data packet is dropped with this probability. Zero means
 	// drop everything (the default, and the paper's simulation behavior).
 	DropProbability float64
-	// ForwardNormally makes tunnel entrances also forward the REQ along
-	// the legal path, hiding the endpoint from drop detection.
-	ForwardNormally bool
 	// HighPowerFactor scales the radio range in high-power mode
 	// (default 3).
 	HighPowerFactor float64
@@ -136,10 +135,6 @@ type Config struct {
 	// encapsulated packets (out-of-band mode uses zero). The scenario
 	// computes tunnel delay = hops * EncapDelayPerHop when wiring tunnels.
 	EncapDelayPerHop time.Duration
-	// AlsoTunnelReplies tunnels REPs back through the wormhole so route
-	// establishment completes (the paper's attack does; disabling it is a
-	// degenerate attacker that only disrupts discovery).
-	AlsoTunnelReplies bool
 	// SmartRepCover is the paper's "smarter M2": besides tunneling a REP
 	// to its colluder, the exit also transmits a copy over the real radio
 	// so the guards' watch-buffer entries are satisfied and no drop
@@ -153,13 +148,10 @@ type Config struct {
 // DefaultConfig returns the paper's attack behavior for the given mode.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:              mode,
-		PrevHop:           StrategyForgeNeighbor,
-		DropData:          true,
-		ForwardNormally:   true,
-		HighPowerFactor:   3,
-		EncapDelayPerHop:  10 * time.Millisecond,
-		AlsoTunnelReplies: true,
+		Mode:             mode,
+		PrevHop:          StrategyForgeNeighbor,
+		HighPowerFactor:  3,
+		EncapDelayPerHop: 10 * time.Millisecond,
 	}
 }
 
@@ -255,7 +247,7 @@ func (a *Attacker) Colluders() []field.NodeID {
 // phantom link, staying honest on routes they legitimately belong to; the
 // rushing attacker black-holes whatever its protocol deviation won it.
 func (a *Attacker) ShouldDropData(p *packet.Packet) bool {
-	if !a.active || !a.cfg.DropData || p.FinalDest == a.self {
+	if !a.active || p.FinalDest == a.self {
 		return false
 	}
 	switch a.cfg.Mode {
@@ -332,7 +324,7 @@ func (a *Attacker) handleControlTunnel(p *packet.Packet) bool {
 	case packet.TypeRouteRequest:
 		key := p.Key()
 		if a.tunneledReq[key] {
-			return !a.cfg.ForwardNormally
+			return false
 		}
 		a.tunneledReq[key] = true
 		inner := p.Clone()
@@ -349,10 +341,10 @@ func (a *Attacker) handleControlTunnel(p *packet.Packet) bool {
 			}
 			_ = a.med.TunnelSend(a.self, c, wrapped)
 		}
-		// Consume unless configured to also forward along the legal path.
-		return !a.cfg.ForwardNormally
+		// Do not consume: the node also forwards along the legal path.
+		return false
 	case packet.TypeRouteReply:
-		if !a.cfg.AlsoTunnelReplies || p.Receiver != a.self || p.FinalDest == a.self {
+		if p.Receiver != a.self || p.FinalDest == a.self {
 			return false
 		}
 		// If the next hop toward the source is a colluder, carry the REP

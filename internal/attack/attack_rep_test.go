@@ -106,20 +106,6 @@ func TestRepNotTunneledWhenNextHopHonest(t *testing.T) {
 	}
 }
 
-func TestRepTunnelingDisabled(t *testing.T) {
-	cfg := DefaultConfig(ModeOutOfBand)
-	cfg.AlsoTunnelReplies = false
-	_, _, _, m2, _ := repWorld(t, cfg)
-	rep := &packet.Packet{
-		Type: packet.TypeRouteReply, Seq: 5, Origin: 1, FinalDest: 1,
-		Sender: 4, PrevHop: 4, Receiver: 11,
-		Route: []field.NodeID{1, 10, 11, 4},
-	}
-	if m2.HandleControl(rep) {
-		t.Fatal("degenerate attacker consumed the REP")
-	}
-}
-
 func TestClaimColluderPrevHop(t *testing.T) {
 	cfg := DefaultConfig(ModeOutOfBand)
 	cfg.PrevHop = StrategyClaimColluder

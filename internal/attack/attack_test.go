@@ -348,18 +348,6 @@ func TestShouldDropDataGating(t *testing.T) {
 	}
 }
 
-func TestShouldDropDataDisabled(t *testing.T) {
-	k, med, _ := wormholeWorld(t)
-	cfg := DefaultConfig(ModeHighPower)
-	cfg.DropData = false
-	a := New(k, med, 10, nil, cfg)
-	data := &packet.Packet{Type: packet.TypeData, Seq: 1, Origin: 1, FinalDest: 4, Sender: 1, PrevHop: 1, Receiver: 10}
-	if a.ShouldDropData(data) {
-		t.Fatal("benign attacker dropped data")
-	}
-	_ = k
-}
-
 func TestCollaboratorListExcludesSelf(t *testing.T) {
 	k, med, _ := wormholeWorld(t)
 	a := New(k, med, 10, []field.NodeID{10, 11, 12}, DefaultConfig(ModeOutOfBand))

@@ -15,19 +15,10 @@ import (
 // discriminator (crashed neighbors are marked stale instead of accused),
 // stale recovery on evidence of life, and alert retransmission.
 
-func degradeConfig() Config {
-	cfg := testConfig()
-	cfg.StaleSilence = 10 * time.Second
-	return cfg
-}
-
 func TestDeadSilentNeighborMarkedStaleNotAccused(t *testing.T) {
 	var acc []watch.Accusation
-	var stale []field.NodeID
-	cfg := degradeConfig()
-	k, n := guardSetup(t, cfg, Events{
-		Accusation:  func(a watch.Accusation) { acc = append(acc, a) },
-		MarkedStale: func(id field.NodeID) { stale = append(stale, id) },
+	k, n := guardSetup(t, testConfig(), Events{
+		Accusation: func(a watch.Accusation) { acc = append(acc, a) },
 	})
 
 	// Node 2 transmits once — the guard has heard it alive.
@@ -44,9 +35,6 @@ func TestDeadSilentNeighborMarkedStaleNotAccused(t *testing.T) {
 			t.Fatalf("dead-silent node accused of dropping: %v", acc)
 		}
 	}
-	if len(stale) != 1 || stale[0] != 2 {
-		t.Fatalf("stale markings = %v, want [2]", stale)
-	}
 	if !n.table.IsStale(2) {
 		t.Fatal("table does not show 2 stale")
 	}
@@ -62,8 +50,7 @@ func TestRecentlyHeardNeighborStillAccused(t *testing.T) {
 	// A live attacker keeps transmitting (it must, to attract routes), so
 	// its silence clock keeps resetting and drop detection is unaffected.
 	var acc []watch.Accusation
-	cfg := degradeConfig()
-	k, n := guardSetup(t, cfg, Events{Accusation: func(a watch.Accusation) { acc = append(acc, a) }})
+	k, n := guardSetup(t, testConfig(), Events{Accusation: func(a watch.Accusation) { acc = append(acc, a) }})
 
 	n.engine.Monitor(rep(9, 9, 2, 2, 3, 1)) // heard 2 just now
 	n.engine.Monitor(rep(9, 9, 3, 3, 2, 7)) // 2 should forward this
@@ -89,8 +76,7 @@ func TestNeverHeardNeighborStillAccused(t *testing.T) {
 	// silence since deployment is indistinguishable from an external
 	// attacker that only injects through a wormhole.
 	var acc []watch.Accusation
-	cfg := degradeConfig()
-	k, n := guardSetup(t, cfg, Events{Accusation: func(a watch.Accusation) { acc = append(acc, a) }})
+	k, n := guardSetup(t, testConfig(), Events{Accusation: func(a watch.Accusation) { acc = append(acc, a) }})
 
 	k.RunFor(30 * time.Second)
 	n.engine.Monitor(rep(9, 9, 3, 3, 2, 7))
@@ -109,8 +95,7 @@ func TestNeverHeardNeighborStillAccused(t *testing.T) {
 }
 
 func TestNoteAliveRefreshesStaleEntry(t *testing.T) {
-	cfg := degradeConfig()
-	k, n := guardSetup(t, cfg, Events{})
+	k, n := guardSetup(t, testConfig(), Events{})
 	n.engine.Monitor(rep(9, 9, 2, 2, 3, 1))
 	k.RunFor(30 * time.Second)
 	n.engine.Monitor(rep(9, 9, 3, 3, 2, 7))
@@ -128,8 +113,7 @@ func TestNoteAliveRefreshesStaleEntry(t *testing.T) {
 }
 
 func TestNoExpectationArmedOnStaleTarget(t *testing.T) {
-	cfg := degradeConfig()
-	k, n := guardSetup(t, cfg, Events{})
+	k, n := guardSetup(t, testConfig(), Events{})
 	n.table.MarkStale(2)
 	// 3 hands the presumed-dead 2 a REP; the guard should not expect a
 	// forward from a crashed node.
@@ -143,11 +127,8 @@ func TestNoExpectationArmedOnStaleTarget(t *testing.T) {
 }
 
 func TestAlertRetransmission(t *testing.T) {
-	cfg := degradeConfig()
-	cfg.MaxAlertRetries = 2
-	cfg.AlertRetryBackoff = time.Second
 	var retries []int
-	k, n := guardSetup(t, cfg, Events{
+	k, n := guardSetup(t, testConfig(), Events{
 		AlertRetry: func(_, _ field.NodeID, attempt int) { retries = append(retries, attempt) },
 	})
 	// Two fabrications cross C_t=4; alerts go to 2's neighbors {3, 9}.

@@ -34,39 +34,40 @@ import (
 	"liteworp/internal/watch"
 )
 
-// RejectReason classifies why an inbound packet was refused.
-type RejectReason uint8
-
-// Rejection causes. NonNeighbor rejections defeat the high-power and relay
-// wormhole modes; UnknownLink is the second-hop check that exposes
-// encapsulation/out-of-band endpoints; Revoked enforces isolation.
+// Graceful-degradation timing, fixed for every run.
 const (
-	RejectNonNeighbor RejectReason = iota + 1
-	RejectRevoked
-	RejectUnknownLink
+	// staleSilence is the dead-silence discriminator: when a watched
+	// neighbor has transmitted nothing at all for this long, an expired
+	// forwarding expectation is attributed to a crash, not malice — the
+	// accusation is suppressed and the neighbor is marked stale until it
+	// is heard again. A live wormhole endpoint keeps transmitting (it must
+	// re-inject tunneled control traffic to attract routes), so its
+	// silence clock keeps resetting and drop detection is unaffected.
+	// The window must be short: right after a real crash the neighborhood
+	// floods with rediscovery REQs, each arming expectations against the
+	// dead node, and every expiry before the window elapses still counts
+	// as a drop — a window much longer than the watch timeout lets those
+	// accusations cross the revocation threshold before the discriminator
+	// engages. 2 s is 4x the default watch timeout.
+	staleSilence = 2 * time.Second
+	// maxAlertRetries is how many times a guard retransmits each alert
+	// (alerts are single unicasts carrying an isolation verdict — a lost
+	// one can cost the whole revocation, so they are repeated with
+	// backoff; receivers deduplicate per guard).
+	maxAlertRetries = 2
+	// alertRetryBackoff is the delay before the first alert
+	// retransmission; it doubles per attempt.
+	alertRetryBackoff = time.Second
 )
-
-// String names the rejection reason.
-func (r RejectReason) String() string {
-	switch r {
-	case RejectNonNeighbor:
-		return "non-neighbor"
-	case RejectRevoked:
-		return "revoked"
-	case RejectUnknownLink:
-		return "unknown-link"
-	default:
-		return fmt.Sprintf("RejectReason(%d)", uint8(r))
-	}
-}
 
 // Config parameterizes the engine.
 type Config struct {
 	// Detector selects and parameterizes the detection strategy fed by
 	// this engine's observations: the watch parameters (tau, V_f, V_d,
-	// C_t, T) for the LITEWORP guard strategy, the fabrication/drop
-	// ablations, and the rival strategies' knobs. The zero value selects
-	// the LITEWORP strategy with default watch parameters.
+	// C_t, T) for the LITEWORP guard strategy and the fabrication/drop
+	// ablations. The rival strategies run at fixed constants of their
+	// own. The zero value selects the LITEWORP strategy with default
+	// watch parameters.
 	Detector detector.Config
 	// Gamma is the detection confidence index: the number of distinct
 	// guards that must alert a node before it isolates the accused
@@ -81,30 +82,6 @@ type Config struct {
 	// position-aware detectors (the range strategy). Nil disables their
 	// checks.
 	Positions detector.Positions
-	// StaleSilence is the dead-silence discriminator: when a watched
-	// neighbor has transmitted nothing at all for this long, an expired
-	// forwarding expectation is attributed to a crash, not malice — the
-	// accusation is suppressed and the neighbor is marked stale until it
-	// is heard again. A live wormhole endpoint keeps transmitting (it must
-	// re-inject tunneled control traffic to attract routes), so its
-	// silence clock keeps resetting and drop detection is unaffected.
-	// The window must be short: right after a real crash the neighborhood
-	// floods with rediscovery REQs, each arming expectations against the
-	// dead node, and every expiry before the window elapses still counts
-	// as a drop — a window much longer than the watch timeout lets those
-	// accusations cross the revocation threshold before the discriminator
-	// engages. Default 2s (4x the default watch timeout); negative
-	// disables the discriminator.
-	StaleSilence time.Duration
-	// MaxAlertRetries is how many times a guard retransmits each alert
-	// (alerts are single unicasts carrying an isolation verdict — a lost
-	// one can cost the whole revocation, so they are repeated with
-	// backoff; receivers deduplicate per guard). Default 2; negative
-	// disables retransmission.
-	MaxAlertRetries int
-	// AlertRetryBackoff is the delay before the first alert
-	// retransmission; it doubles per attempt. Default 1s.
-	AlertRetryBackoff time.Duration
 }
 
 // DefaultConfig returns the paper's default parameterization with gamma=2.
@@ -115,21 +92,6 @@ func DefaultConfig() Config {
 func (c Config) withDefaults() Config {
 	if c.Gamma <= 0 {
 		c.Gamma = 2
-	}
-	switch {
-	case c.StaleSilence == 0:
-		c.StaleSilence = 2 * time.Second
-	case c.StaleSilence < 0:
-		c.StaleSilence = 0
-	}
-	switch {
-	case c.MaxAlertRetries == 0:
-		c.MaxAlertRetries = 2
-	case c.MaxAlertRetries < 0:
-		c.MaxAlertRetries = 0
-	}
-	if c.AlertRetryBackoff <= 0 {
-		c.AlertRetryBackoff = time.Second
 	}
 	return c
 }
@@ -143,17 +105,11 @@ type Events struct {
 	LocalRevocation func(accused field.NodeID)
 	// AlertSent fires per alert unicast to a neighbor of the accused.
 	AlertSent func(accused, to field.NodeID)
-	// AlertAccepted fires when a verified alert from a guard is stored.
-	AlertAccepted func(accused, guard field.NodeID)
 	// Isolated fires when gamma distinct guards have alerted and this
 	// node marks the accused revoked.
 	Isolated func(accused field.NodeID)
-	// Rejected fires when an inbound packet is refused.
-	Rejected func(p *packet.Packet, reason RejectReason)
 	// AlertRetry fires per alert retransmission (attempt starts at 1).
 	AlertRetry func(accused, to field.NodeID, attempt int)
-	// MarkedStale fires when a silent neighbor is presumed crashed.
-	MarkedStale func(id field.NodeID)
 }
 
 // Stats counts engine activity at one node.
@@ -217,9 +173,7 @@ func New(k sim.Clock, ring *keys.Ring, table *neighbor.Table, cfg Config, send f
 			}
 		},
 		OnThreshold: e.onThreshold,
-	}
-	if e.cfg.StaleSilence > 0 {
-		env.DropFilter = e.suppressDeadSilentDrop
+		DropFilter:  e.suppressDeadSilentDrop,
 	}
 	det, err := detector.New(env, cfg.Detector)
 	if err != nil {
@@ -265,37 +219,29 @@ func (e *Engine) IsolatedAt(id field.NodeID) (time.Duration, bool) {
 
 // CheckInbound applies LITEWORP's acceptance rules to a frame this node is
 // about to process (it is addressed to us or is a flood we would forward).
-// It returns false with a reason when the frame must be discarded:
+// It returns false, and counts the cause in Stats, when the frame must be
+// discarded:
 //
 //   - the transmitter is not in our neighbor table (high-power and relay
 //     wormholes, or any spoofed-origin injection);
 //   - the transmitter has been revoked (isolation);
 //   - the announced previous hop is not a known neighbor of the
 //     transmitter (the second-hop check that exposes tunnel endpoints).
-func (e *Engine) CheckInbound(p *packet.Packet) (bool, RejectReason) {
+func (e *Engine) CheckInbound(p *packet.Packet) bool {
 	_, st, ok := e.table.Lookup(p.Sender)
 	if !ok {
 		e.stats.RejectedNonNeighbor++
-		e.reject(p, RejectNonNeighbor)
-		return false, RejectNonNeighbor
+		return false
 	}
 	if st == neighbor.StatusRevoked {
 		e.stats.RejectedRevoked++
-		e.reject(p, RejectRevoked)
-		return false, RejectRevoked
+		return false
 	}
 	if !e.cfg.DisableTwoHopCheck && p.PrevHop != p.Sender && !e.table.KnowsLink(p.PrevHop, p.Sender) {
 		e.stats.RejectedUnknownLink++
-		e.reject(p, RejectUnknownLink)
-		return false, RejectUnknownLink
+		return false
 	}
-	return true, 0
-}
-
-func (e *Engine) reject(p *packet.Packet, reason RejectReason) {
-	if e.events.Rejected != nil {
-		e.events.Rejected(p, reason)
-	}
+	return true
 }
 
 // OutboundAllowed reports whether this node may send to next (isolation:
@@ -338,7 +284,7 @@ func (e *Engine) noteAlive(idx int32, st neighbor.Status, id field.NodeID) {
 
 // suppressDeadSilentDrop is the watch buffer's DropFilter: an expired
 // forwarding expectation on a neighbor that has been totally silent for
-// StaleSilence is evidence of a crash, not of selective dropping — suppress
+// staleSilence is evidence of a crash, not of selective dropping — suppress
 // the accusation and mark the neighbor stale. A neighbor we have never
 // heard at all gets no such benefit (external attackers stay accusable).
 func (e *Engine) suppressDeadSilentDrop(accused field.NodeID, _ packet.Key) bool {
@@ -346,14 +292,11 @@ func (e *Engine) suppressDeadSilentDrop(accused field.NodeID, _ packet.Key) bool
 	if !ok || int(idx) >= len(e.heardSet) || !e.heardSet[idx] {
 		return false
 	}
-	if e.kernel.Now()-e.lastHeard[idx] < e.cfg.StaleSilence {
+	if e.kernel.Now()-e.lastHeard[idx] < staleSilence {
 		return false
 	}
 	if e.table.MarkStale(accused) {
 		e.stats.StaleMarked++
-		if e.events.MarkedStale != nil {
-			e.events.MarkedStale(accused)
-		}
 	}
 	return true
 }
@@ -469,10 +412,10 @@ func (e *Engine) sendAlert(accused, to field.NodeID) {
 // jitter matters: threshold crossings at different guards cluster in time,
 // and un-jittered retries would re-collide in synchronized bursts.
 func (e *Engine) scheduleAlertRetry(alert *packet.Packet, accused, to field.NodeID, attempt int) {
-	if attempt > e.cfg.MaxAlertRetries {
+	if attempt > maxAlertRetries {
 		return
 	}
-	delay := e.cfg.AlertRetryBackoff<<(attempt-1) + e.kernel.UniformDuration(e.cfg.AlertRetryBackoff)
+	delay := alertRetryBackoff<<(attempt-1) + e.kernel.UniformDuration(alertRetryBackoff)
 	e.kernel.After(delay, func() {
 		e.stats.AlertRetries++
 		if e.events.AlertRetry != nil {
@@ -526,9 +469,6 @@ func (e *Engine) HandleAlert(p *packet.Packet) {
 	}
 	set[guard] = true
 	e.stats.AlertsAccepted++
-	if e.events.AlertAccepted != nil {
-		e.events.AlertAccepted(accused, guard)
-	}
 	if len(set) >= e.cfg.Gamma {
 		if e.table.Revoke(accused) {
 			e.stats.Isolations++

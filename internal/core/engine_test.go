@@ -51,9 +51,6 @@ func testConfig() Config {
 			},
 		},
 		Gamma: 2,
-		// The mechanics tests count exact outbound frames; alert
-		// retransmission has its own tests.
-		MaxAlertRetries: -1,
 	}
 }
 
@@ -81,42 +78,42 @@ func TestCheckInbound(t *testing.T) {
 	})
 
 	// Valid: neighbor 2 forwards a packet from its neighbor 3.
+	// Each refusal is counted under its own cause and no other.
+	rejects := func() [3]uint64 {
+		st := n.engine.Stats()
+		return [3]uint64{st.RejectedNonNeighbor, st.RejectedUnknownLink, st.RejectedRevoked}
+	}
 	p := rep(9, 9, 2, 3, 1, 1)
-	if ok, _ := n.engine.CheckInbound(p); !ok {
+	if !n.engine.CheckInbound(p) {
 		t.Fatal("legitimate packet rejected")
+	}
+	if got := rejects(); got != [3]uint64{} {
+		t.Fatalf("legitimate packet counted as rejected: %v", got)
 	}
 	// Non-neighbor transmitter (high-power / relay mode defense).
 	p = rep(9, 9, 66, 66, 1, 2)
-	if ok, reason := n.engine.CheckInbound(p); ok || reason != RejectNonNeighbor {
-		t.Fatalf("non-neighbor accepted (reason %v)", reason)
+	if n.engine.CheckInbound(p) {
+		t.Fatal("non-neighbor accepted")
+	}
+	if got := rejects(); got != [3]uint64{1, 0, 0} {
+		t.Fatalf("non-neighbor: rejections (non-neighbor, unknown-link, revoked) = %v", got)
 	}
 	// Unknown link: 2 claims prev hop 77, not in 2's announced list.
 	p = rep(9, 9, 2, 77, 1, 3)
-	if ok, reason := n.engine.CheckInbound(p); ok || reason != RejectUnknownLink {
-		t.Fatalf("unknown-link packet accepted (reason %v)", reason)
+	if n.engine.CheckInbound(p) {
+		t.Fatal("unknown-link packet accepted")
+	}
+	if got := rejects(); got != [3]uint64{1, 1, 0} {
+		t.Fatalf("unknown link: rejections (non-neighbor, unknown-link, revoked) = %v", got)
 	}
 	// Revoked transmitter.
 	n.table.Revoke(2)
 	p = rep(9, 9, 2, 3, 1, 4)
-	if ok, reason := n.engine.CheckInbound(p); ok || reason != RejectRevoked {
-		t.Fatalf("revoked transmitter accepted (reason %v)", reason)
+	if n.engine.CheckInbound(p) {
+		t.Fatal("revoked transmitter accepted")
 	}
-	st := n.engine.Stats()
-	if st.RejectedNonNeighbor != 1 || st.RejectedUnknownLink != 1 || st.RejectedRevoked != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestRejectedEventFires(t *testing.T) {
-	k := sim.New(1)
-	ks := keys.NewKeyServer(1)
-	var reasons []RejectReason
-	n := newTestNode(k, ks, 1, testConfig(), Events{
-		Rejected: func(_ *packet.Packet, r RejectReason) { reasons = append(reasons, r) },
-	})
-	n.engine.CheckInbound(rep(9, 9, 66, 66, 1, 1))
-	if len(reasons) != 1 || reasons[0] != RejectNonNeighbor {
-		t.Fatalf("reasons = %v", reasons)
+	if got := rejects(); got != [3]uint64{1, 1, 1} {
+		t.Fatalf("revoked: rejections (non-neighbor, unknown-link, revoked) = %v", got)
 	}
 }
 
@@ -283,14 +280,20 @@ func TestThresholdRevokesAndAlerts(t *testing.T) {
 			t.Fatalf("alert to unexpected node %d", to)
 		}
 	}
-	// Outbound frames: the two alert packets, each signed.
-	if len(n.sent) != 2 {
-		t.Fatalf("sent %d frames, want 2 alerts", len(n.sent))
+	// Outbound frames: the two alert packets, each signed and each sent
+	// 1+maxAlertRetries times.
+	if len(n.sent) != 2*(1+maxAlertRetries) {
+		t.Fatalf("sent %d frames, want %d", len(n.sent), 2*(1+maxAlertRetries))
 	}
+	distinct := map[*packet.Packet]bool{}
 	for _, p := range n.sent {
 		if p.Type != packet.TypeAlert || len(p.MAC) == 0 {
 			t.Fatalf("bad alert frame %v", p)
 		}
+		distinct[p] = true
+	}
+	if len(distinct) != 2 {
+		t.Fatalf("sent %d distinct alerts, want 2", len(distinct))
 	}
 }
 
@@ -483,14 +486,6 @@ func TestGammaDefaultApplied(t *testing.T) {
 	n := newTestNode(k, ks, 1, Config{}, Events{})
 	if n.engine.Gamma() != 2 {
 		t.Fatalf("default gamma = %d", n.engine.Gamma())
-	}
-}
-
-func TestRejectReasonString(t *testing.T) {
-	for _, r := range []RejectReason{RejectNonNeighbor, RejectRevoked, RejectUnknownLink, RejectReason(99)} {
-		if r.String() == "" {
-			t.Fatal("empty reason name")
-		}
 	}
 }
 

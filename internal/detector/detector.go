@@ -130,7 +130,9 @@ func (e Env) withDefaults() Env {
 	return e
 }
 
-// Config selects and parameterizes a detection strategy.
+// Config selects and parameterizes a detection strategy. Only the
+// LITEWORP strategy is parameterized; the zscore and range strategies run
+// at fixed constants (see zscore.go and rangecheck.go).
 type Config struct {
 	// Kind names the strategy; empty selects KindLiteworp.
 	Kind string
@@ -144,10 +146,6 @@ type Config struct {
 	// DisableDropDetection stops the liteworp strategy from arming
 	// forwarding expectations (the paper's V_d = 0 ablation).
 	DisableDropDetection bool
-	// ZScore parameterizes the zscore strategy.
-	ZScore ZScoreConfig
-	// Range parameterizes the range strategy.
-	Range RangeConfig
 }
 
 // DefaultConfig returns the LITEWORP strategy with the paper's Table 2
@@ -186,9 +184,9 @@ func New(env Env, cfg Config) (Detector, error) {
 	case KindNone:
 		return newNoneDetector(env, cfg), nil
 	case KindRange:
-		return newRangeDetector(env, cfg), nil
+		return newRangeDetector(env), nil
 	case KindZScore:
-		return newZScoreDetector(env, cfg), nil
+		return newZScoreDetector(env), nil
 	}
 	return nil, fmt.Errorf("detector: unknown kind %q (known: %v)", cfg.Kind, kinds)
 }

@@ -67,7 +67,7 @@ func TestLiteworpDetectorExposesBuffer(t *testing.T) {
 }
 
 // zscoreEnv wires a zscore detector with captured accusations/thresholds.
-func zscoreEnv(t *testing.T, cfg ZScoreConfig) (Detector, *[]Accusation, *[]field.NodeID) {
+func zscoreEnv(t *testing.T) (Detector, *[]Accusation, *[]field.NodeID) {
 	t.Helper()
 	var acc []Accusation
 	var fired []field.NodeID
@@ -75,7 +75,7 @@ func zscoreEnv(t *testing.T, cfg ZScoreConfig) (Detector, *[]Accusation, *[]fiel
 		Clock:        sim.New(1),
 		OnAccusation: func(a Accusation) { acc = append(acc, a) },
 		OnThreshold:  func(id field.NodeID) { fired = append(fired, id) },
-	}, Config{Kind: KindZScore, ZScore: cfg})
+	}, Config{Kind: KindZScore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func zscoreEnv(t *testing.T, cfg ZScoreConfig) (Detector, *[]Accusation, *[]fiel
 }
 
 func TestZScoreFlagsInflatedAnnouncement(t *testing.T) {
-	d, acc, fired := zscoreEnv(t, ZScoreConfig{Z: 3, MinPeers: 8})
+	d, acc, fired := zscoreEnv(t)
 	// Ten honest announcers with slightly varying degrees...
 	degrees := []int{7, 8, 9, 8, 7, 9, 8, 8, 7, 9}
 	for i, deg := range degrees {
@@ -108,19 +108,19 @@ func TestZScoreFlagsInflatedAnnouncement(t *testing.T) {
 }
 
 func TestZScoreWaitsForPopulation(t *testing.T) {
-	d, acc, _ := zscoreEnv(t, ZScoreConfig{Z: 3, MinPeers: 8})
+	d, acc, _ := zscoreEnv(t)
 	for i := 1; i <= 6; i++ {
 		d.Announcement(field.NodeID(i), 8)
 	}
-	d.Announcement(7, 40) // seventh announcer: still below MinPeers
+	d.Announcement(7, 40) // seventh announcer: still below zscoreMinPeers
 	if len(*acc) != 0 {
-		t.Fatalf("accused before MinPeers announcers were heard: %v", *acc)
+		t.Fatalf("accused before zscoreMinPeers announcers were heard: %v", *acc)
 	}
 }
 
 func TestZScoreReannouncementReplacesSample(t *testing.T) {
-	d, acc, _ := zscoreEnv(t, ZScoreConfig{Z: 3, MinPeers: 4})
-	for i, deg := range []int{8, 7, 9, 8, 8, 7} {
+	d, acc, _ := zscoreEnv(t)
+	for i, deg := range []int{8, 7, 9, 8, 8, 7, 9, 8, 7} {
 		d.Announcement(field.NodeID(i+1), deg)
 	}
 	// Node 2 re-announces a normal degree repeatedly (dynamic join churn):
@@ -147,7 +147,7 @@ func rangeWorld(t *testing.T) *field.Field {
 	return f
 }
 
-func rangeEnv(t *testing.T, f *field.Field, cfg RangeConfig) (Detector, *[]Accusation, *[]field.NodeID) {
+func rangeEnv(t *testing.T, f *field.Field) (Detector, *[]Accusation, *[]field.NodeID) {
 	t.Helper()
 	var acc []Accusation
 	var fired []field.NodeID
@@ -158,7 +158,7 @@ func rangeEnv(t *testing.T, f *field.Field, cfg RangeConfig) (Detector, *[]Accus
 	}
 	env.OnAccusation = func(a Accusation) { acc = append(acc, a) }
 	env.OnThreshold = func(id field.NodeID) { fired = append(fired, id) }
-	d, err := New(env, Config{Kind: KindRange, Range: cfg})
+	d, err := New(env, Config{Kind: KindRange})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func rangeEnv(t *testing.T, f *field.Field, cfg RangeConfig) (Detector, *[]Accus
 
 func TestRangeCatchesTunnelExitRouteTail(t *testing.T) {
 	f := rangeWorld(t)
-	d, acc, fired := rangeEnv(t, f, RangeConfig{Threshold: 2})
+	d, acc, fired := rangeEnv(t, f)
 	// Exit 9 re-injects a tunneled REQ: the accumulated route ends with
 	// the impossible pair (entrance 2, exit 9), 140 m apart, even though
 	// the forged previous hop (8) is a plausible local neighbor.
@@ -181,7 +181,7 @@ func TestRangeCatchesTunnelExitRouteTail(t *testing.T) {
 		t.Fatalf("accusations = %v, want one range violation against 9", *acc)
 	}
 	if len(*fired) != 0 {
-		t.Fatal("threshold fired below Threshold=2")
+		t.Fatal("threshold fired at the first violation")
 	}
 	// The next flood repeats the violation and crosses the threshold.
 	second := tunneled.Clone()
@@ -194,7 +194,7 @@ func TestRangeCatchesTunnelExitRouteTail(t *testing.T) {
 
 func TestRangeCatchesColluderPrevHopClaim(t *testing.T) {
 	f := rangeWorld(t)
-	d, acc, _ := rangeEnv(t, f, RangeConfig{Threshold: 1})
+	d, acc, _ := rangeEnv(t, f)
 	// Exit 9 names its remote colluder 2 as previous hop: an impossible
 	// forwarding link.
 	d.Overheard(&packet.Packet{
@@ -208,7 +208,7 @@ func TestRangeCatchesColluderPrevHopClaim(t *testing.T) {
 
 func TestRangeSparesHonestRebroadcasters(t *testing.T) {
 	f := rangeWorld(t)
-	d, acc, _ := rangeEnv(t, f, RangeConfig{})
+	d, acc, _ := rangeEnv(t, f)
 	// Honest node 10 rebroadcasts the tainted flood: the impossible pair
 	// (2, 9) sits upstream in the route, but 10's own adjacent pairs
 	// (9–10 and 10's successor, none) are real links.
@@ -223,7 +223,7 @@ func TestRangeSparesHonestRebroadcasters(t *testing.T) {
 }
 
 func TestRangeWithoutPositionsNeverAccuses(t *testing.T) {
-	d, acc, _ := rangeEnv(t, nil, RangeConfig{})
+	d, acc, _ := rangeEnv(t, nil)
 	d.Overheard(&packet.Packet{
 		Type: packet.TypeRouteRequest, Seq: 1, Origin: 1, FinalDest: 42,
 		Sender: 9, PrevHop: 2, Receiver: packet.Broadcast,
@@ -236,7 +236,7 @@ func TestRangeWithoutPositionsNeverAccuses(t *testing.T) {
 
 func TestRangeUnknownPositionGivesBenefitOfDoubt(t *testing.T) {
 	f := rangeWorld(t)
-	d, acc, _ := rangeEnv(t, f, RangeConfig{})
+	d, acc, _ := rangeEnv(t, f)
 	// Node 77 was never placed; links involving it are unjudgeable.
 	d.Overheard(&packet.Packet{
 		Type: packet.TypeRouteReply, Seq: 4, Origin: 1, FinalDest: 1,

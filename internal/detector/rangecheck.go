@@ -6,29 +6,19 @@ import (
 	"liteworp/internal/watch"
 )
 
-// RangeConfig parameterizes the position-plausibility strategy.
-type RangeConfig struct {
-	// Slack scales the radio range before a claimed link is declared
+// The position-plausibility strategy's constants.
+const (
+	// rangeSlack scales the radio range before a claimed link is declared
 	// physically impossible, absorbing position-estimate jitter at the
-	// range boundary. Default 1.05.
-	Slack float64
-	// Threshold is how many impossible-link claims from the same node
-	// cross into revocation. Default 2: a single violation could be a
+	// range boundary.
+	rangeSlack = 1.05
+	// rangeThreshold is how many impossible-link claims from the same
+	// node cross into revocation: a single violation could be a
 	// corrupted route field; a repeat is a tunnel. Tunnel exits violate
 	// once per re-injected flood, so the threshold clears within two
 	// route discoveries.
-	Threshold int
-}
-
-func (c RangeConfig) withDefaults() RangeConfig {
-	if c.Slack <= 0 {
-		c.Slack = 1.05
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 2
-	}
-	return c
-}
+	rangeThreshold = 2
+)
 
 // rangeDetector is the GPS/distance plausibility check (in the spirit of
 // the range-violation tests surveyed in arXiv 0906.1245): assuming nodes
@@ -53,13 +43,11 @@ func (c RangeConfig) withDefaults() RangeConfig {
 // never accuses.
 type rangeDetector struct {
 	env   Env
-	cfg   RangeConfig
 	board *scoreboard
 }
 
-func newRangeDetector(env Env, cfg Config) Detector {
-	rc := cfg.Range.withDefaults()
-	return &rangeDetector{env: env, cfg: rc, board: newScoreboard(env, rc.Threshold)}
+func newRangeDetector(env Env) Detector {
+	return &rangeDetector{env: env, board: newScoreboard(env, rangeThreshold)}
 }
 
 // Name returns KindRange.
@@ -109,5 +97,5 @@ func (d *rangeDetector) plausible(a, b field.NodeID) bool {
 	if _, ok := d.env.Positions.Position(b); !ok {
 		return true
 	}
-	return d.env.Positions.InRangeScaled(a, b, d.cfg.Slack)
+	return d.env.Positions.InRangeScaled(a, b, rangeSlack)
 }

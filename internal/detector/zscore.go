@@ -8,35 +8,22 @@ import (
 	"liteworp/internal/watch"
 )
 
-// ZScoreConfig parameterizes the neighbor-count anomaly strategy.
-type ZScoreConfig struct {
-	// Z is the z-score above which an announced neighbor count is
-	// anomalous. Only positive deviations count: a wormhole inflates
-	// tables (phantom links through the tunnel), it never thins them.
-	// Default 3.
-	Z float64
-	// MinPeers is how many distinct announcers must have been heard
+// The neighbor-count anomaly strategy's constants.
+const (
+	// zscoreZ is the z-score at or above which an announced neighbor
+	// count is anomalous. Only positive deviations count: a wormhole
+	// inflates tables (phantom links through the tunnel), it never thins
+	// them.
+	zscoreZ = 3
+	// zscoreMinPeers is how many distinct announcers must have been heard
 	// before any z-score is trusted (a two-sample "population" yields
-	// meaningless statistics). Default 8.
-	MinPeers int
-	// Threshold is how many anomalous announcements from the same node
-	// cross into revocation. Default 1: announcements are authenticated
-	// and infrequent, one clear outlier is the verdict.
-	Threshold int
-}
-
-func (c ZScoreConfig) withDefaults() ZScoreConfig {
-	if c.Z <= 0 {
-		c.Z = 3
-	}
-	if c.MinPeers <= 0 {
-		c.MinPeers = 8
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 1
-	}
-	return c
-}
+	// meaningless statistics).
+	zscoreMinPeers = 8
+	// zscoreThreshold is how many anomalous announcements from the same
+	// node cross into revocation: announcements are authenticated and
+	// infrequent, so one clear outlier is the verdict.
+	zscoreThreshold = 1
+)
 
 // zscoreDetector implements per-node neighbor-count Z-score comparison
 // over announced neighbor tables (after arXiv 2505.09405): each node's
@@ -54,7 +41,6 @@ func (c ZScoreConfig) withDefaults() ZScoreConfig {
 // announce their true neighborhoods) is invisible to it — exactly the
 // blind spot the detector comparison quantifies.
 type zscoreDetector struct {
-	cfg    ZScoreConfig
 	board  *scoreboard
 	counts map[field.NodeID]int // latest announced degree per announcer
 	n      int                  // distinct announcers
@@ -62,11 +48,9 @@ type zscoreDetector struct {
 	sumsq  int                  // sum of squared latest degrees
 }
 
-func newZScoreDetector(env Env, cfg Config) Detector {
-	zc := cfg.ZScore.withDefaults()
+func newZScoreDetector(env Env) Detector {
 	return &zscoreDetector{
-		cfg:    zc,
-		board:  newScoreboard(env, zc.Threshold),
+		board:  newScoreboard(env, zscoreThreshold),
 		counts: make(map[field.NodeID]int),
 	}
 }
@@ -97,7 +81,7 @@ func (d *zscoreDetector) Announcement(from field.NodeID, degree int) {
 	d.sum += degree
 	d.sumsq += degree * degree
 
-	if d.n < d.cfg.MinPeers {
+	if d.n < zscoreMinPeers {
 		return
 	}
 	mean := float64(d.sum) / float64(d.n)
@@ -105,7 +89,7 @@ func (d *zscoreDetector) Announcement(from field.NodeID, degree int) {
 	if variance <= 0 {
 		return // a uniform population has no outliers
 	}
-	if z := (float64(degree) - mean) / math.Sqrt(variance); z >= d.cfg.Z {
+	if z := (float64(degree) - mean) / math.Sqrt(variance); z >= zscoreZ {
 		d.board.accuse(from, watch.ReasonAnomaly, packet.Key{})
 	}
 }

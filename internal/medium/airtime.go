@@ -19,34 +19,27 @@ import (
 //     for [start, start+txDelay];
 //   - a station that is covered by two temporally overlapping frames from
 //     different transmitters decodes neither (no capture effect);
-//   - with carrier sense enabled, a transmitter that can itself hear an
-//     ongoing frame defers by a random backoff before trying again, up to
-//     a bounded number of attempts (CSMA without RTS/CTS, as broadcast
-//     traffic cannot use virtual carrier reservation).
+//   - a transmitter that can itself hear an ongoing frame defers by a
+//     random backoff before trying again, up to maxAttempts attempts
+//     (CSMA without RTS/CTS, as broadcast traffic cannot use virtual
+//     carrier reservation);
+//   - the loss model still applies on top, as a residual noise floor.
 
-// AirtimeConfig tunes the contention model.
-type AirtimeConfig struct {
-	// Enabled switches the medium from probabilistic losses to airtime
-	// collisions. The LossModel still applies on top (so residual noise
-	// can be modeled); set Loss to nil/NoLoss for pure contention.
-	Enabled bool
-	// CarrierSense makes transmitters defer while they hear an ongoing
-	// frame.
-	CarrierSense bool
-	// MaxBackoff is the upper bound of the uniform deferral delay
-	// (default: 4 frame times of a typical control packet).
-	MaxBackoff time.Duration
-	// MaxAttempts bounds carrier-sense retries before the frame is
-	// dropped at the transmitter (default 8).
-	MaxAttempts int
-	// UnicastRetries is the MAC-level ARQ limit for addressed frames
+// Contention constants, fixed for every run.
+const (
+	// maxAttempts bounds carrier-sense attempts before the frame is
+	// dropped at the transmitter.
+	maxAttempts = 8
+	// unicastRetries is the MAC-level ARQ limit for addressed frames
 	// (802.11 retransmits unlucky unicasts; broadcasts rely on flood
 	// redundancy instead). Each retransmission is a full physical
 	// broadcast, so overhearers get another chance too. Acknowledgments
-	// are modeled as instantaneous and reliable. Default 3; negative
-	// disables ARQ.
-	UnicastRetries int
-}
+	// are modeled as instantaneous and reliable.
+	unicastRetries = 3
+	// backoffFrameBytes sizes the uniform deferral bound: four airtime
+	// slots of a frame this long (a typical control packet).
+	backoffFrameBytes = 60
+)
 
 type airInterval struct {
 	from       field.NodeID
@@ -123,14 +116,13 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 		// backoff and this retry.
 		return nil
 	}
-	cfg := m.airCfg
 	now := m.kernel.Now()
-	if cfg.CarrierSense && m.air.busy(tx, now) {
-		if attempt >= m.airMaxAttempts() {
+	if m.air.busy(tx, now) {
+		if attempt >= maxAttempts {
 			m.stats.CarrierDrops++
 			return nil
 		}
-		defer1 := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
+		defer1 := m.kernel.UniformDuration(m.maxBackoff()) + time.Microsecond
 		p.Retain() // the deferral's reference, released once it has run
 		m.kernel.Post(defer1, func() {
 			_ = m.transmitAirtimeARQ(tx, p, rangeFactor, attempt+1, arq)
@@ -142,7 +134,7 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 
 	dur := m.TxDelay(m.countTransmission(p))
 	end := now + dur
-	arrival := dur + m.cfg.PropagationDelay
+	arrival := dur + propagationDelay
 
 	var d *delivery
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
@@ -161,7 +153,7 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 			continue
 		}
 		// Residual probabilistic loss still applies (noise floor).
-		noise := m.kernel.Rand().Float64() < m.cfg.Loss.LossProb(tx, rx)
+		noise := m.kernel.Rand().Float64() < m.loss.LossProb(tx, rx)
 		if d == nil {
 			d = m.newDelivery(p)
 			d.airtime = true
@@ -196,9 +188,9 @@ func (m *Medium) airtimeLost(d *delivery, rx field.NodeID, r *airReception) bool
 	}
 	// MAC ARQ: the addressed receiver of a unicast frame failed to
 	// acknowledge; retransmit after a backoff.
-	if r.retransmit && d.arq < m.airUnicastRetries() {
+	if r.retransmit && d.arq < unicastRetries {
 		m.stats.ARQRetransmissions++
-		backoff := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
+		backoff := m.kernel.UniformDuration(m.maxBackoff()) + time.Microsecond
 		tx, frame, rangeFactor, arq := d.tx, d.frame, d.rangeFactor, d.arq+1
 		frame.Retain() // the retransmission's reference, released once it has run
 		m.kernel.Post(backoff, func() {
@@ -209,28 +201,7 @@ func (m *Medium) airtimeLost(d *delivery, rx field.NodeID, r *airReception) bool
 	return true
 }
 
-func (m *Medium) airUnicastRetries() int {
-	switch {
-	case m.airCfg.UnicastRetries > 0:
-		return m.airCfg.UnicastRetries
-	case m.airCfg.UnicastRetries < 0:
-		return 0
-	default:
-		return 3
-	}
-}
-
-func (m *Medium) airMaxBackoff() time.Duration {
-	if m.airCfg.MaxBackoff > 0 {
-		return m.airCfg.MaxBackoff
-	}
-	// Default: four airtime slots of a ~60-byte control frame.
-	return 4 * m.TxDelay(60)
-}
-
-func (m *Medium) airMaxAttempts() int {
-	if m.airCfg.MaxAttempts > 0 {
-		return m.airCfg.MaxAttempts
-	}
-	return 8
+// maxBackoff is the upper bound of the uniform deferral delay.
+func (m *Medium) maxBackoff() time.Duration {
+	return 4 * m.TxDelay(backoffFrameBytes)
 }

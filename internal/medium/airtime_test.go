@@ -25,12 +25,23 @@ func triangle(t testing.TB) *field.Field {
 	return f
 }
 
-func airMedium(t testing.TB, k *sim.Kernel, f *field.Field, cs bool) *Medium {
+func airMedium(k *sim.Kernel, f *field.Field) *Medium {
+	m := New(k, f, Config{BandwidthBps: 40_000})
+	m.EnableAirtime()
+	return m
+}
+
+// hiddenLine: 1 and 3 cannot hear each other but both reach 2, so
+// carrier sense cannot keep their frames apart at 2.
+func hiddenLine(t testing.TB) *field.Field {
 	t.Helper()
-	return New(k, f, Config{
-		BandwidthBps: 40_000,
-		Airtime:      AirtimeConfig{Enabled: true, CarrierSense: cs},
-	})
+	f := field.New(200, 50, 30)
+	for id, x := range map[field.NodeID]float64{1: 0, 2: 25, 3: 50} {
+		if err := f.Place(id, field.Point{X: x, Y: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
 }
 
 func data(sender field.NodeID, seq uint64, size int) *packet.Packet {
@@ -40,45 +51,10 @@ func data(sender field.NodeID, seq uint64, size int) *packet.Packet {
 	}
 }
 
-func TestAirtimeOverlapDestroysBothFrames(t *testing.T) {
-	k := sim.New(1)
-	f := triangle(t)
-	m := airMedium(t, k, f, false)
-	got := map[field.NodeID]int{}
-	for _, id := range f.IDs() {
-		id := id
-		if err := m.Attach(id, func(*packet.Packet) { got[id]++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Nodes 1 and 2 transmit simultaneously: node 3 hears both frames
-	// overlapping and decodes neither; 1 and 2 each hear only the other's
-	// frame (no self-interference modeled at the transmitter), so they
-	// decode it cleanly.
-	if err := m.Broadcast(data(1, 1, 50)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Broadcast(data(2, 2, 50)); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got[3] != 0 {
-		t.Fatalf("node 3 decoded %d overlapping frames", got[3])
-	}
-	if got[1] != 1 || got[2] != 1 {
-		t.Fatalf("non-colliding receptions lost: got1=%d got2=%d", got[1], got[2])
-	}
-	if m.Stats().AirtimeCollisions < 2 {
-		t.Fatalf("AirtimeCollisions = %d", m.Stats().AirtimeCollisions)
-	}
-}
-
 func TestAirtimeSequentialFramesBothDecode(t *testing.T) {
 	k := sim.New(1)
 	f := triangle(t)
-	m := airMedium(t, k, f, false)
+	m := airMedium(k, f)
 	got := 0
 	if err := m.Attach(3, func(*packet.Packet) { got++ }); err != nil {
 		t.Fatal(err)
@@ -104,19 +80,21 @@ func TestAirtimeSequentialFramesBothDecode(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("node 3 decoded %d sequential frames, want 2", got)
 	}
-	if m.Stats().AirtimeCollisions != 0 {
-		t.Fatalf("AirtimeCollisions = %d", m.Stats().AirtimeCollisions)
+	if st := m.Stats(); st.AirtimeCollisions != 0 || st.CarrierDeferrals != 0 {
+		t.Fatalf("AirtimeCollisions = %d, CarrierDeferrals = %d, want 0 and 0", st.AirtimeCollisions, st.CarrierDeferrals)
 	}
 }
 
 func TestAirtimePartialOverlapCollides(t *testing.T) {
+	// The hidden terminals 1 and 3 cannot sense each other, so 3's frame
+	// starts while 1's is still on the air at 2.
 	k := sim.New(1)
-	f := triangle(t)
-	m := airMedium(t, k, f, false)
+	f := hiddenLine(t)
+	m := airMedium(k, f)
 	got := 0
 	for _, id := range f.IDs() {
 		cb := func(*packet.Packet) {}
-		if id == 3 {
+		if id == 2 {
 			cb = func(*packet.Packet) { got++ }
 		}
 		if err := m.Attach(id, cb); err != nil {
@@ -128,7 +106,7 @@ func TestAirtimePartialOverlapCollides(t *testing.T) {
 	}
 	// Second frame starts midway through the first (~20ms of ~23ms).
 	k.After(10*time.Millisecond, func() {
-		if err := m.Broadcast(data(2, 2, 100)); err != nil {
+		if err := m.Broadcast(data(3, 2, 100)); err != nil {
 			t.Error(err)
 		}
 	})
@@ -138,17 +116,17 @@ func TestAirtimePartialOverlapCollides(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("partially overlapping frames decoded: %d", got)
 	}
+	if st := m.Stats(); st.AirtimeCollisions != 2 || st.CarrierDeferrals != 0 {
+		t.Fatalf("AirtimeCollisions = %d, CarrierDeferrals = %d, want 2 and 0", st.AirtimeCollisions, st.CarrierDeferrals)
+	}
 }
 
 func TestHiddenTerminalCollision(t *testing.T) {
 	// Classic hidden terminal: 1 and 3 cannot hear each other but both
 	// reach 2. Carrier sense cannot help; their frames collide at 2.
-	f := field.New(200, 50, 30)
-	f.Place(1, field.Point{X: 0, Y: 0})
-	f.Place(2, field.Point{X: 25, Y: 0})
-	f.Place(3, field.Point{X: 50, Y: 0})
+	f := hiddenLine(t)
 	k := sim.New(1)
-	m := New(k, f, Config{BandwidthBps: 40_000, Airtime: AirtimeConfig{Enabled: true, CarrierSense: true}})
+	m := airMedium(k, f)
 	got := 0
 	for _, id := range f.IDs() {
 		cb := func(*packet.Packet) {}
@@ -179,7 +157,7 @@ func TestHiddenTerminalCollision(t *testing.T) {
 func TestCarrierSenseDefers(t *testing.T) {
 	k := sim.New(1)
 	f := triangle(t)
-	m := airMedium(t, k, f, true)
+	m := airMedium(k, f)
 	got := map[field.NodeID]int{}
 	for _, id := range f.IDs() {
 		id := id
@@ -215,20 +193,15 @@ func TestCarrierSenseDefers(t *testing.T) {
 func TestCarrierSenseGivesUpAfterMaxAttempts(t *testing.T) {
 	k := sim.New(1)
 	f := triangle(t)
-	m := New(k, f, Config{
-		BandwidthBps: 40_000,
-		Airtime: AirtimeConfig{
-			Enabled: true, CarrierSense: true,
-			MaxAttempts: 2, MaxBackoff: time.Millisecond,
-		},
-	})
+	m := airMedium(k, f)
 	for _, id := range f.IDs() {
 		if err := m.Attach(id, func(*packet.Packet) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Node 1 occupies the channel with a huge frame (64 KB ≈ 13 s);
-	// node 2's attempts all find the channel busy and give up.
+	// Node 1 occupies the channel with a huge frame (60 KB = 12 s);
+	// node 2's maxAttempts deferrals, each at most 4 frame times of a
+	// control packet (~48 ms), all find the channel busy and give up.
 	if err := m.Broadcast(data(1, 1, 60_000)); err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +213,8 @@ func TestCarrierSenseGivesUpAfterMaxAttempts(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().CarrierDrops != 1 {
-		t.Fatalf("CarrierDrops = %d, want 1", m.Stats().CarrierDrops)
+	if st := m.Stats(); st.CarrierDrops != 1 || st.CarrierDeferrals != maxAttempts {
+		t.Fatalf("CarrierDrops = %d, CarrierDeferrals = %d, want 1 and %d", st.CarrierDrops, st.CarrierDeferrals, maxAttempts)
 	}
 }
 
@@ -250,7 +223,7 @@ func TestAirtimeScenarioEndToEnd(t *testing.T) {
 	// transmissions dominate, so most receptions survive.
 	k := sim.New(4)
 	f := triangle(t)
-	m := airMedium(t, k, f, true)
+	m := airMedium(k, f)
 	got := 0
 	for _, id := range f.IDs() {
 		id := id

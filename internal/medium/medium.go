@@ -135,28 +135,20 @@ func (m *LinearCollisionModel) LossProb(_, rx field.NodeID) float64 {
 	return p
 }
 
+// propagationDelay is added to every delivery (speed-of-light plus
+// receive processing; effectively negligible at sensor scales).
+const propagationDelay = 5 * time.Microsecond
+
 // Config parameterizes the medium.
 type Config struct {
 	// BandwidthBps is the channel bandwidth in bits per second
 	// (paper Table 2: 40 kbps).
 	BandwidthBps float64
-	// PropagationDelay is added to every delivery (speed-of-light plus
-	// receive processing; effectively negligible at sensor scales).
-	PropagationDelay time.Duration
-	// Loss decides per-reception losses. Nil means NoLoss.
-	Loss LossModel
-	// Airtime switches to the physical contention model: collisions
-	// emerge from frame airtime overlap at each receiver (see
-	// AirtimeConfig). The LossModel then acts as a residual noise floor.
-	Airtime AirtimeConfig
 }
 
 // DefaultConfig matches the paper's Table 2 channel.
 func DefaultConfig() Config {
-	return Config{
-		BandwidthBps:     40_000,
-		PropagationDelay: 5 * time.Microsecond,
-	}
+	return Config{BandwidthBps: 40_000}
 }
 
 // Stats counts medium activity.
@@ -255,7 +247,8 @@ type Medium struct {
 	kernel    *sim.Kernel
 	topo      *field.Field
 	cfg       Config
-	airCfg    AirtimeConfig
+	loss      LossModel // per-reception losses; NoLoss until SetLoss
+	airtime   bool      // the contention model is on (see EnableAirtime)
 	air       *airState
 	stations  nodeSlots[*station]
 	tunnels   map[[2]field.NodeID]tunnel
@@ -274,14 +267,11 @@ func New(k *sim.Kernel, topo *field.Field, cfg Config) *Medium {
 	if cfg.BandwidthBps <= 0 {
 		cfg.BandwidthBps = DefaultConfig().BandwidthBps
 	}
-	if cfg.Loss == nil {
-		cfg.Loss = NoLoss{}
-	}
 	return &Medium{
 		kernel:  k,
 		topo:    topo,
 		cfg:     cfg,
-		airCfg:  cfg.Airtime,
+		loss:    NoLoss{},
 		air:     newAirState(),
 		tunnels: make(map[[2]field.NodeID]tunnel),
 	}
@@ -413,10 +403,13 @@ func (m *Medium) traceRx(from, to field.NodeID, p *packet.Packet, lost, tunnel b
 // evidence (I heard nothing) is unreliable right now.
 func (m *Medium) SetCorruptionNotify(fn func(rx field.NodeID)) { m.corrupted = fn }
 
-// SetAirtime reconfigures the contention model at runtime. Scenarios use
-// this to run neighbor discovery over a clean channel and enable physical
-// contention with the operational traffic.
-func (m *Medium) SetAirtime(cfg AirtimeConfig) { m.airCfg = cfg }
+// EnableAirtime switches the medium from probabilistic losses to the
+// physical contention model (see airtime.go): collisions emerge from frame
+// airtime overlap at each receiver, transmitters sense the carrier, and
+// unicasts are retransmitted by the MAC. The loss model then acts as a
+// residual noise floor. Scenarios run neighbor discovery over a clean
+// channel and enable contention with the operational traffic.
+func (m *Medium) EnableAirtime() { m.airtime = true }
 
 // SetLoss replaces the loss model at runtime. Scenarios use this to run the
 // one-time neighbor-discovery phase over a clean channel (the paper assumes
@@ -426,7 +419,7 @@ func (m *Medium) SetLoss(l LossModel) {
 	if l == nil {
 		l = NoLoss{}
 	}
-	m.cfg.Loss = l
+	m.loss = l
 }
 
 // Stats returns a copy of the medium counters.
@@ -492,10 +485,10 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 	if err := p.CheckLimits(); err != nil {
 		return fmt.Errorf("medium: frame from %d: %w", tx, err)
 	}
-	if m.airCfg.Enabled {
+	if m.airtime {
 		return m.transmitAirtime(tx, p, rangeFactor, 0)
 	}
-	arrival := m.TxDelay(m.countTransmission(p)) + m.cfg.PropagationDelay
+	arrival := m.TxDelay(m.countTransmission(p)) + propagationDelay
 
 	// Deterministic receiver order: ascending IDs from the topology.
 	var d *delivery
@@ -513,7 +506,7 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 			m.traceRx(tx, rx, p, true, false)
 			continue
 		}
-		lost := m.kernel.Rand().Float64() < m.cfg.Loss.LossProb(tx, rx)
+		lost := m.kernel.Rand().Float64() < m.loss.LossProb(tx, rx)
 		m.traceRx(tx, rx, p, lost, false)
 		if lost {
 			m.stats.Losses++

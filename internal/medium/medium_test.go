@@ -172,7 +172,8 @@ func TestBroadcastFromUnattachedFails(t *testing.T) {
 func TestFixedLossStatistics(t *testing.T) {
 	k := sim.New(42)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{Loss: FixedLoss{P: 0.3}})
+	m := New(k, f, Config{})
+	m.SetLoss(FixedLoss{P: 0.3})
 	got := 0
 	if err := m.Attach(1, func(*packet.Packet) { got++ }); err != nil {
 		t.Fatal(err)
@@ -320,7 +321,10 @@ func TestReceiversShareOneReadOnlyFrame(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			m := New(k, f, Config{Airtime: AirtimeConfig{Enabled: airtime}})
+			m := New(k, f, Config{})
+			if airtime {
+				m.EnableAirtime()
+			}
 			got := map[field.NodeID]*packet.Packet{}
 			for i := field.NodeID(1); i <= 4; i++ {
 				id := i
@@ -383,7 +387,10 @@ func TestOversizeFrameRefused(t *testing.T) {
 	for _, tc := range sends {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.New(1)
-			m := New(k, lineTopo(t, 3), Config{Airtime: AirtimeConfig{Enabled: tc.airtime}})
+			m := New(k, lineTopo(t, 3), Config{})
+			if tc.airtime {
+				m.EnableAirtime()
+			}
 			s := &sink{}
 			for i := field.NodeID(1); i <= 3; i++ {
 				if err := m.Attach(i, s.recv); err != nil {
@@ -410,7 +417,8 @@ func TestOversizeFrameRefused(t *testing.T) {
 func TestTraceObserverSeesEverything(t *testing.T) {
 	k := sim.New(3)
 	f := lineTopo(t, 3)
-	m := New(k, f, Config{Loss: FixedLoss{P: 1.0}})
+	m := New(k, f, Config{})
+	m.SetLoss(FixedLoss{P: 1.0})
 	var events []TraceEvent
 	m.SetTrace(func(ev TraceEvent) { events = append(events, ev) })
 	for i := field.NodeID(1); i <= 3; i++ {
@@ -504,7 +512,8 @@ func TestSetLossSwapsModel(t *testing.T) {
 func TestSetCorruptionNotifyProbabilistic(t *testing.T) {
 	k := sim.New(5)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{Loss: FixedLoss{P: 1}})
+	m := New(k, f, Config{})
+	m.SetLoss(FixedLoss{P: 1})
 	var corrupted []field.NodeID
 	m.SetCorruptionNotify(func(rx field.NodeID) { corrupted = append(corrupted, rx) })
 	if err := m.Attach(1, func(*packet.Packet) {}); err != nil {
@@ -525,7 +534,7 @@ func TestSetCorruptionNotifyProbabilistic(t *testing.T) {
 	}
 }
 
-func TestSetAirtimeRuntimeToggle(t *testing.T) {
+func TestEnableAirtimeRuntimeToggle(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 3)
 	m := New(k, f, Config{BandwidthBps: 40_000})
@@ -540,13 +549,14 @@ func TestSetAirtimeRuntimeToggle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.SetAirtime(AirtimeConfig{Enabled: true, UnicastRetries: -1})
-	// Simultaneous frames from 1 and 3 collide at 2 under airtime rules
-	// (ARQ disabled so the loss is observable).
-	if err := m.Broadcast(&packet.Packet{Type: packet.TypeData, Sender: 1, PrevHop: 1, Receiver: 2, Seq: 1}); err != nil {
+	m.EnableAirtime()
+	// Simultaneous frames from the hidden terminals 1 and 3 collide at 2
+	// under airtime rules (broadcasts, so no ARQ retransmission hides the
+	// loss).
+	if err := m.Broadcast(&packet.Packet{Type: packet.TypeData, Sender: 1, PrevHop: 1, Receiver: packet.Broadcast, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Broadcast(&packet.Packet{Type: packet.TypeData, Sender: 3, PrevHop: 3, Receiver: 2, Seq: 2}); err != nil {
+	if err := m.Broadcast(&packet.Packet{Type: packet.TypeData, Sender: 3, PrevHop: 3, Receiver: packet.Broadcast, Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(); err != nil {
@@ -633,39 +643,11 @@ func TestTopologyAccessorAndBytesByType(t *testing.T) {
 	}
 }
 
-func TestAirtimeARQDisabled(t *testing.T) {
-	k := sim.New(2)
-	f := lineTopo(t, 2)
-	m := New(k, f, Config{
-		BandwidthBps: 40_000,
-		Loss:         FixedLoss{P: 1},
-		Airtime:      AirtimeConfig{Enabled: true, UnicastRetries: -1},
-	})
-	if err := m.Attach(1, func(*packet.Packet) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Attach(2, func(*packet.Packet) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Broadcast(&packet.Packet{Type: packet.TypeData, Sender: 1, PrevHop: 1, Receiver: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().ARQRetransmissions != 0 {
-		t.Fatal("ARQ fired despite being disabled")
-	}
-}
-
 func TestAirtimeARQRetransmits(t *testing.T) {
 	k := sim.New(2)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{
-		BandwidthBps: 40_000,
-		Loss:         FixedLoss{P: 1}, // every attempt lost
-		Airtime:      AirtimeConfig{Enabled: true, UnicastRetries: 2},
-	})
+	m := airMedium(k, f)
+	m.SetLoss(FixedLoss{P: 1}) // every attempt lost
 	if err := m.Attach(1, func(*packet.Packet) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -678,8 +660,8 @@ func TestAirtimeARQRetransmits(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Stats().ARQRetransmissions; got != 2 {
-		t.Fatalf("ARQRetransmissions = %d, want 2", got)
+	if got := m.Stats().ARQRetransmissions; got != unicastRetries {
+		t.Fatalf("ARQRetransmissions = %d, want %d", got, unicastRetries)
 	}
 }
 

@@ -26,38 +26,20 @@ import (
 // threshold time T_CT guarantees no insider exists within two hops while it
 // runs.
 
-// DiscoveryConfig tunes the discovery timing.
-type DiscoveryConfig struct {
-	// ReplyWindow is how long the announcer collects HELLO replies before
-	// broadcasting its neighbor list. The protocol completes within
-	// 2*ReplyWindow (T_ND in the paper's system model).
-	ReplyWindow time.Duration
-	// Jitter randomizes reply transmission within the window to avoid
-	// synchronized reply bursts.
-	Jitter time.Duration
-	// Dynamic enables incremental joins (the paper's §7 extension for
-	// mobile networks / incremental deployment): an established node that
-	// hears a HELLO from an unknown node replies as usual, remembers the
-	// join attempt briefly, and — when the joiner's authenticated
-	// neighbor-list announcement names it with a valid per-member MAC —
-	// adds the joiner as a direct neighbor. Note: without the initial
-	// deployment's compromise-threshold-time assumption, dynamic joins
-	// reopen the relay-attack window during the handshake; the paper's
-	// cited dynamic protocols ([15][16]) close it with additional
-	// hardware/timing, and local monitoring then polices the new links.
-	Dynamic bool
-	// JoinTTL bounds how long a heard HELLO keeps the join window open
-	// (default 2*ReplyWindow).
-	JoinTTL time.Duration
-}
-
-// DefaultDiscoveryConfig returns sensible timings for simulation.
-func DefaultDiscoveryConfig() DiscoveryConfig {
-	return DiscoveryConfig{
-		ReplyWindow: 2 * time.Second,
-		Jitter:      500 * time.Millisecond,
-	}
-}
+// Discovery timing, fixed for every run.
+const (
+	// replyWindow is how long the announcer collects HELLO replies before
+	// broadcasting its neighbor list.
+	replyWindow = 2 * time.Second
+	// DiscoveryTime is when a node's discovery completes, counted from
+	// its HELLO: T_ND in the paper's system model.
+	DiscoveryTime = 2 * replyWindow
+	// replyJitter randomizes reply transmission within the window to
+	// avoid synchronized reply bursts.
+	replyJitter = 500 * time.Millisecond
+	// joinTTL bounds how long a heard HELLO keeps the join window open.
+	joinTTL = 2 * replyWindow
+)
 
 // Discovery runs the secure neighbor discovery protocol for one node.
 type Discovery struct {
@@ -65,7 +47,8 @@ type Discovery struct {
 	ring   *keys.Ring
 	table  *Table
 	send   func(*packet.Packet) error
-	cfg    DiscoveryConfig
+	// dynamic enables incremental joins (see NewDiscovery).
+	dynamic bool
 
 	seq      uint64
 	started  bool
@@ -73,23 +56,26 @@ type Discovery struct {
 	onDone   func()
 
 	// pendingJoin tracks HELLOs recently heard from unknown nodes while
-	// Dynamic mode is on: sender -> join window expiry.
+	// dynamic mode is on: sender -> join window expiry.
 	pendingJoin map[field.NodeID]time.Duration
 }
 
 // NewDiscovery wires a discovery instance for the owner of table/ring.
 // send transmits a frame on the shared medium.
-func NewDiscovery(k sim.Clock, ring *keys.Ring, table *Table, send func(*packet.Packet) error, cfg DiscoveryConfig) *Discovery {
-	if cfg.ReplyWindow <= 0 {
-		dyn, ttl := cfg.Dynamic, cfg.JoinTTL
-		cfg = DefaultDiscoveryConfig()
-		cfg.Dynamic, cfg.JoinTTL = dyn, ttl
-	}
-	if cfg.JoinTTL <= 0 {
-		cfg.JoinTTL = 2 * cfg.ReplyWindow
-	}
+//
+// dynamic enables incremental joins (the paper's §7 extension for mobile
+// networks / incremental deployment): an established node that hears a
+// HELLO from an unknown node replies as usual, remembers the join attempt
+// briefly, and — when the joiner's authenticated neighbor-list
+// announcement names it with a valid per-member MAC — adds the joiner as a
+// direct neighbor. Note: without the initial deployment's
+// compromise-threshold-time assumption, dynamic joins reopen the
+// relay-attack window during the handshake; the paper's cited dynamic
+// protocols ([15][16]) close it with additional hardware/timing, and local
+// monitoring then polices the new links.
+func NewDiscovery(k sim.Clock, ring *keys.Ring, table *Table, send func(*packet.Packet) error, dynamic bool) *Discovery {
 	return &Discovery{
-		kernel: k, ring: ring, table: table, send: send, cfg: cfg,
+		kernel: k, ring: ring, table: table, send: send, dynamic: dynamic,
 		pendingJoin: make(map[field.NodeID]time.Duration),
 	}
 }
@@ -124,8 +110,8 @@ func (d *Discovery) Start() error {
 	if err := d.send(hello); err != nil {
 		return fmt.Errorf("neighbor: hello: %w", err)
 	}
-	d.kernel.After(d.cfg.ReplyWindow, d.announceList)
-	d.kernel.After(2*d.cfg.ReplyWindow, func() {
+	d.kernel.After(replyWindow, d.announceList)
+	d.kernel.After(DiscoveryTime, func() {
 		d.complete = true
 		if d.onDone != nil {
 			d.onDone()
@@ -190,14 +176,14 @@ func (d *Discovery) handleHello(p *packet.Packet) {
 		// verify the list. At initial deployment this path never fires:
 		// HELLOs arrive before any replies, so every announcer is still
 		// unknown.
-		d.kernel.After(d.cfg.Jitter+d.kernel.UniformDuration(d.cfg.Jitter), d.announceList)
+		d.kernel.After(replyJitter+d.kernel.UniformDuration(replyJitter), d.announceList)
 	}
-	if d.cfg.Dynamic && !d.table.HasEntry(announcer) {
+	if d.dynamic && !d.table.HasEntry(announcer) {
 		// A join attempt: leave the door open for the announcer's
 		// authenticated neighbor-list to complete the handshake.
-		d.pendingJoin[announcer] = d.kernel.Now() + d.cfg.JoinTTL
+		d.pendingJoin[announcer] = d.kernel.Now() + joinTTL
 		exp := d.pendingJoin[announcer]
-		d.kernel.After(d.cfg.JoinTTL, func() {
+		d.kernel.After(joinTTL, func() {
 			if cur, ok := d.pendingJoin[announcer]; ok && cur <= exp && cur <= d.kernel.Now() {
 				delete(d.pendingJoin, announcer)
 			}
@@ -214,7 +200,7 @@ func (d *Discovery) handleHello(p *packet.Packet) {
 	if err := d.ring.Sign(reply, announcer); err != nil {
 		return
 	}
-	delay := d.kernel.UniformDuration(d.cfg.Jitter)
+	delay := d.kernel.UniformDuration(replyJitter)
 	d.kernel.After(delay, func() { _ = d.send(reply) })
 }
 
@@ -236,14 +222,14 @@ func (d *Discovery) handleNeighborList(p *packet.Packet) {
 	}
 	// Lists from direct neighbors refresh second-hop knowledge; a list
 	// from a stale neighbor is a rebooted node re-announcing itself after
-	// re-running discovery against its persisted key ring. In Dynamic mode
+	// re-running discovery against its persisted key ring. In dynamic mode
 	// a list from a node whose HELLO we recently heard completes the join
 	// handshake. Either way the announcer must have authenticated the list
 	// for us specifically.
 	joining := false
 	if !d.table.IsNeighbor(p.Sender) && !d.table.IsStale(p.Sender) {
 		exp, pending := d.pendingJoin[p.Sender]
-		if !d.cfg.Dynamic || !pending || exp <= d.kernel.Now() {
+		if !d.dynamic || !pending || exp <= d.kernel.Now() {
 			return
 		}
 		joining = true
@@ -266,7 +252,7 @@ func (d *Discovery) handleNeighborList(p *packet.Packet) {
 		// Our own announced list is now stale: re-announce (jittered) so
 		// the rest of the neighborhood learns the new link — otherwise
 		// their second-hop checks would reject forwards across it.
-		d.kernel.After(d.kernel.UniformDuration(d.cfg.Jitter), d.announceList)
+		d.kernel.After(d.kernel.UniformDuration(replyJitter), d.announceList)
 	}
 	// An authenticated list from a presumed-dead neighbor proves it is back.
 	d.table.Refresh(p.Sender)

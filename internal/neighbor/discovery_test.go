@@ -37,7 +37,7 @@ func newHarness(t testing.TB, topo *field.Field, seed int64) *harness {
 		id := id
 		tb := NewTable(id)
 		ring := keys.NewRing(id, ks)
-		d := NewDiscovery(k, ring, tb, med.Broadcast, DefaultDiscoveryConfig())
+		d := NewDiscovery(k, ring, tb, med.Broadcast, false)
 		h.tables[id] = tb
 		h.discos[id] = d
 		if err := med.Attach(id, func(p *packet.Packet) { d.Handle(p) }); err != nil {
@@ -156,7 +156,7 @@ func TestDiscoveryIgnoresUnauthenticatedReply(t *testing.T) {
 	ks := keys.NewKeyServer(99)
 
 	tb1 := NewTable(1)
-	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, DefaultDiscoveryConfig())
+	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, false)
 	if err := med.Attach(1, func(p *packet.Packet) { d1.Handle(p) }); err != nil {
 		t.Fatal(err)
 	}
@@ -198,17 +198,17 @@ func TestDiscoveryRejectsForgedNeighborList(t *testing.T) {
 	ks := keys.NewKeyServer(99)
 
 	tb1 := NewTable(1)
-	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, DefaultDiscoveryConfig())
+	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, false)
 	if err := med.Attach(1, func(p *packet.Packet) { d1.Handle(p) }); err != nil {
 		t.Fatal(err)
 	}
 	tb2 := NewTable(2)
-	d2 := NewDiscovery(k, keys.NewRing(2, ks), tb2, med.Broadcast, DefaultDiscoveryConfig())
+	d2 := NewDiscovery(k, keys.NewRing(2, ks), tb2, med.Broadcast, false)
 	if err := med.Attach(2, func(p *packet.Packet) { d2.Handle(p) }); err != nil {
 		t.Fatal(err)
 	}
 	tb3 := NewTable(3)
-	d3 := NewDiscovery(k, keys.NewRing(3, ks), tb3, med.Broadcast, DefaultDiscoveryConfig())
+	d3 := NewDiscovery(k, keys.NewRing(3, ks), tb3, med.Broadcast, false)
 	if err := med.Attach(3, func(p *packet.Packet) { d3.Handle(p) }); err != nil {
 		t.Fatal(err)
 	}

@@ -21,12 +21,10 @@ func dynamicHarness(t *testing.T) (*sim.Kernel, *field.Field, *medium.Medium, ma
 	ks := keys.NewKeyServer(99)
 	tables := map[field.NodeID]*Table{}
 	discos := map[field.NodeID]*Discovery{}
-	cfg := DefaultDiscoveryConfig()
-	cfg.Dynamic = true
 	for _, id := range f.IDs() {
 		id := id
 		tb := NewTable(id)
-		d := NewDiscovery(k, keys.NewRing(id, ks), tb, med.Broadcast, cfg)
+		d := NewDiscovery(k, keys.NewRing(id, ks), tb, med.Broadcast, true)
 		tables[id] = tb
 		discos[id] = d
 		if err := med.Attach(id, func(p *packet.Packet) { d.Handle(p) }); err != nil {
@@ -46,7 +44,7 @@ func dynamicHarness(t *testing.T) (*sim.Kernel, *field.Field, *medium.Medium, ma
 		t.Fatal(err)
 	}
 	tb := NewTable(50)
-	d := NewDiscovery(k, keys.NewRing(50, ks), tb, med.Broadcast, cfg)
+	d := NewDiscovery(k, keys.NewRing(50, ks), tb, med.Broadcast, true)
 	tables[50] = tb
 	discos[50] = d
 	if err := med.Attach(50, func(p *packet.Packet) { d.Handle(p) }); err != nil {
@@ -108,7 +106,7 @@ func TestStaticModeRejectsJoiner(t *testing.T) {
 	med := medium.New(k, f, medium.Config{})
 	ks := keys.NewKeyServer(99)
 	tb1 := NewTable(1)
-	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, DefaultDiscoveryConfig())
+	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, false)
 	if err := med.Attach(1, func(p *packet.Packet) { d1.Handle(p) }); err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +144,8 @@ func TestDynamicJoinRequiresRecentHello(t *testing.T) {
 	f := chain(t, 2)
 	med := medium.New(k, f, medium.Config{})
 	ks := keys.NewKeyServer(99)
-	cfg := DefaultDiscoveryConfig()
-	cfg.Dynamic = true
 	tb1 := NewTable(1)
-	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, cfg)
+	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, true)
 	if err := med.Attach(1, func(p *packet.Packet) { d1.Handle(p) }); err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +180,8 @@ func TestDynamicJoinWindowExpires(t *testing.T) {
 	f := chain(t, 2)
 	med := medium.New(k, f, medium.Config{})
 	ks := keys.NewKeyServer(99)
-	cfg := DefaultDiscoveryConfig()
-	cfg.Dynamic = true
-	cfg.JoinTTL = 2 * time.Second
 	tb1 := NewTable(1)
-	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, cfg)
+	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, true)
 	if err := med.Attach(1, func(p *packet.Packet) { d1.Handle(p) }); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +195,7 @@ func TestDynamicJoinWindowExpires(t *testing.T) {
 		PrevHop: 50, Receiver: packet.Broadcast,
 	})
 	// ...but the list arrives after the TTL.
-	if err := k.RunUntil(5 * time.Second); err != nil {
+	if err := k.RunUntil(joinTTL + time.Second); err != nil {
 		t.Fatal(err)
 	}
 	ring50 := keys.NewRing(50, ks)

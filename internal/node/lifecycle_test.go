@@ -103,7 +103,7 @@ func TestCrashMidDiscoveryCancelsTimers(t *testing.T) {
 	if err := n2.Reboot(); err != nil {
 		t.Fatal(err)
 	}
-	// Default discovery completes at 2*ReplyWindow = 4s; crash at 1s.
+	// Discovery completes at neighbor.DiscoveryTime = 4s; crash at 1s.
 	if err := w.kernel.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}

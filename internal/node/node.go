@@ -34,8 +34,9 @@ type Config struct {
 	Core core.Config
 	// Routing configures the on-demand router.
 	Routing routing.Config
-	// Discovery configures secure neighbor discovery.
-	Discovery neighbor.DiscoveryConfig
+	// DynamicJoin runs neighbor discovery in its incremental-join mode
+	// (see neighbor.NewDiscovery).
+	DynamicJoin bool
 	// Attack, when non-nil, makes this node malicious with the given
 	// behavior. Malicious nodes do not run the LITEWORP engine: they are
 	// insiders that participate in discovery and routing but deviate.
@@ -107,7 +108,7 @@ func New(id field.NodeID, cfg Config, deps Deps) *Node {
 func (n *Node) buildStack() {
 	n.scope = sim.NewScope(n.deps.Kernel)
 	n.table = neighbor.NewTable(n.id)
-	n.discovery = neighbor.NewDiscovery(n.scope, n.ring, n.table, n.deps.Medium.Broadcast, n.cfg.Discovery)
+	n.discovery = neighbor.NewDiscovery(n.scope, n.ring, n.table, n.deps.Medium.Broadcast, n.cfg.DynamicJoin)
 	n.discovery.OnComplete(func() { n.operational = true })
 
 	if n.cfg.Attack != nil {
@@ -298,7 +299,7 @@ func (n *Node) Receive(p *packet.Packet) {
 	}
 
 	if n.engine != nil {
-		if ok, _ := n.engine.CheckInbound(p); !ok {
+		if !n.engine.CheckInbound(p) {
 			if c := n.deps.Collector; c != nil && p.Type == packet.TypeData {
 				c.DataRejected++
 				if n.deps.MaliciousSet[p.Sender] {

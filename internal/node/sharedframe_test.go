@@ -115,7 +115,7 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 					keep(p)
 					return false
 				})
-				w.med.SetAirtime(medium.AirtimeConfig{Enabled: true, CarrierSense: true})
+				w.med.EnableAirtime()
 			}
 			for _, pair := range [][2]field.NodeID{{1, 7}, {7, 1}, {3, 5}} {
 				if err := w.nodes[pair[0]].SendData(pair[1], []byte("payload")); err != nil {

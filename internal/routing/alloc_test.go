@@ -78,9 +78,7 @@ func newForwardRig(tb testing.TB, in *packet.Packet) *forwardRig {
 	k := sim.New(1)
 	med := medium.New(k, chain(tb, 3), medium.Config{BandwidthBps: 250_000})
 	rig := &forwardRig{k: k, med: med, in: in}
-	// A REQ key seen once is accepted again a nanosecond later, so every
-	// cycle can forward the same frame.
-	cfg := Config{SeenTTL: time.Nanosecond, Frames: med.Frames()}
+	cfg := Config{Frames: med.Frames()}
 	rig.r = New(k, 2, cfg, med.Broadcast, Events{})
 	recv := map[field.NodeID]medium.Receiver{
 		1: func(*packet.Packet) {},
@@ -105,11 +103,13 @@ func newForwardRig(tb testing.TB, in *packet.Packet) *forwardRig {
 	return rig
 }
 
+// cycle lasts seenTTL, so the REQ key the last cycle recorded has expired
+// and every cycle forwards the same frame again.
 func (rig *forwardRig) cycle(tb testing.TB) {
 	if err := rig.med.Broadcast(rig.in); err != nil {
 		tb.Fatal(err)
 	}
-	if err := rig.k.RunFor(time.Second); err != nil {
+	if err := rig.k.RunFor(seenTTL); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"liteworp/internal/sim"
 )
 
-// Tests for dead next-hop eviction: MaxSendFailures consecutive MAC-level
+// Tests for dead next-hop eviction: maxSendFailures consecutive MAC-level
 // send failures toward a neighbor evict every route through it and push the
 // failing traffic back into discovery.
 
@@ -49,34 +49,23 @@ func installTestRoute(r *Router, route ...field.NodeID) {
 func TestDeadNextHopEvictsAndRediscovers(t *testing.T) {
 	k := sim.New(1)
 	fs := &failingSender{dead: map[field.NodeID]bool{2: true}}
-	var deadHops []field.NodeID
-	r := New(k, 1, Config{MaxSendFailures: 3}, fs.send, Events{
-		DeadNextHop: func(next field.NodeID, evicted int) {
-			deadHops = append(deadHops, next)
-			if evicted != 2 {
-				t.Errorf("evicted = %d routes, want 2", evicted)
-			}
-		},
-	})
+	r := New(k, 1, Config{}, fs.send, Events{})
 	installTestRoute(r, 1, 2, 4)
 	installTestRoute(r, 1, 2, 5) // second route through the same dead hop
 	if !r.HasRoute(4) || !r.HasRoute(5) {
 		t.Fatal("setup: routes not installed")
 	}
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxSendFailures; i++ {
 		if err := r.Send(4, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		if i < 2 && !r.HasRoute(4) {
+		if i < maxSendFailures-1 && !r.HasRoute(4) {
 			t.Fatalf("route evicted after only %d failures", i+1)
 		}
 	}
 	if r.HasRoute(4) || r.HasRoute(5) {
 		t.Fatal("routes through dead hop 2 not evicted after 3 failures")
-	}
-	if len(deadHops) != 1 || deadHops[0] != 2 {
-		t.Fatalf("DeadNextHop events = %v, want [2]", deadHops)
 	}
 	st := r.Stats()
 	if st.SendFailures != 3 || st.DeadHopEvictions != 1 {
@@ -94,7 +83,7 @@ func TestDeadNextHopEvictsAndRediscovers(t *testing.T) {
 func TestSuccessfulSendResetsFailureCounter(t *testing.T) {
 	k := sim.New(1)
 	fs := &failingSender{dead: map[field.NodeID]bool{2: true}}
-	r := New(k, 1, Config{MaxSendFailures: 3}, fs.send, Events{})
+	r := New(k, 1, Config{}, fs.send, Events{})
 	installTestRoute(r, 1, 2, 4)
 
 	for i := 0; i < 2; i++ {
@@ -115,25 +104,12 @@ func TestSuccessfulSendResetsFailureCounter(t *testing.T) {
 	}
 }
 
-func TestNegativeMaxSendFailuresDisablesEviction(t *testing.T) {
-	k := sim.New(1)
-	fs := &failingSender{dead: map[field.NodeID]bool{2: true}}
-	r := New(k, 1, Config{MaxSendFailures: -1}, fs.send, Events{})
-	installTestRoute(r, 1, 2, 4)
-	for i := 0; i < 10; i++ {
-		_ = r.Send(4, []byte("x"))
-	}
-	if !r.HasRoute(4) {
-		t.Fatal("eviction ran with MaxSendFailures disabled")
-	}
-}
-
 func TestForwarderCountsFailuresPerHop(t *testing.T) {
 	// An intermediate forwarder also notices the MAC failures; in HopByHop
 	// mode its forwarding entries through the dead hop are dropped.
 	k := sim.New(1)
 	fs := &failingSender{dead: map[field.NodeID]bool{4: true}}
-	r := New(k, 2, Config{MaxSendFailures: 2, HopByHop: true}, fs.send, Events{})
+	r := New(k, 2, Config{HopByHop: true}, fs.send, Events{})
 	r.setForward(9, 4)
 	if _, ok := r.NextHop(9); !ok {
 		t.Fatal("setup: forward entry missing")
@@ -142,7 +118,10 @@ func TestForwarderCountsFailuresPerHop(t *testing.T) {
 		Type: packet.TypeData, Origin: 1, FinalDest: 9,
 		Sender: 1, PrevHop: 1, Receiver: 2, Payload: []byte("x"),
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxSendFailures; i++ {
+		if _, ok := r.NextHop(9); !ok {
+			t.Fatalf("forwarding entry dropped after only %d failures", i)
+		}
 		if err := r.HandleData(data.Clone()); err == nil {
 			t.Fatal("forward over dead link reported success")
 		}
@@ -158,7 +137,7 @@ func TestCrashRecoveryOverMedium(t *testing.T) {
 	// evicted, rediscovery fails while 2 is down, and once 2 reboots a
 	// fresh discovery re-establishes delivery.
 	var delivered int
-	h := newHarness(t, chain(t, 4), 5, Config{MaxSendFailures: 3, RequestTimeout: time.Second, MaxRetries: 1},
+	h := newHarness(t, chain(t, 4), 5, Config{},
 		func(id field.NodeID) Events {
 			if id != 4 {
 				return Events{}
@@ -188,7 +167,7 @@ func TestCrashRecoveryOverMedium(t *testing.T) {
 	if src.HasRoute(4) {
 		t.Fatal("route through crashed hop not evicted")
 	}
-	// Let the doomed rediscovery run out of retries while 2 is down.
+	// Let the doomed rediscovery time out while 2 is down.
 	if err := h.kernel.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -24,26 +24,40 @@ import (
 	"liteworp/internal/sim"
 )
 
+// Protocol constants, fixed for every run.
+const (
+	// requestTimeout is how long the source waits for a REP. Discovery
+	// is attempted once: when no REP arrives in time, the queued
+	// payloads are discarded and counted in Stats.SendsFailed, and the
+	// next Send to the destination starts a fresh discovery.
+	requestTimeout = 3 * time.Second
+	// seenTTL bounds the duplicate-suppression cache for flooded REQs.
+	seenTTL = 30 * time.Second
+	// maxQueue bounds payloads queued per destination while discovery
+	// is in progress.
+	maxQueue = 64
+	// maxSendFailures is the dead next-hop threshold: after this many
+	// consecutive unicast send failures (the MAC's no-ack signal — the
+	// neighbor crashed or the link flapped) toward the same next hop, all
+	// routes and forwarding entries through that hop are evicted and the
+	// failing payload re-enters discovery. A successful send to the hop
+	// resets its counter. Note this is distinct from the isolation rule:
+	// sends blocked because the next hop is revoked are refused silently
+	// by the node layer and never reach this counter, so the paper's
+	// no-repair cached-route tail (Fig. 8) is preserved.
+	maxSendFailures = 3
+)
+
 // Config tunes the routing protocol.
 type Config struct {
 	// RouteTimeout is TOutRoute: cached routes are evicted after this
 	// (paper Table 2: 50 s).
 	RouteTimeout time.Duration
-	// RequestTimeout is how long the source waits for a REP before
-	// retrying discovery.
-	RequestTimeout time.Duration
-	// MaxRetries bounds rediscovery attempts per queued burst.
-	MaxRetries int
 	// ForwardJitter is the random backoff before rebroadcasting a REQ
 	// ("during the route request forwarding, the nodes typically back off
 	// for a random amount of time before forwarding"). The
 	// protocol-deviation (rushing) attacker sets this to zero.
 	ForwardJitter time.Duration
-	// SeenTTL bounds the duplicate-suppression cache for flooded REQs.
-	SeenTTL time.Duration
-	// MaxQueue bounds payloads queued per destination while discovery
-	// is in progress.
-	MaxQueue int
 	// SendRouteErrors enables RERR signaling: a forwarder that cannot
 	// deliver a data packet (revoked next hop, missing table entry)
 	// reports back to the source, which evicts the stale route
@@ -70,28 +84,13 @@ type Config struct {
 	// sends. Nil means the router builds a private pool; a frame always
 	// goes back to the pool it came from (see packet.Pool).
 	Frames *packet.Pool
-	// MaxSendFailures is the dead next-hop threshold: after this many
-	// consecutive unicast send failures (the MAC's no-ack signal — the
-	// neighbor crashed or the link flapped) toward the same next hop, all
-	// routes and forwarding entries through that hop are evicted and the
-	// failing payload re-enters discovery. A successful send to the hop
-	// resets its counter. Note this is distinct from the isolation rule:
-	// sends blocked because the next hop is revoked are refused silently
-	// by the node layer and never reach this counter, so the paper's
-	// no-repair cached-route tail (Fig. 8) is preserved. Default 3;
-	// negative disables eviction.
-	MaxSendFailures int
 }
 
 // DefaultConfig returns the paper's Table 2 routing parameters.
 func DefaultConfig() Config {
 	return Config{
-		RouteTimeout:   50 * time.Second,
-		RequestTimeout: 3 * time.Second,
-		MaxRetries:     2,
-		ForwardJitter:  30 * time.Millisecond,
-		SeenTTL:        30 * time.Second,
-		MaxQueue:       64,
+		RouteTimeout:  50 * time.Second,
+		ForwardJitter: 30 * time.Millisecond,
 	}
 }
 
@@ -100,26 +99,8 @@ func (c Config) withDefaults() Config {
 	if c.RouteTimeout <= 0 {
 		c.RouteTimeout = def.RouteTimeout
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = def.RequestTimeout
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = def.MaxRetries
-	}
 	if c.ForwardJitter < 0 {
 		c.ForwardJitter = def.ForwardJitter
-	}
-	if c.SeenTTL <= 0 {
-		c.SeenTTL = def.SeenTTL
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = def.MaxQueue
-	}
-	switch {
-	case c.MaxSendFailures == 0:
-		c.MaxSendFailures = 3
-	case c.MaxSendFailures < 0:
-		c.MaxSendFailures = 0
 	}
 	return c
 }
@@ -130,18 +111,6 @@ type Events struct {
 	RouteEstablished func(dest field.NodeID, route []field.NodeID)
 	// DataDelivered fires at the final destination of a data packet.
 	DataDelivered func(p *packet.Packet)
-	// DataForwarded fires at an intermediate hop that forwarded data.
-	DataForwarded func(p *packet.Packet, next field.NodeID)
-	// SendFailed fires at the source when discovery exhausts retries and
-	// queued payloads are discarded.
-	SendFailed func(dest field.NodeID, discarded int)
-	// RouteEvicted fires when a cached route times out.
-	RouteEvicted func(dest field.NodeID)
-	// DeadNextHop fires when consecutive send failures evict the routes
-	// through a next hop; evicted counts the dropped cache entries.
-	DeadNextHop func(next field.NodeID, evicted int)
-	// RouteErrorReceived fires at the source when a RERR evicts a route.
-	RouteErrorReceived func(dest field.NodeID)
 }
 
 // Errors.
@@ -164,13 +133,12 @@ type cachedRoute struct {
 }
 
 type discoveryState struct {
-	r       *Router
-	dest    field.NodeID
-	seq     uint64
-	retries int
-	queue   [][]byte
-	timer   sim.Timer
-	fn      sim.Event // prebound (*discoveryState).timeout
+	r     *Router
+	dest  field.NodeID
+	seq   uint64
+	queue [][]byte
+	timer sim.Timer
+	fn    sim.Event // prebound (*discoveryState).timeout
 }
 
 // Stats counts router activity at one node.
@@ -282,9 +250,6 @@ func seenKey(k packet.Key) flatmap.Key {
 // the rest of TOutRoute.
 func (r *Router) unicast(next field.NodeID, p *packet.Packet) error {
 	err := r.send(p)
-	if r.cfg.MaxSendFailures <= 0 {
-		return err
-	}
 	if err == nil {
 		if idx, ok := r.idx.Lookup(next); ok && int(idx) < len(r.sendFails) {
 			r.sendFails[idx] = 0
@@ -297,7 +262,7 @@ func (r *Router) unicast(next field.NodeID, p *packet.Packet) error {
 		r.sendFails = append(r.sendFails, 0)
 	}
 	r.sendFails[idx]++
-	if r.sendFails[idx] >= r.cfg.MaxSendFailures {
+	if r.sendFails[idx] >= maxSendFailures {
 		r.evictVia(next)
 	}
 	return err
@@ -311,7 +276,6 @@ func (r *Router) evictVia(next field.NodeID) {
 	if idx, ok := r.idx.Lookup(next); ok && int(idx) < len(r.sendFails) {
 		r.sendFails[idx] = 0
 	}
-	evicted := 0
 	for _, dest := range r.destinations() {
 		cr := r.cache[dest]
 		if cr != nil && len(cr.route) >= 2 && cr.route[1] == next {
@@ -319,10 +283,6 @@ func (r *Router) evictVia(next field.NodeID) {
 			delete(r.cache, dest)
 			r.destViewOK = false
 			r.recycleRoute(cr)
-			evicted++
-			if r.events.RouteEvicted != nil {
-				r.events.RouteEvicted(dest)
-			}
 		}
 	}
 	for _, dest := range r.forwardDests() {
@@ -334,9 +294,6 @@ func (r *Router) evictVia(next field.NodeID) {
 		}
 	}
 	r.stats.DeadHopEvictions++
-	if r.events.DeadNextHop != nil {
-		r.events.DeadNextHop(next, evicted)
-	}
 }
 
 // destinations returns the sorted cached-route keys, rebuilding the shared
@@ -465,7 +422,7 @@ func (r *Router) Send(dest field.NodeID, payload []byte) error {
 		r.discovery[dest] = ds
 		r.startDiscovery(dest, ds)
 	}
-	if len(ds.queue) >= r.cfg.MaxQueue {
+	if len(ds.queue) >= maxQueue {
 		return fmt.Errorf("%w: dest %d", ErrQueueFull, dest)
 	}
 	ds.queue = append(ds.queue, payload)
@@ -489,7 +446,7 @@ func (r *Router) startDiscovery(dest field.NodeID, ds *discoveryState) {
 	r.markSeen(req.Key())
 	_ = r.send(req)
 	req.Release()
-	ds.timer = r.kernel.After(r.cfg.RequestTimeout, ds.fn)
+	ds.timer = r.kernel.After(requestTimeout, ds.fn)
 }
 
 // newDiscovery takes a discovery record from the freelist (or allocates
@@ -513,7 +470,6 @@ func (r *Router) recycleDiscovery(ds *discoveryState) {
 		ds.queue[i] = nil // release payload references now, not at reuse
 	}
 	ds.queue = ds.queue[:0]
-	ds.retries = 0
 	ds.timer = sim.Timer{}
 	r.freeDisc = append(r.freeDisc, ds)
 }
@@ -523,22 +479,14 @@ func (ds *discoveryState) timeout() {
 	if r.discovery[ds.dest] != ds {
 		return // resolved in the meantime
 	}
-	if ds.retries < r.cfg.MaxRetries {
-		ds.retries++
-		r.startDiscovery(ds.dest, ds)
-		return
-	}
 	delete(r.discovery, ds.dest)
 	r.stats.SendsFailed += uint64(len(ds.queue))
-	if r.events.SendFailed != nil && len(ds.queue) > 0 {
-		r.events.SendFailed(ds.dest, len(ds.queue))
-	}
 	r.recycleDiscovery(ds)
 }
 
 func (r *Router) markSeen(k packet.Key) {
 	now := r.kernel.Now()
-	r.seenReq.Add(seenKey(k), now+r.cfg.SeenTTL, now)
+	r.seenReq.Add(seenKey(k), now+seenTTL, now)
 }
 
 // HandleRouteRequest processes a REQ heard from the channel. The node layer
@@ -616,7 +564,7 @@ func (r *Router) answerRequest(p *packet.Packet) {
 	if r.repliedReq.Live(seenKey(rk), now) {
 		return
 	}
-	r.repliedReq.Add(seenKey(rk), now+r.cfg.SeenTTL, now)
+	r.repliedReq.Add(seenKey(rk), now+seenTTL, now)
 
 	if len(p.Route) == 0 {
 		return // the full route would not reach back to a previous hop
@@ -673,9 +621,9 @@ func (r *Router) installRoute(p *packet.Packet) {
 		return
 	}
 	dest := p.Route[len(p.Route)-1]
-	// A reply for an older retry of the same discovery is still a usable
-	// route, so no seq check here: any authentic REP terminating at dest
-	// installs, first reply wins.
+	// A late reply to an earlier, timed-out discovery for dest is still
+	// a usable route, so no seq check here: any authentic REP terminating
+	// at dest installs, first reply wins.
 	ds, pending := r.discovery[dest]
 	if _, exists := r.cache[dest]; exists {
 		return
@@ -732,13 +680,9 @@ func (cr *cachedRoute) expire() {
 	if r.cache[cr.dest] != cr {
 		return
 	}
-	dest := cr.dest
-	delete(r.cache, dest)
+	delete(r.cache, cr.dest)
 	r.destViewOK = false
 	r.recycleRoute(cr)
-	if r.events.RouteEvicted != nil {
-		r.events.RouteEvicted(dest)
-	}
 }
 
 func (r *Router) sendData(route []field.NodeID, payload []byte) {
@@ -804,9 +748,6 @@ func (r *Router) HandleData(p *packet.Packet) error {
 	fwd.Receiver = next
 	fwd.HopCount++
 	r.stats.DataForwarded++
-	if r.events.DataForwarded != nil {
-		r.events.DataForwarded(fwd, next)
-	}
 	err := r.unicast(next, fwd)
 	fwd.Release()
 	return err
@@ -864,9 +805,6 @@ func (r *Router) HandleRouteError(p *packet.Packet) {
 		if _, ok := r.cache[dest]; ok {
 			r.EvictRoute(dest)
 			r.stats.RouteErrorsApplied++
-			if r.events.RouteErrorReceived != nil {
-				r.events.RouteErrorReceived(dest)
-			}
 		}
 		return
 	}

@@ -177,14 +177,8 @@ func TestCachedRouteAvoidsRediscovery(t *testing.T) {
 }
 
 func TestRouteEviction(t *testing.T) {
-	evicted := 0
 	cfg := Config{RouteTimeout: 5 * time.Second}
-	h := newHarness(t, chain(t, 3), 5, cfg, func(id field.NodeID) Events {
-		if id != 1 {
-			return Events{}
-		}
-		return Events{RouteEvicted: func(field.NodeID) { evicted++ }}
-	})
+	h := newHarness(t, chain(t, 3), 5, cfg, nil)
 	if err := h.routers[1].Send(3, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +194,8 @@ func TestRouteEviction(t *testing.T) {
 	if h.routers[1].HasRoute(3) {
 		t.Fatal("route survived timeout")
 	}
-	if evicted != 1 {
-		t.Fatalf("RouteEvicted fired %d times", evicted)
+	if got := h.routers[1].CachedDestinations(); len(got) != 0 {
+		t.Fatalf("CachedDestinations after timeout = %v", got)
 	}
 	// A new send re-discovers.
 	before := h.routers[1].Stats().RequestsOriginated
@@ -224,15 +218,7 @@ func TestDiscoveryFailureReportsSendFailed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var failedDest field.NodeID
-	var discarded int
-	cfg := Config{RequestTimeout: time.Second, MaxRetries: 1}
-	h := newHarness(t, f, 6, cfg, func(id field.NodeID) Events {
-		if id != 1 {
-			return Events{}
-		}
-		return Events{SendFailed: func(d field.NodeID, n int) { failedDest = d; discarded = n }}
-	})
+	h := newHarness(t, f, 6, Config{}, nil)
 	if err := h.routers[1].Send(3, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +228,19 @@ func TestDiscoveryFailureReportsSendFailed(t *testing.T) {
 	if err := h.kernel.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if failedDest != 3 || discarded != 2 {
-		t.Fatalf("SendFailed dest=%d n=%d, want 3,2", failedDest, discarded)
-	}
 	if st := h.routers[1].Stats(); st.SendsFailed != 2 {
-		t.Fatalf("SendsFailed = %d", st.SendsFailed)
+		t.Fatalf("SendsFailed = %d, want both queued payloads", st.SendsFailed)
 	}
-	// Retried once => two REQ floods.
+	// Discovery is attempted once: one REQ flood.
+	if st := h.routers[1].Stats(); st.RequestsOriginated != 1 {
+		t.Fatalf("RequestsOriginated = %d, want 1", st.RequestsOriginated)
+	}
+	// The failed discovery is gone: the next send floods again.
+	if err := h.routers[1].Send(3, []byte("c")); err != nil {
+		t.Fatal(err)
+	}
 	if st := h.routers[1].Stats(); st.RequestsOriginated != 2 {
-		t.Fatalf("RequestsOriginated = %d, want 2", st.RequestsOriginated)
+		t.Fatalf("RequestsOriginated after a fresh send = %d, want 2", st.RequestsOriginated)
 	}
 }
 
@@ -262,17 +252,15 @@ func TestSendToSelfRejected(t *testing.T) {
 }
 
 func TestQueueFull(t *testing.T) {
-	cfg := Config{MaxQueue: 2, RequestTimeout: time.Hour}
 	// Disconnected destination so discovery never resolves.
 	f := field.New(1000, 40, 30)
 	f.Place(1, field.Point{X: 0, Y: 0})
 	f.Place(2, field.Point{X: 900, Y: 0})
-	h := newHarness(t, f, 8, cfg, nil)
-	if err := h.routers[1].Send(2, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.routers[1].Send(2, []byte("b")); err != nil {
-		t.Fatal(err)
+	h := newHarness(t, f, 8, Config{}, nil)
+	for i := 0; i < maxQueue; i++ {
+		if err := h.routers[1].Send(2, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := h.routers[1].Send(2, []byte("c")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v", err)
@@ -366,10 +354,12 @@ func TestDataForwardedEventAndPrevHopAnnouncement(t *testing.T) {
 		sender, prev, next field.NodeID
 	}
 	var fwds []fwd
-	h := newHarness(t, chain(t, 4), 13, Config{}, func(id field.NodeID) Events {
-		return Events{DataForwarded: func(p *packet.Packet, next field.NodeID) {
-			fwds = append(fwds, fwd{sender: p.Sender, prev: p.PrevHop, next: next})
-		}}
+	h := newHarness(t, chain(t, 4), 13, Config{}, nil)
+	// Each forward of the data packet, as its addressed receiver hears it.
+	h.med.SetTrace(func(ev medium.TraceEvent) {
+		if p := ev.Packet; p.Type == packet.TypeData && p.Sender != p.Origin && ev.To == p.Receiver {
+			fwds = append(fwds, fwd{sender: p.Sender, prev: p.PrevHop, next: p.Receiver})
+		}
 	})
 	if err := h.routers[1].Send(4, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -386,6 +376,11 @@ func TestDataForwardedEventAndPrevHopAnnouncement(t *testing.T) {
 	}
 	if fwds[1] != (fwd{sender: 3, prev: 2, next: 4}) {
 		t.Fatalf("second forward = %+v", fwds[1])
+	}
+	for id, want := range map[field.NodeID]uint64{1: 0, 2: 1, 3: 1, 4: 0} {
+		if got := h.routers[id].Stats().DataForwarded; got != want {
+			t.Fatalf("node %d: DataForwarded = %d, want %d", id, got, want)
+		}
 	}
 }
 

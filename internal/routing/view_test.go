@@ -118,7 +118,7 @@ func TestRouteRecordRecycled(t *testing.T) {
 func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 	k := sim.New(1)
 	sent := 0
-	r := New(k, 2, Config{SeenTTL: 5 * time.Second},
+	r := New(k, 2, Config{},
 		func(*packet.Packet) error { sent++; return nil }, Events{})
 	req := func(origin field.NodeID) *packet.Packet {
 		return &packet.Packet{
@@ -141,13 +141,13 @@ func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 	}
 	flood(10)
 	if sent != 10 {
-		t.Fatalf("10 REQs and a duplicate within SeenTTL forwarded %d times, want 10", sent)
+		t.Fatalf("10 REQs and a duplicate within seenTTL forwarded %d times, want 10", sent)
 	}
-	k.RunFor(4900 * time.Millisecond) // every entry expires
-	flood(20)                         // 11 entries: one short of the growth point
-	flood(10)                         // dead: refloods, and replaces its own entry
+	k.RunFor(seenTTL - 100*time.Millisecond) // every entry expires
+	flood(20)                                // 11 entries: one short of the growth point
+	flood(10)                                // dead: refloods, and replaces its own entry
 	if sent != 12 || r.seenReq.Len() != 11 {
-		t.Fatalf("after SeenTTL: sent %d, %d entries; want 12 and all 11 until the table would grow", sent, r.seenReq.Len())
+		t.Fatalf("after seenTTL: sent %d, %d entries; want 12 and all 11 until the table would grow", sent, r.seenReq.Len())
 	}
 	flood(21) // 12 entries: the growth point
 	flood(22) // sweeps out the nine dead entries instead of growing
@@ -157,13 +157,13 @@ func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 }
 
 // TestSuppressionTablesBounded: a router fed REQs from many origins for
-// six SeenTTLs, a quarter of them addressed to it, keeps each suppression
+// six seenTTLs, a quarter of them addressed to it, keeps each suppression
 // table within eight slots per live entry, with no timer reclaiming them.
 func TestSuppressionTablesBounded(t *testing.T) {
 	k := sim.New(1)
-	const ttl = 2 * time.Second
-	const gap = 10 * time.Millisecond // 200 REQs live at a time
-	r := New(k, 2, Config{SeenTTL: ttl}, func(*packet.Packet) error { return nil }, Events{})
+	const ttl = seenTTL
+	const gap = ttl / 200 // 200 REQs live at a time
+	r := New(k, 2, Config{}, func(*packet.Packet) error { return nil }, Events{})
 	peakSeen, peakReplied := 0, 0
 	for i := 0; k.Now() < 6*ttl; i++ {
 		dest := field.NodeID(8)

@@ -59,16 +59,15 @@ type Scenario struct {
 // Scenario implements fault.Network, so fault plans drive it directly.
 var _ fault.Network = (*Scenario)(nil)
 
-// discoveryWindow is the HELLO reply-collection window; discovery completes
-// within twice this (T_ND), plus slack before traffic starts.
-const (
-	discoveryWindow = 2 * time.Second
-	discoverySlack  = 1 * time.Second
-)
+// trafficDelay is how long after its discovery starts a node's traffic
+// begins: discovery completes at neighbor.DiscoveryTime (T_ND), plus slack.
+// The operational phase starts this long after deployment, and a rebooted
+// node's source resumes this long after the reboot.
+const trafficDelay = neighbor.DiscoveryTime + 1*time.Second
 
 // detectorConfig translates Params into the detector selection and its
 // parameterization (the watch knobs feed the LITEWORP strategy; the rival
-// strategies use their own defaults).
+// strategies run at fixed constants of their own).
 func (p Params) detectorConfig() detector.Config {
 	return detector.Config{
 		Kind: p.Detector,
@@ -101,11 +100,7 @@ func (p Params) nodeConfig(dynamic bool) node.Config {
 			HopByHop:        p.Routing == RoutingHopByHop,
 			SendRouteErrors: p.RouteErrors,
 		},
-		Discovery: neighbor.DiscoveryConfig{
-			ReplyWindow: discoveryWindow,
-			Jitter:      500 * time.Millisecond,
-			Dynamic:     dynamic,
-		},
+		DynamicJoin: dynamic,
 	}
 }
 
@@ -153,10 +148,7 @@ func NewScenario(p Params) (*Scenario, error) {
 
 	// Discovery runs over a clean channel (the paper's T_CT/T_ND secure
 	// window); collision losses are enabled with the traffic.
-	s.med = medium.New(s.kernel, topo, medium.Config{
-		BandwidthBps:     p.BandwidthBps,
-		PropagationDelay: 5 * time.Microsecond,
-	})
+	s.med = medium.New(s.kernel, topo, medium.Config{BandwidthBps: p.BandwidthBps})
 
 	if p.Liteworp {
 		// One log for every guard; it allocates its entries as the first
@@ -202,15 +194,12 @@ func NewScenario(p Params) (*Scenario, error) {
 		},
 	}
 	attackCfg := attack.Config{
-		Mode:              p.Attack.internal(),
-		DropData:          true,
-		ForwardNormally:   true,
-		HighPowerFactor:   p.HighPowerFactor,
-		EncapDelayPerHop:  p.EncapDelayPerHop,
-		AlsoTunnelReplies: true,
-		SmartRepCover:     p.SmartAttacker,
-		DropProbability:   p.DropProbability,
-		PrevHop:           attack.StrategyForgeNeighbor,
+		Mode:             p.Attack.internal(),
+		HighPowerFactor:  p.HighPowerFactor,
+		EncapDelayPerHop: p.EncapDelayPerHop,
+		SmartRepCover:    p.SmartAttacker,
+		DropProbability:  p.DropProbability,
+		PrevHop:          attack.StrategyForgeNeighbor,
 	}
 	if p.PrevHop == PrevHopClaimColluder {
 		attackCfg.PrevHop = attack.StrategyClaimColluder
@@ -230,7 +219,7 @@ func NewScenario(p Params) (*Scenario, error) {
 		s.nodes[id] = node.New(id, cfg, deps)
 	}
 
-	s.opStart = 2*discoveryWindow + discoverySlack
+	s.opStart = trafficDelay
 	s.attackAt = s.opStart + p.AttackStart
 	s.collector.AttackStart = s.attackAt
 
@@ -283,7 +272,7 @@ func (s *Scenario) enterOperationalPhase() {
 		s.med.SetLoss(medium.NewLinearCollision(s.topo, p.CollisionPc0, p.CollisionNB0, p.CollisionMax))
 	}
 	if p.AirtimeChannel {
-		s.med.SetAirtime(medium.AirtimeConfig{Enabled: true, CarrierSense: true})
+		s.med.EnableAirtime()
 	}
 	if p.Liteworp {
 		// Surface radio CRC failures to the guards so negative evidence
@@ -414,7 +403,7 @@ func (s *Scenario) RebootNode(id NodeID) error {
 		delete(s.downSince, id)
 	}
 	if src := s.sources[id]; src != nil {
-		s.kernel.After(2*discoveryWindow+discoverySlack, func() {
+		s.kernel.After(trafficDelay, func() {
 			if !n.Down() { // still up: it may have crashed again meanwhile
 				src.Resume()
 			}
