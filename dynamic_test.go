@@ -1,8 +1,13 @@
 package liteworp
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
+
+	"liteworp/internal/trace"
 )
 
 func TestAddNodeAtRequiresDynamicJoin(t *testing.T) {
@@ -126,4 +131,37 @@ func TestDynamicJoinerCanRouteData(t *testing.T) {
 		t.Fatalf("joiner's packet not delivered (delivered %d -> %d, dest %d at %d hops)",
 			before, got, far, maxHops)
 	}
+}
+
+// TestJoinerAccusationsReachTheTrace: a joined node runs with the same
+// facilities as a deployed one, the trace hooks included, so its guard's
+// accusations appear in the scenario trace. The run is the dynamic-join
+// golden trace's, in which joiners accuse.
+func TestJoinerAccusationsReachTheTrace(t *testing.T) {
+	p := DefaultParams()
+	p.NumNodes = 30
+	p.Seed = 2024
+	p.Duration = 120 * time.Second
+	p.DynamicJoin = true
+	s, err := NewScenario(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	s.EnableTrace(&buf)
+	scheduleJoiners(t, s)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var ev trace.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind == trace.KindAccuse && ev.From > uint32(p.NumNodes) {
+			return
+		}
+	}
+	t.Fatal("no joined node's accusation reached the trace")
 }

@@ -119,8 +119,8 @@ func (s PrevHopStrategy) String() string {
 // forward REQs along the legal path, and REPs return through the tunnel.
 type Config struct {
 	Mode Mode
-	// PrevHop picks the tunnel exit strategy (default ForgeNeighbor, the
-	// harder case for LITEWORP).
+	// PrevHop picks the tunnel exit strategy (DefaultParams picks
+	// ForgeNeighbor, the harder case for LITEWORP).
 	PrevHop PrevHopStrategy
 	// DropProbability selects selective dropping ("they can then launch a
 	// variety of attacks against the data traffic flowing on the
@@ -128,8 +128,8 @@ type Config struct {
 	// eligible data packet is dropped with this probability. Zero means
 	// drop everything (the default, and the paper's simulation behavior).
 	DropProbability float64
-	// HighPowerFactor scales the radio range in high-power mode
-	// (default 3).
+	// HighPowerFactor scales the radio range in high-power mode; it is at
+	// least 1 (Params.Validate checks it).
 	HighPowerFactor float64
 	// EncapDelayPerHop models the latency of the multihop path carrying
 	// encapsulated packets (out-of-band mode uses zero). The scenario
@@ -143,16 +143,6 @@ type Config struct {
 	// M2 is not incremented."). Fabrication detection still catches the
 	// wormhole at the far end.
 	SmartRepCover bool
-}
-
-// DefaultConfig returns the paper's attack behavior for the given mode.
-func DefaultConfig(mode Mode) Config {
-	return Config{
-		Mode:             mode,
-		PrevHop:          StrategyForgeNeighbor,
-		HighPowerFactor:  3,
-		EncapDelayPerHop: 10 * time.Millisecond,
-	}
 }
 
 // Stats counts attacker activity.
@@ -192,12 +182,6 @@ type replayKey struct {
 // compromised nodes (tunnels to them must be wired on the medium by the
 // scenario for tunnel modes).
 func New(k *sim.Kernel, med *medium.Medium, self field.NodeID, colluders []field.NodeID, cfg Config) *Attacker {
-	if cfg.HighPowerFactor < 1 {
-		cfg.HighPowerFactor = 3
-	}
-	if cfg.PrevHop == 0 {
-		cfg.PrevHop = StrategyForgeNeighbor
-	}
 	others := make([]field.NodeID, 0, len(colluders))
 	for _, c := range colluders {
 		if c != self {

@@ -50,7 +50,7 @@ func repWorld(t *testing.T, cfg Config) (*sim.Kernel, *medium.Medium, *Attacker,
 }
 
 func TestRepTunneledBackThroughWormhole(t *testing.T) {
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	k, _, m1, m2, heard := repWorld(t, cfg)
 
 	// A REP whose route crosses the wormhole: [1, 10, 11, 4]. It arrives
@@ -89,7 +89,7 @@ func TestRepTunneledBackThroughWormhole(t *testing.T) {
 }
 
 func TestRepNotTunneledWhenNextHopHonest(t *testing.T) {
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	_, _, _, m2, _ := repWorld(t, cfg)
 	// Next hop toward the source is an honest node: the attacker lets the
 	// router handle it.
@@ -107,7 +107,7 @@ func TestRepNotTunneledWhenNextHopHonest(t *testing.T) {
 }
 
 func TestClaimColluderPrevHop(t *testing.T) {
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	cfg.PrevHop = StrategyClaimColluder
 	k, _, m1, m2, heard := repWorld(t, cfg)
 
@@ -138,7 +138,7 @@ func TestClaimColluderPrevHop(t *testing.T) {
 }
 
 func TestInactiveAttackerIsHonest(t *testing.T) {
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	k, _, m1, _, _ := repWorld(t, cfg)
 	m1.SetActive(false)
 	if m1.Active() {
@@ -168,7 +168,7 @@ func TestOnPhantomRouteClassification(t *testing.T) {
 	if err := med.Attach(10, func(*packet.Packet) {}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(ModeHighPower)
+	cfg := testConfig(ModeHighPower)
 	a := New(k, med, 10, nil, cfg)
 
 	// Route 1-10-4: the hop 10->4 spans ~180m (range 30m), so the route
@@ -191,7 +191,7 @@ func TestOnPhantomRouteClassification(t *testing.T) {
 }
 
 func TestSmartRepCoverTransmits(t *testing.T) {
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	cfg.SmartRepCover = true
 	k, _, _, m2, heard := repWorld(t, cfg)
 
@@ -232,7 +232,7 @@ func TestSelectiveDropProbability(t *testing.T) {
 	if err := med.AddTunnel(10, 11, 0); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	cfg.DropProbability = 0.3
 	a := New(k, med, 10, []field.NodeID{11}, cfg)
 	// Form the wormhole so data dropping is armed.

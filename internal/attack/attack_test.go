@@ -10,6 +10,18 @@ import (
 	"liteworp/internal/sim"
 )
 
+// testConfig returns the paper's attack behavior for the given mode: a
+// forged previous hop at the tunnel exit, 3x range in high-power mode and
+// 10 ms per encapsulated hop.
+func testConfig(mode Mode) Config {
+	return Config{
+		Mode:             mode,
+		PrevHop:          StrategyForgeNeighbor,
+		HighPowerFactor:  3,
+		EncapDelayPerHop: 10 * time.Millisecond,
+	}
+}
+
 func TestTaxonomyMatchesTable1(t *testing.T) {
 	tax := Taxonomy()
 	if len(tax) != 5 {
@@ -112,7 +124,7 @@ func TestTunnelModeCapturesAndReinjectsREQ(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	cfg.PrevHop = StrategyForgeNeighbor
 	var m1, m2 *Attacker
 	if err := med.Attach(10, func(p *packet.Packet) {
@@ -194,7 +206,7 @@ func TestTunnelDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	m1 := New(k, med, 10, []field.NodeID{11}, cfg)
 	if err := med.Attach(10, func(*packet.Packet) {}); err != nil {
 		t.Fatal(err)
@@ -233,7 +245,7 @@ func TestHighPowerMode(t *testing.T) {
 	if err := med.Attach(4, func(p *packet.Packet) { node4Heard = append(node4Heard, p) }); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(ModeHighPower)
+	cfg := testConfig(ModeHighPower)
 	cfg.HighPowerFactor = 7
 	m1 := New(k, med, 10, nil, cfg)
 	if err := med.Attach(10, func(*packet.Packet) {}); err != nil {
@@ -271,7 +283,7 @@ func TestRelayModeReplaysVerbatim(t *testing.T) {
 	f.Place(2, field.Point{X: 25, Y: 0})
 	f.Place(3, field.Point{X: 50, Y: 0})
 	k := sim.New(1)
-	med := medium.New(k, f, medium.Config{})
+	med := medium.New(k, f, medium.Config{BandwidthBps: 40_000})
 	var bHeard []*packet.Packet
 	if err := med.Attach(1, func(*packet.Packet) {}); err != nil {
 		t.Fatal(err)
@@ -283,7 +295,7 @@ func TestRelayModeReplaysVerbatim(t *testing.T) {
 	if err := med.Attach(3, func(p *packet.Packet) { bHeard = append(bHeard, p) }); err != nil {
 		t.Fatal(err)
 	}
-	relay = New(k, med, 2, nil, DefaultConfig(ModeRelay))
+	relay = New(k, med, 2, nil, testConfig(ModeRelay))
 
 	req := &packet.Packet{
 		Type: packet.TypeRouteRequest, Seq: 1, Origin: 1, FinalDest: 3,
@@ -322,7 +334,7 @@ func TestShouldDropDataGating(t *testing.T) {
 	if err := med.AddTunnel(10, 11, 0); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(ModeOutOfBand)
+	cfg := testConfig(ModeOutOfBand)
 	a := New(k, med, 10, []field.NodeID{11}, cfg)
 	data := &packet.Packet{Type: packet.TypeData, Seq: 1, Origin: 1, FinalDest: 4, Sender: 1, PrevHop: 1, Receiver: 10}
 	// Before any wormhole forms, the attacker behaves normally.
@@ -350,7 +362,7 @@ func TestShouldDropDataGating(t *testing.T) {
 
 func TestCollaboratorListExcludesSelf(t *testing.T) {
 	k, med, _ := wormholeWorld(t)
-	a := New(k, med, 10, []field.NodeID{10, 11, 12}, DefaultConfig(ModeOutOfBand))
+	a := New(k, med, 10, []field.NodeID{10, 11, 12}, testConfig(ModeOutOfBand))
 	got := a.Colluders()
 	if len(got) != 2 {
 		t.Fatalf("colluders = %v", got)

@@ -64,10 +64,9 @@ const (
 type Config struct {
 	// Detector selects and parameterizes the detection strategy fed by
 	// this engine's observations: the watch parameters (tau, V_f, V_d,
-	// C_t, T) for the LITEWORP guard strategy and the fabrication/drop
-	// ablations. The rival strategies run at fixed constants of their
-	// own. The zero value selects the LITEWORP strategy with default
-	// watch parameters.
+	// C_t, T) and the scenario's reception log for the LITEWORP guard
+	// strategy, and the fabrication/drop ablations. The rival strategies
+	// run at fixed constants of their own.
 	Detector detector.Config
 	// Gamma is the detection confidence index: the number of distinct
 	// guards that must alert a node before it isolates the accused
@@ -78,22 +77,9 @@ type Config struct {
 	// The acceptance checks are engine-level, not detector-level: they
 	// run whichever strategy is monitoring.
 	DisableTwoHopCheck bool
-	// Positions, when non-nil, is the coordinate oracle handed to
-	// position-aware detectors (the range strategy). Nil disables their
-	// checks.
+	// Positions is the coordinate oracle handed to position-aware
+	// detectors (the range strategy).
 	Positions detector.Positions
-}
-
-// DefaultConfig returns the paper's default parameterization with gamma=2.
-func DefaultConfig() Config {
-	return Config{Detector: detector.DefaultConfig(), Gamma: 2}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Gamma <= 0 {
-		c.Gamma = 2
-	}
-	return c
 }
 
 // Events are optional observation hooks; any field may be nil.
@@ -156,7 +142,7 @@ func New(k sim.Clock, ring *keys.Ring, table *neighbor.Table, cfg Config, send f
 		kernel:   k,
 		ring:     ring,
 		table:    table,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		send:     send,
 		events:   events,
 		alerts:   make(map[field.NodeID]map[field.NodeID]bool),

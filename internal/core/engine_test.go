@@ -20,7 +20,12 @@ type testNode struct {
 	sent   []*packet.Packet
 }
 
+// newTestNode builds node self's engine. A guard whose test shares no
+// reception log records on one of its own.
 func newTestNode(k *sim.Kernel, ks *keys.KeyServer, self field.NodeID, cfg Config, ev Events) *testNode {
+	if cfg.Detector.Watch.Log == nil {
+		cfg.Detector.Watch.Log = watch.NewLog(k)
+	}
 	n := &testNode{table: neighbor.NewTable(self)}
 	ring := keys.NewRing(self, ks)
 	n.engine = New(k, ring, n.table, cfg, func(p *packet.Packet) error {
@@ -477,15 +482,6 @@ func TestMonitorSkipsRevokedSender(t *testing.T) {
 	}
 	if n.engine.Buffer().Stats().Expectations != 0 {
 		t.Fatal("expectations armed from a revoked sender's traffic")
-	}
-}
-
-func TestGammaDefaultApplied(t *testing.T) {
-	k := sim.New(1)
-	ks := keys.NewKeyServer(1)
-	n := newTestNode(k, ks, 1, Config{}, Events{})
-	if n.engine.Gamma() != 2 {
-		t.Fatalf("default gamma = %d", n.engine.Gamma())
 	}
 }
 

@@ -91,19 +91,18 @@ type Positions interface {
 }
 
 // Env is the host-node context a detector observes through. The engine
-// fills it; tests may wire it directly.
+// fills every field.
 type Env struct {
 	// Clock is the host's virtual clock/scheduler (scope or kernel).
 	Clock sim.Clock
 	// Table is the host's secure two-hop neighbor table (read-only from
 	// the detector's perspective except through the engine callbacks).
 	Table *neighbor.Table
-	// Positions, when non-nil, grants position-aware strategies the
-	// deployment coordinates. Nil disables those checks (the strategy
-	// degrades to never accusing).
+	// Positions grants position-aware strategies the deployment
+	// coordinates.
 	Positions Positions
-	// DropFilter, when non-nil, is consulted before a drop accusation is
-	// raised (the engine's crash-vs-malice discriminator).
+	// DropFilter is consulted before a drop accusation is raised (the
+	// engine's crash-vs-malice discriminator).
 	DropFilter func(accused field.NodeID, key packet.Key) bool
 	// Suspect reports whether the host has heard any alert about id;
 	// detectors must not arm forwarding expectations against suspects.
@@ -113,21 +112,6 @@ type Env struct {
 	// OnThreshold fires once a node's score crosses the strategy's
 	// revocation threshold; the engine responds (revoke + alerts).
 	OnThreshold func(accused field.NodeID)
-}
-
-// withDefaults normalizes the optional callbacks so implementations can
-// call them unconditionally.
-func (e Env) withDefaults() Env {
-	if e.Suspect == nil {
-		e.Suspect = func(field.NodeID) bool { return false }
-	}
-	if e.OnAccusation == nil {
-		e.OnAccusation = func(Accusation) {}
-	}
-	if e.OnThreshold == nil {
-		e.OnThreshold = func(field.NodeID) {}
-	}
-	return e
 }
 
 // Config selects and parameterizes a detection strategy. Only the
@@ -146,12 +130,6 @@ type Config struct {
 	// DisableDropDetection stops the liteworp strategy from arming
 	// forwarding expectations (the paper's V_d = 0 ablation).
 	DisableDropDetection bool
-}
-
-// DefaultConfig returns the LITEWORP strategy with the paper's Table 2
-// watch parameterization.
-func DefaultConfig() Config {
-	return Config{Kind: KindLiteworp, Watch: watch.DefaultConfig()}
 }
 
 // kinds lists the built-in strategies, ascending.
@@ -177,7 +155,6 @@ func Canonical(kind string) string {
 // New builds the strategy cfg.Kind selects. Unknown kinds error with the
 // valid names.
 func New(env Env, cfg Config) (Detector, error) {
-	env = env.withDefaults()
 	switch Canonical(cfg.Kind) {
 	case KindLiteworp:
 		return newLiteworpDetector(env, cfg), nil

@@ -3,12 +3,43 @@ package detector
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"liteworp/internal/field"
+	"liteworp/internal/neighbor"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
 	"liteworp/internal/watch"
 )
+
+// testEnv returns the environment the engine would give host 1 over k: an
+// empty neighbor table and position oracle, a drop filter that suppresses
+// nothing, no suspects, and callbacks that discard what they are given.
+// Tests replace the fields they observe through.
+func testEnv(k *sim.Kernel) Env {
+	return Env{
+		Clock:        k,
+		Table:        neighbor.NewTable(1),
+		Positions:    field.New(400, 60, 30),
+		DropFilter:   func(field.NodeID, packet.Key) bool { return false },
+		Suspect:      func(field.NodeID) bool { return false },
+		OnAccusation: func(Accusation) {},
+		OnThreshold:  func(field.NodeID) {},
+	}
+}
+
+// testConfig returns the LITEWORP strategy at the paper's Table 2 watch
+// parameters, on a reception log of its own over k.
+func testConfig(k *sim.Kernel) Config {
+	return Config{Kind: KindLiteworp, Watch: watch.Config{
+		Timeout:              500 * time.Millisecond,
+		FabricationIncrement: 3,
+		DropIncrement:        1,
+		Threshold:            16,
+		Window:               200 * time.Second,
+		Log:                  watch.NewLog(k),
+	}}
+}
 
 // TestRegistry pins the fixed kind list: Names is exactly the built-ins,
 // ascending, and a caller cannot change it through the returned slice.
@@ -36,7 +67,7 @@ func TestRegistry(t *testing.T) {
 	if got := Canonical(""); got != KindLiteworp {
 		t.Fatalf("Canonical(\"\") = %q, want %q", got, KindLiteworp)
 	}
-	if _, err := New(Env{Clock: sim.New(1)}, Config{Kind: "no-such-strategy"}); err == nil {
+	if _, err := New(testEnv(sim.New(1)), Config{Kind: "no-such-strategy"}); err == nil {
 		t.Fatal("New accepted an unknown kind")
 	}
 }
@@ -44,7 +75,9 @@ func TestRegistry(t *testing.T) {
 func TestNewBuildsEachKind(t *testing.T) {
 	k := sim.New(1)
 	for _, kind := range []string{KindLiteworp, KindZScore, KindRange, KindNone} {
-		d, err := New(Env{Clock: k}, Config{Kind: kind, Watch: watch.DefaultConfig()})
+		cfg := testConfig(k)
+		cfg.Kind = kind
+		d, err := New(testEnv(k), cfg)
 		if err != nil {
 			t.Fatalf("New(%q): %v", kind, err)
 		}
@@ -56,7 +89,7 @@ func TestNewBuildsEachKind(t *testing.T) {
 
 func TestLiteworpDetectorExposesBuffer(t *testing.T) {
 	k := sim.New(1)
-	d, err := New(Env{Clock: k}, Config{Watch: watch.DefaultConfig()})
+	d, err := New(testEnv(k), testConfig(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +104,10 @@ func zscoreEnv(t *testing.T) (Detector, *[]Accusation, *[]field.NodeID) {
 	t.Helper()
 	var acc []Accusation
 	var fired []field.NodeID
-	d, err := New(Env{
-		Clock:        sim.New(1),
-		OnAccusation: func(a Accusation) { acc = append(acc, a) },
-		OnThreshold:  func(id field.NodeID) { fired = append(fired, id) },
-	}, Config{Kind: KindZScore})
+	env := testEnv(sim.New(1))
+	env.OnAccusation = func(a Accusation) { acc = append(acc, a) }
+	env.OnThreshold = func(id field.NodeID) { fired = append(fired, id) }
+	d, err := New(env, Config{Kind: KindZScore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +183,8 @@ func rangeEnv(t *testing.T, f *field.Field) (Detector, *[]Accusation, *[]field.N
 	t.Helper()
 	var acc []Accusation
 	var fired []field.NodeID
-	var env Env
-	env.Clock = sim.New(1)
-	if f != nil {
-		env.Positions = f
-	}
+	env := testEnv(sim.New(1))
+	env.Positions = f
 	env.OnAccusation = func(a Accusation) { acc = append(acc, a) }
 	env.OnThreshold = func(id field.NodeID) { fired = append(fired, id) }
 	d, err := New(env, Config{Kind: KindRange})
@@ -222,8 +251,10 @@ func TestRangeSparesHonestRebroadcasters(t *testing.T) {
 	}
 }
 
+// TestRangeWithoutPositionsNeverAccuses: an oracle that knows no node's
+// position judges no link, however far apart the claim's endpoints are.
 func TestRangeWithoutPositionsNeverAccuses(t *testing.T) {
-	d, acc, _ := rangeEnv(t, nil)
+	d, acc, _ := rangeEnv(t, field.New(400, 60, 30))
 	d.Overheard(&packet.Packet{
 		Type: packet.TypeRouteRequest, Seq: 1, Origin: 1, FinalDest: 42,
 		Sender: 9, PrevHop: 2, Receiver: packet.Broadcast,
@@ -249,10 +280,9 @@ func TestRangeUnknownPositionGivesBenefitOfDoubt(t *testing.T) {
 
 func TestNoneDetectorIsInert(t *testing.T) {
 	var acc []Accusation
-	d, err := New(Env{
-		Clock:        sim.New(1),
-		OnAccusation: func(a Accusation) { acc = append(acc, a) },
-	}, Config{Kind: KindNone})
+	env := testEnv(sim.New(1))
+	env.OnAccusation = func(a Accusation) { acc = append(acc, a) }
+	d, err := New(env, Config{Kind: KindNone})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,17 +21,11 @@ type liteworpDetector struct {
 
 func newLiteworpDetector(env Env, cfg Config) Detector {
 	wcfg := cfg.Watch
-	if env.DropFilter != nil {
-		wcfg.DropFilter = env.DropFilter
-	}
-	if env.Table != nil {
-		if wcfg.Index == nil {
-			// Share the host table's dense neighbor index so the buffer,
-			// the routing layer and the scoreboard agree on nbrIdx values.
-			wcfg.Index = env.Table.Index()
-		}
-		wcfg.Self = env.Table.Self()
-	}
+	wcfg.DropFilter = env.DropFilter
+	// Share the host table's dense neighbor index so the buffer and the
+	// routing layer agree on nbrIdx values.
+	wcfg.Index = env.Table.Index()
+	wcfg.Self = env.Table.Self()
 	d := &liteworpDetector{env: env, cfg: cfg}
 	d.buffer = watch.New(env.Clock, wcfg, env.OnAccusation, env.OnThreshold)
 	return d

@@ -20,11 +20,11 @@ func guardAt(t *testing.T) (Detector, *watch.Buffer, *[]Accusation) {
 		table.AddDirect(id)
 	}
 	var acc []Accusation
-	d, err := New(Env{
-		Clock:        sim.New(1),
-		Table:        table,
-		OnAccusation: func(a Accusation) { acc = append(acc, a) },
-	}, Config{Watch: watch.DefaultConfig()})
+	k := sim.New(1)
+	env := testEnv(k)
+	env.Table = table
+	env.OnAccusation = func(a Accusation) { acc = append(acc, a) }
+	d, err := New(env, testConfig(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,9 @@ func BenchmarkOverheardFlood(b *testing.B) {
 		}
 	}
 	kernel := sim.New(1)
-	d, err := New(Env{Clock: kernel, Table: table}, Config{Watch: watch.DefaultConfig()})
+	env := testEnv(kernel)
+	env.Table = table
+	d, err := New(env, testConfig(kernel))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,13 +185,12 @@ func BenchmarkOverheardBatch(b *testing.B) {
 				table.AddDirect(id)
 			}
 		}
-		cfg := Config{Watch: watch.DefaultConfig()}
+		cfg := testConfig(kernel)
 		cfg.Watch.Log = log
-		d, err := New(Env{
-			Clock:      kernel,
-			Table:      table,
-			DropFilter: func(field.NodeID, packet.Key) bool { return true },
-		}, cfg)
+		env := testEnv(kernel)
+		env.Table = table
+		env.DropFilter = func(field.NodeID, packet.Key) bool { return true }
+		d, err := New(env, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

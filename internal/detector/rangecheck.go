@@ -39,15 +39,13 @@ const (
 // nodes rebroadcasting a wormhole-tainted flood are never accused for the
 // impossible pair buried upstream in the route.
 //
-// The strategy draws no RNG and arms no timers; with Positions absent it
-// never accuses.
+// The strategy draws no RNG and arms no timers.
 type rangeDetector struct {
-	env   Env
-	board *scoreboard
+	*scoreboard
 }
 
 func newRangeDetector(env Env) Detector {
-	return &rangeDetector{env: env, board: newScoreboard(env, rangeThreshold)}
+	return &rangeDetector{&scoreboard{env: env, threshold: rangeThreshold}}
 }
 
 // Name returns KindRange.
@@ -65,12 +63,9 @@ func (d *rangeDetector) Interference() {}
 
 // Overheard judges every link claim the sender is an endpoint of.
 func (d *rangeDetector) Overheard(p *packet.Packet) {
-	if d.env.Positions == nil {
-		return
-	}
 	sender := p.Sender
 	if p.PrevHop != sender && !d.plausible(p.PrevHop, sender) {
-		d.board.accuse(sender, watch.ReasonRange, p.Key())
+		d.accuse(sender, watch.ReasonRange, p.Key())
 		return
 	}
 	for i, x := range p.Route {
@@ -78,11 +73,11 @@ func (d *rangeDetector) Overheard(p *packet.Packet) {
 			continue
 		}
 		if i > 0 && !d.plausible(p.Route[i-1], sender) {
-			d.board.accuse(sender, watch.ReasonRange, p.Key())
+			d.accuse(sender, watch.ReasonRange, p.Key())
 			return
 		}
 		if i+1 < len(p.Route) && !d.plausible(sender, p.Route[i+1]) {
-			d.board.accuse(sender, watch.ReasonRange, p.Key())
+			d.accuse(sender, watch.ReasonRange, p.Key())
 			return
 		}
 	}

@@ -21,23 +21,13 @@ import (
 type scoreboard struct {
 	env       Env
 	threshold int
-	idx       *neighbor.Index
 	score     []int
 	fired     []bool
 }
 
-func newScoreboard(env Env, threshold int) *scoreboard {
-	if threshold <= 0 {
-		threshold = 1
-	}
-	s := &scoreboard{env: env, threshold: threshold}
-	if env.Table != nil {
-		s.idx = env.Table.Index()
-	} else {
-		s.idx = neighbor.NewIndex()
-	}
-	return s
-}
+// Index returns the dense neighbor index the scores are addressed by: the
+// host table's.
+func (s *scoreboard) Index() *neighbor.Index { return s.env.Table.Index() }
 
 // accuse records one observation against accused, emits the Accusation,
 // and fires the threshold callback exactly once when the score crosses.
@@ -45,7 +35,7 @@ func newScoreboard(env Env, threshold int) *scoreboard {
 // callbacks run: a callback that re-enters a detector can intern new
 // nodes and grow the storage underneath a held index.
 func (s *scoreboard) accuse(accused field.NodeID, reason watch.Reason, key packet.Key) {
-	i := s.idx.Intern(accused)
+	i := s.Index().Intern(accused)
 	for int(i) >= len(s.score) {
 		s.score = append(s.score, 0)
 		s.fired = append(s.fired, false)

@@ -41,7 +41,7 @@ const (
 // announce their true neighborhoods) is invisible to it — exactly the
 // blind spot the detector comparison quantifies.
 type zscoreDetector struct {
-	board  *scoreboard
+	*scoreboard
 	counts map[field.NodeID]int // latest announced degree per announcer
 	n      int                  // distinct announcers
 	sum    int                  // sum of latest degrees
@@ -50,8 +50,8 @@ type zscoreDetector struct {
 
 func newZScoreDetector(env Env) Detector {
 	return &zscoreDetector{
-		board:  newScoreboard(env, zscoreThreshold),
-		counts: make(map[field.NodeID]int),
+		scoreboard: &scoreboard{env: env, threshold: zscoreThreshold},
+		counts:     make(map[field.NodeID]int),
 	}
 }
 
@@ -90,6 +90,6 @@ func (d *zscoreDetector) Announcement(from field.NodeID, degree int) {
 		return // a uniform population has no outliers
 	}
 	if z := (float64(degree) - mean) / math.Sqrt(variance); z >= zscoreZ {
-		d.board.accuse(from, watch.ReasonAnomaly, packet.Key{})
+		d.accuse(from, watch.ReasonAnomaly, packet.Key{})
 	}
 }

@@ -26,7 +26,7 @@ func TestBroadcastDeliveryAllocBudget(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.New(1)
 			f := tc.topo(t)
-			m := New(k, f, Config{})
+			m := New(k, f, Config{BandwidthBps: 40_000})
 			for _, id := range f.IDs() {
 				if err := m.Attach(id, func(*packet.Packet) {}); err != nil {
 					t.Fatal(err)
@@ -88,7 +88,7 @@ func starTopo(tb testing.TB) *field.Field {
 func BenchmarkBroadcastDelivery(b *testing.B) {
 	k := sim.New(1)
 	f := lineTopo(b, 5)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	for i := field.NodeID(1); i <= 5; i++ {
 		if err := m.Attach(i, func(*packet.Packet) {}); err != nil {
 			b.Fatal(err)

@@ -146,11 +146,6 @@ type Config struct {
 	BandwidthBps float64
 }
 
-// DefaultConfig matches the paper's Table 2 channel.
-func DefaultConfig() Config {
-	return Config{BandwidthBps: 40_000}
-}
-
 // Stats counts medium activity.
 type Stats struct {
 	// BytesByType breaks down on-air bytes per packet type, the basis of
@@ -264,9 +259,6 @@ type Medium struct {
 
 // New creates a medium over the given topology.
 func New(k *sim.Kernel, topo *field.Field, cfg Config) *Medium {
-	if cfg.BandwidthBps <= 0 {
-		cfg.BandwidthBps = DefaultConfig().BandwidthBps
-	}
 	return &Medium{
 		kernel:  k,
 		topo:    topo,

@@ -65,7 +65,7 @@ func TestUnicastIsOverheard(t *testing.T) {
 	// still overhear it — the basis of local monitoring.
 	k := sim.New(1)
 	f := lineTopo(t, 3)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	s1, s3 := &sink{}, &sink{}
 	if err := m.Attach(1, s1.recv); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestTxDelayMatchesBandwidth(t *testing.T) {
 func TestHighPowerExtendsRange(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 4) // node 1 and node 4 are 60m apart; range 30
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	s4 := &sink{}
 	for i := field.NodeID(1); i <= 3; i++ {
 		if err := m.Attach(i, func(*packet.Packet) {}); err != nil {
@@ -144,7 +144,7 @@ func TestHighPowerExtendsRange(t *testing.T) {
 func TestAttachValidation(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	if err := m.Attach(99, func(*packet.Packet) {}); err == nil {
 		t.Fatal("attached node without position")
 	}
@@ -162,7 +162,7 @@ func TestAttachValidation(t *testing.T) {
 func TestBroadcastFromUnattachedFails(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	p := &packet.Packet{Type: packet.TypeData, Sender: 1}
 	if err := m.Broadcast(p); err == nil {
 		t.Fatal("broadcast from unattached sender accepted")
@@ -172,7 +172,7 @@ func TestBroadcastFromUnattachedFails(t *testing.T) {
 func TestFixedLossStatistics(t *testing.T) {
 	k := sim.New(42)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	m.SetLoss(FixedLoss{P: 0.3})
 	got := 0
 	if err := m.Attach(1, func(*packet.Packet) { got++ }); err != nil {
@@ -240,7 +240,7 @@ func TestLinearCollisionDegenerate(t *testing.T) {
 func TestTunnel(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 10) // 1 and 10 far apart
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	s10 := &sink{}
 	s5 := &sink{}
 	if err := m.Attach(1, func(*packet.Packet) {}); err != nil {
@@ -285,7 +285,7 @@ func TestTunnel(t *testing.T) {
 func TestTunnelValidation(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 3)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	if err := m.Attach(1, func(*packet.Packet) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestReceiversShareOneReadOnlyFrame(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			m := New(k, f, Config{})
+			m := New(k, f, Config{BandwidthBps: 40_000})
 			if airtime {
 				m.EnableAirtime()
 			}
@@ -387,7 +387,7 @@ func TestOversizeFrameRefused(t *testing.T) {
 	for _, tc := range sends {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.New(1)
-			m := New(k, lineTopo(t, 3), Config{})
+			m := New(k, lineTopo(t, 3), Config{BandwidthBps: 40_000})
 			if tc.airtime {
 				m.EnableAirtime()
 			}
@@ -417,7 +417,7 @@ func TestOversizeFrameRefused(t *testing.T) {
 func TestTraceObserverSeesEverything(t *testing.T) {
 	k := sim.New(3)
 	f := lineTopo(t, 3)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	m.SetLoss(FixedLoss{P: 1.0})
 	var events []TraceEvent
 	m.SetTrace(func(ev TraceEvent) { events = append(events, ev) })
@@ -447,7 +447,7 @@ func TestDeterministicDeliveryOrder(t *testing.T) {
 	run := func() []field.NodeID {
 		k := sim.New(9)
 		f := lineTopo(t, 3)
-		m := New(k, f, Config{})
+		m := New(k, f, Config{BandwidthBps: 40_000})
 		var order []field.NodeID
 		for i := field.NodeID(1); i <= 3; i++ {
 			i := i
@@ -478,7 +478,7 @@ func TestDeterministicDeliveryOrder(t *testing.T) {
 func TestSetLossSwapsModel(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	got := 0
 	if err := m.Attach(1, func(*packet.Packet) { got++ }); err != nil {
 		t.Fatal(err)
@@ -512,7 +512,7 @@ func TestSetLossSwapsModel(t *testing.T) {
 func TestSetCorruptionNotifyProbabilistic(t *testing.T) {
 	k := sim.New(5)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	m.SetLoss(FixedLoss{P: 1})
 	var corrupted []field.NodeID
 	m.SetCorruptionNotify(func(rx field.NodeID) { corrupted = append(corrupted, rx) })
@@ -575,7 +575,7 @@ func TestBroadcastFromUsesTransmitterPosition(t *testing.T) {
 	// 3's position, not node 1's.
 	k := sim.New(1)
 	f := lineTopo(t, 4) // 1-2-3-4 chain
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	heard4 := 0
 	if err := m.Attach(3, func(*packet.Packet) {}); err != nil {
 		t.Fatal(err)
@@ -606,7 +606,7 @@ func TestBroadcastFromUsesTransmitterPosition(t *testing.T) {
 func TestTopologyAccessorAndBytesByType(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 2)
-	m := New(k, f, Config{})
+	m := New(k, f, Config{BandwidthBps: 40_000})
 	if m.Topology() != f {
 		t.Fatal("Topology accessor broken")
 	}

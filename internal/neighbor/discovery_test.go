@@ -152,7 +152,7 @@ func TestDiscoveryIgnoresUnauthenticatedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.New(5)
-	med := medium.New(k, topo, medium.Config{})
+	med := medium.New(k, topo, medium.Config{BandwidthBps: 40_000})
 	ks := keys.NewKeyServer(99)
 
 	tb1 := NewTable(1)
@@ -194,7 +194,7 @@ func TestDiscoveryRejectsForgedNeighborList(t *testing.T) {
 	// tag cannot verify.
 	topo := chain(t, 3)
 	k := sim.New(6)
-	med := medium.New(k, topo, medium.Config{})
+	med := medium.New(k, topo, medium.Config{BandwidthBps: 40_000})
 	ks := keys.NewKeyServer(99)
 
 	tb1 := NewTable(1)

@@ -103,7 +103,7 @@ func TestStaticModeRejectsJoiner(t *testing.T) {
 	// strangers even with valid tags.
 	k := sim.New(9)
 	f := chain(t, 2)
-	med := medium.New(k, f, medium.Config{})
+	med := medium.New(k, f, medium.Config{BandwidthBps: 40_000})
 	ks := keys.NewKeyServer(99)
 	tb1 := NewTable(1)
 	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, false)
@@ -142,7 +142,7 @@ func TestDynamicJoinRequiresRecentHello(t *testing.T) {
 	// never heard must still be rejected (no open join window).
 	k := sim.New(9)
 	f := chain(t, 2)
-	med := medium.New(k, f, medium.Config{})
+	med := medium.New(k, f, medium.Config{BandwidthBps: 40_000})
 	ks := keys.NewKeyServer(99)
 	tb1 := NewTable(1)
 	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, true)
@@ -178,7 +178,7 @@ func TestDynamicJoinRequiresRecentHello(t *testing.T) {
 func TestDynamicJoinWindowExpires(t *testing.T) {
 	k := sim.New(9)
 	f := chain(t, 2)
-	med := medium.New(k, f, medium.Config{})
+	med := medium.New(k, f, medium.Config{BandwidthBps: 40_000})
 	ks := keys.NewKeyServer(99)
 	tb1 := NewTable(1)
 	d1 := NewDiscovery(k, keys.NewRing(1, ks), tb1, med.Broadcast, true)

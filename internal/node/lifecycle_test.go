@@ -4,9 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"liteworp/internal/detector"
 	"liteworp/internal/field"
-	"liteworp/internal/keys"
 	"liteworp/internal/medium"
+	"liteworp/internal/neighbor"
 	"liteworp/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func TestCrashRebootErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	med := medium.New(k, f, medium.Config{BandwidthBps: 250_000})
-	n := New(1, Config{Liteworp: true}, Deps{Kernel: k, Medium: med, Keys: keys.NewKeyServer(5)})
+	n := New(1, testConfig(true), testDeps(k, med, f))
 
 	if err := n.Crash(); err == nil {
 		t.Fatal("crash before Start accepted")
@@ -200,5 +201,54 @@ func TestRebootRefreshesStaleEntriesAtNeighbors(t *testing.T) {
 	tb := w.nodes[1].Table()
 	if tb.IsStale(2) || !tb.IsNeighbor(2) {
 		t.Fatal("stale entry for the rebooted node not refreshed")
+	}
+}
+
+// TestOneIndexPerIncarnation pins the stack's sharing contract: the router,
+// the watch buffer and a rival detector's scoreboard all key their
+// per-neighbor state by the incarnation's neighbor-table index, every
+// guard records on the scenario's one reception log, and a reboot's fresh
+// stack holds a fresh index.
+func TestOneIndexPerIncarnation(t *testing.T) {
+	w := buildWorld(t, 3, true, nil)
+	check := func(n *Node, when string) {
+		t.Helper()
+		idx := n.Table().Index()
+		if n.Router().Index() != idx {
+			t.Fatalf("%s: node %d's router keeps its own index", when, n.ID())
+		}
+		b := n.Engine().Buffer()
+		if b.Index() != idx {
+			t.Fatalf("%s: node %d's watch buffer keeps its own index", when, n.ID())
+		}
+		if b.Config().Log != w.deps.Log {
+			t.Fatalf("%s: node %d's guard records on its own log", when, n.ID())
+		}
+	}
+	for _, id := range w.topo.IDs() {
+		check(w.nodes[id], "deployed")
+	}
+
+	n := w.nodes[2]
+	old := n.Table().Index()
+	if err := n.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Reboot(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Table().Index() == old {
+		t.Fatal("the rebooted stack reuses the crashed incarnation's index")
+	}
+	check(n, "rebooted")
+
+	for _, kind := range []string{detector.KindRange, detector.KindZScore} {
+		cfg := testConfig(true)
+		cfg.Core.Detector.Kind = kind
+		rival := New(9, cfg, w.deps)
+		board, ok := rival.Engine().Detector().(interface{ Index() *neighbor.Index })
+		if !ok || board.Index() != rival.Table().Index() {
+			t.Fatalf("the %s detector's scoreboard keeps its own index", kind)
+		}
 	}
 }

@@ -46,28 +46,31 @@ type Config struct {
 	Colluders []field.NodeID
 }
 
-// Deps are the shared simulation facilities.
+// Deps are the shared simulation facilities, built once per scenario and
+// handed to every node, deployed or joined. Every field is required unless
+// its comment says otherwise.
 type Deps struct {
 	Kernel    *sim.Kernel
 	Medium    *medium.Medium
 	Keys      *keys.KeyServer
 	Collector *metrics.Collector
 	// Log is the scenario's reception log, which every LITEWORP guard
-	// shares; nil gives each guard a log of its own.
+	// shares. Only a scenario without LITEWORP leaves it nil.
 	Log *watch.Log
 	// MaliciousSet is ground truth for metrics classification (false
 	// accusations, wormhole routes). Nil means "no malicious nodes".
 	MaliciousSet map[field.NodeID]bool
-	// Topo is the ground-truth topology, used only for metrics (phantom
-	// links in routes). Nil disables that classification.
+	// Topo is the ground-truth topology: the coordinates position-aware
+	// detectors read (the paper's GPS assumption for range tests), and
+	// the metrics' test for phantom links in routes.
 	Topo *field.Field
-	// OnAlertRetry observes alert retransmissions (tracing); may be nil.
+	// OnAlertRetry observes alert retransmissions (tracing).
 	OnAlertRetry func(node, accused, to field.NodeID, attempt int)
-	// OnAccusation observes guard accusations (tracing); may be nil.
+	// OnAccusation observes guard accusations (tracing).
 	OnAccusation func(node field.NodeID, a watch.Accusation)
 	// OnIsolated observes isolation decisions (tracing); local reports
 	// whether the node's own MalC crossed the threshold (as opposed to
-	// gamma alert endorsements). May be nil.
+	// gamma alert endorsements).
 	OnIsolated func(node, accused field.NodeID, local bool)
 }
 
@@ -119,14 +122,8 @@ func (n *Node) buildStack() {
 		ccfg := n.cfg.Core
 		// Every incarnation records its heard facts on the scenario's
 		// log, which tells them apart by the incarnation's join.
-		if ccfg.Detector.Watch.Log == nil {
-			ccfg.Detector.Watch.Log = n.deps.Log
-		}
-		if ccfg.Positions == nil && n.deps.Topo != nil {
-			// Position-aware detectors read the ground-truth deployment
-			// coordinates (the paper's GPS assumption for range tests).
-			ccfg.Positions = n.deps.Topo
-		}
+		ccfg.Detector.Watch.Log = n.deps.Log
+		ccfg.Positions = n.deps.Topo
 		n.engine = core.New(n.scope, n.ring, n.table, ccfg, n.deps.Medium.Broadcast, n.engineEvents())
 	}
 
@@ -227,9 +224,7 @@ func (n *Node) Reboot() error {
 
 // SendData originates a data packet toward dest.
 func (n *Node) SendData(dest field.NodeID, payload []byte) error {
-	if c := n.deps.Collector; c != nil {
-		c.DataOriginated++
-	}
+	n.deps.Collector.DataOriginated++
 	return n.router.Send(dest, payload)
 }
 
@@ -240,11 +235,9 @@ func (n *Node) SendData(dest field.NodeID, payload []byte) error {
 // paper describes in Fig. 8).
 func (n *Node) transmit(p *packet.Packet) error {
 	if n.engine != nil && p.Receiver != packet.Broadcast && !n.engine.OutboundAllowed(p.Receiver) {
-		if c := n.deps.Collector; c != nil {
-			c.DataBlockedRevoked++
-			if p.Type == packet.TypeData {
-				c.RecordDrop(n.deps.Kernel.Now())
-			}
+		n.deps.Collector.DataBlockedRevoked++
+		if p.Type == packet.TypeData {
+			n.deps.Collector.RecordDrop(n.deps.Kernel.Now())
 		}
 		// Optional route repair: tell the source its cached route is dead.
 		n.router.ReportBrokenRoute(p)
@@ -300,12 +293,12 @@ func (n *Node) Receive(p *packet.Packet) {
 
 	if n.engine != nil {
 		if !n.engine.CheckInbound(p) {
-			if c := n.deps.Collector; c != nil && p.Type == packet.TypeData {
-				c.DataRejected++
+			if p.Type == packet.TypeData {
+				n.deps.Collector.DataRejected++
 				if n.deps.MaliciousSet[p.Sender] {
 					// Data arriving from a revoked/unknown malicious
 					// node dies here because of the attack.
-					c.RecordDrop(n.deps.Kernel.Now())
+					n.deps.Collector.RecordDrop(n.deps.Kernel.Now())
 				}
 			}
 			return
@@ -325,9 +318,7 @@ func (n *Node) Receive(p *packet.Packet) {
 		n.router.HandleRouteError(p)
 	case packet.TypeData:
 		if n.attacker != nil && n.attacker.ShouldDropData(p) {
-			if c := n.deps.Collector; c != nil {
-				c.RecordDrop(n.deps.Kernel.Now())
-			}
+			n.deps.Collector.RecordDrop(n.deps.Kernel.Now())
 			return
 		}
 		if err := n.router.HandleData(p); err != nil {
@@ -338,9 +329,6 @@ func (n *Node) Receive(p *packet.Packet) {
 
 func (n *Node) routerEvents() routing.Events {
 	c := n.deps.Collector
-	if c == nil {
-		return routing.Events{}
-	}
 	return routing.Events{
 		RouteEstablished: func(dest field.NodeID, route []field.NodeID) {
 			c.RoutesEstablished++
@@ -350,12 +338,10 @@ func (n *Node) routerEvents() routing.Events {
 					break
 				}
 			}
-			if n.deps.Topo != nil {
-				for i := 1; i < len(route); i++ {
-					if !n.deps.Topo.InRange(route[i-1], route[i]) {
-						c.PhantomRoutes++
-						break
-					}
+			for i := 1; i < len(route); i++ {
+				if !n.deps.Topo.InRange(route[i-1], route[i]) {
+					c.PhantomRoutes++
+					break
 				}
 			}
 		},
@@ -367,16 +353,11 @@ func (n *Node) routerEvents() routing.Events {
 
 func (n *Node) engineEvents() core.Events {
 	c := n.deps.Collector
-	if c == nil {
-		return core.Events{}
-	}
 	k := n.deps.Kernel
 	return core.Events{
 		Accusation: func(a watch.Accusation) {
 			c.RecordAccusation(a.Reason.String(), !n.deps.MaliciousSet[a.Accused])
-			if n.deps.OnAccusation != nil {
-				n.deps.OnAccusation(n.id, a)
-			}
+			n.deps.OnAccusation(n.id, a)
 		},
 		LocalRevocation: func(accused field.NodeID) {
 			c.LocalRevocations++
@@ -384,27 +365,21 @@ func (n *Node) engineEvents() core.Events {
 			if !n.deps.MaliciousSet[accused] {
 				c.FalseIsolations++
 			}
-			if n.deps.OnIsolated != nil {
-				n.deps.OnIsolated(n.id, accused, true)
-			}
+			n.deps.OnIsolated(n.id, accused, true)
 		},
 		AlertSent: func(accused, to field.NodeID) {
 			c.AlertsSent++
 		},
 		AlertRetry: func(accused, to field.NodeID, attempt int) {
 			c.AlertRetries++
-			if n.deps.OnAlertRetry != nil {
-				n.deps.OnAlertRetry(n.id, accused, to, attempt)
-			}
+			n.deps.OnAlertRetry(n.id, accused, to, attempt)
 		},
 		Isolated: func(accused field.NodeID) {
 			c.RecordIsolation(n.id, accused, k.Now())
 			if !n.deps.MaliciousSet[accused] {
 				c.FalseIsolations++
 			}
-			if n.deps.OnIsolated != nil {
-				n.deps.OnIsolated(n.id, accused, false)
-			}
+			n.deps.OnIsolated(n.id, accused, false)
 		},
 	}
 }

@@ -23,7 +23,53 @@ type world struct {
 	topo      *field.Field
 	med       *medium.Medium
 	collector *metrics.Collector
+	deps      Deps
 	nodes     map[field.NodeID]*Node
+}
+
+// testConfig is the stack every test node runs: fast watch parameters
+// (tau 300 ms, C_t 6), gamma 2, the paper's 50 s TOutRoute and a 5 ms REQ
+// backoff.
+func testConfig(liteworp bool) Config {
+	return Config{
+		Liteworp: liteworp,
+		Core: core.Config{
+			Detector: detector.Config{
+				Watch: watch.Config{Timeout: 300 * time.Millisecond, FabricationIncrement: 3, DropIncrement: 1, Threshold: 6, Window: 100 * time.Second},
+			},
+			Gamma: 2,
+		},
+		Routing: routing.Config{RouteTimeout: 50 * time.Second, ForwardJitter: 5 * time.Millisecond},
+	}
+}
+
+// testDeps returns the facilities a scenario would share among its nodes:
+// a key server, a collector, one reception log, the topology, and trace
+// hooks that discard what they observe. It marks no node malicious.
+func testDeps(k *sim.Kernel, med *medium.Medium, f *field.Field) Deps {
+	return Deps{
+		Kernel:       k,
+		Medium:       med,
+		Keys:         keys.NewKeyServer(5),
+		Collector:    metrics.NewCollector(),
+		Log:          watch.NewLog(k),
+		Topo:         f,
+		OnAlertRetry: func(_, _, _ field.NodeID, _ int) {},
+		OnAccusation: func(field.NodeID, watch.Accusation) {},
+		OnIsolated:   func(_, _ field.NodeID, _ bool) {},
+	}
+}
+
+// testAttack is the paper's attacker for the given mode: a forged previous
+// hop at the tunnel exit, 3x range in high-power mode and 10 ms per
+// encapsulated hop.
+func testAttack(mode attack.Mode) attack.Config {
+	return attack.Config{
+		Mode:             mode,
+		PrevHop:          attack.StrategyForgeNeighbor,
+		HighPowerFactor:  3,
+		EncapDelayPerHop: 10 * time.Millisecond,
+	}
 }
 
 // buildWorld places nodes on a line 20m apart (range 30m) and starts them.
@@ -46,27 +92,17 @@ func buildTracedWorld(t *testing.T, n int, liteworp bool, malicious map[field.No
 	}
 	med := medium.New(k, f, medium.Config{BandwidthBps: 250_000})
 	med.SetTrace(tr)
-	col := metrics.NewCollector()
-	malSet := make(map[field.NodeID]bool)
+	deps := testDeps(k, med, f)
+	deps.MaliciousSet = make(map[field.NodeID]bool)
 	var colluders []field.NodeID
 	for id := range malicious {
-		malSet[id] = true
+		deps.MaliciousSet[id] = true
 		colluders = append(colluders, id)
 	}
-	deps := Deps{Kernel: k, Medium: med, Keys: keys.NewKeyServer(5), Collector: col, MaliciousSet: malSet, Topo: f}
 
-	w := &world{kernel: k, topo: f, med: med, collector: col, nodes: make(map[field.NodeID]*Node)}
+	w := &world{kernel: k, topo: f, med: med, collector: deps.Collector, deps: deps, nodes: make(map[field.NodeID]*Node)}
 	for _, id := range f.IDs() {
-		cfg := Config{
-			Liteworp: liteworp,
-			Core: core.Config{
-				Detector: detector.Config{
-					Watch: watch.Config{Timeout: 300 * time.Millisecond, FabricationIncrement: 3, DropIncrement: 1, Threshold: 6, Window: 100 * time.Second},
-				},
-				Gamma: 2,
-			},
-			Routing: routing.Config{ForwardJitter: 5 * time.Millisecond},
-		}
+		cfg := testConfig(liteworp)
 		if ac, ok := malicious[id]; ok {
 			cfg.Attack = ac
 			cfg.Colluders = colluders
@@ -151,8 +187,8 @@ func TestDiscoveryBuildsTablesThroughNodeDispatch(t *testing.T) {
 
 func TestMaliciousNodeDropsDataAfterWormhole(t *testing.T) {
 	// Nodes 1..7 in a line; 2 and 6 are colluders with an OOB tunnel.
-	ac2 := attack.DefaultConfig(attack.ModeOutOfBand)
-	ac6 := attack.DefaultConfig(attack.ModeOutOfBand)
+	ac2 := testAttack(attack.ModeOutOfBand)
+	ac6 := testAttack(attack.ModeOutOfBand)
 	w := buildWorld(t, 7, false, map[field.NodeID]*attack.Config{2: &ac2, 6: &ac6})
 	if err := w.med.AddTunnel(2, 6, 0); err != nil {
 		t.Fatal(err)
@@ -187,7 +223,7 @@ func TestLiteworpNodeRejectsWormholeRoute(t *testing.T) {
 	// Same topology but the honest nodes run LITEWORP: the tunneled REQ
 	// claiming prev-hop colluder is rejected outright (unknown link), so
 	// the route goes the long way.
-	ac2 := attack.DefaultConfig(attack.ModeOutOfBand)
+	ac2 := testAttack(attack.ModeOutOfBand)
 	ac2.PrevHop = attack.StrategyClaimColluder
 	ac6 := ac2
 	w := buildWorld(t, 7, true, map[field.NodeID]*attack.Config{2: &ac6, 6: &ac2})
@@ -262,7 +298,7 @@ func TestFalseAccusationClassification(t *testing.T) {
 }
 
 func TestIsolationEventsRecorded(t *testing.T) {
-	ac := attack.DefaultConfig(attack.ModeOutOfBand)
+	ac := testAttack(attack.ModeOutOfBand)
 	w := buildWorld(t, 4, true, map[field.NodeID]*attack.Config{3: &ac})
 	// Node 2 is a radio neighbor of the attacker (3); drive its MalC over
 	// the threshold.
@@ -288,7 +324,7 @@ func TestAlertsFlowBetweenNodes(t *testing.T) {
 	// Line of 5 with attacker in the middle (3). Nodes 2 and 4 are both
 	// neighbors of 3. When both their MalC cross, each revokes and sends
 	// alerts to 3's other neighbors; with gamma=2, endorsements spread.
-	ac := attack.DefaultConfig(attack.ModeOutOfBand)
+	ac := testAttack(attack.ModeOutOfBand)
 	w := buildWorld(t, 5, true, map[field.NodeID]*attack.Config{3: &ac})
 	for _, accuser := range []field.NodeID{2, 4} {
 		e := w.nodes[accuser].Engine()

@@ -82,7 +82,7 @@ func TestReceiveLeavesSharedFrameUntouched(t *testing.T) {
 			record := func(ev medium.TraceEvent) { keep(ev.Packet) }
 			malicious := map[field.NodeID]*attack.Config{}
 			for _, id := range tc.malicious {
-				ac := attack.DefaultConfig(tc.mode)
+				ac := testAttack(tc.mode)
 				malicious[id] = &ac
 			}
 			w := buildTracedWorld(t, 7, true, malicious, record)

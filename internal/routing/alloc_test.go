@@ -23,7 +23,7 @@ import (
 func TestRouteCycleAllocsWarm(t *testing.T) {
 	k := sim.New(1)
 	cfg := Config{HopByHop: true, RouteTimeout: 5 * time.Second}
-	r := New(k, 1, cfg, func(*packet.Packet) error { return nil }, Events{})
+	r := newRouter(k, 1, cfg, func(*packet.Packet) error { return nil }, Events{})
 	rep := &packet.Packet{
 		Type: packet.TypeRouteReply, Origin: 3, FinalDest: 1, Sender: 2, PrevHop: 2,
 		Receiver: 1, Route: []field.NodeID{1, 2, 3},
@@ -79,7 +79,7 @@ func newForwardRig(tb testing.TB, in *packet.Packet) *forwardRig {
 	med := medium.New(k, chain(tb, 3), medium.Config{BandwidthBps: 250_000})
 	rig := &forwardRig{k: k, med: med, in: in}
 	cfg := Config{Frames: med.Frames()}
-	rig.r = New(k, 2, cfg, med.Broadcast, Events{})
+	rig.r = newRouter(k, 2, cfg, med.Broadcast, Events{})
 	recv := map[field.NodeID]medium.Receiver{
 		1: func(*packet.Packet) {},
 		2: func(p *packet.Packet) {

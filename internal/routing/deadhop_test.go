@@ -49,7 +49,7 @@ func installTestRoute(r *Router, route ...field.NodeID) {
 func TestDeadNextHopEvictsAndRediscovers(t *testing.T) {
 	k := sim.New(1)
 	fs := &failingSender{dead: map[field.NodeID]bool{2: true}}
-	r := New(k, 1, Config{}, fs.send, Events{})
+	r := newRouter(k, 1, Config{}, fs.send, Events{})
 	installTestRoute(r, 1, 2, 4)
 	installTestRoute(r, 1, 2, 5) // second route through the same dead hop
 	if !r.HasRoute(4) || !r.HasRoute(5) {
@@ -83,7 +83,7 @@ func TestDeadNextHopEvictsAndRediscovers(t *testing.T) {
 func TestSuccessfulSendResetsFailureCounter(t *testing.T) {
 	k := sim.New(1)
 	fs := &failingSender{dead: map[field.NodeID]bool{2: true}}
-	r := New(k, 1, Config{}, fs.send, Events{})
+	r := newRouter(k, 1, Config{}, fs.send, Events{})
 	installTestRoute(r, 1, 2, 4)
 
 	for i := 0; i < 2; i++ {
@@ -109,7 +109,7 @@ func TestForwarderCountsFailuresPerHop(t *testing.T) {
 	// mode its forwarding entries through the dead hop are dropped.
 	k := sim.New(1)
 	fs := &failingSender{dead: map[field.NodeID]bool{4: true}}
-	r := New(k, 2, Config{HopByHop: true}, fs.send, Events{})
+	r := newRouter(k, 2, Config{HopByHop: true}, fs.send, Events{})
 	r.setForward(9, 4)
 	if _, ok := r.NextHop(9); !ok {
 		t.Fatal("setup: forward entry missing")

@@ -28,7 +28,7 @@ func newRerrWorld(t *testing.T, n int, cfg Config) *rerrWorld {
 	w := &rerrWorld{kernel: k, routers: make(map[field.NodeID]*Router), broken: make(map[field.NodeID]bool)}
 	for _, id := range topo.IDs() {
 		id := id
-		rt := New(k, id, cfg, med.Broadcast, Events{})
+		rt := newRouter(k, id, cfg, med.Broadcast, Events{})
 		w.routers[id] = rt
 		if err := med.Attach(id, func(p *packet.Packet) { w.dispatch(rt, p) }); err != nil {
 			t.Fatal(err)

@@ -73,36 +73,14 @@ type Config struct {
 	// route and each forwarder consults its own table. Both on-demand
 	// styles the paper names (DSR, AODV) are thereby covered.
 	HopByHop bool
-	// Index, when non-nil, is the node incarnation's shared dense
-	// neighbor index (neighbor.Table.Index()); the per-next-hop failure
-	// counters are dense slices addressed by it. Nil means the router
-	// builds a private index — correct, but nbrIdx values are then not
-	// shared with the watch layer.
+	// Index is the node incarnation's dense neighbor index
+	// (neighbor.Table.Index()), which the watch layer shares; the
+	// per-next-hop failure counters are dense slices addressed by it.
 	Index *neighbor.Index
-	// Frames, when non-nil, is the scenario's frame pool
-	// (medium.Medium.Frames()), from which the router takes every frame it
-	// sends. Nil means the router builds a private pool; a frame always
-	// goes back to the pool it came from (see packet.Pool).
+	// Frames is the scenario's frame pool (medium.Medium.Frames()), from
+	// which the router takes every frame it sends; a frame always goes
+	// back to the pool it came from (see packet.Pool).
 	Frames *packet.Pool
-}
-
-// DefaultConfig returns the paper's Table 2 routing parameters.
-func DefaultConfig() Config {
-	return Config{
-		RouteTimeout:  50 * time.Second,
-		ForwardJitter: 30 * time.Millisecond,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	def := DefaultConfig()
-	if c.RouteTimeout <= 0 {
-		c.RouteTimeout = def.RouteTimeout
-	}
-	if c.ForwardJitter < 0 {
-		c.ForwardJitter = def.ForwardJitter
-	}
-	return c
 }
 
 // Events are optional observation hooks; any field may be nil.
@@ -215,26 +193,23 @@ type hopEntry struct {
 
 // New creates a router for node self; send puts a frame on the air.
 func New(k sim.Clock, self field.NodeID, cfg Config, send func(*packet.Packet) error, events Events) *Router {
-	r := &Router{
+	return &Router{
 		kernel:    k,
 		self:      self,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		send:      send,
 		events:    events,
+		frames:    cfg.Frames,
+		idx:       cfg.Index,
 		cache:     make(map[field.NodeID]*cachedRoute),
 		discovery: make(map[field.NodeID]*discoveryState),
 		forward:   make(map[field.NodeID]*hopEntry),
 	}
-	r.idx = r.cfg.Index
-	if r.idx == nil {
-		r.idx = neighbor.NewIndex()
-	}
-	r.frames = r.cfg.Frames
-	if r.frames == nil {
-		r.frames = new(packet.Pool)
-	}
-	return r
 }
+
+// Index returns the dense neighbor index the router keys its per-next-hop
+// state by.
+func (r *Router) Index() *neighbor.Index { return r.idx }
 
 // seenKey packs a packet identity for the suppression tables. packet.Type
 // is nonzero for every real packet, so a live key never collides with the

@@ -7,9 +7,29 @@ import (
 
 	"liteworp/internal/field"
 	"liteworp/internal/medium"
+	"liteworp/internal/neighbor"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
 )
+
+// testRouteTimeout is the paper's TOutRoute (Table 2).
+const testRouteTimeout = 50 * time.Second
+
+// newRouter builds a router on a test's partial configuration: a zero
+// RouteTimeout takes testRouteTimeout, and the router gets a neighbor
+// index and a frame pool of its own unless the test hands it the medium's.
+func newRouter(k *sim.Kernel, self field.NodeID, cfg Config, send func(*packet.Packet) error, ev Events) *Router {
+	if cfg.RouteTimeout == 0 {
+		cfg.RouteTimeout = testRouteTimeout
+	}
+	if cfg.Index == nil {
+		cfg.Index = neighbor.NewIndex()
+	}
+	if cfg.Frames == nil {
+		cfg.Frames = new(packet.Pool)
+	}
+	return New(k, self, cfg, send, ev)
+}
 
 // harness runs plain routers (no LITEWORP checks) over a medium.
 type harness struct {
@@ -41,7 +61,7 @@ func newHarness(t testing.TB, topo *field.Field, seed int64, cfg Config, events 
 		if events != nil {
 			ev = events(id)
 		}
-		rt := New(k, id, cfg, med.Broadcast, ev)
+		rt := newRouter(k, id, cfg, med.Broadcast, ev)
 		h.routers[id] = rt
 		if err := med.Attach(id, func(p *packet.Packet) { dispatch(rt, p) }); err != nil {
 			t.Fatal(err)

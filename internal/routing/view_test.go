@@ -14,7 +14,7 @@ import (
 // fresh backing, so old snapshots survive — on every insert and eviction.
 func TestCachedDestinationsViewInvalidation(t *testing.T) {
 	k := sim.New(1)
-	r := New(k, 1, Config{}, func(*packet.Packet) error { return nil }, Events{})
+	r := newRouter(k, 1, Config{}, func(*packet.Packet) error { return nil }, Events{})
 
 	installTestRoute(r, 1, 2, 5)
 	installTestRoute(r, 1, 3, 4)
@@ -43,7 +43,7 @@ func TestCachedDestinationsViewInvalidation(t *testing.T) {
 	}
 
 	// Timer-driven eviction must invalidate too.
-	k.RunFor(DefaultConfig().RouteTimeout + time.Second)
+	k.RunFor(testRouteTimeout + time.Second)
 	if got := r.CachedDestinations(); len(got) != 0 {
 		t.Fatalf("view after TOutRoute = %v, want empty", got)
 	}
@@ -53,7 +53,7 @@ func TestCachedDestinationsViewInvalidation(t *testing.T) {
 // per-hop forwarding table consulted by evictVia.
 func TestForwardViewInvalidation(t *testing.T) {
 	k := sim.New(1)
-	r := New(k, 1, Config{HopByHop: true}, func(*packet.Packet) error { return nil }, Events{})
+	r := newRouter(k, 1, Config{HopByHop: true}, func(*packet.Packet) error { return nil }, Events{})
 
 	r.setForward(7, 2)
 	r.setForward(3, 2)
@@ -77,7 +77,7 @@ func TestForwardViewInvalidation(t *testing.T) {
 		t.Fatalf("view after insert = %v, want [3 7 9]", v3)
 	}
 
-	k.RunFor(DefaultConfig().RouteTimeout + time.Second)
+	k.RunFor(testRouteTimeout + time.Second)
 	if got := r.forwardDests(); len(got) != 0 {
 		t.Fatalf("view after timeout = %v, want empty", got)
 	}
@@ -91,7 +91,7 @@ func TestForwardViewInvalidation(t *testing.T) {
 // and the route contents are correct after reuse.
 func TestRouteRecordRecycled(t *testing.T) {
 	k := sim.New(1)
-	r := New(k, 1, Config{}, func(*packet.Packet) error { return nil }, Events{})
+	r := newRouter(k, 1, Config{}, func(*packet.Packet) error { return nil }, Events{})
 
 	installTestRoute(r, 1, 2, 5)
 	first := r.cache[5]
@@ -106,7 +106,7 @@ func TestRouteRecordRecycled(t *testing.T) {
 	}
 	// The first incarnation's evictor was cancelled; only the second may
 	// fire, and only for dest 6.
-	k.RunFor(DefaultConfig().RouteTimeout + time.Second)
+	k.RunFor(testRouteTimeout + time.Second)
 	if r.HasRoute(6) {
 		t.Fatal("route 6 survived TOutRoute")
 	}
@@ -118,7 +118,7 @@ func TestRouteRecordRecycled(t *testing.T) {
 func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 	k := sim.New(1)
 	sent := 0
-	r := New(k, 2, Config{},
+	r := newRouter(k, 2, Config{},
 		func(*packet.Packet) error { sent++; return nil }, Events{})
 	req := func(origin field.NodeID) *packet.Packet {
 		return &packet.Packet{
@@ -163,7 +163,7 @@ func TestSuppressionTablesBounded(t *testing.T) {
 	k := sim.New(1)
 	const ttl = seenTTL
 	const gap = ttl / 200 // 200 REQs live at a time
-	r := New(k, 2, Config{}, func(*packet.Packet) error { return nil }, Events{})
+	r := newRouter(k, 2, Config{}, func(*packet.Packet) error { return nil }, Events{})
 	peakSeen, peakReplied := 0, 0
 	for i := 0; k.Now() < 6*ttl; i++ {
 		dest := field.NodeID(8)

@@ -283,18 +283,3 @@ func TestScopeClockDelegation(t *testing.T) {
 		t.Fatal("scope must share the kernel's random source")
 	}
 }
-
-// TestKernelOf covers the Clock unwrapping: direct kernel, scope, and
-// foreign Clock (nil).
-func TestKernelOf(t *testing.T) {
-	k := New(1)
-	if KernelOf(k) != k {
-		t.Fatal("KernelOf(*Kernel) != kernel")
-	}
-	if KernelOf(NewScope(k)) != k {
-		t.Fatal("KernelOf(*Scope) != underlying kernel")
-	}
-	if KernelOf(nil) != nil {
-		t.Fatal("KernelOf(nil) != nil")
-	}
-}

@@ -139,18 +139,6 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 // the benchmark's report, which reads it, stops doing so.
 func (k *Kernel) ProcessedHousekeeping() uint64 { return 0 }
 
-// KernelOf unwraps the Clock implementations this package provides; an
-// external Clock yields nil.
-func KernelOf(c Clock) *Kernel {
-	switch c := c.(type) {
-	case *Kernel:
-		return c
-	case *Scope:
-		return c.k
-	}
-	return nil
-}
-
 // Pending returns the number of live events currently scheduled —
 // cancelled items still awaiting lazy reaping are excluded, so the count
 // answers the question callers actually ask ("is anything still going to

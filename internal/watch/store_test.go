@@ -77,14 +77,14 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	cfg.Log, cfg.Self = shared, self
 	peerCfg := cfg
 	peerCfg.Self = peerID
-	peer := ctor(kernel, peerCfg, nil, nil)
+	peer := ctor(kernel, fixture(kernel, peerCfg), nil, nil)
 	var b *Buffer
 	var lastRecs int32 // the live store's record count after the last op
 	freed := false
 	boot := func() {
 		g := gen
 		lastRecs = 0
-		b = ctor(kernel, cfg,
+		b = ctor(kernel, fixture(kernel, cfg),
 			func(a Accusation) {
 				log = append(log, fmt.Sprintf("g%d acc %d %v %d %v %v", g, a.Accused, a.Reason, a.MalC, a.Key, a.At))
 			},

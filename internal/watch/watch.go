@@ -76,7 +76,9 @@ type Accusation struct {
 	At time.Duration
 }
 
-// Config parameterizes the buffer.
+// Config parameterizes the buffer. Every field is required: the values
+// come from the scenario's Params, which Params.Validate checks, and the
+// dependencies are built once by the scenario and the node.
 type Config struct {
 	// Timeout is tau: how long a guard waits for the monitored node to
 	// forward a packet before accusing it of dropping.
@@ -93,19 +95,16 @@ type Config struct {
 	// MalC (the paper's analysis assumes fabrications "occur within a
 	// certain time window, T").
 	Window time.Duration
-	// DropFilter, when non-nil, is consulted as a watch entry expires. A
-	// true return suppresses the drop accusation (the entry is still
-	// removed and counted under FilteredDrops). The engine uses it to
-	// distinguish a crashed neighbor — total silence — from a live one
-	// selectively refusing to forward.
+	// DropFilter is consulted as a watch entry expires. A true return
+	// suppresses the drop accusation (the entry is still removed and
+	// counted under FilteredDrops). The engine uses it to distinguish a
+	// crashed neighbor — total silence — from a live one selectively
+	// refusing to forward.
 	DropFilter func(accused field.NodeID, key packet.Key) bool
-	// Index, when non-nil, is the node incarnation's shared dense
-	// neighbor index (neighbor.Table.Index()). Nil means the buffer
-	// builds a private index — correct, but then nbrIdx values are not
-	// shared with the routing layer or scoreboard.
+	// Index is the node incarnation's dense neighbor index
+	// (neighbor.Table.Index()), which the routing layer shares.
 	Index *neighbor.Index
-	// Log, when non-nil, is the scenario's reception log, which the
-	// guards share. Nil means the buffer keeps a log of its own.
+	// Log is the scenario's reception log, which the guards share.
 	Log *Log
 	// Self is the guard's own node ID: its name on the log, and the
 	// sender whose transmissions are its own sends. Guards sharing a log
@@ -118,38 +117,6 @@ type Config struct {
 // (Heard, HeardAny, the Expect duplicate-forward check) and every sweep
 // (delete when exp <= now) uses this single boundary.
 func live(exp, now time.Duration) bool { return now < exp }
-
-// DefaultConfig returns the Table 2 parameterization (tau on the order of
-// a second, T = 200 time units, C_t and the increments chosen so a handful
-// of observations cross the threshold).
-func DefaultConfig() Config {
-	return Config{
-		Timeout:              500 * time.Millisecond,
-		FabricationIncrement: 3,
-		DropIncrement:        1,
-		Threshold:            16,
-		Window:               200 * time.Second,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Timeout <= 0 {
-		c.Timeout = DefaultConfig().Timeout
-	}
-	if c.FabricationIncrement <= 0 {
-		c.FabricationIncrement = 3
-	}
-	if c.DropIncrement <= 0 {
-		c.DropIncrement = 1
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 16
-	}
-	if c.Window <= 0 {
-		c.Window = 200 * time.Second
-	}
-	return c
-}
 
 // cacheTTL is how long a heard fact lives: ten times tau. It only needs to
 // outlive the propagation of one flood; that it outlives a deadline is
@@ -283,13 +250,10 @@ var wrapStore func(*Buffer, storeBackend) storeBackend
 func newWithStore(k sim.Clock, cfg Config, store func(*Buffer) storeBackend, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
 	b := &Buffer{
 		kernel:      k,
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
+		idx:         cfg.Index,
 		onAccuse:    onAccuse,
 		onThreshold: onThreshold,
-	}
-	b.idx = b.cfg.Index
-	if b.idx == nil {
-		b.idx = neighbor.NewIndex()
 	}
 	b.store = store(b)
 	if wrapStore != nil {
@@ -328,7 +292,7 @@ func (b *Buffer) malc(aidx int32) *malcRecord {
 	return nil
 }
 
-// Config returns the effective configuration.
+// Config returns the buffer's configuration.
 func (b *Buffer) Config() Config { return b.cfg }
 
 // Stats returns a copy of the counters.
@@ -481,7 +445,7 @@ func (b *Buffer) expire() {
 	b.store.clearExpect(d.fidx, d.key)
 	b.popHead()
 	forwarder := b.idx.ID(d.fidx)
-	if b.cfg.DropFilter != nil && b.cfg.DropFilter(forwarder, d.key) {
+	if b.cfg.DropFilter(forwarder, d.key) {
 		b.stats.FilteredDrops++
 		return
 	}

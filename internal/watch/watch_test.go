@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"liteworp/internal/field"
+	"liteworp/internal/neighbor"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
 )
@@ -13,10 +14,42 @@ func key(origin field.NodeID, seq uint64) packet.Key {
 	return packet.Key{Type: packet.TypeRouteReply, Origin: origin, Seq: seq}
 }
 
+// fixture completes a test's partial configuration for one buffer: the
+// fields it leaves zero take the paper's Table 2 values, and the buffer
+// gets a neighbor index and a reception log of its own and a drop filter
+// that suppresses nothing.
+func fixture(k *sim.Kernel, cfg Config) Config {
+	if cfg.Timeout == 0 {
+		cfg.Timeout = 500 * time.Millisecond
+	}
+	if cfg.FabricationIncrement == 0 {
+		cfg.FabricationIncrement = 3
+	}
+	if cfg.DropIncrement == 0 {
+		cfg.DropIncrement = 1
+	}
+	if cfg.Threshold == 0 {
+		cfg.Threshold = 16
+	}
+	if cfg.Window == 0 {
+		cfg.Window = 200 * time.Second
+	}
+	if cfg.DropFilter == nil {
+		cfg.DropFilter = func(field.NodeID, packet.Key) bool { return false }
+	}
+	if cfg.Index == nil {
+		cfg.Index = neighbor.NewIndex()
+	}
+	if cfg.Log == nil {
+		cfg.Log = NewLog(k)
+	}
+	return cfg
+}
+
 func newBuffer(k *sim.Kernel, cfg Config) (*Buffer, *[]Accusation, *[]field.NodeID) {
 	var acc []Accusation
 	var thr []field.NodeID
-	b := New(k, cfg,
+	b := New(k, fixture(k, cfg),
 		func(a Accusation) { acc = append(acc, a) },
 		func(id field.NodeID) { thr = append(thr, id) })
 	return b, &acc, &thr
@@ -275,7 +308,7 @@ func TestWatchHoldsOneKernelTimer(t *testing.T) {
 	k := sim.New(7)
 	s := sim.NewScope(k)
 	const tau = 40 * time.Millisecond
-	b := New(s, Config{Timeout: tau, Threshold: 1 << 30}, nil, nil)
+	b := New(s, fixture(k, Config{Timeout: tau, Threshold: 1 << 30}), nil, nil)
 	rng := k.Rand()
 	check := func(op int) {
 		t.Helper()
@@ -327,8 +360,8 @@ func TestWatchDropsInArmingOrderAcrossBuffers(t *testing.T) {
 		at = append(at, a.At)
 	}
 	cfg := Config{Timeout: tau, Threshold: 100}
-	b1 := New(k, cfg, onAccuse, nil)
-	b2 := New(k, cfg, onAccuse, nil)
+	b1 := New(k, fixture(k, cfg), onAccuse, nil)
+	b2 := New(k, fixture(k, cfg), onAccuse, nil)
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -353,21 +386,6 @@ func TestWatchDropsInArmingOrderAcrossBuffers(t *testing.T) {
 			t.Fatalf("drop %d: %v at %v, want %v at %v (all: %v)",
 				i, got[i], at[i], want[i], time.Second+tau, got)
 		}
-	}
-}
-
-func TestDefaultsApplied(t *testing.T) {
-	k := sim.New(1)
-	b := New(k, Config{}, nil, nil)
-	cfg := b.Config()
-	if cfg.Timeout <= 0 || cfg.Threshold <= 0 || cfg.Window <= 0 {
-		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	// Nil callbacks must not panic.
-	b.AccuseFabrication(1, key(1, 1))
-	b.Expect(1, key(1, 2))
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

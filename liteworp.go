@@ -280,7 +280,9 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. It is the one gate on the values the
+// protocol layers run at: no layer below re-defaults a zero or negative
+// value.
 func (p Params) Validate() error {
 	if p.NumNodes < 2 {
 		return fmt.Errorf("liteworp: NumNodes = %d, need at least 2", p.NumNodes)
@@ -309,6 +311,25 @@ func (p Params) Validate() error {
 	}
 	if p.DropProbability < 0 || p.DropProbability > 1 {
 		return fmt.Errorf("liteworp: DropProbability = %g, want [0, 1]", p.DropProbability)
+	}
+	if p.Liteworp && (p.WatchTimeout <= 0 || p.MalCWindow <= 0) {
+		return fmt.Errorf("liteworp: WatchTimeout and MalCWindow must be positive")
+	}
+	if p.Liteworp && (p.FabricationIncrement <= 0 || p.DropIncrement <= 0 || p.MalCThreshold <= 0) {
+		return fmt.Errorf("liteworp: FabricationIncrement, DropIncrement and MalCThreshold must be positive")
+	}
+	if p.RouteTimeout <= 0 {
+		return fmt.Errorf("liteworp: RouteTimeout must be positive")
+	}
+	// A zero backoff is legal: the rushing attacker runs with none.
+	if p.ForwardJitter < 0 {
+		return fmt.Errorf("liteworp: ForwardJitter = %v, must not be negative", p.ForwardJitter)
+	}
+	if p.BandwidthBps <= 0 {
+		return fmt.Errorf("liteworp: BandwidthBps must be positive")
+	}
+	if p.Attack == AttackHighPower && p.HighPowerFactor < 1 {
+		return fmt.Errorf("liteworp: HighPowerFactor = %g, want >= 1", p.HighPowerFactor)
 	}
 	return nil
 }

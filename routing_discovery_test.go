@@ -7,9 +7,11 @@ import (
 	"liteworp/internal/field"
 	"liteworp/internal/keys"
 	"liteworp/internal/medium"
+	"liteworp/internal/metrics"
 	"liteworp/internal/neighbor"
 	"liteworp/internal/node"
 	"liteworp/internal/sim"
+	"liteworp/internal/watch"
 )
 
 // TestRouteDiscoveryAttemptedOnce builds nodes the way every scenario builds
@@ -28,7 +30,13 @@ func TestRouteDiscoveryAttemptedOnce(t *testing.T) {
 		}
 	}
 	med := medium.New(k, f, medium.Config{BandwidthBps: p.BandwidthBps})
-	deps := node.Deps{Kernel: k, Medium: med, Keys: keys.NewKeyServer(1)}
+	deps := node.Deps{
+		Kernel: k, Medium: med, Keys: keys.NewKeyServer(1),
+		Collector: metrics.NewCollector(), Log: watch.NewLog(k), Topo: f,
+		OnAlertRetry: func(_, _, _ field.NodeID, _ int) {},
+		OnAccusation: func(field.NodeID, watch.Accusation) {},
+		OnIsolated:   func(_, _ field.NodeID, _ bool) {},
+	}
 	nodes := map[field.NodeID]*node.Node{}
 	for _, id := range f.IDs() {
 		nodes[id] = node.New(id, p.nodeConfig(false), deps)

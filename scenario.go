@@ -34,7 +34,7 @@ type Scenario struct {
 	kernel    *sim.Kernel
 	topo      *field.Field
 	med       *medium.Medium
-	log       *watch.Log // the guards' reception log; nil without LITEWORP
+	deps      node.Deps // what every node shares, deployed or joined
 	keysrv    *keys.KeyServer
 	collector *metrics.Collector
 	nodes     map[field.NodeID]*node.Node
@@ -150,17 +150,18 @@ func NewScenario(p Params) (*Scenario, error) {
 	// window); collision losses are enabled with the traffic.
 	s.med = medium.New(s.kernel, topo, medium.Config{BandwidthBps: p.BandwidthBps})
 
+	var log *watch.Log
 	if p.Liteworp {
 		// One log for every guard; it allocates its entries as the first
 		// guard records a transmission.
-		s.log = watch.NewLog(s.kernel)
+		log = watch.NewLog(s.kernel)
 	}
-	deps := node.Deps{
+	s.deps = node.Deps{
 		Kernel:       s.kernel,
 		Medium:       s.med,
 		Keys:         s.keysrv,
 		Collector:    s.collector,
-		Log:          s.log,
+		Log:          log,
 		MaliciousSet: s.malSet,
 		Topo:         topo,
 		OnAlertRetry: func(nodeID, accused, to field.NodeID, attempt int) {
@@ -216,7 +217,7 @@ func NewScenario(p Params) (*Scenario, error) {
 				cfg.Routing.ForwardJitter = 0
 			}
 		}
-		s.nodes[id] = node.New(id, cfg, deps)
+		s.nodes[id] = node.New(id, cfg, s.deps)
 	}
 
 	s.opStart = trafficDelay
@@ -315,16 +316,7 @@ func (s *Scenario) AddNodeAt(x, y float64) (NodeID, error) {
 	}
 	// Joiners always run dynamic discovery regardless of the deployed
 	// nodes' setting (they are, by definition, late).
-	cfg := s.params.nodeConfig(true)
-	n := node.New(id, cfg, node.Deps{
-		Kernel:       s.kernel,
-		Medium:       s.med,
-		Keys:         s.keysrv,
-		Collector:    s.collector,
-		Log:          s.log,
-		MaliciousSet: s.malSet,
-		Topo:         s.topo,
-	})
+	n := node.New(id, s.params.nodeConfig(true), s.deps)
 	if err := n.Start(); err != nil {
 		return 0, err
 	}

@@ -41,6 +41,69 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateGuardsLayerParameters: the layers below Params run at the
+// values they are given, so Validate rejects each one they cannot run at.
+// The watch parameters are checked only with LITEWORP on; a zero REQ
+// backoff stays legal (the rushing attacker runs with none).
+func TestValidateGuardsLayerParameters(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Params)
+	}{
+		{"zero WatchTimeout", func(p *Params) { p.WatchTimeout = 0 }},
+		{"zero FabricationIncrement", func(p *Params) { p.FabricationIncrement = 0 }},
+		{"zero DropIncrement", func(p *Params) { p.DropIncrement = 0 }},
+		{"zero MalCThreshold", func(p *Params) { p.MalCThreshold = 0 }},
+		{"zero MalCWindow", func(p *Params) { p.MalCWindow = 0 }},
+		{"zero RouteTimeout", func(p *Params) { p.RouteTimeout = 0 }},
+		{"negative ForwardJitter", func(p *Params) { p.ForwardJitter = -time.Millisecond }},
+		{"zero BandwidthBps", func(p *Params) { p.BandwidthBps = 0 }},
+		{"high-power factor below 1", func(p *Params) { p.Attack = AttackHighPower; p.HighPowerFactor = 0.5 }},
+	}
+	for _, c := range cases {
+		p := DefaultParams()
+		c.mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", c.name)
+		}
+	}
+	p := DefaultParams()
+	p.Liteworp = false
+	p.WatchTimeout, p.FabricationIncrement, p.DropIncrement, p.MalCThreshold, p.MalCWindow = 0, 0, 0, 0, 0
+	p.ForwardJitter = 0
+	if err := p.Validate(); err != nil {
+		t.Fatalf("baseline without watch parameters and with no REQ backoff rejected: %v", err)
+	}
+}
+
+// TestDefaultParamsMatchTable2 pins the paper's Table 2 values, which
+// DefaultParams alone states.
+func TestDefaultParamsMatchTable2(t *testing.T) {
+	p := DefaultParams()
+	checks := []struct {
+		name      string
+		got, want any
+	}{
+		{"tau", p.WatchTimeout, 500 * time.Millisecond},
+		{"V_f", p.FabricationIncrement, 3},
+		{"V_d", p.DropIncrement, 1},
+		{"C_t", p.MalCThreshold, 16},
+		{"T", p.MalCWindow, 200 * time.Second},
+		{"gamma", p.Gamma, 2},
+		{"TOutRoute", p.RouteTimeout, 50 * time.Second},
+		{"bandwidth", p.BandwidthBps, 40_000.0},
+		{"lambda", p.Lambda, 0.1},
+		{"mu", p.Mu, 0.005},
+		{"REQ backoff", p.ForwardJitter, 30 * time.Millisecond},
+		{"payload", p.PayloadBytes, 32},
+	}
+	for _, c := range checks {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestBaselineHealthyNetwork(t *testing.T) {
 	p := fastParams()
 	p.Liteworp = false
