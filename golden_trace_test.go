@@ -228,15 +228,20 @@ func scheduleJoiners(t *testing.T, s *Scenario) {
 // became constants. The dynamic-join case was re-pinned when joined nodes
 // got the deployed nodes' trace hooks: its trace gained the joiners'
 // accuse, alert-retry and isolate records (105 of them, 38,588 records
-// to 38,693), and every earlier record kept its place and order. All are
-// required to survive performance work unchanged.
+// to 38,693), and every earlier record kept its place and order. It was
+// re-pinned again when the collision model stopped keeping its own copy of
+// each node's degree, filled before the joins and never updated, and read
+// the field's live degree instead: a joiner's neighbors now lose frames at
+// the P_C of their grown degree (38,693 records to 37,803; the old code with
+// only that read changed gives the same hash). All are required to survive
+// performance work unchanged.
 const (
 	goldenTraceProtected   = "84a36cfdbce0dd4434d687da8d24786af2ed57dec101c7fff801aec7389cca99"
 	goldenTraceBaseline    = "31ec827aa01106e432da1aa2aaa477a55f3ec982df7d2cbb776d32f0dba4b50a"
 	goldenTraceHopByHop    = "af8f8c52bc5daf656f07bc33c626f85d7a8f22159fca2b0d5ac53de282b6c3f8"
 	goldenTraceAirtime     = "2ea56230ab0267ec37fcd3de4170e245f816473da4d8164162397cbabe142afe"
 	goldenTraceFaults      = "99ddc901d587dde6c867d8912a1b3a4283c43f4af88772808d3ccfdedd2f185b"
-	goldenTraceDynamicJoin = "d3655fcd0aaeb22a881ba76b29db63733a17d9361805bc8ddc20918c79abcb13"
+	goldenTraceDynamicJoin = "b9f20639a6397f21a01123ca8bebdd80d7efceb25d96e2eedc30f3ae2580954c"
 	goldenTraceRange       = "e861e81242a1e5f8ad8563a58de94ee673d2b8e97b74428b30a28080f4e5120b"
 	goldenTraceZScore      = "f2ae421f8e7b58cbf6b9b6211e4bbd1ad9fbd2d1d8893fbdfd1644b299f7e9db"
 )

@@ -82,7 +82,7 @@ type Config struct {
 	Positions detector.Positions
 }
 
-// Events are optional observation hooks; any field may be nil.
+// Events are the observation hooks; every field is required.
 type Events struct {
 	// Accusation fires on every guard observation (fabrication or drop).
 	Accusation func(watch.Accusation)
@@ -149,17 +149,13 @@ func New(k sim.Clock, ring *keys.Ring, table *neighbor.Table, cfg Config, send f
 		isolated: make(map[field.NodeID]time.Duration),
 	}
 	env := detector.Env{
-		Clock:     k,
-		Table:     table,
-		Positions: cfg.Positions,
-		Suspect:   func(id field.NodeID) bool { return len(e.alerts[id]) > 0 },
-		OnAccusation: func(a watch.Accusation) {
-			if events.Accusation != nil {
-				events.Accusation(a)
-			}
-		},
-		OnThreshold: e.onThreshold,
-		DropFilter:  e.suppressDeadSilentDrop,
+		Clock:        k,
+		Table:        table,
+		Positions:    cfg.Positions,
+		Suspect:      func(id field.NodeID) bool { return len(e.alerts[id]) > 0 },
+		OnAccusation: events.Accusation,
+		OnThreshold:  e.onThreshold,
+		DropFilter:   e.suppressDeadSilentDrop,
 	}
 	det, err := detector.New(env, cfg.Detector)
 	if err != nil {
@@ -340,9 +336,7 @@ func (e *Engine) onThreshold(accused field.NodeID) {
 	if e.table.Revoke(accused) {
 		e.stats.LocalRevocations++
 		e.markIsolated(accused)
-		if e.events.LocalRevocation != nil {
-			e.events.LocalRevocation(accused)
-		}
+		e.events.LocalRevocation(accused)
 	}
 	for _, d := range e.alertTargets(accused) {
 		e.sendAlert(accused, d)
@@ -384,9 +378,7 @@ func (e *Engine) sendAlert(accused, to field.NodeID) {
 		return
 	}
 	e.stats.AlertsSent++
-	if e.events.AlertSent != nil {
-		e.events.AlertSent(accused, to)
-	}
+	e.events.AlertSent(accused, to)
 	_ = e.send(alert)
 	e.scheduleAlertRetry(alert, accused, to, 1)
 }
@@ -404,9 +396,7 @@ func (e *Engine) scheduleAlertRetry(alert *packet.Packet, accused, to field.Node
 	delay := alertRetryBackoff<<(attempt-1) + e.kernel.UniformDuration(alertRetryBackoff)
 	e.kernel.After(delay, func() {
 		e.stats.AlertRetries++
-		if e.events.AlertRetry != nil {
-			e.events.AlertRetry(accused, to, attempt)
-		}
+		e.events.AlertRetry(accused, to, attempt)
 		_ = e.send(alert)
 		e.scheduleAlertRetry(alert, accused, to, attempt+1)
 	})
@@ -459,9 +449,7 @@ func (e *Engine) HandleAlert(p *packet.Packet) {
 		if e.table.Revoke(accused) {
 			e.stats.Isolations++
 			e.markIsolated(accused)
-			if e.events.Isolated != nil {
-				e.events.Isolated(accused)
-			}
+			e.events.Isolated(accused)
 			// Endorsement: having verified gamma independent guards, we
 			// relay the verdict to the accused's other neighbors. A
 			// guard's one-hop alert cannot reach every neighbor of the

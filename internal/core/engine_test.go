@@ -21,10 +21,26 @@ type testNode struct {
 }
 
 // newTestNode builds node self's engine. A guard whose test shares no
-// reception log records on one of its own.
+// reception log records on one of its own, and a hook the test leaves
+// unset observes nothing.
 func newTestNode(k *sim.Kernel, ks *keys.KeyServer, self field.NodeID, cfg Config, ev Events) *testNode {
 	if cfg.Detector.Watch.Log == nil {
 		cfg.Detector.Watch.Log = watch.NewLog(k)
+	}
+	if ev.Accusation == nil {
+		ev.Accusation = func(watch.Accusation) {}
+	}
+	if ev.LocalRevocation == nil {
+		ev.LocalRevocation = func(field.NodeID) {}
+	}
+	if ev.AlertSent == nil {
+		ev.AlertSent = func(_, _ field.NodeID) {}
+	}
+	if ev.Isolated == nil {
+		ev.Isolated = func(field.NodeID) {}
+	}
+	if ev.AlertRetry == nil {
+		ev.AlertRetry = func(_, _ field.NodeID, _ int) {}
 	}
 	n := &testNode{table: neighbor.NewTable(self)}
 	ring := keys.NewRing(self, ks)

@@ -6,10 +6,9 @@ package field
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node. IDs are 4 bytes on the wire, matching the
@@ -32,26 +31,23 @@ func Dist(a, b Point) float64 {
 }
 
 // Field is a rectangular deployment area with a set of positioned nodes and
-// a common communication range r.
+// a common communication range r. It is the one owner of topology facts:
+// positions and adjacency live in slices parallel to the ascending ids, so
+// a node's facts are at its slot (see slot).
 type Field struct {
-	Width, Height float64 // meters
-	Range         float64 // communication range r, meters
-	pos           map[NodeID]Point
-	ids           []NodeID // sorted, for deterministic iteration
+	Width, Height float64  // meters
+	Range         float64  // communication range r, meters
+	ids           []NodeID // ascending, for deterministic iteration
+	pos           []Point  // pos[i] is ids[i]'s position
 
-	// idx caches adjacency and BFS results for the static topology; nil
-	// until first queried and invalidated by Place (see index.go).
-	idx *topoIndex
+	// adj[i] lists ids[i]'s neighbors, ascending; nil until first queried
+	// and dropped by Place (see index.go).
+	adj [][]NodeID
 }
 
 // New returns an empty field of the given dimensions and radio range.
 func New(width, height, commRange float64) *Field {
-	return &Field{
-		Width:  width,
-		Height: height,
-		Range:  commRange,
-		pos:    make(map[NodeID]Point),
-	}
+	return &Field{Width: width, Height: height, Range: commRange}
 }
 
 // SideForDensity returns the side length of a square field that holds n
@@ -70,7 +66,19 @@ func (f *Field) Density() float64 {
 	if f.Width <= 0 || f.Height <= 0 {
 		return 0
 	}
-	return float64(len(f.pos)) / (f.Width * f.Height)
+	return float64(len(f.ids)) / (f.Width * f.Height)
+}
+
+// slot returns id's index in ids, or where it would be inserted and false.
+// Deployments place dense IDs (FirstID+i), so id-ids[0] is tried before
+// the binary search.
+func (f *Field) slot(id NodeID) (int, bool) {
+	if len(f.ids) > 0 {
+		if i := uint64(id - f.ids[0]); i < uint64(len(f.ids)) && f.ids[i] == id {
+			return int(i), true
+		}
+	}
+	return slices.BinarySearch(f.ids, id)
 }
 
 // Place puts (or moves) a node at p. Placing the Broadcast ID is rejected.
@@ -78,117 +86,82 @@ func (f *Field) Place(id NodeID, p Point) error {
 	if id == Broadcast {
 		return fmt.Errorf("field: cannot place reserved broadcast id %d", id)
 	}
-	if _, ok := f.pos[id]; !ok {
-		// Insert in sorted position rather than re-sorting the whole slice.
-		i := sort.Search(len(f.ids), func(i int) bool { return f.ids[i] >= id })
-		f.ids = append(f.ids, 0)
-		copy(f.ids[i+1:], f.ids[i:])
-		f.ids[i] = id
+	if i, ok := f.slot(id); ok {
+		f.pos[i] = p
+	} else {
+		f.ids = slices.Insert(f.ids, i, id)
+		f.pos = slices.Insert(f.pos, i, p)
 	}
-	f.pos[id] = p
-	f.idx = nil // topology changed: drop cached adjacency and BFS results
+	f.adj = nil // topology changed: drop the adjacency
 	return nil
 }
 
 // Position returns a node's position.
 func (f *Field) Position(id NodeID) (Point, bool) {
-	p, ok := f.pos[id]
-	return p, ok
+	if i, ok := f.slot(id); ok {
+		return f.pos[i], true
+	}
+	return Point{}, false
 }
 
 // IDs returns all node IDs in ascending order. The returned slice is a copy.
 func (f *Field) IDs() []NodeID {
-	out := make([]NodeID, len(f.ids))
-	copy(out, f.ids)
-	return out
+	return slices.Clone(f.ids)
 }
 
 // Len returns the number of placed nodes.
-func (f *Field) Len() int { return len(f.pos) }
+func (f *Field) Len() int { return len(f.ids) }
 
 // InRange reports whether a and b are within communication range of each
 // other (bidirectional links: the paper assumes symmetric channels).
 func (f *Field) InRange(a, b NodeID) bool {
-	pa, oka := f.pos[a]
-	pb, okb := f.pos[b]
-	if !oka || !okb || a == b {
-		return false
-	}
-	return Dist(pa, pb) <= f.Range
+	return f.InRangeScaled(a, b, 1)
 }
 
 // InRangeScaled reports whether b can hear a transmission from a whose range
 // is scaled by factor (used for the high-power transmission attack mode).
 func (f *Field) InRangeScaled(a, b NodeID, factor float64) bool {
-	pa, oka := f.pos[a]
-	pb, okb := f.pos[b]
+	ia, oka := f.slot(a)
+	ib, okb := f.slot(b)
 	if !oka || !okb || a == b {
 		return false
 	}
-	return Dist(pa, pb) <= f.Range*factor
+	return Dist(f.pos[ia], f.pos[ib]) <= f.Range*factor
 }
 
 // Neighbors returns the IDs within communication range of id, ascending.
-// The returned slice is shared with the topology index and must be treated
-// as read-only; it stays valid after later Place calls (the index is
+// The returned slice is shared with the field and must be treated as
+// read-only; it stays valid after later Place calls (the adjacency is
 // rebuilt, the old slice is simply orphaned).
 func (f *Field) Neighbors(id NodeID) []NodeID {
-	return f.index().adj[id]
+	if i, ok := f.slot(id); ok {
+		return f.adjacency()[i]
+	}
+	return nil
 }
 
-// Degree returns id's neighbor count, an O(1) index lookup.
+// Degree returns id's neighbor count.
 func (f *Field) Degree(id NodeID) int {
-	return len(f.index().adj[id])
+	return len(f.Neighbors(id))
 }
 
 // NeighborsScaled returns the IDs within factor*Range of id, ascending.
-// factor == 1 is the indexed fast path and returns the shared read-only
-// adjacency slice; other factors (the high-power attack mode) fall back to
-// the linear scan and return a fresh slice.
+// factor == 1 is Neighbors and returns the shared read-only adjacency
+// slice; other factors (the high-power attack mode) fall back to the
+// linear scan and return a fresh slice.
 func (f *Field) NeighborsScaled(id NodeID, factor float64) []NodeID {
 	if factor == 1 {
-		return f.index().adj[id]
+		return f.Neighbors(id)
 	}
 	return f.scanNeighbors(id, factor)
 }
 
-// AverageDegree returns the mean neighbor count over all nodes.
-func (f *Field) AverageDegree() float64 {
-	if len(f.ids) == 0 {
-		return 0
-	}
-	total := 0
-	for _, id := range f.ids {
-		total += f.Degree(id)
-	}
-	return float64(total) / float64(len(f.ids))
-}
-
-// Adjacency returns the unit-disk adjacency lists for all nodes. The
-// returned slices are copies and safe to mutate.
-func (f *Field) Adjacency() map[NodeID][]NodeID {
-	idx := f.index()
-	adj := make(map[NodeID][]NodeID, len(f.ids))
-	for _, id := range f.ids {
-		adj[id] = append([]NodeID(nil), idx.adj[id]...)
-	}
-	return adj
-}
-
-// HopDistances returns the BFS hop count from src to every reachable node.
-// Unreachable nodes are absent from the map. src maps to 0. The returned
-// map is a copy of the memoised traversal and safe to mutate.
-func (f *Field) HopDistances(src NodeID) map[NodeID]int {
-	return maps.Clone(f.hopDistances(src))
-}
-
 // HopDistance returns the hop count between a and b, or -1 if disconnected.
 func (f *Field) HopDistance(a, b NodeID) int {
-	d, ok := f.hopDistances(a)[b]
-	if !ok {
-		return -1
+	if i, ok := f.slot(b); ok {
+		return f.hops(a)[i]
 	}
-	return d
+	return -1
 }
 
 // Connected reports whether the unit-disk graph is a single component.
@@ -196,23 +169,26 @@ func (f *Field) Connected() bool {
 	if len(f.ids) <= 1 {
 		return true
 	}
-	return len(f.hopDistances(f.ids[0])) == len(f.ids)
+	return !slices.Contains(f.hops(f.ids[0]), -1)
 }
 
 // DeployConfig controls random uniform deployment.
 type DeployConfig struct {
-	N          int     // number of nodes
-	Width      float64 // field width (meters)
-	Height     float64 // field height (meters)
-	Range      float64 // communication range r (meters)
-	FirstID    NodeID  // IDs are FirstID..FirstID+N-1
-	MaxRetries int     // redeploy attempts to reach a connected topology
+	N       int     // number of nodes
+	Width   float64 // field width (meters)
+	Height  float64 // field height (meters)
+	Range   float64 // communication range r (meters)
+	FirstID NodeID  // IDs are FirstID..FirstID+N-1
 }
+
+// deployAttempts bounds the redeployments DeployUniform tries for a
+// connected topology.
+const deployAttempts = 100
 
 // DeployUniform places N nodes uniformly at random, retrying until the
 // resulting unit-disk graph is connected (the paper's scenarios are
 // connected networks; partitioned deployments would conflate routing
-// failures with attack effects). It fails after MaxRetries attempts.
+// failures with attack effects). It fails after deployAttempts attempts.
 func DeployUniform(cfg DeployConfig, rng *rand.Rand) (*Field, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("field: N must be positive, got %d", cfg.N)
@@ -221,11 +197,7 @@ func DeployUniform(cfg DeployConfig, rng *rand.Rand) (*Field, error) {
 		return nil, fmt.Errorf("field: dimensions and range must be positive (%gx%g r=%g)",
 			cfg.Width, cfg.Height, cfg.Range)
 	}
-	retries := cfg.MaxRetries
-	if retries <= 0 {
-		retries = 100
-	}
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < deployAttempts; attempt++ {
 		f := New(cfg.Width, cfg.Height, cfg.Range)
 		for i := 0; i < cfg.N; i++ {
 			p := Point{X: rng.Float64() * cfg.Width, Y: rng.Float64() * cfg.Height}
@@ -238,43 +210,35 @@ func DeployUniform(cfg DeployConfig, rng *rand.Rand) (*Field, error) {
 		}
 	}
 	return nil, fmt.Errorf("field: no connected deployment of %d nodes in %gx%g after %d attempts",
-		cfg.N, cfg.Width, cfg.Height, retries)
+		cfg.N, cfg.Width, cfg.Height, deployAttempts)
 }
+
+// pickAttempts bounds the random orders PickDistantNodes tries.
+const pickAttempts = 2000
 
 // PickDistantNodes selects count node IDs uniformly at random such that
 // every pair is more than minHops apart in the unit-disk graph — the paper
 // chooses malicious nodes "at random such that they are more than 2 hops
 // away from each other". It returns an error when no such set is found.
-func PickDistantNodes(f *Field, count, minHops int, rng *rand.Rand, attempts int) ([]NodeID, error) {
+func PickDistantNodes(f *Field, count, minHops int, rng *rand.Rand) ([]NodeID, error) {
 	if count <= 0 {
 		return nil, nil
 	}
-	ids := f.IDs()
-	if count > len(ids) {
-		return nil, fmt.Errorf("field: want %d nodes, field has %d", count, len(ids))
+	if count > len(f.ids) {
+		return nil, fmt.Errorf("field: want %d nodes, field has %d", count, len(f.ids))
 	}
-	if attempts <= 0 {
-		attempts = 1000
-	}
-	for a := 0; a < attempts; a++ {
-		perm := rng.Perm(len(ids))
+	for a := 0; a < pickAttempts; a++ {
 		picked := make([]NodeID, 0, count)
-		for _, idx := range perm {
-			cand := ids[idx]
-			ok := true
-			for _, p := range picked {
-				hd := f.HopDistance(p, cand)
-				if hd >= 0 && hd <= minHops {
-					ok = false
-					break
-				}
+		var dists [][]int // dists[k] holds the hop counts from picked[k]
+		for _, i := range rng.Perm(len(f.ids)) {
+			if slices.ContainsFunc(dists, func(d []int) bool { return d[i] >= 0 && d[i] <= minHops }) {
+				continue
 			}
-			if ok {
-				picked = append(picked, cand)
-				if len(picked) == count {
-					return picked, nil
-				}
+			picked = append(picked, f.ids[i])
+			if len(picked) == count {
+				return picked, nil
 			}
+			dists = append(dists, f.hops(f.ids[i]))
 		}
 	}
 	return nil, fmt.Errorf("field: could not pick %d nodes pairwise >%d hops apart", count, minHops)
@@ -289,8 +253,7 @@ func (f *Field) GuardRegion(x, a NodeID) []NodeID {
 	if !f.InRange(x, a) {
 		return nil
 	}
-	adj := f.index().adj
-	nx, na := adj[x], adj[a]
+	nx, na := f.Neighbors(x), f.Neighbors(a)
 	// The intersection of the two neighbor lists is exactly the set of
 	// common guards: x and a exclude themselves from their own lists, so
 	// neither appears in it. x is then merged in at its sorted position.

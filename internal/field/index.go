@@ -2,102 +2,69 @@ package field
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
-// This file implements the static-topology fast path. Deployments are
-// effectively immutable once placed (nodes join rarely, move never), yet the
-// hot loops — Medium.transmit resolving receivers, the collision model
-// reading degrees, PickDistantNodes probing hop distances — used to rescan
-// the whole field per query. The index below makes those queries O(degree)
-// or O(1):
+// This file builds the adjacency behind Neighbors, Degree and GuardRegion
+// and runs the hop-distance traversals. Deployments are effectively
+// immutable once placed (nodes join rarely, move never), yet the hot loops
+// (Medium.transmit resolving receivers, the collision model reading
+// degrees) ask for neighbors per transmission. So the adjacency is built
+// once from a spatial grid bucketed by the communication range (each node
+// only compares against its own and the eight surrounding cells) and kept,
+// sorted ascending per node, in a slice parallel to ids. Neighbors returns
+// the shared slice; the ascending order is exactly what the brute-force
+// scan produces, so receiver iteration, and therefore the RNG draw
+// sequence, is the scan's.
 //
-//   - adjacency: built once from a spatial grid bucketed by the
-//     communication range (each node only compares against its own and the
-//     eight surrounding cells), sorted ascending per node. Neighbors returns
-//     the shared slice; the ascending order is exactly what the brute-force
-//     scan produced, so receiver iteration — and therefore the RNG draw
-//     sequence — is bit-identical to the unindexed implementation.
-//   - bfs: hop-distance maps memoised per source, so Connected,
-//     HopDistance and PickDistantNodes stop re-running full traversals.
-//     Each map is O(N), so the memo is capped at bfsMemoCap sources with
-//     FIFO eviction in insertion order — without the cap a query pattern
-//     touching many sources retains O(N²) state, which at 10k nodes is
-//     gigabytes. Eviction order never depends on map iteration, so runs
-//     stay deterministic.
-//
-// Any Place call invalidates the whole index (topology changes are rare and
+// Any Place call drops the whole adjacency (topology changes are rare and
 // coarse-grained; rebuilding is cheaper than tracking deltas correctly).
+// Hop distances are not kept: Connected, HopDistance and PickDistantNodes
+// run at setup, and each runs one plain BFS per source it asks about.
 
-// bfsMemoCap bounds how many per-source BFS distance maps the index
-// retains. Scenario setup probes a handful of sources (tunnel placement,
-// distant-pair picking); steady state probes none, so a small cap keeps
-// the hit rate while bounding footprint at ~cap*N entries.
-const bfsMemoCap = 32
-
-// topoIndex caches topology-derived structures between Place calls.
-type topoIndex struct {
-	adj map[NodeID][]NodeID       // sorted adjacency; shared, read-only
-	bfs map[NodeID]map[NodeID]int // memoised hop distances; shared, read-only
-	// bfsOrder lists bfs's keys oldest-first; it drives FIFO eviction so
-	// the memo's contents are a pure function of the query sequence.
-	bfsOrder []NodeID
-}
-
-// index returns the current index, building it on first use after an
-// invalidation.
-func (f *Field) index() *topoIndex {
-	if f.idx == nil {
-		f.idx = f.buildIndex()
+// adjacency returns the sorted adjacency lists, parallel to ids, building
+// them on first use after a Place.
+func (f *Field) adjacency() [][]NodeID {
+	if f.adj == nil {
+		f.adj = f.buildAdjacency()
 	}
-	return f.idx
+	return f.adj
 }
 
 // gridCell addresses one bucket of the spatial grid.
 type gridCell struct{ x, y int }
 
-// buildIndex computes sorted adjacency for every node via a spatial grid
-// with cell side equal to the communication range: all neighbors of a node
-// lie in its own or one of the eight adjacent cells.
-func (f *Field) buildIndex() *topoIndex {
-	idx := &topoIndex{
-		adj: make(map[NodeID][]NodeID, len(f.ids)),
-		bfs: make(map[NodeID]map[NodeID]int),
-	}
+// buildAdjacency computes sorted adjacency for every node via a spatial
+// grid with cell side equal to the communication range: all neighbors of a
+// node lie in its own or one of the eight adjacent cells.
+func (f *Field) buildAdjacency() [][]NodeID {
 	r := f.Range
-	if r <= 0 {
-		// Degenerate range (test-only): fall back to the quadratic scan.
-		for _, id := range f.ids {
-			idx.adj[id] = f.scanNeighbors(id, 1)
-		}
-		return idx
-	}
-	grid := make(map[gridCell][]NodeID, len(f.ids))
 	cellOf := func(p Point) gridCell {
 		return gridCell{int(math.Floor(p.X / r)), int(math.Floor(p.Y / r))}
 	}
-	// f.ids is ascending, so every bucket's slice is ascending too.
-	for _, id := range f.ids {
-		c := cellOf(f.pos[id])
-		grid[c] = append(grid[c], id)
+	// Slots are visited in ascending order, so every bucket is ascending.
+	grid := make(map[gridCell][]int, len(f.ids))
+	for i, p := range f.pos {
+		c := cellOf(p)
+		grid[c] = append(grid[c], i)
 	}
-	for _, id := range f.ids {
-		p := f.pos[id]
+	adj := make([][]NodeID, len(f.ids))
+	for i, p := range f.pos {
 		c := cellOf(p)
 		var nbs []NodeID
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
-				for _, other := range grid[gridCell{c.x + dx, c.y + dy}] {
-					if other != id && Dist(p, f.pos[other]) <= r {
-						nbs = append(nbs, other)
+				for _, j := range grid[gridCell{c.x + dx, c.y + dy}] {
+					if j != i && Dist(p, f.pos[j]) <= r {
+						nbs = append(nbs, f.ids[j])
 					}
 				}
 			}
 		}
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
-		idx.adj[id] = nbs
+		slices.Sort(nbs)
+		adj[i] = nbs
 	}
-	return idx
+	return adj
 }
 
 // scanNeighbors is the brute-force O(N) reference scan, kept for scaled
@@ -105,41 +72,36 @@ func (f *Field) buildIndex() *topoIndex {
 func (f *Field) scanNeighbors(id NodeID, factor float64) []NodeID {
 	var out []NodeID
 	for _, other := range f.ids {
-		if other != id && f.InRangeScaled(id, other, factor) {
+		if f.InRangeScaled(id, other, factor) {
 			out = append(out, other)
 		}
 	}
 	return out
 }
 
-// hopDistances returns the memoised BFS distance map from src. The returned
-// map is shared and must not be mutated by callers inside this package.
-func (f *Field) hopDistances(src NodeID) map[NodeID]int {
-	idx := f.index()
-	if d, ok := idx.bfs[src]; ok {
-		return d
+// hops returns the BFS hop count from src to every node, parallel to ids;
+// -1 marks a node src cannot reach (every node, when src is not placed).
+func (f *Field) hops(src NodeID) []int {
+	adj := f.adjacency()
+	dist := make([]int, len(f.ids))
+	for i := range dist {
+		dist[i] = -1
 	}
-	dist := make(map[NodeID]int, len(f.ids))
-	if _, ok := f.pos[src]; ok {
-		dist[src] = 0
-		queue := []NodeID{src}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range idx.adj[cur] {
-				if _, seen := dist[nb]; !seen {
-					dist[nb] = dist[cur] + 1
-					queue = append(queue, nb)
-				}
+	s, ok := f.slot(src)
+	if !ok {
+		return dist
+	}
+	dist[s] = 0
+	queue := []int{s}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, nb := range adj[cur] {
+			if j, _ := f.slot(nb); dist[j] < 0 {
+				dist[j] = dist[cur] + 1
+				queue = append(queue, j)
 			}
 		}
 	}
-	if len(idx.bfsOrder) >= bfsMemoCap {
-		oldest := idx.bfsOrder[0]
-		idx.bfsOrder = idx.bfsOrder[1:]
-		delete(idx.bfs, oldest)
-	}
-	idx.bfs[src] = dist
-	idx.bfsOrder = append(idx.bfsOrder, src)
 	return dist
 }

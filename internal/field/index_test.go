@@ -97,14 +97,14 @@ func TestPropertyIndexMatchesScan(t *testing.T) {
 		// Hop distances from a few sources.
 		for s := 0; s < 3 && s < len(ids); s++ {
 			src := ids[rng.Intn(len(ids))]
-			got := f.HopDistances(src)
 			want := bruteHops(f, src)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: HopDistances(%d) = %v, brute = %v", trial, src, got, want)
-			}
-			for id, d := range want {
-				if got[id] != d {
-					t.Fatalf("trial %d: hops(%d,%d) = %d, brute = %d", trial, src, id, got[id], d)
+			for _, id := range ids {
+				d, ok := want[id]
+				if !ok {
+					d = -1
+				}
+				if got := f.HopDistance(src, id); got != d {
+					t.Fatalf("trial %d: HopDistance(%d,%d) = %d, brute = %d", trial, src, id, got, d)
 				}
 			}
 		}
@@ -112,7 +112,7 @@ func TestPropertyIndexMatchesScan(t *testing.T) {
 }
 
 // TestIndexInvalidatedByPlace checks that adding or moving a node drops the
-// cached adjacency and BFS results.
+// cached adjacency.
 func TestIndexInvalidatedByPlace(t *testing.T) {
 	f := New(100, 100, 20)
 	f.Place(1, Point{10, 10})
@@ -140,7 +140,7 @@ func TestIndexInvalidatedByPlace(t *testing.T) {
 
 // TestNeighborsSharedSliceSurvivesPlace pins the documented lifetime
 // contract: a slice handed out before a Place keeps its old contents (the
-// index is rebuilt, not mutated in place).
+// adjacency is rebuilt, not mutated in place).
 func TestNeighborsSharedSliceSurvivesPlace(t *testing.T) {
 	f := New(100, 100, 20)
 	f.Place(1, Point{10, 10})
@@ -184,7 +184,7 @@ func BenchmarkGuardRegion(b *testing.B) {
 	}
 }
 
-func BenchmarkHopDistanceMemoised(b *testing.B) {
+func BenchmarkHopDistance(b *testing.B) {
 	f := benchField(b, 100)
 	ids := f.IDs()
 	b.ReportAllocs()

@@ -111,7 +111,7 @@ func (m *Medium) transmitAirtime(tx field.NodeID, p *packet.Packet, rangeFactor 
 }
 
 func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFactor float64, attempt, arq int) error {
-	if st := m.station(tx); st == nil || st.down {
+	if st := m.stations.get(tx); st == nil || st.down {
 		// The transmitter crashed between a carrier-sense deferral or ARQ
 		// backoff and this retry.
 		return nil
@@ -138,7 +138,7 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 
 	var d *delivery
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
-		st := m.station(rx)
+		st := m.stations.get(rx)
 		if st == nil {
 			continue
 		}

@@ -86,53 +86,23 @@ func (l FixedLoss) LossProb(_, _ field.NodeID) float64 { return l.P }
 // P_C = Pc0 at NB0 neighbors, increasing linearly with the receiver's
 // neighbor count and capped at Max. (Paper §5.1: "P_C = 0.05 at N_B = 3.
 // Thereafter, P_C is assumed to increase linearly with the number of
-// neighbors.")
+// neighbors.") The degree is read from the field on every reception, so a
+// node placed later (a dynamic join) counts at once.
 type LinearCollisionModel struct {
 	Field *field.Field
-	Pc0   float64 // collision probability at the reference degree
-	NB0   float64 // reference neighbor count
-	Max   float64 // cap (defaults to 0.9 when zero)
-
-	// degrees caches each node's degree, by ID (see nodeSlots); -1 is not
-	// yet known. The topology is static, so the cache never goes stale.
-	degrees nodeSlots[int32]
+	Pc0   float64 // collision probability at the reference degree, > 0
+	NB0   float64 // reference neighbor count, > 0
+	Max   float64 // cap, in (0, 1]
 }
 
-// NewLinearCollision returns the paper-parameterized model over f, with the
-// per-node degree cache precomputed up front so the hot LossProb path is a
-// single slice read.
+// NewLinearCollision returns the paper-parameterized model over f.
 func NewLinearCollision(f *field.Field, pc0, nb0, max float64) *LinearCollisionModel {
-	if max <= 0 {
-		max = 0.9
-	}
-	m := &LinearCollisionModel{Field: f, Pc0: pc0, NB0: nb0, Max: max}
-	if f != nil {
-		for _, id := range f.IDs() {
-			*m.degrees.at(id, -1) = int32(f.Degree(id))
-		}
-	}
-	return m
+	return &LinearCollisionModel{Field: f, Pc0: pc0, NB0: nb0, Max: max}
 }
 
 // LossProb implements LossModel.
 func (m *LinearCollisionModel) LossProb(_, rx field.NodeID) float64 {
-	if m.Field == nil || m.Pc0 <= 0 || m.NB0 <= 0 {
-		return 0
-	}
-	d := m.degrees.at(rx, -1)
-	if *d < 0 {
-		// Struct-literal construction, or a node placed after the model
-		// was built.
-		*d = int32(m.Field.Degree(rx))
-	}
-	p := m.Pc0 * float64(*d) / m.NB0
-	if p > m.Max {
-		p = m.Max
-	}
-	if p < 0 {
-		p = 0
-	}
-	return p
+	return min(m.Pc0*float64(m.Field.Degree(rx))/m.NB0, m.Max)
 }
 
 // propagationDelay is added to every delivery (speed-of-light plus
@@ -191,40 +161,35 @@ type station struct {
 	cut []field.NodeID
 }
 
-// nodeSlots is a slice of T indexed by node ID minus the lowest ID seen:
-// node IDs are dense (the field places FirstID+i), so per-node state on
-// the per-transmission path is an index, not a hash.
-type nodeSlots[T any] struct {
+// stationSlots holds the attached stations indexed by node ID minus the
+// lowest ID attached: node IDs are dense (the field places FirstID+i), so
+// finding a station on the per-transmission path is an index, not a hash.
+type stationSlots struct {
 	first field.NodeID
-	s     []T
+	s     []*station
 }
 
-// get returns id's slot, or nil when id lies outside the slots.
-func (n *nodeSlots[T]) get(id field.NodeID) *T {
-	if i := uint64(id - n.first); len(n.s) > 0 && i < uint64(len(n.s)) {
-		return &n.s[i]
+// get returns the station attached as id, or nil.
+func (n *stationSlots) get(id field.NodeID) *station {
+	if i := uint64(id - n.first); i < uint64(len(n.s)) {
+		return n.s[i]
 	}
 	return nil
 }
 
-// at returns id's slot, growing the slots to hold it; new slots hold
-// fill.
-func (n *nodeSlots[T]) at(id field.NodeID, fill T) *T {
+// put stores st as id's station, growing the slots to hold it.
+func (n *stationSlots) put(id field.NodeID, st *station) {
 	if len(n.s) == 0 {
 		n.first = id
 	}
 	if id < n.first {
-		grown := make([]T, int(n.first-id)+len(n.s))
-		for i := range int(n.first - id) {
-			grown[i] = fill
-		}
-		copy(grown[n.first-id:], n.s)
-		n.s, n.first = grown, id
+		n.s = append(make([]*station, n.first-id), n.s...)
+		n.first = id
 	}
-	for int(id-n.first) >= len(n.s) {
-		n.s = append(n.s, fill)
+	if i := int(id - n.first); i >= len(n.s) {
+		n.s = append(n.s, make([]*station, i+1-len(n.s))...)
 	}
-	return &n.s[id-n.first]
+	n.s[id-n.first] = st
 }
 
 // DeliveryFault is an injected per-reception fault: return true to destroy
@@ -245,7 +210,7 @@ type Medium struct {
 	loss      LossModel // per-reception losses; NoLoss until SetLoss
 	airtime   bool      // the contention model is on (see EnableAirtime)
 	air       *airState
-	stations  nodeSlots[*station]
+	stations  stationSlots
 	tunnels   map[[2]field.NodeID]tunnel
 	fault     DeliveryFault
 	stats     Stats
@@ -274,20 +239,12 @@ func New(k *sim.Kernel, topo *field.Field, cfg Config) *Medium {
 // delivery batch is the next forward's frame.
 func (m *Medium) Frames() *packet.Pool { return &m.frames }
 
-// station returns the attached station id, or nil.
-func (m *Medium) station(id field.NodeID) *station {
-	if st := m.stations.get(id); st != nil {
-		return *st
-	}
-	return nil
-}
-
 // SetDown powers a station off (crash) or back on (reboot). A down station
 // transmits nothing, receives nothing — including frames already in flight —
 // and tunnels ending at it go silent. The station stays attached, so a
 // reboot is just SetDown(id, false). Unknown stations are an error.
 func (m *Medium) SetDown(id field.NodeID, down bool) error {
-	st := m.station(id)
+	st := m.stations.get(id)
 	if st == nil {
 		return fmt.Errorf("medium: node %d not attached", id)
 	}
@@ -297,7 +254,7 @@ func (m *Medium) SetDown(id field.NodeID, down bool) error {
 
 // IsDown reports whether the station is attached and powered off.
 func (m *Medium) IsDown(id field.NodeID) bool {
-	st := m.station(id)
+	st := m.stations.get(id)
 	return st != nil && st.down
 }
 
@@ -306,7 +263,7 @@ func (m *Medium) IsDown(id field.NodeID) bool {
 // reach every other station in range). Flapping a link between unattached
 // nodes is an error.
 func (m *Medium) SetLinkDown(a, b field.NodeID, down bool) error {
-	sa, sb := m.station(a), m.station(b)
+	sa, sb := m.stations.get(a), m.stations.get(b)
 	if sa == nil {
 		return fmt.Errorf("medium: link endpoint %d not attached", a)
 	}
@@ -335,7 +292,7 @@ func setCut(cut []field.NodeID, id field.NodeID, down bool) []field.NodeID {
 
 // LinkDown reports whether the a<->b link is currently flapped down.
 func (m *Medium) LinkDown(a, b field.NodeID) bool {
-	st := m.station(a)
+	st := m.stations.get(a)
 	if st == nil {
 		return false
 	}
@@ -349,7 +306,7 @@ func (m *Medium) SetDeliveryFault(fn DeliveryFault) { m.fault = fn }
 // reachable reports whether a frame from tx can currently reach rx's radio:
 // rx attached and powered, and the tx-rx link not flapped down.
 func (m *Medium) reachable(tx, rx field.NodeID) bool {
-	st := m.station(rx)
+	st := m.stations.get(rx)
 	if st == nil || st.down {
 		return false
 	}
@@ -368,7 +325,7 @@ func (m *Medium) unicastResult(tx field.NodeID, p *packet.Packet) error {
 	if p.Receiver == packet.Broadcast {
 		return nil
 	}
-	if m.station(p.Receiver) == nil {
+	if m.stations.get(p.Receiver) == nil {
 		return nil
 	}
 	if !m.reachable(tx, p.Receiver) {
@@ -429,11 +386,10 @@ func (m *Medium) Attach(id field.NodeID, recv Receiver) error {
 	if recv == nil {
 		return fmt.Errorf("medium: node %d: nil receiver", id)
 	}
-	st := m.stations.at(id, nil)
-	if *st != nil {
+	if m.stations.get(id) != nil {
 		return fmt.Errorf("medium: node %d already attached", id)
 	}
-	*st = &station{id: id, recv: recv}
+	m.stations.put(id, &station{id: id, recv: recv})
 	return nil
 }
 
@@ -467,7 +423,7 @@ func (m *Medium) BroadcastFrom(tx field.NodeID, p *packet.Packet) error {
 }
 
 func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64) error {
-	st := m.station(tx)
+	st := m.stations.get(tx)
 	if st == nil {
 		return fmt.Errorf("medium: sender %d not attached", tx)
 	}
@@ -485,7 +441,7 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 	// Deterministic receiver order: ascending IDs from the topology.
 	var d *delivery
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
-		st := m.station(rx)
+		st := m.stations.get(rx)
 		if st == nil {
 			continue
 		}
@@ -536,10 +492,10 @@ func (m *Medium) countTransmission(p *packet.Packet) int {
 // packets instantaneously to their colluding parties"); a positive delay
 // models packet encapsulation over an existing multihop path.
 func (m *Medium) AddTunnel(a, b field.NodeID, delay time.Duration) error {
-	if m.station(a) == nil {
+	if m.stations.get(a) == nil {
 		return fmt.Errorf("medium: tunnel endpoint %d not attached", a)
 	}
-	if m.station(b) == nil {
+	if m.stations.get(b) == nil {
 		return fmt.Errorf("medium: tunnel endpoint %d not attached", b)
 	}
 	if a == b {
@@ -565,13 +521,13 @@ func (m *Medium) TunnelSend(from, to field.NodeID, p *packet.Packet) error {
 	if !ok {
 		return fmt.Errorf("medium: no tunnel %d->%d", from, to)
 	}
-	if src := m.station(from); src != nil && src.down {
+	if src := m.stations.get(from); src != nil && src.down {
 		return ErrSenderDown
 	}
 	if err := p.CheckLimits(); err != nil {
 		return fmt.Errorf("medium: tunnel frame %d->%d: %w", from, to, err)
 	}
-	st := m.station(to)
+	st := m.stations.get(to)
 	m.stats.TunnelMessages++
 	m.traceRx(from, to, p, false, true)
 	d := m.newDelivery(p)

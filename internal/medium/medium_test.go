@@ -206,16 +206,37 @@ func TestFixedLossStatistics(t *testing.T) {
 
 func TestLinearCollisionModel(t *testing.T) {
 	f := lineTopo(t, 5)
-	m := NewLinearCollision(f, 0.05, 3, 0)
+	m := NewLinearCollision(f, 0.05, 3, 0.9)
 	// Interior node 3 has 2 neighbors => P = 0.05 * 2/3.
 	got := m.LossProb(2, 3)
 	want := 0.05 * 2 / 3
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("LossProb = %g, want %g", got, want)
 	}
-	// Cached second call identical.
+	// The sender does not enter the formula.
 	if m.LossProb(4, 3) != got {
-		t.Fatal("cache changed the answer")
+		t.Fatal("LossProb depends on the sender")
+	}
+}
+
+// TestLinearCollisionSeesLaterPlacement places a node beside an anchor
+// after the model is built, as a dynamic join does: the anchor's collision
+// probability must follow its new degree.
+func TestLinearCollisionSeesLaterPlacement(t *testing.T) {
+	f := lineTopo(t, 5)
+	m := NewLinearCollision(f, 0.05, 3, 0.9)
+	const anchor = 3
+	deg := f.Degree(anchor)
+	m.LossProb(2, anchor)
+	if err := f.Place(6, field.Point{X: 60, Y: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if f.Degree(anchor) != deg+1 {
+		t.Fatalf("Degree(%d) = %d after the join, want %d", anchor, f.Degree(anchor), deg+1)
+	}
+	want := 0.05 * float64(deg+1) / 3
+	if got := m.LossProb(6, anchor); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("LossProb at the anchor = %g, want %g", got, want)
 	}
 }
 
@@ -227,13 +248,6 @@ func TestLinearCollisionCap(t *testing.T) {
 	m := NewLinearCollision(f, 0.05, 3, 0.4)
 	if p := m.LossProb(1, 2); p != 0.4 {
 		t.Fatalf("cap not applied: %g", p)
-	}
-}
-
-func TestLinearCollisionDegenerate(t *testing.T) {
-	m := &LinearCollisionModel{}
-	if m.LossProb(1, 2) != 0 {
-		t.Fatal("nil-field model should be lossless")
 	}
 }
 

@@ -83,7 +83,7 @@ type Config struct {
 	Frames *packet.Pool
 }
 
-// Events are optional observation hooks; any field may be nil.
+// Events are the observation hooks; every field is required.
 type Events struct {
 	// RouteEstablished fires at the source when a REP installs a route.
 	RouteEstablished func(dest field.NodeID, route []field.NodeID)
@@ -611,9 +611,7 @@ func (r *Router) installRoute(p *packet.Packet) {
 	r.cache[dest] = cr
 	r.destViewOK = false
 	r.stats.RoutesEstablished++
-	if r.events.RouteEstablished != nil {
-		r.events.RouteEstablished(dest, cr.route)
-	}
+	r.events.RouteEstablished(dest, cr.route)
 	if pending {
 		ds.timer.Cancel()
 		delete(r.discovery, dest)
@@ -698,9 +696,7 @@ func (r *Router) HandleData(p *packet.Packet) error {
 	}
 	if p.FinalDest == r.self {
 		r.stats.DataDelivered++
-		if r.events.DataDelivered != nil {
-			r.events.DataDelivered(p)
-		}
+		r.events.DataDelivered(p)
 		return nil
 	}
 	var next field.NodeID

@@ -17,7 +17,8 @@ const testRouteTimeout = 50 * time.Second
 
 // newRouter builds a router on a test's partial configuration: a zero
 // RouteTimeout takes testRouteTimeout, and the router gets a neighbor
-// index and a frame pool of its own unless the test hands it the medium's.
+// index and a frame pool of its own unless the test hands it the medium's;
+// a hook the test leaves unset observes nothing.
 func newRouter(k *sim.Kernel, self field.NodeID, cfg Config, send func(*packet.Packet) error, ev Events) *Router {
 	if cfg.RouteTimeout == 0 {
 		cfg.RouteTimeout = testRouteTimeout
@@ -27,6 +28,12 @@ func newRouter(k *sim.Kernel, self field.NodeID, cfg Config, send func(*packet.P
 	}
 	if cfg.Frames == nil {
 		cfg.Frames = new(packet.Pool)
+	}
+	if ev.RouteEstablished == nil {
+		ev.RouteEstablished = func(field.NodeID, []field.NodeID) {}
+	}
+	if ev.DataDelivered == nil {
+		ev.DataDelivered = func(*packet.Packet) {}
 	}
 	return New(k, self, cfg, send, ev)
 }

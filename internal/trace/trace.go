@@ -22,7 +22,6 @@ const (
 	KindTunnel  Kind = "tunnel"  // out-of-band transfer between colluders
 	KindIsolate Kind = "isolate" // observer isolated accused
 	KindAccuse  Kind = "accuse"  // guard accusation
-	KindRoute   Kind = "route"   // route established at a source
 
 	// Fault-injection lifecycle records.
 	KindCrash      Kind = "crash"       // node went down (From = node)

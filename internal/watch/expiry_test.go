@@ -100,7 +100,7 @@ func TestGuardRecordsBounded(t *testing.T) {
 	b := New(k, fixture(k, Config{
 		Timeout:    tau,
 		DropFilter: func(field.NodeID, packet.Key) bool { return true },
-	}), nil, nil)
+	}), noAccuse, noThreshold)
 	s := b.store.(*logStore)
 	peak := int32(0) // most outstanding records so far
 	for step := uint64(0); step < 1000; step++ {
@@ -266,7 +266,7 @@ func TestExpectAllocsWarm(t *testing.T) {
 		Timeout:    100 * time.Millisecond,
 		DropFilter: func(field.NodeID, packet.Key) bool { return true },
 	}
-	b := New(k, fixture(k, cfg), nil, nil)
+	b := New(k, fixture(k, cfg), noAccuse, noThreshold)
 	for i := uint64(0); i < 64; i++ {
 		b.Expect(5, key(1, i%8))
 		k.RunFor(300 * time.Millisecond) // entry expires (filtered)
@@ -394,7 +394,7 @@ func warmFloodBuffer(tb testing.TB, expect bool) (*sim.Kernel, *Buffer, uint64) 
 		Timeout:    100 * time.Millisecond,
 		DropFilter: func(field.NodeID, packet.Key) bool { return true },
 	}
-	b := New(k, fixture(k, cfg), nil, nil)
+	b := New(k, fixture(k, cfg), noAccuse, noThreshold)
 	for id := field.NodeID(0); id < 12; id++ {
 		b.Intern(id)
 	}
@@ -437,7 +437,7 @@ func TestExpectIdxZeroAllocsWarm(t *testing.T) {
 // tau of transmissions, are warm.
 func TestSweepCachesZeroAllocsWarm(t *testing.T) {
 	k := sim.New(1)
-	b := New(k, fixture(k, Config{Timeout: time.Second}), nil, nil)
+	b := New(k, fixture(k, Config{Timeout: time.Second}), noAccuse, noThreshold)
 	s := b.store.(*logStore)
 	for id := field.NodeID(0); id < 9; id++ {
 		b.Intern(id)

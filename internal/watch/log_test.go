@@ -16,7 +16,7 @@ func (l *Log) entries() int { return int(l.next - l.head) }
 func sharedGuards(k *sim.Kernel, l *Log, ids ...field.NodeID) map[field.NodeID]*Buffer {
 	out := make(map[field.NodeID]*Buffer, len(ids))
 	for _, id := range ids {
-		out[id] = New(k, fixture(k, Config{Timeout: 100 * time.Millisecond, Log: l, Self: id}), nil, nil)
+		out[id] = New(k, fixture(k, Config{Timeout: 100 * time.Millisecond, Log: l, Self: id}), noAccuse, noThreshold)
 	}
 	return out
 }

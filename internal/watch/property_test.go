@@ -26,7 +26,7 @@ func TestPropertyMalCWindowModel(t *testing.T) {
 			Threshold:            1 << 30, // never fires
 			Window:               5 * time.Second,
 		}
-		b := New(k, fixture(k, cfg), nil, nil)
+		b := New(k, fixture(k, cfg), noAccuse, noThreshold)
 		type rec struct {
 			at  time.Duration
 			inc int
@@ -81,7 +81,7 @@ func TestPropertyHeardCacheModel(t *testing.T) {
 		k := sim.New(3)
 		const tau = 200 * time.Millisecond
 		ttl := 10 * tau // how long a heard fact lives
-		b := New(k, fixture(k, Config{Timeout: tau, Threshold: 1 << 30}), nil, nil)
+		b := New(k, fixture(k, Config{Timeout: tau, Threshold: 1 << 30}), noAccuse, noThreshold)
 		type key struct {
 			sender field.NodeID
 			seq    uint64

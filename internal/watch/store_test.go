@@ -77,7 +77,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	cfg.Log, cfg.Self = shared, self
 	peerCfg := cfg
 	peerCfg.Self = peerID
-	peer := ctor(kernel, fixture(kernel, peerCfg), nil, nil)
+	peer := ctor(kernel, fixture(kernel, peerCfg), noAccuse, noThreshold)
 	var b *Buffer
 	var lastRecs int32 // the live store's record count after the last op
 	freed := false

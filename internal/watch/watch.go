@@ -234,9 +234,9 @@ type Buffer struct {
 	sawInterference  bool
 }
 
-// New returns a buffer. onAccuse (may be nil) observes every accusation;
-// onThreshold (may be nil) fires once per accused node when its windowed
-// MalC reaches the threshold.
+// New returns a buffer. onAccuse observes every accusation; onThreshold
+// fires once per accused node when its windowed MalC reaches the
+// threshold. Both are required.
 func New(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
 	return newWithStore(k, cfg, func(b *Buffer) storeBackend { return newLogStore(b) }, onAccuse, onThreshold)
 }
@@ -358,11 +358,6 @@ func (b *Buffer) Heard(sender field.NodeID, key packet.Key) bool {
 	return ok && b.store.heard(sidx, key, b.kernel.Now())
 }
 
-// HeardIdx is Heard for a pre-interned sender.
-func (b *Buffer) HeardIdx(sidx int32, key packet.Key) bool {
-	return b.store.heard(sidx, key, b.kernel.Now())
-}
-
 // HeardAny reports whether the guard recently overheard *anyone* transmit
 // the packet identified by key. A forwarded packet whose key was never on
 // the air in the guard's neighborhood can only have entered through a
@@ -480,14 +475,10 @@ func (b *Buffer) accuse(aidx int32, accused field.NodeID, reason Reason, key pac
 	if fire {
 		rec.fired = true
 	}
-	if b.onAccuse != nil {
-		b.onAccuse(Accusation{Accused: accused, Reason: reason, MalC: val, Key: key, At: now})
-	}
+	b.onAccuse(Accusation{Accused: accused, Reason: reason, MalC: val, Key: key, At: now})
 	if fire {
 		b.stats.ThresholdHits++
-		if b.onThreshold != nil {
-			b.onThreshold(accused)
-		}
+		b.onThreshold(accused)
 	}
 }
 

@@ -46,6 +46,11 @@ func fixture(k *sim.Kernel, cfg Config) Config {
 	return cfg
 }
 
+// noAccuse and noThreshold are the hooks of a buffer whose accusations a
+// test does not read.
+func noAccuse(Accusation)      {}
+func noThreshold(field.NodeID) {}
+
 func newBuffer(k *sim.Kernel, cfg Config) (*Buffer, *[]Accusation, *[]field.NodeID) {
 	var acc []Accusation
 	var thr []field.NodeID
@@ -308,7 +313,7 @@ func TestWatchHoldsOneKernelTimer(t *testing.T) {
 	k := sim.New(7)
 	s := sim.NewScope(k)
 	const tau = 40 * time.Millisecond
-	b := New(s, fixture(k, Config{Timeout: tau, Threshold: 1 << 30}), nil, nil)
+	b := New(s, fixture(k, Config{Timeout: tau, Threshold: 1 << 30}), noAccuse, noThreshold)
 	rng := k.Rand()
 	check := func(op int) {
 		t.Helper()
@@ -360,8 +365,8 @@ func TestWatchDropsInArmingOrderAcrossBuffers(t *testing.T) {
 		at = append(at, a.At)
 	}
 	cfg := Config{Timeout: tau, Threshold: 100}
-	b1 := New(k, fixture(k, cfg), onAccuse, nil)
-	b2 := New(k, fixture(k, cfg), onAccuse, nil)
+	b1 := New(k, fixture(k, cfg), onAccuse, noThreshold)
+	b2 := New(k, fixture(k, cfg), onAccuse, noThreshold)
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}

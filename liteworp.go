@@ -136,9 +136,11 @@ type Params struct {
 	// consistent with the low-rate 40 kbps workload and with the paper's
 	// simulation outcomes (100% detection, negligible false alarms).
 	CollisionPc0 float64
-	// CollisionNB0 is the reference degree (paper: 3).
+	// CollisionNB0 is the reference degree (paper: 3); it must be
+	// positive when CollisionPc0 is.
 	CollisionNB0 float64
-	// CollisionMax caps the loss probability.
+	// CollisionMax caps the loss probability; it must lie in (0, 1] when
+	// CollisionPc0 is positive.
 	CollisionMax float64
 	// AirtimeChannel replaces the probabilistic collision model with the
 	// physical contention model: collisions emerge from actual frame
@@ -330,6 +332,12 @@ func (p Params) Validate() error {
 	}
 	if p.Attack == AttackHighPower && p.HighPowerFactor < 1 {
 		return fmt.Errorf("liteworp: HighPowerFactor = %g, want >= 1", p.HighPowerFactor)
+	}
+	if p.CollisionPc0 > 0 && p.CollisionNB0 <= 0 {
+		return fmt.Errorf("liteworp: CollisionNB0 must be positive")
+	}
+	if p.CollisionPc0 > 0 && (p.CollisionMax <= 0 || p.CollisionMax > 1) {
+		return fmt.Errorf("liteworp: CollisionMax = %g, want (0, 1]", p.CollisionMax)
 	}
 	return nil
 }

@@ -135,7 +135,7 @@ func NewScenario(p Params) (*Scenario, error) {
 	s.topo = topo
 
 	if p.NumMalicious > 0 {
-		mal, err := field.PickDistantNodes(topo, p.NumMalicious, p.MinMaliciousSep, deployRng, 2000)
+		mal, err := field.PickDistantNodes(topo, p.NumMalicious, p.MinMaliciousSep, deployRng)
 		if err != nil {
 			return nil, fmt.Errorf("liteworp: place attackers: %w", err)
 		}

@@ -59,6 +59,9 @@ func TestValidateGuardsLayerParameters(t *testing.T) {
 		{"negative ForwardJitter", func(p *Params) { p.ForwardJitter = -time.Millisecond }},
 		{"zero BandwidthBps", func(p *Params) { p.BandwidthBps = 0 }},
 		{"high-power factor below 1", func(p *Params) { p.Attack = AttackHighPower; p.HighPowerFactor = 0.5 }},
+		{"zero CollisionNB0", func(p *Params) { p.CollisionNB0 = 0 }},
+		{"zero CollisionMax", func(p *Params) { p.CollisionMax = 0 }},
+		{"CollisionMax above 1", func(p *Params) { p.CollisionMax = 1.5 }},
 	}
 	for _, c := range cases {
 		p := DefaultParams()
@@ -71,8 +74,9 @@ func TestValidateGuardsLayerParameters(t *testing.T) {
 	p.Liteworp = false
 	p.WatchTimeout, p.FabricationIncrement, p.DropIncrement, p.MalCThreshold, p.MalCWindow = 0, 0, 0, 0, 0
 	p.ForwardJitter = 0
+	p.CollisionPc0, p.CollisionNB0, p.CollisionMax = 0, 0, 0
 	if err := p.Validate(); err != nil {
-		t.Fatalf("baseline without watch parameters and with no REQ backoff rejected: %v", err)
+		t.Fatalf("baseline without watch or collision parameters and with no REQ backoff rejected: %v", err)
 	}
 }
 
