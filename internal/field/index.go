@@ -5,8 +5,8 @@ import (
 	"slices"
 )
 
-// This file builds the adjacency behind Neighbors, Degree and GuardRegion
-// and runs the hop-distance traversals. Deployments are effectively
+// This file builds the adjacency behind Neighbors and Degree and runs the
+// hop-distance traversals. Deployments are effectively
 // immutable once placed (nodes join rarely, move never), yet the hot loops
 // (Medium.transmit resolving receivers, the collision model reading
 // degrees) ask for neighbors per transmission. So the adjacency is built

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// bruteGuards recomputes GuardRegion by scanning every node, the reference
-// the sorted-intersection implementation must match exactly.
+// bruteGuards recomputes guardRegion by scanning every node: the sorted
+// intersection of two neighbor lists must match it exactly.
 func bruteGuards(f *Field, x, a NodeID) []NodeID {
 	if !f.InRange(x, a) {
 		return nil
@@ -87,10 +87,10 @@ func TestPropertyIndexMatchesScan(t *testing.T) {
 		// Guard regions over a sample of directed in-range pairs.
 		for _, x := range ids {
 			for _, a := range f.Neighbors(x) {
-				got := f.GuardRegion(x, a)
+				got := guardRegion(f, x, a)
 				want := bruteGuards(f, x, a)
 				if !equalIDs(got, want) {
-					t.Fatalf("trial %d: GuardRegion(%d,%d) = %v, brute = %v", trial, x, a, got, want)
+					t.Fatalf("trial %d: guardRegion(%d,%d) = %v, brute = %v", trial, x, a, got, want)
 				}
 			}
 		}
@@ -169,18 +169,6 @@ func BenchmarkNeighborsIndexed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.Neighbors(ids[i%len(ids)])
-	}
-}
-
-func BenchmarkGuardRegion(b *testing.B) {
-	f := benchField(b, 100)
-	ids := f.IDs()
-	x := ids[0]
-	a := f.Neighbors(x)[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.GuardRegion(x, a)
 	}
 }
 

@@ -114,7 +114,7 @@ func TestGuardRecordsBounded(t *testing.T) {
 		k.RunFor(10 * time.Millisecond)
 		out := int32(0)
 		for i := int32(0); i < s.nrecs; i++ {
-			if s.recs.at(i).npend > 0 {
+			if s.rec(i).npend > 0 {
 				out++
 			}
 		}
@@ -206,28 +206,32 @@ func TestMalcRecordPerAccusedNode(t *testing.T) {
 	}
 }
 
-// TestPendingEntryRecycled: a warm expect/satisfy/re-expect cycle reuses
-// the deadline queue's storage, and a satisfied deadline never fires — only
-// the re-armed expectation's drop is accused, at its own deadline.
-func TestPendingEntryRecycled(t *testing.T) {
+// TestMetDeadlineSlotReused: the slots of met deadlines are reused. A
+// page of expectations, each met by its forward as soon as it is armed,
+// leaves the queue empty at a page boundary with that page spare, and the
+// next deadline goes into the first one's slot. A met deadline never
+// fires: only the last expectation's drop is accused, at its own deadline.
+func TestMetDeadlineSlotReused(t *testing.T) {
 	k := sim.New(1)
 	const tau = time.Second
 	b, acc, _ := newBuffer(k, Config{Timeout: tau})
-	b.Expect(5, key(1, 1))
-	first := b.deadlines.first()
-	b.RecordHeard(5, key(1, 1)) // satisfied: its deadline is popped
-	k.RunFor(11 * tau)          // duplicate-forward suppression expires
-
-	b.Expect(5, key(1, 2))
-	if second := b.deadlines.first(); first != second {
-		t.Fatal("the re-armed deadline did not reuse the satisfied one's slot")
+	b.Expect(5, key(1, 0))
+	first := b.deadlines.front()
+	b.RecordHeard(5, key(1, 0)) // met: its deadline is popped
+	for i := uint64(1); i < pageSize; i++ {
+		b.Expect(5, key(1, i))
+		b.RecordHeard(5, key(1, i))
+	}
+	b.Expect(5, key(1, pageSize))
+	if last := b.deadlines.front(); first != last {
+		t.Fatal("the deadline armed after a page of met ones did not reuse the first one's slot")
 	}
 	k.RunFor(10 * tau)
 	if len(*acc) != 1 {
-		t.Fatalf("%d accusations, want exactly 1 (the second expectation's drop)", len(*acc))
+		t.Fatalf("%d accusations, want exactly 1 (the last expectation's drop)", len(*acc))
 	}
-	if a := (*acc)[0]; a.Key != key(1, 2) || a.At != 12*tau {
-		t.Fatalf("accusation for %v at %v, want the live expectation's key at %v", a.Key, a.At, 12*tau)
+	if a := (*acc)[0]; a.Key != key(1, pageSize) || a.At != tau {
+		t.Fatalf("accusation for %v at %v, want the live expectation's key at %v", a.Key, a.At, tau)
 	}
 }
 
@@ -282,22 +286,24 @@ func TestExpectAllocsWarm(t *testing.T) {
 	}
 }
 
-// TestFreePendingBounded arms a burst of 4x256 watch entries and lets
-// every one expire: the deadline queue then gives the burst's capacity
-// back, so a traffic spike does not pin its high-water mark at every guard.
-func TestFreePendingBounded(t *testing.T) {
+// TestDeadlineQueueReleasesBurstPages arms a burst of 4x256 watch
+// entries and lets every one expire: the drained queue and the log's
+// spares then hold at most the guard's one spare page, so a traffic spike
+// does not pin its high-water mark at every guard.
+func TestDeadlineQueueReleasesBurstPages(t *testing.T) {
 	k := sim.New(9)
 	b, _, _ := newBuffer(k, Config{Timeout: time.Second})
 	const burst = 4 * 256
 	for i := 0; i < burst; i++ {
 		b.Expect(5, key(1, uint64(i)))
 	}
-	if got := cap(b.deadlines.items); got < burst {
-		t.Fatalf("queue capacity %d holds fewer than the burst's %d entries", got, burst)
+	if got := len(b.deadlines.pages) * pageSize; got < burst {
+		t.Fatalf("queue pages hold %d slots, fewer than the burst's %d entries", got, burst)
 	}
 	k.RunFor(time.Minute) // every watch expires
-	if got, limit := cap(b.deadlines.items), queueShrinkFactor*queueSeedCap; got > limit {
-		t.Fatalf("queue retains capacity %d after the burst drained, limit %d", got, limit)
+	if spare := len(b.deadlines.spares.pages); !b.deadlines.empty() || len(b.deadlines.pages)+spare > 1 {
+		t.Fatalf("drained queue holds %d entries on %d pages, with %d spare; want one page in all",
+			b.deadlines.len(), len(b.deadlines.pages), spare)
 	}
 }
 
@@ -306,7 +312,8 @@ func TestFreePendingBounded(t *testing.T) {
 // the first one's, so the met entries stay queued behind a waiting head.
 // A forward heard late still resolves its own entry, and the rest expire
 // as drops at their deadlines, in arming order; the met entries never
-// fire, and once the burst has drained the queue gives its capacity back.
+// fire, and once the burst has drained the queue holds at most the page
+// at its head, and the spares the guard's one page.
 func TestDeadlineQueueResolvesInArmingOrder(t *testing.T) {
 	k := sim.New(3)
 	b, acc, _ := newBuffer(k, Config{Timeout: time.Second})
@@ -346,8 +353,8 @@ func TestDeadlineQueueResolvesInArmingOrder(t *testing.T) {
 				time.Duration(i)*time.Millisecond+time.Second)
 		}
 	}
-	if !b.deadlines.empty() || cap(b.deadlines.items) > queueShrinkFactor*queueSeedCap {
-		t.Fatalf("drained queue holds %d entries in %d slots", len(b.deadlines.items)-b.deadlines.head, cap(b.deadlines.items))
+	if spare := len(b.deadlines.spares.pages); !b.deadlines.empty() || len(b.deadlines.pages) > 1 || spare > 1 {
+		t.Fatalf("drained queue holds %d entries on %d pages, with %d spare", b.deadlines.len(), len(b.deadlines.pages), spare)
 	}
 }
 

@@ -16,3 +16,38 @@ func Audit(report func(string)) (counts *AuditCounts, stop func()) {
 	}
 	return counts, func() { wrapStore = nil }
 }
+
+// DeadlineCensus sums the deadline queues of the buffers a census saw.
+type DeadlineCensus struct {
+	Guards  int // buffers built
+	Slots   int // deadline slots in their pages and their logs' spares
+	Queued  int // entries queued, met or waiting
+	Waiting int // entries whose expectation is outstanding
+	PageLen int // slots per page
+}
+
+// Census notes every buffer built until stop is called; take sums their
+// deadline queues as they are when it is called. It swaps a package
+// variable, so a test that calls it must not run in parallel.
+func Census() (take func() DeadlineCensus, stop func()) {
+	var bufs []*Buffer
+	wrapStore = func(b *Buffer, s storeBackend) storeBackend {
+		bufs = append(bufs, b)
+		return s
+	}
+	take = func() DeadlineCensus {
+		c := DeadlineCensus{Guards: len(bufs), PageLen: pageSize}
+		logs := map[*Log]bool{}
+		for _, b := range bufs {
+			c.Slots += len(b.deadlines.pages) * pageSize
+			c.Queued += b.deadlines.len()
+			c.Waiting += b.Len()
+			if l := b.cfg.Log; !logs[l] {
+				logs[l] = true
+				c.Slots += len(l.deadlineSpare.pages) * pageSize
+			}
+		}
+		return c
+	}
+	return take, func() { wrapStore = nil }
+}

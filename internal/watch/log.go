@@ -40,7 +40,8 @@ import (
 // the same event, order exactly: what the old incarnation recorded is
 // invisible to the new one.
 //
-// Entries live in a FIFO of pages in the order they were opened. Each
+// Entries live in a paged queue (see paged) in the order they were
+// opened, 256 to a page, and an entry's id is its position there. Each
 // write first pops the entries whose newest fact is older than the
 // longest CacheTTL of any guard that joined, so the log holds about one
 // CacheTTL of transmissions and needs no timer. Readers apply their own
@@ -63,11 +64,7 @@ type Log struct {
 	seen   uint64        // k.Processed() when batch last advanced
 	seenAt time.Duration // the instant of the current batch
 
-	pages []*logPage // pages[0] holds entry head
-	first uint64     // page number of pages[0]
-	spare *logPage   // one popped page kept for the next push
-	head  uint64     // oldest entry held; ids start at 1
-	next  uint64     // id of the next entry
+	entries paged[entry, [logPageSize]entry] // by id; ids start at 1
 
 	slots []uint64 // index: hash tag and entry id (see slotOf), 0 for empty
 	n     int      // occupied slots
@@ -86,7 +83,15 @@ type Log struct {
 	// keyed by entry id and receiver. overQ lists them in the order they
 	// were recorded; pop drops the leading ones whose entry has gone.
 	over  flatmap.Table[struct{}]
-	overQ []overflowRec
+	overQ paged[overflowRec, [pageSize]overflowRec]
+
+	// Spare pages: one for the entries, and one deadline page for each
+	// guard buffer built on the log (see Buffer.deadlines), shared by all
+	// of them. A guard whose deadlines burst past its pages takes the
+	// pages other guards have drained. The overflow queue keeps none: on
+	// paper-n100 and flood-n400 no receiver was placed past the mask.
+	entrySpare    spares[[logPageSize]entry]
+	deadlineSpare spares[[pageSize]deadline]
 }
 
 // entry is one transmission's heard facts (see Log). A fact whose batch
@@ -113,21 +118,15 @@ type overflowRec struct {
 	rx field.NodeID
 }
 
-// logPageShift sets the entry page: 256 entries of 48 bytes.
-const (
-	logPageShift = 8
-	logPageSize  = 1 << logPageShift
-)
-
-type logPage [logPageSize]entry
-
 // logMinSlots is the index's smallest table.
 const logMinSlots = 64
 
 // NewLog returns an empty log over kernel k, whose event count marks the
 // batches. It allocates nothing more until the first record.
 func NewLog(k *sim.Kernel) *Log {
-	return &Log{k: k, head: 1, next: 1}
+	l := &Log{k: k, entrySpare: spares[[logPageSize]entry]{max: 1}}
+	l.entries = paged[entry, [logPageSize]entry]{head: 1, next: 1, spares: &l.entrySpare}
+	return l
 }
 
 // join registers a guard incarnation that reads with the given CacheTTL,
@@ -169,10 +168,6 @@ func pairKey(sender field.NodeID, k flatmap.Key) flatmap.Key {
 	return k
 }
 
-func (l *Log) at(id uint64) *entry {
-	return &l.pages[id>>logPageShift-l.first][id&(logPageSize-1)]
-}
-
 // place returns rx's place in sender's receiver list, adding it at the end
 // when add is set; ok is false when rx is not on the list.
 func (l *Log) place(sender, rx field.NodeID, add bool) (int, bool) {
@@ -197,19 +192,19 @@ func (l *Log) place(sender, rx field.NodeID, add bool) (int, bool) {
 func (l *Log) record(k flatmap.Key, own bool, pos int, rx field.NodeID, now time.Duration) {
 	b := l.stamp(now)
 	id := l.memoID
-	if k != l.memoKey || b != l.memoBatch || !l.at(id).open(own, uint32(b)) {
+	if k != l.memoKey || b != l.memoBatch || !l.entries.at(id).open(own, uint32(b)) {
 		l.pop(now)
 		if len(l.slots) == 0 {
 			l.rehash(logMinSlots)
 		}
 		var slot uint64
 		id, slot = l.lookup(k)
-		if id == 0 || !l.at(id).open(own, uint32(b)) {
+		if id == 0 || !l.entries.at(id).open(own, uint32(b)) {
 			id = l.push(k, id, slot)
 		}
 		l.memoKey, l.memoBatch, l.memoID = k, b, id
 	}
-	e := l.at(id)
+	e := l.entries.at(id)
 	if own {
 		e.ownAt, e.ownBatch = now, uint32(b)
 		return
@@ -222,7 +217,8 @@ func (l *Log) record(k flatmap.Key, own bool, pos int, rx field.NodeID, now time
 	ok := flatmap.Key{Hi: id, Lo: uint64(rx)<<1 | 1}
 	if _, dup := l.over.Get(ok); !dup {
 		l.over.Put(ok, struct{}{})
-		l.overQ = append(l.overQ, overflowRec{id, rx})
+		_, r := l.overQ.push()
+		*r = overflowRec{id, rx}
 	}
 }
 
@@ -241,7 +237,7 @@ func (e *entry) open(own bool, b uint32) bool {
 // receiver list.
 func (l *Log) heard(k flatmap.Key, own bool, pos int, rx field.NodeID, inc uint64, ttl, now time.Duration) (time.Duration, bool) {
 	for id := l.newest(k); id != 0; {
-		e := l.at(id)
+		e := l.entries.at(id)
 		at, b := e.at, e.batch
 		if own {
 			at, b = e.ownAt, e.ownBatch
@@ -259,7 +255,7 @@ func (l *Log) heard(k flatmap.Key, own bool, pos int, rx field.NodeID, inc uint6
 				}
 			}
 		}
-		if e.prev == 0 || id-uint64(e.prev) < l.head {
+		if e.prev == 0 || id-uint64(e.prev) < l.entries.head {
 			return 0, false
 		}
 		id -= uint64(e.prev)
@@ -274,12 +270,11 @@ func (l *Log) push(k flatmap.Key, prev, slot uint64) uint64 {
 		l.rehash(2 * len(l.slots))
 		_, slot = l.lookup(k)
 	}
-	if uint32(l.next) == 0 {
-		l.append() // an unindexed blank: ids with zero low bits are skipped
+	if uint32(l.entries.next) == 0 {
+		l.entries.push() // an unindexed blank: ids with zero low bits are skipped
 	}
-	id := l.append()
-	e := l.at(id)
-	*e = entry{key: k}
+	id, e := l.entries.push()
+	e.key = k
 	if prev == 0 {
 		l.n++
 	} else {
@@ -289,55 +284,27 @@ func (l *Log) push(k flatmap.Key, prev, slot uint64) uint64 {
 	return id
 }
 
-// append adds a blank entry at the tail and returns its id.
-func (l *Log) append() uint64 {
-	id := l.next
-	if id&(logPageSize-1) == 0 || len(l.pages) == 0 {
-		p := l.spare
-		l.spare = nil
-		if p == nil {
-			p = new(logPage)
-		}
-		if len(l.pages) == 0 {
-			l.first = id >> logPageShift
-		}
-		l.pages = append(l.pages, p)
-	}
-	*l.at(id) = entry{}
-	l.next++
-	return id
-}
-
 // pop drops the entries at the head whose newest fact is dead at now
 // under the log's ttl, with their index slots and overflow receptions.
 func (l *Log) pop(now time.Duration) {
-	for l.head < l.next {
-		e := l.at(l.head)
+	q := &l.entries
+	for !q.empty() {
+		e := q.front()
 		if live(max(e.at, e.ownAt)+l.ttl, now) {
 			break
 		}
 		if e.batch != 0 || e.ownBatch != 0 {
-			l.unindex(e.key, l.head)
+			l.unindex(e.key, q.head)
 		}
-		l.head++
-		if l.head&(logPageSize-1) == 0 {
-			p := l.pages[0]
-			l.pages[0] = nil
-			l.pages = l.pages[1:]
-			l.first++
-			l.spare = p
-		}
+		q.pop()
 	}
-	i := 0
-	for i < len(l.overQ) && l.overQ[i].id < l.head {
-		r := l.overQ[i]
+	h := l.overQ.head
+	for !l.overQ.empty() && l.overQ.front().id < q.head {
+		r := l.overQ.front()
 		l.over.Delete(flatmap.Key{Hi: r.id, Lo: uint64(r.rx)<<1 | 1})
-		i++
+		l.overQ.pop()
 	}
-	if i > 0 {
-		n := copy(l.overQ, l.overQ[i:])
-		clear(l.overQ[n:])
-		l.overQ = l.overQ[:n]
+	if l.overQ.head != h {
 		l.over.Shrink()
 	}
 	if len(l.slots) > logMinSlots && l.n <= len(l.slots)/8 {
@@ -350,7 +317,7 @@ func (l *Log) pop(now time.Duration) {
 func slotOf(h, id uint64) uint64 { return h<<32 | id&(1<<32-1) }
 
 // idOf returns the live entry id whose low 32 bits are v.
-func (l *Log) idOf(v uint64) uint64 { return l.head + uint64(uint32(v)-uint32(l.head)) }
+func (l *Log) idOf(v uint64) uint64 { return l.entries.head + uint64(uint32(v)-uint32(l.entries.head)) }
 
 // lookup returns pair k's newest entry, or 0, and the index slot that
 // holds it or would.
@@ -363,7 +330,7 @@ func (l *Log) lookup(k flatmap.Key) (id, slot uint64) {
 			return 0, i
 		}
 		if uint32(v>>32) == tag {
-			if id := l.idOf(v); l.at(id).key == k {
+			if id := l.idOf(v); l.entries.at(id).key == k {
 				return id, i
 			}
 		}

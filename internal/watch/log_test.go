@@ -8,9 +8,6 @@ import (
 	"liteworp/internal/sim"
 )
 
-// entries returns the number of entries the log holds.
-func (l *Log) entries() int { return int(l.next - l.head) }
-
 // sharedGuards builds a buffer for each id on one log over k, with tau
 // 100 ms, so heard facts live 1 s.
 func sharedGuards(k *sim.Kernel, l *Log, ids ...field.NodeID) map[field.NodeID]*Buffer {
@@ -55,8 +52,8 @@ func TestLogRetransmissionToOtherReceivers(t *testing.T) {
 	heard(1100*time.Millisecond, [3]bool{false, true, true})
 	heard(1400*time.Millisecond, [3]bool{false, false, false})
 	k.RunFor(450 * time.Millisecond)
-	if l.entries() != 2 {
-		t.Fatalf("two transmissions made %d entries, want 2", l.entries())
+	if l.entries.len() != 2 {
+		t.Fatalf("two transmissions made %d entries, want 2", l.entries.len())
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -143,8 +140,8 @@ func TestLogOwnSend(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if l.entries() != 1 {
-		t.Fatalf("an own send and its reception took %d entries, want 1", l.entries())
+	if l.entries.len() != 1 {
+		t.Fatalf("an own send and its reception took %d entries, want 1", l.entries.len())
 	}
 }
 
@@ -177,13 +174,13 @@ func TestLogReceiverPastMaskWidth(t *testing.T) {
 		}
 	})
 	k.RunFor(3 * time.Millisecond)
-	if l.entries() != 1 || l.over.Len() != 40-maskBits {
-		t.Fatalf("%d entries, %d overflow receptions; want 1 and %d", l.entries(), l.over.Len(), 40-maskBits)
+	if l.entries.len() != 1 || l.over.Len() != 40-maskBits {
+		t.Fatalf("%d entries, %d overflow receptions; want 1 and %d", l.entries.len(), l.over.Len(), 40-maskBits)
 	}
 	k.RunFor(2 * time.Second)
 	g[ids[0]].RecordHeard(11, kk)
-	if l.entries() != 1 || l.over.Len() != 0 || len(l.overQ) != 0 {
-		t.Fatalf("after expiry: %d entries, %d overflow receptions (%d queued)", l.entries(), l.over.Len(), len(l.overQ))
+	if l.entries.len() != 1 || l.over.Len() != 0 || l.overQ.len() != 0 {
+		t.Fatalf("after expiry: %d entries, %d overflow receptions (%d queued)", l.entries.len(), l.over.Len(), l.overQ.len())
 	}
 }
 

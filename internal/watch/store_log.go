@@ -17,8 +17,9 @@ import (
 // that lives about as long as its expectations do.
 //
 //   - keys maps the packed packet identity to its record's position in
-//     recs (see internal/flatmap); recs is dense and paged, and the sweep
-//     fills a freed record's slot with the last one.
+//     recs (see internal/flatmap). The records sit at positions below
+//     nrecs, and the sweep fills a freed record's slot with the last one;
+//     recs keeps the slots past them for reuse until a sweep trims them.
 //   - A record's pend mask has bit i set while an expectation on
 //     forwarder i is outstanding, and npend counts the outstanding ones
 //     over every forwarder index. An expectation on a forwarder at or
@@ -52,7 +53,7 @@ type logStore struct {
 	places []uint8
 
 	keys    flatmap.Table[int32]
-	recs    paged[guardRecord]
+	recs    paged[guardRecord, [pageSize]guardRecord]
 	nrecs   int32
 	sweepAt int32 // record count at which the next new record sweeps first
 
@@ -86,35 +87,6 @@ const (
 	placeOwn  = maskBits + 2 // the guard itself: its own sends
 )
 
-// pageShift sets the record page: 8 records, 320 bytes.
-const (
-	pageShift = 3
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
-)
-
-// paged is an int32-indexed array of T in fixed-size pages.
-type paged[T any] struct {
-	pages []*[pageSize]T
-}
-
-func (p *paged[T]) at(i int32) *T { return &p.pages[i>>pageShift][i&pageMask] }
-
-// reserve adds a page if index i lies just past the last one.
-func (p *paged[T]) reserve(i int32) {
-	if int(i>>pageShift) == len(p.pages) {
-		p.pages = append(p.pages, new([pageSize]T))
-	}
-}
-
-// trim drops the pages past the first k.
-func (p *paged[T]) trim(k int) {
-	for i := k; i < len(p.pages); i++ {
-		p.pages[i] = nil
-	}
-	p.pages = p.pages[:min(k, len(p.pages))]
-}
-
 // newLogStore returns b's store, on the configured log.
 func newLogStore(b *Buffer) *logStore {
 	return &logStore{
@@ -131,6 +103,9 @@ func newLogStore(b *Buffer) *logStore {
 func anyKey(key packet.Key) flatmap.Key {
 	return flatmap.PackKey(uint32(key.Origin), key.Seq, uint8(key.Type))
 }
+
+// rec returns the record at recs position i.
+func (s *logStore) rec(i int32) *guardRecord { return s.recs.at(uint64(i)) }
 
 // lookup returns the recs position of k's record, or -1, through the memo.
 func (s *logStore) lookup(k flatmap.Key) int32 {
@@ -154,13 +129,15 @@ func (s *logStore) record(k flatmap.Key) *guardRecord {
 			s.sweepCaches()
 		}
 		ri = s.nrecs
-		s.recs.reserve(ri)
-		*s.recs.at(ri) = guardRecord{key: k}
+		if uint64(ri) == s.recs.next {
+			s.recs.push()
+		}
+		*s.rec(ri) = guardRecord{key: k}
 		s.nrecs++
 		s.keys.Put(k, ri)
 		s.memoKey, s.memoRec = k, ri
 	}
-	return s.recs.at(ri)
+	return s.rec(ri)
 }
 
 // cache notes in r that the sender at bit was heard, live until exp. A
@@ -233,7 +210,7 @@ func (s *logStore) recordHeard(sidx int32, key packet.Key, now time.Duration) bo
 	if ri < 0 {
 		return false // no record, so no expectation on key
 	}
-	r := s.recs.at(ri)
+	r := s.rec(ri)
 	var met bool
 	if uint32(sidx) >= settledBits {
 		met = s.wide.Delete(s.wideKey(sidx, k))
@@ -259,13 +236,13 @@ func (s *logStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 	bit := uint32(0)
 	if uint32(sidx) < settledBits && ri >= 0 {
 		bit = 1 << sidx
-		if s.recs.at(ri).cached(bit, now) {
+		if s.rec(ri).cached(bit, now) {
 			return true
 		}
 	}
 	exp, ok := s.logHeard(sidx, k, now)
 	if ok && bit != 0 {
-		s.recs.at(ri).cache(bit, exp, now)
+		s.rec(ri).cache(bit, exp, now)
 	}
 	return ok
 }
@@ -275,7 +252,7 @@ func (s *logStore) heard(sidx int32, key packet.Key, now time.Duration) bool {
 func (s *logStore) heardAny(key packet.Key, now time.Duration) bool {
 	k := anyKey(key)
 	if ri := s.lookup(k); ri >= 0 {
-		if r := s.recs.at(ri); r.heard != 0 && live(r.oldest, now) {
+		if r := s.rec(ri); r.heard != 0 && live(r.oldest, now) {
 			return true
 		}
 	}
@@ -327,7 +304,7 @@ func (s *logStore) settled(fidx int32, key packet.Key, now time.Duration) bool {
 	if ri < 0 {
 		return false
 	}
-	r := s.recs.at(ri)
+	r := s.rec(ri)
 	bit := uint32(1) << fidx
 	return r.pend&bit != 0 || r.cached(bit, now)
 }
@@ -339,12 +316,12 @@ func (s *logStore) waiting(fidx int32, key packet.Key) bool {
 		return ok
 	}
 	ri := s.lookup(k)
-	return ri >= 0 && s.recs.at(ri).pend&(1<<fidx) != 0
+	return ri >= 0 && s.rec(ri).pend&(1<<fidx) != 0
 }
 
 func (s *logStore) clearExpect(fidx int32, key packet.Key) {
 	k := anyKey(key)
-	r := s.recs.at(s.lookup(k))
+	r := s.rec(s.lookup(k))
 	if uint32(fidx) < settledBits {
 		r.pend &^= 1 << fidx
 	} else {
@@ -362,7 +339,7 @@ func (s *logStore) clearExpect(fidx int32, key packet.Key) {
 func (s *logStore) sweepCaches() {
 	n := 0
 	for i := int32(0); i < s.nrecs; {
-		r := s.recs.at(i)
+		r := s.rec(i)
 		if r.npend > 0 {
 			i++
 			continue
@@ -371,7 +348,7 @@ func (s *logStore) sweepCaches() {
 		s.keys.Delete(r.key)
 		s.nrecs--
 		if i != s.nrecs {
-			*r = *s.recs.at(s.nrecs)
+			*r = *s.rec(s.nrecs)
 			s.keys.Put(r.key, i)
 		}
 	}
@@ -382,5 +359,5 @@ func (s *logStore) sweepCaches() {
 	s.memoKey = flatmap.Key{}
 	s.keys.ShrinkFor(int(s.sweepAt))
 	s.wide.Shrink()
-	s.recs.trim(int(s.sweepAt+pageMask) >> pageShift)
+	s.recs.trim(uint64(s.sweepAt))
 }

@@ -361,23 +361,24 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 	return log
 }
 
-// checkQueue checks b's deadline queue against its store: the head is
-// waiting, and the entries the store holds as waiting are exactly b's
-// outstanding expectations.
+// checkQueue checks b's deadline queue against its store: the pages hold
+// the queued entries' span, the head is waiting, and the entries the store
+// holds as waiting are exactly b's outstanding expectations.
 func checkQueue(tb testing.TB, b *Buffer) {
 	tb.Helper()
 	q := &b.deadlines
-	if !q.empty() && !b.store.waiting(q.first().fidx, q.first().key) {
-		tb.Fatalf("queue head %+v is not waiting", *q.first())
+	checkPages(tb, q)
+	if !q.empty() && !b.store.waiting(q.front().fidx, q.front().key) {
+		tb.Fatalf("queue head %+v is not waiting", *q.front())
 	}
 	waiting := 0
-	for _, d := range q.items[q.head:] {
-		if b.store.waiting(d.fidx, d.key) {
+	for i := q.head; i < q.next; i++ {
+		if d := q.at(i); b.store.waiting(d.fidx, d.key) {
 			waiting++
 		}
 	}
-	if n := len(q.items) - q.head; waiting != b.Len() {
-		tb.Fatalf("queue of %d entries holds %d waiting, want %d", n, waiting, b.Len())
+	if waiting != b.Len() {
+		tb.Fatalf("queue of %d entries holds %d waiting, want %d", q.len(), waiting, b.Len())
 	}
 }
 
@@ -419,21 +420,15 @@ func FuzzWatchStoreEquivalence(f *testing.F) {
 	})
 }
 
-// checkLog verifies the log's bookkeeping: the pages cover exactly the
-// held ids, every index slot names a held entry that is the newest of its
-// pair, every held entry with a fact is on its pair's chain, and the
-// overflow set holds one key per queued overflow reception.
+// checkLog verifies the log's bookkeeping: the pages hold the entries,
+// every index slot names a held entry that is the newest of its pair,
+// every held entry with a fact is on its pair's chain, and the overflow
+// set holds one key per queued overflow reception.
 func checkLog(t *testing.T, l *Log) {
 	t.Helper()
-	if l.head > l.next {
-		t.Fatalf("head %d past next %d", l.head, l.next)
-	}
-	if l.head < l.next {
-		if want := int((l.next-1)>>logPageShift-l.first) + 1; len(l.pages) != want || l.head>>logPageShift != l.first {
-			t.Fatalf("%d pages from page %d for ids [%d, %d), want %d from %d",
-				len(l.pages), l.first, l.head, l.next, want, l.head>>logPageShift)
-		}
-	}
+	q := &l.entries
+	checkPages(t, q)
+	checkPages(t, &l.overQ)
 	n := 0
 	for _, v := range l.slots {
 		if v == 0 {
@@ -441,31 +436,31 @@ func checkLog(t *testing.T, l *Log) {
 		}
 		n++
 		id := l.idOf(v)
-		if id < l.head || id >= l.next {
-			t.Fatalf("index names entry %d outside [%d, %d)", id, l.head, l.next)
+		if id < q.head || id >= q.next {
+			t.Fatalf("index names entry %d outside [%d, %d)", id, q.head, q.next)
 		}
-		if got := l.newest(l.at(id).key); got != id {
+		if got := l.newest(q.at(id).key); got != id {
 			t.Fatalf("index slot for entry %d finds %d", id, got)
 		}
 	}
 	if n != l.n {
 		t.Fatalf("%d index slots occupied, n says %d", n, l.n)
 	}
-	for id := l.head; id < l.next; id++ {
-		e := l.at(id)
+	for id := q.head; id < q.next; id++ {
+		e := q.at(id)
 		if e.batch == 0 && e.ownBatch == 0 {
 			continue
 		}
 		c := l.newest(e.key)
-		for c > id && l.at(c).prev != 0 {
-			c -= uint64(l.at(c).prev)
+		for c > id && q.at(c).prev != 0 {
+			c -= uint64(q.at(c).prev)
 		}
 		if c != id {
 			t.Fatalf("entry %d is not on its pair's chain", id)
 		}
 	}
-	if l.over.Len() != len(l.overQ) {
-		t.Fatalf("overflow set holds %d receptions, queue %d", l.over.Len(), len(l.overQ))
+	if l.over.Len() != l.overQ.len() {
+		t.Fatalf("overflow set holds %d receptions, queue %d", l.over.Len(), l.overQ.len())
 	}
 }
 
@@ -528,7 +523,7 @@ func TestLogAccounting(t *testing.T) {
 			}
 		})
 		k.RunFor(time.Duration(1+rng.Intn(10)) * time.Millisecond)
-		peakPages = max(peakPages, len(l.pages))
+		peakPages = max(peakPages, len(l.entries.pages))
 		checkLog(t, l)
 		now := k.Now()
 		for f, exp := range model {
@@ -546,9 +541,9 @@ func TestLogAccounting(t *testing.T) {
 	k.RunFor(ttl)
 	rec(1, 2, key(1, 1))
 	checkLog(t, l)
-	if l.entries() != 1 || len(l.pages) != 1 || len(l.slots) != logMinSlots || l.over.Len() != 0 || peakPages < 2 {
+	if l.entries.len() != 1 || len(l.entries.pages) != 1 || len(l.slots) != logMinSlots || l.over.Len() != 0 || peakPages < 2 {
 		t.Fatalf("after everything expired: %d entries on %d pages (peak %d), %d index slots, %d overflow receptions",
-			l.entries(), len(l.pages), peakPages, len(l.slots), l.over.Len())
+			l.entries.len(), len(l.entries.pages), peakPages, len(l.slots), l.over.Len())
 	}
 }
 

@@ -18,9 +18,19 @@
 // about as long as those expectations (logStore, store_log.go); the store
 // alone knows which expectations are outstanding. The tests check it
 // against a Go-map oracle that keeps every heard fact per guard. The
-// buffer itself keeps its expectations' deadlines in a FIFO in the order
+// buffer itself keeps its expectations' deadlines in a queue in the order
 // they were armed, one kernel timer for the oldest one still waiting (see
-// deadlineQueue), and its MalC records.
+// deadline), and its MalC records.
+//
+// The log's entries and overflow receptions and each guard's deadlines
+// and records live in one container, paged (paged.go): a FIFO of
+// fixed-length pages addressed by position, which gives the pages it
+// empties to a pool of spares and takes pages from there before it
+// allocates. The log's entries sit 256 to a page, and an entry's id is its
+// position; the rest sit 8 to a page. The guards on one log pool their
+// spare deadline pages, one page per guard. So a guard's deadlines hold
+// the entries queued and the unused ends of their first and last pages,
+// and the pool at most one page per guard, whatever burst any guard saw.
 package watch
 
 import (
@@ -120,7 +130,7 @@ func live(exp, now time.Duration) bool { return now < exp }
 
 // cacheTTL is how long a heard fact lives: ten times tau. It only needs to
 // outlive the propagation of one flood; that it outlives a deadline is
-// what lets the deadline queue keep met entries (see deadlineQueue).
+// what lets the deadline queue keep met entries (see deadline).
 func (c Config) cacheTTL() time.Duration { return 10 * c.Timeout }
 
 // Stats counts buffer activity.
@@ -137,16 +147,10 @@ type Stats struct {
 // deadline is one watch entry: forwarder fidx must forward the packet
 // key before (at, seq), the kernel instant and the sequence number
 // reserved when the entry was armed.
-type deadline struct {
-	at   time.Duration
-	seq  uint64
-	key  packet.Key
-	fidx int32
-}
-
-// deadlineQueue is a FIFO of a buffer's watch entries in the order they
-// were armed, which is also (at, seq) order. Nothing searches or marks it:
-// the store alone knows which expectations are still waiting
+//
+// A buffer queues its deadlines in the order they were armed, which is
+// also (at, seq) order. Nothing searches or marks the queue: the store
+// alone knows which expectations are still waiting
 // (storeBackend.waiting). An entry whose forward was heard stays queued
 // until it reaches the head, and whoever pops the head drops the met
 // entries behind it, so the head is waiting whenever the queue is
@@ -159,46 +163,11 @@ type deadline struct {
 // of it is popped by its own deadline or earlier; and the forward that met
 // it is a heard fact, which refuses a new expectation on the same
 // (fidx, key) for cacheTTL, ten Timeouts.
-type deadlineQueue struct {
-	items []deadline
-	head  int // items[head] is the oldest entry
-}
-
-// queueSeedCap and queueShrinkFactor set the queue's capacity policy: once
-// the backing array exceeds queueShrinkFactor*(entries+queueSeedCap)
-// slots, the entries move to a fresh array of entries+queueSeedCap slots,
-// so a burst's capacity goes back to the collector instead of staying at
-// every guard; an idle guard keeps at most 128 slots (5 KB). Of the seeds
-// measured on flood-n400 (4 to 64), 4 allocated 49% more bytes per event
-// than 32, through trimming and regrowth, and 64 retained 6% more watch
-// bytes than 32.
-const (
-	queueSeedCap      = 32
-	queueShrinkFactor = 4
-)
-
-// empty reports whether the queue holds no entry.
-func (q *deadlineQueue) empty() bool { return q.head == len(q.items) }
-
-// first returns the head entry; the queue must not be empty.
-func (q *deadlineQueue) first() *deadline { return &q.items[q.head] }
-
-// pop removes the head entry. Then it trims the backing array (see
-// queueSeedCap) or, once the popped prefix is at least as long as the
-// rest, moves the rest to the front.
-func (q *deadlineQueue) pop() {
-	q.items[q.head] = deadline{}
-	q.head++
-	switch n := len(q.items) - q.head; {
-	case cap(q.items) > queueShrinkFactor*(n+queueSeedCap):
-		items := make([]deadline, n, n+queueSeedCap)
-		copy(items, q.items[q.head:])
-		q.items, q.head = items, 0
-	case q.head >= n:
-		m := copy(q.items, q.items[q.head:])
-		clear(q.items[m:])
-		q.items, q.head = q.items[:m], 0
-	}
+type deadline struct {
+	at   time.Duration
+	seq  uint64
+	key  packet.Key
+	fidx int32
 }
 
 // malcRecord is the MalC record of one accused node.
@@ -220,7 +189,7 @@ type Buffer struct {
 	// it dispatches to onDeadline, the buffer's prebound expire.
 	timer      sim.Timer
 	onDeadline sim.Event
-	deadlines  deadlineQueue
+	deadlines  paged[deadline, [pageSize]deadline]
 
 	// malcs holds the MalC records in first-accused order: a guard accuses
 	// few nodes, so a scan finds a record.
@@ -255,6 +224,9 @@ func newWithStore(k sim.Clock, cfg Config, store func(*Buffer) storeBackend, onA
 		onAccuse:    onAccuse,
 		onThreshold: onThreshold,
 	}
+	// The guards on a log pool their spare deadline pages, one each.
+	b.deadlines.spares = &cfg.Log.deadlineSpare
+	cfg.Log.deadlineSpare.max++
 	b.store = store(b)
 	if wrapStore != nil {
 		b.store = wrapStore(b, b.store)
@@ -343,7 +315,7 @@ func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 	b.stats.Matches++
 	// The head is waiting, and the store held one expectation on (sidx,
 	// key): if the head is on (sidx, key), it is the entry just met.
-	if d := b.deadlines.first(); d.fidx == sidx && d.key == key {
+	if d := b.deadlines.front(); d.fidx == sidx && d.key == key {
 		b.timer.Cancel()
 		b.popHead()
 	}
@@ -389,7 +361,8 @@ func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
 		return false
 	}
 	idle := b.deadlines.empty()
-	b.deadlines.items = append(b.deadlines.items, deadline{at: now + b.cfg.Timeout, seq: b.kernel.Reserve(), key: key, fidx: fidx})
+	_, d := b.deadlines.push()
+	*d = deadline{at: now + b.cfg.Timeout, seq: b.kernel.Reserve(), key: key, fidx: fidx}
 	if idle {
 		b.armHead()
 	}
@@ -413,7 +386,7 @@ func (b *Buffer) Settled(fidx int32, key packet.Key) bool {
 func (b *Buffer) popHead() {
 	q := &b.deadlines
 	q.pop()
-	for !q.empty() && !b.store.waiting(q.first().fidx, q.first().key) {
+	for !q.empty() && !b.store.waiting(q.front().fidx, q.front().key) {
 		q.pop()
 	}
 	b.armHead()
@@ -426,7 +399,7 @@ func (b *Buffer) popHead() {
 // armed, before every one scheduled after.
 func (b *Buffer) armHead() {
 	if !b.deadlines.empty() {
-		d := b.deadlines.first()
+		d := b.deadlines.front()
 		b.timer = b.kernel.AtSeq(d.at, d.seq, b.onDeadline)
 	}
 }
@@ -436,7 +409,7 @@ func (b *Buffer) armHead() {
 // for the next waiting entry before the accusation, whose callbacks may
 // arm new entries.
 func (b *Buffer) expire() {
-	d := *b.deadlines.first()
+	d := *b.deadlines.front()
 	b.store.clearExpect(d.fidx, d.key)
 	b.popHead()
 	forwarder := b.idx.ID(d.fidx)
