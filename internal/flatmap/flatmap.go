@@ -1,31 +1,37 @@
-// Package flatmap provides the open-addressed hash tables behind the watch
-// layer's packet-keyed watch records and the router's REQ-suppression
-// caches: power-of-two capacity, linear probing, and tombstone-free
-// deletion by backward shift.
+// Package flatmap provides the flat containers behind the watch layer's
+// records and reception log and the router's REQ-suppression caches.
 //
-// The tables exist because profiling (PR 9/10) showed Go's generic map
-// machinery — per-op hashing of composite struct keys, control-group
-// scanning, and buckets retained at the high-water mark — dominating both
-// CPU and retained heap on the monitoring hot path. A flat table stores
-// keys and values in two parallel slices with no per-entry pointers, so
-// lookups are one multiply-shift hash plus a short linear scan over
-// contiguous memory, the garbage collector never scans the key storage,
-// and Shrink gives the capacity back when a traffic burst subsides
-// (ExpiryTable's sweep does) — something Go maps never do.
+// Table is an open-addressed hash table: power-of-two capacity, linear
+// probing, and tombstone-free deletion by backward shift. It exists
+// because profiling showed Go's generic map machinery — per-op hashing
+// of composite struct keys, control-group scanning, and buckets retained
+// at the high-water mark — dominating both CPU and retained heap on the
+// monitoring hot path. A flat table stores keys and values in two
+// parallel slices with no per-entry pointers, so lookups are one
+// multiply-shift hash plus a short linear scan over contiguous memory,
+// the garbage collector never scans the key storage, and Shrink gives
+// the capacity back when a traffic burst subsides — something Go maps
+// never do.
+//
+// Paged is a FIFO queue in fixed-length pages that recycles the pages it
+// empties through a bounded pool of spares, and Indexed adds to it an
+// index from a key to the position of its newest value, in 64-bit slots
+// that hold a hash tag and a position rather than the key (paged.go).
+// The reception log keeps its entries in one, and each router keeps its
+// REQ marks in two: records that expire in the order they were made, so
+// dropping the dead ones is popping the head.
 //
 // Keys are 128-bit values with one invariant the caller must uphold:
 // a live key's Lo word is never zero. This frees the all-zero slot to act
-// as the empty marker, so no separate occupancy bitmap is needed. PackKey
-// guarantees the invariant by folding a nonzero packet type tag into Lo's
-// low byte.
+// as Table's empty marker, so no separate occupancy bitmap is needed.
+// PackKey guarantees the invariant by folding a nonzero packet type tag
+// into Lo's low byte.
 //
 // Determinism: probe placement depends only on the key set and the order
 // of insertions and deletions, all of which are kernel-event-ordered, so
-// table layout — and therefore sweep iteration order — is reproducible
-// across runs. No randomized seeds, no map-range order leaks.
+// table layout is reproducible across runs. No randomized seeds, no
+// map-range order leaks.
 package flatmap
-
-import "time"
 
 // Key is a 128-bit table key. Live keys must have Lo != 0 (the zero Key
 // marks an empty slot).
@@ -45,10 +51,6 @@ func (k Key) hash() uint64 {
 	h ^= h >> 32
 	return h
 }
-
-// Hash returns the key's table hash, for tables outside this package that
-// index records by Key without storing the keys themselves.
-func (k Key) Hash() uint64 { return k.hash() }
 
 // minCap is the smallest table allocation: small enough that an idle
 // guard's caches cost little, large enough that steady chatter does not
@@ -229,61 +231,6 @@ func (t *Table[V]) ShrinkFor(n int) {
 	if newCap < len(t.keys) {
 		t.rehash(newCap)
 	}
-}
-
-// ExpiryTable is a Table holding expiry instants, under the repo-wide
-// liveness convention: an entry with expiry exp is alive while now < exp.
-// Add reclaims the dead ones, so the table needs no timer.
-type ExpiryTable struct {
-	Table[time.Duration]
-}
-
-// Add stores exp under k. At the growth point it first sweeps out the
-// entries dead at now, and grows only if more than half the slots still
-// hold live ones, so sweeps are at least a quarter table of Adds apart.
-func (t *ExpiryTable) Add(k Key, exp, now time.Duration) {
-	if c := len(t.keys); c > 0 && t.n >= c-c/4 {
-		if t.sweep(now); t.n > c/2 {
-			t.rehash(2 * c)
-		}
-	}
-	t.Put(k, exp)
-}
-
-// Live reports whether k is present and unexpired at now.
-func (t *ExpiryTable) Live(k Key, now time.Duration) bool {
-	exp, ok := t.Get(k)
-	return ok && now < exp
-}
-
-// sweep deletes every entry with exp <= now, then shrinks the table if
-// few are left. To make one pass exact under backward-shift deletion, the
-// scan starts at an empty anchor slot: shifts move entries strictly toward
-// the anchor side already scanned, and a probe chain never crosses an
-// empty slot, so no live entry can jump behind the cursor unseen.
-func (t *ExpiryTable) sweep(now time.Duration) {
-	if t.n == 0 {
-		return
-	}
-	capSlots := uint64(len(t.keys))
-	// An empty anchor always exists: load never exceeds 3/4.
-	anchor := uint64(0)
-	for !t.keys[anchor].zero() {
-		anchor++
-	}
-	for off := uint64(1); off <= capSlots; off++ {
-		i := (anchor + off) & t.mask
-		// Re-examine the slot after a deletion: the backward shift may
-		// have moved a later (unscanned) entry into it.
-		for {
-			k := t.keys[i]
-			if k.zero() || t.vals[i] > now {
-				break
-			}
-			t.deleteAt(i)
-		}
-	}
-	t.Shrink()
 }
 
 // PackKey packs a packet identity (origin, seq, type tag) into a Key.

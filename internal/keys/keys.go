@@ -11,6 +11,7 @@ package keys
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -50,67 +51,128 @@ func (s *KeyServer) PairKey(a, b field.NodeID) []byte {
 	return mac.Sum(nil)
 }
 
-// Ring is one node's view of the key material: its own ID plus one cached
-// HMAC state per peer. hmac.New precomputes the key-dependent inner/outer
-// pads, so a cached state amortizes two SHA-256 key schedules per signed or
-// verified control packet down to a Reset; Sum appends into a reusable
-// buffer, so the steady-state cost of Sign/Verify is zero heap allocations.
+// Ring is one node's view of the key material: its own ID plus, per
+// peer, the two SHA-256 midstates of the HMAC over their pairwise key: the
+// states after the key⊕ipad and the key⊕opad blocks, which is what
+// hmac.New precomputes. A MAC resumes the inner state on the ring's one
+// digest, writes the data and sums, then resumes the outer state, writes
+// that sum and sums: the two key-block compressions are paid once per
+// peer, and Sum appends into a reusable buffer, so the steady-state cost
+// of Sign/Verify is zero heap allocations.
 //
 // The cache is capped at stateCacheCap peers with FIFO eviction in
 // insertion order (never map iteration, so runs stay deterministic): a
 // node's signing peers are its one- and two-hop neighborhood, which is
-// degree-bounded, but on 10k-node fields an unbounded cache would retain a
-// state for every peer ever heard from. Eviction only costs a re-derive on
-// the next use — PairKey is a pure function, so the MACs are unchanged.
+// degree-bounded, but on 10k-node fields an unbounded cache would retain
+// midstates for every peer ever heard from. Eviction only costs a
+// re-derive on the next use — PairKey is a pure function, so the MACs are
+// unchanged.
 type Ring struct {
 	self   field.NodeID
 	server *KeyServer
-	states map[field.NodeID]hash.Hash
-	// order lists states' keys oldest-first, driving FIFO eviction.
-	order []field.NodeID
-	sum   []byte // reusable digest buffer for mac.Sum(sum[:0])
-	auth  []byte // reusable canonical-encoding buffer
+	// peers and pads are the cached peers and their midstates, oldest
+	// first until the cache is full; then a new peer takes the slot at
+	// oldest, the slot of the peer cached first.
+	peers  []field.NodeID
+	pads   []*midstates
+	oldest int
+	d      digest // the SHA-256 digest every MAC runs on
+	sum    []byte // reusable digest buffer for d.Sum(sum[:0])
+	auth   []byte // reusable canonical-encoding buffer
 }
 
-// stateCacheCap bounds the per-ring HMAC state cache. It comfortably covers
+// digest is a SHA-256 hash whose state can be saved and resumed.
+type digest interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// midstates are a peer's HMAC inner and outer SHA-256 states, marshalled.
+type midstates struct {
+	inner, outer [stateLen]byte
+}
+
+// stateLen is the length of a marshalled SHA-256 state: a 4-byte magic,
+// the eight 4-byte chaining words, a block of buffered input and the
+// 8-byte length.
+const stateLen = 4 + 8*4 + sha256.BlockSize + 8
+
+// stateCacheCap bounds the per-ring midstate cache. It comfortably covers
 // the two-hop neighborhood at the paper's densities (average degree ~8–15)
-// while capping worst-case retention at ~30KB per node.
+// while capping worst-case retention at ~15KB per node: about 236 bytes a
+// peer, its midstates in a 224-byte allocation and its slots in peers and
+// pads.
 const stateCacheCap = 64
 
 // NewRing returns node self's key ring backed by the key server.
 func NewRing(self field.NodeID, server *KeyServer) *Ring {
-	return &Ring{self: self, server: server, states: make(map[field.NodeID]hash.Hash)}
+	return &Ring{self: self, server: server, d: sha256.New().(digest)}
 }
 
 // Self returns the ring owner's ID.
 func (r *Ring) Self() field.NodeID { return r.self }
 
-// state returns the reusable HMAC state for the pairwise key shared with
-// peer, Reset and ready to Write. The returned hash is owned by the ring
-// and single-threaded like everything above the kernel.
-func (r *Ring) state(peer field.NodeID) hash.Hash {
-	mac, ok := r.states[peer]
-	if !ok {
-		if len(r.order) >= stateCacheCap {
-			oldest := r.order[0]
-			r.order = r.order[1:]
-			delete(r.states, oldest)
+// state returns the HMAC midstates of the pairwise key shared with peer,
+// deriving them on first use. They are owned by the ring and
+// single-threaded like everything above the kernel.
+func (r *Ring) state(peer field.NodeID) *midstates {
+	for i, p := range r.peers {
+		if p == peer {
+			return r.pads[i]
 		}
-		mac = hmac.New(sha256.New, r.server.PairKey(r.self, peer))
-		r.states[peer] = mac
-		r.order = append(r.order, peer)
-	} else {
-		mac.Reset()
 	}
-	return mac
+	var m *midstates
+	if len(r.peers) < stateCacheCap {
+		m = new(midstates)
+		r.peers = append(r.peers, peer)
+		r.pads = append(r.pads, m)
+	} else {
+		m = r.pads[r.oldest]
+		r.peers[r.oldest] = peer
+		r.oldest = (r.oldest + 1) % stateCacheCap
+	}
+	var pad [sha256.BlockSize]byte
+	copy(pad[:], r.server.PairKey(r.self, peer)) // 32 bytes: no longer than a block, so HMAC pads the key as is
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	r.save(m.inner[:], pad[:])
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	r.save(m.outer[:], pad[:])
+	return m
+}
+
+// save writes into dst the state of a fresh digest that has absorbed block.
+func (r *Ring) save(dst, block []byte) {
+	r.d.Reset()
+	r.d.Write(block)
+	st, err := r.d.MarshalBinary()
+	if err != nil || len(st) != len(dst) {
+		panic(fmt.Sprintf("keys: SHA-256 state of %d bytes (%v), want %d", len(st), err, len(dst)))
+	}
+	copy(dst, st)
+}
+
+// resume sets the ring's digest to a state save wrote.
+func (r *Ring) resume(state []byte) {
+	if err := r.d.UnmarshalBinary(state); err != nil {
+		panic(fmt.Sprintf("keys: resume SHA-256 state: %v", err))
+	}
 }
 
 // mac computes the truncated pairwise tag over data into the ring's reused
 // digest buffer. The result is only valid until the next Ring operation.
 func (r *Ring) mac(data []byte, peer field.NodeID) []byte {
-	mac := r.state(peer)
-	mac.Write(data)
-	r.sum = mac.Sum(r.sum[:0])
+	m := r.state(peer)
+	r.resume(m.inner[:])
+	r.d.Write(data)
+	r.sum = r.d.Sum(r.sum[:0])
+	r.resume(m.outer[:])
+	r.d.Write(r.sum)
+	r.sum = r.d.Sum(r.sum[:0])
 	return r.sum[:packet.MACSize]
 }
 

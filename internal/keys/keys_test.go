@@ -2,6 +2,10 @@ package keys
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"testing"
 
 	"liteworp/internal/field"
@@ -255,21 +259,42 @@ func TestRingStateCacheBounded(t *testing.T) {
 	for peer := field.NodeID(2); peer < field.NodeID(2+3*stateCacheCap); peer++ {
 		r.SignBytes(data, peer)
 	}
-	if len(r.states) != stateCacheCap {
-		t.Errorf("cache holds %d states, want cap %d", len(r.states), stateCacheCap)
+	if len(r.peers) != stateCacheCap || len(r.pads) != stateCacheCap {
+		t.Errorf("cache holds %d peers and %d midstates, want cap %d", len(r.peers), len(r.pads), stateCacheCap)
 	}
-	if len(r.order) != len(r.states) {
-		t.Errorf("order has %d entries, states has %d", len(r.order), len(r.states))
-	}
-	if _, ok := r.states[2]; ok {
+	if slices.Contains(r.peers, 2) {
 		t.Error("oldest peer survived 3x-cap thrash")
 	}
 	last := field.NodeID(2 + 3*stateCacheCap - 1)
-	if _, ok := r.states[last]; !ok {
+	if !slices.Contains(r.peers, last) {
 		t.Error("most recent peer was evicted")
 	}
 	again := r.SignBytes(data, 2) // re-derive after eviction
 	if string(first) != string(again) {
 		t.Errorf("MAC changed across eviction: %x -> %x", first, again)
+	}
+}
+
+// TestRingMatchesHMAC holds the ring's midstate MACs to crypto/hmac over
+// PairKey, for more peers than the cache holds: every peer is signed and
+// verified twice, the second time after the FIFO has evicted it and the
+// ring has derived its midstates again.
+func TestRingMatchesHMAC(t *testing.T) {
+	s := NewKeyServer(7)
+	r := NewRing(3, s)
+	const peers = 2*stateCacheCap + 5
+	for round := range 2 {
+		for peer := field.NodeID(10); peer < 10+peers; peer++ {
+			data := []byte(fmt.Sprintf("round %d peer %d", round, peer))
+			mac := hmac.New(sha256.New, s.PairKey(3, peer))
+			mac.Write(data)
+			want := mac.Sum(nil)[:packet.MACSize]
+			if got := r.SignBytes(data, peer); !bytes.Equal(got, want) {
+				t.Fatalf("round %d: SignBytes for peer %d = %x, crypto/hmac %x", round, peer, got, want)
+			}
+			if !r.VerifyBytes(data, want, peer) {
+				t.Fatalf("round %d: VerifyBytes rejected crypto/hmac's tag for peer %d", round, peer)
+			}
+		}
 	}
 }

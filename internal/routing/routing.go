@@ -153,12 +153,11 @@ type Router struct {
 	seq       uint64
 	cache     map[field.NodeID]*cachedRoute
 	discovery map[field.NodeID]*discoveryState
-	// seenReq/repliedReq are the REQ duplicate-suppression caches: expiry
-	// instants in open-addressed tables keyed by the packed packet identity
-	// (REQ floods are the hottest lookup in the whole stack). Each sweeps
-	// out its dead entries when it would grow (flatmap.ExpiryTable.Add).
-	seenReq    flatmap.ExpiryTable
-	repliedReq flatmap.ExpiryTable
+	// seenReq/repliedReq are the REQ duplicate-suppression caches (see
+	// suppression): the floods this node has forwarded or answered in the
+	// last seenTTL.
+	seenReq    suppression
+	repliedReq suppression
 	forward    map[field.NodeID]*hopEntry // HopByHop: dest -> next hop
 	// sendFails counts consecutive unicast failures per next hop, dense by
 	// the shared neighbor index.
@@ -193,7 +192,7 @@ type hopEntry struct {
 
 // New creates a router for node self; send puts a frame on the air.
 func New(k sim.Clock, self field.NodeID, cfg Config, send func(*packet.Packet) error, events Events) *Router {
-	return &Router{
+	r := &Router{
 		kernel:    k,
 		self:      self,
 		cfg:       cfg,
@@ -205,17 +204,64 @@ func New(k sim.Clock, self field.NodeID, cfg Config, send func(*packet.Packet) e
 		discovery: make(map[field.NodeID]*discoveryState),
 		forward:   make(map[field.NodeID]*hopEntry),
 	}
+	r.seenReq.init()
+	r.repliedReq.init()
+	return r
 }
 
 // Index returns the dense neighbor index the router keys its per-next-hop
 // state by.
 func (r *Router) Index() *neighbor.Index { return r.idx }
 
-// seenKey packs a packet identity for the suppression tables. packet.Type
-// is nonzero for every real packet, so a live key never collides with the
-// tables' empty sentinel.
+// seenKey packs a packet identity for the suppression caches.
 func seenKey(k packet.Key) flatmap.Key {
 	return flatmap.PackKey(uint32(k.Origin), k.Seq, uint8(k.Type))
+}
+
+// suppression is a REQ duplicate-suppression cache: the packet identities
+// marked in the last seenTTL. Every mark lives exactly seenTTL, so marks
+// expire in the order they were made. They go in a FIFO, and each add
+// first drops the marks dead by then, so the cache holds only live floods
+// and needs no timer and no sweep. The FIFO's index finds a key's newest
+// mark: marking a key that is still live (a rebooted origin reusing a seq)
+// supersedes the old mark, which stays queued, unindexed, until it expires.
+// One spare page per cache lets a steady flood rate cycle its pages
+// without allocating.
+type suppression struct {
+	marks flatmap.Indexed[mark, [flatmap.ShortPage]mark]
+	spare flatmap.Spares[[flatmap.ShortPage]mark]
+}
+
+// mark is one flood's suppression: its identity and the instant it ends.
+type mark struct {
+	key flatmap.Key
+	exp time.Duration
+}
+
+// Key returns the mark's packet identity, for the cache's index.
+func (m mark) Key() flatmap.Key { return m.key }
+
+func (c *suppression) init() {
+	c.spare.Max = 1
+	c.marks.Init(1, &c.spare)
+}
+
+// add marks k at now, live until now+seenTTL.
+func (c *suppression) add(k flatmap.Key, now time.Duration) {
+	q := &c.marks
+	for !q.Empty() && q.Front().exp <= now {
+		q.Drop()
+	}
+	_, slot := q.Lookup(k)
+	pos, m := q.Push()
+	*m = mark{k, now + seenTTL}
+	q.Point(k, slot, pos)
+}
+
+// live reports whether k is marked and its newest mark is live at now.
+func (c *suppression) live(k flatmap.Key, now time.Duration) bool {
+	pos, _ := c.marks.Lookup(k)
+	return pos != 0 && now < c.marks.At(pos).exp
 }
 
 // unicast transmits an addressed frame and keeps the dead next-hop
@@ -460,15 +506,14 @@ func (ds *discoveryState) timeout() {
 }
 
 func (r *Router) markSeen(k packet.Key) {
-	now := r.kernel.Now()
-	r.seenReq.Add(seenKey(k), now+seenTTL, now)
+	r.seenReq.add(seenKey(k), r.kernel.Now())
 }
 
 // HandleRouteRequest processes a REQ heard from the channel. The node layer
 // calls it only for frames that passed its acceptance checks.
 func (r *Router) HandleRouteRequest(p *packet.Packet) {
 	k := p.Key()
-	if r.seenReq.Live(seenKey(k), r.kernel.Now()) {
+	if r.seenReq.live(seenKey(k), r.kernel.Now()) {
 		return // "each node broadcasts only the first route request"
 	}
 	r.markSeen(k)
@@ -536,10 +581,10 @@ func (r *Router) answerRequest(p *packet.Packet) {
 	// captures routes.
 	rk := packet.Key{Type: packet.TypeRouteReply, Origin: p.Origin, Seq: p.Seq}
 	now := r.kernel.Now()
-	if r.repliedReq.Live(seenKey(rk), now) {
+	if r.repliedReq.live(seenKey(rk), now) {
 		return
 	}
-	r.repliedReq.Add(seenKey(rk), now+seenTTL, now)
+	r.repliedReq.add(seenKey(rk), now)
 
 	if len(p.Route) == 0 {
 		return // the full route would not reach back to a previous hop

@@ -3,8 +3,10 @@ package routing
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"liteworp/internal/field"
+	"liteworp/internal/flatmap"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
 )
@@ -112,9 +114,9 @@ func TestRouteRecordRecycled(t *testing.T) {
 	}
 }
 
-// TestSeenReqSweptBeforeGrowth: with no timer, an expired REQ-suppression
-// entry stays in the table yet no longer suppresses a re-flood, and the
-// dead entries go when the table would next grow.
+// TestSeenReqSweptBeforeGrowth: with no timer, a REQ-suppression mark
+// stops suppressing a re-flood at its expiry, and the next mark made drops
+// every dead one first, so the cache never grows on dead marks.
 func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 	k := sim.New(1)
 	sent := 0
@@ -135,35 +137,52 @@ func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 		r.HandleRouteRequest(req(origin))
 		k.RunFor(100 * time.Millisecond) // the forward rides a jitter timer
 	}
+	held := func(want int, when string) {
+		t.Helper()
+		if got := r.seenReq.marks.Len(); got != want || r.seenReq.marks.Keys() != want {
+			t.Fatalf("%s: %d marks for %d keys, want %d", when, got, r.seenReq.marks.Keys(), want)
+		}
+	}
 
 	for o := field.NodeID(10); o < 20; o++ {
-		flood(o)
+		flood(o) // at 0, 100ms, ..., 900ms
 	}
 	flood(10)
 	if sent != 10 {
 		t.Fatalf("10 REQs and a duplicate within seenTTL forwarded %d times, want 10", sent)
 	}
-	k.RunFor(seenTTL - 100*time.Millisecond) // every entry expires
-	flood(20)                                // 11 entries: one short of the growth point
-	flood(10)                                // dead: refloods, and replaces its own entry
-	if sent != 12 || r.seenReq.Len() != 11 {
-		t.Fatalf("after seenTTL: sent %d, %d entries; want 12 and all 11 until the table would grow", sent, r.seenReq.Len())
+	held(10, "after the floods")
+	k.RunFor(seenTTL - k.Now()) // origin 10's mark expires now
+	flood(20)
+	held(10, "at the first expiry") // origin 10's mark went, origin 20's came
+	k.RunFor(time.Second)           // every older mark is dead, and stays until the next add
+	held(10, "with nine dead marks")
+	flood(11) // dead: refloods, and drops the nine first
+	if sent != 12 {
+		t.Fatalf("after seenTTL: sent %d, want 12", sent)
 	}
-	flood(21) // 12 entries: the growth point
-	flood(22) // sweeps out the nine dead entries instead of growing
-	if got := r.seenReq.Len(); got != 4 || r.seenReq.Cap() != 16 || sent != 14 {
-		t.Fatalf("after the sweep: %d entries in %d slots, sent %d; want 4 in 16, sent 14", got, r.seenReq.Cap(), sent)
-	}
+	held(2, "after the next add")
+}
+
+// heldBytes returns the bytes c holds: its pages, its spare page and its
+// index.
+func heldBytes(c *suppression) int {
+	page := int(unsafe.Sizeof([flatmap.ShortPage]mark{}))
+	return (c.marks.Pages()+c.spare.Len())*page + c.marks.Slots()*int(unsafe.Sizeof(uint64(0)))
 }
 
 // TestSuppressionTablesBounded: a router fed REQs from many origins for
-// six seenTTLs, a quarter of them addressed to it, keeps each suppression
-// table within eight slots per live entry, with no timer reclaiming them.
+// six seenTTLs, a quarter of them addressed to it, holds only the live
+// marks in each suppression cache, in at most 48 bytes per live mark plus
+// four pages, with no timer reclaiming them. (The hash tables these caches
+// replaced allowed eight 24-byte slots per live entry.)
 func TestSuppressionTablesBounded(t *testing.T) {
 	k := sim.New(1)
 	const ttl = seenTTL
 	const gap = ttl / 200 // 200 REQs live at a time
 	r := newRouter(k, 2, Config{}, func(*packet.Packet) error { return nil }, Events{})
+	page := int(unsafe.Sizeof([flatmap.ShortPage]mark{}))
+	bound := func(live int) int { return 48*live + 4*page }
 	peakSeen, peakReplied := 0, 0
 	for i := 0; k.Now() < 6*ttl; i++ {
 		dest := field.NodeID(8)
@@ -185,15 +204,21 @@ func TestSuppressionTablesBounded(t *testing.T) {
 			continue // still filling
 		}
 		const live = int(ttl / gap)
-		if c := r.seenReq.Cap(); c > 8*live {
-			t.Fatalf("at %v: seenReq has %d slots for %d live entries", k.Now(), c, live)
+		if n := r.seenReq.marks.Len(); n != live {
+			t.Fatalf("at %v: seenReq holds %d marks, %d live", k.Now(), n, live)
 		}
-		if c := r.repliedReq.Cap(); c > 8*live/4 {
-			t.Fatalf("at %v: repliedReq has %d slots for %d live entries", k.Now(), c, live/4)
+		if n := r.repliedReq.marks.Len(); n > live/4+1 {
+			t.Fatalf("at %v: repliedReq holds %d marks, %d live", k.Now(), n, live/4)
 		}
-		peakSeen, peakReplied = max(peakSeen, r.seenReq.Len()), max(peakReplied, r.repliedReq.Len())
+		if b := heldBytes(&r.seenReq); b > bound(live) {
+			t.Fatalf("at %v: seenReq holds %d bytes for %d live marks", k.Now(), b, live)
+		}
+		if b := heldBytes(&r.repliedReq); b > bound(live/4) {
+			t.Fatalf("at %v: repliedReq holds %d bytes for %d live marks", k.Now(), b, live/4)
+		}
+		peakSeen, peakReplied = max(peakSeen, r.seenReq.marks.Len()), max(peakReplied, r.repliedReq.marks.Len())
 	}
 	if peakSeen < 200 || peakReplied < 50 {
-		t.Fatalf("peak %d seen and %d replied entries: the tables never filled", peakSeen, peakReplied)
+		t.Fatalf("peak %d seen and %d replied marks: the caches never filled", peakSeen, peakReplied)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"liteworp/internal/field"
+	"liteworp/internal/flatmap"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
 )
@@ -66,21 +67,21 @@ func TestRecordsReclaimedAtCountTrigger(t *testing.T) {
 				when, s.nrecs, s.keys.Len(), s.sweepAt, nrecs, sweepAt)
 		}
 	}
-	expect(0, pageSize, true)
-	check("one page of met records", pageSize, pageSize)
-	expect(pageSize, pageSize+1, false)
-	check("the next record", 1, pageSize)
+	expect(0, flatmap.ShortPage, true)
+	check("one page of met records", flatmap.ShortPage, flatmap.ShortPage)
+	expect(flatmap.ShortPage, flatmap.ShortPage+1, false)
+	check("the next record", 1, flatmap.ShortPage)
 
 	// Outstanding records are never freed: the sweep point doubles.
-	expect(pageSize+1, pageSize+11, false)
-	check("eleven waiting", 11, 2*pageSize)
-	for i := uint64(pageSize); i < pageSize+11; i++ {
+	expect(flatmap.ShortPage+1, flatmap.ShortPage+11, false)
+	check("eleven waiting", 11, 2*flatmap.ShortPage)
+	for i := uint64(flatmap.ShortPage); i < flatmap.ShortPage+11; i++ {
 		b.RecordHeard(4, key(1, i))
 	}
 	k.RunFor(5 * time.Second)
-	check("all met, long after", 11, 2*pageSize)
+	check("all met, long after", 11, 2*flatmap.ShortPage)
 	expect(100, 105, false)
-	check("five more", 16, 2*pageSize)
+	check("five more", 16, 2*flatmap.ShortPage)
 	expect(105, 106, false)
 	check("past the sweep point", 6, 10)
 	for i := uint64(100); i < 106; i++ {
@@ -119,7 +120,7 @@ func TestGuardRecordsBounded(t *testing.T) {
 			}
 		}
 		peak = max(peak, out)
-		if s.nrecs > 2*peak+pageSize {
+		if s.nrecs > 2*peak+flatmap.ShortPage {
 			t.Fatalf("step %d: %d records, %d outstanding (peak %d)", step, s.nrecs, out, peak)
 		}
 	}
@@ -216,21 +217,21 @@ func TestMetDeadlineSlotReused(t *testing.T) {
 	const tau = time.Second
 	b, acc, _ := newBuffer(k, Config{Timeout: tau})
 	b.Expect(5, key(1, 0))
-	first := b.deadlines.front()
+	first := b.deadlines.Front()
 	b.RecordHeard(5, key(1, 0)) // met: its deadline is popped
-	for i := uint64(1); i < pageSize; i++ {
+	for i := uint64(1); i < flatmap.ShortPage; i++ {
 		b.Expect(5, key(1, i))
 		b.RecordHeard(5, key(1, i))
 	}
-	b.Expect(5, key(1, pageSize))
-	if last := b.deadlines.front(); first != last {
+	b.Expect(5, key(1, flatmap.ShortPage))
+	if last := b.deadlines.Front(); first != last {
 		t.Fatal("the deadline armed after a page of met ones did not reuse the first one's slot")
 	}
 	k.RunFor(10 * tau)
 	if len(*acc) != 1 {
 		t.Fatalf("%d accusations, want exactly 1 (the last expectation's drop)", len(*acc))
 	}
-	if a := (*acc)[0]; a.Key != key(1, pageSize) || a.At != tau {
+	if a := (*acc)[0]; a.Key != key(1, flatmap.ShortPage) || a.At != tau {
 		t.Fatalf("accusation for %v at %v, want the live expectation's key at %v", a.Key, a.At, tau)
 	}
 }
@@ -297,13 +298,13 @@ func TestDeadlineQueueReleasesBurstPages(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		b.Expect(5, key(1, uint64(i)))
 	}
-	if got := len(b.deadlines.pages) * pageSize; got < burst {
+	if got := b.deadlines.Pages() * flatmap.ShortPage; got < burst {
 		t.Fatalf("queue pages hold %d slots, fewer than the burst's %d entries", got, burst)
 	}
 	k.RunFor(time.Minute) // every watch expires
-	if spare := len(b.deadlines.spares.pages); !b.deadlines.empty() || len(b.deadlines.pages)+spare > 1 {
+	if spare := b.cfg.Log.deadlineSpare.Len(); !b.deadlines.Empty() || b.deadlines.Pages()+spare > 1 {
 		t.Fatalf("drained queue holds %d entries on %d pages, with %d spare; want one page in all",
-			b.deadlines.len(), len(b.deadlines.pages), spare)
+			b.deadlines.Len(), b.deadlines.Pages(), spare)
 	}
 }
 
@@ -353,8 +354,8 @@ func TestDeadlineQueueResolvesInArmingOrder(t *testing.T) {
 				time.Duration(i)*time.Millisecond+time.Second)
 		}
 	}
-	if spare := len(b.deadlines.spares.pages); !b.deadlines.empty() || len(b.deadlines.pages) > 1 || spare > 1 {
-		t.Fatalf("drained queue holds %d entries on %d pages, with %d spare", b.deadlines.len(), len(b.deadlines.pages), spare)
+	if spare := b.cfg.Log.deadlineSpare.Len(); !b.deadlines.Empty() || b.deadlines.Pages() > 1 || spare > 1 {
+		t.Fatalf("drained queue holds %d entries on %d pages, with %d spare", b.deadlines.Len(), b.deadlines.Pages(), spare)
 	}
 }
 

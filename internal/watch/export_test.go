@@ -1,5 +1,7 @@
 package watch
 
+import "liteworp/internal/flatmap"
+
 // AuditCounts counts the store answers an audit checked, by kind.
 type AuditCounts struct {
 	Record, Heard, HeardAny, Expect, Settled, SettledTrue, Waiting int
@@ -36,15 +38,15 @@ func Census() (take func() DeadlineCensus, stop func()) {
 		return s
 	}
 	take = func() DeadlineCensus {
-		c := DeadlineCensus{Guards: len(bufs), PageLen: pageSize}
+		c := DeadlineCensus{Guards: len(bufs), PageLen: flatmap.ShortPage}
 		logs := map[*Log]bool{}
 		for _, b := range bufs {
-			c.Slots += len(b.deadlines.pages) * pageSize
-			c.Queued += b.deadlines.len()
+			c.Slots += b.deadlines.Pages() * flatmap.ShortPage
+			c.Queued += b.deadlines.Len()
 			c.Waiting += b.Len()
 			if l := b.cfg.Log; !logs[l] {
 				logs[l] = true
-				c.Slots += len(l.deadlineSpare.pages) * pageSize
+				c.Slots += l.deadlineSpare.Len() * flatmap.ShortPage
 			}
 		}
 		return c

@@ -40,20 +40,13 @@ import (
 // the same event, order exactly: what the old incarnation recorded is
 // invisible to the new one.
 //
-// Entries live in a paged queue (see paged) in the order they were
-// opened, 256 to a page, and an entry's id is its position there. Each
-// write first pops the entries whose newest fact is older than the
+// Entries live in a paged queue (see flatmap.Indexed) in the order they
+// were opened, 256 to a page, and an entry's id is its position there.
+// Each write first pops the entries whose newest fact is older than the
 // longest CacheTTL of any guard that joined, so the log holds about one
 // CacheTTL of transmissions and needs no timer. Readers apply their own
-// CacheTTL to each fact.
-//
-// The index maps a (sender, key) pair to its newest entry. It is an
-// open-addressed table of 64-bit slots, each the low 32 bits of the pair's
-// hash beside the low 32 bits of the entry's id; the key itself is read
-// from the entry, and only when the hash bits match, so a probe that
-// misses touches nothing but the table. That keeps long probe runs cheap,
-// so the table grows only at 7/8 load. Entry ids whose low 32 bits are
-// zero are skipped, which leaves 0 free to mark an empty slot.
+// CacheTTL to each fact. The queue's index maps a (sender, key) pair to
+// its newest entry.
 //
 // A Log is not safe for concurrent use: one scenario's kernel drives it.
 type Log struct {
@@ -64,10 +57,7 @@ type Log struct {
 	seen   uint64        // k.Processed() when batch last advanced
 	seenAt time.Duration // the instant of the current batch
 
-	entries paged[entry, [logPageSize]entry] // by id; ids start at 1
-
-	slots []uint64 // index: hash tag and entry id (see slotOf), 0 for empty
-	n     int      // occupied slots
+	entries flatmap.Indexed[entry, [flatmap.LongPage]entry] // by id; ids start at 1
 
 	// The memo is the entry the last write used: every receiver of one
 	// delivery batch after the first finds its entry here.
@@ -83,15 +73,15 @@ type Log struct {
 	// keyed by entry id and receiver. overQ lists them in the order they
 	// were recorded; pop drops the leading ones whose entry has gone.
 	over  flatmap.Table[struct{}]
-	overQ paged[overflowRec, [pageSize]overflowRec]
+	overQ flatmap.Paged[overflowRec, [flatmap.ShortPage]overflowRec]
 
 	// Spare pages: one for the entries, and one deadline page for each
 	// guard buffer built on the log (see Buffer.deadlines), shared by all
 	// of them. A guard whose deadlines burst past its pages takes the
 	// pages other guards have drained. The overflow queue keeps none: on
 	// paper-n100 and flood-n400 no receiver was placed past the mask.
-	entrySpare    spares[[logPageSize]entry]
-	deadlineSpare spares[[pageSize]deadline]
+	entrySpare    flatmap.Spares[[flatmap.LongPage]entry]
+	deadlineSpare flatmap.Spares[[flatmap.ShortPage]deadline]
 }
 
 // entry is one transmission's heard facts (see Log). A fact whose batch
@@ -118,14 +108,11 @@ type overflowRec struct {
 	rx field.NodeID
 }
 
-// logMinSlots is the index's smallest table.
-const logMinSlots = 64
-
 // NewLog returns an empty log over kernel k, whose event count marks the
 // batches. It allocates nothing more until the first record.
 func NewLog(k *sim.Kernel) *Log {
-	l := &Log{k: k, entrySpare: spares[[logPageSize]entry]{max: 1}}
-	l.entries = paged[entry, [logPageSize]entry]{head: 1, next: 1, spares: &l.entrySpare}
+	l := &Log{k: k, entrySpare: flatmap.Spares[[flatmap.LongPage]entry]{Max: 1}}
+	l.entries.Init(1, &l.entrySpare)
 	return l
 }
 
@@ -192,19 +179,16 @@ func (l *Log) place(sender, rx field.NodeID, add bool) (int, bool) {
 func (l *Log) record(k flatmap.Key, own bool, pos int, rx field.NodeID, now time.Duration) {
 	b := l.stamp(now)
 	id := l.memoID
-	if k != l.memoKey || b != l.memoBatch || !l.entries.at(id).open(own, uint32(b)) {
+	if k != l.memoKey || b != l.memoBatch || !l.entries.At(id).open(own, uint32(b)) {
 		l.pop(now)
-		if len(l.slots) == 0 {
-			l.rehash(logMinSlots)
-		}
 		var slot uint64
-		id, slot = l.lookup(k)
-		if id == 0 || !l.entries.at(id).open(own, uint32(b)) {
+		id, slot = l.entries.Lookup(k)
+		if id == 0 || !l.entries.At(id).open(own, uint32(b)) {
 			id = l.push(k, id, slot)
 		}
 		l.memoKey, l.memoBatch, l.memoID = k, b, id
 	}
-	e := l.entries.at(id)
+	e := l.entries.At(id)
 	if own {
 		e.ownAt, e.ownBatch = now, uint32(b)
 		return
@@ -217,7 +201,7 @@ func (l *Log) record(k flatmap.Key, own bool, pos int, rx field.NodeID, now time
 	ok := flatmap.Key{Hi: id, Lo: uint64(rx)<<1 | 1}
 	if _, dup := l.over.Get(ok); !dup {
 		l.over.Put(ok, struct{}{})
-		_, r := l.overQ.push()
+		_, r := l.overQ.Push()
 		*r = overflowRec{id, rx}
 	}
 }
@@ -236,8 +220,8 @@ func (e *entry) open(own bool, b uint32) bool {
 // instant it expires. For a reception, pos is rx's place in the sender's
 // receiver list.
 func (l *Log) heard(k flatmap.Key, own bool, pos int, rx field.NodeID, inc uint64, ttl, now time.Duration) (time.Duration, bool) {
-	for id := l.newest(k); id != 0; {
-		e := l.entries.at(id)
+	for id, _ := l.entries.Lookup(k); id != 0; {
+		e := l.entries.At(id)
 		at, b := e.at, e.batch
 		if own {
 			at, b = e.ownAt, e.ownBatch
@@ -255,7 +239,7 @@ func (l *Log) heard(k flatmap.Key, own bool, pos int, rx field.NodeID, inc uint6
 				}
 			}
 		}
-		if e.prev == 0 || id-uint64(e.prev) < l.entries.head {
+		if e.prev == 0 || id-uint64(e.prev) < l.entries.Head() {
 			return 0, false
 		}
 		id -= uint64(e.prev)
@@ -264,23 +248,14 @@ func (l *Log) heard(k flatmap.Key, own bool, pos int, rx field.NodeID, inc uint6
 }
 
 // push opens a new entry for pair k, linked to its older entry prev (0:
-// none), and points the pair's index slot, slot (see lookup), at it.
+// none), and points the pair's index slot, slot (see Lookup), at it.
 func (l *Log) push(k flatmap.Key, prev, slot uint64) uint64 {
-	if prev == 0 && l.n >= len(l.slots)-len(l.slots)/8 {
-		l.rehash(2 * len(l.slots))
-		_, slot = l.lookup(k)
-	}
-	if uint32(l.entries.next) == 0 {
-		l.entries.push() // an unindexed blank: ids with zero low bits are skipped
-	}
-	id, e := l.entries.push()
+	id, e := l.entries.Push()
 	e.key = k
-	if prev == 0 {
-		l.n++
-	} else {
+	if prev != 0 {
 		e.prev = uint32(id - prev)
 	}
-	l.slots[slot] = slotOf(k.Hash(), id)
+	l.entries.Point(k, slot, id)
 	return id
 }
 
@@ -288,109 +263,19 @@ func (l *Log) push(k flatmap.Key, prev, slot uint64) uint64 {
 // under the log's ttl, with their index slots and overflow receptions.
 func (l *Log) pop(now time.Duration) {
 	q := &l.entries
-	for !q.empty() {
-		e := q.front()
-		if live(max(e.at, e.ownAt)+l.ttl, now) {
-			break
-		}
-		if e.batch != 0 || e.ownBatch != 0 {
-			l.unindex(e.key, q.head)
-		}
-		q.pop()
+	for !q.Empty() && !live(max(q.Front().at, q.Front().ownAt)+l.ttl, now) {
+		q.Drop()
 	}
-	h := l.overQ.head
-	for !l.overQ.empty() && l.overQ.front().id < q.head {
-		r := l.overQ.front()
+	h := l.overQ.Head()
+	for !l.overQ.Empty() && l.overQ.Front().id < q.Head() {
+		r := l.overQ.Front()
 		l.over.Delete(flatmap.Key{Hi: r.id, Lo: uint64(r.rx)<<1 | 1})
-		l.overQ.pop()
+		l.overQ.Pop()
 	}
-	if l.overQ.head != h {
+	if l.overQ.Head() != h {
 		l.over.Shrink()
 	}
-	if len(l.slots) > logMinSlots && l.n <= len(l.slots)/8 {
-		l.rehash(len(l.slots) / 2)
-	}
 }
 
-// slotOf packs an index slot: the low 32 bits of the pair's hash h, then
-// the low 32 bits of its entry's id.
-func slotOf(h, id uint64) uint64 { return h<<32 | id&(1<<32-1) }
-
-// idOf returns the live entry id whose low 32 bits are v.
-func (l *Log) idOf(v uint64) uint64 { return l.entries.head + uint64(uint32(v)-uint32(l.entries.head)) }
-
-// lookup returns pair k's newest entry, or 0, and the index slot that
-// holds it or would.
-func (l *Log) lookup(k flatmap.Key) (id, slot uint64) {
-	h := k.Hash()
-	tag, mask := uint32(h), uint64(len(l.slots)-1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		v := l.slots[i]
-		if v == 0 {
-			return 0, i
-		}
-		if uint32(v>>32) == tag {
-			if id := l.idOf(v); l.entries.at(id).key == k {
-				return id, i
-			}
-		}
-	}
-}
-
-// newest returns the newest entry of pair k, or 0.
-func (l *Log) newest(k flatmap.Key) uint64 {
-	if l.n == 0 {
-		return 0
-	}
-	id, _ := l.lookup(k)
-	return id
-}
-
-// unindex removes pair k's slot if it still names entry id, shifting the
-// rest of its probe chain back (see flatmap.Table's deleteAt).
-func (l *Log) unindex(k flatmap.Key, id uint64) {
-	mask := uint64(len(l.slots) - 1)
-	i := k.Hash() & mask
-	for uint32(l.slots[i]) != uint32(id) {
-		if l.slots[i] == 0 {
-			return
-		}
-		i = (i + 1) & mask
-	}
-	l.n--
-	for {
-		l.slots[i] = 0
-		j := i
-		for {
-			j = (j + 1) & mask
-			v := l.slots[j]
-			if v == 0 {
-				return
-			}
-			home := v >> 32 & mask
-			if (i <= j && i < home && home <= j) || (i > j && (i < home || home <= j)) {
-				continue
-			}
-			l.slots[i] = v
-			i = j
-			break
-		}
-	}
-}
-
-// rehash moves the index into a table of n slots.
-func (l *Log) rehash(n int) {
-	old := l.slots
-	l.slots = make([]uint64, n)
-	mask := uint64(n - 1)
-	for _, v := range old {
-		if v == 0 {
-			continue
-		}
-		i := v >> 32 & mask
-		for l.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		l.slots[i] = v
-	}
-}
+// Key returns the entry's pair, for the log's index.
+func (e entry) Key() flatmap.Key { return e.key }

@@ -52,8 +52,8 @@ func TestLogRetransmissionToOtherReceivers(t *testing.T) {
 	heard(1100*time.Millisecond, [3]bool{false, true, true})
 	heard(1400*time.Millisecond, [3]bool{false, false, false})
 	k.RunFor(450 * time.Millisecond)
-	if l.entries.len() != 2 {
-		t.Fatalf("two transmissions made %d entries, want 2", l.entries.len())
+	if l.entries.Len() != 2 {
+		t.Fatalf("two transmissions made %d entries, want 2", l.entries.Len())
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -140,8 +140,8 @@ func TestLogOwnSend(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if l.entries.len() != 1 {
-		t.Fatalf("an own send and its reception took %d entries, want 1", l.entries.len())
+	if l.entries.Len() != 1 {
+		t.Fatalf("an own send and its reception took %d entries, want 1", l.entries.Len())
 	}
 }
 
@@ -174,13 +174,13 @@ func TestLogReceiverPastMaskWidth(t *testing.T) {
 		}
 	})
 	k.RunFor(3 * time.Millisecond)
-	if l.entries.len() != 1 || l.over.Len() != 40-maskBits {
-		t.Fatalf("%d entries, %d overflow receptions; want 1 and %d", l.entries.len(), l.over.Len(), 40-maskBits)
+	if l.entries.Len() != 1 || l.over.Len() != 40-maskBits {
+		t.Fatalf("%d entries, %d overflow receptions; want 1 and %d", l.entries.Len(), l.over.Len(), 40-maskBits)
 	}
 	k.RunFor(2 * time.Second)
 	g[ids[0]].RecordHeard(11, kk)
-	if l.entries.len() != 1 || l.over.Len() != 0 || l.overQ.len() != 0 {
-		t.Fatalf("after expiry: %d entries, %d overflow receptions (%d queued)", l.entries.len(), l.over.Len(), l.overQ.len())
+	if l.entries.Len() != 1 || l.over.Len() != 0 || l.overQ.Len() != 0 {
+		t.Fatalf("after expiry: %d entries, %d overflow receptions (%d queued)", l.entries.Len(), l.over.Len(), l.overQ.Len())
 	}
 }
 

@@ -3,45 +3,46 @@ package watch
 import (
 	"math/rand"
 	"testing"
+
+	"liteworp/internal/flatmap"
 )
 
-// len returns the number of values q holds.
-func (q *paged[T, P]) len() int { return int(q.next - q.head) }
-
-// checkPages verifies q's pages: they hold the positions [head, next),
-// and no page more than those positions span, and the spares hold no more
-// than their max.
-func checkPages[T any, P page[T]](tb testing.TB, q *paged[T, P]) {
+// checkPages verifies q's pages, as the log and the guards use them: they
+// hold the positions [Head, Next), and no page more than those positions
+// span.
+func checkPages[T any, P flatmap.Page[T]](tb testing.TB, q *flatmap.Paged[T, P]) {
 	tb.Helper()
-	if q.head > q.next {
-		tb.Fatalf("head %d past next %d", q.head, q.next)
+	head, next := q.Head(), q.Next()
+	if head > next {
+		tb.Fatalf("head %d past next %d", head, next)
 	}
-	n := q.size()
+	var p P
+	n := uint64(len(p))
 	held := 0 // pages holding a value
-	if !q.empty() {
-		held = int((q.next-1)/n-q.head/n) + 1
+	if !q.Empty() {
+		held = int((next-1)/n-head/n) + 1
 	}
-	span := int((q.next+n-1)/n - q.head/n)
-	if len(q.pages) < held || len(q.pages) > span {
-		tb.Fatalf("%d pages for positions [%d, %d), want %d to %d", len(q.pages), q.head, q.next, held, span)
-	}
-	if s := q.spares; s != nil && len(s.pages) > s.max {
-		tb.Fatalf("%d spare pages, max %d", len(s.pages), s.max)
+	span := int((next+n-1)/n - head/n)
+	if q.Pages() < held || q.Pages() > span {
+		tb.Fatalf("%d pages for positions [%d, %d), want %d to %d", q.Pages(), head, next, held, span)
 	}
 }
 
 // TestPagedMatchesSlice drives a queue of 8-value pages with one spare
 // through random bursts of pushes and pops beside a plain slice: every
-// value read back at its position is the one the slice holds, and the
-// pages never outnumber what the values span.
+// value read back at its position is the one the slice holds, the pages
+// never outnumber what the values span, and the spares never pass their
+// max.
 func TestPagedMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	q := paged[uint64, [pageSize]uint64]{head: 5, next: 5, spares: &spares[[pageSize]uint64]{max: 1}}
-	var model []uint64 // the values at positions [q.head, q.next)
+	spare := flatmap.Spares[[flatmap.ShortPage]uint64]{Max: 1}
+	var q flatmap.Paged[uint64, [flatmap.ShortPage]uint64]
+	q.Init(5, &spare)
+	var model []uint64 // the values at positions [q.Head(), q.Next())
 	for step := 0; step < 2000; step++ {
 		if rng.Intn(2) == 0 {
 			for range rng.Intn(24) {
-				i, v := q.push()
+				i, v := q.Push()
 				if *v != 0 {
 					t.Fatalf("step %d: pushed position %d holds %d, want 0", step, i, *v)
 				}
@@ -49,21 +50,24 @@ func TestPagedMatchesSlice(t *testing.T) {
 				model = append(model, i*7)
 			}
 		} else {
-			for n := rng.Intn(24); n > 0 && !q.empty(); n-- {
-				if got := *q.front(); got != model[0] {
+			for n := rng.Intn(24); n > 0 && !q.Empty(); n-- {
+				if got := *q.Front(); got != model[0] {
 					t.Fatalf("step %d: front %d, want %d", step, got, model[0])
 				}
-				q.pop()
+				q.Pop()
 				model = model[1:]
 			}
 		}
 		checkPages(t, &q)
-		if q.len() != len(model) {
-			t.Fatalf("step %d: %d values, want %d", step, q.len(), len(model))
+		if spare.Len() > spare.Max {
+			t.Fatalf("step %d: %d spare pages, max %d", step, spare.Len(), spare.Max)
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: %d values, want %d", step, q.Len(), len(model))
 		}
 		for j, want := range model {
-			if got := *q.at(q.head + uint64(j)); got != want {
-				t.Fatalf("step %d: position %d holds %d, want %d", step, q.head+uint64(j), got, want)
+			if got := *q.At(q.Head() + uint64(j)); got != want {
+				t.Fatalf("step %d: position %d holds %d, want %d", step, q.Head()+uint64(j), got, want)
 			}
 		}
 	}
@@ -72,22 +76,22 @@ func TestPagedMatchesSlice(t *testing.T) {
 // TestPagedTrim: trim keeps the first k values and the pages that hold
 // their positions, and a push past them takes a fresh page.
 func TestPagedTrim(t *testing.T) {
-	var q paged[int, [pageSize]int]
-	for range 5 * pageSize {
-		q.push()
+	var q flatmap.Paged[int, [flatmap.ShortPage]int]
+	for range 5 * flatmap.ShortPage {
+		q.Push()
 	}
-	q.trim(pageSize + 1)
-	if q.len() != pageSize+1 || len(q.pages) != 2 {
-		t.Fatalf("after trim: %d values on %d pages, want %d on 2", q.len(), len(q.pages), pageSize+1)
+	q.Trim(flatmap.ShortPage + 1)
+	if q.Len() != flatmap.ShortPage+1 || q.Pages() != 2 {
+		t.Fatalf("after trim: %d values on %d pages, want %d on 2", q.Len(), q.Pages(), flatmap.ShortPage+1)
 	}
-	for range pageSize {
-		q.push()
+	for range flatmap.ShortPage {
+		q.Push()
 	}
-	if len(q.pages) != 3 {
-		t.Fatalf("%d values on %d pages, want 3", q.len(), len(q.pages))
+	if q.Pages() != 3 {
+		t.Fatalf("%d values on %d pages, want 3", q.Len(), q.Pages())
 	}
-	q.trim(0)
-	if !q.empty() || len(q.pages) != 0 {
-		t.Fatalf("trim(0) left %d values on %d pages", q.len(), len(q.pages))
+	q.Trim(0)
+	if !q.Empty() || q.Pages() != 0 {
+		t.Fatalf("trim(0) left %d values on %d pages", q.Len(), q.Pages())
 	}
 }

@@ -53,7 +53,7 @@ type logStore struct {
 	places []uint8
 
 	keys    flatmap.Table[int32]
-	recs    paged[guardRecord, [pageSize]guardRecord]
+	recs    flatmap.Paged[guardRecord, [flatmap.ShortPage]guardRecord]
 	nrecs   int32
 	sweepAt int32 // record count at which the next new record sweeps first
 
@@ -95,7 +95,7 @@ func newLogStore(b *Buffer) *logStore {
 		self:    b.cfg.Self,
 		inc:     b.cfg.Log.join(b.cfg.cacheTTL()),
 		ttl:     b.cfg.cacheTTL(),
-		sweepAt: pageSize,
+		sweepAt: flatmap.ShortPage,
 		memoRec: -1,
 	}
 }
@@ -105,7 +105,7 @@ func anyKey(key packet.Key) flatmap.Key {
 }
 
 // rec returns the record at recs position i.
-func (s *logStore) rec(i int32) *guardRecord { return s.recs.at(uint64(i)) }
+func (s *logStore) rec(i int32) *guardRecord { return s.recs.At(uint64(i)) }
 
 // lookup returns the recs position of k's record, or -1, through the memo.
 func (s *logStore) lookup(k flatmap.Key) int32 {
@@ -129,8 +129,8 @@ func (s *logStore) record(k flatmap.Key) *guardRecord {
 			s.sweepCaches()
 		}
 		ri = s.nrecs
-		if uint64(ri) == s.recs.next {
-			s.recs.push()
+		if uint64(ri) == s.recs.Next() {
+			s.recs.Push()
 		}
 		*s.rec(ri) = guardRecord{key: k}
 		s.nrecs++
@@ -352,12 +352,12 @@ func (s *logStore) sweepCaches() {
 			s.keys.Put(r.key, i)
 		}
 	}
-	s.sweepAt = max(2*s.nrecs, pageSize)
+	s.sweepAt = max(2*s.nrecs, flatmap.ShortPage)
 	if n == 0 {
 		return
 	}
 	s.memoKey = flatmap.Key{}
 	s.keys.ShrinkFor(int(s.sweepAt))
 	s.wide.Shrink()
-	s.recs.trim(uint64(s.sweepAt))
+	s.recs.Trim(uint64(s.sweepAt))
 }

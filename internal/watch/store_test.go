@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"liteworp/internal/field"
+	"liteworp/internal/flatmap"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
 )
@@ -368,17 +369,17 @@ func checkQueue(tb testing.TB, b *Buffer) {
 	tb.Helper()
 	q := &b.deadlines
 	checkPages(tb, q)
-	if !q.empty() && !b.store.waiting(q.front().fidx, q.front().key) {
-		tb.Fatalf("queue head %+v is not waiting", *q.front())
+	if !q.Empty() && !b.store.waiting(q.Front().fidx, q.Front().key) {
+		tb.Fatalf("queue head %+v is not waiting", *q.Front())
 	}
 	waiting := 0
-	for i := q.head; i < q.next; i++ {
-		if d := q.at(i); b.store.waiting(d.fidx, d.key) {
+	for i := q.Head(); i < q.Next(); i++ {
+		if d := q.At(i); b.store.waiting(d.fidx, d.key) {
 			waiting++
 		}
 	}
 	if waiting != b.Len() {
-		tb.Fatalf("queue of %d entries holds %d waiting, want %d", q.len(), waiting, b.Len())
+		tb.Fatalf("queue of %d entries holds %d waiting, want %d", q.Len(), waiting, b.Len())
 	}
 }
 
@@ -421,46 +422,36 @@ func FuzzWatchStoreEquivalence(f *testing.F) {
 }
 
 // checkLog verifies the log's bookkeeping: the pages hold the entries,
-// every index slot names a held entry that is the newest of its pair,
-// every held entry with a fact is on its pair's chain, and the overflow
-// set holds one key per queued overflow reception.
+// every pair with a held entry is indexed at its newest one, every held
+// entry is on its pair's chain, and the overflow set holds one key per
+// queued overflow reception.
 func checkLog(t *testing.T, l *Log) {
 	t.Helper()
 	q := &l.entries
-	checkPages(t, q)
+	checkPages(t, &q.Paged)
 	checkPages(t, &l.overQ)
-	n := 0
-	for _, v := range l.slots {
-		if v == 0 {
-			continue
-		}
-		n++
-		id := l.idOf(v)
-		if id < q.head || id >= q.next {
-			t.Fatalf("index names entry %d outside [%d, %d)", id, q.head, q.next)
-		}
-		if got := l.newest(q.at(id).key); got != id {
-			t.Fatalf("index slot for entry %d finds %d", id, got)
-		}
+	newest := map[flatmap.Key]uint64{}
+	for id := q.Head(); id < q.Next(); id++ {
+		newest[q.At(id).key] = id
 	}
-	if n != l.n {
-		t.Fatalf("%d index slots occupied, n says %d", n, l.n)
+	if len(newest) != q.Keys() {
+		t.Fatalf("%d pairs held, the index has %d", len(newest), q.Keys())
 	}
-	for id := q.head; id < q.next; id++ {
-		e := q.at(id)
-		if e.batch == 0 && e.ownBatch == 0 {
-			continue
+	for id := q.Head(); id < q.Next(); id++ {
+		k := q.At(id).key
+		c, _ := q.Lookup(k)
+		if c != newest[k] {
+			t.Fatalf("index names entry %d for entry %d's pair, want %d", c, id, newest[k])
 		}
-		c := l.newest(e.key)
-		for c > id && q.at(c).prev != 0 {
-			c -= uint64(q.at(c).prev)
+		for c > id && q.At(c).prev != 0 {
+			c -= uint64(q.At(c).prev)
 		}
 		if c != id {
 			t.Fatalf("entry %d is not on its pair's chain", id)
 		}
 	}
-	if l.over.Len() != l.overQ.len() {
-		t.Fatalf("overflow set holds %d receptions, queue %d", l.over.Len(), l.overQ.len())
+	if l.over.Len() != l.overQ.Len() {
+		t.Fatalf("overflow set holds %d receptions, queue %d", l.over.Len(), l.overQ.Len())
 	}
 }
 
@@ -523,7 +514,7 @@ func TestLogAccounting(t *testing.T) {
 			}
 		})
 		k.RunFor(time.Duration(1+rng.Intn(10)) * time.Millisecond)
-		peakPages = max(peakPages, len(l.entries.pages))
+		peakPages = max(peakPages, l.entries.Pages())
 		checkLog(t, l)
 		now := k.Now()
 		for f, exp := range model {
@@ -541,9 +532,9 @@ func TestLogAccounting(t *testing.T) {
 	k.RunFor(ttl)
 	rec(1, 2, key(1, 1))
 	checkLog(t, l)
-	if l.entries.len() != 1 || len(l.entries.pages) != 1 || len(l.slots) != logMinSlots || l.over.Len() != 0 || peakPages < 2 {
+	if l.entries.Len() != 1 || l.entries.Pages() != 1 || l.entries.Slots() != 16 || l.over.Len() != 0 || peakPages < 2 {
 		t.Fatalf("after everything expired: %d entries on %d pages (peak %d), %d index slots, %d overflow receptions",
-			l.entries.len(), len(l.entries.pages), peakPages, len(l.slots), l.over.Len())
+			l.entries.Len(), l.entries.Pages(), peakPages, l.entries.Slots(), l.over.Len())
 	}
 }
 

@@ -23,10 +23,11 @@
 // deadline), and its MalC records.
 //
 // The log's entries and overflow receptions and each guard's deadlines
-// and records live in one container, paged (paged.go): a FIFO of
+// and records live in one container, flatmap.Paged: a FIFO of
 // fixed-length pages addressed by position, which gives the pages it
 // empties to a pool of spares and takes pages from there before it
-// allocates. The log's entries sit 256 to a page, and an entry's id is its
+// allocates. The log's entries sit 256 to a page, in a flatmap.Indexed
+// queue whose index finds a pair's newest entry, and an entry's id is its
 // position; the rest sit 8 to a page. The guards on one log pool their
 // spare deadline pages, one page per guard. So a guard's deadlines hold
 // the entries queued and the unused ends of their first and last pages,
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	"liteworp/internal/field"
+	"liteworp/internal/flatmap"
 	"liteworp/internal/neighbor"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
@@ -189,7 +191,7 @@ type Buffer struct {
 	// it dispatches to onDeadline, the buffer's prebound expire.
 	timer      sim.Timer
 	onDeadline sim.Event
-	deadlines  paged[deadline, [pageSize]deadline]
+	deadlines  flatmap.Paged[deadline, [flatmap.ShortPage]deadline]
 
 	// malcs holds the MalC records in first-accused order: a guard accuses
 	// few nodes, so a scan finds a record.
@@ -225,8 +227,8 @@ func newWithStore(k sim.Clock, cfg Config, store func(*Buffer) storeBackend, onA
 		onThreshold: onThreshold,
 	}
 	// The guards on a log pool their spare deadline pages, one each.
-	b.deadlines.spares = &cfg.Log.deadlineSpare
-	cfg.Log.deadlineSpare.max++
+	b.deadlines.Init(0, &cfg.Log.deadlineSpare)
+	cfg.Log.deadlineSpare.Max++
 	b.store = store(b)
 	if wrapStore != nil {
 		b.store = wrapStore(b, b.store)
@@ -315,7 +317,7 @@ func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 	b.stats.Matches++
 	// The head is waiting, and the store held one expectation on (sidx,
 	// key): if the head is on (sidx, key), it is the entry just met.
-	if d := b.deadlines.front(); d.fidx == sidx && d.key == key {
+	if d := b.deadlines.Front(); d.fidx == sidx && d.key == key {
 		b.timer.Cancel()
 		b.popHead()
 	}
@@ -360,8 +362,8 @@ func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
 	if b.store.settled(fidx, key, now) || !b.store.expect(fidx, key, now) {
 		return false
 	}
-	idle := b.deadlines.empty()
-	_, d := b.deadlines.push()
+	idle := b.deadlines.Empty()
+	_, d := b.deadlines.Push()
 	*d = deadline{at: now + b.cfg.Timeout, seq: b.kernel.Reserve(), key: key, fidx: fidx}
 	if idle {
 		b.armHead()
@@ -385,9 +387,9 @@ func (b *Buffer) Settled(fidx int32, key packet.Key) bool {
 // re-arms the timer for the new head, the oldest entry still waiting.
 func (b *Buffer) popHead() {
 	q := &b.deadlines
-	q.pop()
-	for !q.empty() && !b.store.waiting(q.front().fidx, q.front().key) {
-		q.pop()
+	q.Pop()
+	for !q.Empty() && !b.store.waiting(q.Front().fidx, q.Front().key) {
+		q.Pop()
 	}
 	b.armHead()
 }
@@ -398,8 +400,8 @@ func (b *Buffer) popHead() {
 // have: after every event scheduled for that instant before the entry was
 // armed, before every one scheduled after.
 func (b *Buffer) armHead() {
-	if !b.deadlines.empty() {
-		d := b.deadlines.front()
+	if !b.deadlines.Empty() {
+		d := b.deadlines.Front()
 		b.timer = b.kernel.AtSeq(d.at, d.seq, b.onDeadline)
 	}
 }
@@ -409,7 +411,7 @@ func (b *Buffer) armHead() {
 // for the next waiting entry before the accusation, whose callbacks may
 // arm new entries.
 func (b *Buffer) expire() {
-	d := *b.deadlines.front()
+	d := *b.deadlines.Front()
 	b.store.clearExpect(d.fidx, d.key)
 	b.popHead()
 	forwarder := b.idx.ID(d.fidx)

@@ -154,7 +154,7 @@ func TestForwardedSuppressesReExpect(t *testing.T) {
 	if !b.RecordHeard(5, key(1, 1)) {
 		t.Fatal("overheard forward did not satisfy the expectation")
 	}
-	if n := b.store.(*logStore).log.entries.len(); n != 1 {
+	if n := b.store.(*logStore).log.entries.Len(); n != 1 {
 		t.Fatalf("the log holds %d entries after one forward, want 1", n)
 	}
 	if b.Expect(5, key(1, 1)) {
