@@ -43,6 +43,7 @@ type harness struct {
 	kernel  *sim.Kernel
 	topo    *field.Field
 	med     *medium.Medium
+	cfg     Config
 	routers map[field.NodeID]*Router
 }
 
@@ -61,20 +62,27 @@ func newHarness(t testing.TB, topo *field.Field, seed int64, cfg Config, events 
 	t.Helper()
 	k := sim.New(seed)
 	med := medium.New(k, topo, medium.Config{BandwidthBps: 250_000})
-	h := &harness{kernel: k, topo: topo, med: med, routers: make(map[field.NodeID]*Router)}
+	h := &harness{kernel: k, topo: topo, med: med, cfg: cfg, routers: make(map[field.NodeID]*Router)}
 	for _, id := range topo.IDs() {
 		id := id
 		var ev Events
 		if events != nil {
 			ev = events(id)
 		}
-		rt := newRouter(k, id, cfg, med.Broadcast, ev)
-		h.routers[id] = rt
-		if err := med.Attach(id, func(p *packet.Packet) { dispatch(rt, p) }); err != nil {
+		h.routers[id] = newRouter(k, id, cfg, med.Broadcast, ev)
+		if err := med.Attach(id, func(p *packet.Packet) { dispatch(h.routers[id], p) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return h
+}
+
+// reboot replaces id's router with a new incarnation, which from now on
+// receives every frame the node hears. The old router keeps nothing but
+// its pending timers, which no longer reach the air through the node.
+func (h *harness) reboot(id field.NodeID) *Router {
+	h.routers[id] = newRouter(h.kernel, id, h.cfg, h.med.Broadcast, Events{})
+	return h.routers[id]
 }
 
 // dispatch is the minimal node layer: route REQ floods and frames addressed
