@@ -60,7 +60,7 @@ func (c CostParams) NeighborListEntries() float64 {
 // 5*NBL + 4*NBL^2 (the paper's half-kilobyte example holds either way).
 func (c CostParams) NeighborListBytes() float64 {
 	nbl := c.NeighborListEntries()
-	return 5*nbl + 4*nbl*nbl
+	return float64(5*nbl) + float64(4*nbl*nbl)
 }
 
 // AlertBufferBytes returns the alert buffer size: gamma 4-byte entries.
@@ -98,7 +98,7 @@ func (c CostParams) PacketsWatchedPerUnit() float64 {
 	if c.TotalNodes <= 0 {
 		return 0
 	}
-	per := c.NodesWatchingReply() / float64(c.TotalNodes) * c.RouteRate
+	per := float64(c.NodesWatchingReply() / float64(c.TotalNodes) * c.RouteRate)
 	if c.WatchRequests {
 		per *= 2
 	}
@@ -121,7 +121,7 @@ func (c CostParams) WatchBufferBytes() float64 {
 
 // TotalMemoryBytes sums the LITEWORP storage at one node.
 func (c CostParams) TotalMemoryBytes() float64 {
-	return c.NeighborListBytes() + c.AlertBufferBytes() + c.WatchBufferBytes()
+	return float64(c.NeighborListBytes()) + float64(c.AlertBufferBytes()) + float64(c.WatchBufferBytes())
 }
 
 // CostReport is a rendered cost-analysis row set.

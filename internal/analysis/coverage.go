@@ -33,7 +33,7 @@ func BinomialTail(n, k int, p float64) float64 {
 	}
 	total := 0.0
 	for i := k; i <= n; i++ {
-		total += math.Exp(logChoose(n, i) + float64(i)*math.Log(p) + float64(n-i)*math.Log1p(-p))
+		total += math.Exp(logChoose(n, i) + float64(float64(i)*math.Log(p)) + float64(float64(n-i)*math.Log1p(-p)))
 	}
 	if total > 1 {
 		total = 1
@@ -67,7 +67,7 @@ func RegularizedIncompleteBeta(x, a, b float64) float64 {
 	la, _ := math.Lgamma(a + b)
 	lb, _ := math.Lgamma(a)
 	lc, _ := math.Lgamma(b)
-	front := math.Exp(la - lb - lc + a*math.Log(x) + b*math.Log1p(-x))
+	front := math.Exp(la - lb - lc + float64(a*math.Log(x)) + float64(b*math.Log1p(-x)))
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(x, a, b) / a
 	}
@@ -94,7 +94,7 @@ func betaCF(x, a, b float64) float64 {
 	for m := 1; m <= maxIter; m++ {
 		m2 := 2 * m
 		aa := float64(m) * (b - float64(m)) * x / ((qam + float64(m2)) * (a + float64(m2)))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -105,7 +105,7 @@ func betaCF(x, a, b float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + float64(m2)) * (qap + float64(m2)))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -114,7 +114,7 @@ func betaCF(x, a, b float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break

@@ -85,7 +85,7 @@ func (d *zscoreDetector) Announcement(from field.NodeID, degree int) {
 		return
 	}
 	mean := float64(d.sum) / float64(d.n)
-	variance := float64(d.sumsq)/float64(d.n) - mean*mean
+	variance := float64(d.sumsq)/float64(d.n) - float64(mean*mean)
 	if variance <= 0 {
 		return // a uniform population has no outliers
 	}

@@ -220,7 +220,7 @@ func RandomPlan(rng *rand.Rand, cfg RandomConfig) (*Plan, error) {
 		cfg.SpikeLoss = 0.3
 	}
 	jitter := func(mean time.Duration) time.Duration {
-		d := time.Duration((0.5 + rng.Float64()) * float64(mean))
+		d := time.Duration((0.5 + float64(rng.Float64())) * float64(mean))
 		if d <= 0 {
 			// A sub-nanosecond mean must not truncate to 0: a zero crash
 			// outage means fail-stop (no auto-reboot), not "reboot at once".

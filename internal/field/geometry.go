@@ -21,7 +21,7 @@ func LensArea(x, r float64) float64 {
 	if x >= 2*r {
 		return 0
 	}
-	return 2*r*r*math.Acos(x/(2*r)) - (x/2)*math.Sqrt(4*r*r-x*x)
+	return float64(2*r*r*math.Acos(x/(2*r))) - float64((x/2)*math.Sqrt(float64(4*r*r)-float64(x*x)))
 }
 
 // MinGuardArea returns the minimum guard area over neighbor links, reached
@@ -48,14 +48,14 @@ func ExpectedGuardArea(r float64) float64 {
 	}
 	const steps = 2000 // even
 	h := r / steps
-	integrand := func(x float64) float64 { return LensArea(x, r) * LinkDistancePDF(x, r) }
+	integrand := func(x float64) float64 { return float64(LensArea(x, r) * LinkDistancePDF(x, r)) }
 	sum := integrand(0) + integrand(r)
 	for i := 1; i < steps; i++ {
-		x := float64(i) * h
+		x := float64(float64(i) * h)
 		if i%2 == 1 {
-			sum += 4 * integrand(x)
+			sum += float64(4 * integrand(x))
 		} else {
-			sum += 2 * integrand(x)
+			sum += float64(2 * integrand(x))
 		}
 	}
 	return sum * h / 3

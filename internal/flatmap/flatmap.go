@@ -1,5 +1,6 @@
 // Package flatmap provides the flat containers behind the watch layer's
-// records and reception log and the router's REQ-suppression caches.
+// records and reception log and the routing layer's REQ-suppression
+// table.
 //
 // Table is an open-addressed hash table: power-of-two capacity, linear
 // probing, and tombstone-free deletion by backward shift. It exists
@@ -17,9 +18,10 @@
 // empties through a bounded pool of spares, and Indexed adds to it an
 // index from a key to the position of its newest value, in 64-bit slots
 // that hold a hash tag and a position rather than the key (paged.go).
-// The reception log keeps its entries in one, and each router keeps its
-// REQ marks in two: records that expire in the order they were made, so
-// dropping the dead ones is popping the head.
+// The reception log keeps its entries in one, and a scenario's
+// REQ-suppression table its floods in another: records that expire about
+// in the order they were made, so dropping the dead ones is popping the
+// head.
 //
 // Keys are 128-bit values with one invariant the caller must uphold:
 // a live key's Lo word is never zero. This frees the all-zero slot to act

@@ -107,7 +107,7 @@ func (a *MeanVar) Add(x float64) {
 	a.total += x
 	d := x - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.m2 += float64(d * (x - a.mean))
 }
 
 // N returns how many values were added.

@@ -57,6 +57,9 @@ type Deps struct {
 	// Log is the scenario's reception log, which every LITEWORP guard
 	// shares. Only a scenario without LITEWORP leaves it nil.
 	Log *watch.Log
+	// Floods is the scenario's REQ-suppression table, which every router
+	// incarnation shares.
+	Floods *routing.Floods
 	// MaliciousSet is ground truth for metrics classification (false
 	// accusations, wormhole routes). Nil means "no malicious nodes".
 	MaliciousSet map[field.NodeID]bool
@@ -133,6 +136,9 @@ func (n *Node) buildStack() {
 	rcfg.Index = n.table.Index()
 	// Routed frames come from the medium's pool, which every node shares.
 	rcfg.Frames = n.deps.Medium.Frames()
+	// Every incarnation marks floods in the scenario's one table, which
+	// clears the node's old marks as the router joins it.
+	rcfg.Floods = n.deps.Floods
 	n.router = routing.New(n.scope, n.id, rcfg, n.transmit, n.routerEvents())
 }
 

@@ -44,8 +44,9 @@ func testConfig(liteworp bool) Config {
 }
 
 // testDeps returns the facilities a scenario would share among its nodes:
-// a key server, a collector, one reception log, the topology, and trace
-// hooks that discard what they observe. It marks no node malicious.
+// a key server, a collector, one reception log, one flood table, the
+// topology, and trace hooks that discard what they observe. It marks no
+// node malicious.
 func testDeps(k *sim.Kernel, med *medium.Medium, f *field.Field) Deps {
 	return Deps{
 		Kernel:       k,
@@ -53,6 +54,7 @@ func testDeps(k *sim.Kernel, med *medium.Medium, f *field.Field) Deps {
 		Keys:         keys.NewKeyServer(5),
 		Collector:    metrics.NewCollector(),
 		Log:          watch.NewLog(k),
+		Floods:       routing.NewFloods(1),
 		Topo:         f,
 		OnAlertRetry: func(_, _, _ field.NodeID, _ int) {},
 		OnAccusation: func(field.NodeID, watch.Accusation) {},

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"liteworp/internal/field"
-	"liteworp/internal/flatmap"
 	"liteworp/internal/neighbor"
 	"liteworp/internal/ordered"
 	"liteworp/internal/packet"
@@ -31,7 +30,8 @@ const (
 	// payloads are discarded and counted in Stats.SendsFailed, and the
 	// next Send to the destination starts a fresh discovery.
 	requestTimeout = 3 * time.Second
-	// seenTTL bounds the duplicate-suppression cache for flooded REQs.
+	// seenTTL is how long a node suppresses the copies of a REQ flood it
+	// has marked (see Floods).
 	seenTTL = 30 * time.Second
 	// maxQueue bounds payloads queued per destination while discovery
 	// is in progress.
@@ -81,6 +81,9 @@ type Config struct {
 	// which the router takes every frame it sends; a frame always goes
 	// back to the pool it came from (see packet.Pool).
 	Frames *packet.Pool
+	// Floods is the scenario's REQ-suppression table, shared by every
+	// router; each incarnation joins it afresh.
+	Floods *Floods
 }
 
 // Events are the observation hooks; every field is required.
@@ -153,12 +156,11 @@ type Router struct {
 	seq       uint64
 	cache     map[field.NodeID]*cachedRoute
 	discovery map[field.NodeID]*discoveryState
-	// seenReq/repliedReq are the REQ duplicate-suppression caches (see
-	// suppression): the floods this node has forwarded or answered in the
-	// last seenTTL.
-	seenReq    suppression
-	repliedReq suppression
-	forward    map[field.NodeID]*hopEntry // HopByHop: dest -> next hop
+	// floods is the scenario's REQ-suppression table, in which this
+	// incarnation marks the floods it originates or first hears at slot.
+	floods  *Floods
+	slot    int
+	forward map[field.NodeID]*hopEntry // HopByHop: dest -> next hop
 	// sendFails counts consecutive unicast failures per next hop, dense by
 	// the shared neighbor index.
 	idx       *neighbor.Index
@@ -203,66 +205,15 @@ func New(k sim.Clock, self field.NodeID, cfg Config, send func(*packet.Packet) e
 		cache:     make(map[field.NodeID]*cachedRoute),
 		discovery: make(map[field.NodeID]*discoveryState),
 		forward:   make(map[field.NodeID]*hopEntry),
+		floods:    cfg.Floods,
 	}
-	r.seenReq.init()
-	r.repliedReq.init()
+	r.slot = r.floods.join(self)
 	return r
 }
 
 // Index returns the dense neighbor index the router keys its per-next-hop
 // state by.
 func (r *Router) Index() *neighbor.Index { return r.idx }
-
-// seenKey packs a packet identity for the suppression caches.
-func seenKey(k packet.Key) flatmap.Key {
-	return flatmap.PackKey(uint32(k.Origin), k.Seq, uint8(k.Type))
-}
-
-// suppression is a REQ duplicate-suppression cache: the packet identities
-// marked in the last seenTTL. Every mark lives exactly seenTTL, so marks
-// expire in the order they were made. They go in a FIFO, and each add
-// first drops the marks dead by then, so the cache holds only live floods
-// and needs no timer and no sweep. The FIFO's index finds a key's newest
-// mark: marking a key that is still live (a rebooted origin reusing a seq)
-// supersedes the old mark, which stays queued, unindexed, until it expires.
-// One spare page per cache lets a steady flood rate cycle its pages
-// without allocating.
-type suppression struct {
-	marks flatmap.Indexed[mark, [flatmap.ShortPage]mark]
-	spare flatmap.Spares[[flatmap.ShortPage]mark]
-}
-
-// mark is one flood's suppression: its identity and the instant it ends.
-type mark struct {
-	key flatmap.Key
-	exp time.Duration
-}
-
-// Key returns the mark's packet identity, for the cache's index.
-func (m mark) Key() flatmap.Key { return m.key }
-
-func (c *suppression) init() {
-	c.spare.Max = 1
-	c.marks.Init(1, &c.spare)
-}
-
-// add marks k at now, live until now+seenTTL.
-func (c *suppression) add(k flatmap.Key, now time.Duration) {
-	q := &c.marks
-	for !q.Empty() && q.Front().exp <= now {
-		q.Drop()
-	}
-	_, slot := q.Lookup(k)
-	pos, m := q.Push()
-	*m = mark{k, now + seenTTL}
-	q.Point(k, slot, pos)
-}
-
-// live reports whether k is marked and its newest mark is live at now.
-func (c *suppression) live(k flatmap.Key, now time.Duration) bool {
-	pos, _ := c.marks.Lookup(k)
-	return pos != 0 && now < c.marks.At(pos).exp
-}
 
 // unicast transmits an addressed frame and keeps the dead next-hop
 // accounting: the medium's error return models the MAC ACK timeout, so N
@@ -506,18 +457,21 @@ func (ds *discoveryState) timeout() {
 }
 
 func (r *Router) markSeen(k packet.Key) {
-	r.seenReq.add(seenKey(k), r.kernel.Now())
+	r.floods.add(floodKey(k), r.slot, r.kernel.Now())
 }
 
 // HandleRouteRequest processes a REQ heard from the channel. The node layer
 // calls it only for frames that passed its acceptance checks.
 func (r *Router) HandleRouteRequest(p *packet.Packet) {
 	k := p.Key()
-	if r.seenReq.live(seenKey(k), r.kernel.Now()) {
+	if r.floods.live(floodKey(k), r.slot, r.kernel.Now()) {
 		return // "each node broadcasts only the first route request"
 	}
 	r.markSeen(k)
 	if p.FinalDest == r.self {
+		// Only the first copy gets here, so the destination answers each
+		// flood once: the first arrival defines the chosen (fastest) path,
+		// which is also how the wormhole captures routes.
 		r.answerRequest(p)
 		return
 	}
@@ -576,16 +530,6 @@ func (f *pendingForward) send() {
 }
 
 func (r *Router) answerRequest(p *packet.Packet) {
-	// Reply only to the first copy of each request: the first arrival
-	// defines the chosen (fastest) path, which is also how the wormhole
-	// captures routes.
-	rk := packet.Key{Type: packet.TypeRouteReply, Origin: p.Origin, Seq: p.Seq}
-	now := r.kernel.Now()
-	if r.repliedReq.live(seenKey(rk), now) {
-		return
-	}
-	r.repliedReq.add(seenKey(rk), now)
-
 	if len(p.Route) == 0 {
 		return // the full route would not reach back to a previous hop
 	}

@@ -17,8 +17,9 @@ const testRouteTimeout = 50 * time.Second
 
 // newRouter builds a router on a test's partial configuration: a zero
 // RouteTimeout takes testRouteTimeout, and the router gets a neighbor
-// index and a frame pool of its own unless the test hands it the medium's;
-// a hook the test leaves unset observes nothing.
+// index and a frame pool of its own unless the test hands it the medium's,
+// and a flood table of its own unless the test hands it a shared one; a
+// hook the test leaves unset observes nothing.
 func newRouter(k *sim.Kernel, self field.NodeID, cfg Config, send func(*packet.Packet) error, ev Events) *Router {
 	if cfg.RouteTimeout == 0 {
 		cfg.RouteTimeout = testRouteTimeout
@@ -28,6 +29,9 @@ func newRouter(k *sim.Kernel, self field.NodeID, cfg Config, send func(*packet.P
 	}
 	if cfg.Frames == nil {
 		cfg.Frames = new(packet.Pool)
+	}
+	if cfg.Floods == nil {
+		cfg.Floods = NewFloods(self)
 	}
 	if ev.RouteEstablished == nil {
 		ev.RouteEstablished = func(field.NodeID, []field.NodeID) {}
@@ -62,6 +66,7 @@ func newHarness(t testing.TB, topo *field.Field, seed int64, cfg Config, events 
 	t.Helper()
 	k := sim.New(seed)
 	med := medium.New(k, topo, medium.Config{BandwidthBps: 250_000})
+	cfg.Floods = NewFloods(topo.IDs()[0])
 	h := &harness{kernel: k, topo: topo, med: med, cfg: cfg, routers: make(map[field.NodeID]*Router)}
 	for _, id := range topo.IDs() {
 		id := id

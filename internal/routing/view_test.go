@@ -139,8 +139,8 @@ func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 	}
 	held := func(want int, when string) {
 		t.Helper()
-		if got := r.seenReq.marks.Len(); got != want || r.seenReq.marks.Keys() != want {
-			t.Fatalf("%s: %d marks for %d keys, want %d", when, got, r.seenReq.marks.Keys(), want)
+		if got := r.floods.floods.Len(); got != want || r.floods.floods.Keys() != want {
+			t.Fatalf("%s: %d floods for %d keys, want %d", when, got, r.floods.floods.Keys(), want)
 		}
 	}
 
@@ -164,61 +164,87 @@ func TestSeenReqSweptBeforeGrowth(t *testing.T) {
 	held(2, "after the next add")
 }
 
-// heldBytes returns the bytes c holds: its pages, its spare page and its
-// index.
-func heldBytes(c *suppression) int {
-	page := int(unsafe.Sizeof([flatmap.ShortPage]mark{}))
-	return (c.marks.Pages()+c.spare.Len())*page + c.marks.Slots()*int(unsafe.Sizeof(uint64(0)))
+// heldBytes returns the bytes f holds: its pages, its spare page, its
+// index, and the slot arrays of the floods held and of the spare list.
+func heldBytes(f *Floods) int {
+	page := int(unsafe.Sizeof([flatmap.ShortPage]flood{}))
+	b := (f.floods.Pages()+f.spare.Len())*page + f.floods.Slots()*int(unsafe.Sizeof(uint64(0)))
+	b += cap(f.free) * int(unsafe.Sizeof([]uint32{}))
+	for _, m := range f.free {
+		b += 4 * cap(m)
+	}
+	for pos := f.floods.Head(); pos < f.floods.Next(); pos++ {
+		b += 4 * cap(f.floods.At(pos).marks)
+	}
+	return b
 }
 
-// TestSuppressionTablesBounded: a router fed REQs from many origins for
-// six seenTTLs, a quarter of them addressed to it, holds only the live
-// marks in each suppression cache, in at most 48 bytes per live mark plus
-// four pages, with no timer reclaiming them. (The hash tables these caches
-// replaced allowed eight 24-byte slots per live entry.)
+// TestSuppressionTablesBounded: four routers that share a table, fed REQs
+// from many origins for six seenTTLs, a quarter of them addressed to the
+// first, hold each live flood exactly once, with no timer reclaiming the
+// dead ones. At 200 live floods the table holds them on 25 or 26 pages of
+// eight 56-byte entries, one of them its spare when it holds 25, behind a
+// 256-slot index (the smallest power of two at no more than 7/8 load), and
+// each flood's four slots in one 16-byte array, with no spare array: at
+// most 16,920 bytes, 85 per live flood. The per-router caches it replaced
+// held a 24-byte mark per router and flood, 96 B for four routers, plus a
+// spare page and an index each, and a reply cache beside them.
 func TestSuppressionTablesBounded(t *testing.T) {
 	k := sim.New(1)
 	const ttl = seenTTL
 	const gap = ttl / 200 // 200 REQs live at a time
-	r := newRouter(k, 2, Config{}, func(*packet.Packet) error { return nil }, Events{})
-	page := int(unsafe.Sizeof([flatmap.ShortPage]mark{}))
-	bound := func(live int) int { return 48*live + 4*page }
-	peakSeen, peakReplied := 0, 0
+	floods := NewFloods(2)
+	var routers []*Router
+	for id := field.NodeID(2); id <= 5; id++ {
+		routers = append(routers, newRouter(k, id, Config{Floods: floods}, func(*packet.Packet) error { return nil }, Events{}))
+	}
+	page := int(unsafe.Sizeof([flatmap.ShortPage]flood{}))
+	peak := 0
 	for i := 0; k.Now() < 6*ttl; i++ {
 		dest := field.NodeID(8)
 		if i%4 == 0 {
 			dest = 2
 		}
 		origin := field.NodeID(100 + i%300)
-		r.HandleRouteRequest(&packet.Packet{
-			Type:      packet.TypeRouteRequest,
-			Seq:       uint64(i),
-			Origin:    origin,
-			FinalDest: dest,
-			Sender:    origin,
-			Receiver:  packet.Broadcast,
-			Route:     []field.NodeID{origin},
-		})
+		for _, r := range routers {
+			r.HandleRouteRequest(&packet.Packet{
+				Type:      packet.TypeRouteRequest,
+				Seq:       uint64(i),
+				Origin:    origin,
+				FinalDest: dest,
+				Sender:    origin,
+				Receiver:  packet.Broadcast,
+				Route:     []field.NodeID{origin},
+			})
+		}
 		k.RunFor(gap)
 		if k.Now() < ttl {
 			continue // still filling
 		}
 		const live = int(ttl / gap)
-		if n := r.seenReq.marks.Len(); n != live {
-			t.Fatalf("at %v: seenReq holds %d marks, %d live", k.Now(), n, live)
+		if n := floods.floods.Len(); n != live {
+			t.Fatalf("at %v: the table holds %d floods, %d live", k.Now(), n, live)
 		}
-		if n := r.repliedReq.marks.Len(); n > live/4+1 {
-			t.Fatalf("at %v: repliedReq holds %d marks, %d live", k.Now(), n, live/4)
+		if p := floods.floods.Pages() + floods.spare.Len(); p > live/8+1 {
+			t.Fatalf("at %v: %d pages with the spare, want at most %d", k.Now(), p, live/8+1)
 		}
-		if b := heldBytes(&r.seenReq); b > bound(live) {
-			t.Fatalf("at %v: seenReq holds %d bytes for %d live marks", k.Now(), b, live)
+		if n := floods.floods.Slots(); n != 256 {
+			t.Fatalf("at %v: %d index slots for %d floods, want 256", k.Now(), n, live)
 		}
-		if b := heldBytes(&r.repliedReq); b > bound(live/4) {
-			t.Fatalf("at %v: repliedReq holds %d bytes for %d live marks", k.Now(), b, live/4)
+		if len(floods.free) != 0 {
+			t.Fatalf("at %v: %d spare slot arrays at a steady flood rate", k.Now(), len(floods.free))
 		}
-		peakSeen, peakReplied = max(peakSeen, r.seenReq.marks.Len()), max(peakReplied, r.repliedReq.marks.Len())
+		if b, want := heldBytes(floods), (live/8+1)*page+256*8+live*16+24; b > want {
+			t.Fatalf("at %v: the table holds %d bytes for %d live floods, want at most %d", k.Now(), b, live, want)
+		}
+		peak = max(peak, floods.floods.Len())
 	}
-	if peakSeen < 200 || peakReplied < 50 {
-		t.Fatalf("peak %d seen and %d replied marks: the caches never filled", peakSeen, peakReplied)
+	if peak < 200 {
+		t.Fatalf("peak %d floods: the table never filled", peak)
+	}
+	for _, r := range routers {
+		if s := r.Stats(); s.RequestsForwarded+s.RepliesOriginated == 0 {
+			t.Fatalf("router %d neither forwarded nor answered", r.Self())
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"liteworp/internal/metrics"
 	"liteworp/internal/neighbor"
 	"liteworp/internal/node"
+	"liteworp/internal/routing"
 	"liteworp/internal/sim"
 	"liteworp/internal/watch"
 )
@@ -32,7 +33,7 @@ func TestRouteDiscoveryAttemptedOnce(t *testing.T) {
 	med := medium.New(k, f, medium.Config{BandwidthBps: p.BandwidthBps})
 	deps := node.Deps{
 		Kernel: k, Medium: med, Keys: keys.NewKeyServer(1),
-		Collector: metrics.NewCollector(), Log: watch.NewLog(k), Topo: f,
+		Collector: metrics.NewCollector(), Log: watch.NewLog(k), Floods: routing.NewFloods(1), Topo: f,
 		OnAlertRetry: func(_, _, _ field.NodeID, _ int) {},
 		OnAccusation: func(field.NodeID, watch.Accusation) {},
 		OnIsolated:   func(_, _ field.NodeID, _ bool) {},

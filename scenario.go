@@ -104,6 +104,10 @@ func (p Params) nodeConfig(dynamic bool) node.Config {
 	}
 }
 
+// firstID is the first deployed node's ID; the rest follow densely, and a
+// node joined later takes the next one.
+const firstID NodeID = 1
+
 // NewScenario deploys the topology, wires every node's protocol stack, and
 // schedules discovery, traffic and the attack. Nothing runs until Run (or
 // RunFor) is called.
@@ -127,7 +131,7 @@ func NewScenario(p Params) (*Scenario, error) {
 	deployRng := rand.New(rand.NewSource(p.Seed*7919 + 13))
 	side := field.SideForDensity(p.NumNodes, p.AvgNeighbors, p.TxRange)
 	topo, err := field.DeployUniform(field.DeployConfig{
-		N: p.NumNodes, Width: side, Height: side, Range: p.TxRange, FirstID: 1,
+		N: p.NumNodes, Width: side, Height: side, Range: p.TxRange, FirstID: firstID,
 	}, deployRng)
 	if err != nil {
 		return nil, fmt.Errorf("liteworp: deploy: %w", err)
@@ -162,6 +166,7 @@ func NewScenario(p Params) (*Scenario, error) {
 		Keys:         s.keysrv,
 		Collector:    s.collector,
 		Log:          log,
+		Floods:       routing.NewFloods(firstID),
 		MaliciousSet: s.malSet,
 		Topo:         topo,
 		OnAlertRetry: func(nodeID, accused, to field.NodeID, attempt int) {
@@ -304,7 +309,7 @@ func (s *Scenario) AddNodeAt(x, y float64) (NodeID, error) {
 	if !s.params.DynamicJoin {
 		return 0, fmt.Errorf("liteworp: AddNodeAt requires Params.DynamicJoin")
 	}
-	id := NodeID(s.topo.Len() + 1)
+	id := firstID + NodeID(s.topo.Len())
 	for {
 		if _, exists := s.topo.Position(id); !exists {
 			break
