@@ -109,7 +109,7 @@ func TestDisableTwoHopCheck(t *testing.T) {
 	wire(n, map[field.NodeID][]field.NodeID{2: {1, 3}})
 	// Prev hop 77 is not in 2's announced list — normally rejected.
 	p := rep(9, 9, 2, 77, 1, 3)
-	if !n.engine.CheckInbound(p) {
+	if !n.engine.CheckInbound(p, Unresolved) {
 		t.Fatal("two-hop check still active despite ablation flag")
 	}
 }

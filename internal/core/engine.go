@@ -201,17 +201,26 @@ func (e *Engine) IsolatedAt(id field.NodeID) (time.Duration, bool) {
 
 // CheckInbound applies LITEWORP's acceptance rules to a frame this node is
 // about to process (it is addressed to us or is a flood we would forward).
-// It returns false, and counts the cause in Stats, when the frame must be
-// discarded:
+// sidx is what Monitor returned for the frame: the sender's nbrIdx, or
+// Unresolved, which has CheckInbound look the sender up. It returns false,
+// and counts the cause in Stats, when the frame must be discarded:
 //
 //   - the transmitter is not in our neighbor table (high-power and relay
 //     wormholes, or any spoofed-origin injection);
 //   - the transmitter has been revoked (isolation);
 //   - the announced previous hop is not a known neighbor of the
 //     transmitter (the second-hop check that exposes tunnel endpoints).
-func (e *Engine) CheckInbound(p *packet.Packet) bool {
-	_, st, ok := e.table.Lookup(p.Sender)
-	if !ok {
+//
+// The sender's status is read at sidx, not taken from Monitor: a
+// fabrication Monitor saw in this very frame may have revoked it.
+func (e *Engine) CheckInbound(p *packet.Packet, sidx int32) bool {
+	var st neighbor.Status
+	if sidx == Unresolved {
+		sidx, st, _ = e.table.Lookup(p.Sender)
+	} else {
+		st = e.table.StatusAt(sidx)
+	}
+	if st == 0 {
 		e.stats.RejectedNonNeighbor++
 		return false
 	}
@@ -219,7 +228,7 @@ func (e *Engine) CheckInbound(p *packet.Packet) bool {
 		e.stats.RejectedRevoked++
 		return false
 	}
-	if !e.cfg.DisableTwoHopCheck && p.PrevHop != p.Sender && !e.table.KnowsLink(p.PrevHop, p.Sender) {
+	if !e.cfg.DisableTwoHopCheck && p.PrevHop != p.Sender && !e.table.KnowsLinkAt(p.PrevHop, sidx) {
 		e.stats.RejectedUnknownLink++
 		return false
 	}
@@ -293,29 +302,38 @@ func (e *Engine) RecordOwnSend(p *packet.Packet) {
 	e.det.OwnSend(p)
 }
 
+// Unresolved is Monitor's answer for a frame whose sender it did not
+// resolve to a neighbor: a data frame, the host's own, or one from a node
+// outside the table.
+const Unresolved int32 = -1
+
 // Monitor inspects every frame this node overhears (promiscuous mode) and
 // feeds control traffic to the detection strategy. The engine keeps the
 // strategy-independent prechecks: only control frames from live,
 // unrevoked neighbors are monitorable, and any overheard transmission
 // resets the sender's silence clock (the crash discriminator's input).
-func (e *Engine) Monitor(p *packet.Packet) {
+// It returns the sender's nbrIdx, for CheckInbound, or Unresolved.
+func (e *Engine) Monitor(p *packet.Packet) int32 {
 	if !p.Type.IsControl() {
-		return
+		return Unresolved
 	}
 	sender := p.Sender
 	if sender == e.table.Self() {
-		return
+		return Unresolved
 	}
 	// Only neighbors are monitorable; also skip traffic from nodes we
 	// already revoked (their links are dead to us). One table lookup
 	// answers membership, revocation and the dense index for the silence
-	// clock.
+	// clock and the detector.
 	idx, st, ok := e.table.Lookup(sender)
-	if !ok || st == neighbor.StatusRevoked {
-		return
+	if !ok {
+		return Unresolved
 	}
-	e.noteAlive(idx, st, sender)
-	e.det.Overheard(p)
+	if st != neighbor.StatusRevoked {
+		e.noteAlive(idx, st, sender)
+		e.det.Overheard(p, idx)
+	}
+	return idx
 }
 
 // ObserveAnnouncement feeds an authenticated neighbor-list announcement

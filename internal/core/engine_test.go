@@ -51,6 +51,21 @@ func newTestNode(k *sim.Kernel, ks *keys.KeyServer, self field.NodeID, cfg Confi
 	return n
 }
 
+// resolve returns what n's Monitor hands CheckInbound for a frame from
+// id: its nbrIdx when it is in n's table, else Unresolved.
+func (n *testNode) resolve(id field.NodeID) int32 {
+	if i, _, ok := n.table.Lookup(id); ok {
+		return i
+	}
+	return Unresolved
+}
+
+// heard reports whether n's guard heard id send key.
+func (n *testNode) heard(id field.NodeID, key packet.Key) bool {
+	i, ok := n.table.Index().Lookup(id)
+	return ok && n.engine.Buffer().HeardIdx(i, key)
+}
+
 // wire populates node g's table: direct neighbors plus each neighbor's
 // announced list.
 func wire(n *testNode, neighbors map[field.NodeID][]field.NodeID) {
@@ -104,8 +119,9 @@ func TestCheckInbound(t *testing.T) {
 		st := n.engine.Stats()
 		return [3]uint64{st.RejectedNonNeighbor, st.RejectedUnknownLink, st.RejectedRevoked}
 	}
+	check := func(p *packet.Packet) bool { return n.engine.CheckInbound(p, n.resolve(p.Sender)) }
 	p := rep(9, 9, 2, 3, 1, 1)
-	if !n.engine.CheckInbound(p) {
+	if !check(p) {
 		t.Fatal("legitimate packet rejected")
 	}
 	if got := rejects(); got != [3]uint64{} {
@@ -113,7 +129,7 @@ func TestCheckInbound(t *testing.T) {
 	}
 	// Non-neighbor transmitter (high-power / relay mode defense).
 	p = rep(9, 9, 66, 66, 1, 2)
-	if n.engine.CheckInbound(p) {
+	if check(p) {
 		t.Fatal("non-neighbor accepted")
 	}
 	if got := rejects(); got != [3]uint64{1, 0, 0} {
@@ -121,7 +137,7 @@ func TestCheckInbound(t *testing.T) {
 	}
 	// Unknown link: 2 claims prev hop 77, not in 2's announced list.
 	p = rep(9, 9, 2, 77, 1, 3)
-	if n.engine.CheckInbound(p) {
+	if check(p) {
 		t.Fatal("unknown-link packet accepted")
 	}
 	if got := rejects(); got != [3]uint64{1, 1, 0} {
@@ -130,16 +146,23 @@ func TestCheckInbound(t *testing.T) {
 	// Revoked transmitter.
 	n.table.Revoke(2)
 	p = rep(9, 9, 2, 3, 1, 4)
-	if n.engine.CheckInbound(p) {
+	if check(p) {
 		t.Fatal("revoked transmitter accepted")
 	}
 	if got := rejects(); got != [3]uint64{1, 1, 1} {
 		t.Fatalf("revoked: rejections (non-neighbor, unknown-link, revoked) = %v", got)
 	}
+	// A sender Monitor did not resolve is looked up, to the same answers.
+	for i, p := range []*packet.Packet{rep(9, 9, 3, 2, 1, 5), rep(9, 9, 66, 66, 1, 6), rep(9, 9, 3, 77, 1, 7), rep(9, 9, 2, 3, 1, 8)} {
+		if got, want := n.engine.CheckInbound(p, Unresolved), i == 0; got != want {
+			t.Fatalf("unresolved frame %d: accepted %v, want %v", i, got, want)
+		}
+	}
+	if got := rejects(); got != [3]uint64{2, 2, 2} {
+		t.Fatalf("unresolved: rejections (non-neighbor, unknown-link, revoked) = %v", got)
+	}
 }
 
-// Guard 1 watches the link 3->2 (both are its neighbors, and 3 is in 2's
-// announced list).
 func guardSetup(t *testing.T, cfg Config, ev Events) (*sim.Kernel, *testNode) {
 	t.Helper()
 	k := sim.New(1)
@@ -526,10 +549,67 @@ func TestRevokedSenderNeverReachesTheLog(t *testing.T) {
 		other.engine.Monitor(p)
 	})
 	k.RunFor(2 * time.Millisecond)
-	if revoker.engine.Buffer().Heard(3, p.Key()) || revoker.engine.Buffer().HeardAny(p.Key()) {
+	if revoker.heard(3, p.Key()) || revoker.engine.Buffer().HeardAny(p.Key()) {
 		t.Fatal("the guard that revoked 3 answers from 3's transmission")
 	}
-	if !other.engine.Buffer().Heard(3, p.Key()) {
+	if !other.heard(3, p.Key()) {
 		t.Fatal("the other guard lost its reception of 3's transmission")
+	}
+}
+
+// TestFabricationRevokesSenderWithinOneFrame: the second fabrication by
+// neighbor 2 crosses C_t inside Monitor, which revokes 2 before the REQ
+// branch runs. The REQ branch still arms the frame's common neighbors
+// (the revocation only takes 2 out of the active set), and CheckInbound,
+// handed the index Monitor resolved, re-reads 2's status and rejects the
+// frame as revoked, as a lookup would.
+func TestFabricationRevokesSenderWithinOneFrame(t *testing.T) {
+	k := sim.New(1)
+	ks := keys.NewKeyServer(1)
+	var revoked []field.NodeID
+	n := newTestNode(k, ks, 1, testConfig(), Events{
+		LocalRevocation: func(id field.NodeID) { revoked = append(revoked, id) },
+	})
+	wire(n, map[field.NodeID][]field.NodeID{
+		2: {1, 3, 4, 5},
+		3: {1, 2},
+		4: {1, 2},
+		5: {1, 2},
+	})
+	b := n.engine.Buffer()
+	// 2 forwards REQs claiming 3 handed them over; the host guards 3->2
+	// and heard no one send them. Each is a fabrication (V_f = 2, C_t = 4).
+	for seq := uint64(1); seq <= 2; seq++ {
+		p := req(9, 50, 2, 3, seq, 9, 3)
+		before := b.Stats().Expectations
+		sidx := n.engine.Monitor(p)
+		if sidx != n.resolve(2) {
+			t.Fatalf("seq %d: Monitor returned %d, want 2's index %d", seq, sidx, n.resolve(2))
+		}
+		if got := b.Stats().Expectations - before; got != 2 {
+			t.Fatalf("seq %d armed %d expectations, want 2 (on 4 and 5)", seq, got)
+		}
+		revokedNow := seq == 2
+		if got := n.table.IsRevoked(2); got != revokedNow {
+			t.Fatalf("seq %d: 2 revoked %v, want %v", seq, got, revokedNow)
+		}
+		before = n.engine.Stats().RejectedRevoked
+		if accepted := n.engine.CheckInbound(p, sidx); accepted == revokedNow {
+			t.Fatalf("seq %d: CheckInbound accepted %v with 2 revoked %v", seq, accepted, revokedNow)
+		}
+		if got := n.engine.Stats().RejectedRevoked - before; (got == 1) != revokedNow || got > 1 {
+			t.Fatalf("seq %d: %d revoked rejections", seq, got)
+		}
+		// The expectations are on 4 and 5, and only there.
+		i4, i5 := n.resolve(4), n.resolve(5)
+		if got := b.SettledSet(p.Key()); got != 1<<i4|1<<i5 {
+			t.Fatalf("seq %d: settled set %b, want 4 (bit %d) and 5 (bit %d)", seq, got, i4, i5)
+		}
+	}
+	if len(revoked) != 1 || revoked[0] != 2 {
+		t.Fatalf("local revocations %v, want [2]", revoked)
+	}
+	if st := b.Stats(); st.Fabrications != 2 || st.Expectations != 4 {
+		t.Fatalf("stats %+v: want 2 fabrications and 4 expectations", st)
 	}
 }

@@ -63,7 +63,8 @@ const (
 // Detector is one node's detection strategy. The engine applies its
 // prechecks first — Overheard only sees control frames from live,
 // unrevoked neighbors of the host, and never the host's own — so
-// implementations start from "a monitorable neighbor transmitted this".
+// implementations start from "a monitorable neighbor transmitted this",
+// and from the nbrIdx the engine resolved the sender to.
 type Detector interface {
 	// Name returns the kind that built this detector.
 	Name() string
@@ -71,7 +72,9 @@ type Detector interface {
 	// (the host guards its own outgoing links).
 	OwnSend(p *packet.Packet)
 	// Overheard feeds one overheard control frame (promiscuous mode).
-	Overheard(p *packet.Packet)
+	// sidx is the sender's nbrIdx in Env.Table, where it is a direct
+	// neighbor.
+	Overheard(p *packet.Packet, sidx int32)
 	// Announcement feeds an authenticated neighbor-list announcement:
 	// neighbor from currently claims degree links. Fired after the
 	// neighbor table has absorbed the announcement.

@@ -28,6 +28,10 @@ func testEnv(k *sim.Kernel) Env {
 	}
 }
 
+// anyIdx stands for the sender's nbrIdx where a strategy reads none: the
+// range and null strategies judge the frame alone.
+const anyIdx = -1
+
 // testConfig returns the LITEWORP strategy at the paper's Table 2 watch
 // parameters, on a reception log of its own over k.
 func testConfig(k *sim.Kernel) Config {
@@ -205,7 +209,7 @@ func TestRangeCatchesTunnelExitRouteTail(t *testing.T) {
 		Sender: 9, PrevHop: 8, Receiver: packet.Broadcast,
 		Route: []field.NodeID{1, 2, 9},
 	}
-	d.Overheard(tunneled)
+	d.Overheard(tunneled, anyIdx)
 	if len(*acc) != 1 || (*acc)[0].Accused != 9 || (*acc)[0].Reason != watch.ReasonRange {
 		t.Fatalf("accusations = %v, want one range violation against 9", *acc)
 	}
@@ -215,7 +219,7 @@ func TestRangeCatchesTunnelExitRouteTail(t *testing.T) {
 	// The next flood repeats the violation and crosses the threshold.
 	second := tunneled.Clone()
 	second.Seq = 2
-	d.Overheard(second)
+	d.Overheard(second, anyIdx)
 	if len(*fired) != 1 || (*fired)[0] != 9 {
 		t.Fatalf("threshold fired for %v, want [9]", *fired)
 	}
@@ -229,7 +233,7 @@ func TestRangeCatchesColluderPrevHopClaim(t *testing.T) {
 	d.Overheard(&packet.Packet{
 		Type: packet.TypeRouteReply, Seq: 3, Origin: 1, FinalDest: 1,
 		Sender: 9, PrevHop: 2, Receiver: 8, Route: []field.NodeID{1, 2, 9, 10},
-	})
+	}, anyIdx)
 	if len(*acc) != 1 || (*acc)[0].Accused != 9 {
 		t.Fatalf("accusations = %v, want one against 9", *acc)
 	}
@@ -245,7 +249,7 @@ func TestRangeSparesHonestRebroadcasters(t *testing.T) {
 		Type: packet.TypeRouteRequest, Seq: 1, Origin: 1, FinalDest: 42,
 		Sender: 10, PrevHop: 9, Receiver: packet.Broadcast,
 		Route: []field.NodeID{1, 2, 9, 10},
-	})
+	}, anyIdx)
 	if len(*acc) != 0 {
 		t.Fatalf("honest rebroadcaster accused: %v", *acc)
 	}
@@ -259,7 +263,7 @@ func TestRangeWithoutPositionsNeverAccuses(t *testing.T) {
 		Type: packet.TypeRouteRequest, Seq: 1, Origin: 1, FinalDest: 42,
 		Sender: 9, PrevHop: 2, Receiver: packet.Broadcast,
 		Route: []field.NodeID{1, 2, 9},
-	})
+	}, anyIdx)
 	if len(*acc) != 0 {
 		t.Fatalf("accused without a position oracle: %v", *acc)
 	}
@@ -272,7 +276,7 @@ func TestRangeUnknownPositionGivesBenefitOfDoubt(t *testing.T) {
 	d.Overheard(&packet.Packet{
 		Type: packet.TypeRouteReply, Seq: 4, Origin: 1, FinalDest: 1,
 		Sender: 9, PrevHop: 77, Receiver: 8,
-	})
+	}, anyIdx)
 	if len(*acc) != 0 {
 		t.Fatalf("accused on an unjudgeable link: %v", *acc)
 	}
@@ -287,7 +291,7 @@ func TestNoneDetectorIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.OwnSend(&packet.Packet{Type: packet.TypeRouteRequest, Seq: 1, Sender: 1})
-	d.Overheard(&packet.Packet{Type: packet.TypeRouteRequest, Seq: 1, Sender: 2, PrevHop: 2})
+	d.Overheard(&packet.Packet{Type: packet.TypeRouteRequest, Seq: 1, Sender: 2, PrevHop: 2}, anyIdx)
 	d.Announcement(2, 999)
 	d.Interference()
 	if len(acc) != 0 {

@@ -2,6 +2,7 @@ package detector
 
 import (
 	"liteworp/internal/field"
+	"liteworp/internal/neighbor"
 	"liteworp/internal/packet"
 	"liteworp/internal/watch"
 )
@@ -58,7 +59,7 @@ func (d *liteworpDetector) Interference() { d.buffer.NoteInterference() }
 func (d *liteworpDetector) Announcement(field.NodeID, int) {}
 
 // Overheard runs the guard logic of §4.2.3 on one overheard control
-// frame:
+// frame from the neighbor at sidx:
 //
 //  1. If the frame is a forward (PrevHop != Sender) and we guard the link
 //     PrevHop->Sender: if we never heard PrevHop transmit this packet,
@@ -68,7 +69,11 @@ func (d *liteworpDetector) Announcement(field.NodeID, int) {}
 //  3. Arm forwarding expectations for the receivers we guard: the unicast
 //     receiver of a REP, or every common neighbor for a flooded REQ. If an
 //     expectation expires unforwarded, the watch buffer raises a drop (V_d).
-func (d *liteworpDetector) Overheard(p *packet.Packet) {
+//
+// Each node the frame names is resolved once: the sender by the engine,
+// PrevHop here for both the guard test and the heard check, and a REP's
+// receiver for its guard test and its expectation.
+func (d *liteworpDetector) Overheard(p *packet.Packet, sidx int32) {
 	table := d.env.Table
 	sender := p.Sender
 	key := p.Key()
@@ -78,32 +83,15 @@ func (d *liteworpDetector) Overheard(p *packet.Packet) {
 	// never saw it (strict mode: from that hop; default: from anyone).
 	// This must be evaluated against the heard facts *before* the current
 	// transmission is recorded.
-	if p.PrevHop != sender && table.IsGuardOf(p.PrevHop, sender) {
-		// Hearing PrevHop send it implies hearing anyone send it, and
-		// that one question answers most default-mode checks too.
-		fabricated := !d.buffer.Heard(p.PrevHop, key)
-		if fabricated && !d.cfg.StrictFabricationCheck {
-			fabricated = !d.buffer.HeardAny(key)
-		}
-		// Negative evidence ("I never heard this packet") is unreliable
-		// while the guard's own radio is reporting corrupted receptions:
-		// the missing transmission may be among the frames it failed to
-		// decode. Real wormhole re-injections are caught in quiet
-		// neighborhoods, where the tunnel wins the race precisely because
-		// nothing else is on the air yet.
-		if fabricated && d.buffer.RecentInterference(2*d.buffer.Config().Timeout) {
-			fabricated = false
-		}
-		if fabricated {
-			d.buffer.AccuseFabrication(sender, key)
-		}
+	if p.PrevHop != sender && d.fabricated(p.PrevHop, key) {
+		d.buffer.AccuseFabrication(sender, key)
 	}
 
 	// Any overheard transmission of this packet by sender satisfies a
 	// pending forwarding expectation on sender, and the heard record keeps
 	// later flood copies from re-arming an expectation the node has
 	// already met.
-	d.buffer.RecordHeardIdx(d.buffer.Intern(sender), key)
+	d.buffer.RecordHeardIdx(sidx, key)
 
 	// Do not arm forwarding expectations for packets transmitted by a
 	// suspect: once this guard has heard any alert about the sender,
@@ -117,15 +105,20 @@ func (d *liteworpDetector) Overheard(p *packet.Packet) {
 		return
 	}
 
-	// Arm expectations on the nodes that must forward next.
+	// Arm expectations on the nodes that must forward next. The host
+	// guards sender->a for every direct neighbor a other than sender:
+	// sender is one too, revoked or not.
 	switch p.Type {
 	case packet.TypeRouteReply:
 		a := p.Receiver
-		if a == p.FinalDest {
-			return // destination consumes the REP
+		if a == p.FinalDest || a == sender {
+			return // destination consumes the REP; no link sender->sender
 		}
-		if !table.IsGuardOf(sender, a) || table.IsRevoked(a) || table.IsStale(a) {
-			return // stale: a is presumed crashed, expecting a forward is futile
+		// A revoked receiver is isolated, and a stale one presumed
+		// crashed: expecting a forward from either is futile.
+		aidx, st, ok := table.Lookup(a)
+		if !ok || st != neighbor.StatusActive {
+			return
 		}
 		// The REP's route names a's next hop toward the source; if we
 		// consider that next hop suspect or revoked, a may rightly
@@ -135,38 +128,59 @@ func (d *liteworpDetector) Overheard(p *packet.Packet) {
 				return
 			}
 		}
-		if aidx, _, ok := table.Lookup(a); ok {
-			d.buffer.ExpectIdx(aidx, key)
-		}
+		d.buffer.ExpectIdx(aidx, key)
 	case packet.TypeRouteRequest:
 		// Broadcast: every common neighbor of us and the sender should
 		// rebroadcast exactly once (unless it is the flood's origin,
 		// its destination, or already listed on the accumulated route).
 		//
-		// IsGuardOf(sender, a) is loop-invariant here: a ranges over
-		// active neighbors (a != self, HasEntry(a) holds) and a == sender
-		// is skipped first, so the predicate reduces to HasEntry(sender)
-		// (always true when sender is the host itself). Hoisting it takes
-		// one table lookup instead of one per neighbor.
-		if sender != table.Self() && !table.HasEntry(sender) {
-			return
-		}
 		// Every copy of the flood runs this loop, and on all but the
-		// first most neighbors are already expected or heard, so the
-		// O(1) Settled test goes before the route scan. Both are pure,
-		// so their order changes no expectation.
+		// first most neighbors are already expected or heard: one probe
+		// of the packet's record answers for every one of them before
+		// the route scan. Both are pure, and an expectation armed in the
+		// loop settles no other neighbor, so neither changes which
+		// expectations are armed, nor their order.
+		settled := d.buffer.SettledSet(key)
 		nbrs := table.Neighbors()
 		idxs := table.NeighborIdxs()
 		for i, a := range nbrs {
 			if a == sender || a == p.Origin || a == p.FinalDest {
 				continue
 			}
-			if d.buffer.Settled(idxs[i], key) || routeContains(p.Route, a) {
+			if settled.Has(idxs[i]) || routeContains(p.Route, a) {
 				continue
 			}
 			d.buffer.ExpectIdx(idxs[i], key)
 		}
 	}
+}
+
+// fabricated reports whether the host guards the link prev->sender of a
+// forwarded packet and holds it a fabrication: it guards the link when
+// prev is the host itself (a node guards its own outgoing links) or a
+// direct neighbor, revoked or stale included. prev is resolved once for
+// both questions; the host's own sends are under its own index, which its
+// first OwnSend interns.
+func (d *liteworpDetector) fabricated(prev field.NodeID, key packet.Key) bool {
+	pidx, interned := d.env.Table.Index().Lookup(prev)
+	if prev != d.env.Table.Self() && (!interned || d.env.Table.StatusAt(pidx) == 0) {
+		return false // not a link we guard
+	}
+	// Hearing prev send it implies hearing anyone send it, and that one
+	// question answers most default-mode checks too.
+	if interned && d.buffer.HeardIdx(pidx, key) {
+		return false
+	}
+	if !d.cfg.StrictFabricationCheck && d.buffer.HeardAny(key) {
+		return false
+	}
+	// Negative evidence ("I never heard this packet") is unreliable
+	// while the guard's own radio is reporting corrupted receptions:
+	// the missing transmission may be among the frames it failed to
+	// decode. Real wormhole re-injections are caught in quiet
+	// neighborhoods, where the tunnel wins the race precisely because
+	// nothing else is on the air yet.
+	return !d.buffer.RecentInterference(2 * d.buffer.Config().Timeout)
 }
 
 // repNextHop returns the node a REP must be forwarded to by node a: the

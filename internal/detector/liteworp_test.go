@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +13,9 @@ import (
 )
 
 // guardAt builds a LITEWORP detector for host 1 whose direct neighbors are
-// 2, 3 and 4, capturing every accusation.
-func guardAt(t *testing.T) (Detector, *watch.Buffer, *[]Accusation) {
+// 2, 3 and 4, capturing every accusation, and returns it with its buffer
+// and the host's table.
+func guardAt(t *testing.T) (Detector, *watch.Buffer, *[]Accusation, *neighbor.Table) {
 	t.Helper()
 	table := neighbor.NewTable(1)
 	for _, id := range []field.NodeID{2, 3, 4} {
@@ -28,7 +30,18 @@ func guardAt(t *testing.T) (Detector, *watch.Buffer, *[]Accusation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, d.(interface{ Buffer() *watch.Buffer }).Buffer(), &acc
+	return d, d.(interface{ Buffer() *watch.Buffer }).Buffer(), &acc, table
+}
+
+// overhear feeds p to d as the engine does: with the sender's nbrIdx in
+// table, where it is a direct neighbor.
+func overhear(t testing.TB, d Detector, table *neighbor.Table, p *packet.Packet) {
+	t.Helper()
+	sidx, _, ok := table.Lookup(p.Sender)
+	if !ok {
+		t.Fatalf("sender %d is no neighbor of %d", p.Sender, table.Self())
+	}
+	d.Overheard(p, sidx)
 }
 
 // TestOverheardForwardSuppressesExpectation: the heard cache is the only
@@ -36,20 +49,20 @@ func guardAt(t *testing.T) (Detector, *watch.Buffer, *[]Accusation) {
 // neighbor 2, a later copy of it from neighbor 3 satisfies the expectation
 // on 3 and arms nothing on 2 for that key.
 func TestOverheardForwardSuppressesExpectation(t *testing.T) {
-	d, b, acc := guardAt(t)
+	d, b, acc, table := guardAt(t)
 	req := &packet.Packet{
 		Type: packet.TypeRouteRequest, Seq: 1, Origin: 9, FinalDest: 50,
 		Sender: 2, PrevHop: 9, Receiver: packet.Broadcast,
 		Route: []field.NodeID{9},
 	}
-	d.Overheard(req)
+	overhear(t, d, table, req)
 	if got := b.Stats().Expectations; got != 2 {
 		t.Fatalf("REQ from 2 armed %d expectations, want 2 (on 3 and 4)", got)
 	}
 
 	copy3 := req.Clone()
 	copy3.Sender = 3
-	d.Overheard(copy3)
+	overhear(t, d, table, copy3)
 	st := b.Stats()
 	if st.Matches != 1 {
 		t.Fatalf("copy from 3 satisfied %d expectations, want 1", st.Matches)
@@ -72,7 +85,7 @@ func TestOverheardForwardSuppressesExpectation(t *testing.T) {
 // keeps none from being armed; it only vouches for the packet in the
 // fabrication check.
 func TestOwnSendNeitherSatisfiesNorSuppresses(t *testing.T) {
-	d, b, acc := guardAt(t)
+	d, b, acc, table := guardAt(t)
 
 	// A flood from 2 arms expectations on 3 and 4; the host then
 	// rebroadcasts the same REQ itself.
@@ -81,7 +94,7 @@ func TestOwnSendNeitherSatisfiesNorSuppresses(t *testing.T) {
 		Sender: 2, PrevHop: 9, Receiver: packet.Broadcast,
 		Route: []field.NodeID{9},
 	}
-	d.Overheard(req)
+	overhear(t, d, table, req)
 	own := req.Clone()
 	own.Sender, own.PrevHop = 1, 2
 	d.OwnSend(own)
@@ -99,7 +112,7 @@ func TestOwnSendNeitherSatisfiesNorSuppresses(t *testing.T) {
 	fwd := mine.Clone()
 	fwd.Sender, fwd.PrevHop, fwd.Route = 2, 1, []field.NodeID{1}
 	before := b.Stats().Expectations
-	d.Overheard(fwd)
+	overhear(t, d, table, fwd)
 	if got := b.Stats().Expectations - before; got != 2 {
 		t.Fatalf("forward of the host's own REQ armed %d expectations, want 2 (on 3 and 4)", got)
 	}
@@ -120,9 +133,11 @@ func BenchmarkOverheardFlood(b *testing.B) {
 	const degree = 12
 	table := neighbor.NewTable(1)
 	copies := make([]*packet.Packet, degree)
+	sidx := make([]int32, degree) // each sender's nbrIdx, as the engine resolves it
 	for i := range copies {
 		id := field.NodeID(2 + i)
 		table.AddDirect(id)
+		sidx[i], _, _ = table.Lookup(id)
 		copies[i] = &packet.Packet{
 			Type: packet.TypeRouteRequest, Origin: 100, FinalDest: 200,
 			Sender: id, PrevHop: 100, Receiver: packet.Broadcast,
@@ -137,9 +152,9 @@ func BenchmarkOverheardFlood(b *testing.B) {
 		b.Fatal(err)
 	}
 	flood := func(seq uint64) {
-		for _, p := range copies {
+		for i, p := range copies {
 			p.Seq = seq
-			d.Overheard(p)
+			d.Overheard(p, sidx[i])
 		}
 		kernel.RunFor(50 * time.Millisecond)
 	}
@@ -177,6 +192,7 @@ func BenchmarkOverheardBatch(b *testing.B) {
 		ids[i] = field.NodeID(2 + i)
 	}
 	dets := make([]Detector, guards)
+	sidx := make([]int32, guards) // node 1's nbrIdx at each guard
 	for i, self := range ids {
 		table := neighbor.NewTable(self)
 		table.AddDirect(1)
@@ -195,6 +211,7 @@ func BenchmarkOverheardBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		dets[i] = d
+		sidx[i], _, _ = table.Lookup(1)
 	}
 	p := &packet.Packet{
 		Type: packet.TypeRouteRequest, Origin: 100, FinalDest: 200,
@@ -202,8 +219,8 @@ func BenchmarkOverheardBatch(b *testing.B) {
 		Route: []field.NodeID{100, 1},
 	}
 	deliver := func() {
-		for _, d := range dets {
-			d.Overheard(p)
+		for i, d := range dets {
+			d.Overheard(p, sidx[i])
 		}
 	}
 	op := func() {
@@ -223,5 +240,104 @@ func BenchmarkOverheardBatch(b *testing.B) {
 	st := dets[0].(interface{ Buffer() *watch.Buffer }).Buffer().Stats()
 	if st.Expectations == 0 || st.FilteredDrops == 0 || st.Drops != 0 {
 		b.Fatalf("guard stats %+v: want expectations, filtered drops and no accusations", st)
+	}
+}
+
+// TestREQArmsMaskAndWideForwardersInNeighborOrder: a guard whose
+// neighbors' indexes straddle the watch records' masks (an announced
+// second-hop neighborhood interned between them) arms a REQ's forwarders
+// in ascending neighbor order whichever path answers each, so their
+// deadlines fire, and the drops are accused, in that order. A repeat copy
+// re-arms none of them: the masked one is skipped by the settled probe,
+// the wide ones by ExpectIdx's own check.
+func TestREQArmsMaskAndWideForwardersInNeighborOrder(t *testing.T) {
+	table := neighbor.NewTable(1)
+	table.AddDirect(10)
+	table.AddDirect(30)
+	var filler []field.NodeID
+	for id := field.NodeID(1000); id < 1040; id++ {
+		filler = append(filler, id)
+	}
+	table.SetNeighborSet(10, filler)
+	table.AddDirect(20)
+	table.AddDirect(40)
+	for id, wide := range map[field.NodeID]bool{10: false, 20: true, 30: false, 40: true} {
+		if i, _, _ := table.Lookup(id); (i >= 32) != wide {
+			t.Fatalf("neighbor %d at index %d; past the 32-bit masks should be %v", id, i, wide)
+		}
+	}
+	var acc []Accusation
+	k := sim.New(1)
+	env := testEnv(k)
+	env.Table = table
+	env.OnAccusation = func(a Accusation) { acc = append(acc, a) }
+	d, err := New(env, testConfig(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := d.(interface{ Buffer() *watch.Buffer }).Buffer()
+	req := &packet.Packet{
+		Type: packet.TypeRouteRequest, Seq: 1, Origin: 99, FinalDest: 98,
+		Sender: 10, PrevHop: 99, Receiver: packet.Broadcast,
+		Route: []field.NodeID{99},
+	}
+	overhear(t, d, table, req)
+	if got := b.Stats().Expectations; got != 3 {
+		t.Fatalf("first copy armed %d expectations, want 3 (20, 30, 40)", got)
+	}
+	overhear(t, d, table, req.Clone())
+	if got := b.Stats().Expectations; got != 3 {
+		t.Fatalf("repeat copy re-armed: %d expectations, want 3", got)
+	}
+	k.RunFor(time.Second)
+	var order []field.NodeID
+	for _, a := range acc {
+		if a.Reason != watch.ReasonDrop {
+			t.Fatalf("unexpected accusation %+v", a)
+		}
+		order = append(order, a.Accused)
+	}
+	if !slices.Equal(order, []field.NodeID{20, 30, 40}) {
+		t.Fatalf("drops accused in order %v, want [20 30 40]", order)
+	}
+}
+
+// TestFabricationGuardRule pins which forwarded frames the fabrication
+// check judges: those whose claimed link PrevHop->Sender the host guards,
+// which is when PrevHop is the host itself or a direct neighbor, revoked
+// or stale included (topology knowledge survives both). An unknown
+// PrevHop, or one the host knows only as a second-hop neighbor, is on a
+// link it cannot watch. Nothing was heard, so every judged frame is a
+// fabrication.
+func TestFabricationGuardRule(t *testing.T) {
+	cases := []struct {
+		name  string
+		prev  field.NodeID
+		judge bool
+	}{
+		{"active neighbor", 3, true},
+		{"the host itself", 1, true},
+		{"revoked neighbor", 4, true},
+		{"stale neighbor", 5, true},
+		{"second-hop only", 7, false},
+		{"stranger", 9, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, b, acc, table := guardAt(t)
+			table.AddDirect(5)
+			table.SetNeighborSet(2, []field.NodeID{1, 3, 7})
+			table.Revoke(4)
+			table.MarkStale(5)
+			fwd := &packet.Packet{
+				Type: packet.TypeRouteRequest, Seq: 1, Origin: 50, FinalDest: 60,
+				Sender: 2, PrevHop: tc.prev, Receiver: packet.Broadcast,
+				Route: []field.NodeID{50, tc.prev},
+			}
+			overhear(t, d, table, fwd)
+			if got := b.Stats().Fabrications == 1; got != tc.judge {
+				t.Fatalf("fabrication accused %v, want %v (accusations %v)", got, tc.judge, *acc)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ func (noneDetector) Name() string { return KindNone }
 func (noneDetector) OwnSend(*packet.Packet) {}
 
 // Overheard discards the observation.
-func (noneDetector) Overheard(*packet.Packet) {}
+func (noneDetector) Overheard(*packet.Packet, int32) {}
 
 // Announcement discards the observation.
 func (noneDetector) Announcement(field.NodeID, int) {}

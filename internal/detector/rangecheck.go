@@ -62,7 +62,7 @@ func (d *rangeDetector) Announcement(field.NodeID, int) {}
 func (d *rangeDetector) Interference() {}
 
 // Overheard judges every link claim the sender is an endpoint of.
-func (d *rangeDetector) Overheard(p *packet.Packet) {
+func (d *rangeDetector) Overheard(p *packet.Packet, _ int32) {
 	sender := p.Sender
 	if p.PrevHop != sender && !d.plausible(p.PrevHop, sender) {
 		d.accuse(sender, watch.ReasonRange, p.Key())

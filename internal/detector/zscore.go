@@ -62,7 +62,7 @@ func (d *zscoreDetector) Name() string { return KindZScore }
 func (d *zscoreDetector) OwnSend(*packet.Packet) {}
 
 // Overheard is ignored: the strategy judges announced tables only.
-func (d *zscoreDetector) Overheard(*packet.Packet) {}
+func (d *zscoreDetector) Overheard(*packet.Packet, int32) {}
 
 // Interference is ignored.
 func (d *zscoreDetector) Interference() {}

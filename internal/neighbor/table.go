@@ -233,14 +233,25 @@ func (t *Table) HasEntry(id field.NodeID) bool {
 // the dense per-neighbor state is addressed by.
 func (t *Table) Lookup(id field.NodeID) (int32, Status, bool) {
 	i, ok := t.idx.Lookup(id)
-	if !ok || int(i) >= len(t.entries) {
+	if !ok {
 		return 0, 0, false
 	}
-	st := t.entries[i].Status
+	st := t.StatusAt(i)
 	if st == 0 {
 		return 0, 0, false
 	}
 	return i, st, true
+}
+
+// StatusAt returns the status of the ID interned at nbrIdx i, with no
+// hashing: 0 when that ID is not a direct neighbor. A caller that resolved
+// an ID once reads its current status here, after anything that may have
+// revoked it.
+func (t *Table) StatusAt(i int32) Status {
+	if int(i) >= len(t.entries) {
+		return 0
+	}
+	return t.entries[i].Status
 }
 
 // IsNeighbor reports whether id is an active (non-revoked) direct neighbor.
@@ -355,28 +366,19 @@ func (t *Table) KnowsLink(prev, sender field.NodeID) bool {
 	if prev == sender {
 		return true
 	}
-	if prev == t.self {
-		// We know our own links directly.
-		return t.HasEntry(sender)
-	}
-	e := t.entry(sender)
-	if e == nil || e.Neighbors == nil {
-		return false
-	}
-	return containsSorted(e.Neighbors, prev)
+	sidx, _, ok := t.Lookup(sender)
+	return ok && t.KnowsLinkAt(prev, sidx)
 }
 
-// IsGuardOf reports whether this node can guard the directed link x->a:
-// it must be a neighbor of both ends (x itself guards all its outgoing
-// links; the receiver a is not a guard of its own incoming link).
-func (t *Table) IsGuardOf(x, a field.NodeID) bool {
-	if a == t.self || x == a {
-		return false
+// KnowsLinkAt is KnowsLink for a sender already resolved to the nbrIdx of
+// a direct neighbor, and a claimed previous hop other than the sender.
+func (t *Table) KnowsLinkAt(prev field.NodeID, sidx int32) bool {
+	if prev == t.self {
+		// We know our own links directly, and sender is a neighbor.
+		return true
 	}
-	if x == t.self {
-		return t.HasEntry(a)
-	}
-	return t.HasEntry(x) && t.HasEntry(a)
+	set := t.entries[sidx].Neighbors
+	return set != nil && containsSorted(set, prev)
 }
 
 // SecondHop returns the set of second-hop neighbors: nodes announced by

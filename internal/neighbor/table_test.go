@@ -119,42 +119,69 @@ func TestKnowsLink(t *testing.T) {
 	}
 }
 
-func TestIsGuardOf(t *testing.T) {
+// TestStatusAt reads statuses by nbrIdx, as the receive path does once it
+// has resolved a sender: a direct neighbor reads its current status,
+// revoked included (guards keep watching a revoked node's links), and an
+// interned ID that is no direct neighbor reads 0, whether its slot is a
+// second-hop placeholder or past the entries.
+func TestStatusAt(t *testing.T) {
 	tb := NewTable(1)
 	tb.AddDirect(2)
 	tb.AddDirect(3)
-
-	// Guard of a link between two of our neighbors.
-	if !tb.IsGuardOf(2, 3) {
-		t.Fatal("not guard of link between two direct neighbors")
+	tb.SetNeighborSet(3, []field.NodeID{9})
+	tb.AddDirect(4)
+	at := func(id field.NodeID) Status {
+		i, ok := tb.Index().Lookup(id)
+		if !ok {
+			t.Fatalf("%d not interned", id)
+		}
+		return tb.StatusAt(i)
 	}
-	// We guard our own outgoing links.
-	if !tb.IsGuardOf(1, 2) {
-		t.Fatal("not guard of own outgoing link")
+	if at(2) != StatusActive || at(3) != StatusActive {
+		t.Fatal("direct neighbors not active by index")
 	}
-	// Not a guard when the receiver is ourselves.
-	if tb.IsGuardOf(2, 1) {
-		t.Fatal("guard of own incoming link")
+	// 9 was interned between 3 and 4: a placeholder slot inside entries.
+	if at(9) != 0 {
+		t.Fatalf("second-hop 9 reads %v by index, want 0", at(9))
 	}
-	// Not a guard of links to strangers.
-	if tb.IsGuardOf(2, 9) || tb.IsGuardOf(9, 2) {
-		t.Fatal("guard of link involving stranger")
+	tb.SetNeighborSet(4, []field.NodeID{10})
+	if at(10) != 0 {
+		t.Fatal("an index past the entries must read 0")
 	}
-	// Degenerate: self-loop.
-	if tb.IsGuardOf(2, 2) {
-		t.Fatal("guard of self-loop")
+	tb.Revoke(2)
+	if at(2) != StatusRevoked {
+		t.Fatal("revocation not visible by index")
+	}
+	tb.MarkStale(3)
+	if at(3) != StatusStale {
+		t.Fatal("stale mark not visible by index")
 	}
 }
 
-func TestIsGuardOfIncludesRevoked(t *testing.T) {
-	// Guards keep watching links of revoked nodes (HasEntry, not
-	// IsNeighbor): topology knowledge survives revocation.
+// TestKnowsLinkAt: the index form answers as KnowsLink does for every
+// resolved sender and claimed previous hop.
+func TestKnowsLinkAt(t *testing.T) {
 	tb := NewTable(1)
 	tb.AddDirect(2)
 	tb.AddDirect(3)
-	tb.Revoke(2)
-	if !tb.IsGuardOf(2, 3) {
-		t.Fatal("revocation removed guard coverage")
+	tb.SetNeighborSet(2, []field.NodeID{1, 4})
+	tb.Revoke(3)
+	for _, sender := range []field.NodeID{2, 3} {
+		sidx, _, ok := tb.Lookup(sender)
+		if !ok {
+			t.Fatalf("%d not an entry", sender)
+		}
+		for _, prev := range []field.NodeID{1, 2, 3, 4, 5} {
+			if prev == sender {
+				continue
+			}
+			if got, want := tb.KnowsLinkAt(prev, sidx), tb.KnowsLink(prev, sender); got != want {
+				t.Fatalf("KnowsLinkAt(%d, idx of %d) = %v, KnowsLink %v", prev, sender, got, want)
+			}
+		}
+	}
+	if !tb.KnowsLink(4, 2) || tb.KnowsLink(5, 2) || !tb.KnowsLink(1, 3) || tb.KnowsLink(4, 3) {
+		t.Fatal("KnowsLink answers changed")
 	}
 }
 

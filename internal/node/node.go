@@ -287,9 +287,11 @@ func (n *Node) Receive(p *packet.Packet) {
 		}
 	}
 
-	// Local monitoring sees every overheard frame.
+	// Local monitoring sees every overheard frame, and resolves the
+	// sender once for the acceptance check.
+	sidx := core.Unresolved
 	if n.engine != nil {
-		n.engine.Monitor(p)
+		sidx = n.engine.Monitor(p)
 	}
 
 	addressed := p.Receiver == n.id || p.Receiver == packet.Broadcast
@@ -298,7 +300,7 @@ func (n *Node) Receive(p *packet.Packet) {
 	}
 
 	if n.engine != nil {
-		if !n.engine.CheckInbound(p) {
+		if !n.engine.CheckInbound(p, sidx) {
 			if p.Type == packet.TypeData {
 				n.deps.Collector.DataRejected++
 				if n.deps.MaliciousSet[p.Sender] {

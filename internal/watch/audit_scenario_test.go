@@ -14,8 +14,8 @@ import (
 // TestReceptionLogMatchesOracle runs whole scenarios at smoke scale with
 // every guard's store audited against the per-guard map oracle: each
 // Heard, HeardAny, Expect, forward-met and waiting answer the store gives
-// must be the oracle's, and each Settled it answers true must be a no-op
-// Expect there. The scenarios cover the paper's network, churn (crashes,
+// must be the oracle's, and each forwarder a settled probe reports must be
+// a no-op Expect there. The scenarios cover the paper's network, churn (crashes,
 // reboots, link flaps and 30% alert loss), a 200-node flood, and the
 // strict fabrication check.
 func TestReceptionLogMatchesOracle(t *testing.T) {

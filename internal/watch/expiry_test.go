@@ -21,9 +21,9 @@ func TestExpiryBoundaryConvention(t *testing.T) {
 	b.RecordHeard(3, key(1, 1))
 
 	var liveBefore, liveAt, anyAt, reExpectAt bool
-	k.At(time.Second-time.Nanosecond, func() { liveBefore = b.Heard(3, key(1, 1)) })
+	k.At(time.Second-time.Nanosecond, func() { liveBefore = heardID(b, 3, key(1, 1)) })
 	k.At(time.Second, func() {
-		liveAt = b.Heard(3, key(1, 1))
+		liveAt = heardID(b, 3, key(1, 1))
 		anyAt = b.HeardAny(key(1, 1))
 		// The heard record is also the duplicate-forward suppression, so
 		// at its expiry a new expectation must be accepted again.
@@ -184,7 +184,7 @@ func TestMalcRecordPerAccusedNode(t *testing.T) {
 	k := sim.New(1)
 	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, Threshold: 4, Window: 10 * time.Second})
 	for id := field.NodeID(0); id < 40; id++ {
-		b.Intern(id)
+		b.Index().Intern(id)
 	}
 	b.AccuseFabrication(39, key(1, 1)) // +3, below threshold 4
 	if len(b.malcs) != 1 || b.malcs[0].aidx != 39 {
@@ -365,7 +365,7 @@ func TestDeadlineQueueResolvesInArmingOrder(t *testing.T) {
 // guard then asks for all twelve neighbors, as the detector does on a
 // packet's first copy: the six senders are found on the log and cached,
 // and the other six are armed. Each sender's repeat copy then asks for all
-// twelve again, and every one is answered by Settled. It returns the next
+// twelve again, and one settled probe answers for all. It returns the next
 // key sequence number.
 func floodCycle(tb testing.TB, k *sim.Kernel, b *Buffer, seq uint64, expect bool) uint64 {
 	kk := key(1, seq)
@@ -380,10 +380,8 @@ func floodCycle(tb testing.TB, k *sim.Kernel, b *Buffer, seq uint64, expect bool
 		}
 		for s := int32(0); s < 6; s++ {
 			b.RecordHeardIdx(s, kk)
-			for f := int32(0); f < 12; f++ {
-				if !b.Settled(f, kk) || b.ExpectIdx(f, kk) {
-					tb.Fatalf("repeat copy: neighbor %d unsettled or re-armed", f)
-				}
+			if b.SettledSet(kk) != 1<<12-1 {
+				tb.Fatalf("repeat copy: settled %b, want all twelve", b.SettledSet(kk))
 			}
 		}
 	}
@@ -404,7 +402,7 @@ func warmFloodBuffer(tb testing.TB, expect bool) (*sim.Kernel, *Buffer, uint64) 
 	}
 	b := New(k, fixture(k, cfg), noAccuse, noThreshold)
 	for id := field.NodeID(0); id < 12; id++ {
-		b.Intern(id)
+		b.Index().Intern(id)
 	}
 	seq := uint64(0)
 	for range 64 {
@@ -448,7 +446,7 @@ func TestSweepCachesZeroAllocsWarm(t *testing.T) {
 	b := New(k, fixture(k, Config{Timeout: time.Second}), noAccuse, noThreshold)
 	s := b.store.(*logStore)
 	for id := field.NodeID(0); id < 9; id++ {
-		b.Intern(id)
+		b.Index().Intern(id)
 	}
 	const lag = 8 // steps an expectation stays outstanding
 	j := uint64(0)

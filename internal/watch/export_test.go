@@ -2,7 +2,8 @@ package watch
 
 import "liteworp/internal/flatmap"
 
-// AuditCounts counts the store answers an audit checked, by kind.
+// AuditCounts counts the store answers an audit checked, by kind:
+// Settled counts settled probes, SettledTrue the forwarders they reported.
 type AuditCounts struct {
 	Record, Heard, HeardAny, Expect, Settled, SettledTrue, Waiting int
 }

@@ -38,7 +38,7 @@ func TestLogRetransmissionToOtherReceivers(t *testing.T) {
 	heard := func(at time.Duration, want [3]bool) {
 		k.At(at, func() {
 			for i, id := range []field.NodeID{1, 2, 3} {
-				if got := g[id].Heard(10, kk); got != want[i] {
+				if got := heardID(g[id], 10, kk); got != want[i] {
 					t.Errorf("at %v guard %d heard = %v, want %v", at, id, got, want[i])
 				}
 				if got := g[id].HeardAny(kk); got != want[i] {
@@ -81,31 +81,31 @@ func TestLogRebootInTheSameInstant(t *testing.T) {
 	// A reboot; the new incarnation's rediscovery interns 10 and 11 again.
 	reboot := func() {
 		g[1] = sharedGuards(k, l, 1)[1]
-		g[1].Intern(10)
-		g[1].Intern(11)
+		g[1].Index().Intern(10)
+		g[1].Index().Intern(11)
 	}
 	k.At(at, func() {
 		reboot()
-		if g[1].Heard(10, kk) || g[1].HeardAny(kk) || g[1].Heard(11, kk2) {
+		if heardID(g[1], 10, kk) || g[1].HeardAny(kk) || heardID(g[1], 11, kk2) {
 			t.Error("the new incarnation answers from the old one's receptions")
 		}
-		if !g[2].Heard(10, kk) {
+		if !heardID(g[2], 10, kk) {
 			t.Error("guard 2 lost its reception at guard 1's reboot")
 		}
 	})
 	k.At(at, func() { g[1].RecordHeard(11, kk2) })
 	k.At(at+time.Millisecond, func() {
-		if g[1].Heard(10, kk) || !g[1].Heard(11, kk2) {
+		if heardID(g[1], 10, kk) || !heardID(g[1], 11, kk2) {
 			t.Error("after the reboot only the new incarnation's reception may answer")
 		}
 		// A reboot in the event of a reception, after it.
 		g[1].RecordHeard(10, kk)
 		reboot()
-		if g[1].Heard(10, kk) {
+		if heardID(g[1], 10, kk) {
 			t.Error("a reception before the reboot, in the same event, answers the new incarnation")
 		}
 		g[1].RecordHeard(10, kk)
-		if !g[1].Heard(10, kk) {
+		if !heardID(g[1], 10, kk) {
 			t.Error("a reception after the reboot, in the same event, does not answer")
 		}
 	})
@@ -124,16 +124,16 @@ func TestLogOwnSend(t *testing.T) {
 	kk := key(1, 7)
 	k.At(100*time.Millisecond, func() { g[1].RecordHeard(1, kk) }) // 1's own send
 	k.At(105*time.Millisecond, func() {
-		if !g[1].Heard(1, kk) || !g[1].HeardAny(kk) {
+		if !heardID(g[1], 1, kk) || !g[1].HeardAny(kk) {
 			t.Error("guard 1 does not vouch for its own send")
 		}
-		if g[2].Heard(1, kk) || g[2].HeardAny(kk) {
+		if heardID(g[2], 1, kk) || g[2].HeardAny(kk) {
 			t.Error("guard 2 heard 1's transmission before it arrived")
 		}
 	})
 	k.At(120*time.Millisecond, func() { g[2].RecordHeard(1, kk) }) // the arrival
 	k.At(1110*time.Millisecond, func() {
-		if g[1].Heard(1, kk) || !g[2].Heard(1, kk) {
+		if heardID(g[1], 1, kk) || !heardID(g[2], 1, kk) {
 			t.Error("the own send and the reception do not expire on their own instants")
 		}
 	})
@@ -165,11 +165,11 @@ func TestLogReceiverPastMaskWidth(t *testing.T) {
 	})
 	k.At(2*time.Millisecond, func() {
 		for _, id := range ids[:40] {
-			if !g[id].Heard(10, kk) {
+			if !heardID(g[id], 10, kk) {
 				t.Errorf("guard %d lost its reception", id)
 			}
 		}
-		if g[ids[40]].Heard(10, kk) || g[ids[40]].HeardAny(kk) {
+		if heardID(g[ids[40]], 10, kk) || g[ids[40]].HeardAny(kk) {
 			t.Error("a guard that heard nothing answers")
 		}
 	})
@@ -197,7 +197,7 @@ func TestLogBatchIsOneInstant(t *testing.T) {
 	k.RunFor(100 * time.Millisecond)
 	g[2].RecordHeard(10, kk)
 	k.RunFor(950 * time.Millisecond)
-	if g[1].Heard(10, kk) || !g[2].Heard(10, kk) {
-		t.Fatalf("at %v: guard 1 heard %v (want false), guard 2 %v (want true)", k.Now(), g[1].Heard(10, kk), g[2].Heard(10, kk))
+	if heardID(g[1], 10, kk) || !heardID(g[2], 10, kk) {
+		t.Fatalf("at %v: guard 1 heard %v (want false), guard 2 %v (want true)", k.Now(), heardID(g[1], 10, kk), heardID(g[2], 10, kk))
 	}
 }

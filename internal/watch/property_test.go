@@ -120,7 +120,7 @@ func TestPropertyHeardCacheModel(t *testing.T) {
 						if at, rec := heardSnap[key{s, q}]; rec && nowCopy-at < ttl {
 							wantHeard = true
 						}
-						if b.Heard(s, probe) != wantHeard {
+						if heardID(b, s, probe) != wantHeard {
 							ok = false
 						}
 						wantAny := false

@@ -16,8 +16,9 @@ import (
 // Go-map store as the oracle (store_map_test.go), and the randomized
 // differential suite in store_test.go holds the two to
 // operation-for-operation equivalence. The oracle's settled always answers
-// false, so the suite also holds logStore's settled fast path to the slow
-// path.
+// the empty set, so the suite also holds logStore's settled fast path to
+// the slow path, and the scenario audit (auditStore) checks each
+// forwarder logStore reports settled against the oracle's expect.
 type storeBackend interface {
 	// recordHeard notes that the guard heard sidx send key at now; the
 	// fact is live for cacheTTL. It reports whether this met an
@@ -29,11 +30,11 @@ type storeBackend interface {
 	// was heard sending key (live at now) or one is outstanding already,
 	// and reports whether it did.
 	expect(fidx int32, key packet.Key, now time.Duration) bool
-	// settled is true only if expect(fidx, key, now) would return false
-	// and change nothing: an O(1) answer for the common no-op call.
-	// False means only that the store does not know; the caller then asks
-	// expect. It changes no answer.
-	settled(fidx int32, key packet.Key, now time.Duration) bool
+	// settled returns forwarders for which expect(fidx, key, now) would
+	// return false and change nothing: an O(1) answer for the common
+	// no-op calls. A forwarder left out may still be one; the caller then
+	// asks expect. It changes no answer.
+	settled(key packet.Key, now time.Duration) Forwarders
 	// waiting reports whether the expectation on (fidx, key) is
 	// outstanding: neither met by recordHeard nor cleared.
 	waiting(fidx int32, key packet.Key) bool

@@ -293,20 +293,20 @@ func (s *logStore) expect(fidx int32, key packet.Key, now time.Duration) bool {
 	return true
 }
 
-// settled answers from key's record alone: fidx is expected, or cached as
-// heard while every cached fact is live. Any other case, including a fidx
-// past the masks, answers false and leaves the question to expect.
-func (s *logStore) settled(fidx int32, key packet.Key, now time.Duration) bool {
-	if uint32(fidx) >= settledBits {
-		return false
-	}
+// settled answers from key's record alone: the forwarders expected, and
+// those cached as heard while every cached fact is live. A forwarder past
+// the masks is never in the set, which leaves the question to expect.
+func (s *logStore) settled(key packet.Key, now time.Duration) Forwarders {
 	ri := s.lookup(anyKey(key))
 	if ri < 0 {
-		return false
+		return 0
 	}
 	r := s.rec(ri)
-	bit := uint32(1) << fidx
-	return r.pend&bit != 0 || r.cached(bit, now)
+	set := r.pend
+	if live(r.oldest, now) {
+		set |= r.heard
+	}
+	return Forwarders(set)
 }
 
 func (s *logStore) waiting(fidx int32, key packet.Key) bool {

@@ -67,7 +67,7 @@ func (s *mapStore) expect(fidx int32, key packet.Key, now time.Duration) bool {
 
 // settled never answers early: the oracle decides every expectation the
 // slow way, against which logStore's fast path is checked.
-func (s *mapStore) settled(int32, packet.Key, time.Duration) bool { return false }
+func (s *mapStore) settled(packet.Key, time.Duration) Forwarders { return 0 }
 
 func (s *mapStore) waiting(fidx int32, key packet.Key) bool { return s.pending[mapKey{fidx, key}] }
 
@@ -88,10 +88,11 @@ func (s *mapStore) heardAny(key packet.Key, now time.Duration) bool {
 // auditStore runs a buffer on its production store while a map oracle,
 // fed the same calls, checks every answer: heard, heard-any, expect and
 // whether a forward met an expectation and whether one is waiting must
-// match, and settled may answer true only where the oracle says expect
-// would arm nothing. The buffer
-// sees the production store's answers. Each mismatch goes to report, and
-// calls counts the answers checked, by kind.
+// match, and every forwarder settled reports must be one on which the
+// oracle says expect would arm nothing. The buffer sees the production
+// store's answers. Each mismatch goes to report, and calls counts the
+// answers checked, by kind: a settled probe counts once under Settled and
+// once under SettledTrue for each forwarder it reports.
 type auditStore struct {
 	prod   storeBackend
 	oracle *mapStore
@@ -141,13 +142,16 @@ func (a *auditStore) expect(fidx int32, key packet.Key, now time.Duration) bool 
 	return got
 }
 
-func (a *auditStore) settled(fidx int32, key packet.Key, now time.Duration) bool {
-	got := a.prod.settled(fidx, key, now)
+func (a *auditStore) settled(key packet.Key, now time.Duration) Forwarders {
+	got := a.prod.settled(key, now)
 	a.calls.Settled++
-	if got {
+	for fidx := int32(0); fidx < settledBits; fidx++ {
+		if !got.Has(fidx) {
+			continue
+		}
 		a.calls.SettledTrue++
 		if !a.oracle.noop(fidx, key, now) {
-			a.mismatch("settled", fidx, key, got, false)
+			a.mismatch("settled", fidx, key, true, false)
 		}
 	}
 	return got

@@ -97,7 +97,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			// so queries about the old incarnation's senders reach the log,
 			// where only the incarnation stamp hides the old facts.
 			for id := field.NodeID(1); id <= 48; id++ {
-				b.Intern(id)
+				b.Index().Intern(id)
 			}
 		}
 	}
@@ -139,8 +139,19 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			Seq:    uint64(rng.Intn(24)),
 		}
 	}
+	// expect asks the settled probe first, as the detector does, and
+	// holds its answer to Expect's: a forwarder it reports settled must
+	// be one Expect arms nothing on. The oracle's probe reports none.
+	expect := func(n field.NodeID, k packet.Key) bool {
+		settled := b.SettledSet(k).Has(b.Index().Intern(n))
+		armed := b.Expect(n, k)
+		if settled && armed {
+			tb.Fatalf("seed %d: %d settled on %v, but Expect armed it", seed, n, k)
+		}
+		return armed
+	}
 	query := func(tag string, n field.NodeID, k packet.Key) {
-		log = append(log, fmt.Sprintf("%s %v %v %d", tag, b.Heard(n, k), b.HeardAny(k), b.Len()))
+		log = append(log, fmt.Sprintf("%s %v %v %d", tag, heardID(b, n, k), b.HeardAny(k), b.Len()))
 	}
 
 	afterOp := func() {
@@ -165,7 +176,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				peer.RecordHeard(node(), somekey())
 			}
 		case 2, 3:
-			log = append(log, fmt.Sprintf("exp %v", b.Expect(node(), somekey())))
+			log = append(log, fmt.Sprintf("exp %v", expect(node(), somekey())))
 		case 4, 5:
 			log = append(log, fmt.Sprintf("fwd %v", hear(node(), somekey())))
 		case 6:
@@ -195,7 +206,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				k := packet.Key{Type: packet.TypeRouteRequest, Origin: node(), Seq: base + i}
 				b.RecordHeard(node(), k)
 				if i%2 == 0 {
-					if f := node(); b.Expect(f, k) {
+					if f := node(); expect(f, k) {
 						burst = append(burst, armed{f, k})
 					}
 				}
@@ -217,7 +228,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				log = append(log, fmt.Sprintf("boot g%d", gen))
 				if lastK.Type != 0 {
 					query("boot", lastS, lastK)
-					log = append(log, fmt.Sprintf("bexp %v", b.Expect(lastS, lastK)))
+					log = append(log, fmt.Sprintf("bexp %v", expect(lastS, lastK)))
 				}
 			}
 		case 12:
@@ -245,7 +256,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				n := node()
 				query("fld", n, k)
 				query("own", self, k)
-				log = append(log, fmt.Sprintf("fexp %v", b.Expect(n, k)))
+				log = append(log, fmt.Sprintf("fexp %v", expect(n, k)))
 			}
 		case 13:
 			// Re-record: one sender heard again on the same packet, the
@@ -258,7 +269,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 		case 14:
 			// Expect on a packet no one was heard transmitting.
 			k := packet.Key{Type: packet.TypeRouteReply, Origin: node(), Seq: uint64(2_000_000 + op)}
-			log = append(log, fmt.Sprintf("nexp %v", b.Expect(node(), k)))
+			log = append(log, fmt.Sprintf("nexp %v", expect(node(), k)))
 			query("nqry", node(), k)
 		case 15:
 			// A packet whose first sender has expired while a later one is
@@ -271,7 +282,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			kernel.RunFor(ttl/2 + time.Duration(rng.Intn(60))*time.Millisecond)
 			query("part", a, k)
 			query("part", c, k)
-			log = append(log, fmt.Sprintf("pexp %v %v", b.Expect(a, k), b.Expect(c, k)))
+			log = append(log, fmt.Sprintf("pexp %v %v", expect(a, k), expect(c, k)))
 		case 16:
 			// Expect/forward race on one record: expectations on several
 			// forwarders of a packet heard once, then each forward heard
@@ -281,7 +292,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			fwds := make([]field.NodeID, 1+rng.Intn(6))
 			for i := range fwds {
 				fwds[i] = node()
-				log = append(log, fmt.Sprintf("rexp %v", b.Expect(fwds[i], k)))
+				log = append(log, fmt.Sprintf("rexp %v", expect(fwds[i], k)))
 			}
 			step := int(cfg.Timeout / time.Millisecond / 2)
 			for _, f := range fwds {
@@ -299,7 +310,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 				if rng.Intn(2) == 0 {
 					b.RecordHeard(node(), k)
 				}
-				log = append(log, fmt.Sprintf("sexp %v", b.Expect(node(), k)))
+				log = append(log, fmt.Sprintf("sexp %v", expect(node(), k)))
 			}
 			idle := time.Duration(rng.Intn(int(cfg.Timeout/time.Millisecond))) * time.Millisecond
 			if rng.Intn(2) == 0 {
@@ -329,12 +340,12 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 					kernel.RunFor(d)
 					t += d
 					b.RecordHeard(other(f), k)
-					log = append(log, fmt.Sprintf("%s %v", tag, b.Expect(f, k)))
+					log = append(log, fmt.Sprintf("%s %v", tag, expect(f, k)))
 				}
 			}
 			keepAlive(ttl, "stale", first)
 			f := other(first)
-			log = append(log, fmt.Sprintf("dexp %v", b.Expect(f, k)))
+			log = append(log, fmt.Sprintf("dexp %v", expect(f, k)))
 			keepAlive(cfg.Timeout, "redo", f)
 			query("redo", f, k)
 		case 19:
@@ -344,7 +355,7 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			for range 1 + rng.Intn(12) {
 				b.RecordHeard(wide(), k)
 				for range rng.Intn(4) {
-					log = append(log, fmt.Sprintf("wexp %v", b.Expect(wide(), k)))
+					log = append(log, fmt.Sprintf("wexp %v", expect(wide(), k)))
 				}
 				kernel.RunFor(time.Duration(rng.Intn(20)) * time.Millisecond)
 			}
@@ -538,56 +549,71 @@ func TestLogAccounting(t *testing.T) {
 	}
 }
 
-// TestSettledFastPath walks one packet record through the cases settled
-// must answer: an expected forwarder and a sender heard while the record
-// exists answer at once; a never-seen node, a forwarder past the masks
-// and a sender heard before the record existed leave the answer to
-// expect, which finds the last one on the log and caches it; a cached
-// fact stops answering once it has expired, and a dropped forwarder is
-// unsettled until it is expected again. Facts live ten tau, so the record
-// is made late in the life of the first sender's fact.
+// TestSettledFastPath walks one packet record through the cases the
+// settled probe must answer: an expected forwarder and a sender heard
+// while the record exists are in the set at once; a never-seen node, a
+// forwarder past the masks and a sender heard before the record existed
+// are left to expect, which finds the last one on the log and caches it;
+// a cached fact leaves the set once it has expired, and a dropped
+// forwarder is unsettled until it is expected again. Facts live ten tau,
+// so the record is made late in the life of the first sender's fact.
 func TestSettledFastPath(t *testing.T) {
 	k := sim.New(1)
 	const tau = 100 * time.Millisecond
 	b, _, _ := newBuffer(k, Config{Timeout: tau})
 	for id := field.NodeID(0); id <= settledBits; id++ {
-		b.Intern(id)
+		b.Index().Intern(id)
 	}
 	kk := key(1, 1)
+	settled := func(f int32) bool { return b.SettledSet(kk).Has(f) }
 	b.RecordHeardIdx(1, kk) // before the record exists; live until 10 tau
 	k.RunFor(10*tau - tau/2)
-	if b.Settled(1, kk) || b.Settled(2, kk) {
+	if b.SettledSet(kk) != 0 {
 		t.Fatal("settled without a record")
 	}
-	if !b.ExpectIdx(2, kk) || !b.Settled(2, kk) {
-		t.Fatal("expected forwarder 2 is not settled")
+	if !b.ExpectIdx(2, kk) || b.SettledSet(kk) != 1<<2 {
+		t.Fatalf("after expecting 2 the set is %b, want only 2", b.SettledSet(kk))
 	}
-	if b.Settled(1, kk) || b.ExpectIdx(1, kk) || !b.Settled(1, kk) {
+	if settled(1) || b.ExpectIdx(1, kk) || !settled(1) {
 		t.Fatal("sender 1, heard before the record, must be found on the log once and then cached")
 	}
-	if !b.ExpectIdx(settledBits, kk) || b.Settled(settledBits, kk) || b.ExpectIdx(settledBits, kk) {
+	if !b.ExpectIdx(settledBits, kk) || settled(settledBits) || b.ExpectIdx(settledBits, kk) {
 		t.Fatal("a forwarder past the masks must be answered by the slow path")
 	}
 	k.RunFor(tau / 4)
 	b.RecordHeardIdx(3, kk) // while the record exists
-	if !b.Settled(3, kk) || b.Settled(4, kk) {
-		t.Fatal("heard sender 3 unsettled or unseen 4 settled")
+	if got := b.SettledSet(kk); got != 1<<1|1<<2|1<<3 {
+		t.Fatalf("set %b, want 1, 2 and 3", got)
 	}
 
 	// Sender 1's fact expires first; the cache stops answering for every
 	// sender, and the slow path re-arms 1 but not 3.
 	k.RunFor(tau / 4)
-	if b.Settled(1, kk) || b.Settled(3, kk) {
-		t.Fatal("the cache answered past its oldest fact's expiry")
+	if got := b.SettledSet(kk); got != 1<<2 {
+		t.Fatalf("set %b past the cache's oldest fact's expiry, want only 2", got)
 	}
-	if !b.ExpectIdx(1, kk) || b.ExpectIdx(3, kk) || !b.Settled(3, kk) {
+	if !b.ExpectIdx(1, kk) || b.ExpectIdx(3, kk) || !settled(3) {
 		t.Fatal("slow path after the cache expired: 1 must be armed, 3 still heard")
 	}
 
 	// Forwarder 2's expectation drops; it can be armed again.
 	k.RunFor(tau / 2)
-	if b.Settled(2, kk) || !b.ExpectIdx(2, kk) {
+	if settled(2) || !b.ExpectIdx(2, kk) {
 		t.Fatal("forwarder 2 not re-armed after its drop")
+	}
+}
+
+// TestForwardersHas: a set holds its bits, and a forwarder at or past the
+// masks is never in one.
+func TestForwardersHas(t *testing.T) {
+	all := ^Forwarders(0)
+	for f := int32(0); f < settledBits; f++ {
+		if !all.Has(f) || Forwarders(0).Has(f) || Forwarders(1<<f).Has(f^1) {
+			t.Fatalf("forwarder %d misread", f)
+		}
+	}
+	if all.Has(settledBits) || all.Has(settledBits+5) {
+		t.Fatal("a forwarder past the masks is in a set")
 	}
 }
 

@@ -16,7 +16,11 @@
 // current incarnation. Each guard keeps, behind the storeBackend seam,
 // only a small record per packet it expects forwards of, which lives
 // about as long as those expectations (logStore, store_log.go); the store
-// alone knows which expectations are outstanding. The tests check it
+// alone knows which expectations are outstanding. One read of that record
+// (SettledSet) names every forwarder already expected or heard, so the
+// detector asks once per overheard copy, not once per neighbor, and
+// ExpectIdx decides the rest. Callers that resolved a node already pass
+// its nbrIdx (RecordHeardIdx, HeardIdx, ExpectIdx). The tests check it
 // against a Go-map oracle that keeps every heard fact per guard. The
 // buffer itself keeps its expectations' deadlines in a queue in the order
 // they were armed, one kernel timer for the oldest one still waiting (see
@@ -282,11 +286,6 @@ func (b *Buffer) Len() int {
 // Index returns the dense neighbor index the buffer keys its state by.
 func (b *Buffer) Index() *neighbor.Index { return b.idx }
 
-// Intern returns id's dense index, assigning one on first sight. Callers
-// holding a packet from a sender they will both record and expect against
-// intern once and use the *Idx methods.
-func (b *Buffer) Intern(id field.NodeID) int32 { return b.idx.Intern(id) }
-
 // EntryBytes is the paper's per-entry storage cost (§5.2): 4 bytes each for
 // the immediate source, the immediate destination and the original source,
 // plus 8 bytes of sequence number.
@@ -324,12 +323,12 @@ func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 	return true
 }
 
-// Heard reports whether the guard recently overheard sender transmitting
-// the packet identified by key. A sender that was never interned was never
-// recorded.
-func (b *Buffer) Heard(sender field.NodeID, key packet.Key) bool {
-	sidx, ok := b.idx.Lookup(sender)
-	return ok && b.store.heard(sidx, key, b.kernel.Now())
+// HeardIdx reports whether the guard recently overheard the sender
+// interned at sidx transmitting the packet identified by key. A sender
+// that was never interned was never recorded, so a caller holding no index
+// for it knows the answer is false.
+func (b *Buffer) HeardIdx(sidx int32, key packet.Key) bool {
+	return b.store.heard(sidx, key, b.kernel.Now())
 }
 
 // HeardAny reports whether the guard recently overheard *anyone* transmit
@@ -352,14 +351,14 @@ func (b *Buffer) Expect(forwarder field.NodeID, key packet.Key) bool {
 	return b.ExpectIdx(b.idx.Intern(forwarder), key)
 }
 
-// ExpectIdx is Expect for a pre-interned forwarder. Most calls are no-ops
-// on a forwarder already expected or heard; Settled answers most of those
-// without asking the reception log. An armed expectation reserves the
-// kernel sequence number a timer armed now would get; the buffer's timer
-// is armed for it only if the entry is the queue's only one.
+// ExpectIdx is Expect for a pre-interned forwarder. A caller about to
+// expect many forwarders of one packet skips those in SettledSet first. An
+// armed expectation reserves the kernel sequence number a timer armed now
+// would get; the buffer's timer is armed for it only if the entry is the
+// queue's only one.
 func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
 	now := b.kernel.Now()
-	if b.store.settled(fidx, key, now) || !b.store.expect(fidx, key, now) {
+	if !b.store.expect(fidx, key, now) {
 		return false
 	}
 	idle := b.deadlines.Empty()
@@ -375,12 +374,24 @@ func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
 	return true
 }
 
-// Settled reports whether ExpectIdx(fidx, key) is known to be a no-op
-// now: fidx is already expected to forward key, or was heard sending it.
-// It reads one packet record and changes nothing. False means only that
-// the answer needs ExpectIdx's full check.
-func (b *Buffer) Settled(fidx int32, key packet.Key) bool {
-	return b.store.settled(fidx, key, b.kernel.Now())
+// Forwarders is a set of forwarder indices below settledBits, one bit
+// each.
+type Forwarders uint32
+
+// Has reports whether fidx is in the set. A forwarder at or past the
+// masks never is.
+func (f Forwarders) Has(fidx int32) bool {
+	return uint32(fidx) < settledBits && f&(1<<fidx) != 0
+}
+
+// SettledSet returns the forwarders for which ExpectIdx(fidx, key) is
+// known to be a no-op now: each is already expected to forward key, or
+// was heard sending it. It reads one packet record and changes nothing,
+// and an ExpectIdx on one forwarder unsettles no other, so the set holds
+// for every forwarder of one overheard copy. A forwarder not in it needs
+// ExpectIdx's full check.
+func (b *Buffer) SettledSet(key packet.Key) Forwarders {
+	return b.store.settled(key, b.kernel.Now())
 }
 
 // popHead pops the queue's head, then every met entry behind it, and

@@ -46,6 +46,13 @@ func fixture(k *sim.Kernel, cfg Config) Config {
 	return cfg
 }
 
+// heardID asks b whether it heard id send k, as a caller that holds no
+// index for id would: an ID never interned was never recorded.
+func heardID(b *Buffer, id field.NodeID, k packet.Key) bool {
+	sidx, ok := b.Index().Lookup(id)
+	return ok && b.HeardIdx(sidx, k)
+}
+
 // noAccuse and noThreshold are the hooks of a buffer whose accusations a
 // test does not read.
 func noAccuse(Accusation)      {}
@@ -249,15 +256,15 @@ func TestMalCWindowExpires(t *testing.T) {
 func TestHeardCache(t *testing.T) {
 	k := sim.New(1)
 	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond})
-	if b.Heard(3, key(1, 1)) {
+	if heardID(b, 3, key(1, 1)) {
 		t.Fatal("Heard true before RecordHeard")
 	}
 	b.RecordHeard(3, key(1, 1))
-	if !b.Heard(3, key(1, 1)) {
+	if !heardID(b, 3, key(1, 1)) {
 		t.Fatal("Heard false after RecordHeard")
 	}
 	k.RunFor(2 * time.Second)
-	if b.Heard(3, key(1, 1)) {
+	if heardID(b, 3, key(1, 1)) {
 		t.Fatal("Heard true after TTL")
 	}
 }
@@ -269,7 +276,7 @@ func TestHeardCacheRefresh(t *testing.T) {
 	k.RunFor(800 * time.Millisecond)
 	b.RecordHeard(3, key(1, 1)) // refresh
 	k.RunFor(900 * time.Millisecond)
-	if !b.Heard(3, key(1, 1)) {
+	if !heardID(b, 3, key(1, 1)) {
 		t.Fatal("refreshed record expired early")
 	}
 }
