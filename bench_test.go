@@ -336,24 +336,3 @@ func BenchmarkNSweepDetection(b *testing.B) {
 	b.ReportMetric(det, "P(detect)-N60")
 	b.ReportMetric(lat, "isolation-s-N60")
 }
-
-// BenchmarkAblationRouteErrors quantifies how much of Figure 8's
-// post-isolation cached-route tail RERR route repair removes: drops after
-// the wormhole is isolated continue only until the source learns (paper
-// behavior: TOutRoute; with RERR: one failed data packet).
-func BenchmarkAblationRouteErrors(b *testing.B) {
-	var plain, repaired float64
-	for i := 0; i < b.N; i++ {
-		base := runScenario(b, func(p *liteworp.Params) {
-			p.Seed = int64(i) + 19
-		})
-		rerr := runScenario(b, func(p *liteworp.Params) {
-			p.RouteErrors = true
-			p.Seed = int64(i) + 19
-		})
-		plain = float64(base.DataDroppedAttack)
-		repaired = float64(rerr.DataDroppedAttack)
-	}
-	b.ReportMetric(plain, "dropped-no-repair")
-	b.ReportMetric(repaired, "dropped-with-rerr")
-}

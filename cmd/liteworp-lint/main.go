@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	liteworp-lint [-json|-sarif] [packages]
+//	liteworp-lint [-json] [packages]
 //
 // The package arguments are accepted for familiarity (`./...`) but the
 // linter always analyzes the whole module containing the working
@@ -16,8 +16,7 @@
 //
 // Output: one `file:line:col: [analyzer] message` line per finding, or
 // with -json a JSON array in canonical order (file, line, column,
-// analyzer), or with -sarif a SARIF 2.1.0 log for CI ingestion. All three
-// are byte-stable across runs. An inline //lint:<directive> <reason>
+// analyzer). Both are byte-stable across runs. An inline //lint:<directive> <reason>
 // waiver is the one way to accept a finding.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
@@ -45,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	fs := flag.NewFlagSet("liteworp-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
 	}
@@ -60,22 +58,13 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	}
 	findings := lint.Run(pkgs, lint.Analyzers())
 
-	switch {
-	case *sarifOut:
-		data, err := lint.SARIF(findings, lint.Analyzers())
-		if err != nil {
-			return 2, err
-		}
-		if _, err := stdout.Write(data); err != nil {
-			return 2, err
-		}
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(findings); err != nil {
 			return 2, err
 		}
-	default:
+	} else {
 		for _, d := range findings {
 			fmt.Fprintln(stdout, d)
 		}

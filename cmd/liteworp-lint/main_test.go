@@ -124,52 +124,9 @@ func TestJSONOutputShape(t *testing.T) {
 	}
 }
 
-func TestSARIFOutput(t *testing.T) {
-	dir := writeViolatingModule(t)
-	inDir(t, dir)
-
-	var stdout, stderr bytes.Buffer
-	code, err := run([]string{"-sarif"}, &stdout, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &log); err != nil {
-		t.Fatalf("-sarif output is not valid JSON: %v\n%s", err, stdout.String())
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("unexpected SARIF shape: version %q, %d runs", log.Version, len(log.Runs))
-	}
-	run0 := log.Runs[0]
-	if run0.Tool.Driver.Name != "liteworp-lint" || len(run0.Tool.Driver.Rules) != 5 {
-		t.Errorf("driver %q with %d rules, want liteworp-lint with 5", run0.Tool.Driver.Name, len(run0.Tool.Driver.Rules))
-	}
-	if len(run0.Results) != 1 || run0.Results[0].RuleID != "nondet-taint" {
-		t.Errorf("unexpected results: %+v", run0.Results)
-	}
-}
-
-// TestUsageErrors: an unknown flag is a usage error. -json and -sarif
-// are the only flags; in particular no flag accepts findings (an inline
-// waiver is the one way) or regenerates a budget.
+// TestUsageErrors: an unknown flag is a usage error. -json is the only
+// flag; in particular no flag accepts findings (an inline waiver is the
+// one way) or regenerates a budget.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-definitely-not-a-flag"},

@@ -46,7 +46,6 @@ func run(args []string) error {
 	tracePath := fs.String("trace", "", "write a JSONL radio trace to this file")
 	hopByHop := fs.Bool("hopbyhop", false, "AODV-style hop-by-hop data forwarding")
 	airtime := fs.Bool("airtime", false, "physical contention channel (CSMA + airtime collisions)")
-	rerr := fs.Bool("rerr", false, "enable RERR route repair")
 	churnCrashes := fs.Int("churn-crashes", 0, "random honest-node crashes to inject over the run")
 	churnOutage := fs.Duration("churn-outage", 30*time.Second, "mean crash outage before auto-reboot")
 	churnFlaps := fs.Int("churn-flaps", 0, "random link flaps to inject over the run")
@@ -77,7 +76,6 @@ func run(args []string) error {
 		p.Routing = liteworp.RoutingHopByHop
 	}
 	p.AirtimeChannel = *airtime
-	p.RouteErrors = *rerr
 	if p.NumMalicious == 0 {
 		p.Attack = liteworp.AttackNone
 	}

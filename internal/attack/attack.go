@@ -21,8 +21,6 @@
 package attack
 
 import (
-	"time"
-
 	"liteworp/internal/field"
 	"liteworp/internal/medium"
 	"liteworp/internal/packet"
@@ -131,10 +129,6 @@ type Config struct {
 	// HighPowerFactor scales the radio range in high-power mode; it is at
 	// least 1 (Params.Validate checks it).
 	HighPowerFactor float64
-	// EncapDelayPerHop models the latency of the multihop path carrying
-	// encapsulated packets (out-of-band mode uses zero). The scenario
-	// computes tunnel delay = hops * EncapDelayPerHop when wiring tunnels.
-	EncapDelayPerHop time.Duration
 	// SmartRepCover is the paper's "smarter M2": besides tunneling a REP
 	// to its colluder, the exit also transmits a copy over the real radio
 	// so the guards' watch-buffer entries are satisfied and no drop

@@ -11,14 +11,12 @@ import (
 )
 
 // testConfig returns the paper's attack behavior for the given mode: a
-// forged previous hop at the tunnel exit, 3x range in high-power mode and
-// 10 ms per encapsulated hop.
+// forged previous hop at the tunnel exit and 3x range in high-power mode.
 func testConfig(mode Mode) Config {
 	return Config{
-		Mode:             mode,
-		PrevHop:          StrategyForgeNeighbor,
-		HighPowerFactor:  3,
-		EncapDelayPerHop: 10 * time.Millisecond,
+		Mode:            mode,
+		PrevHop:         StrategyForgeNeighbor,
+		HighPowerFactor: 3,
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // which checks that its goroutines never share restricted kernel state.
 var NoRawGoroutine = &Analyzer{
 	Name:      "no-raw-goroutine",
-	Doc:       "forbid go statements and channel creation in internal/ — all scheduling goes through the event kernel (declared //lint:concurrency-layer packages exempt)",
 	RunModule: runNoRawGoroutine,
 }
 

@@ -50,8 +50,6 @@ func (d Diagnostic) String() string {
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics (kebab-case).
 	Name string
-	// Doc is a one-line description of what the analyzer enforces.
-	Doc string
 	// RunModule inspects the loaded module and reports through the pass.
 	RunModule func(*ModulePass)
 }
@@ -215,7 +213,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer, message
-// — the canonical order every output mode (text, -json, -sarif) emits.
+// — the canonical order every output mode (text, -json) emits.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -65,7 +65,6 @@ func ConcurrencyLayer(pkg *Package) (reason string, ok bool, pos token.Pos) {
 // //lint:ownership <reason>.
 var KernelOwnership = &Analyzer{
 	Name:      "kernel-ownership",
-	Doc:       "goroutine-reachable code must not share sim.Kernel/scope/Scenario state via captures, globals, channels, or go-statement arguments",
 	RunModule: runKernelOwnership,
 }
 

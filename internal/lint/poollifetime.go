@@ -41,7 +41,6 @@ import (
 // on purpose and validates it against a generation counter on every use.
 var PoolLifetime = &Analyzer{
 	Name:      "pool-lifetime",
-	Doc:       "flag use-after-release, double-release, and escapes of pooled records (freelist Get/Put discipline)",
 	RunModule: runPoolLifetime,
 }
 

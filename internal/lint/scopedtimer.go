@@ -21,7 +21,6 @@ var timerMethods = map[string]bool{"At": true, "After": true, "Post": true, "AtS
 // in its scope.
 var ScopedTimers = &Analyzer{
 	Name:      "scoped-timers",
-	Doc:       "forbid direct sim.Kernel scheduling from node-owned packages — node timers must go through sim.Scope",
 	RunModule: runScopedTimers,
 }
 

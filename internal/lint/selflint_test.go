@@ -127,8 +127,8 @@ func TestLoadModulePositions(t *testing.T) {
 func TestAnalyzerRegistry(t *testing.T) {
 	var names []string
 	for _, a := range Analyzers() {
-		if a.Name == "" || a.Doc == "" || a.RunModule == nil {
-			t.Errorf("analyzer %+v missing name, doc or RunModule", a)
+		if a.Name == "" || a.RunModule == nil {
+			t.Errorf("analyzer %+v missing name or RunModule", a)
 		}
 		if AnalyzerByName(a.Name) != a {
 			t.Errorf("AnalyzerByName(%q) mismatch", a.Name)
@@ -165,7 +165,7 @@ func BenchmarkLintModule(b *testing.B) {
 
 // TestRunOutputIsSorted pins the canonical diagnostic ordering every
 // output mode relies on (file, line, column, analyzer, message): a
-// scrambled batch must come back sorted, so -json and -sarif output is
+// scrambled batch must come back sorted, so -json output is
 // byte-stable no matter which analyzer reported first.
 func TestRunOutputIsSorted(t *testing.T) {
 	diags := []Diagnostic{

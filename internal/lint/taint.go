@@ -41,7 +41,6 @@ import (
 // (the caller and everything above it stay clean through this edge).
 var NondetTaint = &Analyzer{
 	Name:      "nondet-taint",
-	Doc:       "report nondeterminism sources (wallclock, global rand, select, map range) at their line and propagate them through the call graph — determinism-bound code may not reach one",
 	RunModule: runNondetTaint,
 }
 

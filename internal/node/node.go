@@ -245,8 +245,6 @@ func (n *Node) transmit(p *packet.Packet) error {
 		if p.Type == packet.TypeData {
 			n.deps.Collector.RecordDrop(n.deps.Kernel.Now())
 		}
-		// Optional route repair: tell the source its cached route is dead.
-		n.router.ReportBrokenRoute(p)
 		return nil
 	}
 	if n.engine != nil {
@@ -322,16 +320,14 @@ func (n *Node) Receive(p *packet.Packet) {
 		n.router.HandleRouteRequest(p)
 	case packet.TypeRouteReply:
 		n.router.HandleRouteReply(p)
-	case packet.TypeRouteError:
-		n.router.HandleRouteError(p)
 	case packet.TypeData:
 		if n.attacker != nil && n.attacker.ShouldDropData(p) {
 			n.deps.Collector.RecordDrop(n.deps.Kernel.Now())
 			return
 		}
-		if err := n.router.HandleData(p); err != nil {
-			n.router.ReportBrokenRoute(p)
-		}
+		// A frame this node cannot forward is lost here; the source's
+		// cached route keeps claiming traffic until TOutRoute.
+		_ = n.router.HandleData(p)
 	}
 }
 

@@ -63,14 +63,12 @@ func testDeps(k *sim.Kernel, med *medium.Medium, f *field.Field) Deps {
 }
 
 // testAttack is the paper's attacker for the given mode: a forged previous
-// hop at the tunnel exit, 3x range in high-power mode and 10 ms per
-// encapsulated hop.
+// hop at the tunnel exit and 3x range in high-power mode.
 func testAttack(mode attack.Mode) attack.Config {
 	return attack.Config{
-		Mode:             mode,
-		PrevHop:          attack.StrategyForgeNeighbor,
-		HighPowerFactor:  3,
-		EncapDelayPerHop: 10 * time.Millisecond,
+		Mode:            mode,
+		PrevHop:         attack.StrategyForgeNeighbor,
+		HighPowerFactor: 3,
 	}
 }
 

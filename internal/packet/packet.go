@@ -40,7 +40,6 @@ const (
 	TypeData
 	TypeAlert
 	TypeTunnelEncap
-	TypeRouteError
 
 	// NumTypes is one past the largest packet type: a table indexed by
 	// Type has NumTypes slots.
@@ -56,7 +55,6 @@ var typeNames = map[Type]string{
 	TypeData:         "DATA",
 	TypeAlert:        "ALERT",
 	TypeTunnelEncap:  "TUNNEL",
-	TypeRouteError:   "RERR",
 }
 
 // String returns the short packet-type mnemonic.

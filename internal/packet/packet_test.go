@@ -173,7 +173,7 @@ func TestIsControl(t *testing.T) {
 	if !TypeRouteRequest.IsControl() || !TypeRouteReply.IsControl() {
 		t.Fatal("REQ/REP must be control")
 	}
-	for _, ty := range []Type{TypeHello, TypeHelloReply, TypeNeighborList, TypeData, TypeAlert, TypeTunnelEncap, TypeRouteError} {
+	for _, ty := range []Type{TypeHello, TypeHelloReply, TypeNeighborList, TypeData, TypeAlert, TypeTunnelEncap} {
 		if ty.IsControl() {
 			t.Fatalf("%v should not be control", ty)
 		}

@@ -58,14 +58,6 @@ type Config struct {
 	// for a random amount of time before forwarding"). The
 	// protocol-deviation (rushing) attacker sets this to zero.
 	ForwardJitter time.Duration
-	// SendRouteErrors enables RERR signaling: a forwarder that cannot
-	// deliver a data packet (revoked next hop, missing table entry)
-	// reports back to the source, which evicts the stale route
-	// immediately instead of waiting out TOutRoute. Off by default — the
-	// paper's routing has no route repair, which is what produces the
-	// cached-route tail in Fig. 8; the ablation bench quantifies how much
-	// of that tail RERR removes.
-	SendRouteErrors bool
 	// HopByHop switches data forwarding from DSR-style source routes to
 	// AODV-style per-hop forwarding tables: REQ/REP still accumulate a
 	// route (which is how reverse/forward table entries are learned and
@@ -135,9 +127,6 @@ type Stats struct {
 	SendsFailed        uint64
 	SendFailures       uint64 // unicast transmissions the MAC reported undeliverable
 	DeadHopEvictions   uint64 // next hops whose routes were evicted for send failures
-	RouteErrorsSent    uint64
-	RouteErrorsRelayed uint64
-	RouteErrorsApplied uint64
 }
 
 // Router is one node's routing state machine.
@@ -711,87 +700,6 @@ func (r *Router) HandleData(p *packet.Packet) error {
 	err := r.unicast(next, fwd)
 	fwd.Release()
 	return err
-}
-
-// ReportBrokenRoute originates a RERR toward the data packet's source:
-// this node could not forward p (next hop revoked or no table entry). The
-// unreachable destination rides in FinalDest-adjacent metadata: Origin is
-// this reporter, FinalDest is the data source, and the packet's Seq carries
-// the unreachable destination's ID so the source knows which route to
-// evict. No-op unless SendRouteErrors is enabled or the packet is not
-// routable back.
-func (r *Router) ReportBrokenRoute(p *packet.Packet) {
-	if !r.cfg.SendRouteErrors || p.Type != packet.TypeData || p.Origin == r.self {
-		return
-	}
-	tmpl := packet.Packet{
-		Type:      packet.TypeRouteError,
-		Seq:       uint64(p.FinalDest), // unreachable destination
-		Origin:    r.self,
-		FinalDest: p.Origin,
-		Sender:    r.self,
-		PrevHop:   r.self,
-	}
-	switch {
-	case r.cfg.HopByHop:
-		hop, ok := r.NextHop(p.Origin)
-		if !ok {
-			return
-		}
-		tmpl.Receiver = hop
-	default:
-		idx := indexOf(p.Route, r.self)
-		if idx <= 0 {
-			return
-		}
-		tmpl.Receiver = p.Route[idx-1]
-		// Carry the reverse path so intermediates need no state.
-		tmpl.Route = p.Route[:idx+1]
-	}
-	rerr := r.frames.Clone(&tmpl)
-	r.stats.RouteErrorsSent++
-	_ = r.send(rerr)
-	rerr.Release()
-}
-
-// HandleRouteError processes a RERR addressed to this node: relay it
-// toward the source, or — at the source — evict the dead route.
-func (r *Router) HandleRouteError(p *packet.Packet) {
-	if p.Receiver != r.self {
-		return
-	}
-	if p.FinalDest == r.self {
-		dest := field.NodeID(p.Seq)
-		if _, ok := r.cache[dest]; ok {
-			r.EvictRoute(dest)
-			r.stats.RouteErrorsApplied++
-		}
-		return
-	}
-	// Relay toward the source.
-	var next field.NodeID
-	switch {
-	case r.cfg.HopByHop:
-		hop, ok := r.NextHop(p.FinalDest)
-		if !ok {
-			return
-		}
-		next = hop
-	default:
-		idx := indexOf(p.Route, r.self)
-		if idx <= 0 {
-			return
-		}
-		next = p.Route[idx-1]
-	}
-	fwd := r.frames.Clone(p)
-	fwd.PrevHop = p.Sender
-	fwd.Sender = r.self
-	fwd.Receiver = next
-	fwd.HopCount++
-	r.stats.RouteErrorsRelayed++
-	_ = r.send(fwd)
-	fwd.Release()
 }
 
 // EvictRoute drops the cached route to dest (e.g. on link failure).

@@ -28,12 +28,14 @@ package liteworp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"liteworp/internal/attack"
 	"liteworp/internal/detector"
 	"liteworp/internal/field"
+	"liteworp/internal/packet"
 )
 
 // NodeID identifies a node (4 bytes on the wire, as in the paper's cost
@@ -190,16 +192,12 @@ type Params struct {
 	// Routing selects DSR-style source routing (default) or AODV-style
 	// hop-by-hop forwarding.
 	Routing RoutingStyle
-	// RouteErrors enables RERR route repair: forwarders that cannot
-	// deliver data report back and the source evicts the stale route
-	// immediately. Off by default (the paper's routing waits out
-	// TOutRoute, producing Fig. 8's cached-route tail).
-	RouteErrors bool
 	// Lambda is the per-node data rate (paper: 1/10 s^-1).
 	Lambda float64
 	// Mu is the destination re-selection rate (paper: 1/200 s^-1).
 	Mu float64
-	// PayloadBytes sizes generated data packets.
+	// PayloadBytes sizes generated data packets, at most
+	// packet.MaxPayloadLen (the wire format's payload length field).
 	PayloadBytes int
 	// ForwardJitter is the REQ rebroadcast backoff for honest nodes.
 	ForwardJitter time.Duration
@@ -207,22 +205,18 @@ type Params struct {
 	// --- attack ---
 
 	// NumMalicious is M (paper: 0..4). Malicious nodes are placed more
-	// than MinMaliciousSep hops apart.
+	// than two hops apart, as in the paper's simulations.
 	NumMalicious int
 	// Attack selects the wormhole mode.
 	Attack AttackMode
 	// PrevHop selects the tunnel-exit strategy.
 	PrevHop PrevHopChoice
 	// AttackStart is when malicious behavior activates, measured from
-	// the start of the operational phase (paper: 50 s).
+	// the start of the operational phase (paper: 50 s). It is never
+	// negative: secure neighbor discovery runs attack-free.
 	AttackStart time.Duration
-	// MinMaliciousSep is the minimum pairwise hop distance between
-	// malicious nodes (paper: more than 2 hops).
-	MinMaliciousSep int
 	// HighPowerFactor scales the attacker's range in high-power mode.
 	HighPowerFactor float64
-	// EncapDelayPerHop is the per-hop latency of the encapsulation path.
-	EncapDelayPerHop time.Duration
 	// DropProbability selects selective data dropping at wormhole
 	// endpoints; 0 (default) drops everything, 0 < q < 1 drops each
 	// packet with probability q.
@@ -275,9 +269,7 @@ func DefaultParams() Params {
 		Attack:               AttackOutOfBand,
 		PrevHop:              PrevHopForgeNeighbor,
 		AttackStart:          50 * time.Second,
-		MinMaliciousSep:      2,
 		HighPowerFactor:      3,
-		EncapDelayPerHop:     10 * time.Millisecond,
 		Duration:             500 * time.Second,
 	}
 }
@@ -311,7 +303,9 @@ func (p Params) Validate() error {
 		return fmt.Errorf("liteworp: unknown detector %q (known: %s)",
 			p.Detector, strings.Join(detector.Names(), ", "))
 	}
-	if p.DropProbability < 0 || p.DropProbability > 1 {
+	// Range checks are written so that NaN, for which every comparison
+	// is false, fails them.
+	if !(p.DropProbability >= 0 && p.DropProbability <= 1) {
 		return fmt.Errorf("liteworp: DropProbability = %g, want [0, 1]", p.DropProbability)
 	}
 	if p.Liteworp && (p.WatchTimeout <= 0 || p.MalCWindow <= 0) {
@@ -330,7 +324,21 @@ func (p Params) Validate() error {
 	if p.BandwidthBps <= 0 {
 		return fmt.Errorf("liteworp: BandwidthBps must be positive")
 	}
-	if p.Attack == AttackHighPower && p.HighPowerFactor < 1 {
+	// A zero rate is legal: Lambda = 0 generates no traffic, Mu = 0 keeps
+	// each source's first destination.
+	if !(p.Lambda >= 0 && p.Lambda <= math.MaxFloat64) || !(p.Mu >= 0 && p.Mu <= math.MaxFloat64) {
+		return fmt.Errorf("liteworp: Lambda = %g and Mu = %g must be finite and not negative", p.Lambda, p.Mu)
+	}
+	if p.PayloadBytes < 0 || p.PayloadBytes > packet.MaxPayloadLen {
+		return fmt.Errorf("liteworp: PayloadBytes = %d, want [0, %d]", p.PayloadBytes, packet.MaxPayloadLen)
+	}
+	if p.AttackStart < 0 {
+		return fmt.Errorf("liteworp: AttackStart = %v, must not be negative", p.AttackStart)
+	}
+	if !(p.CollisionPc0 >= 0) {
+		return fmt.Errorf("liteworp: CollisionPc0 = %g, must not be negative", p.CollisionPc0)
+	}
+	if p.Attack == AttackHighPower && !(p.HighPowerFactor >= 1) {
 		return fmt.Errorf("liteworp: HighPowerFactor = %g, want >= 1", p.HighPowerFactor)
 	}
 	if p.CollisionPc0 > 0 && p.CollisionNB0 <= 0 {

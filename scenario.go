@@ -95,10 +95,9 @@ func (p Params) nodeConfig(dynamic bool) node.Config {
 			DisableTwoHopCheck: p.DisableTwoHopCheck,
 		},
 		Routing: routing.Config{
-			RouteTimeout:    p.RouteTimeout,
-			ForwardJitter:   p.ForwardJitter,
-			HopByHop:        p.Routing == RoutingHopByHop,
-			SendRouteErrors: p.RouteErrors,
+			RouteTimeout:  p.RouteTimeout,
+			ForwardJitter: p.ForwardJitter,
+			HopByHop:      p.Routing == RoutingHopByHop,
 		},
 		DynamicJoin: dynamic,
 	}
@@ -107,6 +106,14 @@ func (p Params) nodeConfig(dynamic bool) node.Config {
 // firstID is the first deployed node's ID; the rest follow densely, and a
 // node joined later takes the next one.
 const firstID NodeID = 1
+
+// minMaliciousSep is the hop distance every pair of malicious nodes must
+// exceed: the paper places them "more than 2 hops away from each other".
+const minMaliciousSep = 2
+
+// encapDelayPerHop is the per-hop latency of the multihop path that
+// carries an encapsulation tunnel; out-of-band tunnels have none.
+const encapDelayPerHop = 10 * time.Millisecond
 
 // NewScenario deploys the topology, wires every node's protocol stack, and
 // schedules discovery, traffic and the attack. Nothing runs until Run (or
@@ -139,7 +146,7 @@ func NewScenario(p Params) (*Scenario, error) {
 	s.topo = topo
 
 	if p.NumMalicious > 0 {
-		mal, err := field.PickDistantNodes(topo, p.NumMalicious, p.MinMaliciousSep, deployRng)
+		mal, err := field.PickDistantNodes(topo, p.NumMalicious, minMaliciousSep, deployRng)
 		if err != nil {
 			return nil, fmt.Errorf("liteworp: place attackers: %w", err)
 		}
@@ -200,12 +207,11 @@ func NewScenario(p Params) (*Scenario, error) {
 		},
 	}
 	attackCfg := attack.Config{
-		Mode:             p.Attack.internal(),
-		HighPowerFactor:  p.HighPowerFactor,
-		EncapDelayPerHop: p.EncapDelayPerHop,
-		SmartRepCover:    p.SmartAttacker,
-		DropProbability:  p.DropProbability,
-		PrevHop:          attack.StrategyForgeNeighbor,
+		Mode:            p.Attack.internal(),
+		HighPowerFactor: p.HighPowerFactor,
+		SmartRepCover:   p.SmartAttacker,
+		DropProbability: p.DropProbability,
+		PrevHop:         attack.StrategyForgeNeighbor,
 	}
 	if p.PrevHop == PrevHopClaimColluder {
 		attackCfg.PrevHop = attack.StrategyClaimColluder
@@ -252,7 +258,7 @@ func NewScenario(p Params) (*Scenario, error) {
 					if hops < 1 {
 						hops = 1
 					}
-					delay = time.Duration(hops) * p.EncapDelayPerHop
+					delay = time.Duration(hops) * encapDelayPerHop
 				}
 				if err := s.med.AddTunnel(a, b, delay); err != nil {
 					return nil, fmt.Errorf("liteworp: tunnel %d-%d: %w", a, b, err)
