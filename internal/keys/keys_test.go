@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"liteworp/internal/field"
 	"liteworp/internal/packet"
@@ -250,7 +253,9 @@ func BenchmarkVerify(b *testing.B) {
 // TestRingStateCacheBounded touches more peers than the cache cap and
 // checks retention stays at the cap, eviction is FIFO by insertion order,
 // and an evicted peer's MACs re-derive identically — the cap must trade
-// only CPU, never authentication results.
+// only CPU, never authentication results. It also pins the footprint: a
+// cached peer is its ID and its two chaining values, inline in the ring's
+// slices, with no heap object of its own.
 func TestRingStateCacheBounded(t *testing.T) {
 	s := NewKeyServer(1)
 	r := NewRing(1, s)
@@ -259,8 +264,8 @@ func TestRingStateCacheBounded(t *testing.T) {
 	for peer := field.NodeID(2); peer < field.NodeID(2+3*stateCacheCap); peer++ {
 		r.SignBytes(data, peer)
 	}
-	if len(r.peers) != stateCacheCap || len(r.pads) != stateCacheCap {
-		t.Errorf("cache holds %d peers and %d midstates, want cap %d", len(r.peers), len(r.pads), stateCacheCap)
+	if len(r.peers) != stateCacheCap || len(r.macKeys) != stateCacheCap {
+		t.Errorf("cache holds %d peers and %d keys, want cap %d", len(r.peers), len(r.macKeys), stateCacheCap)
 	}
 	if slices.Contains(r.peers, 2) {
 		t.Error("oldest peer survived 3x-cap thrash")
@@ -273,6 +278,39 @@ func TestRingStateCacheBounded(t *testing.T) {
 	if string(first) != string(again) {
 		t.Errorf("MAC changed across eviction: %x -> %x", first, again)
 	}
+
+	if typ := reflect.TypeOf(r.macKeys).Elem(); !pointerFree(typ) {
+		t.Errorf("a cached key (%v) holds a pointer: each peer keeps a heap object", typ)
+	}
+	const maxPeerBytes = 80
+	if perPeer := unsafe.Sizeof(r.peers[0]) + unsafe.Sizeof(r.macKeys[0]); perPeer > maxPeerBytes {
+		t.Errorf("a cached peer takes %d B, want at most %d", perPeer, maxPeerBytes)
+	}
+	held := uintptr(cap(r.peers))*unsafe.Sizeof(r.peers[0]) + uintptr(cap(r.macKeys))*unsafe.Sizeof(r.macKeys[0])
+	if held > stateCacheCap*maxPeerBytes {
+		t.Errorf("a full cache holds %d B of slices, want at most %d", held, stateCacheCap*maxPeerBytes)
+	}
+}
+
+// pointerFree reports whether values of t hold no pointer, so a slice of
+// them is one flat allocation.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return true
+	}
+	return false
 }
 
 // TestRingMatchesHMAC holds the ring's midstate MACs to crypto/hmac over
@@ -295,6 +333,107 @@ func TestRingMatchesHMAC(t *testing.T) {
 			if !r.VerifyBytes(data, want, peer) {
 				t.Fatalf("round %d: VerifyBytes rejected crypto/hmac's tag for peer %d", round, peer)
 			}
+		}
+	}
+}
+
+// TestRingsShareServerDifferential runs several rings on one key server,
+// so every MAC and every derivation shares its digest and scratch, and
+// interleaves Sign, Verify, SignBytes and VerifyBytes over more peers than
+// a ring caches, so eviction and re-derivation both run. Every pair key
+// must be crypto/hmac's HMAC-SHA256 of the master secret over lo‖hi, and
+// every tag crypto/hmac's over that key, truncated; a tag one ring handed
+// out must survive the other rings' MACs.
+func TestRingsShareServerDifferential(t *testing.T) {
+	const seed = 11
+	var sb [8]byte
+	binary.BigEndian.PutUint64(sb[:], seed)
+	master := sha256.Sum256(sb[:])
+	refKey := func(a, b field.NodeID) []byte {
+		lo, hi := min(a, b), max(a, b)
+		var ids [8]byte
+		binary.BigEndian.PutUint32(ids[0:4], uint32(lo))
+		binary.BigEndian.PutUint32(ids[4:8], uint32(hi))
+		mac := hmac.New(sha256.New, master[:])
+		mac.Write(ids[:])
+		return mac.Sum(nil)
+	}
+	refTag := func(a, b field.NodeID, data []byte) []byte {
+		mac := hmac.New(sha256.New, refKey(a, b))
+		mac.Write(data)
+		return mac.Sum(nil)[:packet.MACSize]
+	}
+
+	s := NewKeyServer(seed)
+	rings := []*Ring{NewRing(1, s), NewRing(2, s), NewRing(3, s), NewRing(4, s)}
+	const peers = 2*stateCacheCap + 7
+	// held is the last SignBytes tag, not copied out: valid, and checked
+	// after every other ring's step, until heldRing's own next operation.
+	var held, heldWant []byte
+	var heldRing *Ring
+	for round := range 3 {
+		for j := range peers {
+			peer := field.NodeID(100 + (j*7+round*13)%peers)
+			for i, r := range rings {
+				if heldRing == r {
+					heldRing = nil
+				}
+				if got, want := s.PairKey(r.Self(), peer), refKey(r.Self(), peer); !bytes.Equal(got, want) {
+					t.Fatalf("PairKey(%d, %d) = %x, crypto/hmac %x", r.Self(), peer, got, want)
+				}
+				data := []byte(fmt.Sprintf("round %d ring %d peer %d", round, r.Self(), peer))
+				want := refTag(r.Self(), peer, data)
+				switch op := (round + j + i) % 4; op {
+				case 0:
+					p := &packet.Packet{Type: packet.TypeAlert, Seq: uint64(j), Origin: r.Self(), Sender: r.Self(), Receiver: peer, Payload: data}
+					if err := r.Sign(p, peer); err != nil {
+						t.Fatal(err)
+					}
+					auth, err := p.AppendAuthBytes(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if w := refTag(r.Self(), peer, auth); !bytes.Equal(p.MAC, w) {
+						t.Fatalf("round %d: ring %d Sign for %d = %x, crypto/hmac %x", round, r.Self(), peer, p.MAC, w)
+					}
+				case 1:
+					p := &packet.Packet{Type: packet.TypeAlert, Seq: uint64(j), Origin: peer, Sender: peer, Receiver: r.Self(), Payload: data}
+					auth, err := p.AppendAuthBytes(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.MAC = refTag(r.Self(), peer, auth)
+					if !r.Verify(p, peer) {
+						t.Fatalf("round %d: ring %d rejected crypto/hmac's packet tag from %d", round, r.Self(), peer)
+					}
+					p.MAC[0] ^= 1
+					if r.Verify(p, peer) {
+						t.Fatalf("round %d: ring %d accepted a flipped packet tag from %d", round, r.Self(), peer)
+					}
+				case 2:
+					held, heldWant, heldRing = r.SignBytes(data, peer), want, r
+					if !bytes.Equal(held, want) {
+						t.Fatalf("round %d: ring %d SignBytes for %d = %x, crypto/hmac %x", round, r.Self(), peer, held, want)
+					}
+				case 3:
+					if !r.VerifyBytes(data, want, peer) {
+						t.Fatalf("round %d: ring %d rejected crypto/hmac's tag from %d", round, r.Self(), peer)
+					}
+					bad := append([]byte(nil), want...)
+					bad[len(bad)-1] ^= 0x80
+					if r.VerifyBytes(data, bad, peer) {
+						t.Fatalf("round %d: ring %d accepted a flipped tag from %d", round, r.Self(), peer)
+					}
+				}
+				if heldRing != nil && heldRing != r && !bytes.Equal(held, heldWant) {
+					t.Fatalf("round %d: ring %d's SignBytes tag changed under ring %d: %x, want %x", round, heldRing.Self(), r.Self(), held, heldWant)
+				}
+			}
+		}
+	}
+	for _, r := range rings {
+		if len(r.peers) != stateCacheCap {
+			t.Errorf("ring %d caches %d peers, want the cap %d: eviction never ran", r.Self(), len(r.peers), stateCacheCap)
 		}
 	}
 }
