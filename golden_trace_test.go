@@ -154,6 +154,34 @@ func TestGoldenTraceBitIdentical(t *testing.T) {
 			wantHash: goldenTraceZScore,
 			wantMin:  5000,
 		},
+		{
+			// Encapsulation with three colluders: each endpoint holds two
+			// tunnels, each delayed by its own multihop path length.
+			name: "encap-30",
+			mutate: func(p *Params) {
+				p.NumNodes = 30
+				p.Seed = 8080
+				p.Duration = 120 * time.Second
+				p.NumMalicious = 3
+				p.Attack = AttackEncapsulation
+			},
+			wantHash: goldenTraceEncap,
+			wantMin:  5000,
+		},
+		{
+			// High-power transmission: the attacker's frames reach
+			// stations beyond its radio range.
+			name: "highpower-30",
+			mutate: func(p *Params) {
+				p.NumNodes = 30
+				p.Seed = 9090
+				p.Duration = 120 * time.Second
+				p.NumMalicious = 1
+				p.Attack = AttackHighPower
+			},
+			wantHash: goldenTraceHighPower,
+			wantMin:  5000,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,6 +274,8 @@ const (
 	goldenTraceDynamicJoin = "b9f20639a6397f21a01123ca8bebdd80d7efceb25d96e2eedc30f3ae2580954c"
 	goldenTraceRange       = "e861e81242a1e5f8ad8563a58de94ee673d2b8e97b74428b30a28080f4e5120b"
 	goldenTraceZScore      = "f2ae421f8e7b58cbf6b9b6211e4bbd1ad9fbd2d1d8893fbdfd1644b299f7e9db"
+	goldenTraceEncap       = "e9cbfd047e1928e21ad36b4caaa3b7baca34e0c7d90d67a2fdb848656d48a034"
+	goldenTraceHighPower   = "978d5376dda5b7f6ee388c3e7c1ed5ac564b4fe71db2e3e31bf13c12186629c6"
 )
 
 // TestGoldenTraceBackendInvariant runs the protected golden case on the
