@@ -1,27 +1,17 @@
-// Command liteworp-bench measures simulator throughput and emits the result
-// as machine-readable JSON, so CI and the BENCH_*.json records in the repo
-// root are produced by one tool instead of hand-copied benchmark output.
-//
-// It runs the same workload as BenchmarkScenarioThroughput — a fully
-// protected network under an out-of-band wormhole — a configurable number of
-// times, and reports wall-clock, allocation and event-throughput figures
-// averaged over the runs. Determinism makes the event count a correctness
-// probe: for a fixed seed sequence it must be identical across machines and
-// optimisation levels, so the JSON includes it.
-//
-// Example:
-//
-//	liteworp-bench -runs 5 -nodes 40 -duration 60s -o BENCH_PR4.json
-//
-// The -nsweep mode instead measures the N-scaling frontier: for each node
+// Command liteworp-bench measures the N-scaling frontier: for each node
 // count in -ns it runs one scenario and records events/sec and bytes/node,
 // emitting a sweep JSON (see BENCH_PR10.json):
 //
 //	liteworp-bench -nsweep -ns 40,100,400,1000,4000,10000 -o BENCH_PR10.json
+//
+// -nsweep is its only mode. The repository benchmark, bench/run.sh, makes
+// the single-configuration record, with host calibration and a check of
+// every run's event count and digest.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -34,22 +24,6 @@ import (
 
 	"liteworp"
 )
-
-// Result is the machine-readable benchmark record.
-type Result struct {
-	Benchmark   string  `json:"benchmark"`
-	Nodes       int     `json:"nodes"`
-	DurationSec float64 `json:"virtual_duration_sec"`
-	Runs        int     `json:"runs"`
-
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp uint64 `json:"allocs_per_op"`
-	BytesPerOp  uint64 `json:"bytes_per_op"`
-
-	// EventsPerRun is the total kernel event count of the final run.
-	EventsPerRun uint64  `json:"events_per_run"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
 
 // SweepRecord is one N point of the N-scaling sweep.
 type SweepRecord struct {
@@ -92,21 +66,22 @@ func main() {
 
 func run(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("liteworp-bench", flag.ContinueOnError)
-	runs := fs.Int("runs", 3, "benchmark repetitions to average over")
-	nodes := fs.Int("nodes", 40, "number of nodes N")
-	duration := fs.Duration("duration", 60*time.Second, "virtual time per run")
-	seed := fs.Int64("seed", 1, "seed of the first run (run i uses seed+i)")
+	seed := fs.Int64("seed", 1, "seed of every sweep point")
 	out := fs.String("o", "", "write JSON here instead of stdout")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measured runs here")
-	memprofile := fs.String("memprofile", "", "write an allocation profile here after the runs")
-	nsweep := fs.Bool("nsweep", false, "run the N-scaling sweep over -ns instead of the single-config benchmark")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep here")
+	memprofile := fs.String("memprofile", "", "write an in-use heap profile here at the end of each point (the last point's stays)")
+	nsweep := fs.Bool("nsweep", false, "run the N-scaling sweep over -ns (required: it is the only mode)")
 	nsFlag := fs.String("ns", defaultNs, "comma-separated node counts for -nsweep")
 	baseline := fs.String("baseline", "", "name of the checked-in BENCH_*.json to compare this sweep against (recorded in the output)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *runs <= 0 {
-		return fmt.Errorf("-runs must be positive, got %d", *runs)
+	if !*nsweep {
+		return errors.New("-nsweep is the only mode; bash bench/run.sh makes the single-configuration record")
+	}
+	ns, err := parseInts(*nsFlag)
+	if err != nil {
+		return fmt.Errorf("-ns: %w", err)
 	}
 
 	if *cpuprofile != "" {
@@ -121,36 +96,12 @@ func run(args []string, stdout *os.File) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *nsweep {
-		ns, err := parseInts(*nsFlag)
-		if err != nil {
-			return fmt.Errorf("-ns: %w", err)
-		}
-		sweep, err := measureSweep(ns, *seed, *memprofile, os.Stderr)
-		if err != nil {
-			return err
-		}
-		sweep.Baseline = *baseline
-		return emit(sweep, *out, stdout)
-	}
-
-	res, err := measure(*runs, *nodes, *duration, *seed)
+	sweep, err := measureSweep(ns, *seed, *memprofile, os.Stderr)
 	if err != nil {
 		return err
 	}
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC() // flush accumulated allocation records
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			return fmt.Errorf("mem profile: %w", err)
-		}
-	}
-	return emit(res, *out, stdout)
+	sweep.Baseline = *baseline
+	return emit(sweep, *out, stdout)
 }
 
 // emit marshals v and writes it to the -o path or stdout.
@@ -300,53 +251,4 @@ func measurePoint(n int, seed int64, memprofile string) (*SweepRecord, error) {
 		}
 	}
 	return rec, nil
-}
-
-// measure runs the throughput workload and averages the per-run figures.
-// Wall-clock here is measurement, not simulation input: virtual time inside
-// the kernel is seed-determined and unaffected.
-func measure(runs, nodes int, duration time.Duration, seed int64) (*Result, error) {
-	var (
-		totalNs     int64
-		totalAllocs uint64
-		totalBytes  uint64
-		events      uint64
-	)
-	for i := 0; i < runs; i++ {
-		p := liteworp.DefaultParams()
-		p.NumNodes = nodes
-		p.Duration = duration
-		p.Seed = seed + int64(i)
-		s, err := liteworp.NewScenario(p)
-		if err != nil {
-			return nil, err
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		if _, err := s.Run(); err != nil {
-			return nil, err
-		}
-		totalNs += time.Since(start).Nanoseconds()
-		runtime.ReadMemStats(&after)
-		totalAllocs += after.Mallocs - before.Mallocs
-		totalBytes += after.TotalAlloc - before.TotalAlloc
-		events = s.Kernel().Processed()
-	}
-	n := uint64(runs)
-	res := &Result{
-		Benchmark:    "ScenarioThroughput",
-		Nodes:        nodes,
-		DurationSec:  duration.Seconds(),
-		Runs:         runs,
-		NsPerOp:      totalNs / int64(runs),
-		AllocsPerOp:  totalAllocs / n,
-		BytesPerOp:   totalBytes / n,
-		EventsPerRun: events,
-	}
-	if res.NsPerOp > 0 {
-		res.EventsPerSec = float64(events) / (float64(res.NsPerOp) / float64(time.Second))
-	}
-	return res, nil
 }

@@ -5,57 +5,35 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
-func TestMeasureProducesSaneResult(t *testing.T) {
-	res, err := measure(1, 20, 5*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EventsPerRun == 0 {
-		t.Fatal("no events processed")
-	}
-	if res.NsPerOp <= 0 || res.AllocsPerOp == 0 || res.EventsPerSec <= 0 {
-		t.Fatalf("implausible result: %+v", res)
-	}
-}
-
-func TestMeasureEventCountIsDeterministic(t *testing.T) {
-	a, err := measure(1, 20, 5*time.Second, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := measure(1, 20, 5*time.Second, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.EventsPerRun != b.EventsPerRun {
-		t.Fatalf("same seed, different event counts: %d vs %d", a.EventsPerRun, b.EventsPerRun)
-	}
-}
-
 func TestRunWritesJSONFile(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-runs", "1", "-nodes", "20", "-duration", "5s", "-o", out}, nil); err != nil {
+	out := filepath.Join(t.TempDir(), "sweep.json")
+	if err := run([]string{"-nsweep", "-ns", "20", "-o", out}, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
+	var sweep Sweep
+	if err := json.Unmarshal(data, &sweep); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if res.Benchmark != "ScenarioThroughput" || res.Nodes != 20 {
-		t.Fatalf("unexpected record: %+v", res)
+	if sweep.Benchmark != "NSweep" || len(sweep.Records) != 1 || sweep.Records[0].Nodes != 20 {
+		t.Fatalf("unexpected record: %+v", sweep)
+	}
+	if rec := sweep.Records[0]; rec.Events == 0 || rec.EventsPerSec <= 0 {
+		t.Fatalf("implausible point: %+v", rec)
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-runs", "0"}, nil); err == nil {
-		t.Fatal("zero runs accepted")
+	if err := run(nil, nil); err == nil {
+		t.Fatal("run without -nsweep accepted")
+	}
+	if err := run([]string{"-nsweep", "-ns", "1"}, nil); err == nil {
+		t.Fatal("a one-node sweep point accepted")
 	}
 }
 

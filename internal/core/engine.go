@@ -23,6 +23,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"liteworp/internal/detector"
@@ -122,15 +123,25 @@ type Engine struct {
 	send   func(*packet.Packet) error
 	events Events
 
-	seq      uint64
-	alerts   map[field.NodeID]map[field.NodeID]bool // accused -> guards heard from
-	isolated map[field.NodeID]time.Duration         // accused -> isolation time
-	// lastHeard/heardSet track each neighbor's last overheard transmission,
-	// dense by the table's nbrIdx (the silence clock feeding the crash
-	// discriminator). heardSet distinguishes "never heard" from time zero.
+	seq uint64
+	// Per-neighbor state is dense by the table's nbrIdx. lastHeard/heardSet
+	// track each neighbor's last overheard transmission (the silence clock
+	// feeding the crash discriminator); heardSet distinguishes "never
+	// heard" from time zero. verdicts grows only when an alert is accepted
+	// or a neighbor is isolated, so a neighbor nobody accused costs none.
 	lastHeard []time.Duration
 	heardSet  []bool
+	verdicts  []verdict
 	stats     Stats
+}
+
+// verdict is what this node holds against one neighbor: the distinct
+// guards whose alerts about it were accepted, in arrival order, and when
+// the node isolated it. isolatedAt is valid once the table has the
+// neighbor revoked; only the engine revokes, and never twice.
+type verdict struct {
+	guards     []field.NodeID
+	isolatedAt time.Duration
 }
 
 // New wires an engine for the owner of table/ring. send puts frames on the
@@ -139,20 +150,18 @@ type Engine struct {
 // engine cannot run without a strategy.
 func New(k sim.Clock, ring *keys.Ring, table *neighbor.Table, cfg Config, send func(*packet.Packet) error, events Events) *Engine {
 	e := &Engine{
-		kernel:   k,
-		ring:     ring,
-		table:    table,
-		cfg:      cfg,
-		send:     send,
-		events:   events,
-		alerts:   make(map[field.NodeID]map[field.NodeID]bool),
-		isolated: make(map[field.NodeID]time.Duration),
+		kernel: k,
+		ring:   ring,
+		table:  table,
+		cfg:    cfg,
+		send:   send,
+		events: events,
 	}
 	env := detector.Env{
 		Clock:        k,
 		Table:        table,
 		Positions:    cfg.Positions,
-		Suspect:      func(id field.NodeID) bool { return len(e.alerts[id]) > 0 },
+		Suspect:      e.suspect,
 		OnAccusation: events.Accusation,
 		OnThreshold:  e.onThreshold,
 		DropFilter:   e.suppressDeadSilentDrop,
@@ -187,16 +196,17 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) Gamma() int { return e.cfg.Gamma }
 
 // IsIsolated reports whether this node has isolated id (either by its own
-// guard verdict or by accumulating gamma alerts).
-func (e *Engine) IsIsolated(id field.NodeID) bool {
-	_, ok := e.isolated[id]
-	return ok
-}
+// guard verdict or by accumulating gamma alerts): the table holds it
+// revoked.
+func (e *Engine) IsIsolated(id field.NodeID) bool { return e.table.IsRevoked(id) }
 
 // IsolatedAt returns when this node isolated id.
 func (e *Engine) IsolatedAt(id field.NodeID) (time.Duration, bool) {
-	t, ok := e.isolated[id]
-	return t, ok
+	idx, st, ok := e.table.Lookup(id)
+	if !ok || st != neighbor.StatusRevoked || int(idx) >= len(e.verdicts) {
+		return 0, false
+	}
+	return e.verdicts[idx].isolatedAt, true
 }
 
 // CheckInbound applies LITEWORP's acceptance rules to a frame this node is
@@ -246,21 +256,11 @@ func (e *Engine) OutboundAllowed(next field.NodeID) bool {
 // (the LITEWORP strategy suspends negative evidence during bursts).
 func (e *Engine) NoteInterference() { e.det.Interference() }
 
-// NoteAlive records evidence that neighbor id is up: any overheard
-// transmission resets its silence clock and clears a presumed-crash (stale)
-// marking, so a rebooted node's guards resume watching it.
-func (e *Engine) NoteAlive(id field.NodeID) {
-	if id == e.table.Self() {
-		return
-	}
-	if idx, st, ok := e.table.Lookup(id); ok {
-		e.noteAlive(idx, st, id)
-	}
-}
-
-// noteAlive is NoteAlive after the table lookup: idx/st are id's dense
-// index and current status. Refresh is only worth a table mutation when
-// the entry is actually stale.
+// noteAlive records evidence that neighbor id, at nbrIdx idx with status
+// st, is up: any overheard transmission resets its silence clock and
+// clears a presumed-crash (stale) marking, so a rebooted node's guards
+// resume watching it. Refresh is only worth a table mutation when the
+// entry is actually stale.
 func (e *Engine) noteAlive(idx int32, st neighbor.Status, id field.NodeID) {
 	for int(idx) >= len(e.lastHeard) {
 		e.lastHeard = append(e.lastHeard, 0)
@@ -353,7 +353,8 @@ func (e *Engine) ObserveAnnouncement(from field.NodeID) {
 func (e *Engine) onThreshold(accused field.NodeID) {
 	if e.table.Revoke(accused) {
 		e.stats.LocalRevocations++
-		e.markIsolated(accused)
+		idx, _, _ := e.table.Lookup(accused)
+		e.verdictAt(idx).isolatedAt = e.kernel.Now()
 		e.events.LocalRevocation(accused)
 	}
 	for _, d := range e.alertTargets(accused) {
@@ -442,7 +443,8 @@ func (e *Engine) HandleAlert(p *packet.Packet) {
 	}
 	// The accused must be our neighbor — otherwise the alert does not
 	// concern us.
-	if !e.table.HasEntry(accused) {
+	aidx, _, ok := e.table.Lookup(accused)
+	if !ok {
 		e.stats.AlertsRejected++
 		return
 	}
@@ -453,20 +455,16 @@ func (e *Engine) HandleAlert(p *packet.Packet) {
 		e.stats.AlertsRejected++
 		return
 	}
-	set, ok := e.alerts[accused]
-	if !ok {
-		set = make(map[field.NodeID]bool)
-		e.alerts[accused] = set
-	}
-	if set[guard] {
+	v := e.verdictAt(aidx)
+	if slices.Contains(v.guards, guard) {
 		return // duplicate
 	}
-	set[guard] = true
+	v.guards = append(v.guards, guard)
 	e.stats.AlertsAccepted++
-	if len(set) >= e.cfg.Gamma {
+	if len(v.guards) >= e.cfg.Gamma {
 		if e.table.Revoke(accused) {
 			e.stats.Isolations++
-			e.markIsolated(accused)
+			v.isolatedAt = e.kernel.Now()
 			e.events.Isolated(accused)
 			// Endorsement: having verified gamma independent guards, we
 			// relay the verdict to the accused's other neighbors. A
@@ -484,11 +482,23 @@ func (e *Engine) HandleAlert(p *packet.Packet) {
 
 // AlertCount returns how many distinct guards have alerted about id.
 func (e *Engine) AlertCount(id field.NodeID) int {
-	return len(e.alerts[id])
+	if idx, _, ok := e.table.Lookup(id); ok && int(idx) < len(e.verdicts) {
+		return len(e.verdicts[idx].guards)
+	}
+	return 0
 }
 
-func (e *Engine) markIsolated(id field.NodeID) {
-	if _, ok := e.isolated[id]; !ok {
-		e.isolated[id] = e.kernel.Now()
+// suspect is the detector's Env.Suspect: whether any alert about the
+// neighbor at idx has been accepted.
+func (e *Engine) suspect(idx int32) bool {
+	return int(idx) < len(e.verdicts) && len(e.verdicts[idx].guards) > 0
+}
+
+// verdictAt returns the verdict on the neighbor at idx, growing the dense
+// storage to hold it.
+func (e *Engine) verdictAt(idx int32) *verdict {
+	for int(idx) >= len(e.verdicts) {
+		e.verdicts = append(e.verdicts, verdict{})
 	}
+	return &e.verdicts[idx]
 }

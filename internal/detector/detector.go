@@ -107,9 +107,10 @@ type Env struct {
 	// DropFilter is consulted before a drop accusation is raised (the
 	// engine's crash-vs-malice discriminator).
 	DropFilter func(accused field.NodeID, key packet.Key) bool
-	// Suspect reports whether the host has heard any alert about id;
-	// detectors must not arm forwarding expectations against suspects.
-	Suspect func(id field.NodeID) bool
+	// Suspect reports whether the host has accepted any alert about the
+	// neighbor at nbrIdx idx in Table; detectors must not arm forwarding
+	// expectations against suspects.
+	Suspect func(idx int32) bool
 	// OnAccusation fires on every malicious-activity observation.
 	OnAccusation func(Accusation)
 	// OnThreshold fires once a node's score crosses the strategy's

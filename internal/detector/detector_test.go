@@ -22,7 +22,7 @@ func testEnv(k *sim.Kernel) Env {
 		Table:        neighbor.NewTable(1),
 		Positions:    field.New(400, 60, 30),
 		DropFilter:   func(field.NodeID, packet.Key) bool { return false },
-		Suspect:      func(field.NodeID) bool { return false },
+		Suspect:      func(int32) bool { return false },
 		OnAccusation: func(Accusation) {},
 		OnThreshold:  func(field.NodeID) {},
 	}

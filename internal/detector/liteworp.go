@@ -97,7 +97,7 @@ func (d *liteworpDetector) Overheard(p *packet.Packet, sidx int32) {
 	// suspect: once this guard has heard any alert about the sender,
 	// other neighbors may already have isolated it, and their refusal to
 	// serve its traffic is compliance, not dropping.
-	if d.env.Suspect(sender) {
+	if d.env.Suspect(sidx) {
 		return
 	}
 
@@ -124,7 +124,8 @@ func (d *liteworpDetector) Overheard(p *packet.Packet, sidx int32) {
 		// consider that next hop suspect or revoked, a may rightly
 		// refuse to forward to it.
 		if next, ok := repNextHop(p, a); ok {
-			if table.IsRevoked(next) || d.env.Suspect(next) {
+			nidx, st, known := table.Lookup(next)
+			if known && (st == neighbor.StatusRevoked || d.env.Suspect(nidx)) {
 				return
 			}
 		}

@@ -15,36 +15,51 @@ import (
 // it free of timers and RNG (the determinism obligation: a scenario's
 // radio schedule must not depend on which detector watched it).
 //
-// Scores and latches are dense slices addressed by the host table's
-// nbrIdx (see neighbor.Index): accused nodes are interned once and every
-// later observation is two slice loads, no hashing.
+// Each node's slot is dense by the host table's nbrIdx (see
+// neighbor.Index): a node is interned once and every later observation is
+// a slice load, no hashing.
 type scoreboard struct {
 	env       Env
 	threshold int
-	score     []int
-	fired     []bool
+	nodes     []scored
 }
 
-// Index returns the dense neighbor index the scores are addressed by: the
+// scored is one node's slot: its score, whether it has crossed the
+// threshold, and, for the zscore strategy, the degree it last announced
+// (announced tells a first announcement from a repeat).
+type scored struct {
+	score     int
+	degree    int
+	fired     bool
+	announced bool
+}
+
+// Index returns the dense neighbor index the slots are addressed by: the
 // host table's.
 func (s *scoreboard) Index() *neighbor.Index { return s.env.Table.Index() }
 
+// slot interns id and returns its slot, growing the storage to hold it.
+// The pointer is valid until the next slot call.
+func (s *scoreboard) slot(id field.NodeID) *scored {
+	i := s.Index().Intern(id)
+	for int(i) >= len(s.nodes) {
+		s.nodes = append(s.nodes, scored{})
+	}
+	return &s.nodes[i]
+}
+
 // accuse records one observation against accused, emits the Accusation,
 // and fires the threshold callback exactly once when the score crosses.
-// All slice mutation — including the latch — completes before the
+// All slot mutation — including the latch — completes before the
 // callbacks run: a callback that re-enters a detector can intern new
-// nodes and grow the storage underneath a held index.
+// nodes and grow the storage underneath a held slot.
 func (s *scoreboard) accuse(accused field.NodeID, reason watch.Reason, key packet.Key) {
-	i := s.Index().Intern(accused)
-	for int(i) >= len(s.score) {
-		s.score = append(s.score, 0)
-		s.fired = append(s.fired, false)
-	}
-	s.score[i]++
-	val := s.score[i]
-	fire := !s.fired[i] && val >= s.threshold
+	n := s.slot(accused)
+	n.score++
+	val := n.score
+	fire := !n.fired && val >= s.threshold
 	if fire {
-		s.fired[i] = true
+		n.fired = true
 	}
 	s.env.OnAccusation(Accusation{
 		Accused: accused,

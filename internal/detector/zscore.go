@@ -31,9 +31,10 @@ const (
 // degrees this host has heard; an announcement more than Z standard
 // deviations above the mean is an anomaly.
 //
-// The running mean/variance are maintained incrementally with integer
-// sums — no map iteration, no floating-point accumulation order — so the
-// verdicts are bitwise reproducible whatever Go's map order does.
+// Each announcer's latest degree sits in its scoreboard slot, and the
+// running mean/variance are maintained incrementally with integer sums —
+// no floating-point accumulation order — so the verdicts are bitwise
+// reproducible.
 //
 // Scope note: the strategy only sees discovery-plane evidence. A wormhole
 // that tunnels routing traffic without inflating announced tables (the
@@ -42,17 +43,13 @@ const (
 // blind spot the detector comparison quantifies.
 type zscoreDetector struct {
 	*scoreboard
-	counts map[field.NodeID]int // latest announced degree per announcer
-	n      int                  // distinct announcers
-	sum    int                  // sum of latest degrees
-	sumsq  int                  // sum of squared latest degrees
+	n     int // distinct announcers
+	sum   int // sum of latest degrees
+	sumsq int // sum of squared latest degrees
 }
 
 func newZScoreDetector(env Env) Detector {
-	return &zscoreDetector{
-		scoreboard: &scoreboard{env: env, threshold: zscoreThreshold},
-		counts:     make(map[field.NodeID]int),
-	}
+	return &zscoreDetector{scoreboard: &scoreboard{env: env, threshold: zscoreThreshold}}
 }
 
 // Name returns KindZScore.
@@ -71,13 +68,15 @@ func (d *zscoreDetector) Interference() {}
 // announced degrees heard so far. A node re-announcing (dynamic join,
 // reboot) replaces its previous sample rather than double-counting it.
 func (d *zscoreDetector) Announcement(from field.NodeID, degree int) {
-	if old, ok := d.counts[from]; ok {
-		d.sum -= old
-		d.sumsq -= old * old
+	a := d.slot(from)
+	if a.announced {
+		d.sum -= a.degree
+		d.sumsq -= a.degree * a.degree
 	} else {
+		a.announced = true
 		d.n++
 	}
-	d.counts[from] = degree
+	a.degree = degree
 	d.sum += degree
 	d.sumsq += degree * degree
 

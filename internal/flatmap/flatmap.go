@@ -73,9 +73,6 @@ type Table[V any] struct {
 // Len returns the number of live entries.
 func (t *Table[V]) Len() int { return t.n }
 
-// Cap returns the current slot count (0 before the first Put).
-func (t *Table[V]) Cap() int { return len(t.keys) }
-
 // Get returns the value stored under k.
 func (t *Table[V]) Get(k Key) (V, bool) {
 	if t.n == 0 {

@@ -48,34 +48,24 @@ type airInterval struct {
 	corrupted bool
 }
 
-type airState struct {
-	// perStation holds the active (and recently expired) reception
-	// intervals at each station, including overheard frames.
-	perStation map[field.NodeID][]*airInterval
-}
-
-func newAirState() *airState {
-	return &airState{perStation: make(map[field.NodeID][]*airInterval)}
-}
-
-// prune drops intervals that ended before now.
-func (a *airState) prune(rx field.NodeID, now time.Duration) {
-	ivs := a.perStation[rx]
-	keep := ivs[:0]
-	for _, iv := range ivs {
+// prune drops the intervals that ended before now.
+func (st *station) prune(now time.Duration) {
+	keep := st.air[:0]
+	for _, iv := range st.air {
 		if iv.end > now {
 			keep = append(keep, iv)
 		}
 	}
-	a.perStation[rx] = keep
+	st.air = keep
 }
 
-// add registers a reception interval at rx and returns it, marking it and
-// any overlapping interval from a different transmitter as corrupted.
-func (a *airState) add(rx, from field.NodeID, start, end time.Duration) *airInterval {
-	a.prune(rx, start)
+// hear registers a reception interval at the station and returns it,
+// marking it and any overlapping interval from a different transmitter as
+// corrupted.
+func (st *station) hear(from field.NodeID, start, end time.Duration) *airInterval {
+	st.prune(start)
 	iv := &airInterval{from: from, start: start, end: end}
-	for _, other := range a.perStation[rx] {
+	for _, other := range st.air {
 		if other.from == from {
 			continue
 		}
@@ -84,14 +74,14 @@ func (a *airState) add(rx, from field.NodeID, start, end time.Duration) *airInte
 			iv.corrupted = true
 		}
 	}
-	a.perStation[rx] = append(a.perStation[rx], iv)
+	st.air = append(st.air, iv)
 	return iv
 }
 
-// busy reports whether station id currently hears an ongoing frame.
-func (a *airState) busy(id field.NodeID, now time.Duration) bool {
-	a.prune(id, now)
-	for _, iv := range a.perStation[id] {
+// busy reports whether the station currently hears an ongoing frame.
+func (st *station) busy(now time.Duration) bool {
+	st.prune(now)
+	for _, iv := range st.air {
 		if iv.start <= now && now < iv.end {
 			return true
 		}
@@ -111,13 +101,14 @@ func (m *Medium) transmitAirtime(tx field.NodeID, p *packet.Packet, rangeFactor 
 }
 
 func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFactor float64, attempt, arq int) error {
-	if st := m.stations.get(tx); st == nil || st.down {
+	src := m.stations.get(tx)
+	if src == nil || src.down {
 		// The transmitter crashed between a carrier-sense deferral or ARQ
 		// backoff and this retry.
 		return nil
 	}
 	now := m.kernel.Now()
-	if m.air.busy(tx, now) {
+	if src.busy(now) {
 		if attempt >= maxAttempts {
 			m.stats.CarrierDrops++
 			return nil
@@ -146,7 +137,7 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 			m.stats.DownSuppressed++
 			continue
 		}
-		iv := m.air.add(rx, tx, now, end)
+		iv := st.hear(tx, now, end)
 		if m.fault != nil && m.fault(tx, rx, p) {
 			m.stats.FaultDrops++
 			m.traceRx(tx, rx, p, true, false)

@@ -159,6 +159,12 @@ type station struct {
 	// cut lists, ascending, the stations whose link to this one is
 	// flapped down.
 	cut []field.NodeID
+	// tunnels lists this station's out-of-band links, one per colluding
+	// peer, in the order they were added.
+	tunnels []tunnel
+	// air holds the active (and recently expired) reception intervals at
+	// this station, overheard frames included (airtime model only).
+	air []*airInterval
 }
 
 // stationSlots holds the attached stations indexed by node ID minus the
@@ -198,8 +204,34 @@ func (n *stationSlots) put(id field.NodeID, st *station) {
 // such as dropped alerts.
 type DeliveryFault func(tx, rx field.NodeID, p *packet.Packet) bool
 
+// tunnel is one end of an out-of-band link: the far endpoint and the
+// one-way delay.
 type tunnel struct {
+	peer  *station
 	delay time.Duration
+}
+
+// tunnelTo returns the station's tunnel to id, or nil (also for a nil
+// station).
+func (st *station) tunnelTo(id field.NodeID) *tunnel {
+	if st == nil {
+		return nil
+	}
+	for i := range st.tunnels {
+		if st.tunnels[i].peer.id == id {
+			return &st.tunnels[i]
+		}
+	}
+	return nil
+}
+
+// setTunnel adds a tunnel to peer, or sets the delay of the one there is.
+func (st *station) setTunnel(peer *station, delay time.Duration) {
+	if t := st.tunnelTo(peer.id); t != nil {
+		t.delay = delay
+		return
+	}
+	st.tunnels = append(st.tunnels, tunnel{peer: peer, delay: delay})
 }
 
 // Medium is the shared radio channel plus any attacker tunnels.
@@ -209,9 +241,7 @@ type Medium struct {
 	cfg       Config
 	loss      LossModel // per-reception losses; NoLoss until SetLoss
 	airtime   bool      // the contention model is on (see EnableAirtime)
-	air       *airState
 	stations  stationSlots
-	tunnels   map[[2]field.NodeID]tunnel
 	fault     DeliveryFault
 	stats     Stats
 	trace     TraceFunc
@@ -225,12 +255,10 @@ type Medium struct {
 // New creates a medium over the given topology.
 func New(k *sim.Kernel, topo *field.Field, cfg Config) *Medium {
 	return &Medium{
-		kernel:  k,
-		topo:    topo,
-		cfg:     cfg,
-		loss:    NoLoss{},
-		air:     newAirState(),
-		tunnels: make(map[[2]field.NodeID]tunnel),
+		kernel: k,
+		topo:   topo,
+		cfg:    cfg,
+		loss:   NoLoss{},
 	}
 }
 
@@ -404,12 +432,10 @@ func (m *Medium) Broadcast(p *packet.Packet) error {
 	return m.transmit(p.Sender, p, 1.0)
 }
 
-// BroadcastHighPower transmits with the node's range scaled by factor —
-// the capability behind the high-power-transmission wormhole mode.
+// BroadcastHighPower transmits with the node's range scaled by factor, at
+// least 1 — the capability behind the high-power-transmission wormhole
+// mode.
 func (m *Medium) BroadcastHighPower(p *packet.Packet, factor float64) error {
-	if factor < 1 {
-		factor = 1
-	}
 	return m.transmit(p.Sender, p, factor)
 }
 
@@ -492,24 +518,24 @@ func (m *Medium) countTransmission(p *packet.Packet) int {
 // packets instantaneously to their colluding parties"); a positive delay
 // models packet encapsulation over an existing multihop path.
 func (m *Medium) AddTunnel(a, b field.NodeID, delay time.Duration) error {
-	if m.stations.get(a) == nil {
+	sa, sb := m.stations.get(a), m.stations.get(b)
+	if sa == nil {
 		return fmt.Errorf("medium: tunnel endpoint %d not attached", a)
 	}
-	if m.stations.get(b) == nil {
+	if sb == nil {
 		return fmt.Errorf("medium: tunnel endpoint %d not attached", b)
 	}
 	if a == b {
 		return fmt.Errorf("medium: tunnel endpoints must differ (%d)", a)
 	}
-	m.tunnels[[2]field.NodeID{a, b}] = tunnel{delay: delay}
-	m.tunnels[[2]field.NodeID{b, a}] = tunnel{delay: delay}
+	sa.setTunnel(sb, delay)
+	sb.setTunnel(sa, delay)
 	return nil
 }
 
 // HasTunnel reports whether a tunnel exists from a to b.
 func (m *Medium) HasTunnel(a, b field.NodeID) bool {
-	_, ok := m.tunnels[[2]field.NodeID{a, b}]
-	return ok
+	return m.stations.get(a).tunnelTo(b) != nil
 }
 
 // TunnelSend moves a frame through an out-of-band tunnel. Only the far
@@ -517,22 +543,22 @@ func (m *Medium) HasTunnel(a, b field.NodeID) bool {
 // exactly why the tunnel itself is invisible to local monitoring and must
 // be caught at its endpoints.
 func (m *Medium) TunnelSend(from, to field.NodeID, p *packet.Packet) error {
-	tun, ok := m.tunnels[[2]field.NodeID{from, to}]
-	if !ok {
+	src := m.stations.get(from)
+	tun := src.tunnelTo(to)
+	if tun == nil {
 		return fmt.Errorf("medium: no tunnel %d->%d", from, to)
 	}
-	if src := m.stations.get(from); src != nil && src.down {
+	if src.down {
 		return ErrSenderDown
 	}
 	if err := p.CheckLimits(); err != nil {
 		return fmt.Errorf("medium: tunnel frame %d->%d: %w", from, to, err)
 	}
-	st := m.stations.get(to)
 	m.stats.TunnelMessages++
 	m.traceRx(from, to, p, false, true)
 	d := m.newDelivery(p)
 	d.tunnel = true
-	d.rx = append(d.rx, st)
+	d.rx = append(d.rx, tun.peer)
 	m.kernel.Post(tun.delay, d.fire)
 	return nil
 }

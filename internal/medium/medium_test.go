@@ -296,6 +296,85 @@ func TestTunnel(t *testing.T) {
 	}
 }
 
+// TestTunnelsToTwoPeers: a station with tunnels to two peers, each with its
+// own delay, sends each frame to its own peer only, after that tunnel's
+// delay. Both tunnels answer HasTunnel from either end, and the two peers
+// share no tunnel.
+func TestTunnelsToTwoPeers(t *testing.T) {
+	k := sim.New(1)
+	f := lineTopo(t, 10)
+	m := New(k, f, Config{BandwidthBps: 40_000})
+	sinks := map[field.NodeID]*sink{}
+	for _, id := range []field.NodeID{1, 5, 10} {
+		sinks[id] = &sink{}
+		if err := m.Attach(id, sinks[id].recv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.AddTunnel(1, 5, 3*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddTunnel(1, 10, 7*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]field.NodeID{{1, 5}, {5, 1}, {1, 10}, {10, 1}} {
+		if !m.HasTunnel(pair[0], pair[1]) {
+			t.Fatalf("no tunnel %d->%d", pair[0], pair[1])
+		}
+	}
+	if m.HasTunnel(5, 10) || m.HasTunnel(10, 5) {
+		t.Fatal("the two peers of one station share a tunnel")
+	}
+	if err := m.TunnelSend(5, 10, &packet.Packet{Sender: 5}); err == nil {
+		t.Fatal("TunnelSend between the two peers accepted")
+	}
+
+	to5 := &packet.Packet{Type: packet.TypeTunnelEncap, Sender: 1, Receiver: 5, Seq: 5}
+	to10 := &packet.Packet{Type: packet.TypeTunnelEncap, Sender: 1, Receiver: 10, Seq: 10}
+	if err := m.TunnelSend(1, 10, to10); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.TunnelSend(1, 5, to5); err != nil {
+		t.Fatal(err)
+	}
+	arrived := func(at time.Duration, n5, n10 int) {
+		t.Helper()
+		if err := k.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		if len(sinks[5].got) != n5 || len(sinks[10].got) != n10 {
+			t.Fatalf("at %v: peers 5 and 10 got %d and %d frames, want %d and %d",
+				at, len(sinks[5].got), len(sinks[10].got), n5, n10)
+		}
+	}
+	arrived(3*time.Millisecond-1, 0, 0)
+	arrived(3*time.Millisecond, 1, 0)
+	arrived(7*time.Millisecond-1, 1, 0)
+	arrived(7*time.Millisecond, 1, 1)
+	if sinks[5].got[0] != to5 || sinks[10].got[0] != to10 {
+		t.Fatal("a frame reached the other tunnel's peer")
+	}
+	if len(sinks[1].got) != 0 {
+		t.Fatal("the sending endpoint received its own tunnel frame")
+	}
+
+	// Each peer answers through its own tunnel, with its own delay.
+	back := &packet.Packet{Type: packet.TypeTunnelEncap, Sender: 10, Receiver: 1}
+	if err := m.TunnelSend(10, 1, back); err != nil {
+		t.Fatal(err)
+	}
+	start := k.Now()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sinks[1].got) != 1 || k.Now()-start != 7*time.Millisecond {
+		t.Fatalf("reply: %d frames after %v, want 1 after 7ms", len(sinks[1].got), k.Now()-start)
+	}
+	if m.Stats().TunnelMessages != 3 {
+		t.Fatalf("TunnelMessages = %d, want 3", m.Stats().TunnelMessages)
+	}
+}
+
 func TestTunnelValidation(t *testing.T) {
 	k := sim.New(1)
 	f := lineTopo(t, 3)

@@ -11,6 +11,7 @@ package node
 
 import (
 	"fmt"
+	"time"
 
 	"liteworp/internal/attack"
 	"liteworp/internal/core"
@@ -95,6 +96,10 @@ type Node struct {
 	attached    bool
 	down        bool
 	crashes     int
+	// downSince is when the current outage began, while the node is down;
+	// downtime sums its closed outages.
+	downSince time.Duration
+	downtime  time.Duration
 }
 
 // New builds a node. Call Start to attach it to the medium and begin
@@ -169,6 +174,15 @@ func (n *Node) Down() bool { return n.down }
 // Crashes returns how many times the node has crashed.
 func (n *Node) Crashes() int { return n.crashes }
 
+// Downtime returns how long the node has been down in all, counting an
+// outage still open now.
+func (n *Node) Downtime() time.Duration {
+	if n.down {
+		return n.downtime + n.deps.Kernel.Now() - n.downSince
+	}
+	return n.downtime
+}
+
 // Start attaches the node to the medium and launches neighbor discovery.
 func (n *Node) Start() error {
 	if n.attached {
@@ -201,6 +215,7 @@ func (n *Node) Crash() error {
 	}
 	n.down = true
 	n.crashes++
+	n.downSince = n.deps.Kernel.Now()
 	n.operational = false
 	n.scope.CancelAll()
 	if err := n.deps.Medium.SetDown(n.id, true); err != nil {
@@ -222,6 +237,7 @@ func (n *Node) Reboot() error {
 		return fmt.Errorf("node %d: %w", n.id, err)
 	}
 	n.down = false
+	n.downtime += n.deps.Kernel.Now() - n.downSince
 	n.buildStack()
 	d := n.discovery
 	n.scope.After(0, func() { _ = d.Start() })

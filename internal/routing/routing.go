@@ -161,15 +161,6 @@ type Router struct {
 	freeDisc   []*discoveryState
 	freeFwds   []*pendingForward
 
-	// Sorted key views, rebuilt lazily after a membership change and shared
-	// between calls (the neighbor-table cached-view pattern): evictVia runs
-	// per send failure and CachedDestinations per metrics pass, both on
-	// usually-unchanged maps.
-	destView   []field.NodeID
-	destViewOK bool
-	fwdView    []field.NodeID
-	fwdViewOK  bool
-
 	stats Stats
 }
 
@@ -230,55 +221,29 @@ func (r *Router) unicast(next field.NodeID, p *packet.Packet) error {
 }
 
 // evictVia drops every cached route and forwarding entry whose first hop is
-// next, resetting the hop's failure counter. It iterates the cached sorted
-// views — snapshots that stay valid while the maps are mutated underneath
-// (rebuilds allocate fresh backing).
+// next, resetting the hop's failure counter. It walks each table's keys in
+// ascending order, so the records go back to the freelists in an order
+// fixed by the seed. It runs only after maxSendFailures consecutive
+// failures, so it sorts the keys afresh.
 func (r *Router) evictVia(next field.NodeID) {
 	if idx, ok := r.idx.Lookup(next); ok && int(idx) < len(r.sendFails) {
 		r.sendFails[idx] = 0
 	}
-	for _, dest := range r.destinations() {
-		cr := r.cache[dest]
-		if cr != nil && len(cr.route) >= 2 && cr.route[1] == next {
+	for _, dest := range ordered.Keys(r.cache) {
+		if cr := r.cache[dest]; len(cr.route) >= 2 && cr.route[1] == next {
 			cr.evictor.Cancel()
 			delete(r.cache, dest)
-			r.destViewOK = false
 			r.recycleRoute(cr)
 		}
 	}
-	for _, dest := range r.forwardDests() {
-		if e := r.forward[dest]; e != nil && e.next == next {
+	for _, dest := range ordered.Keys(r.forward) {
+		if e := r.forward[dest]; e.next == next {
 			e.evictor.Cancel()
 			delete(r.forward, dest)
-			r.fwdViewOK = false
 			r.recycleHop(e)
 		}
 	}
 	r.stats.DeadHopEvictions++
-}
-
-// destinations returns the sorted cached-route keys, rebuilding the shared
-// view only after a membership change. The slice is capacity-clipped: an
-// append by a caller cannot scribble over the shared backing, and because
-// rebuilds allocate fresh, a holder of the old view can keep iterating it
-// across mutations.
-func (r *Router) destinations() []field.NodeID {
-	if !r.destViewOK {
-		v := ordered.Keys(r.cache)
-		r.destView = v[:len(v):len(v)]
-		r.destViewOK = true
-	}
-	return r.destView
-}
-
-// forwardDests is the same view over the per-hop forwarding table.
-func (r *Router) forwardDests() []field.NodeID {
-	if !r.fwdViewOK {
-		v := ordered.Keys(r.forward)
-		r.fwdView = v[:len(v):len(v)]
-		r.fwdViewOK = true
-	}
-	return r.fwdView
 }
 
 // newHop takes a forwarding entry from the freelist (or allocates one,
@@ -310,7 +275,6 @@ func (e *hopEntry) expire() {
 		return
 	}
 	delete(r.forward, e.dest)
-	r.fwdViewOK = false
 	r.recycleHop(e)
 }
 
@@ -323,8 +287,6 @@ func (r *Router) setForward(dest, next field.NodeID) {
 	if old, ok := r.forward[dest]; ok {
 		old.evictor.Cancel()
 		r.recycleHop(old)
-	} else {
-		r.fwdViewOK = false
 	}
 	e := r.newHop(dest, next)
 	e.evictor = r.kernel.After(r.cfg.RouteTimeout, e.fn)
@@ -587,7 +549,6 @@ func (r *Router) installRoute(p *packet.Packet) {
 	}
 	cr.evictor = r.kernel.After(r.cfg.RouteTimeout, cr.fn)
 	r.cache[dest] = cr
-	r.destViewOK = false
 	r.stats.RoutesEstablished++
 	r.events.RouteEstablished(dest, cr.route)
 	if pending {
@@ -632,7 +593,6 @@ func (cr *cachedRoute) expire() {
 		return
 	}
 	delete(r.cache, cr.dest)
-	r.destViewOK = false
 	r.recycleRoute(cr)
 }
 
@@ -710,15 +670,12 @@ func (r *Router) EvictRoute(dest field.NodeID) {
 	}
 	cr.evictor.Cancel()
 	delete(r.cache, dest)
-	r.destViewOK = false
 	r.recycleRoute(cr)
 }
 
-// CachedDestinations lists destinations with live routes, sorted. The
-// returned slice is a shared capacity-clipped view — treat it as read-only;
-// it stays valid (as a snapshot) across cache mutations.
+// CachedDestinations lists destinations with live routes, sorted.
 func (r *Router) CachedDestinations() []field.NodeID {
-	return r.destinations()
+	return ordered.Keys(r.cache)
 }
 
 func contains(route []field.NodeID, id field.NodeID) bool {

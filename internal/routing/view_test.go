@@ -1,19 +1,21 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
 	"liteworp/internal/field"
 	"liteworp/internal/flatmap"
+	"liteworp/internal/ordered"
 	"liteworp/internal/packet"
 	"liteworp/internal/sim"
 )
 
-// TestCachedDestinationsViewInvalidation: the sorted destination view is
-// shared between calls while the cache is unchanged, and rebuilt — with
-// fresh backing, so old snapshots survive — on every insert and eviction.
+// TestCachedDestinationsViewInvalidation: the sorted destination listing
+// follows the route cache through every insert, manual eviction and
+// TOutRoute expiry, and a listing already handed out is the caller's own.
 func TestCachedDestinationsViewInvalidation(t *testing.T) {
 	k := sim.New(1)
 	r := newRouter(k, 1, Config{}, func(*packet.Packet) error { return nil }, Events{})
@@ -21,67 +23,55 @@ func TestCachedDestinationsViewInvalidation(t *testing.T) {
 	installTestRoute(r, 1, 2, 5)
 	installTestRoute(r, 1, 3, 4)
 	v1 := r.CachedDestinations()
-	if len(v1) != 2 || v1[0] != 4 || v1[1] != 5 {
-		t.Fatalf("view = %v, want [4 5]", v1)
-	}
-	v2 := r.CachedDestinations()
-	if &v1[0] != &v2[0] {
-		t.Fatal("unchanged cache rebuilt the view (no sharing)")
+	if !slices.Equal(v1, []field.NodeID{4, 5}) {
+		t.Fatalf("listing = %v, want [4 5]", v1)
 	}
 
 	installTestRoute(r, 1, 2, 3)
-	v3 := r.CachedDestinations()
-	if len(v3) != 3 || v3[0] != 3 || v3[1] != 4 || v3[2] != 5 {
-		t.Fatalf("view after insert = %v, want [3 4 5]", v3)
+	if v := r.CachedDestinations(); !slices.Equal(v, []field.NodeID{3, 4, 5}) {
+		t.Fatalf("listing after insert = %v, want [3 4 5]", v)
 	}
-	if len(v1) != 2 || v1[0] != 4 || v1[1] != 5 {
-		t.Fatalf("old snapshot corrupted by rebuild: %v", v1)
+	if !slices.Equal(v1, []field.NodeID{4, 5}) {
+		t.Fatalf("earlier listing changed by an insert: %v", v1)
 	}
 
 	r.EvictRoute(4)
-	v4 := r.CachedDestinations()
-	if len(v4) != 2 || v4[0] != 3 || v4[1] != 5 {
-		t.Fatalf("view after evict = %v, want [3 5]", v4)
+	if v := r.CachedDestinations(); !slices.Equal(v, []field.NodeID{3, 5}) {
+		t.Fatalf("listing after evict = %v, want [3 5]", v)
 	}
 
-	// Timer-driven eviction must invalidate too.
 	k.RunFor(testRouteTimeout + time.Second)
 	if got := r.CachedDestinations(); len(got) != 0 {
-		t.Fatalf("view after TOutRoute = %v, want empty", got)
+		t.Fatalf("listing after TOutRoute = %v, want empty", got)
 	}
 }
 
-// TestForwardViewInvalidation mirrors the invalidation contract for the
-// per-hop forwarding table consulted by evictVia.
+// TestForwardViewInvalidation: the per-hop forwarding table keeps one entry
+// per destination across refreshes, and evictVia drops exactly the entries
+// through the dead hop, as the timeout later drops the rest.
 func TestForwardViewInvalidation(t *testing.T) {
 	k := sim.New(1)
 	r := newRouter(k, 1, Config{HopByHop: true}, func(*packet.Packet) error { return nil }, Events{})
 
 	r.setForward(7, 2)
 	r.setForward(3, 2)
-	v1 := r.forwardDests()
-	if len(v1) != 2 || v1[0] != 3 || v1[1] != 7 {
-		t.Fatalf("view = %v, want [3 7]", v1)
-	}
-	// Refreshing an existing entry is not a membership change: the view
-	// must stay shared.
-	r.setForward(7, 4)
-	v2 := r.forwardDests()
-	if &v1[0] != &v2[0] {
-		t.Fatal("refresh of an existing dest rebuilt the view")
+	r.setForward(7, 4) // a refresh, not a second entry
+	r.setForward(9, 5)
+	if got := ordered.Keys(r.forward); !slices.Equal(got, []field.NodeID{3, 7, 9}) {
+		t.Fatalf("forwarding table = %v, want [3 7 9]", got)
 	}
 	if next, _ := r.NextHop(7); next != 4 {
 		t.Fatalf("NextHop(7) = %d after refresh, want 4", next)
 	}
 
-	r.setForward(9, 5)
-	if v3 := r.forwardDests(); len(v3) != 3 || v3[2] != 9 {
-		t.Fatalf("view after insert = %v, want [3 7 9]", v3)
+	r.evictVia(2)
+	if got := ordered.Keys(r.forward); !slices.Equal(got, []field.NodeID{7, 9}) {
+		t.Fatalf("forwarding table after evicting hop 2 = %v, want [7 9]", got)
 	}
 
 	k.RunFor(testRouteTimeout + time.Second)
-	if got := r.forwardDests(); len(got) != 0 {
-		t.Fatalf("view after timeout = %v, want empty", got)
+	if got := ordered.Keys(r.forward); len(got) != 0 {
+		t.Fatalf("forwarding table after timeout = %v, want empty", got)
 	}
 	if _, ok := r.NextHop(7); ok {
 		t.Fatal("forwarding entry survived its timeout")

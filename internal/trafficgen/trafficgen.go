@@ -119,9 +119,6 @@ func (s *Source) Resume() {
 // Sent returns the number of packets generated so far.
 func (s *Source) Sent() uint64 { return s.sent }
 
-// Destination returns the current destination.
-func (s *Source) Destination() field.NodeID { return s.dest }
-
 // pickDestination draws uniformly over the n candidates. The draw bound
 // and the chosen destination are identical to indexing a self-free copy
 // (candidate i is the i-th non-self peer), so sharing the caller's slice
@@ -161,15 +158,14 @@ func (s *Source) scheduleReselect() {
 // StartAll creates and starts a source per node ID with staggered phase:
 // each source's first packet is additionally delayed by a uniform draw in
 // [0, 1/lambda) so sources do not fire in lockstep. It returns the sources
-// keyed by node.
-func StartAll(k *sim.Kernel, ids []field.NodeID, cfg Config, send func(from, dest field.NodeID, payload []byte) error) map[field.NodeID]*Source {
-	out := make(map[field.NodeID]*Source, len(ids))
-	for _, id := range ids {
-		id := id
+// in the order of ids.
+func StartAll(k *sim.Kernel, ids []field.NodeID, cfg Config, send func(from, dest field.NodeID, payload []byte) error) []*Source {
+	out := make([]*Source, len(ids))
+	for i, id := range ids {
 		src := New(k, id, ids, cfg, func(dest field.NodeID, payload []byte) error {
 			return send(id, dest, payload)
 		})
-		out[id] = src
+		out[i] = src
 		phase := time.Duration(0)
 		if cfg.Lambda > 0 {
 			phase = k.UniformDuration(time.Duration(float64(time.Second) / cfg.Lambda))

@@ -114,9 +114,12 @@ func TestStartAllStaggersAndTags(t *testing.T) {
 	if err := k.RunUntil(300 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
+	for i, id := range ids {
 		if counts[id] < 200 {
 			t.Fatalf("node %d sent only %d packets", id, counts[id])
+		}
+		if got := srcs[i].Sent(); got != uint64(counts[id]) {
+			t.Fatalf("source %d counts %d packets, node %d sent %d: sources not in ids order", i, got, id, counts[id])
 		}
 	}
 }

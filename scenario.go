@@ -18,7 +18,6 @@ import (
 	"liteworp/internal/metrics"
 	"liteworp/internal/neighbor"
 	"liteworp/internal/node"
-	"liteworp/internal/ordered"
 	"liteworp/internal/packet"
 	"liteworp/internal/routing"
 	"liteworp/internal/sim"
@@ -37,8 +36,12 @@ type Scenario struct {
 	deps      node.Deps // what every node shares, deployed or joined
 	keysrv    *keys.KeyServer
 	collector *metrics.Collector
-	nodes     map[field.NodeID]*node.Node
-	sources   map[field.NodeID]*trafficgen.Source
+	// nodes and sources are dense by id − firstID: node IDs are placed
+	// densely, and a joined node takes the next one. sources holds the
+	// nodes placed when the operational phase began; a later joiner runs
+	// no traffic source.
+	nodes     []*node.Node
+	sources   []*trafficgen.Source
 	malicious []field.NodeID
 	malSet    map[field.NodeID]bool
 
@@ -52,8 +55,6 @@ type Scenario struct {
 	lossOverride float64 // current SetChannelLoss override (0 = configured model)
 	alertDropP   float64 // current ALERT drop probability
 	faultHooked  bool    // delivery-fault hook installed on the medium
-	downSince    map[field.NodeID]time.Duration
-	downtime     map[field.NodeID]time.Duration
 }
 
 // Scenario implements fault.Network, so fault plans drive it directly.
@@ -127,10 +128,8 @@ func NewScenario(p Params) (*Scenario, error) {
 		kernel:    sim.New(p.Seed),
 		keysrv:    keys.NewKeyServer(uint64(p.Seed)*2654435761 + 97),
 		collector: metrics.NewCollector(),
-		nodes:     make(map[field.NodeID]*node.Node),
+		nodes:     make([]*node.Node, 0, p.NumNodes),
 		malSet:    make(map[field.NodeID]bool),
-		downSince: make(map[field.NodeID]time.Duration),
-		downtime:  make(map[field.NodeID]time.Duration),
 	}
 
 	// Deployment uses its own derived RNG so topology depends only on the
@@ -228,7 +227,7 @@ func NewScenario(p Params) (*Scenario, error) {
 				cfg.Routing.ForwardJitter = 0
 			}
 		}
-		s.nodes[id] = node.New(id, cfg, s.deps)
+		s.nodes = append(s.nodes, node.New(id, cfg, s.deps))
 	}
 
 	s.opStart = trafficDelay
@@ -236,12 +235,12 @@ func NewScenario(p Params) (*Scenario, error) {
 	s.collector.AttackStart = s.attackAt
 
 	// Boot sequence: discovery at t=0, then the operational phase.
-	for _, id := range topo.IDs() {
-		if err := s.nodes[id].Start(); err != nil {
+	for _, n := range s.nodes {
+		if err := n.Start(); err != nil {
 			return nil, err
 		}
 		// Attackers stay dormant until the attack start time.
-		if n := s.nodes[id]; n.Attacker() != nil {
+		if n.Attacker() != nil {
 			n.Attacker().SetActive(false)
 		}
 	}
@@ -271,7 +270,7 @@ func NewScenario(p Params) (*Scenario, error) {
 	if p.NumMalicious > 0 {
 		s.kernel.At(s.attackAt, func() {
 			for _, m := range s.malicious {
-				s.nodes[m].Attacker().SetActive(true)
+				s.Node(m).Attacker().SetActive(true)
 			}
 		})
 	}
@@ -291,7 +290,7 @@ func (s *Scenario) enterOperationalPhase() {
 		// is suspended during interference bursts (both channel models
 		// report garbled frames).
 		s.med.SetCorruptionNotify(func(rx field.NodeID) {
-			if n := s.nodes[rx]; n != nil && n.Engine() != nil {
+			if n := s.Node(rx); n != nil && n.Engine() != nil {
 				n.Engine().NoteInterference()
 			}
 		})
@@ -300,7 +299,7 @@ func (s *Scenario) enterOperationalPhase() {
 	s.sources = trafficgen.StartAll(s.kernel, ids,
 		trafficgen.Config{Lambda: p.Lambda, Mu: p.Mu, PayloadBytes: p.PayloadBytes},
 		func(from, dest field.NodeID, payload []byte) error {
-			return s.nodes[from].SendData(dest, payload)
+			return s.Node(from).SendData(dest, payload)
 		})
 }
 
@@ -315,13 +314,7 @@ func (s *Scenario) AddNodeAt(x, y float64) (NodeID, error) {
 	if !s.params.DynamicJoin {
 		return 0, fmt.Errorf("liteworp: AddNodeAt requires Params.DynamicJoin")
 	}
-	id := firstID + NodeID(s.topo.Len())
-	for {
-		if _, exists := s.topo.Position(id); !exists {
-			break
-		}
-		id++
-	}
+	id := firstID + NodeID(len(s.nodes))
 	if err := s.topo.Place(id, field.Point{X: x, Y: y}); err != nil {
 		return 0, err
 	}
@@ -331,7 +324,7 @@ func (s *Scenario) AddNodeAt(x, y float64) (NodeID, error) {
 	if err := n.Start(); err != nil {
 		return 0, err
 	}
-	s.nodes[id] = n
+	s.nodes = append(s.nodes, n)
 	return id, nil
 }
 
@@ -374,15 +367,14 @@ func (s *Scenario) SetChannelLoss(p float64) float64 {
 // is dropped (the pairwise key ring persists), and its traffic source
 // stops. Fails if the node is unknown or already down.
 func (s *Scenario) CrashNode(id NodeID) error {
-	n := s.nodes[id]
+	n := s.Node(id)
 	if n == nil {
 		return fmt.Errorf("liteworp: crash: no node %d", id)
 	}
 	if err := n.Crash(); err != nil {
 		return err
 	}
-	s.downSince[id] = s.kernel.Now()
-	if src := s.sources[id]; src != nil {
+	if src := s.source(id); src != nil {
 		src.Stop()
 	}
 	s.emitLifecycle(trace.KindCrash, id)
@@ -394,18 +386,14 @@ func (s *Scenario) CrashNode(id NodeID) error {
 // traffic source resumes once the discovery window has passed (a source
 // with no neighbors yet would only feed the failure counters).
 func (s *Scenario) RebootNode(id NodeID) error {
-	n := s.nodes[id]
+	n := s.Node(id)
 	if n == nil {
 		return fmt.Errorf("liteworp: reboot: no node %d", id)
 	}
 	if err := n.Reboot(); err != nil {
 		return err
 	}
-	if since, ok := s.downSince[id]; ok {
-		s.downtime[id] += s.kernel.Now() - since
-		delete(s.downSince, id)
-	}
-	if src := s.sources[id]; src != nil {
+	if src := s.source(id); src != nil {
 		s.kernel.After(trafficDelay, func() {
 			if !n.Down() { // still up: it may have crashed again meanwhile
 				src.Resume()
@@ -516,7 +504,21 @@ func (s *Scenario) MaliciousIDs() []NodeID {
 }
 
 // Node returns a node's stack for inspection (nil if absent).
-func (s *Scenario) Node(id NodeID) *node.Node { return s.nodes[id] }
+func (s *Scenario) Node(id NodeID) *node.Node {
+	if i := uint64(id - firstID); i < uint64(len(s.nodes)) {
+		return s.nodes[i]
+	}
+	return nil
+}
+
+// source returns id's traffic source, nil before the operational phase
+// and for a node that joined after it began.
+func (s *Scenario) source(id NodeID) *trafficgen.Source {
+	if i := uint64(id - firstID); i < uint64(len(s.sources)) {
+		return s.sources[i]
+	}
+	return nil
+}
 
 // NodeIDs returns every node ID, ascending.
 func (s *Scenario) NodeIDs() []NodeID { return s.topo.IDs() }
@@ -613,13 +615,14 @@ func (s *Scenario) Results() *Results {
 		Bandwidth:          s.bandwidthBreakdown(),
 		FaultEvents:        len(s.FaultLog()),
 	}
-	if len(s.downtime) > 0 || len(s.downSince) > 0 {
-		r.NodeDowntime = maps.Clone(s.downtime)
-		now := s.kernel.Now()
-		for _, id := range ordered.Keys(s.downSince) {
-			// Still down at snapshot time: count the open interval.
-			r.NodeDowntime[id] += now - s.downSince[id]
+	for _, n := range s.nodes {
+		if n.Crashes() == 0 {
+			continue
 		}
+		if r.NodeDowntime == nil {
+			r.NodeDowntime = make(map[NodeID]time.Duration)
+		}
+		r.NodeDowntime[n.ID()] = n.Downtime()
 	}
 	for _, accused := range c.AccusedNodes() {
 		if !s.malSet[accused] {
