@@ -7,10 +7,10 @@ package flatmap
 // ids.
 //
 // pages[0] holds position head, and the pages hold no more than the
-// positions [head, next) span. A page that Pop empties goes to the
-// queue's spares, and Push takes a page from there before it allocates
-// one; with no spares the collector takes it, as it takes the pages Trim
-// drops.
+// positions [head, next) span. A page that Pop empties or Trim drops goes
+// to the queue's spares while they have room, and Push takes a page from
+// there before it allocates one; the collector takes the rest, and every
+// page of a queue with no spares.
 //
 // The page type P sets the page length, so each use compiles with its
 // own constant length; the zero queue starts at position 0 with no
@@ -104,12 +104,15 @@ func (q *Paged[T, P]) Pop() {
 	q.spares.put(p)
 }
 
-// Trim drops the values past the first k, and every page that holds none
-// of the positions [Head, Head+k).
+// Trim drops the values past the first k, and gives the spares every
+// page that holds none of the positions [Head, Head+k).
 func (q *Paged[T, P]) Trim(k uint64) {
 	n := q.size()
 	q.next = min(q.next, q.head+k)
 	if keep := int((q.head+k+n-1)/n - q.head/n); keep < len(q.pages) {
+		for _, p := range q.pages[keep:] {
+			q.spares.put(p)
+		}
 		clear(q.pages[keep:])
 		q.pages = q.pages[:keep]
 	}

@@ -2,6 +2,7 @@ package flatmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -63,5 +64,39 @@ func TestIndexedMatchesMap(t *testing.T) {
 	}
 	if q.Keys() != 0 || q.Slots() != minCap || peak < 4*minCap {
 		t.Fatalf("drained: %d keys in %d slots (peak %d)", q.Keys(), q.Slots(), peak)
+	}
+}
+
+// TestPagedTrimGivesSpares: the pages Trim drops go to the queue's spares
+// while they have room, and another queue on the same spares takes them
+// before it allocates. A queue with no spares, like a guard's packet
+// records, leaves its trimmed pages to the collector.
+func TestPagedTrimGivesSpares(t *testing.T) {
+	spare := Spares[[ShortPage]int]{Max: 2}
+	var a, b Paged[int, [ShortPage]int]
+	a.Init(0, &spare)
+	b.Init(0, &spare)
+	for range 5 * ShortPage {
+		a.Push()
+	}
+	pages := slices.Clone(a.pages)
+	a.Trim(ShortPage + 1)
+	if a.Pages() != 2 || spare.Len() != 2 || spare.pages[0] != pages[2] || spare.pages[1] != pages[3] {
+		t.Fatalf("trim to two pages of five: %d left, %d spare, want 2 and the next two", a.Pages(), spare.Len())
+	}
+	for range 2 * ShortPage {
+		b.Push()
+	}
+	if spare.Len() != 0 || b.pages[0] != pages[3] || b.pages[1] != pages[2] {
+		t.Fatal("a queue sharing the spares allocated instead of taking the trimmed pages")
+	}
+
+	var c Paged[int, [ShortPage]int]
+	for range 3 * ShortPage {
+		c.Push()
+	}
+	c.Trim(0)
+	if !c.Empty() || c.Pages() != 0 || spare.Len() != 0 {
+		t.Fatalf("trim(0) without spares left %d values on %d pages", c.Len(), c.Pages())
 	}
 }

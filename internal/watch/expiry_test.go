@@ -208,10 +208,13 @@ func TestMalcRecordPerAccusedNode(t *testing.T) {
 }
 
 // TestMetDeadlineSlotReused: the slots of met deadlines are reused. A
-// page of expectations, each met by its forward as soon as it is armed,
-// leaves the queue empty at a page boundary with that page spare, and the
-// next deadline goes into the first one's slot. A met deadline never
-// fires: only the last expectation's drop is accused, at its own deadline.
+// met deadline at the head leaves the queue at once (met ones behind a
+// waiting head leave by the filter, see
+// TestDeadlineQueueResolvesInArmingOrder). A page of expectations, each
+// met by its forward as soon as it is armed, leaves the queue empty at a
+// page boundary with that page spare, and the next deadline goes into the
+// first one's slot. A met deadline never fires: only the last
+// expectation's drop is accused, at its own deadline.
 func TestMetDeadlineSlotReused(t *testing.T) {
 	k := sim.New(1)
 	const tau = time.Second
@@ -310,11 +313,13 @@ func TestDeadlineQueueReleasesBurstPages(t *testing.T) {
 
 // TestDeadlineQueueResolvesInArmingOrder arms a burst of expectations
 // and hears the forwards of all but every tenth, latest first and never
-// the first one's, so the met entries stay queued behind a waiting head.
-// A forward heard late still resolves its own entry, and the rest expire
-// as drops at their deadlines, in arming order; the met entries never
-// fire, and once the burst has drained the queue holds at most the page
-// at its head, and the spares the guard's one page.
+// the first one's, so the met entries pile up behind a waiting head.
+// Once they pass the waiting ones twice over plus a page, the queue
+// filters them out in place, and checkQueue holds it to that bound after
+// every forward. A forward heard late still resolves its own entry, and
+// the rest expire as drops at their deadlines, in arming order; the met
+// entries never fire, and once the burst has drained the queue holds at
+// most the page at its head, and the spares the guard's one page.
 func TestDeadlineQueueResolvesInArmingOrder(t *testing.T) {
 	k := sim.New(3)
 	b, acc, _ := newBuffer(k, Config{Timeout: time.Second})
@@ -356,6 +361,44 @@ func TestDeadlineQueueResolvesInArmingOrder(t *testing.T) {
 	}
 	if spare := b.cfg.Log.deadlineSpare.Len(); !b.deadlines.Empty() || b.deadlines.Pages() > 1 || spare > 1 {
 		t.Fatalf("drained queue holds %d entries on %d pages, with %d spare", b.deadlines.Len(), b.deadlines.Pages(), spare)
+	}
+}
+
+// TestDeadlineQueueBoundAfterExpiry: an expiry lowers the waiting count
+// too, so a queue held exactly at its bound of twice the waiting entries
+// plus a page must filter its met entries when its head drops, whether
+// the drop is accused or filtered. The head and the entry behind it wait,
+// fourteen met entries follow, and four more wait at the tail: twenty
+// entries for six waiting ones.
+func TestDeadlineQueueBoundAfterExpiry(t *testing.T) {
+	for _, filtered := range []bool{false, true} {
+		k := sim.New(1)
+		const tau = time.Second
+		cfg := Config{Timeout: tau}
+		if filtered {
+			cfg.DropFilter = func(field.NodeID, packet.Key) bool { return true }
+		}
+		b, acc, _ := newBuffer(k, cfg)
+		b.Expect(5, key(1, 0))
+		k.RunFor(time.Millisecond)
+		for i := uint64(1); i < 20; i++ {
+			b.Expect(5, key(1, i))
+		}
+		for i := uint64(2); i < 16; i++ {
+			b.RecordHeard(5, key(1, i))
+		}
+		if q := b.deadlines.Len(); q != 2*b.Len()+flatmap.ShortPage {
+			t.Fatalf("%d entries queued for %d waiting, want the bound", q, b.Len())
+		}
+		k.RunFor(tau - time.Millisecond/2) // only the head's deadline
+		accused := 1
+		if filtered {
+			accused = 0
+		}
+		if b.Len() != 5 || len(*acc) != accused {
+			t.Fatalf("filtered %v: %d waiting and %d accusations after the head's deadline", filtered, b.Len(), len(*acc))
+		}
+		checkQueue(t, b)
 	}
 }
 

@@ -195,7 +195,8 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 			// later sweep takes them back down (shrink).
 			// Then the forwards of all but every fifth armed expectation are
 			// heard, latest first, and never the first one's: met entries
-			// come to outnumber waiting ones behind a waiting head.
+			// come to outnumber waiting ones behind a waiting head, until
+			// the queue filters them out.
 			base := uint64(1000 * (op + 1))
 			type armed struct {
 				f field.NodeID
@@ -374,12 +375,16 @@ func runStoreScript(tb testing.TB, ctor storeCtor, seed int64) []string {
 }
 
 // checkQueue checks b's deadline queue against its store: the pages hold
-// the queued entries' span, the head is waiting, and the entries the store
+// the queued entries' span, the queue holds at most twice the outstanding
+// expectations plus a page, the head is waiting, and the entries the store
 // holds as waiting are exactly b's outstanding expectations.
 func checkQueue(tb testing.TB, b *Buffer) {
 	tb.Helper()
 	q := &b.deadlines
 	checkPages(tb, q)
+	if limit := 2*b.Len() + flatmap.ShortPage; q.Len() > limit {
+		tb.Fatalf("queue of %d entries for %d waiting, limit %d", q.Len(), b.Len(), limit)
+	}
 	if !q.Empty() && !b.store.waiting(q.Front().fidx, q.Front().key) {
 		tb.Fatalf("queue head %+v is not waiting", *q.Front())
 	}
@@ -617,10 +622,14 @@ func TestForwardersHas(t *testing.T) {
 	}
 }
 
-// TestRecordLayout pins the log entry and the guard record sizes: an
-// entry per transmission is the log's whole cost, and a record per packet
-// a guard expects forwards of is the guard's.
+// TestRecordLayout pins the log entry, guard record and MalC record
+// sizes: an entry per transmission is the log's whole cost, a record per
+// packet a guard expects forwards of is the guard's, and a MalC record
+// per accused node holds one slice of 8-byte observations.
 func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(malcRecord{}); got != 32 {
+		t.Errorf("malcRecord is %d bytes, want 32", got)
+	}
 	if got := unsafe.Sizeof(entry{}); got != 48 {
 		t.Errorf("log entry is %d bytes, want 48", got)
 	}

@@ -24,18 +24,20 @@
 // against a Go-map oracle that keeps every heard fact per guard. The
 // buffer itself keeps its expectations' deadlines in a queue in the order
 // they were armed, one kernel timer for the oldest one still waiting (see
-// deadline), and its MalC records.
+// deadline), and its MalC records, one 8-byte word per observation (see
+// malcRecord).
 //
 // The log's entries and overflow receptions and each guard's deadlines
 // and records live in one container, flatmap.Paged: a FIFO of
 // fixed-length pages addressed by position, which gives the pages it
-// empties to a pool of spares and takes pages from there before it
-// allocates. The log's entries sit 256 to a page, in a flatmap.Indexed
+// empties or trims to a pool of spares and takes pages from there before
+// it allocates. The log's entries sit 256 to a page, in a flatmap.Indexed
 // queue whose index finds a pair's newest entry, and an entry's id is its
 // position; the rest sit 8 to a page. The guards on one log pool their
-// spare deadline pages, one page per guard. So a guard's deadlines hold
-// the entries queued and the unused ends of their first and last pages,
-// and the pool at most one page per guard, whatever burst any guard saw.
+// spare deadline pages, one page per guard. A guard queues at most twice
+// as many deadlines as are waiting, plus a page (see dropMet); its pages
+// hold those and the unused ends of their first and last pages, and the
+// pool at most one page per guard, whatever burst any guard saw.
 package watch
 
 import (
@@ -136,7 +138,8 @@ func live(exp, now time.Duration) bool { return now < exp }
 
 // cacheTTL is how long a heard fact lives: ten times tau. It only needs to
 // outlive the propagation of one flood; that it outlives a deadline is
-// what lets the deadline queue keep met entries (see deadline).
+// what lets a met entry stay queued until the queue drops it (see
+// deadline).
 func (c Config) cacheTTL() time.Duration { return 10 * c.Timeout }
 
 // Stats counts buffer activity.
@@ -158,10 +161,11 @@ type Stats struct {
 // also (at, seq) order. Nothing searches or marks the queue: the store
 // alone knows which expectations are still waiting
 // (storeBackend.waiting). An entry whose forward was heard stays queued
-// until it reaches the head, and whoever pops the head drops the met
-// entries behind it, so the head is waiting whenever the queue is
-// non-empty. The buffer's one clock timer is armed for the head, so the
-// oldest waiting entry is always the one whose deadline fires next.
+// until it reaches the head or the queue is filtered (dropMet), and
+// whoever pops the head drops the met entries behind it, so the head is
+// waiting whenever the queue is non-empty. The buffer's one clock timer is
+// armed for the head, so the oldest waiting entry is always the one whose
+// deadline fires next.
 //
 // A met entry is never taken for a waiting one: that would need its
 // (fidx, key) expected again while it is queued. It has left the queue by
@@ -176,13 +180,17 @@ type deadline struct {
 	fidx int32
 }
 
-// malcRecord is the MalC record of one accused node.
+// malcRecord is the MalC record of one accused node: 32 bytes and one
+// 8-byte word per observation still in the window.
+//
+// An observation at instant at is stored as 2*at, plus 1 for a
+// fabrication. Its increment is then FabricationIncrement or
+// DropIncrement, the only two there are, and the newest observation is
+// the last one.
 type malcRecord struct {
-	aidx   int32           // the accused node's nbrIdx
-	fired  bool            // the threshold latch
-	latest time.Duration   // time of the newest increment
-	times  []time.Duration // timestamps of increments
-	incs   []int           // increment values, parallel to times
+	aidx  int32           // the accused node's nbrIdx
+	fired bool            // the threshold latch
+	obs   []time.Duration // observations in the order made (see above)
 }
 
 // Buffer is one guard's monitoring state.
@@ -248,11 +256,12 @@ func newWithStore(k sim.Clock, cfg Config, store func(*Buffer) storeBackend, onA
 // counts an observation at exactly now-Window, so deleting at the boundary
 // would be observable. The survivors keep their order. accuse calls it
 // before it adds a record, so the records never outnumber the nodes
-// accused within a window plus the fired ones.
+// accused within a window plus the fired ones. A record whose slice
+// windowedValue emptied goes too: its newest observation was older still.
 func (b *Buffer) sweepMalc(now time.Duration) {
 	keep := b.malcs[:0]
 	for _, rec := range b.malcs {
-		if rec.fired || rec.latest+b.cfg.Window >= now {
+		if rec.fired || len(rec.obs) > 0 && rec.obs[len(rec.obs)-1]/2+b.cfg.Window >= now {
 			keep = append(keep, rec)
 		}
 	}
@@ -320,6 +329,7 @@ func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) bool {
 		b.timer.Cancel()
 		b.popHead()
 	}
+	b.dropMet()
 	return true
 }
 
@@ -405,6 +415,28 @@ func (b *Buffer) popHead() {
 	b.armHead()
 }
 
+// dropMet filters the met entries out of the queue once it holds more
+// than twice the waiting ones plus a page, so a guard queues no more than
+// that after any call. The waiting entries keep their order and their
+// reserved (at, seq); the head is one of them, so the timer stays armed
+// for it. A filter drops more entries than it keeps, so it probes fewer
+// than twice the entries it drops: at most two probes per entry armed.
+// The pages the filter empties go to the spares.
+func (b *Buffer) dropMet() {
+	q := &b.deadlines
+	if q.Len() <= 2*b.Len()+flatmap.ShortPage {
+		return
+	}
+	keep := q.Head()
+	for i := q.Head(); i < q.Next(); i++ {
+		if d := q.At(i); b.store.waiting(d.fidx, d.key) {
+			*q.At(keep) = *d
+			keep++
+		}
+	}
+	q.Trim(keep - q.Head())
+}
+
 // armHead arms the buffer's timer for the queue's head, the oldest waiting
 // deadline, if there is one. The timer fires at the entry's reserved
 // (at, seq), so it pops exactly where a timer armed with the entry would
@@ -419,8 +451,8 @@ func (b *Buffer) armHead() {
 
 // expire is a watch deadline firing: the monitored node failed to forward
 // within tau. The firing entry is the queue's head. The timer is re-armed
-// for the next waiting entry before the accusation, whose callbacks may
-// arm new entries.
+// for the next waiting entry, and the queue filtered for the expectation
+// resolved, before the accusation, whose callbacks may arm new entries.
 func (b *Buffer) expire() {
 	d := *b.deadlines.Front()
 	b.store.clearExpect(d.fidx, d.key)
@@ -428,16 +460,18 @@ func (b *Buffer) expire() {
 	forwarder := b.idx.ID(d.fidx)
 	if b.cfg.DropFilter(forwarder, d.key) {
 		b.stats.FilteredDrops++
+		b.dropMet()
 		return
 	}
 	b.stats.Drops++
-	b.accuse(d.fidx, forwarder, ReasonDrop, d.key, b.cfg.DropIncrement)
+	b.dropMet()
+	b.accuse(d.fidx, forwarder, ReasonDrop, d.key)
 }
 
 // AccuseFabrication raises a fabrication accusation against the node.
 func (b *Buffer) AccuseFabrication(accused field.NodeID, key packet.Key) {
 	b.stats.Fabrications++
-	b.accuse(b.idx.Intern(accused), accused, ReasonFabrication, key, b.cfg.FabricationIncrement)
+	b.accuse(b.idx.Intern(accused), accused, ReasonFabrication, key)
 }
 
 // accuse applies one observation to the accused's MalC record. The record
@@ -445,7 +479,7 @@ func (b *Buffer) AccuseFabrication(accused field.NodeID, key packet.Key) {
 // threshold latch — happens before the callbacks run: a callback can
 // re-enter the buffer and accuse, which may grow the slice underneath a
 // held pointer.
-func (b *Buffer) accuse(aidx int32, accused field.NodeID, reason Reason, key packet.Key, inc int) {
+func (b *Buffer) accuse(aidx int32, accused field.NodeID, reason Reason, key packet.Key) {
 	now := b.kernel.Now()
 	rec := b.malc(aidx)
 	if rec == nil {
@@ -453,9 +487,11 @@ func (b *Buffer) accuse(aidx int32, accused field.NodeID, reason Reason, key pac
 		b.malcs = append(b.malcs, malcRecord{aidx: aidx})
 		rec = &b.malcs[len(b.malcs)-1]
 	}
-	rec.times = append(rec.times, now)
-	rec.incs = append(rec.incs, inc)
-	rec.latest = now
+	o := 2 * now
+	if reason == ReasonFabrication {
+		o++
+	}
+	rec.obs = append(rec.obs, o)
 	val := b.windowedValue(rec, now)
 	fire := !rec.fired && val >= b.cfg.Threshold
 	if fire {
@@ -468,21 +504,24 @@ func (b *Buffer) accuse(aidx int32, accused field.NodeID, reason Reason, key pac
 	}
 }
 
+// windowedValue sums the increments of rec's observations at or after
+// now-Window, and drops the older ones in place.
 func (b *Buffer) windowedValue(rec *malcRecord, now time.Duration) int {
-	cutoff := now - b.cfg.Window
-	// Drop expired observations in place.
-	keep := 0
+	cutoff := 2 * (now - b.cfg.Window)
+	keep := rec.obs[:0]
 	total := 0
-	for i, t := range rec.times {
-		if t >= cutoff {
-			rec.times[keep] = t
-			rec.incs[keep] = rec.incs[i]
-			total += rec.incs[i]
-			keep++
+	for _, o := range rec.obs {
+		if o < cutoff {
+			continue
+		}
+		keep = append(keep, o)
+		if o&1 != 0 {
+			total += b.cfg.FabricationIncrement
+		} else {
+			total += b.cfg.DropIncrement
 		}
 	}
-	rec.times = rec.times[:keep]
-	rec.incs = rec.incs[:keep]
+	rec.obs = keep
 	return total
 }
 
